@@ -7,6 +7,9 @@
 //! IPC, Unikraft's `linuxu` tax, CubicleOS `pkey_mprotect` transitions) are
 //! derived from **Figure 10** as documented per field; see DESIGN.md §4.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 /// Cycle costs for every primitive the simulation charges.
 ///
 /// Obtain the paper-calibrated instance with [`CostModel::xeon_silver_4114`]
@@ -198,18 +201,42 @@ pub const BYTE_COST_TABLE_LEN: usize = 16 * 1024 + 1;
 /// `5 × 0.7`), and the figure outputs are required to stay
 /// byte-identical. `tests/datapath_diff.rs` asserts the equivalence over
 /// the whole table and beyond.
+///
+/// The entries are a pure function of `per_byte`, and a sweep builds
+/// thousands of machines from the same [`CostModel`], so the table is
+/// computed once per distinct `per_byte` bit pattern and thread and
+/// shared by reference count; an ablation run that perturbs the model
+/// gets a table of its own. The memo is a `thread_local!` because a
+/// [`crate::Machine`] never leaves the thread that built it. Sharing
+/// costs the charge path nothing: an `Rc<[u32]>` is read through one
+/// pointer, as the `Box<[u32]>` it replaced was.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ByteCostTable {
     per_byte: f64,
-    table: Box<[u32]>,
+    table: Rc<[u32]>,
+}
+
+thread_local! {
+    /// Every table built on this thread, by `per_byte.to_bits()`. One
+    /// entry per distinct cost model in use — a handful.
+    static TABLES: RefCell<Vec<(u64, Rc<[u32]>)>> = const { RefCell::new(Vec::new()) };
 }
 
 impl ByteCostTable {
-    /// Precomputes the charge table for `per_byte` cycles per byte.
+    /// The charge table for `per_byte` cycles per byte: computed on the
+    /// thread's first request for this `per_byte`, shared afterwards.
     pub fn new(per_byte: f64) -> Self {
-        let table = (0..BYTE_COST_TABLE_LEN)
-            .map(|len| (len as f64 * per_byte).round() as u32)
-            .collect();
+        let bits = per_byte.to_bits();
+        let table = TABLES.with_borrow_mut(|tables| {
+            if let Some((_, table)) = tables.iter().find(|(b, _)| *b == bits) {
+                return Rc::clone(table);
+            }
+            let table: Rc<[u32]> = (0..BYTE_COST_TABLE_LEN)
+                .map(|len| (len as f64 * per_byte).round() as u32)
+                .collect();
+            tables.push((bits, Rc::clone(&table)));
+            table
+        });
         ByteCostTable { per_byte, table }
     }
 
@@ -230,7 +257,7 @@ impl ByteCostTable {
 
 impl CostModel {
     /// The precomputed charge table for [`CostModel::mem_per_byte`] (one
-    /// side of a simulated-memory access). [`crate::Machine`] builds one
+    /// side of a simulated-memory access). [`crate::Machine`] takes one
     /// at construction and charges every data-path byte through it.
     pub fn mem_cost_table(&self) -> ByteCostTable {
         ByteCostTable::new(self.mem_per_byte)
@@ -289,6 +316,35 @@ mod tests {
                     table.cycles(len),
                     (len as f64 * per_byte).round() as u64,
                     "per_byte {per_byte} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn byte_cost_tables_are_shared_per_distinct_per_byte() {
+        use crate::Machine;
+        let a = Machine::new(1024 * 1024);
+        let b = Machine::new(Machine::DEFAULT_MEM_BYTES);
+        assert!(Rc::ptr_eq(&a.mem_costs().table, &b.mem_costs().table));
+
+        let perturbed = CostModel {
+            mem_per_byte: 0.9,
+            ..CostModel::default()
+        };
+        let c = Machine::with_cost_model(1024 * 1024, perturbed);
+        assert!(!Rc::ptr_eq(&a.mem_costs().table, &c.mem_costs().table));
+        let d = Machine::with_cores(1024 * 1024, c.cost().clone(), 4);
+        assert!(Rc::ptr_eq(&c.mem_costs().table, &d.mem_costs().table));
+
+        for costs in [a.mem_costs(), c.mem_costs()] {
+            assert_eq!(costs.table.len(), BYTE_COST_TABLE_LEN);
+            for (len, &cycles) in costs.table.iter().enumerate() {
+                assert_eq!(
+                    u64::from(cycles),
+                    (len as f64 * costs.per_byte()).round() as u64,
+                    "per_byte {} len {len}",
+                    costs.per_byte()
                 );
             }
         }

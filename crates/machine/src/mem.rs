@@ -33,7 +33,48 @@
 //! an *epoch* that [`Memory::map`] and [`Memory::set_key`] bump, so
 //! re-keying a page (simulated `pkey_mprotect`) can never let a stale
 //! rights decision through; PKRU switches need no invalidation because
-//! the PKRU value itself is part of the tag.
+//! the PKRU value itself is part of the tag. The bump also happens when
+//! `set_key` fails part-way (an unmapped page in the range): the pages
+//! before it are already re-keyed, like a `pkey_mprotect` that returns
+//! `ENOMEM` after changing some of the range.
+//!
+//! # The frame table is sized by the mapped extent
+//!
+//! A [`Memory`] remembers its configured size in pages, but its frame
+//! table holds an entry only for pages up to the highest one ever
+//! mapped: [`Memory::new`] allocates nothing and [`Memory::map`] grows
+//! the table to the end of the range it maps. The region allocator hands
+//! out addresses bottom-up, so an image's mapped pages are a prefix of
+//! the address space and the table costs what the image uses — 5–13 k
+//! entries of the 65 536 a 256 MiB machine could have — instead of a
+//! fill at build and a walk at drop over all of them, once per sweep
+//! point. A page past the table is simply a page that was never mapped.
+//!
+//! Growing the table can move it, and a move copies every entry; whether
+//! the host allocator can extend the block in place instead depends on
+//! what else the heap holds at that moment, so a table grown by plain
+//! doubling makes an image's build cost depend on the heap's history
+//! (measured: 53–57 of 96 growths moved in one process, 0–2.4 MB copied
+//! per 8-vCPU build). When the table must grow, `map` therefore reserves
+//! room for four times the new extent, capped at the configured size:
+//! an image maps a few small sections, then its compartment heaps, the
+//! shared heap and the stacks, and all of those land in reserved room.
+//! That is the capacity doubling reached anyway (16 428 entries for a
+//! 1-vCPU image), taken in one step; entries beyond the extent are
+//! never written.
+//!
+//! What each fault means at the edges:
+//!
+//! * an access, `map`, `set_key` or `key_of` reaching **beyond the
+//!   configured size** ⇒ [`Fault::OutOfBounds`], checked before any page
+//!   is touched;
+//! * a page **within the configured size that was never mapped** —
+//!   inside the table (a guard page) or past its end ⇒
+//!   [`Fault::Unmapped`] naming the page base, after the earlier pages
+//!   of a multi-page access were written (or re-keyed, for `set_key`).
+//!
+//! [`Memory::size`] and the `Debug` page count report the configured
+//! size, never the table's length.
 
 use std::cell::Cell;
 use std::fmt;
@@ -52,7 +93,7 @@ static ZERO_PAGE: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
 /// Frames are zero-fill-on-demand: `data` stays unallocated (in host terms)
 /// until first written, which keeps multi-hundred-MiB simulated address
 /// spaces cheap.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PageFrame {
     key: ProtKey,
     mapped: bool,
@@ -96,7 +137,13 @@ impl RightsEntry {
 /// The simulated physical memory: an array of pages, each tagged with a
 /// protection key.
 pub struct Memory {
+    /// The frame table, sized by the mapped extent (see the module docs):
+    /// one entry per page up to the highest page ever mapped. Pages in
+    /// `frames.len()..pages` are unmapped.
     frames: Vec<PageFrame>,
+    /// The configured size in pages: the bound every access is checked
+    /// against, whatever the table's length.
+    pages: u64,
     /// Bumped by [`Memory::map`]/[`Memory::set_key`]; tags `rights_cache`.
     epoch: Cell<u64>,
     rights_cache: Cell<RightsEntry>,
@@ -106,18 +153,20 @@ impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mapped = self.frames.iter().filter(|p| p.mapped).count();
         f.debug_struct("Memory")
-            .field("pages", &self.frames.len())
+            .field("pages", &self.pages)
             .field("mapped_pages", &mapped)
             .finish()
     }
 }
 
 impl Memory {
-    /// Creates a memory of `bytes` bytes (rounded up to whole pages).
+    /// Creates a memory of `bytes` bytes (rounded up to whole pages), all
+    /// of it unmapped. This allocates nothing: the frame table grows in
+    /// [`Memory::map`].
     pub fn new(bytes: u64) -> Self {
-        let pages = crate::addr::pages_for(bytes) as usize;
         Memory {
-            frames: vec![PageFrame::default(); pages],
+            frames: Vec::new(),
+            pages: crate::addr::pages_for(bytes),
             epoch: Cell::new(0),
             rights_cache: Cell::new(RightsEntry::EMPTY),
         }
@@ -125,7 +174,7 @@ impl Memory {
 
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
-        (self.frames.len() * PAGE_SIZE) as u64
+        self.pages * PAGE_SIZE as u64
     }
 
     /// Maps `pages` pages starting at `base` (page-aligned) and tags them
@@ -140,11 +189,21 @@ impl Memory {
         let first = base.page_index();
         let last = first
             .checked_add(pages)
-            .filter(|&end| end <= self.frames.len() as u64)
+            .filter(|&end| end <= self.pages)
             .ok_or(Fault::OutOfBounds {
                 addr: base,
                 len: pages * PAGE_SIZE as u64,
             })?;
+        if last as usize > self.frames.len() {
+            if last as usize > self.frames.capacity() {
+                // Room for four times the new extent (see the module
+                // docs): the regions an image maps next must not move
+                // the table.
+                let room = last.saturating_mul(4).min(self.pages) as usize;
+                self.frames.reserve_exact(room - self.frames.len());
+            }
+            self.frames.resize_with(last as usize, PageFrame::default);
+        }
         for frame in &mut self.frames[first as usize..last as usize] {
             frame.mapped = true;
             frame.key = key;
@@ -165,19 +224,25 @@ impl Memory {
     pub fn set_key(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
         let first = base.page_index() as usize;
         let last = first + pages as usize;
-        if last > self.frames.len() {
+        if last as u64 > self.pages {
             return Err(Fault::OutOfBounds {
                 addr: base,
                 len: pages * PAGE_SIZE as u64,
             });
         }
-        for (i, frame) in self.frames[first..last].iter_mut().enumerate() {
-            if !frame.mapped {
-                return Err(Fault::Unmapped {
-                    addr: Addr::new(((first + i) * PAGE_SIZE) as u64),
-                });
+        for page in first..last {
+            match self.frames.get_mut(page) {
+                Some(frame) if frame.mapped => frame.key = key,
+                _ => {
+                    // The pages before this one are already re-keyed: a
+                    // cached decision about one of them must not outlive
+                    // that, so the failing path bumps the epoch too.
+                    self.bump_epoch();
+                    return Err(Fault::Unmapped {
+                        addr: Addr::new((page * PAGE_SIZE) as u64),
+                    });
+                }
             }
-            frame.key = key;
         }
         self.bump_epoch();
         Ok(())
@@ -193,14 +258,14 @@ impl Memory {
     ///
     /// Returns [`Fault::Unmapped`] for unmapped addresses.
     pub fn key_of(&self, addr: Addr) -> Result<ProtKey, Fault> {
-        let frame = self
-            .frames
-            .get(addr.page_index() as usize)
-            .ok_or(Fault::OutOfBounds { addr, len: 1 })?;
-        if !frame.mapped {
-            return Err(Fault::Unmapped { addr });
+        let page = addr.page_index();
+        if page >= self.pages {
+            return Err(Fault::OutOfBounds { addr, len: 1 });
         }
-        Ok(frame.key)
+        match self.frames.get(page as usize) {
+            Some(frame) if frame.mapped => Ok(frame.key),
+            _ => Err(Fault::Unmapped { addr }),
+        }
     }
 
     /// Validates the overall bounds of a non-empty access and returns its
@@ -218,7 +283,7 @@ impl Memory {
             .ok_or_else(|| Fault::OutOfBounds { addr, len })?;
         let first = addr.page_index();
         let last = end.page_index();
-        if last >= self.frames.len() as u64 {
+        if last >= self.pages {
             return Err(Fault::OutOfBounds { addr, len });
         }
         Ok((first, last))
@@ -245,12 +310,13 @@ impl Memory {
                 Access::Write => {} // cached read-only: recheck below
             }
         }
-        let frame = &self.frames[page as usize];
-        if !frame.mapped {
+        // In bounds (`range_pages`) but possibly past the frame table:
+        // such a page was never mapped.
+        let Some(frame) = self.frames.get(page as usize).filter(|f| f.mapped) else {
             return Err(Fault::Unmapped {
                 addr: Addr::new(page * PAGE_SIZE as u64),
             });
-        }
+        };
         if !pkru.allows(frame.key, kind) {
             return Err(Fault::ProtectionKey {
                 addr: if page == first_page {
@@ -692,6 +758,141 @@ mod tests {
             mem.read_vec(base, 4, &Pkru::permit_only(&[k2])).unwrap(),
             b"warm"
         );
+    }
+
+    #[test]
+    fn failed_set_key_invalidates_the_rights_cache() {
+        // `set_key` over [p, p+1] with p+1 unmapped re-keys p and then
+        // fails. The write that warmed the cache under key 1 must not
+        // vouch for p once it carries key 2.
+        let k1 = ProtKey::new(1).unwrap();
+        let k2 = ProtKey::new(2).unwrap();
+        let mut mem = Memory::new(64 * PAGE_SIZE as u64);
+        let p = Addr::new(PAGE_SIZE as u64);
+        mem.map(p, 1, k1).unwrap();
+        let pkru = Pkru::permit_only(&[k1]);
+        mem.write(p, b"warm", &pkru).unwrap();
+        assert_eq!(
+            mem.set_key(p, 2, k2),
+            Err(Fault::Unmapped {
+                addr: p + PAGE_SIZE as u64
+            })
+        );
+        assert_eq!(mem.key_of(p).unwrap(), k2, "the partial re-key stays");
+        assert!(matches!(
+            mem.write(p, b"cold", &pkru),
+            Err(Fault::ProtectionKey { key, .. }) if key == k2
+        ));
+        assert!(mem.read_vec(p, 4, &pkru).is_err());
+        assert_eq!(
+            mem.read_vec(p, 4, &Pkru::permit_only(&[k2])).unwrap(),
+            b"warm"
+        );
+    }
+
+    #[test]
+    fn frame_table_follows_the_mapped_extent() {
+        const SIZE: u64 = 256 * 1024 * 1024;
+        let page = PAGE_SIZE as u64;
+        let key = ProtKey::new(1).unwrap();
+        let pkru = Pkru::permit_only(&[key]);
+        let mut mem = Memory::new(SIZE);
+        assert_eq!(mem.frames.capacity(), 0, "an empty memory owns no table");
+        mem.map(Addr::new(page), 16, key).unwrap();
+        assert_eq!(mem.frames.len(), 17);
+        assert!(mem.frames.capacity() < 128, "table is 16-entry scale");
+        assert_eq!(mem.size(), SIZE);
+        assert!(format!("{mem:?}").contains("pages: 65536"));
+        mem.write(Addr::new(16 * page), b"kept", &pkru).unwrap();
+
+        // Page 17 is within the configured size but past the table.
+        let beyond = Addr::new(17 * page);
+        assert_eq!(
+            mem.read_vec(beyond, 1, &pkru),
+            Err(Fault::Unmapped { addr: beyond })
+        );
+        assert_eq!(
+            mem.key_of(beyond + 5),
+            Err(Fault::Unmapped { addr: beyond + 5 })
+        );
+        // A write running off the mapped prefix lands its first page.
+        assert_eq!(
+            mem.write(beyond - 2, &[7; 4], &pkru),
+            Err(Fault::Unmapped { addr: beyond })
+        );
+        assert_eq!(mem.read_vec(beyond - 2, 2, &pkru).unwrap(), [7, 7]);
+        assert_eq!(
+            mem.set_key(Addr::new(16 * page), 2, key),
+            Err(Fault::Unmapped { addr: beyond })
+        );
+        // Past the configured size is out of bounds, as ever.
+        let last = Addr::new(SIZE - 1);
+        assert!(matches!(
+            mem.read_vec(last, 2, &pkru),
+            Err(Fault::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            mem.key_of(Addr::new(SIZE)),
+            Err(Fault::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            mem.set_key(Addr::new(SIZE - page), 2, key),
+            Err(Fault::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            mem.map(Addr::new(SIZE - page), 2, key),
+            Err(Fault::OutOfBounds { .. })
+        ));
+
+        // Mapping higher up extends the table; written pages stay.
+        mem.map(Addr::new(1000 * page), 4, key).unwrap();
+        assert_eq!(mem.frames.len(), 1004);
+        assert_eq!(
+            mem.read_vec(Addr::new(16 * page), 4, &pkru).unwrap(),
+            b"kept"
+        );
+        assert_eq!(mem.read_vec(beyond - 2, 2, &pkru).unwrap(), [7, 7]);
+        mem.write(Addr::new(1003 * page), b"high", &pkru).unwrap();
+        assert_eq!(
+            mem.read_vec(Addr::new(500 * page), 1, &pkru),
+            Err(Fault::Unmapped {
+                addr: Addr::new(500 * page)
+            }),
+            "the gap the table now spans is still unmapped"
+        );
+        mem.map(Addr::new(SIZE - page), 1, key).unwrap();
+        assert_eq!(mem.frames.len(), 65536);
+        mem.write(last, &[1], &pkru).unwrap();
+    }
+
+    #[test]
+    fn regions_mapped_after_a_growth_land_in_reserved_room() {
+        // An image's shape: small sections, a heap, small sections,
+        // another heap, a shared heap a quarter the size, stacks. After
+        // the growth the first heap forces, nothing moves the table —
+        // a build's cost must not depend on whether the host allocator
+        // could extend the block in place.
+        let key = ProtKey::new(1).unwrap();
+        let mut mem = Memory::new(256 * 1024 * 1024);
+        let mut next = 2;
+        let mut map = |mem: &mut Memory, pages: u64| {
+            mem.map(Addr::new(next * PAGE_SIZE as u64), pages, key)
+                .unwrap();
+            next += pages + 1; // a guard page between regions
+        };
+        for pages in [2, 2, 2, 4096] {
+            map(&mut mem, pages);
+        }
+        let (table, room) = (mem.frames.as_ptr(), mem.frames.capacity());
+        for pages in [2, 2, 4096, 1024, 4, 1, 1, 1, 16] {
+            map(&mut mem, pages);
+        }
+        assert_eq!(mem.frames.as_ptr(), table, "the table moved");
+        assert_eq!(mem.frames.capacity(), room);
+        // The reserve never exceeds the configured size.
+        let mut small = Memory::new(64 * PAGE_SIZE as u64);
+        small.map(Addr::new(0), 40, key).unwrap();
+        assert_eq!(small.frames.capacity(), 64);
     }
 
     #[test]

@@ -6,6 +6,23 @@
 //! W⊕X is sufficient." This module is that analysis: it scans component
 //! text for the `wrpkru` instruction (and the `xrstor` family that can
 //! also write PKRU) outside the blessed gate code.
+//!
+//! # One scan per component text
+//!
+//! The analysis is a property of a component's *text*, not of the image
+//! it is linked into: the paper's toolchain scans each library once,
+//! after compilation, and the verdict holds for every configuration that
+//! links it because nothing can change the text afterwards. The
+//! simulated text is a pure function of `(component name, length)`
+//! ([`synthesize_text`]), so `scan_component` keeps the set of pairs
+//! that scanned clean and scans each distinct text once per thread,
+//! however many thousand images an exploration builds from it. What the
+//! memo cannot vouch for is scanned every time: text handed in from
+//! outside ([`scan_text`] itself, and the blobs
+//! `MpkBackend::inject_text` adds) is never looked up in it, whatever
+//! its name and length, and a failing verdict is never stored.
+
+use std::cell::RefCell;
 
 use flexos_machine::fault::Fault;
 
@@ -32,6 +49,42 @@ pub fn scan_text(component: &str, text: &[u8]) -> Result<(), Fault> {
         }
     }
     Ok(())
+}
+
+thread_local! {
+    /// `(text length, component name)` of every synthesized text that
+    /// scanned clean on this thread. The pair is every input of
+    /// [`synthesize_text`], so an entry stands for exactly the bytes that
+    /// were scanned. Per thread because an image and everything that
+    /// builds it stay on one thread (the sweep engine moves only
+    /// `PointResult`s across); unbounded because the key space is the
+    /// component set — a dozen entries, which is also why a list searched
+    /// in order serves: no hasher, so nothing about a lookup differs from
+    /// one process to the next.
+    static SCANNED_CLEAN: RefCell<Vec<(usize, String)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The W⊕X scan of a registered component: [`scan_text`] over its
+/// [`synthesize_text`] image of `size` bytes, run the first time this
+/// thread sees that `(name, size)` and remembered while it comes back
+/// clean (see the module docs).
+///
+/// # Errors
+///
+/// [`Fault::WxViolation`], on every call, if the text holds a
+/// PKRU-writing sequence.
+pub(crate) fn scan_component(name: &str, size: usize) -> Result<(), Fault> {
+    if remembered(name, size) {
+        return Ok(());
+    }
+    scan_text(name, &synthesize_text(name, size))?;
+    SCANNED_CLEAN.with_borrow_mut(|clean| clean.push((size, name.to_string())));
+    Ok(())
+}
+
+/// Whether this thread's memo holds a clean verdict for `(name, size)`.
+pub(crate) fn remembered(name: &str, size: usize) -> bool {
+    SCANNED_CLEAN.with_borrow(|clean| clean.iter().any(|(s, n)| *s == size && n == name))
 }
 
 /// Deterministically synthesizes a component's "binary text" for the scan.
@@ -92,6 +145,20 @@ mod tests {
         // clean synthesized text.
         assert_eq!(forge_gadget("lwip", 4096), forge_gadget("lwip", 4096));
         assert_ne!(forge_gadget("lwip", 4096), synthesize_text("lwip", 4096));
+    }
+
+    #[test]
+    fn scan_component_remembers_name_and_length() {
+        // A name no other test scans, so the memo cannot know it yet.
+        assert!(!remembered("libmemo", 4096));
+        scan_component("libmemo", 4096).unwrap();
+        assert!(remembered("libmemo", 4096));
+        // Another length or another name is another text: not covered.
+        assert!(!remembered("libmemo", 8192));
+        assert!(!remembered("libmemo2", 4096));
+        scan_component("libmemo", 8192).unwrap();
+        scan_component("libmemo", 4096).unwrap();
+        assert!(remembered("libmemo", 8192) && remembered("libmemo", 4096));
     }
 
     #[test]

@@ -12,6 +12,20 @@
 //! of the point, so worker count and scheduling order cannot perturb
 //! it. `tests/sweep_determinism.rs` holds the engine to that claim.
 //!
+//! A point costs one image build, so what a build recomputes is what a
+//! sweep pays 8000 times. The configuration-independent products of a
+//! build — the W⊕X verdict on each component's text, the byte-cost
+//! table — are memoised below this layer, **per thread**
+//! (`flexos_mpk::wxorx`, `flexos_machine::cost`): the first point a
+//! worker runs pays for them, every later point on that worker reuses
+//! them, and the rule above stays literally true — the memos are
+//! thread-local, so they never cross a thread boundary either. The
+//! engine does nothing to get this (no template, no reset path); it only
+//! has to keep a worker's points on one thread, which it does. (A
+//! multi-worker [`run_indices`] call starts fresh worker threads, so its
+//! workers pay the once-per-thread work once per call: under a
+//! millisecond each.)
+//!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
 //! EPT points cost several times an MPK point host-side), and write
 //! results into per-point slots, so output order is always enumeration

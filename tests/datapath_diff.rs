@@ -11,6 +11,12 @@
 //! same variant, same addresses — and identical partial effects on
 //! failure.
 //!
+//! `Memory`'s frame table ends at the highest mapped page while the
+//! reference keeps one entry per configured page, so every third case
+//! maps only the lower half of the range and aims a share of its reads,
+//! writes, copies and re-keyings across that edge: past the table must
+//! be indistinguishable from unmapped.
+//!
 //! A second property pins the integer per-byte charge table against the
 //! pre-refactor float formula, cycle for cycle.
 
@@ -229,7 +235,9 @@ fn random_pkru(rng: &mut Rng) -> Pkru {
     }
 }
 
-fn random_addr(rng: &mut Rng) -> Addr {
+/// `edge` is the address one past the highest mapped page: where
+/// `Memory`'s frame table ends.
+fn random_addr(rng: &mut Rng, edge: u64) -> Addr {
     match rng.range(0, 16) {
         // Occasionally aim out of bounds or near overflow.
         0 => Addr::new(rng.range(
@@ -237,6 +245,11 @@ fn random_addr(rng: &mut Rng) -> Addr {
             REF_PAGES * PAGE_SIZE as u64 * 2,
         )),
         1 => Addr::new(u64::MAX - rng.range(0, 4096)),
+        // Just below the edge, so that longer accesses run across it,
+        // or just above it.
+        2..=4 => Addr::new(
+            (edge + rng.range(0, PAGE_SIZE as u64 / 2)).saturating_sub(rng.range(0, 6000)),
+        ),
         _ => Addr::new(rng.range(0, REF_PAGES * PAGE_SIZE as u64)),
     }
 }
@@ -250,6 +263,17 @@ fn random_len(rng: &mut Rng) -> u64 {
     }
 }
 
+/// First page of a re-keying: half the time one of the last pages below
+/// `top_page` (the end of the mapped prefix), so that the range runs off
+/// it, otherwise anywhere.
+fn rekey_page(rng: &mut Rng, top_page: u64) -> u64 {
+    if rng.next().is_multiple_of(2) {
+        top_page.saturating_sub(rng.range(1, 4))
+    } else {
+        rng.range(0, REF_PAGES)
+    }
+}
+
 #[test]
 fn fast_path_matches_byte_at_a_time_reference() {
     let mut rng = Rng::new(0xDA7A_9A74);
@@ -258,9 +282,15 @@ fn fast_path_matches_byte_at_a_time_reference() {
         let mut refm = RefMem::new();
 
         // Random layout: a handful of regions with random keys; some of
-        // the address space stays unmapped.
+        // the address space stays unmapped — in every third case, all of
+        // the upper half.
+        let layout_pages = if case % 3 == 0 {
+            REF_PAGES / 2 - 8
+        } else {
+            REF_PAGES
+        };
         for _ in 0..rng.range(2, 6) {
-            let base = Addr::new(rng.range(0, REF_PAGES) * PAGE_SIZE as u64);
+            let base = Addr::new(rng.range(0, layout_pages) * PAGE_SIZE as u64);
             let pages = rng.range(1, 9);
             let key = ProtKey::new(rng.range(0, 8) as u8).unwrap();
             assert_eq!(
@@ -269,6 +299,13 @@ fn fast_path_matches_byte_at_a_time_reference() {
                 "case {case}: map divergence"
             );
         }
+
+        let top_page = refm
+            .mapped
+            .iter()
+            .rposition(|&m| m)
+            .map_or(0, |p| p as u64 + 1);
+        let edge = top_page * PAGE_SIZE as u64;
 
         // Seed contents through the TCB view.
         for _ in 0..4 {
@@ -282,9 +319,9 @@ fn fast_path_matches_byte_at_a_time_reference() {
 
         for op in 0..48 {
             let pkru = random_pkru(&mut rng);
-            match rng.range(0, 7) {
+            match rng.range(0, 8) {
                 0 => {
-                    let addr = random_addr(&mut rng);
+                    let addr = random_addr(&mut rng, edge);
                     let len = random_len(&mut rng) as usize;
                     let mut got = vec![0u8; len];
                     let mut want = vec![0u8; len];
@@ -294,7 +331,7 @@ fn fast_path_matches_byte_at_a_time_reference() {
                     assert_eq!(got, want, "case {case} op {op}: read bytes divergence");
                 }
                 1 => {
-                    let addr = random_addr(&mut rng);
+                    let addr = random_addr(&mut rng, edge);
                     let len = random_len(&mut rng);
                     let a = mem.read_vec(addr, len, &pkru);
                     let mut want = vec![0u8; len.min(1 << 20) as usize];
@@ -310,7 +347,7 @@ fn fast_path_matches_byte_at_a_time_reference() {
                     }
                 }
                 2 => {
-                    let addr = random_addr(&mut rng);
+                    let addr = random_addr(&mut rng, edge);
                     let write_len = random_len(&mut rng) as usize;
                     let data = rng.bytes(write_len);
                     let a = mem.write(addr, &data, &pkru);
@@ -318,7 +355,7 @@ fn fast_path_matches_byte_at_a_time_reference() {
                     assert_eq!(a, b, "case {case} op {op}: write fault divergence");
                 }
                 3 => {
-                    let addr = random_addr(&mut rng);
+                    let addr = random_addr(&mut rng, edge);
                     let len = random_len(&mut rng);
                     let byte = rng.next() as u8;
                     let a = mem.fill(addr, len, byte, &pkru);
@@ -329,7 +366,7 @@ fn fast_path_matches_byte_at_a_time_reference() {
                     // Non-overlapping copy (the production copy is
                     // memcpy-flavoured; overlap is documented out).
                     let len = random_len(&mut rng).min(2 * PAGE_SIZE as u64);
-                    let src = random_addr(&mut rng);
+                    let src = random_addr(&mut rng, edge);
                     let dst_raw = src
                         .raw()
                         .wrapping_add(len + rng.range(0, 8 * PAGE_SIZE as u64));
@@ -339,23 +376,51 @@ fn fast_path_matches_byte_at_a_time_reference() {
                     assert_eq!(a, b, "case {case} op {op}: copy fault divergence");
                 }
                 5 => {
-                    let addr = random_addr(&mut rng);
+                    let addr = random_addr(&mut rng, edge);
                     let cmp_len = random_len(&mut rng) as usize;
                     let bytes = rng.bytes(cmp_len);
                     let a = mem.compare(addr, &bytes, &pkru);
                     let b = refm.compare(addr, &bytes, &pkru);
                     assert_eq!(a, b, "case {case} op {op}: compare divergence");
                 }
-                _ => {
+                6 => {
                     // Re-key a range: the rights cache's epoch must
                     // invalidate, so subsequent ops (above) with the same
                     // PKRU diverge nowhere.
-                    let base = Addr::new(rng.range(0, REF_PAGES) * PAGE_SIZE as u64);
+                    let base = Addr::new(rekey_page(&mut rng, top_page) * PAGE_SIZE as u64);
                     let pages = rng.range(1, 6);
                     let key = ProtKey::new(rng.range(0, 8) as u8).unwrap();
                     let a = mem.set_key(base, pages, key);
                     let b = refm.set_key(base, pages, key);
                     assert_eq!(a, b, "case {case} op {op}: set_key divergence");
+                }
+                _ => {
+                    // Access a page, re-key a range starting at it, access
+                    // it again under the same PKRU: the second answer must
+                    // come from the new key even when the re-keying failed
+                    // further up the range and left this page re-keyed.
+                    let page = rekey_page(&mut rng, top_page);
+                    let addr = Addr::new(page * PAGE_SIZE as u64 + rng.range(0, 4000));
+                    let data = rng.bytes(8);
+                    let a = mem.write(addr, &data, &pkru);
+                    let b = refm.write(addr, &data, &pkru);
+                    assert_eq!(a, b, "case {case} op {op}: write before set_key");
+                    let base = Addr::new(page * PAGE_SIZE as u64);
+                    let pages = rng.range(1, 4);
+                    let key = ProtKey::new(rng.range(0, 8) as u8).unwrap();
+                    let a = mem.set_key(base, pages, key);
+                    let b = refm.set_key(base, pages, key);
+                    assert_eq!(a, b, "case {case} op {op}: set_key divergence");
+                    let data = rng.bytes(8);
+                    let a = mem.write(addr, &data, &pkru);
+                    let b = refm.write(addr, &data, &pkru);
+                    assert_eq!(a, b, "case {case} op {op}: write after set_key");
+                    let mut got = [0u8; 8];
+                    let mut want = [0u8; 8];
+                    let a = mem.read(addr, &mut got, &pkru);
+                    let b = refm.read(addr, &mut want, &pkru);
+                    assert_eq!(a, b, "case {case} op {op}: read after set_key");
+                    assert_eq!(got, want, "case {case} op {op}: bytes after set_key");
                 }
             }
         }

@@ -7,29 +7,63 @@
 //! A counting global allocator wraps the system allocator; the test
 //! drives thousands of cross-compartment calls through every MPK gate
 //! flavour and asserts the allocation counter never moves.
+//!
+//! The counters are **per thread** (const-initialised `thread_local!`
+//! `Cell`s: no allocation, no lock, no destructor), because libtest runs
+//! the tests of this file on parallel threads and a process-wide counter
+//! lets one test's build show up in another's measured window. Each
+//! test's simulation stays on its own thread, so every assertion here is
+//! exact at any `--test-threads`.
+//!
+//! The same counters gate what a *build* costs (`build_cost_*` below):
+//! exact byte counts, no timing, so a change that brings per-image
+//! recomputation back fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use flexos::prelude::*;
 use flexos_core::compartment::DataSharing;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocator call of `bytes` new bytes against the calling
+/// thread.
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given, so `System`'s guarantees are this allocator's; the counting
+// touches only `Cell`s in thread-local storage and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
+        // SAFETY: `ptr` came from `System` with this `layout`; the
+        // caller guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,8 +71,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocator calls made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes requested from the allocator by the calling thread so far.
+fn allocated_bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 fn assert_call_path_alloc_free(sharing: DataSharing) {
@@ -475,4 +515,55 @@ fn str_wrapper_resolves_without_allocating_after_first_use() {
         }
         assert_eq!(allocations() - before, 0, "&str wrapper path allocated");
     });
+}
+
+/// Bytes and allocator calls `f` costs the calling thread.
+fn cost_of<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (bytes, calls) = (allocated_bytes(), allocations());
+    let out = f();
+    (out, allocated_bytes() - bytes, allocations() - calls)
+}
+
+#[test]
+fn build_cost_of_a_machine_is_independent_of_its_memory_size() {
+    // Warm the thread's shared byte-cost table: it is built once, not per
+    // machine.
+    drop(Machine::new(Machine::DEFAULT_MEM_BYTES));
+    let (machine, bytes, _) = cost_of(|| Machine::new(Machine::DEFAULT_MEM_BYTES));
+    assert!(
+        bytes <= 16 * 1024,
+        "Machine::new(256 MiB) allocated {bytes} bytes: a frame table or cost table per machine is back"
+    );
+    assert_eq!(machine.memory_bytes(), Machine::DEFAULT_MEM_BYTES);
+}
+
+#[test]
+fn build_cost_of_an_mpk_image_is_bounded_and_does_not_grow() {
+    let build = || {
+        SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
+            .app(flexos_apps::redis_component())
+            .build()
+            .unwrap()
+    };
+    // The first build on a thread also pays the once-per-thread work:
+    // the W^X scan of each component's text and the byte-cost table.
+    let (first, first_bytes, first_calls) = cost_of(build);
+    drop(first);
+    let (second, second_bytes, second_calls) = cost_of(build);
+    assert!(
+        second_bytes <= 1024 * 1024,
+        "an mpk2 Redis build allocated {second_bytes} bytes in {second_calls} calls"
+    );
+    assert!(
+        second_bytes <= first_bytes && second_calls <= first_calls,
+        "a repeated build must not cost more than the first: \
+         {second_bytes} B / {second_calls} calls after {first_bytes} B / {first_calls} calls"
+    );
+    drop(second);
+    let (_third, third_bytes, third_calls) = cost_of(build);
+    assert_eq!(
+        (third_bytes, third_calls),
+        (second_bytes, second_calls),
+        "builds of one configuration on a warm thread cost the same, exactly"
+    );
 }
