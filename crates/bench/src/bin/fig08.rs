@@ -1,45 +1,22 @@
 //! Figure 8: the Redis configuration poset and the safest configurations
 //! above a 500k req/s budget (stars).
 
-use flexos_bench::{fmt_rate, run_fig6_sweep};
-use flexos_explore::{fig6_space, prune_and_star, Poset};
+use flexos_bench::{fig08_text, fig6_counts};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let obs = flexos_bench::obs::extract_obs_args(&mut args);
-    let budget = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500_000.0);
+    let budget = match args.first().map(|s| s.parse::<f64>()) {
+        None => 500_000.0,
+        Some(Ok(budget)) => budget,
+        Some(Err(e)) => {
+            eprintln!("fig08: bad budget `{}`: {e}", args[0]);
+            eprintln!("usage: fig08 [BUDGET_REQ_PER_SEC] [--trace PATH] [--metrics PATH]");
+            std::process::exit(2);
+        }
+    };
     eprintln!("running 80 redis configurations...");
-    let space = fig6_space("redis");
-    let perf = run_fig6_sweep("redis").expect("sweep runs");
-
-    let poset = Poset::from_fig6(&space, &perf);
-    poset.check_axioms().expect("partial order is sound");
-    let report = prune_and_star(&poset, budget);
-
-    println!("# Figure 8: partial safety ordering on the Redis numbers");
-    println!("poset nodes: {}", poset.len());
-    println!("cover edges: {}", poset.cover_edges().len());
-    println!(
-        "budget {} => {} survive, {} pruned",
-        fmt_rate(budget),
-        report.surviving.len(),
-        report.pruned(poset.len())
-    );
-    println!("\n# starred (safest configurations meeting the budget):");
-    for &s in &report.stars {
-        println!(
-            "  * {:>10}  {}",
-            fmt_rate(poset.node(s).performance),
-            poset.node(s).label
-        );
-    }
-    println!(
-        "\n# paper: 80 -> 5 starred configurations at 500k req/s; here: 80 -> {}",
-        report.stars.len()
-    );
+    print!("{}", fig08_text(budget, fig6_counts()).expect("sweep runs"));
 
     flexos_bench::obs::emit_canonical_if_requested(&obs);
 }

@@ -47,21 +47,17 @@
 //! a lazy `--verify-inference` pass, and **fails on divergence** via
 //! the nonzero exits).
 //!
-//! Exit status: `0` on success, `2` on bad usage, `3` when `--verify`
+//! Exit status: `0` on success, `1` when a `--csv`/`--pareto` file
+//! cannot be written or the lazy engine reports a fault (a point that
+//! does not build, an order without minimal elements), `2` on bad
+//! usage, `3` when `--verify`
 //! detects serial/parallel divergence, `4` when `--verify-inference`
 //! finds statuses the order inferred wrongly.
 
 use std::time::Instant;
 
-use flexos_bench::fmt_rate;
+use flexos_bench::{env_u64, fmt_rate};
 use flexos_sweep::{emit, engine, lazy, report, SpaceSpec};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Uniform budget ladder traced by `--pareto` (dense near the top,
 /// where the frontier actually bends).
@@ -189,6 +185,15 @@ fn budget_vector(args: &Args, spec: &SpaceSpec) -> report::BudgetVector {
     budgets
 }
 
+/// Writes an output file (`--csv`, `--pareto`), exiting 1 with the path
+/// and the OS error when the write fails.
+fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("sweep: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
     if !args.quiet {
         eprintln!(
@@ -235,7 +240,10 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
     } else {
         None
     };
-    let outcome = lazy::lazy_sweep_all(spec, &cfg, progress).expect("lazy sweep runs");
+    let outcome = lazy::lazy_sweep_all(spec, &cfg, progress).unwrap_or_else(|fault| {
+        eprintln!("sweep: lazy sweep failed: {fault}");
+        std::process::exit(1);
+    });
     let wall_s = t0.elapsed().as_secs_f64();
 
     if !args.quiet {
@@ -282,8 +290,10 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
     }
 
     if let Some(path) = &args.pareto {
-        std::fs::write(path, emit::pareto_json(spec, &outcome.pareto, args.threads))
-            .expect("pareto written");
+        write_or_exit(
+            path,
+            &emit::pareto_json(spec, &outcome.pareto, args.threads),
+        );
         if !args.quiet {
             eprintln!(
                 "wrote {path} ({} workloads x {} budget levels)",
@@ -326,7 +336,7 @@ fn run_exhaustive(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) 
 
     let (serial_s, verified) = if args.verify {
         let t0 = Instant::now();
-        let serial = engine::run_serial(spec).expect("serial sweep runs");
+        let serial = engine::run_parallel(spec, 1).expect("serial sweep runs");
         let serial_s = t0.elapsed().as_secs_f64();
         let identical = serial == results;
         if !args.quiet {
@@ -370,7 +380,7 @@ fn run_exhaustive(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) 
     }
 
     if let Some(path) = &args.csv {
-        std::fs::write(path, emit::csv(&points, &results)).expect("csv written");
+        write_or_exit(path, &emit::csv(&points, &results));
         if !args.quiet {
             eprintln!("wrote {path}");
         }

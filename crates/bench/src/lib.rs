@@ -15,16 +15,19 @@
 //! | `table1` | Table 1: porting effort |
 //! | `sweep` | parallel exploration of a named `flexos_sweep` space |
 //!
-//! `cargo bench` covers the microbenchmarks plus allocator/gate
-//! ablations via the self-contained [`harness`] module (the build
-//! environment has no crates.io access, so no criterion).
+//! The text of Figures 6–8 is built by [`fig06_text`], [`fig07_text`]
+//! and [`fig08_text`] (the binaries print it), so `tests/goldens.rs`
+//! compares it in-process against outputs recorded before the last
+//! refactor. All three go through the one §5 stack: the
+//! [`SpaceSpec::fig6`] space, the sweep engine, and [`sweep_leq`].
+//! Host-time microbenchmarks live in `benchmark/` (`-- --trace 1`
+//! prints `core.gate_ns.*`, `alloc.churn_ns.*`, `apps.ns_per_op.*`).
 
 pub mod obs;
 
-use flexos_apps::workloads::{run_nginx_gets, run_redis_gets, RunMetrics};
-use flexos_explore::Fig6Point;
+use flexos_explore::{prune_and_star, ConfigNode, Poset};
 use flexos_machine::fault::Fault;
-use flexos_system::{FlexOs, SystemBuilder};
+use flexos_sweep::{run_parallel, sweep_leq, sweep_threads, SpaceSpec, SweepPoint};
 
 /// Requests used to warm each Figure 6 configuration. The fast data
 /// path (ISSUE 3) made a simulated request cost ~0.5 µs host-side, so
@@ -33,171 +36,169 @@ pub const FIG6_WARMUP: u64 = 500;
 /// Requests measured per Figure 6 configuration.
 pub const FIG6_MEASURED: u64 = 5000;
 
+/// Environment variable `name` as a count; `default` when it is unset
+/// or does not parse.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// The sweep's `(warmup, measured)` request counts, honouring the
 /// `FIG6_WARMUP` / `FIG6_MEASURED` environment variables (CI smoke runs
 /// and byte-for-byte comparisons against pre-speedup outputs use the old
 /// small counts; steady-state throughput is count-independent).
 pub fn fig6_counts() -> (u64, u64) {
-    let env_u64 = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
     (
         env_u64("FIG6_WARMUP", FIG6_WARMUP),
         env_u64("FIG6_MEASURED", FIG6_MEASURED),
     )
 }
 
-/// Builds the image for one Figure 6 point and runs the app's workload.
+/// Sweeps the 80-point Figure 6 space of `app` at `(warmup, measured)`
+/// requests per point over `SWEEP_THREADS` workers, returning the
+/// points and their throughputs (req/s), index-aligned.
 ///
 /// # Errors
 ///
-/// Configuration or substrate faults.
-pub fn run_fig6_point(app: &str, point: &Fig6Point) -> Result<RunMetrics, Fault> {
-    let component = match app {
-        "redis" => flexos_apps::redis_component(),
-        "nginx" => flexos_apps::nginx_component(),
-        other => {
-            return Err(Fault::InvalidConfig {
-                reason: format!("unknown fig6 app `{other}`"),
-            })
-        }
-    };
-    let os = SystemBuilder::new(point.config.clone())
-        .app(component)
-        .build()?;
-    let (warmup, measured) = fig6_counts();
-    match app {
-        "redis" => run_redis_gets(&os, warmup, measured),
-        _ => run_nginx_gets(&os, warmup, measured),
-    }
-}
-
-/// Runs the full 80-point sweep for `app`, returning throughputs aligned
-/// with `flexos_explore::fig6_space(app)`.
-///
-/// Since the `flexos_sweep` engine landed this goes wide: the space is
-/// swept thread-per-worker (`SWEEP_THREADS` workers, defaulting to the
-/// host's parallelism). Per-point results are a pure function of the
-/// point, so the output is bit-identical to the historical serial loop
-/// — `tests/sweep_determinism.rs` pins the equivalence against
-/// [`run_fig6_point`].
-///
-/// # Errors
-///
-/// Configuration or substrate faults.
-pub fn run_fig6_sweep(app: &str) -> Result<Vec<f64>, Fault> {
+/// [`Fault::InvalidConfig`] for an app other than `redis`/`nginx`;
+/// configuration or substrate faults from the points themselves.
+pub fn run_fig6_sweep(
+    app: &str,
+    (warmup, measured): (u64, u64),
+) -> Result<(Vec<SweepPoint>, Vec<f64>), Fault> {
     if !matches!(app, "redis" | "nginx") {
         return Err(Fault::InvalidConfig {
             reason: format!("unknown fig6 app `{app}`"),
         });
     }
-    let (warmup, measured) = fig6_counts();
-    let spec = flexos_sweep::SpaceSpec::fig6(app, warmup, measured);
-    let results = flexos_sweep::engine::run(&spec)?;
-    Ok(results.into_iter().map(|r| r.ops_per_sec).collect())
+    let spec = SpaceSpec::fig6(app, warmup, measured);
+    let results = run_parallel(&spec, sweep_threads())?;
+    let perf = results.into_iter().map(|r| r.ops_per_sec).collect();
+    Ok((spec.points().collect(), perf))
 }
 
-/// Builds a plain FlexOS instance for microbenchmarks.
+/// The Figure 6 label of a point: `[•◦◦•] redis+newlib / sched+lwip`
+/// (hardening dots over app, newlib, uksched, lwip; then the strategy).
+pub fn fig6_label(point: &SweepPoint) -> String {
+    let dots: String = (0..4)
+        .map(|i| match point.hardening_mask & (1 << i) {
+            0 => '◦',
+            _ => '•',
+        })
+        .collect();
+    format!("[{dots}] {}", point.strategy.label(point.workload.app()))
+}
+
+/// Figure 6: `app`'s throughput over the 80-configuration sweep,
+/// ascending, plus the summary lines.
 ///
 /// # Errors
 ///
-/// Configuration faults.
-pub fn plain_instance() -> Result<FlexOs, Fault> {
-    SystemBuilder::new(flexos_system::configs::none())
-        .app(flexos_apps::redis_component())
-        .build()
+/// See [`run_fig6_sweep`].
+pub fn fig06_text(app: &str, counts: (u64, u64)) -> Result<String, Fault> {
+    let (space, perf) = run_fig6_sweep(app, counts)?;
+    let mut order: Vec<usize> = (0..space.len()).collect();
+    order.sort_by(|&a, &b| perf[a].total_cmp(&perf[b]));
+    let rows: String = order
+        .iter()
+        .map(|&i| format!("{:>10}  {}\n", fmt_rate(perf[i]), fig6_label(&space[i])))
+        .collect();
+
+    let baseline = perf.iter().cloned().fold(f64::MIN, f64::max);
+    let slowest = perf.iter().cloned().fold(f64::MAX, f64::min);
+    let under20 = perf.iter().filter(|&&p| baseline / p < 1.20).count();
+    let under45 = perf.iter().filter(|&&p| baseline / p < 1.45).count();
+    Ok(format!(
+        "# Figure 6 ({app}): throughput per configuration, ascending\n\
+         # [•=hardened ◦=plain: app,newlib,uksched,lwip] strategy\n\
+         {rows}\n\
+         # summary\n\
+         fastest: {}  slowest: {}  span: {:.1}x\n\
+         configs <20% overhead: {under20}   configs <45% overhead: {under45}\n\
+         # paper (redis): span 4.1x (292k..1199k); (nginx): 9 configs <20%, 32 <45%\n",
+        fmt_rate(baseline),
+        fmt_rate(slowest),
+        baseline / slowest
+    ))
 }
 
-/// A minimal timing harness with a criterion-shaped API.
+/// Figure 7: normalized Nginx vs Redis performance per configuration,
+/// grouped by compartment count.
 ///
-/// The container image cannot reach crates.io, so `cargo bench` targets
-/// use this instead of criterion: same `bench_function` / `iter` /
-/// `iter_batched` surface, wall-clock medians over a fixed sample
-/// count, plain-text report lines.
-pub mod harness {
-    use std::hint::black_box;
-    use std::time::Instant;
+/// # Errors
+///
+/// See [`run_fig6_sweep`].
+pub fn fig07_text(counts: (u64, u64)) -> Result<String, Fault> {
+    let (space, redis) = run_fig6_sweep("redis", counts)?;
+    let (_, nginx) = run_fig6_sweep("nginx", counts)?;
+    let rmax = redis.iter().cloned().fold(f64::MIN, f64::max);
+    let nmax = nginx.iter().cloned().fold(f64::MIN, f64::max);
 
-    /// Iterations batched into one timing sample.
-    const BATCH: u32 = 64;
-
-    /// Entry point mirroring `criterion::Criterion`.
-    pub struct Criterion {
-        samples: usize,
-    }
-
-    impl Default for Criterion {
-        fn default() -> Self {
-            Criterion { samples: 20 }
+    // The paper's observation: the same config slows the two apps by
+    // different, hard-to-predict amounts (points off the diagonal).
+    let mut off_diagonal = 0;
+    let mut rows = String::new();
+    for (i, point) in space.iter().enumerate() {
+        let (r, n) = (redis[i] / rmax, nginx[i] / nmax);
+        rows += &format!("{r:.4} {n:.4} {}\n", point.strategy.compartments());
+        if (r - n).abs() > 0.05 {
+            off_diagonal += 1;
         }
     }
+    Ok(format!(
+        "# Figure 7: normalized performance (redis_norm, nginx_norm, compartments)\n\
+         {rows}\n\
+         # {off_diagonal}/80 configs deviate >5% between the two apps\n"
+    ))
+}
 
-    impl Criterion {
-        /// Sets how many timing samples each benchmark takes.
-        #[must_use]
-        pub fn sample_size(mut self, samples: usize) -> Self {
-            self.samples = samples.max(3);
-            self
-        }
-
-        /// Times `routine` and prints a `name: median ns/iter` row.
-        pub fn bench_function(&mut self, name: &str, mut routine: impl FnMut(&mut Bencher)) {
-            let mut b = Bencher {
-                samples: self.samples,
-                ns_per_iter: Vec::new(),
-            };
-            routine(&mut b);
-            let mut ns = b.ns_per_iter;
-            ns.sort_unstable_by(f64::total_cmp);
-            let median = ns.get(ns.len() / 2).copied().unwrap_or(0.0);
-            println!(
-                "bench {name:<28} {median:>12.1} ns/iter ({} samples)",
-                ns.len()
-            );
-        }
-    }
-
-    /// Per-benchmark timing state mirroring `criterion::Bencher`.
-    pub struct Bencher {
-        samples: usize,
-        ns_per_iter: Vec<f64>,
-    }
-
-    impl Bencher {
-        /// Times `routine` alone, batched to amortize timer overhead.
-        pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
-            for _ in 0..self.samples {
-                let t0 = Instant::now();
-                for _ in 0..BATCH {
-                    black_box(routine());
-                }
-                let dt = t0.elapsed();
-                self.ns_per_iter
-                    .push(dt.as_nanos() as f64 / f64::from(BATCH));
-            }
-        }
-
-        /// Times `routine` over fresh `setup()` state, excluding setup.
-        pub fn iter_batched<S, O>(
-            &mut self,
-            mut setup: impl FnMut() -> S,
-            mut routine: impl FnMut(S) -> O,
-        ) {
-            for _ in 0..self.samples {
-                let inputs: Vec<S> = (0..BATCH).map(|_| setup()).collect();
-                let t0 = Instant::now();
-                for input in inputs {
-                    black_box(routine(input));
-                }
-                let dt = t0.elapsed();
-                self.ns_per_iter
-                    .push(dt.as_nanos() as f64 / f64::from(BATCH));
-            }
-        }
-    }
+/// Figure 8: the Redis configuration poset under [`sweep_leq`] and the
+/// safest configurations above `budget` req/s (stars).
+///
+/// # Errors
+///
+/// See [`run_fig6_sweep`]; [`Fault::InvalidConfig`] if the order fails
+/// the partial-order axioms.
+pub fn fig08_text(budget: f64, counts: (u64, u64)) -> Result<String, Fault> {
+    let (space, perf) = run_fig6_sweep("redis", counts)?;
+    let nodes = space
+        .iter()
+        .zip(&perf)
+        .map(|(point, &performance)| ConfigNode {
+            index: point.index,
+            label: fig6_label(point),
+            performance,
+        })
+        .collect();
+    let poset = Poset::new(nodes, |a, b| sweep_leq(&space[a], &space[b]));
+    poset
+        .check_axioms()
+        .map_err(|reason| Fault::InvalidConfig { reason })?;
+    let report = prune_and_star(&poset, budget);
+    let stars: String = report
+        .stars
+        .iter()
+        .map(|&s| poset.node(s))
+        .map(|n| format!("  * {:>10}  {}\n", fmt_rate(n.performance), n.label))
+        .collect();
+    Ok(format!(
+        "# Figure 8: partial safety ordering on the Redis numbers\n\
+         poset nodes: {}\n\
+         cover edges: {}\n\
+         budget {} => {} survive, {} pruned\n\
+         \n\
+         # starred (safest configurations meeting the budget):\n\
+         {stars}\n\
+         # paper: 80 -> 5 starred configurations at 500k req/s; here: 80 -> {}\n",
+        poset.len(),
+        poset.cover_edges().len(),
+        fmt_rate(budget),
+        report.surviving.len(),
+        report.pruned(poset.len()),
+        report.stars.len()
+    ))
 }
 
 /// Formats a rate as the paper's `292.0k` / `1.2M`-style labels.
@@ -220,9 +221,16 @@ mod tests {
     }
 
     #[test]
-    fn one_fig6_point_runs() {
-        let space = flexos_explore::fig6_space("redis");
-        let m = run_fig6_point("redis", &space[0]).unwrap();
-        assert!(m.ops_per_sec > 100_000.0);
+    fn fig6_labels_render_dots_and_strategy() {
+        let point = SpaceSpec::fig6("redis", 1, 1).point(3 * 16 + 0b1001);
+        assert_eq!(fig6_label(&point), "[•◦◦•] redis+newlib / sched+lwip");
+    }
+
+    #[test]
+    fn unknown_fig6_apps_are_a_fault_not_a_redis_run() {
+        assert!(matches!(
+            run_fig6_sweep("sqlite", (1, 1)),
+            Err(Fault::InvalidConfig { .. })
+        ));
     }
 }

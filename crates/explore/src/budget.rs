@@ -54,23 +54,6 @@ pub fn prune_and_star_by(
     }
 }
 
-/// Monotone-path shortcut (§5): when performance decreases monotonically
-/// along a poset path, label measurement can stop as soon as a node
-/// misses the budget — everything above it (safer = slower on that path)
-/// can be skipped. Returns how many measurements that saves for a chain.
-///
-/// This was the proof-of-concept for the real machinery below:
-/// [`chain_cover`] decomposes a poset into chains and [`lazy_classify`]
-/// binary-searches each chain's budget crossing, measuring only what
-/// the order cannot infer.
-pub fn chain_measurements_saved(performance_along_chain: &[f64], budget: f64) -> usize {
-    match performance_along_chain.iter().position(|&p| p < budget) {
-        // Everything after the first miss needs no measurement.
-        Some(first_miss) => performance_along_chain.len() - first_miss - 1,
-        None => 0,
-    }
-}
-
 /// Budget status of one node during a lazy classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PointStatus {
@@ -270,62 +253,45 @@ pub fn lazy_classify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::fig6_space;
 
-    #[test]
-    fn stars_are_maximal_and_meet_budget() {
-        let points = fig6_space("redis");
-        // Synthetic but monotone-ish performance: hardening and
-        // compartments cost throughput.
-        let perf: Vec<f64> = points
+    /// The subset lattice over `perf.len()` bitmask nodes, labelled
+    /// with `perf` (the order-specific star tests live with the §5
+    /// order itself, in `flexos_sweep::report`).
+    fn lattice(perf: &[f64]) -> Poset {
+        let nodes = perf
             .iter()
-            .map(|p| {
-                1_200_000.0
-                    - 150_000.0 * (p.strategy.compartments() as f64 - 1.0)
-                    - 120_000.0 * p.hardening_mask.count_ones() as f64
+            .enumerate()
+            .map(|(index, &performance)| crate::poset::ConfigNode {
+                index,
+                label: format!("{index:#b}"),
+                performance,
             })
             .collect();
-        let poset = Poset::from_fig6(&points, &perf);
-        let report = prune_and_star(&poset, 500_000.0);
-        assert!(!report.stars.is_empty());
-        for &s in &report.stars {
-            assert!(poset.node(s).performance >= 500_000.0);
-            // No survivor strictly dominates a star.
-            for &o in &report.surviving {
-                assert!(!poset.lt(s, o), "star {s} dominated by {o}");
-            }
-        }
-        // Pruning really removed something.
-        assert!(report.pruned(points.len()) > 0);
+        Poset::new(nodes, subset)
     }
 
     #[test]
     fn zero_budget_keeps_everything() {
-        let points = fig6_space("redis");
-        let perf = vec![1.0; points.len()];
-        let poset = Poset::from_fig6(&points, &perf);
+        let poset = lattice(&[1.0; 64]);
         let report = prune_and_star(&poset, 0.0);
-        assert_eq!(report.surviving.len(), points.len());
+        assert_eq!(report.surviving.len(), 64);
         // With uniform performance the only maximal element is the global
         // maximum of the order.
-        assert_eq!(report.stars.len(), 1);
+        assert_eq!(report.stars, vec![63]);
     }
 
     #[test]
     fn impossible_budget_stars_nothing() {
-        let points = fig6_space("redis");
-        let perf = vec![1.0; points.len()];
-        let poset = Poset::from_fig6(&points, &perf);
+        let poset = lattice(&[1.0; 64]);
         let report = prune_and_star(&poset, 2.0);
         assert!(report.stars.is_empty());
-        assert_eq!(report.pruned(points.len()), points.len());
+        assert_eq!(report.pruned(64), 64);
     }
 
     #[test]
     fn per_node_budgets_prune_independently() {
-        let points = fig6_space("redis");
-        let perf: Vec<f64> = (0..points.len()).map(|i| i as f64).collect();
-        let poset = Poset::from_fig6(&points, &perf);
+        let perf: Vec<f64> = (0..64).map(f64::from).collect();
+        let poset = lattice(&perf);
         // Even indices need >= 40, odd indices >= 10.
         let report = prune_and_star_by(&poset, 0.0, |i| if i % 2 == 0 { 40.0 } else { 10.0 });
         for &s in &report.surviving {
@@ -338,14 +304,6 @@ mod tests {
         let by = prune_and_star_by(&poset, 40.0, |_| 40.0);
         assert_eq!(uniform.surviving, by.surviving);
         assert_eq!(uniform.stars, by.stars);
-    }
-
-    #[test]
-    fn monotone_chains_save_measurements() {
-        // A path with decreasing performance: once below budget, stop.
-        let chain = [900.0, 700.0, 450.0, 300.0, 200.0];
-        assert_eq!(chain_measurements_saved(&chain, 500.0), 2);
-        assert_eq!(chain_measurements_saved(&chain, 100.0), 0);
     }
 
     /// The divisibility order on 1..=n: a rich poset with known chains.

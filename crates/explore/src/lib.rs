@@ -15,6 +15,12 @@
 //! a poset whose DAG we label with measured performance, prune under a
 //! budget, and reduce to its maximal elements — the safest configurations
 //! that satisfy the budget (Figure 8 stars).
+//!
+//! This crate holds the space-independent half: the Figure 6 axis types
+//! and the one config builder ([`space`]), the poset ([`poset`]), and
+//! the budget / chain-cover / lazy-classification maths ([`budget`]).
+//! The order itself (`sweep_leq`) and the spaces it runs on — Figure 6
+//! is `SpaceSpec::fig6` — live in `flexos_sweep`.
 
 pub mod budget;
 pub mod poset;
@@ -25,6 +31,4 @@ pub use budget::{
     LazyClassification, PointStatus, StarReport,
 };
 pub use poset::{ConfigNode, Poset};
-pub use space::{
-    assigned_config, fig6_config, fig6_space, profiled_config, Fig6Point, Strategy, FIG6_COMPONENTS,
-};
+pub use space::{assigned_config, Strategy, FIG6_COMPONENTS};

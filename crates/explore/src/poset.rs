@@ -1,7 +1,5 @@
 //! The configuration poset (§5, Figure 5/8).
 
-use crate::space::Fig6Point;
-
 /// A labeled node of the configuration poset.
 #[derive(Debug, Clone)]
 pub struct ConfigNode {
@@ -34,9 +32,9 @@ impl Poset {
     /// responsible for it actually being a partial order
     /// ([`Poset::check_axioms`] verifies).
     ///
-    /// This is the generalized entry point the sweep engine uses to
-    /// order spaces that vary isolation mechanism and workload axes
-    /// beyond the fixed Figure 6 shape.
+    /// The one predicate handed in outside tests is
+    /// `flexos_sweep::sweep_leq`, the §5 order over a `SpaceSpec`'s
+    /// points (its unit tests check the axioms on the Figure 6 space).
     pub fn new(nodes: Vec<ConfigNode>, leq_fn: impl Fn(usize, usize) -> bool) -> Poset {
         let n = nodes.len();
         let mut leq = vec![vec![false; n]; n];
@@ -46,26 +44,6 @@ impl Poset {
             }
         }
         Poset { nodes, leq }
-    }
-
-    /// Builds the poset over the Figure 6 space with measured
-    /// `performance[i]` per point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `performance.len() != points.len()`.
-    pub fn from_fig6(points: &[Fig6Point], performance: &[f64]) -> Poset {
-        assert_eq!(points.len(), performance.len(), "one label per point");
-        let nodes = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ConfigNode {
-                index: i,
-                label: p.label.clone(),
-                performance: performance[i],
-            })
-            .collect();
-        Poset::new(nodes, |a, b| fig6_leq(&points[a], &points[b]))
     }
 
     /// Number of configurations.
@@ -147,77 +125,5 @@ impl Poset {
             }
         }
         edges
-    }
-}
-
-/// The §5 safety order over two Figure 6 points: `a ≤ b` iff `b`'s
-/// partition refines `a`'s **and** `b`'s per-component hardening is a
-/// superset of `a`'s. (Mechanism and data sharing are fixed across the
-/// Figure 6 space, so dimensions 2 and 4 compare equal.)
-fn fig6_leq(a: &Fig6Point, b: &Fig6Point) -> bool {
-    if !a.strategy.refined_by(&b.strategy) {
-        return false;
-    }
-    let ha = a.hardening_vec();
-    let hb = b.hardening_vec();
-    ha.iter().zip(hb.iter()).all(|(x, y)| x.subset_of(y))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::space::fig6_space;
-
-    fn poset() -> Poset {
-        let points = fig6_space("redis");
-        // Deterministic fake performance for structure tests.
-        let perf: Vec<f64> = (0..points.len()).map(|i| 1000.0 - i as f64).collect();
-        Poset::from_fig6(&points, &perf)
-    }
-
-    #[test]
-    fn axioms_hold_over_the_full_space() {
-        poset().check_axioms().unwrap();
-    }
-
-    #[test]
-    fn no_isolation_no_hardening_is_a_minimum() {
-        let p = poset();
-        // Point 0 = Together + mask 0: everything else dominates or is
-        // incomparable, nothing is strictly below it.
-        for b in 0..p.len() {
-            assert!(!p.lt(b, 0), "{b} must not be strictly below the bottom");
-        }
-        // And it is below the fully-hardened three-way split (last point).
-        assert!(p.lt(0, p.len() - 1));
-    }
-
-    #[test]
-    fn hardening_is_monotone_within_a_strategy() {
-        let p = poset();
-        // Within Together (indices 0..16): mask m1 subset m2 => leq.
-        assert!(p.lt(0, 1)); // {} < {app}
-        assert!(p.lt(1, 3)); // {app} < {app, newlib}
-        assert!(!p.leq(1, 2)); // {app} vs {newlib}: incomparable
-    }
-
-    #[test]
-    fn maximal_elements_of_full_space_is_full_hardened_threeway() {
-        let p = poset();
-        let all: Vec<usize> = (0..p.len()).collect();
-        let max = p.maximal_among(&all);
-        // The fully hardened three-way split dominates everything else.
-        assert_eq!(max, vec![p.len() - 1]);
-    }
-
-    #[test]
-    fn cover_edges_are_sparse_and_acyclic() {
-        let p = poset();
-        let edges = p.cover_edges();
-        assert!(!edges.is_empty());
-        // Cover edges never skip levels: a < c < b excluded by def.
-        for &(a, b) in &edges {
-            assert!(p.lt(a, b));
-        }
     }
 }

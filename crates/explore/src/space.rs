@@ -1,10 +1,12 @@
-//! The Figure 6 configuration space.
+//! The Figure 6 axes and the one configuration builder.
 //!
-//! Fixed: MPK isolation with DSS. Varied: the compartmentalization
-//! strategy (5 shapes over {app, newlib, uksched, lwip}: Figure 8's
-//! A..E) × per-component hardening (the stack-protector+UBSan+KASan
-//! bundle, on/off per component) = 5 × 2⁴ = **80 configurations** per
-//! application, exactly the sweep of §6.1.
+//! Figure 6 varies the compartmentalization strategy (5 shapes over
+//! {app, newlib, uksched, lwip}: Figure 8's A..E) × per-component
+//! hardening (the stack-protector+UBSan+KASan bundle, on/off per
+//! component) = 5 × 2⁴ = **80 configurations** per application, with
+//! MPK + DSS + TLSF fixed. The space itself is
+//! `flexos_sweep::SpaceSpec::fig6`; this module owns the axis types and
+//! [`assigned_config`], the builder every sweep point goes through.
 
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::{CompartmentSpec, DataSharing, Mechanism};
@@ -40,23 +42,9 @@ impl Strategy {
         Strategy::ThreeWay,
     ];
 
-    /// The partition over `{app, newlib, uksched, lwip}` this strategy
-    /// induces (component → compartment index).
-    pub fn partition(&self, app: &str) -> Vec<(String, usize)> {
-        let p = |name: &str, c: usize| (name.to_string(), c);
-        match self {
-            Strategy::Together => vec![p(app, 0), p("newlib", 0), p("uksched", 0), p("lwip", 0)],
-            Strategy::SplitLwip => vec![p(app, 0), p("newlib", 0), p("uksched", 0), p("lwip", 1)],
-            Strategy::SplitSched => vec![p(app, 0), p("newlib", 0), p("uksched", 1), p("lwip", 0)],
-            Strategy::SplitApp => vec![p(app, 0), p("newlib", 0), p("uksched", 1), p("lwip", 1)],
-            Strategy::ThreeWay => vec![p(app, 0), p("newlib", 0), p("uksched", 1), p("lwip", 2)],
-        }
-    }
-
     /// Compartment index of `FIG6_COMPONENTS[component]` under this
-    /// strategy — the index-only view of [`Strategy::partition`] (the
-    /// assignment does not depend on the app name), cheap enough for
-    /// O(n²) safety-order comparisons.
+    /// strategy — the partition over `{app, newlib, uksched, lwip}`
+    /// this strategy induces.
     ///
     /// # Panics
     ///
@@ -92,146 +80,43 @@ impl Strategy {
     }
 
     /// `true` if `other`'s partition refines this one (same or more
-    /// compartment cuts) — the safety assumption 1 of §5.
+    /// compartment cuts) — the safety assumption 1 of §5: every pair of
+    /// components `other` keeps together, `self` keeps together too.
     pub fn refined_by(&self, other: &Strategy) -> bool {
-        // Blocks per strategy over the 4 components, as bitsets.
-        let blocks = |s: &Strategy| -> Vec<u8> {
-            let part = s.partition("app");
-            let n = s.compartments();
-            (0..n)
-                .map(|c| {
-                    part.iter()
-                        .enumerate()
-                        .filter(|(_, (_, pc))| *pc == c)
-                        .fold(0u8, |acc, (i, _)| acc | (1 << i))
-                })
-                .collect()
-        };
-        let coarse = blocks(self);
-        let fine = blocks(other);
-        // Every fine block must be a subset of some coarse block.
-        fine.iter().all(|f| coarse.iter().any(|c| f & c == *f))
+        (1..4).all(|i| {
+            (0..i).all(|j| {
+                other.compartment_of(i) != other.compartment_of(j)
+                    || self.compartment_of(i) == self.compartment_of(j)
+            })
+        })
     }
 }
 
-/// One point of the Figure 6 sweep.
-#[derive(Debug, Clone)]
-pub struct Fig6Point {
-    /// Strategy (compartment shape).
-    pub strategy: Strategy,
-    /// Bit `i` = hardening enabled on `FIG6_COMPONENTS[i]`.
-    pub hardening_mask: u8,
-    /// The buildable configuration.
-    pub config: SafetyConfig,
-    /// Human-readable label (`[•◦◦•] app+newlib / sched+lwip` style).
-    pub label: String,
-}
-
-impl Fig6Point {
-    /// `true` if component row `i` is hardened.
-    pub fn hardened(&self, i: usize) -> bool {
-        self.hardening_mask & (1 << i) != 0
-    }
-
-    /// Per-component hardening set for poset comparison.
-    pub fn hardening_vec(&self) -> [Hardening; 4] {
-        let mut out = [Hardening::NONE; 4];
-        for (i, slot) in out.iter_mut().enumerate() {
-            if self.hardening_mask & (1 << i) != 0 {
-                *slot = Hardening::FIG6_BUNDLE;
-            }
-        }
-        out
-    }
-}
-
-/// Builds the configuration for one point of the (generalized) Figure 6
-/// space: `strategy`'s partition over DSS-shared compartments guarded by
-/// `mechanism`, with hardening mask `mask` over [`FIG6_COMPONENTS`]
-/// (the application row resolving to `app`). Single-compartment
-/// strategies always build [`Mechanism::None`] — an unsplit image has
-/// no boundary for a mechanism to guard.
+/// Builds the configuration of one point of the (generalized)
+/// Figure 6 space: `strategy`'s partition over compartments guarded by
+/// `mechanism`, hardening mask `mask` over [`FIG6_COMPONENTS`] (the
+/// application row resolving to `app`), and `profiles[c]` the
+/// `(data-sharing, allocator)` profile of compartment `c`. Entries
+/// beyond `strategy.compartments()` are ignored (they are the
+/// don't-care slots a product-enumerated assignment space carries for
+/// strategies with fewer compartments — the lazy engine's measurement
+/// memo collapses such duplicates before anything is built).
 ///
-/// This is the one copy of the Figure 6 construction rules, pinned to
-/// the historical axes ([`DataSharing::Dss`], [`HeapKind::Tlsf`]); the
-/// `flexos_sweep` space generator goes through [`profiled_config`] to
-/// open the data-sharing and allocator dimensions.
-pub fn fig6_config(app: &str, strategy: Strategy, mechanism: Mechanism, mask: u8) -> SafetyConfig {
-    profiled_config(
-        app,
-        strategy,
-        mechanism,
-        mask,
-        DataSharing::Dss,
-        HeapKind::Tlsf,
-    )
-}
-
-/// [`fig6_config`] with the per-image data-sharing and allocator axes
-/// opened (the `flexos_sweep` profile dimensions): every compartment of
-/// the point inherits `sharing` and `allocator` as its isolation
-/// profile.
+/// Compartment 0's profile becomes the image default; another
+/// compartment carries an explicit override only for an axis on which
+/// it differs from compartment 0 — so a uniform assignment builds the
+/// plain image-default config (the historical Figure 6 points are the
+/// `(Dss, Tlsf)` case), and truly mixed images (shared-stack lwip next
+/// to a DSS scheduler, TLSF next to Lea heaps) come out of the same
+/// call.
 ///
 /// Single-compartment strategies collapse the *mechanism* **and**
 /// *data-sharing* axes to their defaults — an unsplit image has no
 /// boundary for either to act on, so distinct axis values would mint
 /// behaviourally near-identical points that tie in every §5 safety
-/// dimension and break the poset's antisymmetry (the same collapse the
-/// sweep engine applied to mechanisms since PR 4). The allocator axis
+/// dimension and break the poset's antisymmetry. The allocator axis
 /// never collapses: heap behaviour is real even in a flat image
 /// (Figure 10's baseline inversion is an allocator effect).
-pub fn profiled_config(
-    app: &str,
-    strategy: Strategy,
-    mechanism: Mechanism,
-    mask: u8,
-    sharing: DataSharing,
-    allocator: HeapKind,
-) -> SafetyConfig {
-    let single = strategy.compartments() == 1;
-    let (mechanism, sharing) = if single {
-        (Mechanism::None, DataSharing::default())
-    } else {
-        (mechanism, sharing)
-    };
-    let mut builder = SafetyConfig::builder()
-        .data_sharing(sharing)
-        .default_allocator(allocator);
-    for c in 0..strategy.compartments() {
-        let mut spec = CompartmentSpec::new(format!("comp{}", c + 1), mechanism);
-        if c == 0 {
-            spec = spec.default_compartment();
-        }
-        builder = builder.compartment(spec);
-    }
-    for (component, comp_idx) in strategy.partition(app) {
-        if comp_idx > 0 {
-            builder = builder.place(&component, &format!("comp{}", comp_idx + 1));
-        }
-    }
-    for (i, row) in FIG6_COMPONENTS.iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            let name = if *row == "app" { app } else { row };
-            builder = builder.harden_component(name, Hardening::FIG6_BUNDLE);
-        }
-    }
-    builder.build().expect("generated config is valid")
-}
-
-/// [`profiled_config`] with a *per-compartment* profile assignment: the
-/// PR 5 config API driven to its full generality. `profiles[c]` is the
-/// `(data-sharing, allocator)` profile of compartment `c`; entries
-/// beyond `strategy.compartments()` are ignored (they are the
-/// don't-care slots a product-enumerated assignment space carries for
-/// strategies with fewer compartments — the sweep's measurement memo
-/// collapses such duplicates before anything is built).
-///
-/// Compartment 0's profile becomes the image default; other
-/// compartments carry explicit overrides, so truly mixed images
-/// (shared-stack lwip next to a DSS scheduler, TLSF next to Lea heaps)
-/// come out of one enumeration. Single-compartment strategies collapse
-/// mechanism and data-sharing exactly like [`profiled_config`] — the
-/// allocator of slot 0 stays live.
 ///
 /// # Panics
 ///
@@ -246,61 +131,39 @@ pub fn assigned_config(
 ) -> SafetyConfig {
     let n = strategy.compartments();
     assert!(profiles.len() >= n, "one profile per compartment");
-    if n == 1 {
-        return profiled_config(
-            app,
-            strategy,
-            mechanism,
-            mask,
-            DataSharing::default(),
-            profiles[0].1,
-        );
-    }
+    let (sharing0, allocator0) = profiles[0];
+    let (mechanism, default_sharing) = if n == 1 {
+        (Mechanism::None, DataSharing::default())
+    } else {
+        (mechanism, sharing0)
+    };
     let mut builder = SafetyConfig::builder()
-        .data_sharing(profiles[0].0)
-        .default_allocator(profiles[0].1);
+        .data_sharing(default_sharing)
+        .default_allocator(allocator0);
     for (c, &(sharing, allocator)) in profiles.iter().enumerate().take(n) {
         let mut spec = CompartmentSpec::new(format!("comp{}", c + 1), mechanism);
         if c == 0 {
             spec = spec.default_compartment();
-        } else {
-            spec = spec.with_data_sharing(sharing).with_allocator(allocator);
+        }
+        if sharing != sharing0 {
+            spec = spec.with_data_sharing(sharing);
+        }
+        if allocator != allocator0 {
+            spec = spec.with_allocator(allocator);
         }
         builder = builder.compartment(spec);
     }
-    for (component, comp_idx) in strategy.partition(app) {
-        if comp_idx > 0 {
-            builder = builder.place(&component, &format!("comp{}", comp_idx + 1));
-        }
-    }
     for (i, row) in FIG6_COMPONENTS.iter().enumerate() {
+        let name = if *row == "app" { app } else { row };
+        let comp = strategy.compartment_of(i);
+        if comp > 0 {
+            builder = builder.place(name, &format!("comp{}", comp + 1));
+        }
         if mask & (1 << i) != 0 {
-            let name = if *row == "app" { app } else { row };
             builder = builder.harden_component(name, Hardening::FIG6_BUNDLE);
         }
     }
     builder.build().expect("generated config is valid")
-}
-
-/// Generates the 80-configuration Figure 6 space for application `app`
-/// ("redis" or "nginx"): 5 strategies × 2⁴ hardening masks, MPK + DSS.
-pub fn fig6_space(app: &str) -> Vec<Fig6Point> {
-    let mut out = Vec::with_capacity(80);
-    for strategy in Strategy::ALL {
-        for mask in 0u8..16 {
-            let config = fig6_config(app, strategy, Mechanism::IntelMpk, mask);
-            let dots: String = (0..4)
-                .map(|i| if mask & (1 << i) != 0 { '•' } else { '◦' })
-                .collect();
-            out.push(Fig6Point {
-                strategy,
-                hardening_mask: mask,
-                config,
-                label: format!("[{dots}] {}", strategy.label(app)),
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -308,26 +171,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn space_has_80_points() {
-        // §6.1: "a total of 2x80 configurations" (80 per application).
-        assert_eq!(fig6_space("redis").len(), 80);
-    }
-
-    #[test]
-    fn partitions_match_figure_8() {
-        let cfg = &fig6_space("redis")[16]; // first SplitLwip point
-        assert_eq!(cfg.strategy, Strategy::SplitLwip);
-        assert_eq!(cfg.config.placement("lwip"), 1);
-        assert_eq!(cfg.config.placement("redis"), 0);
-        assert_eq!(cfg.config.placement("uksched"), 0);
-    }
-
-    #[test]
     fn refinement_order_matches_figure_8_arrows() {
         use Strategy::*;
         // A is refined by everything.
         for s in Strategy::ALL {
             assert!(Together.refined_by(&s), "{s:?}");
+            assert!((0..4).all(|i| s.compartment_of(i) < s.compartments()));
         }
         // E refines B, C, D.
         assert!(SplitLwip.refined_by(&ThreeWay));
@@ -344,135 +193,73 @@ mod tests {
     }
 
     #[test]
-    fn hardening_masks_cover_all_combinations() {
-        let space = fig6_space("nginx");
-        let masks: std::collections::HashSet<u8> = space
-            .iter()
-            .filter(|p| p.strategy == Strategy::ThreeWay)
-            .map(|p| p.hardening_mask)
-            .collect();
-        assert_eq!(masks.len(), 16);
-    }
-
-    #[test]
-    fn profiled_config_opens_the_new_axes() {
-        let cfg = profiled_config(
-            "redis",
-            Strategy::SplitLwip,
-            Mechanism::IntelMpk,
-            0,
-            DataSharing::SharedStack,
-            HeapKind::Lea,
-        );
-        assert_eq!(cfg.data_sharing(), DataSharing::SharedStack);
-        assert_eq!(cfg.default_allocator, Some(HeapKind::Lea));
-        assert_eq!(cfg.profile_of(1).allocator, HeapKind::Lea);
-        // The pinned fig6 axes are the (Dss, Tlsf) special case.
-        let pinned = fig6_config("redis", Strategy::SplitLwip, Mechanism::IntelMpk, 0);
-        assert_eq!(
-            pinned,
-            profiled_config(
+    fn uniform_assignments_build_the_image_default_config() {
+        // The `Display` text the former uniform-profile builder
+        // produced for these three shapes, recorded before it was folded
+        // into `assigned_config`: a uniform `profiles` slice carries no
+        // per-compartment override, and an unsplit image collapses its
+        // mechanism and data sharing (not its allocator) to the defaults.
+        let cases: [(&str, Strategy, Mechanism, u8, DataSharing, HeapKind, &str); 3] = [
+            (
                 "redis",
-                Strategy::SplitLwip,
+                Strategy::Together,
                 Mechanism::IntelMpk,
-                0,
+                0b0011,
+                DataSharing::SharedStack,
+                HeapKind::Lea,
+                "allocator: lea\ncompartments:\n- comp1:\n    mechanism: none\n    \
+                 default: True\nlibraries:\n",
+            ),
+            (
+                "nginx",
+                Strategy::SplitApp,
+                Mechanism::IntelMpk,
+                0b0110,
                 DataSharing::Dss,
                 HeapKind::Tlsf,
-            )
-        );
-    }
-
-    #[test]
-    fn single_compartment_points_collapse_mechanism_and_sharing() {
-        // No boundary: data-sharing (and mechanism) axis values must not
-        // mint distinguishable configs — the antisymmetry collapse.
-        let a = profiled_config(
-            "redis",
-            Strategy::Together,
-            Mechanism::VmEpt,
-            3,
-            DataSharing::SharedStack,
-            HeapKind::Lea,
-        );
-        let b = profiled_config(
-            "redis",
-            Strategy::Together,
-            Mechanism::IntelMpk,
-            3,
-            DataSharing::HeapConversion,
-            HeapKind::Lea,
-        );
-        assert_eq!(a, b);
-        assert_eq!(a.dominant_mechanism(), Mechanism::None);
-        assert_eq!(a.data_sharing(), DataSharing::Dss);
-        // The allocator axis stays open: heap behaviour is real even
-        // in a flat image.
-        let c = profiled_config(
-            "redis",
-            Strategy::Together,
-            Mechanism::IntelMpk,
-            3,
-            DataSharing::Dss,
-            HeapKind::Tlsf,
-        );
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn compartment_of_matches_the_partition() {
-        for s in Strategy::ALL {
-            let part = s.partition("app");
-            for (i, (_, comp)) in part.iter().enumerate() {
-                assert_eq!(s.compartment_of(i), *comp, "{s:?} component {i}");
-            }
-            assert!((0..4).all(|i| s.compartment_of(i) < s.compartments()));
+                "allocator: tlsf\ncompartments:\n- comp1:\n    mechanism: intel-mpk\n    \
+                 default: True\n- comp2:\n    mechanism: intel-mpk\nlibraries:\n\
+                 - uksched: comp2\n- lwip: comp2\n",
+            ),
+            (
+                "redis",
+                Strategy::ThreeWay,
+                Mechanism::VmEpt,
+                0b1111,
+                DataSharing::SharedStack,
+                HeapKind::Lea,
+                "data_sharing: shared-stack\nallocator: lea\ncompartments:\n- comp1:\n    \
+                 mechanism: vm-ept\n    default: True\n- comp2:\n    mechanism: vm-ept\n\
+                 - comp3:\n    mechanism: vm-ept\nlibraries:\n- uksched: comp2\n\
+                 - lwip: comp3\n",
+            ),
+        ];
+        for (app, strategy, mechanism, mask, sharing, allocator, recorded) in cases {
+            let cfg = assigned_config(app, strategy, mechanism, mask, &[(sharing, allocator); 3]);
+            assert_eq!(cfg.to_string(), recorded, "{app} {strategy:?}");
         }
     }
 
     #[test]
-    fn assigned_config_collapses_to_profiled_on_uniform_assignments() {
-        let uniform = assigned_config(
+    fn mixed_assignments_override_only_the_differing_axes() {
+        let cfg = assigned_config(
             "redis",
-            Strategy::SplitApp,
-            Mechanism::IntelMpk,
-            0b0110,
-            &[(DataSharing::SharedStack, HeapKind::Lea); 3],
-        );
-        for c in 0..uniform.compartment_count() {
-            assert_eq!(uniform.data_sharing_of(c), DataSharing::SharedStack);
-            assert_eq!(uniform.profile_of(c).allocator, HeapKind::Lea);
-        }
-        // Single compartment: sharing collapses to the default exactly
-        // like `profiled_config`; the slot-0 allocator stays live.
-        let single = assigned_config(
-            "redis",
-            Strategy::Together,
+            Strategy::ThreeWay,
             Mechanism::IntelMpk,
             0,
-            &[(DataSharing::SharedStack, HeapKind::Lea); 3],
+            &[
+                (DataSharing::Dss, HeapKind::Tlsf),
+                (DataSharing::SharedStack, HeapKind::Tlsf),
+                (DataSharing::Dss, HeapKind::Lea),
+            ],
         );
-        let expected = profiled_config(
-            "redis",
-            Strategy::Together,
-            Mechanism::IntelMpk,
-            0,
-            DataSharing::SharedStack,
-            HeapKind::Lea,
-        );
-        assert_eq!(single, expected);
-        assert_eq!(single.data_sharing_of(0), DataSharing::Dss);
-        assert_eq!(single.profile_of(0).allocator, HeapKind::Lea);
-    }
-
-    #[test]
-    fn hardened_components_get_the_bundle() {
-        let space = fig6_space("redis");
-        let p = space.iter().find(|p| p.hardening_mask == 0b0101).unwrap();
-        assert_eq!(p.config.hardening_of("redis"), Hardening::FIG6_BUNDLE);
-        assert_eq!(p.config.hardening_of("newlib"), Hardening::NONE);
-        assert_eq!(p.config.hardening_of("uksched"), Hardening::FIG6_BUNDLE);
-        assert_eq!(p.config.hardening_of("lwip"), Hardening::NONE);
-        assert!(p.hardened(0) && p.hardened(2));
-        assert!(!p.hardened(1) && !p.hardened(3));
+        assert_eq!(cfg.data_sharing_of(0), DataSharing::Dss);
+        assert_eq!(cfg.data_sharing_of(1), DataSharing::SharedStack);
+        assert_eq!(cfg.data_sharing_of(2), DataSharing::Dss);
+        assert_eq!(cfg.profile_of(1).allocator, HeapKind::Tlsf);
+        assert_eq!(cfg.profile_of(2).allocator, HeapKind::Lea);
+        let text = cfg.to_string();
+        assert_eq!(text.matches("    data_sharing:").count(), 1, "{text}");
+        assert_eq!(text.matches("    allocator:").count(), 1, "{text}");
     }
 }

@@ -31,7 +31,6 @@
 //! results into per-point slots, so output order is always enumeration
 //! order regardless of completion order.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -41,7 +40,7 @@ use flexos_apps::workloads::{
 use flexos_machine::fault::Fault;
 use flexos_system::SystemBuilder;
 
-use crate::space::{CanonicalPoint, SpaceSpec, Workload};
+use crate::space::{SpaceSpec, Workload};
 
 /// Measured outcome of one sweep point. `ops`/`cycles` are virtual
 /// (simulated) quantities and the payload of the determinism guarantee;
@@ -72,7 +71,7 @@ impl PointResult {
     }
 }
 
-/// Worker count for [`run`]: the `SWEEP_THREADS` environment variable,
+/// Default worker count: the `SWEEP_THREADS` environment variable,
 /// defaulting to the host's available parallelism.
 pub fn sweep_threads() -> usize {
     std::env::var("SWEEP_THREADS")
@@ -123,21 +122,13 @@ pub fn run_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
     Ok(PointResult::new(index, m))
 }
 
-/// Runs every point of `spec` on the calling thread, in enumeration
-/// order.
-///
-/// # Errors
-///
-/// The first point fault encountered.
-pub fn run_serial(spec: &SpaceSpec) -> Result<Vec<PointResult>, Fault> {
-    (0..spec.len()).map(|i| run_point(spec, i)).collect()
-}
-
 /// Runs the given point `indices` of `spec` over `threads` worker
 /// threads, returning results in `indices` order (`results[k].index ==
-/// indices[k]`), bit-identical to running them serially at any worker
-/// count. The building block behind [`run_parallel`] and the lazy
-/// engine's measurement batches.
+/// indices[k]`), bit-identical at any worker count. This is the one
+/// executor: [`run_parallel`] is "every index" through it, and the lazy
+/// engine's measurement batches call it directly. With `threads <= 1`
+/// the points run inline on the calling thread, in `indices` order —
+/// the serial reference `--verify` and the tests compare against.
 ///
 /// Workers self-schedule positions from an atomic cursor, so each
 /// result slot has exactly one writer — the slots are once-written
@@ -205,91 +196,15 @@ pub fn run_indices(
     }
 }
 
-/// Runs every point of `spec` over `threads` worker threads. Results
-/// are returned in enumeration order and are bit-identical to
-/// [`run_serial`] of the same spec, at any worker count.
-///
-/// # Errors
-///
-/// The first (by point index) fault encountered; remaining points are
-/// still executed and their faults logged (see [`run_indices`]).
-///
-/// # Panics
-///
-/// Panics if a worker thread itself panicked (a point's simulation
-/// invariant failed).
-pub fn run_parallel(spec: &SpaceSpec, threads: usize) -> Result<Vec<PointResult>, Fault> {
-    let n = spec.len();
-    if threads <= 1 || n <= 1 {
-        return run_serial(spec);
-    }
-    let indices: Vec<usize> = (0..n).collect();
-    run_indices(spec, &indices, threads)
-}
-
-/// How a memoized run spent its executions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Distinct canonical experiments actually built and run.
-    pub canonical: usize,
-    /// Points served from the memo instead of a fresh execution.
-    pub hits: usize,
-}
-
-/// [`run_parallel`] with a **measurement memo**: points are grouped by
-/// their [`CanonicalPoint`] key (per-compartment-profile spaces
-/// enumerate don't-care slots, so distinct indices can describe the
-/// same experiment), each canonical experiment is built and run
-/// exactly once, and the result fans back out to every duplicate
-/// index. Because a point's outcome is a pure function of its
-/// canonical key, the fanned-out results are bit-identical to fresh
-/// runs of every index.
+/// Runs every point of `spec` over `threads` worker threads, in
+/// enumeration order: [`run_indices`] over `0..spec.len()`.
 ///
 /// # Errors
 ///
 /// See [`run_indices`].
-pub fn run_memoized(
-    spec: &SpaceSpec,
-    threads: usize,
-) -> Result<(Vec<PointResult>, MemoStats), Fault> {
-    let n = spec.len();
-    let mut rep_position: HashMap<CanonicalPoint, usize> = HashMap::new();
-    let mut representatives: Vec<usize> = Vec::new();
-    let mut assignment: Vec<usize> = Vec::with_capacity(n);
-    for i in 0..n {
-        let key = spec.shape(i).canonical();
-        let pos = *rep_position.entry(key).or_insert_with(|| {
-            representatives.push(i);
-            representatives.len() - 1
-        });
-        assignment.push(pos);
-    }
-    let rep_results = run_indices(spec, &representatives, threads)?;
-    let results = assignment
-        .iter()
-        .enumerate()
-        .map(|(i, &pos)| {
-            let mut r = rep_results[pos].clone();
-            r.index = i;
-            r
-        })
-        .collect();
-    Ok((
-        results,
-        MemoStats {
-            canonical: representatives.len(),
-            hits: n - representatives.len(),
-        },
-    ))
-}
-
-/// [`run_parallel`] with [`sweep_threads`] workers.
-///
-/// # Errors
-///
-/// See [`run_parallel`].
-pub fn run(spec: &SpaceSpec) -> Result<Vec<PointResult>, Fault> {
-    run_parallel(spec, sweep_threads())
+pub fn run_parallel(spec: &SpaceSpec, threads: usize) -> Result<Vec<PointResult>, Fault> {
+    let indices: Vec<usize> = (0..spec.len()).collect();
+    run_indices(spec, &indices, threads)
 }
 
 #[cfg(test)]
@@ -305,15 +220,6 @@ mod tests {
         spec.strategies.truncate(3);
         spec.hardening_masks = vec![0b0001];
         spec
-    }
-
-    #[test]
-    fn serial_and_parallel_agree_on_a_tiny_space() {
-        let spec = tiny();
-        let serial = run_serial(&spec).unwrap();
-        let parallel = run_parallel(&spec, 4).unwrap();
-        assert_eq!(serial.len(), spec.len());
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -30,18 +30,21 @@
 //!
 //! The classification is bit-identical to the exhaustive engine's
 //! star/pruned/budget-vector reports on duplicate-free spaces
-//! (`tests/lazy_sweep.rs` pins this on `quick` and on a slice of
-//! `full-profiled`; CI runs `--lazy --verify-inference` on `quick`).
+//! (`tests/lazy_sweep.rs` pins this on `quick`, on a two-core-count
+//! slice of `full-smp`, and on a slice of `full-profiled`; CI runs
+//! `--lazy --verify-inference` on `quick`, `full-smp` and `quick` at
+//! `--cores 1,2`). Both engines compare the same packed order key
+//! (`report::OrderKey`), so a clause of the order cannot reach one
+//! and miss the other.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use flexos_alloc::HeapKind;
-use flexos_explore::{chain_cover, lazy_classify, minimal_among, PointStatus, Strategy};
+use flexos_explore::{chain_cover, lazy_classify, minimal_among, PointStatus};
 use flexos_machine::fault::Fault;
 
 use crate::engine::{run_indices, PointResult};
-use crate::report::{mechanism_rank, BudgetVector};
+use crate::report::{BudgetVector, OrderKey};
 use crate::space::{CanonicalPoint, SpaceSpec, Workload};
 
 /// Knobs of a lazy sweep.
@@ -176,46 +179,12 @@ pub struct LazyOutcome {
     pub pareto: Vec<WorkloadPareto>,
 }
 
-/// Packed order key of one canonical point: everything
-/// [`sweep_leq`](crate::report::sweep_leq) compares beyond the scope
-/// split, precomputed so the O(n²) cover construction pays a few byte
-/// compares per pair instead of re-deriving component vectors.
-#[derive(Clone, Copy)]
-struct OrderKey {
-    strategy: usize,
-    mech: u8,
-    mask: u8,
-    strengths: [u8; 4],
-}
-
-fn strategy_id(s: Strategy) -> usize {
-    Strategy::ALL
-        .iter()
-        .position(|t| *t == s)
-        .expect("every strategy is in ALL")
-}
-
-fn refined_table() -> [[bool; 5]; 5] {
-    let mut t = [[false; 5]; 5];
-    for (a, sa) in Strategy::ALL.iter().enumerate() {
-        for (b, sb) in Strategy::ALL.iter().enumerate() {
-            t[a][b] = sa.refined_by(sb);
-        }
-    }
-    t
-}
-
-fn key_leq(refined: &[[bool; 5]; 5], a: &OrderKey, b: &OrderKey) -> bool {
-    refined[a.strategy][b.strategy]
-        && a.mask & b.mask == a.mask
-        && a.mech <= b.mech
-        && a.strengths.iter().zip(&b.strengths).all(|(x, y)| x <= y)
-}
-
 /// One scope of mutually comparable canonical points (same workload,
 /// same per-component allocator vector): the §5 order never crosses a
 /// scope boundary, so covers, classification, and star extraction run
-/// per scope and lose nothing.
+/// per scope and lose nothing. The split is only an optimisation — the
+/// comparison inside a scope is [`OrderKey::leq`], the same one
+/// [`sweep_leq`](crate::report::sweep_leq) runs.
 struct Scope {
     workload: Workload,
     /// Canonical-representative ids, in representative order.
@@ -232,11 +201,8 @@ struct Ctx<'a> {
     threads: usize,
     /// Representative id → spec index.
     rep_spec_index: Vec<usize>,
-    /// Representative id → workload.
-    rep_workload: Vec<Workload>,
-    /// Representative id → packed order key.
+    /// Representative id → order key.
     rep_key: Vec<OrderKey>,
-    refined: [[bool; 5]; 5],
     scopes: Vec<Scope>,
     started: Instant,
 }
@@ -269,12 +235,24 @@ fn measure_reps(ctx: &Ctx<'_>, memo: &mut Memo, ids: &[usize]) -> Result<Vec<f64
     Ok(ids.iter().map(|id| memo.results[id].ops_per_sec).collect())
 }
 
-fn max_of(group_max: &[(Workload, f64)], w: Workload) -> f64 {
+/// The normalization denominator of workload `w`.
+///
+/// # Errors
+///
+/// [`Fault::InvalidConfig`] when no minimal element of `w` was measured:
+/// a finite partial order always has one, so this reports a broken
+/// order (a `≤` that is not antisymmetric) instead of panicking on it.
+fn max_of(group_max: &[(Workload, f64)], w: Workload) -> Result<f64, Fault> {
     group_max
         .iter()
         .find(|(gw, _)| *gw == w)
         .map(|&(_, m)| m)
-        .expect("every explored workload has a measured minimal")
+        .ok_or_else(|| Fault::InvalidConfig {
+            reason: format!(
+                "safety order has no minimal element for workload `{}`",
+                w.label()
+            ),
+        })
 }
 
 /// One full classification pass at the given per-workload budgets:
@@ -298,10 +276,9 @@ fn classify_all(
     let mut classified = 0usize;
     for scope in &ctx.scopes {
         let ids = &scope.reps;
-        let leq =
-            |a: usize, b: usize| key_leq(&ctx.refined, &ctx.rep_key[ids[a]], &ctx.rep_key[ids[b]]);
+        let leq = |a: usize, b: usize| ctx.rep_key[ids[a]].leq(&ctx.rep_key[ids[b]]);
         let frac = budget_of(scope.workload);
-        let gmax = max_of(group_max, scope.workload);
+        let gmax = max_of(group_max, scope.workload)?;
         let mut fault = None;
         let out = lazy_classify(
             ids.len(),
@@ -352,8 +329,7 @@ fn classify_all(
 /// the global star set).
 fn stars_of(ctx: &Ctx<'_>, scope: &Scope, rep_status: &[PointStatus]) -> Vec<usize> {
     let ids = &scope.reps;
-    let leq =
-        |a: usize, b: usize| key_leq(&ctx.refined, &ctx.rep_key[ids[a]], &ctx.rep_key[ids[b]]);
+    let leq = |a: usize, b: usize| ctx.rep_key[ids[a]].leq(&ctx.rep_key[ids[b]]);
     let surviving: Vec<usize> = (0..ids.len())
         .filter(|&l| rep_status[ids[l]] == PointStatus::Survives)
         .collect();
@@ -374,7 +350,10 @@ fn stars_of(ctx: &Ctx<'_>, scope: &Scope, rep_status: &[PointStatus]) -> Vec<usi
 ///
 /// # Errors
 ///
-/// Measurement faults (see [`run_indices`]).
+/// Measurement faults (see [`run_indices`]), and
+/// [`Fault::InvalidConfig`] if a workload's scopes yield no minimal
+/// element to normalize against (an order bug, reported rather than
+/// panicked on).
 ///
 /// # Panics
 ///
@@ -395,8 +374,6 @@ pub fn lazy_sweep(
     // ---- canonicalization: positions → canonical representatives.
     let mut rep_of_key: HashMap<CanonicalPoint, usize> = HashMap::new();
     let mut rep_spec_index: Vec<usize> = Vec::new();
-    let mut rep_workload: Vec<Workload> = Vec::new();
-    let mut rep_alloc: Vec<[HeapKind; 4]> = Vec::new();
     let mut rep_key: Vec<OrderKey> = Vec::new();
     let mut rep_of_pos: Vec<usize> = Vec::with_capacity(n);
     for &i in indices {
@@ -405,14 +382,14 @@ pub fn lazy_sweep(
         let id = *rep_of_key.entry(shape.canonical()).or_insert(next_id);
         if id == next_id {
             rep_spec_index.push(i);
-            rep_workload.push(shape.workload);
-            rep_alloc.push(shape.component_allocators());
-            rep_key.push(OrderKey {
-                strategy: strategy_id(shape.strategy),
-                mech: mechanism_rank(shape.mechanism),
-                mask: shape.hardening_mask,
-                strengths: shape.component_share_strengths(),
-            });
+            rep_key.push(OrderKey::new(
+                shape.workload,
+                shape.strategy,
+                shape.mechanism,
+                shape.hardening_mask,
+                &shape.profiles,
+                shape.cores,
+            ));
         }
         rep_of_pos.push(id);
     }
@@ -420,15 +397,16 @@ pub fn lazy_sweep(
     let reps = rep_spec_index.len();
 
     // ---- scope split + per-scope chain covers.
-    let mut scope_of: HashMap<(Workload, [HeapKind; 4]), usize> = HashMap::new();
+    let mut scope_of = HashMap::new();
     let mut scopes: Vec<Scope> = Vec::new();
-    for id in 0..reps {
-        let key = (rep_workload[id], rep_alloc[id]);
+    for (id, key) in rep_key.iter().enumerate() {
         let next = scopes.len();
-        let s = *scope_of.entry(key).or_insert(next);
+        let s = *scope_of
+            .entry((key.workload, key.allocators))
+            .or_insert(next);
         if s == next {
             scopes.push(Scope {
-                workload: rep_workload[id],
+                workload: key.workload,
                 reps: Vec::new(),
                 chains: Vec::new(),
                 minimals: Vec::new(),
@@ -436,10 +414,9 @@ pub fn lazy_sweep(
         }
         scopes[s].reps.push(id);
     }
-    let refined = refined_table();
     for scope in &mut scopes {
         let ids = &scope.reps;
-        let leq = |a: usize, b: usize| key_leq(&refined, &rep_key[ids[a]], &rep_key[ids[b]]);
+        let leq = |a: usize, b: usize| rep_key[ids[a]].leq(&rep_key[ids[b]]);
         scope.chains = chain_cover(ids.len(), leq);
         let bottoms: Vec<usize> = scope.chains.iter().map(|c| c[0]).collect();
         scope.minimals = minimal_among(&bottoms, ids.len(), leq);
@@ -448,9 +425,7 @@ pub fn lazy_sweep(
         spec,
         threads: cfg.threads,
         rep_spec_index,
-        rep_workload,
         rep_key,
-        refined,
         scopes,
         started,
     };
@@ -471,7 +446,7 @@ pub fn lazy_sweep(
     measure_reps(&ctx, &mut memo, &all_minimals)?;
     let mut group_max: Vec<(Workload, f64)> = Vec::new();
     for &id in &all_minimals {
-        let w = ctx.rep_workload[id];
+        let w = ctx.rep_key[id].workload;
         let perf = memo.results[&id].ops_per_sec;
         match group_max.iter_mut().find(|(gw, _)| *gw == w) {
             Some((_, best)) => *best = best.max(perf),
@@ -513,7 +488,7 @@ pub fn lazy_sweep(
             for (w, levels) in &mut per_workload {
                 let surviving = (0..n)
                     .filter(|&pos| {
-                        ctx.rep_workload[rep_of_pos[pos]] == *w
+                        ctx.rep_key[rep_of_pos[pos]].workload == *w
                             && level_status[rep_of_pos[pos]] == PointStatus::Survives
                     })
                     .count();
@@ -560,15 +535,15 @@ pub fn lazy_sweep(
             .iter()
             .map(|&(w, _)| {
                 let m = (0..reps)
-                    .filter(|&id| ctx.rep_workload[id] == w)
+                    .filter(|&id| ctx.rep_key[id].workload == w)
                     .map(|id| memo.results[&id].ops_per_sec)
                     .fold(f64::MIN, f64::max);
                 (w, m)
             })
             .collect();
         for (id, &lazy_status) in rep_status.iter().enumerate() {
-            let w = ctx.rep_workload[id];
-            let truth = if memo.results[&id].ops_per_sec / max_of(&true_max, w)
+            let w = ctx.rep_key[id].workload;
+            let truth = if memo.results[&id].ops_per_sec / max_of(&true_max, w)?
                 >= cfg.budgets.budget_for(w)
             {
                 PointStatus::Survives
@@ -624,9 +599,6 @@ pub fn lazy_sweep_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_serial;
-    use crate::report::star_report_vec;
-    use crate::space::SweepPoint;
 
     fn tiny() -> SpaceSpec {
         let mut spec = SpaceSpec::quick(4, 16);
@@ -634,41 +606,6 @@ mod tests {
         spec.strategies.truncate(3);
         spec.hardening_masks = vec![0b0000, 0b1000];
         spec
-    }
-
-    #[test]
-    fn lazy_matches_exhaustive_on_a_tiny_space() {
-        let spec = tiny();
-        let results = run_serial(&spec).unwrap();
-        let points: Vec<SweepPoint> = spec.points().collect();
-        let budgets = BudgetVector::uniform(0.8);
-        let (_, exhaustive) = star_report_vec(&points, &results, &budgets);
-        let cfg = LazyConfig {
-            threads: 1,
-            budgets,
-            verify_inference: true,
-            pareto_fracs: vec![0.5, 0.9],
-        };
-        let lazy = lazy_sweep_all(&spec, &cfg, None).unwrap();
-        assert_eq!(lazy.surviving, exhaustive.surviving);
-        assert_eq!(lazy.stars, exhaustive.stars);
-        assert!(
-            lazy.inference_misses.is_empty(),
-            "{:?}",
-            lazy.inference_misses
-        );
-        assert_eq!(lazy.stats.points, spec.len());
-        assert_eq!(
-            lazy.stats.canonical,
-            spec.len(),
-            "uniform space: no duplicates"
-        );
-        assert_eq!(lazy.pareto.len(), 2, "two workloads");
-        for wp in &lazy.pareto {
-            assert_eq!(wp.levels.len(), 2);
-            // More budget, fewer survivors.
-            assert!(wp.levels[0].surviving >= wp.levels[1].surviving);
-        }
     }
 
     #[test]

@@ -2,34 +2,36 @@
 //!
 //! FlexOS's central bet (§5) is that isolation flexibility only pays
 //! off if the enormous configuration space can be explored
-//! *automatically*. The Figure 6 harness explored a fixed, hand-rolled
-//! 80-point slice of it, one configuration at a time. This crate turns
-//! exploration into a subsystem of its own:
+//! *automatically*. This crate is the one §5 stack — one space model,
+//! one executor, one safety order — and Figure 6's 80-point sweep is
+//! just its smallest named space:
 //!
 //! * [`SpaceSpec`] — a declarative configuration space: isolation
 //!   mechanism × compartmentalization strategy × data-sharing profile
 //!   × heap-allocator profile × per-component hardening × application
 //!   × workload parameters (keyspace size, RESP pipeline depth, iPerf
-//!   receive-buffer size). Named spaces scale from the original
-//!   Figure 6 sweep ([`SpaceSpec::fig6`], 80 points, bit-compatible
-//!   with the historical results) to the full product space
-//!   ([`SpaceSpec::full`], 8000 points over all six axes).
-//! * [`engine`] — a thread-per-worker executor. Every point is an
+//!   receive-buffer size, simulated cores). Named spaces scale from
+//!   the Figure 6 sweep ([`SpaceSpec::fig6`], 80 points; `fig06`–
+//!   `fig08` run it) to the full product space ([`SpaceSpec::full`],
+//!   8000 points). Every point's config comes from one builder,
+//!   [`flexos_explore::assigned_config`].
+//! * [`engine`] — [`run_indices`], the thread-per-worker executor
+//!   ([`run_parallel`] is "every index" through it). Every point is an
 //!   independent simulation (each worker builds its own `Rc`-based
 //!   [`Machine`](flexos_machine::Machine) per point), so the sweep
 //!   parallelizes embarrassingly **and deterministically**: the
-//!   virtual-cycle results of a parallel run are bit-identical to a
-//!   serial run of the same spec, at any worker count
-//!   (`tests/sweep_determinism.rs` pins this).
-//! * [`report`] — the §5 partial safety ordering generalized beyond
-//!   Figure 6's fixed shape: points are comparable when they share a
-//!   workload and an allocator, and dominate each other in partition
-//!   refinement, hardening, mechanism strength, *and* data-sharing
-//!   strength; budget pruning (scalar or per-workload
-//!   [`report::BudgetVector`]) and Figure 8-style stars then run over
-//!   the whole space.
+//!   virtual-cycle results are bit-identical at any worker count,
+//!   one worker included (`tests/sweep_determinism.rs` pins this).
+//! * [`report`] — [`sweep_leq`], the single definition of the §5
+//!   partial safety order: points are comparable when they share a
+//!   workload and per-component allocators, and dominate each other in
+//!   partition refinement, hardening, mechanism strength, data-sharing
+//!   strength, (fewer) cores and resource budgets; budget pruning
+//!   (scalar or per-workload [`report::BudgetVector`]) and Figure
+//!   8-style stars then run over the whole space.
 //! * [`lazy`] — the order-guided lazy engine: chain covers + binary
-//!   search over each scope of the §5 order, a measurement memo over
+//!   search over each scope of that same order (it compares the packed
+//!   keys `sweep_leq` compares), a measurement memo over
 //!   canonical experiments, and per-workload Pareto frontiers. On
 //!   mixed-profile spaces ([`SpaceSpec::full_profiled`], 3×10⁵
 //!   enumerated points) only the points the order cannot infer are
@@ -50,19 +52,12 @@ pub mod report;
 pub mod space;
 
 pub use emit::{csv, pareto_json, LazySummary, SweepSummary};
-pub use engine::{
-    run_indices, run_memoized, run_parallel, run_point, run_serial, sweep_threads, MemoStats,
-    PointResult,
-};
+pub use engine::{run_indices, run_parallel, run_point, sweep_threads, PointResult};
 pub use lazy::{
     lazy_sweep, lazy_sweep_all, LazyConfig, LazyOutcome, LazyStats, ParetoLevel, ProgressSnapshot,
     WorkloadPareto,
 };
 pub use report::{
-    mechanism_rank, star_report, star_report_vec, sweep_leq, sweep_order_pairs, sweep_poset,
-    BudgetVector,
+    mechanism_rank, star_report_vec, sweep_leq, sweep_order_pairs, sweep_poset, BudgetVector,
 };
-pub use space::{
-    component_allocators, component_share_strengths, CanonicalPoint, PointShape, SpaceSpec,
-    SweepPoint, Workload,
-};
+pub use space::{CanonicalPoint, PointShape, SpaceSpec, SweepPoint, Workload};

@@ -1,8 +1,8 @@
-//! The §5 partial safety ordering, generalized to the sweep space.
+//! The §5 partial safety ordering — its one definition, [`sweep_leq`].
 //!
-//! Figure 6's order compared two dimensions (partition refinement and
-//! per-component hardening) because mechanism and data sharing were
-//! pinned across that space. The sweep space un-pins the mechanism, so
+//! On the Figure 6 space the order compares two dimensions (partition
+//! refinement and per-component hardening) because everything else is
+//! pinned there. Other spaces un-pin the mechanism, so
 //! the order gains §5's assumption 4 — *the strength of the isolation
 //! mechanism* — and a scoping rule: points are only comparable when
 //! they drive the **same workload** (safety statements about a Redis
@@ -17,8 +17,9 @@
 
 use std::collections::HashMap;
 
-use flexos_core::compartment::Mechanism;
-use flexos_explore::{prune_and_star, prune_and_star_by, ConfigNode, Poset, StarReport};
+use flexos_alloc::HeapKind;
+use flexos_core::compartment::{DataSharing, Mechanism};
+use flexos_explore::{prune_and_star_by, ConfigNode, Poset, StarReport, Strategy};
 
 use crate::engine::PointResult;
 use crate::space::{SweepPoint, Workload};
@@ -40,12 +41,82 @@ pub fn mechanism_rank(m: Mechanism) -> u8 {
     }
 }
 
+/// The packed §5 order key of one point: every field of its *shape*
+/// the order reads, with the per-component vectors resolved once.
+/// [`sweep_leq`] and the lazy engine compare these and nothing else,
+/// so the two cannot disagree on a clause.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OrderKey {
+    pub(crate) workload: Workload,
+    /// Heap allocator seen by each of the four Figure 6 components: a
+    /// component inherits its compartment's profile under the
+    /// strategy's partition. The order's allocator *scoping* rule.
+    pub(crate) allocators: [HeapKind; 4],
+    cores: u32,
+    strategy: Strategy,
+    mech: u8,
+    mask: u8,
+    /// Data-sharing strength seen by each component. Single-compartment
+    /// strategies sit at the bottom (`[0; 4]`) — a boundary-less image
+    /// has no sharing policy to rank, so it must not block the "unsplit
+    /// baseline ≤ any split" edges (mirroring the mechanism collapse
+    /// onto rank-0 [`Mechanism::None`]).
+    strengths: [u8; 4],
+}
+
+impl OrderKey {
+    pub(crate) fn new(
+        workload: Workload,
+        strategy: Strategy,
+        mechanism: Mechanism,
+        hardening_mask: u8,
+        profiles: &[(DataSharing, HeapKind)],
+        cores: u32,
+    ) -> OrderKey {
+        let split = strategy.compartments() > 1;
+        let of = |i: usize| profiles[strategy.compartment_of(i)];
+        OrderKey {
+            workload,
+            allocators: std::array::from_fn(|i| of(i).1),
+            cores,
+            strategy,
+            mech: mechanism_rank(mechanism),
+            mask: hardening_mask,
+            strengths: std::array::from_fn(|i| if split { of(i).0.strength() } else { 0 }),
+        }
+    }
+
+    /// `self ≤ other`: the shape half of [`sweep_leq`] (everything but
+    /// the resource-budget dimension, which lives in the built config).
+    pub(crate) fn leq(&self, other: &OrderKey) -> bool {
+        self.workload == other.workload
+            && self.allocators == other.allocators
+            && self.cores >= other.cores
+            && self.strategy.refined_by(&other.strategy)
+            && self.mask & other.mask == self.mask
+            && self.mech <= other.mech
+            && self
+                .strengths
+                .iter()
+                .zip(&other.strengths)
+                .all(|(x, y)| x <= y)
+    }
+}
+
 /// The generalized safety order: `a ≤ b` (a at most as safe as b) iff
 /// the points share a workload **and a per-component allocator
 /// assignment**, and `b` dominates `a` in partition refinement,
 /// per-component hardening, mechanism strength, and per-component
 /// data-sharing strength (§5 assumption 2, now a live dimension since
 /// data sharing varies per compartment profile).
+///
+/// This is the one definition of the order. It reads a point's shape
+/// (workload, per-component allocators, cores, strategy, mechanism
+/// rank, hardening mask, per-component sharing strengths) through the
+/// packed order key, plus the resource budgets of its built config;
+/// the lazy engine compares the same keys inside its (workload ×
+/// allocator vector) scopes, which are an optimisation — the key's own
+/// comparison already refuses cross-scope pairs.
 ///
 /// Both profile dimensions are compared per *component* (the four
 /// Figure 6 rows), not per compartment: mixed-profile spaces assign
@@ -54,8 +125,8 @@ pub fn mechanism_rank(m: Mechanism) -> u8 {
 /// both, inheriting its compartment's profile. On uniform spaces every
 /// component carries the same scalar, so the componentwise comparison
 /// reduces exactly to the old scalar rule (including the
-/// single-compartment exemption, encoded as the all-bottom strength
-/// vector by [`component_share_strengths`]).
+/// single-compartment exemption, encoded as an all-bottom strength
+/// vector).
 ///
 /// The allocator is a *scoping* rule, not a safety dimension: §5 makes
 /// no safety claim about TLSF vs Lea, so points differing there for
@@ -73,20 +144,18 @@ pub fn mechanism_rank(m: Mechanism) -> u8 {
 /// twin: it buys performance without buying safety, exactly like a
 /// coarser partition. The clause is a total order on the axis, so
 /// antisymmetry is preserved.
-///
-/// [`component_share_strengths`]: crate::space::component_share_strengths
 pub fn sweep_leq(a: &SweepPoint, b: &SweepPoint) -> bool {
-    a.workload == b.workload
-        && a.component_allocators() == b.component_allocators()
-        && a.cores >= b.cores
-        && a.strategy.refined_by(&b.strategy)
-        && a.hardened_subset_of(b)
-        && mechanism_rank(a.mechanism) <= mechanism_rank(b.mechanism)
-        && a.component_share_strengths()
-            .iter()
-            .zip(b.component_share_strengths())
-            .all(|(&x, y)| x <= y)
-        && budget_leq(a, b)
+    let key = |p: &SweepPoint| {
+        OrderKey::new(
+            p.workload,
+            p.strategy,
+            p.mechanism,
+            p.hardening_mask,
+            &p.profiles,
+            p.cores,
+        )
+    };
+    key(a).leq(&key(b)) && budget_leq(a, b)
 }
 
 /// The resource-budget dimension of the order: per component, per
@@ -101,15 +170,17 @@ fn budget_leq(a: &SweepPoint, b: &SweepPoint) -> bool {
     if !a.config.any_budget() && !b.config.any_budget() {
         return true;
     }
+    // A component inherits its compartment's resolved budget under the
+    // strategy's partition (budgets enter a point only through its
+    // built `config`; shapes carry no budget axis).
+    let budget = |p: &SweepPoint, i| p.config.budget_of(p.strategy.compartment_of(i));
     let axis = |x: Option<u64>, y: Option<u64>| x.is_none() || x == y;
-    a.component_budgets()
-        .iter()
-        .zip(b.component_budgets())
-        .all(|(x, y)| {
-            axis(x.heap_bytes, y.heap_bytes)
-                && axis(x.cycles, y.cycles)
-                && axis(x.crossings, y.crossings)
-        })
+    (0..4).all(|i| {
+        let (x, y) = (budget(a, i), budget(b, i));
+        axis(x.heap_bytes, y.heap_bytes)
+            && axis(x.cycles, y.cycles)
+            && axis(x.crossings, y.crossings)
+    })
 }
 
 /// Every ordered pair `(i, j)`, `i ≠ j`, with `points[i] ≤ points[j]`
@@ -156,23 +227,6 @@ pub fn sweep_poset(points: &[SweepPoint], results: &[PointResult]) -> Poset {
     Poset::new(nodes, |a, b| sweep_leq(&points[a], &points[b]))
 }
 
-/// Prunes the measured space under `budget_frac` (a fraction of each
-/// workload's best configuration, e.g. `0.8`) and stars the safest
-/// survivors — the Figure 8 star report over the generalized space.
-///
-/// # Panics
-///
-/// Panics if `results.len() != points.len()`.
-pub fn star_report(
-    points: &[SweepPoint],
-    results: &[PointResult],
-    budget_frac: f64,
-) -> (Poset, StarReport) {
-    let poset = sweep_poset(points, results);
-    let report = prune_and_star(&poset, budget_frac);
-    (poset, report)
-}
-
 /// A per-workload budget *vector*: one fractional budget per workload
 /// group, with `default_frac` covering workloads without their own
 /// entry. Budgets remain fractions of each workload's best
@@ -213,9 +267,10 @@ impl BudgetVector {
     }
 }
 
-/// [`star_report`] under a per-workload [`BudgetVector`]: each point
-/// must meet *its workload's* fraction of that workload's best
-/// configuration to survive; star extraction is unchanged.
+/// Prunes the measured space under a per-workload [`BudgetVector`]
+/// and stars the safest survivors — the Figure 8 star report over the
+/// generalized space. Each point must meet *its workload's* fraction
+/// of that workload's best configuration to survive.
 ///
 /// # Panics
 ///
@@ -263,13 +318,87 @@ mod tests {
             .collect()
     }
 
+    /// The spaces the order's structural tests run over: `quick` (every
+    /// axis kind) and the Figure 6 space the paper's poset is drawn on.
+    fn order_specs() -> [SpaceSpec; 2] {
+        [SpaceSpec::quick(1, 4), SpaceSpec::fig6("redis", 1, 4)]
+    }
+
     #[test]
     fn order_axioms_hold_on_the_quick_space() {
-        let spec = SpaceSpec::quick(1, 4);
-        let points = points_of(&spec);
-        let results = synthetic_results(&points);
-        let poset = sweep_poset(&points, &results);
-        poset.check_axioms().unwrap();
+        for spec in order_specs() {
+            let points = points_of(&spec);
+            let results = synthetic_results(&points);
+            let poset = sweep_poset(&points, &results);
+            poset.check_axioms().unwrap();
+        }
+    }
+
+    #[test]
+    fn figure_6_order_is_refinement_times_hardening() {
+        let points = points_of(&SpaceSpec::fig6("redis", 1, 4));
+        let p = sweep_poset(&points, &synthetic_results(&points));
+        assert_eq!(p.len(), 80);
+        // Mechanism, sharing, allocator, cores and workload are pinned,
+        // so the order is exactly the two Figure 6 dimensions.
+        for a in &points {
+            for b in &points {
+                assert_eq!(
+                    sweep_leq(a, b),
+                    a.strategy.refined_by(&b.strategy)
+                        && a.hardening_mask & b.hardening_mask == a.hardening_mask,
+                    "{} vs {}",
+                    a.label,
+                    b.label
+                );
+            }
+        }
+        // Hardening is monotone within a strategy (Together = 0..16).
+        assert!(p.lt(0, 1)); // {} < {app}
+        assert!(p.lt(1, 3)); // {app} < {app, newlib}
+        assert!(!p.leq(1, 2)); // {app} vs {newlib}: incomparable
+                               // The fully hardened three-way split (last point) is the one
+                               // maximum; the unsplit, unhardened point 0 is below it.
+        let all: Vec<usize> = (0..p.len()).collect();
+        assert_eq!(p.maximal_among(&all), vec![p.len() - 1]);
+        assert!(p.lt(0, p.len() - 1));
+        // Cover edges never skip levels: a < c < b excluded by def.
+        let edges = p.cover_edges();
+        assert!(!edges.is_empty() && edges.len() < 80 * 8);
+        assert!(edges.iter().all(|&(a, b)| p.lt(a, b)));
+    }
+
+    #[test]
+    fn order_key_vectors_follow_the_partition() {
+        // ThreeWay: app+newlib -> comp 0, sched -> comp 1, lwip -> comp 2.
+        let profiles = [
+            (DataSharing::Dss, HeapKind::Tlsf),
+            (DataSharing::SharedStack, HeapKind::Lea),
+            (DataSharing::HeapConversion, HeapKind::Tlsf),
+        ];
+        let key = |strategy, profiles: &[(DataSharing, HeapKind)]| {
+            OrderKey::new(
+                Workload::NginxGet,
+                strategy,
+                Mechanism::IntelMpk,
+                0,
+                profiles,
+                1,
+            )
+        };
+        let three = key(Strategy::ThreeWay, &profiles);
+        let (dss, shared, heap) = (
+            DataSharing::Dss.strength(),
+            DataSharing::SharedStack.strength(),
+            DataSharing::HeapConversion.strength(),
+        );
+        assert_eq!(three.strengths, [dss, dss, shared, heap]);
+        let (tlsf, lea) = (HeapKind::Tlsf, HeapKind::Lea);
+        assert_eq!(three.allocators, [tlsf, tlsf, lea, tlsf]);
+        // Single compartment: the sharing dimension bottoms out.
+        let one = key(Strategy::Together, &[(DataSharing::Dss, HeapKind::Lea)]);
+        assert_eq!(one.strengths, [0; 4]);
+        assert_eq!(one.allocators, [lea; 4]);
     }
 
     #[test]
@@ -345,15 +474,15 @@ mod tests {
         // data-sharing to Dss (strength top); the order must still put
         // the boundary-less baseline below splits of *weaker* sharing
         // (shared-stack), as it was before the data-sharing dimension
-        // existed.
-        let spec = SpaceSpec::quick(1, 4);
-        let points = points_of(&spec);
+        // existed. On the Figure 6 space this is the bottom element:
+        // nothing sits strictly below the unsplit, unhardened point.
+        let points: Vec<SweepPoint> = order_specs().iter().flat_map(points_of).collect();
         for together in points.iter().filter(|p| p.strategy.compartments() == 1) {
             for split in points.iter().filter(|p| {
                 p.strategy.compartments() > 1
                     && p.workload == together.workload
                     && p.allocator == together.allocator
-                    && together.hardened_subset_of(p)
+                    && together.hardening_mask & p.hardening_mask == together.hardening_mask
             }) {
                 assert!(
                     sweep_leq(together, split),
@@ -447,16 +576,17 @@ mod tests {
 
     #[test]
     fn stars_meet_the_fractional_budget_and_are_maximal() {
-        let spec = SpaceSpec::quick(1, 4);
-        let points = points_of(&spec);
-        let results = synthetic_results(&points);
-        let (poset, report) = star_report(&points, &results, 0.8);
-        assert!(!report.stars.is_empty());
-        assert!(report.pruned(points.len()) > 0, "budget must bite");
-        for &s in &report.stars {
-            assert!(poset.node(s).performance >= 0.8);
-            for &o in &report.surviving {
-                assert!(!poset.lt(s, o), "star {s} dominated by survivor {o}");
+        for spec in order_specs() {
+            let points = points_of(&spec);
+            let results = synthetic_results(&points);
+            let (poset, report) = star_report_vec(&points, &results, &BudgetVector::uniform(0.8));
+            assert!(!report.stars.is_empty());
+            assert!(report.pruned(points.len()) > 0, "budget must bite");
+            for &s in &report.stars {
+                assert!(poset.node(s).performance >= 0.8);
+                for &o in &report.surviving {
+                    assert!(!poset.lt(s, o), "star {s} dominated by survivor {o}");
+                }
             }
         }
     }

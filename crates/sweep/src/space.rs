@@ -76,8 +76,8 @@ impl Workload {
 /// Enumeration order is workload-major, then strategy, then mechanism,
 /// then data sharing, then allocator, then hardening mask — chosen so
 /// [`SpaceSpec::fig6`] (which pins the profile axes to one value each)
-/// enumerates its 80 points in exactly the historical `fig6_space`
-/// order.
+/// enumerates its 80 points strategy-major, mask-minor: the order of
+/// the paper's Figure 6 sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceSpec {
     /// Space name (reports, `BENCH_sweep.json`).
@@ -167,22 +167,6 @@ pub struct CanonicalPoint {
 }
 
 impl PointShape {
-    /// Per-component hardening set for safety-order comparison.
-    pub fn hardened_subset_of(&self, other: &PointShape) -> bool {
-        self.hardening_mask & other.hardening_mask == self.hardening_mask
-    }
-
-    /// Per-component data-sharing strengths (see
-    /// [`component_share_strengths`]).
-    pub fn component_share_strengths(&self) -> [u8; 4] {
-        component_share_strengths(self.strategy, &self.profiles)
-    }
-
-    /// Per-component allocators (see [`component_allocators`]).
-    pub fn component_allocators(&self) -> [HeapKind; 4] {
-        component_allocators(self.strategy, &self.profiles)
-    }
-
     /// This shape's canonical experiment identity.
     pub fn canonical(&self) -> CanonicalPoint {
         CanonicalPoint {
@@ -227,70 +211,6 @@ pub struct SweepPoint {
     pub config: SafetyConfig,
     /// Human-readable label.
     pub label: String,
-}
-
-impl SweepPoint {
-    /// Per-component hardening set for safety-order comparison.
-    pub fn hardened_subset_of(&self, other: &SweepPoint) -> bool {
-        self.hardening_mask & other.hardening_mask == self.hardening_mask
-    }
-
-    /// Resource budget seen by each of `FIG6_COMPONENTS`'s four
-    /// components: a component inherits its compartment's resolved
-    /// budget under the strategy's partition. All-unlimited on every
-    /// pre-budget space (shapes carry no budget axis; budgets enter a
-    /// point only through its built `config`).
-    pub fn component_budgets(&self) -> [flexos_core::compartment::ResourceBudget; 4] {
-        std::array::from_fn(|i| self.config.budget_of(self.strategy.compartment_of(i)))
-    }
-
-    /// Per-component data-sharing strengths (see
-    /// [`component_share_strengths`]).
-    pub fn component_share_strengths(&self) -> [u8; 4] {
-        component_share_strengths(self.strategy, &self.profiles)
-    }
-
-    /// Per-component allocators (see [`component_allocators`]).
-    pub fn component_allocators(&self) -> [HeapKind; 4] {
-        component_allocators(self.strategy, &self.profiles)
-    }
-}
-
-/// Data-sharing strength seen by each of [`FIG6_COMPONENTS`]'s four
-/// components: a component inherits its compartment's profile under
-/// `strategy`'s partition. Single-compartment strategies sit at the
-/// bottom (`[0; 4]`) — a boundary-less image has no sharing policy to
-/// rank, so it must not block the "unsplit baseline ≤ any split"
-/// edges (mirroring the mechanism collapse onto rank-0
-/// [`Mechanism::None`]).
-///
-/// [`FIG6_COMPONENTS`]: flexos_explore::FIG6_COMPONENTS
-pub fn component_share_strengths(
-    strategy: Strategy,
-    profiles: &[(DataSharing, HeapKind)],
-) -> [u8; 4] {
-    let mut out = [0u8; 4];
-    if strategy.compartments() > 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = profiles[strategy.compartment_of(i)].0.strength();
-        }
-    }
-    out
-}
-
-/// Heap allocator seen by each of the four components under
-/// `strategy`'s partition — the componentwise form of the order's
-/// allocator *scoping* rule (points are comparable only when every
-/// component keeps its allocator).
-pub fn component_allocators(
-    strategy: Strategy,
-    profiles: &[(DataSharing, HeapKind)],
-) -> [HeapKind; 4] {
-    let mut out = [profiles[0].1; 4];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = profiles[strategy.compartment_of(i)].1;
-    }
-    out
 }
 
 impl SpaceSpec {
@@ -632,29 +552,13 @@ impl SpaceSpec {
         let shape = self.shape(index);
         let app = shape.workload.app();
         let (data_sharing, allocator) = shape.profiles[0];
-        // The one copy of the Figure 6 construction rules, profile
-        // parameterized (`flexos_explore::fig6_space` shares it through
-        // the pinned-axes wrapper). Uniform spaces keep the historical
-        // `profiled_config` path so their configs stay byte-identical;
-        // mixed assignments go through the per-compartment builder.
-        let config = if self.per_compartment_profiles {
-            flexos_explore::assigned_config(
-                app,
-                shape.strategy,
-                shape.mechanism,
-                shape.hardening_mask,
-                &shape.profiles,
-            )
-        } else {
-            flexos_explore::profiled_config(
-                app,
-                shape.strategy,
-                shape.mechanism,
-                shape.hardening_mask,
-                data_sharing,
-                allocator,
-            )
-        };
+        let config = flexos_explore::assigned_config(
+            app,
+            shape.strategy,
+            shape.mechanism,
+            shape.hardening_mask,
+            &shape.profiles,
+        );
         let label = label_from_shape(&shape);
         SweepPoint {
             index,
@@ -727,16 +631,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig6_subset_matches_the_historical_space() {
+    fn fig6_is_the_80_point_mpk_dss_tlsf_sweep() {
+        // §6.1: "a total of 2x80 configurations" (80 per application),
+        // strategy-major then mask, every split guarded by MPK + DSS.
+        use flexos_core::hardening::Hardening;
         for app in ["redis", "nginx"] {
             let spec = SpaceSpec::fig6(app, 5, 20);
-            let old = flexos_explore::fig6_space(app);
-            assert_eq!(spec.len(), old.len());
-            for (i, legacy) in old.iter().enumerate() {
-                let p = spec.point(i);
-                assert_eq!(p.strategy, legacy.strategy, "{app} point {i}");
-                assert_eq!(p.hardening_mask, legacy.hardening_mask, "{app} point {i}");
-                assert_eq!(p.config, legacy.config, "{app} point {i}");
+            assert_eq!(spec.len(), 80);
+            for (i, p) in spec.points().enumerate() {
+                assert_eq!(p.strategy, Strategy::ALL[i / 16], "{app} point {i}");
+                assert_eq!(usize::from(p.hardening_mask), i % 16, "{app} point {i}");
+                let split = p.strategy.compartments() > 1;
+                let mechanism = if split {
+                    Mechanism::IntelMpk
+                } else {
+                    Mechanism::None
+                };
+                assert_eq!(p.config.dominant_mechanism(), mechanism);
+                assert_eq!(p.profiles[0], (DataSharing::Dss, HeapKind::Tlsf));
+                let rows = [app, "newlib", "uksched", "lwip"];
+                for (row, name) in rows.iter().enumerate() {
+                    assert_eq!(p.config.placement(name), p.strategy.compartment_of(row));
+                    let want = if p.hardening_mask & (1 << row) != 0 {
+                        Hardening::FIG6_BUNDLE
+                    } else {
+                        Hardening::NONE
+                    };
+                    assert_eq!(p.config.hardening_of(name), want, "{}", p.label);
+                }
             }
         }
     }
@@ -947,41 +869,5 @@ mod tests {
         assert_eq!(mixed.config.profile_of(0).allocator, HeapKind::Tlsf);
         assert_eq!(mixed.config.data_sharing_of(1), DataSharing::SharedStack);
         assert_eq!(mixed.config.profile_of(1).allocator, HeapKind::Lea);
-    }
-
-    #[test]
-    fn componentwise_order_vectors_follow_the_partition() {
-        // ThreeWay: app+newlib -> comp 0, sched -> comp 1, lwip -> comp 2.
-        let profiles = [
-            (DataSharing::Dss, HeapKind::Tlsf),
-            (DataSharing::SharedStack, HeapKind::Lea),
-            (DataSharing::HeapConversion, HeapKind::Tlsf),
-        ];
-        let strengths = component_share_strengths(Strategy::ThreeWay, &profiles);
-        assert_eq!(
-            strengths,
-            [
-                DataSharing::Dss.strength(),
-                DataSharing::Dss.strength(),
-                DataSharing::SharedStack.strength(),
-                DataSharing::HeapConversion.strength(),
-            ]
-        );
-        assert_eq!(
-            component_allocators(Strategy::ThreeWay, &profiles),
-            [
-                HeapKind::Tlsf,
-                HeapKind::Tlsf,
-                HeapKind::Lea,
-                HeapKind::Tlsf
-            ]
-        );
-        // Single compartment: the sharing dimension bottoms out.
-        let one = [(DataSharing::Dss, HeapKind::Lea)];
-        assert_eq!(component_share_strengths(Strategy::Together, &one), [0; 4]);
-        assert_eq!(
-            component_allocators(Strategy::Together, &one),
-            [HeapKind::Lea; 4]
-        );
     }
 }

@@ -1,14 +1,16 @@
-//! §5 partial safety ordering, end to end: generate the Figure 6 space
-//! (on a reduced strategy set for speed), measure each configuration,
-//! build the poset, prune under a budget, and print the stars.
+//! §5 partial safety ordering, end to end: take the Figure 6 space
+//! (`SpaceSpec::fig6`, on a reduced strategy set for speed), measure
+//! each configuration with the sweep engine, build the poset under
+//! `sweep_leq`, prune under a budget, and print the stars.
 //!
 //! ```sh
 //! cargo run --example explore_safety [budget_req_per_sec]
 //! ```
 
 use flexos::prelude::*;
-use flexos_apps::workloads::run_redis_gets;
-use flexos_explore::{fig6_space, prune_and_star, Poset};
+use flexos_bench::fig6_label;
+use flexos_explore::{prune_and_star, ConfigNode, Poset, Strategy};
+use flexos_sweep::{run_parallel, sweep_leq, SpaceSpec};
 
 fn main() -> Result<(), Fault> {
     let budget: f64 = std::env::args()
@@ -16,21 +18,22 @@ fn main() -> Result<(), Fault> {
         .and_then(|s| s.parse().ok())
         .unwrap_or(800_000.0);
 
-    // Measure a 20-point slice of the space (strategies A+B, all
+    // Measure a 32-point slice of the space (strategies A+B, all
     // hardening masks) to keep the example quick.
-    let space = fig6_space("redis");
-    let slice: Vec<_> = space.into_iter().take(32).collect();
-    println!("measuring {} configurations...", slice.len());
-    let mut perf = Vec::new();
-    for point in &slice {
-        let os = SystemBuilder::new(point.config.clone())
-            .app(flexos_apps::redis_component())
-            .build()?;
-        let m = run_redis_gets(&os, 5, 30)?;
-        perf.push(m.ops_per_sec);
-    }
+    let mut spec = SpaceSpec::fig6("redis", 5, 30);
+    spec.strategies = vec![Strategy::Together, Strategy::SplitLwip];
+    println!("measuring {} configurations...", spec.len());
+    let slice: Vec<_> = spec.points().collect();
+    let nodes = run_parallel(&spec, 1)?
+        .iter()
+        .map(|r| ConfigNode {
+            index: r.index,
+            label: fig6_label(&slice[r.index]),
+            performance: r.ops_per_sec,
+        })
+        .collect();
 
-    let poset = Poset::from_fig6(&slice, &perf);
+    let poset = Poset::new(nodes, |a, b| sweep_leq(&slice[a], &slice[b]));
     poset.check_axioms().expect("sound partial order");
     let report = prune_and_star(&poset, budget);
 

@@ -1,0 +1,113 @@
+//! Byte-identity gates: the user-facing text of Figures 6–8 and the
+//! `sweep` binary's JSON summary lines must equal the files under
+//! `tests/data/`, recorded from the binaries at the commit *before* the
+//! §5 stack was unified (one order, one space model, one executor) —
+//! the summary lines with their wall-clock and host-core fields zeroed.
+//! Reduced request counts keep this in tier-1. To re-record after an
+//! intended change: `FIG6_WARMUP=15 FIG6_MEASURED=60 fig06 redis|nginx`,
+//! `fig07`, `fig08`; `SWEEP_WARMUP=20 SWEEP_MEASURED=200 sweep
+//! --threads 2 --quiet` with `--space quick --verify`, `--space quick
+//! --lazy --verify-inference --budget "nginx=0.9"`, `--space fig6-redis`.
+
+use flexos::sweep::{emit, engine, lazy, report, SpaceSpec, Workload};
+use flexos_bench::{fig06_text, fig07_text, fig08_text};
+
+const FIG_COUNTS: (u64, u64) = (15, 60);
+const SWEEP_COUNTS: (u64, u64) = (20, 200);
+const SWEEP_THREADS: usize = 2;
+
+/// Fails naming the first differing line, not with two 4 KiB blobs.
+fn assert_same(name: &str, got: &str, want: &str) {
+    if got == want {
+        return;
+    }
+    let (mut g, mut w) = (got.lines(), want.lines());
+    for line in 1.. {
+        match (g.next(), w.next()) {
+            (a, b) if a == b && a.is_some() => {}
+            (a, b) => panic!("{name}: line {line} differs\n  got:  {a:?}\n  want: {b:?}"),
+        }
+    }
+}
+
+#[test]
+fn figure_6_redis_and_nginx_match_the_recorded_output() {
+    assert_same(
+        "fig06 redis",
+        &fig06_text("redis", FIG_COUNTS).unwrap(),
+        include_str!("data/fig06_redis_w15_m60.out"),
+    );
+    assert_same(
+        "fig06 nginx",
+        &fig06_text("nginx", FIG_COUNTS).unwrap(),
+        include_str!("data/fig06_nginx_w15_m60.out"),
+    );
+}
+
+#[test]
+fn figures_7_and_8_match_the_recorded_output() {
+    assert_same(
+        "fig07",
+        &fig07_text(FIG_COUNTS).unwrap(),
+        include_str!("data/fig07_w15_m60.out"),
+    );
+    assert_same(
+        "fig08",
+        &fig08_text(500_000.0, FIG_COUNTS).unwrap(),
+        include_str!("data/fig08_w15_m60.out"),
+    );
+}
+
+/// `sweep --space NAME [--verify]`: the exhaustive summary line.
+fn exhaustive_summary(space: &str, verify: bool) -> String {
+    let spec = SpaceSpec::named(space, SWEEP_COUNTS.0, SWEEP_COUNTS.1).unwrap();
+    let results = engine::run_parallel(&spec, SWEEP_THREADS).unwrap();
+    let verified = verify.then(|| engine::run_parallel(&spec, 1).unwrap() == results);
+    let points: Vec<_> = spec.points().collect();
+    let (_, stars) =
+        report::star_report_vec(&points, &results, &report::BudgetVector::uniform(0.8));
+    let timing = emit::RunTiming {
+        threads: SWEEP_THREADS,
+        parallel_s: 0.0,
+        serial_s: verify.then_some(0.0),
+        verified,
+    };
+    let mut summary = emit::summary(&spec, &results, timing, 0.8, &stars);
+    summary.cores = 0;
+    summary.to_json() + "\n"
+}
+
+#[test]
+fn exhaustive_sweep_summaries_match_the_recorded_lines() {
+    assert_same(
+        "sweep --space quick --verify",
+        &exhaustive_summary("quick", true),
+        include_str!("data/sweep_quick_verify_w20_m200.json"),
+    );
+    assert_same(
+        "sweep --space fig6-redis",
+        &exhaustive_summary("fig6-redis", false),
+        include_str!("data/sweep_fig6_redis_w20_m200.json"),
+    );
+}
+
+#[test]
+fn lazy_sweep_summary_matches_the_recorded_line() {
+    // sweep --space quick --lazy --verify-inference --budget "nginx=0.9"
+    let spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
+    let cfg = lazy::LazyConfig {
+        threads: SWEEP_THREADS,
+        budgets: report::BudgetVector::uniform(0.8).with(Workload::NginxGet, 0.9),
+        verify_inference: true,
+        pareto_fracs: Vec::new(),
+    };
+    let outcome = lazy::lazy_sweep_all(&spec, &cfg, None).unwrap();
+    let mut summary =
+        emit::LazySummary::from_outcome(&spec, &outcome, SWEEP_THREADS, 0.0, 0.8, true);
+    summary.host_cores = 0;
+    assert_same(
+        "sweep --space quick --lazy --verify-inference",
+        &(summary.to_json() + "\n"),
+        include_str!("data/sweep_quick_lazy_w20_m200.json"),
+    );
+}

@@ -81,7 +81,7 @@ fn allocated_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
-fn assert_call_path_alloc_free(sharing: DataSharing) {
+fn assert_call_path_alloc_free(sharing: DataSharing, gate_cycles: u64) {
     let os = SystemBuilder::new(configs::mpk2(&["lwip"], sharing).unwrap())
         .app(flexos_apps::redis_component())
         .build()
@@ -100,6 +100,7 @@ fn assert_call_path_alloc_free(sharing: DataSharing) {
         let _ = env.call_resolved(direct, || Ok(()));
 
         let before = allocations();
+        let t0 = env.machine().clock().now();
         for _ in 0..10_000 {
             env.call_resolved(cross, || Ok(())).unwrap();
         }
@@ -108,6 +109,13 @@ fn assert_call_path_alloc_free(sharing: DataSharing) {
             after - before,
             0,
             "cross-compartment call path allocated ({sharing:?} gate)"
+        );
+        // Figure 11b's calibrated charge, end to end through a built
+        // image and the resolved path.
+        assert_eq!(
+            env.machine().clock().now() - t0,
+            10_000 * gate_cycles,
+            "virtual cycles per {sharing:?} crossing"
         );
 
         let before = allocations();
@@ -125,12 +133,12 @@ fn assert_call_path_alloc_free(sharing: DataSharing) {
 
 #[test]
 fn resolved_mpk_dss_calls_do_not_allocate() {
-    assert_call_path_alloc_free(DataSharing::Dss);
+    assert_call_path_alloc_free(DataSharing::Dss, 108);
 }
 
 #[test]
 fn resolved_mpk_light_calls_do_not_allocate() {
-    assert_call_path_alloc_free(DataSharing::SharedStack);
+    assert_call_path_alloc_free(DataSharing::SharedStack, 62);
 }
 
 #[test]
@@ -252,6 +260,7 @@ fn resolved_ept_rpc_calls_do_not_allocate() {
         // Warm: first ring touches fault in their zero-fill pages.
         env.call_resolved(cross, || Ok(())).unwrap();
         let before = allocations();
+        let t0 = env.machine().clock().now();
         for _ in 0..10_000 {
             env.call_resolved(cross, || Ok(())).unwrap();
         }
@@ -259,6 +268,11 @@ fn resolved_ept_rpc_calls_do_not_allocate() {
             allocations() - before,
             0,
             "EPT RPC crossing allocated on the host heap"
+        );
+        assert_eq!(
+            env.machine().clock().now() - t0,
+            10_000 * 462,
+            "virtual cycles per EPT RPC crossing"
         );
     });
     assert_eq!(env.gates().total_crossings(), 10_001);

@@ -8,7 +8,7 @@
 //! re-measuring every skipped point to confirm the monotonicity
 //! assumption.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use flexos::sweep::{engine, lazy, report, SpaceSpec, Workload};
 use flexos_explore::Strategy;
@@ -25,24 +25,47 @@ fn memoized_run_executes_once_per_canonical_point_and_matches_fresh() {
     spec.strategies = vec![Strategy::Together, Strategy::SplitLwip, Strategy::ThreeWay];
     spec.hardening_masks = vec![0b0000];
     let n = spec.len();
-    let canonical: HashSet<_> = (0..n).map(|i| spec.shape(i).canonical()).collect();
-    assert_eq!((n, canonical.len()), (648, 254));
 
-    let fresh = engine::run_serial(&spec).expect("serial sweep");
-    let (memoized, stats) = engine::run_memoized(&spec, 4).expect("memoized sweep");
-    assert_eq!(stats.canonical, canonical.len());
-    assert_eq!(stats.hits, n - canonical.len());
-    // Bit-identical fan-out: a duplicate's memoized result must equal a
-    // fresh execution of that exact index, cycles and float bits alike.
-    assert_eq!(memoized, fresh);
+    // What licenses the lazy engine's memo (one execution per canonical
+    // experiment, fanned out to every duplicate index): a fresh run of
+    // *every* index, and within one canonical group all results equal
+    // up to `index`, cycles and float bits alike.
+    let every: Vec<usize> = (0..n).collect();
+    let fresh = engine::run_indices(&spec, &every, 4).expect("sweep");
+    let mut first_of_group = HashMap::new();
+    for (i, r) in fresh.iter().enumerate() {
+        assert_eq!(r.index, i);
+        let rep = *first_of_group.entry(spec.shape(i).canonical()).or_insert(i);
+        let mut expected = fresh[rep].clone();
+        expected.index = i;
+        assert_eq!(
+            *r, expected,
+            "point {i} differs from its canonical twin {rep}"
+        );
+    }
+    assert_eq!((n, first_of_group.len()), (648, 254));
 }
 
 #[test]
 fn lazy_matches_exhaustive_on_the_quick_space() {
-    let spec = SpaceSpec::quick(2, 16);
-    assert_eq!(spec.len(), 272);
+    let quick = SpaceSpec::quick(2, 16);
+    assert_eq!(quick.len(), 272);
+    assert_lazy_matches_exhaustive(&quick);
+
+    // A multi-valued cores axis: the order's core-count clause (more
+    // cores sit *below* fewer) must reach the lazy engine too. With an
+    // order key that omits it, cores-twins are `≤` each other both
+    // ways, no scope has a minimal element, and the sweep cannot
+    // normalize (it panicked before the engines shared one key).
+    let mut smp = SpaceSpec::full_smp(2, 16);
+    smp.workloads.truncate(1);
+    smp.cores = vec![1, 2];
+    assert_lazy_matches_exhaustive(&smp);
+}
+
+fn assert_lazy_matches_exhaustive(spec: &SpaceSpec) {
     let points: Vec<_> = spec.points().collect();
-    let results = engine::run_serial(&spec).expect("serial sweep");
+    let results = engine::run_parallel(spec, 1).expect("serial sweep");
 
     // The CI budget vector: uniform 0.8 with a stricter nginx override.
     let budgets = report::BudgetVector::uniform(0.8).with(Workload::NginxGet, 0.9);
@@ -54,7 +77,7 @@ fn lazy_matches_exhaustive_on_the_quick_space() {
         verify_inference: true,
         pareto_fracs: vec![0.5, 0.8],
     };
-    let out = lazy::lazy_sweep_all(&spec, &cfg, None).expect("lazy sweep");
+    let out = lazy::lazy_sweep_all(spec, &cfg, None).expect("lazy sweep");
 
     // Bit-identical pruned set, star set, and (via the vector) the
     // per-workload budget behavior.
@@ -73,11 +96,20 @@ fn lazy_matches_exhaustive_on_the_quick_space() {
         out.stats.points
     );
     assert_eq!(out.stats.measured + out.stats.inferred, out.stats.canonical);
+    assert_eq!(out.stats.points, spec.len());
+    assert_eq!(
+        out.stats.canonical,
+        spec.len(),
+        "uniform space: no duplicates"
+    );
 
     // The 0.8 Pareto level must agree with an exhaustive uniform-0.8
     // report, workload by workload.
-    let (_, uniform) = report::star_report(&points, &results, 0.8);
+    let (_, uniform) =
+        report::star_report_vec(&points, &results, &report::BudgetVector::uniform(0.8));
     for wp in &out.pareto {
+        // More budget, fewer survivors.
+        assert!(wp.levels[0].surviving >= wp.levels[1].surviving);
         let level = wp
             .levels
             .iter()

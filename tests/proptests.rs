@@ -8,7 +8,7 @@
 
 use flexos::prelude::*;
 use flexos_alloc::{lea::Lea, tlsf::Tlsf, RegionAlloc};
-use flexos_explore::{fig6_space, Poset};
+use flexos_explore::{ConfigNode, Poset};
 use flexos_machine::addr::Addr;
 use flexos_machine::key::{Access, Pkru, ProtKey};
 use flexos_machine::mem::Memory;
@@ -236,9 +236,18 @@ fn corrupted_frames_never_parse() {
 
 #[test]
 fn poset_axioms_hold_on_random_subsets() {
-    let space = fig6_space("redis");
-    let perf: Vec<f64> = (0..space.len()).map(|i| (i * 13 % 97) as f64).collect();
-    let poset = Poset::from_fig6(&space, &perf);
+    let space: Vec<_> = flexos_sweep::SpaceSpec::fig6("redis", 1, 1)
+        .points()
+        .collect();
+    let nodes = space
+        .iter()
+        .map(|p| ConfigNode {
+            index: p.index,
+            label: p.label.clone(),
+            performance: (p.index * 13 % 97) as f64,
+        })
+        .collect();
+    let poset = Poset::new(nodes, |a, b| flexos_sweep::sweep_leq(&space[a], &space[b]));
     let mut rng = Rng::new(0x9053_f008);
     for _case in 0..64 {
         let count = rng.range(2, 12) as usize;

@@ -13,7 +13,7 @@ fn umbrella_reexports_resolve() {
     let _ = flexos::baselines::fig10::run_fig10;
     let _ = flexos::core::SafetyConfig::none();
     let _ = flexos::ept::rpc::entry_hash("lwip_poll");
-    let _ = flexos::explore::fig6_space("redis");
+    let _ = flexos::explore::Strategy::ALL;
     let _ = flexos::fs::ramfs_component();
     let _ = flexos::libc::component();
     let _ = flexos::machine::Machine::new(1 << 20);

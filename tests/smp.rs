@@ -124,8 +124,9 @@ fn cores_axis_moves_the_budget_stars_between_1_and_8() {
     spec.hardening_masks = vec![0b0000];
     spec.cores = vec![1, 8];
     let points: Vec<_> = spec.points().collect();
-    let results = engine::run_serial(&spec).unwrap();
-    let (_, stars) = report::star_report(&points, &results, 0.5);
+    let results = engine::run_parallel(&spec, 1).unwrap();
+    let half = report::BudgetVector::uniform(0.5);
+    let (_, stars) = report::star_report_vec(&points, &results, &half);
     assert!(!stars.stars.is_empty());
     for &s in &stars.stars {
         assert_eq!(
@@ -138,8 +139,8 @@ fn cores_axis_moves_the_budget_stars_between_1_and_8() {
     let mut one_core = spec.clone();
     one_core.cores = vec![1];
     let points1: Vec<_> = one_core.points().collect();
-    let results1 = engine::run_serial(&one_core).unwrap();
-    let (_, stars1) = report::star_report(&points1, &results1, 0.5);
+    let results1 = engine::run_parallel(&one_core, 1).unwrap();
+    let (_, stars1) = report::star_report_vec(&points1, &results1, &half);
     assert!(!stars1.stars.is_empty());
     let labels: Vec<&str> = stars
         .stars

@@ -2,12 +2,13 @@
 //! acceptance): per-point virtual-cycle results of a threaded sweep
 //! must be **bit-identical** to a serial run of the same `SpaceSpec`,
 //! stable across worker counts, and the Figure 6 named subset must
-//! reproduce the legacy single-threaded per-point runner exactly.
+//! measure exactly what a hand-built image of the same point measures.
 
 use flexos::prelude::*;
 use flexos::sweep::{engine, SpaceSpec};
 use flexos_apps::workloads::{run_redis_bench, run_redis_gets, RedisBench};
-use flexos_core::compartment::DataSharing;
+use flexos_core::compartment::{CompartmentSpec, DataSharing, Mechanism};
+use flexos_core::hardening::Hardening;
 
 /// A spec small enough for the test suite but wide enough to cover
 /// every axis: both mechanisms, all five strategies, two hardening
@@ -19,7 +20,7 @@ fn covering_spec() -> SpaceSpec {
 #[test]
 fn parallel_results_are_bit_identical_across_worker_counts() {
     let spec = covering_spec();
-    let serial = engine::run_serial(&spec).expect("serial sweep");
+    let serial = engine::run_parallel(&spec, 1).expect("serial sweep");
     assert_eq!(serial.len(), spec.len());
     for workers in [2, 4, 8] {
         let parallel = engine::run_parallel(&spec, workers).expect("parallel sweep");
@@ -33,20 +34,54 @@ fn parallel_results_are_bit_identical_across_worker_counts() {
 #[test]
 fn fig6_subset_reproduces_the_legacy_runner() {
     // The engine path for the fig6-named space must be the historical
-    // Figure 6 measurement, cycle for cycle: same config construction,
-    // same image build, same workload loop.
+    // Figure 6 measurement, cycle for cycle. The reference shares no
+    // builder with the subject: each checked point's image is spelled
+    // out with `SafetyConfig::builder()` and driven by `run_redis_gets`
+    // — the five unhardened strategies and the fully hardened
+    // three-way split.
     let (warmup, measured) = (3, 12);
     let spec = SpaceSpec::fig6("redis", warmup, measured);
     let engine_results = engine::run_parallel(&spec, 4).expect("engine sweep");
+    assert_eq!(engine_results.len(), 80);
 
-    let legacy_space = flexos::explore::fig6_space("redis");
-    assert_eq!(engine_results.len(), legacy_space.len());
-    for (i, point) in legacy_space.iter().enumerate() {
-        let os = SystemBuilder::new(point.config.clone())
+    let reference = |compartments: usize, placed: &[(&str, &str)], harden: bool| {
+        let mechanism = match compartments {
+            1 => Mechanism::None,
+            _ => Mechanism::IntelMpk,
+        };
+        let mut b = SafetyConfig::builder()
+            .data_sharing(DataSharing::Dss)
+            .default_allocator(flexos_alloc::HeapKind::Tlsf)
+            .compartment(CompartmentSpec::new("comp1", mechanism).default_compartment());
+        for c in 2..=compartments {
+            b = b.compartment(CompartmentSpec::new(format!("comp{c}"), mechanism));
+        }
+        for (library, compartment) in placed {
+            b = b.place(library, compartment);
+        }
+        if harden {
+            for component in ["redis", "newlib", "uksched", "lwip"] {
+                b = b.harden_component(component, Hardening::FIG6_BUNDLE);
+            }
+        }
+        b.build().expect("reference config")
+    };
+    let (sched2, lwip2, lwip3) = (("uksched", "comp2"), ("lwip", "comp2"), ("lwip", "comp3"));
+    // (index = strategy * 16 + mask, reference config)
+    let cases = [
+        (0, reference(1, &[], false)),
+        (16, reference(2, &[lwip2], false)),
+        (32, reference(2, &[sched2], false)),
+        (48, reference(2, &[sched2, lwip2], false)),
+        (64, reference(3, &[sched2, lwip3], false)),
+        (79, reference(3, &[sched2, lwip3], true)),
+    ];
+    for (i, config) in cases {
+        let os = SystemBuilder::new(config)
             .app(flexos_apps::redis_component())
             .build()
-            .expect("legacy image builds");
-        let legacy = run_redis_gets(&os, warmup, measured).expect("legacy run");
+            .expect("reference image builds");
+        let legacy = run_redis_gets(&os, warmup, measured).expect("reference run");
         let got = &engine_results[i];
         assert_eq!(got.cycles, legacy.cycles, "cycles diverged at point {i}");
         assert_eq!(got.ops, legacy.ops, "ops diverged at point {i}");
