@@ -30,9 +30,21 @@ mod shadow {
 }
 
 /// Address sanitizer state for one heap region.
+///
+/// The shadow is sized by use, not by the region: the vector covers the
+/// granules up to the highest one ever un-poisoned, and a granule past
+/// its end *reads as* a redzone — which is what a never-allocated
+/// granule is. A fresh sanitizer therefore allocates nothing, a heap
+/// that hands out addresses bottom-up pays one shadow byte per eight
+/// bytes below its high-water mark, and a check costs the same indexed
+/// load it always did.
 #[derive(Debug)]
 pub struct Kasan {
     base: Addr,
+    /// Granules in the region (the bound on every check; `shadow.len()`
+    /// never exceeds it).
+    granules: usize,
+    /// Shadow bytes of granules `0..shadow.len()`; the rest are redzone.
     shadow: Vec<u8>,
     quarantine: VecDeque<(Addr, u64)>,
     quarantined_bytes: u64,
@@ -43,11 +55,12 @@ pub struct Kasan {
 
 impl Kasan {
     /// Creates a sanitizer for the region `[base, base + size)`, initially
-    /// all poisoned (nothing is allocated yet).
+    /// all poisoned (nothing is allocated yet). Allocates nothing.
     pub fn new(base: Addr, size: u64) -> Self {
         Kasan {
             base,
-            shadow: vec![shadow::REDZONE; (size / GRANULE) as usize + 1],
+            granules: (size / GRANULE) as usize + 1,
+            shadow: Vec::new(),
             quarantine: VecDeque::new(),
             quarantined_bytes: 0,
             quarantine_limit: 256 * 1024,
@@ -58,7 +71,7 @@ impl Kasan {
     fn granule_range(&self, addr: Addr, len: u64) -> (usize, usize) {
         let start = addr.offset_from(self.base) / GRANULE;
         let end = (addr.offset_from(self.base) + len.max(1) - 1) / GRANULE;
-        (start as usize, end as usize)
+        (start as usize, (end as usize).min(self.granules - 1))
     }
 
     fn set_shadow(&mut self, addr: Addr, len: u64, value: u8) {
@@ -66,9 +79,14 @@ impl Kasan {
             return;
         }
         let (start, end) = self.granule_range(addr, len);
-        let end = end.min(self.shadow.len() - 1);
-        for s in &mut self.shadow[start..=end] {
-            *s = value;
+        // Only un-poisoning grows the vector: past its end everything
+        // already reads as a redzone.
+        if value != shadow::REDZONE && end >= self.shadow.len() {
+            self.shadow.resize(end + 1, shadow::REDZONE);
+        }
+        let end = (end + 1).min(self.shadow.len());
+        if start < end {
+            self.shadow[start..end].fill(value);
         }
     }
 
@@ -120,31 +138,32 @@ impl Kasan {
             return Ok(());
         }
         let (start, end) = self.granule_range(addr, len);
-        for idx in start..=end.min(self.shadow.len() - 1) {
-            match self.shadow[idx] {
-                shadow::OK => {}
-                shadow::FREED => {
-                    self.reports += 1;
-                    return Err(Fault::Kasan {
-                        addr: self.base + idx as u64 * GRANULE,
-                        what: "use-after-free",
-                    });
-                }
-                _ => {
-                    self.reports += 1;
-                    return Err(Fault::Kasan {
-                        addr: self.base + idx as u64 * GRANULE,
-                        what: "heap-buffer-overflow",
-                    });
-                }
+        // The first poisoned granule, in address order: one inside the
+        // vector, else the first one past it (a redzone by definition).
+        let stored = self
+            .shadow
+            .get(start..self.shadow.len().min(end + 1))
+            .unwrap_or(&[]);
+        let (idx, value) = match stored.iter().position(|&b| b != shadow::OK) {
+            Some(at) => (start + at, stored[at]),
+            None if start <= end && end >= self.shadow.len() => {
+                (start.max(self.shadow.len()), shadow::REDZONE)
             }
-        }
-        Ok(())
+            None => return Ok(()),
+        };
+        self.reports += 1;
+        Err(Fault::Kasan {
+            addr: self.base + idx as u64 * GRANULE,
+            what: match value {
+                shadow::FREED => "use-after-free",
+                _ => "heap-buffer-overflow",
+            },
+        })
     }
 
     /// `true` if `addr` lies within the sanitized region.
     pub fn covers(&self, addr: Addr) -> bool {
-        addr >= self.base && addr.offset_from(self.base) / GRANULE < self.shadow.len() as u64
+        addr >= self.base && addr.offset_from(self.base) / GRANULE < self.granules as u64
     }
 
     /// Number of violations reported so far.
@@ -243,5 +262,167 @@ mod tests {
         k.on_free(a, 32);
         k.on_alloc(a, 32); // reallocated at same address
         assert!(k.check(a, 32, Access::Write).is_ok());
+    }
+
+    /// The sanitizer as it was before the shadow was sized by use: one
+    /// byte per granule of the region, filled at construction.
+    struct EagerShadow {
+        base: Addr,
+        shadow: Vec<u8>,
+    }
+
+    impl EagerShadow {
+        fn new(base: Addr, size: u64) -> Self {
+            EagerShadow {
+                base,
+                shadow: vec![shadow::REDZONE; (size / GRANULE) as usize + 1],
+            }
+        }
+
+        fn set(&mut self, addr: Addr, len: u64, value: u8) {
+            if len == 0 {
+                return;
+            }
+            let start = (addr.offset_from(self.base) / GRANULE) as usize;
+            let end = ((addr.offset_from(self.base) + len - 1) / GRANULE) as usize;
+            let end = end.min(self.shadow.len() - 1);
+            self.shadow[start..=end].fill(value);
+        }
+
+        fn on_alloc(&mut self, addr: Addr, len: u64) {
+            self.set(addr - REDZONE, REDZONE, shadow::REDZONE);
+            self.set(addr, len, shadow::OK);
+            let tail = (addr + len).align_up(GRANULE);
+            let skip = tail - (addr + len);
+            if REDZONE > skip {
+                self.set(tail, REDZONE - skip, shadow::REDZONE);
+            }
+        }
+
+        fn check(&self, addr: Addr, len: u64) -> Result<(), Fault> {
+            if len == 0 {
+                return Ok(());
+            }
+            let start = (addr.offset_from(self.base) / GRANULE) as usize;
+            let end = ((addr.offset_from(self.base) + len - 1) / GRANULE) as usize;
+            for idx in start..=end.min(self.shadow.len() - 1) {
+                let what = match self.shadow[idx] {
+                    shadow::OK => continue,
+                    shadow::FREED => "use-after-free",
+                    _ => "heap-buffer-overflow",
+                };
+                return Err(Fault::Kasan {
+                    addr: self.base + idx as u64 * GRANULE,
+                    what,
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_fresh_sanitizer_owns_no_shadow_and_poisoning_grows_none() {
+        let mut k = Kasan::new(Addr::new(0x10000), 16 << 20);
+        assert_eq!(k.shadow.capacity(), 0);
+        k.set_shadow(Addr::new(0x10000 + 4096), 4096, shadow::REDZONE);
+        assert_eq!(k.shadow.capacity(), 0, "already reads as redzone");
+        k.on_alloc(Addr::new(0x10000 + 64), 100);
+        // Payload granules 8..=20; the trailing redzone is past the end.
+        assert_eq!(k.shadow.len(), 21);
+    }
+
+    #[test]
+    fn lazy_shadow_matches_an_eagerly_filled_one_on_a_seeded_stream() {
+        const BASE: Addr = Addr::new(0x40000);
+        const SIZE: u64 = 1 << 16;
+        let mut rng = crate::testrng::Rng::new(0x5AD0_0001);
+        let mut lazy = Kasan::new(BASE, SIZE);
+        let mut eager = EagerShadow::new(BASE, SIZE);
+        lazy.set_quarantine_limit(4096);
+        // Live payloads, carved bottom-up like the allocators do, each
+        // with a redzone of room on both sides.
+        let mut live: Vec<(Addr, u64)> = Vec::new();
+        let mut cursor = BASE + REDZONE;
+        let (mut overflows, mut uafs, mut past_high_water, mut checks) = (0, 0, 0, 0);
+        for step in 0..20_000 {
+            match rng.range(0, 16) {
+                0..=3 => {
+                    let len = rng.range(1, 300);
+                    if (cursor + len + REDZONE).offset_from(BASE) > SIZE {
+                        continue;
+                    }
+                    lazy.on_alloc(cursor, len);
+                    eager.on_alloc(cursor, len);
+                    live.push((cursor, len));
+                    cursor = (cursor + len + 2 * REDZONE).align_up(16);
+                }
+                4..=5 if !live.is_empty() => {
+                    let (addr, len) = live.swap_remove(rng.range(0, live.len() as u64) as usize);
+                    eager.set(addr, len, shadow::FREED);
+                    // An evicted block goes back to the allocator, which
+                    // may hand it out again: re-allocate it at once.
+                    for (a, l) in lazy.on_free(addr, len) {
+                        lazy.on_alloc(a, l);
+                        eager.on_alloc(a, l);
+                        live.push((a, l));
+                    }
+                }
+                6 if step % 1000 == 6 => {
+                    // Microreboot: `Env::reset_heap` builds a fresh heap
+                    // and sanitizer over the same region.
+                    lazy = Kasan::new(BASE, SIZE);
+                    lazy.set_quarantine_limit(4096);
+                    eager = EagerShadow::new(BASE, SIZE);
+                    live.clear();
+                    cursor = BASE + REDZONE;
+                }
+                _ => {
+                    let high_water = BASE + lazy.shadow.len() as u64 * GRANULE;
+                    let (addr, len) = match rng.range(0, 8) {
+                        // inside, and just off either end of, a live payload
+                        0..=3 if !live.is_empty() => {
+                            let (a, l) = live[rng.range(0, live.len() as u64) as usize];
+                            let from = rng.range(0, l + 24);
+                            (a - 12 + from, rng.range(0, l + 24))
+                        }
+                        // never allocated: at and past the high-water mark
+                        4 => (high_water + rng.range(0, 4096), rng.range(1, 64)),
+                        // straddling the high-water mark from below
+                        5 => (
+                            high_water - rng.range(0, 64).min(lazy.shadow.len() as u64 * GRANULE),
+                            128,
+                        ),
+                        // the region's last granule and the slack past it
+                        6 => (BASE + SIZE - rng.range(0, 16), rng.range(1, 32)),
+                        _ => (BASE + rng.range(0, SIZE), rng.range(0, 600)),
+                    };
+                    checks += 1;
+                    let got = lazy.check(addr, len, Access::Read);
+                    assert_eq!(
+                        got,
+                        eager.check(addr, len),
+                        "step {step}: check({addr}, {len})"
+                    );
+                    assert_eq!(
+                        lazy.covers(addr),
+                        addr.offset_from(BASE) / GRANULE <= SIZE / GRANULE
+                    );
+                    match got {
+                        Err(Fault::Kasan {
+                            what: "use-after-free",
+                            ..
+                        }) => uafs += 1,
+                        Err(Fault::Kasan { addr: at, .. }) => {
+                            overflows += 1;
+                            past_high_water += u64::from(at >= high_water);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(lazy.shadow.len() <= eager.shadow.len());
+        assert_eq!(lazy.reports(), overflows + uafs);
+        assert!(checks >= 10_000 && overflows > 1000 && uafs > 100 && past_high_water > 300);
     }
 }

@@ -15,10 +15,17 @@
 //!   charges the calibrated allocation costs (Figure 11a), and optionally
 //!   layers [`kasan::Kasan`] redzones/quarantine over it (§4.5).
 //!
-//! Per the documented substitution rule (DESIGN.md §7): allocator payloads
-//! live in *simulated* memory and faults are enforced by the machine's
-//! protection keys, while the allocators' free-list metadata lives in host
-//! memory — the algorithms (segregated fits, coalescing, binning) are real.
+//! Per the documented substitution rule (DESIGN.md, "Deliberate
+//! deviations"): allocator payloads live in *simulated* memory and faults
+//! are enforced by the machine's protection keys, while the allocators'
+//! metadata lives in host memory — the algorithms (segregated fits,
+//! coalescing, binning) are real. Host-side that metadata is the free
+//! lists, one pair of boundary tags per block ([`blockmap::BlockMap`]) and,
+//! under KASan, one shadow byte per 8-byte granule ([`kasan::Kasan`]).
+//! Tags and shadow are **sized by use**: a heap that has handed out
+//! 40 KiB of its 16 MiB pays for 40 KiB worth of both, a fresh heap for
+//! neither, which is what makes an image cheap to build and a
+//! compartment cheap to microreboot.
 
 pub mod blockmap;
 pub mod bump;
@@ -27,6 +34,11 @@ pub mod kasan;
 pub mod lea;
 pub mod stats;
 pub mod tlsf;
+
+/// The test suites' shared seeded generator (`tests/common/mod.rs`).
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod testrng;
 
 pub use heap::{Heap, HeapKind};
 pub use stats::AllocStats;

@@ -50,8 +50,7 @@ impl Dict {
         );
         let buckets = env.malloc(capacity * BUCKET_BYTES)?;
         // Zero the bucket array (state = EMPTY).
-        let zeros = vec![0u8; (capacity * BUCKET_BYTES) as usize];
-        env.mem_write(buckets, &zeros)?;
+        env.mem_fill(buckets, capacity * BUCKET_BYTES, 0)?;
         Ok(Dict {
             env,
             buckets,

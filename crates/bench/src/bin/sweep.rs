@@ -48,15 +48,16 @@
 //! the nonzero exits).
 //!
 //! Exit status: `0` on success, `1` when a `--csv`/`--pareto` file
-//! cannot be written or the lazy engine reports a fault (a point that
-//! does not build, an order without minimal elements), `2` on bad
-//! usage, `3` when `--verify`
-//! detects serial/parallel divergence, `4` when `--verify-inference`
-//! finds statuses the order inferred wrongly.
+//! cannot be written or either engine reports a fault (a point that
+//! does not build or cannot run its workload, an order without minimal
+//! elements) — the fault is printed, nothing panics, `2` on bad usage,
+//! `3` when `--verify` detects serial/parallel divergence, `4` when
+//! `--verify-inference` finds statuses the order inferred wrongly.
 
 use std::time::Instant;
 
 use flexos_bench::{env_u64, fmt_rate};
+use flexos_machine::fault::Fault;
 use flexos_sweep::{emit, engine, lazy, report, SpaceSpec};
 
 /// Uniform budget ladder traced by `--pareto` (dense near the top,
@@ -194,7 +195,9 @@ fn write_or_exit(path: &str, contents: &str) {
     }
 }
 
-fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
+/// Runs the lazy sweep and prints its summary; `Ok` carries the exit
+/// status (`4` on an inference miss).
+fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<i32, Fault> {
     if !args.quiet {
         eprintln!(
             "lazy sweep `{}`: {} points x {} measured ops, {} worker(s)...",
@@ -240,10 +243,7 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
     } else {
         None
     };
-    let outcome = lazy::lazy_sweep_all(spec, &cfg, progress).unwrap_or_else(|fault| {
-        eprintln!("sweep: lazy sweep failed: {fault}");
-        std::process::exit(1);
-    });
+    let outcome = lazy::lazy_sweep_all(spec, &cfg, progress)?;
     let wall_s = t0.elapsed().as_secs_f64();
 
     if !args.quiet {
@@ -312,12 +312,20 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
         args.verify_inference,
     );
     println!("{}", summary.to_json());
-    if !outcome.inference_misses.is_empty() {
-        std::process::exit(4);
-    }
+    Ok(if outcome.inference_misses.is_empty() {
+        0
+    } else {
+        4
+    })
 }
 
-fn run_exhaustive(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) {
+/// Runs the exhaustive sweep and prints its summary; `Ok` carries the
+/// exit status (`3` when `--verify` saw a divergence).
+fn run_exhaustive(
+    args: &Args,
+    spec: &SpaceSpec,
+    budgets: report::BudgetVector,
+) -> Result<i32, Fault> {
     if !args.quiet {
         eprintln!(
             "sweeping `{}`: {} points x {} measured ops, {} worker(s)...",
@@ -328,7 +336,7 @@ fn run_exhaustive(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) 
         );
     }
     let t0 = Instant::now();
-    let results = engine::run_parallel(spec, args.threads).expect("sweep runs");
+    let results = engine::run_parallel(spec, args.threads)?;
     let parallel_s = t0.elapsed().as_secs_f64();
     if !args.quiet {
         eprintln!("parallel sweep: {parallel_s:.2}s");
@@ -336,7 +344,7 @@ fn run_exhaustive(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) 
 
     let (serial_s, verified) = if args.verify {
         let t0 = Instant::now();
-        let serial = engine::run_parallel(spec, 1).expect("serial sweep runs");
+        let serial = engine::run_parallel(spec, 1)?;
         let serial_s = t0.elapsed().as_secs_f64();
         let identical = serial == results;
         if !args.quiet {
@@ -399,9 +407,19 @@ fn run_exhaustive(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) 
         &stars,
     );
     println!("{}", summary.to_json());
-    if verified == Some(false) {
-        std::process::exit(3);
-    }
+    Ok(if verified == Some(false) { 3 } else { 0 })
+}
+
+/// Runs the sweep `args` ask for. `Ok` is the exit status of a sweep
+/// that ran; `Err` is the line to print before exiting 1 — the fault of
+/// a point that did not build or run, in either mode.
+fn run(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<i32, String> {
+    let (mode, outcome) = if args.lazy {
+        ("lazy", run_lazy(args, spec, budgets))
+    } else {
+        ("exhaustive", run_exhaustive(args, spec, budgets))
+    };
+    outcome.map_err(|fault| format!("sweep: {mode} sweep failed: {fault}"))
 }
 
 fn main() {
@@ -437,11 +455,65 @@ fn main() {
         spec.cores = cores;
     }
     let budgets = budget_vector(&args, &spec);
-    if args.lazy {
-        run_lazy(&args, &spec, budgets);
-    } else {
-        run_exhaustive(&args, &spec, budgets);
+    match run(&args, &spec, budgets) {
+        Ok(0) => {}
+        Ok(status) => std::process::exit(status),
+        Err(line) => {
+            eprintln!("{line}");
+            std::process::exit(1);
+        }
     }
 
     flexos_bench::obs::emit_canonical_if_requested(&obs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexos_sweep::Workload;
+
+    /// One Redis point whose preload cannot fit the dict's fixed bucket
+    /// array: the image builds, the workload faults.
+    fn faulting_space() -> SpaceSpec {
+        let mut spec = SpaceSpec::quick(1, 2);
+        spec.workloads = vec![Workload::RedisGet {
+            keyspace: 1 << 20,
+            pipeline: 1,
+        }];
+        spec.strategies.truncate(1);
+        spec.mechanisms.truncate(1);
+        spec.data_sharings.truncate(1);
+        spec.allocators.truncate(1);
+        spec.hardening_masks.truncate(1);
+        spec
+    }
+
+    fn args(flags: &[&str]) -> Args {
+        let mut raw = vec!["--threads".to_string(), "1".into(), "--quiet".into()];
+        raw.extend(flags.iter().map(|f| f.to_string()));
+        parse_args(raw).unwrap()
+    }
+
+    #[test]
+    fn a_faulting_point_is_reported_with_its_fault_not_a_panic() {
+        let spec = faulting_space();
+        let fault = engine::run_point(&spec, 0).unwrap_err();
+        for (flags, mode) in [
+            (&[][..], "exhaustive"),
+            (&["--verify"][..], "exhaustive"),
+            (&["--lazy"][..], "lazy"),
+        ] {
+            let budgets = report::BudgetVector::uniform(0.8);
+            let line = run(&args(flags), &spec, budgets).unwrap_err();
+            assert_eq!(line, format!("sweep: {mode} sweep failed: {fault}"));
+        }
+    }
+
+    #[test]
+    fn a_clean_sweep_exits_zero() {
+        let mut spec = faulting_space();
+        spec.workloads = vec![Workload::NginxGet];
+        let budgets = report::BudgetVector::uniform(0.8);
+        assert_eq!(run(&args(&["--verify"]), &spec, budgets), Ok(0));
+    }
 }

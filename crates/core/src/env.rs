@@ -1152,6 +1152,21 @@ impl Env {
             .write(addr, data, &self.pkru.get())
     }
 
+    /// Fills `len` bytes at `addr` with `byte` — a `memset` with no host
+    /// buffer behind it. Charges and faults exactly like an
+    /// [`Env::mem_write`] of `len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Env::mem_write`].
+    pub fn mem_fill(&self, addr: Addr, len: u64, byte: u8) -> Result<(), Fault> {
+        self.kasan_filter(addr, len, Access::Write)?;
+        self.machine.charge_mem_bytes(len);
+        self.machine
+            .memory_mut()
+            .fill(addr, len, byte, &self.pkru.get())
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors

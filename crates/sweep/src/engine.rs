@@ -26,6 +26,16 @@
 //! workers pay the once-per-thread work once per call: under a
 //! millisecond each.)
 //!
+//! What is left of a point is priced by what the point touches, not by
+//! what its image could hold: the KASan shadow and the allocators' block
+//! tags grow with a heap's use (`flexos_alloc`), and zeroing Redis's
+//! empty 512 KiB dict materialises no page (`Memory::fill`). A
+//! 220-request point of the `full` space then splits, in host time
+//! (`benchmark -- --workload explore-exhaustive --trace 1`), roughly
+//! build 0.23 / install 0.20 / drive 0.49 / drop 0.07 of ≈ 0.4 ms: the
+//! request loop is now the largest share, and the next thing to make
+//! cheaper is a gate crossing, not a build.
+//!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
 //! EPT points cost several times an MPK point host-side), and write
 //! results into per-point slots, so output order is always enumeration

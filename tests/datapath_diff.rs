@@ -20,6 +20,8 @@
 //! A second property pins the integer per-byte charge table against the
 //! pre-refactor float formula, cycle for cycle.
 
+mod common;
+
 use flexos_machine::addr::{Addr, PAGE_SIZE};
 use flexos_machine::cost::{ByteCostTable, CostModel};
 use flexos_machine::fault::Fault;
@@ -27,31 +29,7 @@ use flexos_machine::key::{Access, Pkru, ProtKey};
 use flexos_machine::mem::Memory;
 use flexos_machine::Machine;
 
-/// Deterministic xorshift64* generator (same idiom as `tests/proptests.rs`).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-}
+use common::Rng;
 
 const REF_PAGES: u64 = 64;
 
@@ -427,30 +405,95 @@ fn fast_path_matches_byte_at_a_time_reference() {
 
         // Full-content equivalence at the end of the case: every partial
         // write either implementation performed must match.
-        let dump = mem.read_vec(
-            Addr::new(0),
-            REF_PAGES * PAGE_SIZE as u64,
-            &Pkru::ALL_ACCESS,
-        );
-        match dump {
-            Ok(bytes) => assert_eq!(bytes, refm.dump(), "case {case}: final content divergence"),
-            Err(_) => {
-                // Some page never mapped: compare the mapped prefix
-                // page-by-page instead.
-                for page in 0..REF_PAGES {
-                    let base = Addr::new(page * PAGE_SIZE as u64);
-                    if let Ok(bytes) = mem.read_vec(base, PAGE_SIZE as u64, &Pkru::ALL_ACCESS) {
-                        let at = (page as usize) * PAGE_SIZE;
-                        assert_eq!(
-                            bytes,
-                            &refm.dump()[at..at + PAGE_SIZE],
-                            "case {case}: page {page} content divergence"
-                        );
-                    }
-                }
-            }
+        assert_same_content(&mem, &refm, &format!("case {case}: final"));
+    }
+}
+
+/// Every mapped page's content, page by page under the TCB view, against
+/// the reference's.
+fn assert_same_content(mem: &Memory, refm: &RefMem, what: &str) {
+    for page in 0..REF_PAGES {
+        let base = Addr::new(page * PAGE_SIZE as u64);
+        if let Ok(bytes) = mem.read_vec(base, PAGE_SIZE as u64, &Pkru::ALL_ACCESS) {
+            let at = (page as usize) * PAGE_SIZE;
+            assert_eq!(
+                bytes,
+                &refm.dump()[at..at + PAGE_SIZE],
+                "{what}: page {page} content divergence"
+            );
         }
     }
+}
+
+#[test]
+fn zero_fill_matches_the_reference_whatever_the_pages_hold() {
+    // `Memory::fill(.., 0, ..)` leaves a never-written frame
+    // unmaterialised. That must be invisible: same faults, same partial
+    // effects and same bytes as the byte-at-a-time reference, over pages
+    // never written, fully written and partly written, across a guard
+    // page and into pages under a key the filler does not hold.
+    let own = ProtKey::new(1).unwrap();
+    let foreign = ProtKey::new(2).unwrap();
+    let pkru = Pkru::permit_only(&[own]);
+    let mut rng = Rng::new(0xF111_0000);
+    let (mut guard_faults, mut key_faults, mut clean) = (0, 0, 0);
+    for case in 0..200 {
+        let mut mem = Memory::new(REF_PAGES * PAGE_SIZE as u64);
+        let mut refm = RefMem::new();
+        // own pages | guard | own pages | foreign pages
+        let guard = rng.range(4, 12);
+        let own_end = guard + 1 + rng.range(2, 8);
+        for (first, pages, key) in [
+            (0, guard, own),
+            (guard + 1, own_end - guard - 1, own),
+            (own_end, 4, foreign),
+        ] {
+            let base = Addr::new(first * PAGE_SIZE as u64);
+            assert_eq!(mem.map(base, pages, key), refm.map(base, pages, key));
+        }
+        // A third of the pages fully written, a third partly, a third
+        // never touched.
+        for page in 0..own_end + 4 {
+            let base = Addr::new(page * PAGE_SIZE as u64);
+            let written = match rng.range(0, 3) {
+                0 => PAGE_SIZE,
+                1 => rng.range(1, 512) as usize,
+                _ => continue,
+            };
+            let data = rng.bytes(written);
+            let at = base + rng.range(0, (PAGE_SIZE - data.len()) as u64 + 1);
+            assert_eq!(
+                mem.write(at, &data, &Pkru::ALL_ACCESS),
+                refm.write(at, &data, &Pkru::ALL_ACCESS)
+            );
+        }
+        for op in 0..12 {
+            let addr = Addr::new(rng.range(0, (own_end + 2) * PAGE_SIZE as u64));
+            let len = match rng.range(0, 3) {
+                0 => rng.range(0, 64),
+                1 => rng.range(1, PAGE_SIZE as u64),
+                _ => rng.range(PAGE_SIZE as u64, 6 * PAGE_SIZE as u64),
+            };
+            // Mostly zero; the nonzero fills keep the two paths mixed.
+            let byte = if op % 4 == 3 { rng.next() as u8 } else { 0 };
+            let got = mem.fill(addr, len, byte, &pkru);
+            assert_eq!(
+                got,
+                refm.fill(addr, len, byte, &pkru),
+                "case {case} op {op}: fill({addr}, {len}, {byte}) fault divergence"
+            );
+            match got {
+                Err(Fault::Unmapped { .. }) => guard_faults += 1,
+                Err(Fault::ProtectionKey { .. }) => key_faults += 1,
+                Err(other) => panic!("case {case} op {op}: unexpected {other:?}"),
+                Ok(()) => clean += 1,
+            }
+            assert_same_content(&mem, &refm, &format!("case {case} op {op}"));
+        }
+    }
+    // The stream really crossed the guard page and the foreign key after
+    // handling earlier pages, and really completed fills.
+    assert!(guard_faults > 50 && key_faults > 50 && clean > 500);
 }
 
 #[test]

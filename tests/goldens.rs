@@ -8,6 +8,14 @@
 //! `fig07`, `fig08`; `SWEEP_WARMUP=20 SWEEP_MEASURED=200 sweep
 //! --threads 2 --quiet` with `--space quick --verify`, `--space quick
 //! --lazy --verify-inference --budget "nginx=0.9"`, `--space fig6-redis`.
+//!
+//! The per-point file (`sweep_quick_points_w20_m200.txt`, one `index ops
+//! cycles` line per point of the quick space) was recorded at the commit
+//! *before* the allocator's host-side metadata was rewritten, so a
+//! change that moves one virtual cycle of one point fails here and names
+//! the point. Re-record with the same counts: `sweep --space quick
+//! --quiet --csv q.csv`, then `awk -F, 'NR>1{print $1, $10, $11}' q.csv`.
+//! CI runs this file in release as well as debug: the two must agree.
 
 use flexos::sweep::{emit, engine, lazy, report, SpaceSpec, Workload};
 use flexos_bench::{fig06_text, fig07_text, fig08_text};
@@ -88,6 +96,21 @@ fn exhaustive_sweep_summaries_match_the_recorded_lines() {
         "sweep --space fig6-redis",
         &exhaustive_summary("fig6-redis", false),
         include_str!("data/sweep_fig6_redis_w20_m200.json"),
+    );
+}
+
+#[test]
+fn every_quick_space_point_matches_its_recorded_ops_and_cycles() {
+    let spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
+    let got: String = engine::run_parallel(&spec, SWEEP_THREADS)
+        .unwrap()
+        .iter()
+        .map(|r| format!("{} {} {}\n", r.index, r.ops, r.cycles))
+        .collect();
+    assert_same(
+        "sweep --space quick, per point",
+        &got,
+        include_str!("data/sweep_quick_points_w20_m200.txt"),
     );
 }
 

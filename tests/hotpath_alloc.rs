@@ -581,3 +581,51 @@ fn build_cost_of_an_mpk_image_is_bounded_and_does_not_grow() {
         "builds of one configuration on a warm thread cost the same, exactly"
     );
 }
+
+#[test]
+fn build_cost_of_an_all_hardened_image_does_not_include_its_heaps_capacity() {
+    // Three KASan-hardened compartments, each over a 16 MiB heap: a shadow
+    // filled at build would be 2 MiB apiece. The shadow is sized by what
+    // the heap has handed out, which at build time is next to nothing.
+    let build = || {
+        let mut config = configs::mpk3(&["lwip"], &["vfscore"], DataSharing::Dss).unwrap();
+        for compartment in &mut config.compartments {
+            compartment.hardening = Hardening::FIG6_BUNDLE;
+        }
+        SystemBuilder::new(config)
+            .app(flexos_apps::redis_component())
+            .build()
+            .unwrap()
+    };
+    drop(build()); // the once-per-thread work
+    let (os, bytes, calls) = cost_of(build);
+    for name in ["redis", "lwip", "vfscore"] {
+        let component = os.env.component_id(name).unwrap();
+        let hardened = os
+            .env
+            .run_as(component, || os.env.heap().borrow().kasan_enabled());
+        assert!(hardened, "{name}'s compartment heap runs under KASan");
+    }
+    assert!(
+        bytes <= 1024 * 1024,
+        "an all-hardened mpk3 Redis build allocated {bytes} bytes in {calls} calls: \
+         a per-heap KASan shadow sized by capacity is back"
+    );
+}
+
+#[test]
+fn installing_redis_does_not_materialise_its_empty_dict() {
+    // The dict's bucket array is 512 KiB of simulated zeros. Zeroing it
+    // must cost neither a host buffer of that size nor the 128 frames
+    // under it: a frame that was never written already reads as zeros.
+    let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
+        .app(flexos_apps::redis_component())
+        .build()
+        .unwrap();
+    let (server, bytes, calls) = cost_of(|| flexos_apps::workloads::install_redis(&os).unwrap());
+    assert!(
+        bytes <= 64 * 1024,
+        "install_redis allocated {bytes} bytes in {calls} calls"
+    );
+    drop(server);
+}

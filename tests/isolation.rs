@@ -217,6 +217,54 @@ fn kasan_detects_overflow_in_hardened_compartment_only() {
 }
 
 #[test]
+fn kasan_faults_on_never_allocated_bytes_of_the_compartments_own_heap() {
+    // The shadow is sized by the heap's use; what lies past it was never
+    // allocated and must read as poisoned — far beyond the high-water
+    // mark, at the region's last byte, and again after a microreboot has
+    // swapped in a fresh heap.
+    let mut config = configs::mpk2(&["lwip"], DataSharing::Dss).unwrap();
+    config
+        .component_hardening
+        .insert("lwip".into(), Hardening::FIG6_BUNDLE);
+    let os = SystemBuilder::new(config)
+        .app(flexos_apps::redis_component())
+        .build()
+        .unwrap();
+    let env = &os.env;
+    let lwip = env.component_id("lwip").unwrap();
+    let never_allocated_bytes_fault = || {
+        let heap = env.heap();
+        let (base, len) = {
+            let heap = heap.borrow();
+            (heap.region().base(), heap.region().len())
+        };
+        let live = env.malloc(64).unwrap();
+        env.mem_write(live, &[7u8; 64]).unwrap();
+        for addr in [live + 4096, base + len / 2, base + len - 8] {
+            let mut buf = [0u8; 8];
+            let err = env.mem_read(addr, &mut buf).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Fault::Kasan {
+                        what: "heap-buffer-overflow",
+                        ..
+                    }
+                ),
+                "read of never-allocated {addr}: {err}"
+            );
+        }
+        // A read that starts in the live payload and runs off into
+        // never-allocated bytes faults too.
+        assert!(env.mem_read_vec(live, 8192).is_err());
+        env.free(live).unwrap();
+    };
+    env.run_as(lwip, never_allocated_bytes_fault);
+    env.reset_heap(env.compartment_of(lwip));
+    env.run_as(lwip, never_allocated_bytes_fault);
+}
+
+#[test]
 fn whitelists_hold_across_the_built_image() {
     let os = redis_mpk2();
     let env = &os.env;

@@ -6,6 +6,8 @@
 //! which keeps runs reproducible while still sweeping a wide input
 //! space. Shrinking is lost; determinism is gained.
 
+mod common;
+
 use flexos::prelude::*;
 use flexos_alloc::{lea::Lea, tlsf::Tlsf, RegionAlloc};
 use flexos_explore::{ConfigNode, Poset};
@@ -13,33 +15,7 @@ use flexos_machine::addr::Addr;
 use flexos_machine::key::{Access, Pkru, ProtKey};
 use flexos_machine::mem::Memory;
 
-/// Deterministic xorshift64* generator; good enough to churn data
-/// structures, not meant for anything cryptographic.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform-ish value in `[lo, hi)`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-}
+use common::Rng;
 
 /// An allocator action for the churn property.
 #[derive(Debug, Clone)]
