@@ -1,14 +1,17 @@
 //! Minimal HTTP/1.1 parsing and response building for the Nginx port.
 
+use std::io::Write as _;
+
 use flexos_machine::fault::Fault;
 
-/// A parsed HTTP request line + the headers the server cares about.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+/// A parsed HTTP request line + the headers the server cares about,
+/// borrowing method and path from the buffer it was parsed out of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
     /// Request method (only GET is served).
-    pub method: String,
+    pub method: &'a str,
     /// Request path.
-    pub path: String,
+    pub path: &'a str,
     /// `Connection: keep-alive`?
     pub keep_alive: bool,
     /// Number of header lines seen (drives parse-cost accounting).
@@ -21,7 +24,7 @@ pub struct HttpRequest {
 /// # Errors
 ///
 /// [`Fault::InvalidConfig`] on malformed request lines.
-pub fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, Fault> {
+pub fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest<'_>, usize)>, Fault> {
     let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
         Some(p) => p + 4,
         None => return Ok(None),
@@ -49,15 +52,20 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, Fault> 
             continue;
         }
         header_count += 1;
-        let lower = line.to_ascii_lowercase();
-        if lower.starts_with("connection:") {
-            keep_alive = lower.contains("keep-alive");
+        let line = line.as_bytes();
+        if line
+            .get(..11)
+            .is_some_and(|name| name.eq_ignore_ascii_case(b"connection:"))
+        {
+            keep_alive = line
+                .windows(10)
+                .any(|w| w.eq_ignore_ascii_case(b"keep-alive"));
         }
     }
     Ok(Some((
         HttpRequest {
-            method: method.to_string(),
-            path: path.to_string(),
+            method,
+            path,
             keep_alive,
             header_count,
         },
@@ -67,7 +75,17 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, Fault> 
 
 /// Builds a `200 OK` response head for a body of `content_length` bytes.
 pub fn response_head(content_length: usize, keep_alive: bool) -> Vec<u8> {
-    format!(
+    let mut head = Vec::new();
+    write_response_head(&mut head, content_length, keep_alive);
+    head
+}
+
+/// Appends the `200 OK` response head for a body of `content_length`
+/// bytes to `out` (a server's reused buffer: no allocation once it has
+/// grown to a head's size).
+pub fn write_response_head(out: &mut Vec<u8>, content_length: usize, keep_alive: bool) {
+    write!(
+        out,
         "HTTP/1.1 200 OK\r\n\
          Server: nginx/1.18.0 (flexos)\r\n\
          Content-Type: text/html\r\n\
@@ -75,19 +93,26 @@ pub fn response_head(content_length: usize, keep_alive: bool) -> Vec<u8> {
          Connection: {}\r\n\r\n",
         if keep_alive { "keep-alive" } else { "close" }
     )
-    .into_bytes()
+    .expect("writing to a Vec cannot fail");
 }
 
 /// Builds a `404 Not Found` response.
 pub fn response_404() -> Vec<u8> {
+    let mut out = Vec::new();
+    write_response_404(&mut out);
+    out
+}
+
+/// Appends the `404 Not Found` response to `out`.
+pub fn write_response_404(out: &mut Vec<u8>) {
     let body = b"<html><body><h1>404 Not Found</h1></body></html>";
-    let mut out = format!(
+    write!(
+        out,
         "HTTP/1.1 404 Not Found\r\nContent-Type: text/html\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )
-    .into_bytes();
+    .expect("writing to a Vec cannot fail");
     out.extend_from_slice(body);
-    out
 }
 
 /// The stock nginx welcome page the paper's wrk benchmark fetches — 612
@@ -125,6 +150,21 @@ mod tests {
         assert_eq!(req.path, "/index.html");
         assert!(req.keep_alive);
         assert_eq!(req.header_count, 2);
+    }
+
+    #[test]
+    fn connection_header_is_matched_whatever_its_case() {
+        let keep_alive = |wire: &[u8]| parse_request(wire).unwrap().unwrap().0.keep_alive;
+        assert!(!keep_alive(b"GET / HTTP/1.1\r\nCONNECTION: Close\r\n\r\n"));
+        assert!(keep_alive(
+            b"GET / HTTP/1.0\r\nconnection: Keep-Alive\r\n\r\n"
+        ));
+        // Shorter than the header name, and a multi-byte character where
+        // the name would end: neither is a Connection header.
+        assert!(keep_alive(b"GET / HTTP/1.1\r\nX: y\r\n\r\n"));
+        assert!(keep_alive(
+            "GET / HTTP/1.1\r\nConnectio\u{e9}: close\r\n\r\n".as_bytes()
+        ));
     }
 
     #[test]

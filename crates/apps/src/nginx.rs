@@ -51,6 +51,8 @@ pub struct NginxServer {
     /// Open-file cache: the welcome page, loaded via the VFS at startup.
     cached_page: RefCell<Vec<u8>>,
     pending: RefCell<Vec<u8>>,
+    /// Reusable buffer the response head is rendered into.
+    head_scratch: RefCell<Vec<u8>>,
     /// Reusable response assembly buffer (ngx_output_chain staging).
     response_scratch: RefCell<Vec<u8>>,
     /// Reusable socket receive buffer.
@@ -74,6 +76,7 @@ impl NginxServer {
             listener: Cell::new(None),
             cached_page: RefCell::new(Vec::new()),
             pending: RefCell::new(Vec::new()),
+            head_scratch: RefCell::new(Vec::new()),
             response_scratch: RefCell::new(Vec::new()),
             rx_scratch: RefCell::new(Vec::new()),
             stats: Cell::new(NginxStats::default()),
@@ -184,8 +187,9 @@ impl NginxServer {
             self.libc.memcpy(&mut pending, &chunk)?;
         }
         // Parse straight out of the pending buffer — no per-iteration
-        // clone of the buffered bytes.
-        let (request, used) = {
+        // clone of the buffered bytes, and the request borrows from it,
+        // so what the response depends on is decided before the drain.
+        let (serves_page, keep_alive, header_count, used) = {
             let buffered = self.pending.borrow();
 
             // Header scanning through libc (ngx_http_parse_request_line +
@@ -201,13 +205,18 @@ impl NginxServer {
                 }
             }
             match http::parse_request(&buffered)? {
-                Some(parsed) => parsed,
+                Some((request, used)) => (
+                    request.method == "GET" && matches!(request.path, "/" | "/index.html"),
+                    request.keep_alive,
+                    request.header_count,
+                    used,
+                ),
                 None => return Ok(true), // incomplete head: stay registered
             }
         };
         self.pending.borrow_mut().drain(..used);
         self.env.compute(Work {
-            cycles: 160 + 6 * request.header_count as u64,
+            cycles: 160 + 6 * header_count as u64,
             alu_ops: 70,
             frames: 8,
             indirect_calls: 3,
@@ -215,14 +224,16 @@ impl NginxServer {
         });
 
         let mut stats = self.stats.get();
-        if request.method == "GET" && (request.path == "/" || request.path == "/index.html") {
+        if serves_page {
             // Response assembly: itoa for Content-Length, memcpy of head
             // and body into the (reused) output chain buffer — the body
             // comes straight from the open-file cache, no clone.
             let body = self.cached_page.borrow();
             let mut digits = [0u8; flexos_libc::ITOA_BUF];
             self.libc.itoa_digits(body.len() as i64, &mut digits)?;
-            let head = http::response_head(body.len(), request.keep_alive);
+            let mut head = self.head_scratch.borrow_mut();
+            head.clear();
+            http::write_response_head(&mut head, body.len(), keep_alive);
             let mut response = self.response_scratch.borrow_mut();
             response.clear();
             self.libc.memcpy(&mut response, &head)?;
@@ -230,7 +241,9 @@ impl NginxServer {
             self.libc.send_nowait(conn, &response)?;
             stats.requests += 1;
         } else {
-            let response = http::response_404();
+            let mut response = self.response_scratch.borrow_mut();
+            response.clear();
+            http::write_response_404(&mut response);
             self.libc.send_nowait(conn, &response)?;
             stats.requests += 1;
             stats.not_found += 1;

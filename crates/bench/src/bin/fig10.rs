@@ -6,9 +6,23 @@ use flexos_core::gate::GateKind;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let obs = flexos_bench::obs::extract_obs_args(&mut args);
-    let n: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(5000);
+    let n = match args.as_slice() {
+        [] => Ok(5000),
+        [n] => n
+            .parse::<u64>()
+            .map_err(|e| format!("bad INSERT count `{n}`: {e}")),
+        [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
+    }
+    .unwrap_or_else(|e| {
+        eprintln!("fig10: {e}");
+        eprintln!("usage: fig10 [INSERTS] [--trace PATH] [--metrics PATH]");
+        std::process::exit(2);
+    });
     eprintln!("running the {n}-INSERT SQLite workload on 3 FlexOS images...");
-    let detail = run_fig10_detailed(n).expect("fig10 runs");
+    let detail = run_fig10_detailed(n).unwrap_or_else(|fault| {
+        eprintln!("fig10: run failed: {fault}");
+        std::process::exit(1);
+    });
     let rows = &detail.rows;
 
     println!("# Figure 10: time for {n} INSERT transactions (seconds)");

@@ -5,6 +5,8 @@
 
 use flexos_core::compartment::DataSharing;
 use flexos_core::component::Component;
+use flexos_core::gate::CrossingBreakdown;
+use flexos_machine::fault::Fault;
 use flexos_system::{configs, SystemBuilder};
 
 fn row(label: &str, c: &Component) {
@@ -16,10 +18,23 @@ fn row(label: &str, c: &Component) {
     );
 }
 
+/// Boundary traffic of the reference run: Redis, lwip isolated, 60 GETs.
+fn reference_run() -> Result<CrossingBreakdown, Fault> {
+    let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss)?)
+        .app(flexos_apps::redis_component())
+        .build()?;
+    flexos_apps::workloads::run_redis_gets(&os, 5, 60)?;
+    Ok(os.report.crossing_breakdown(&os.env))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let obs = flexos_bench::obs::extract_obs_args(&mut args);
-    let _ = args;
+    if let Some(arg) = args.first() {
+        eprintln!("table1: unexpected argument `{arg}`");
+        eprintln!("usage: table1 [--trace PATH] [--metrics PATH]");
+        std::process::exit(2);
+    }
     println!("# Table 1: porting effort per component");
     println!(
         "{:>28} {:>13} {:>12}",
@@ -50,13 +65,11 @@ fn main() {
     println!("#        SQLite +199/-145 (24), iPerf +15/-14 (4)");
 
     // Boundary traffic: what the ported components' entry points carry in
-    // a reference run (Redis, lwip isolated, 60 GETs).
-    let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).expect("cfg"))
-        .app(flexos_apps::redis_component())
-        .build()
-        .expect("image builds");
-    flexos_apps::workloads::run_redis_gets(&os, 5, 60).expect("redis runs");
-    let bd = os.report.crossing_breakdown(&os.env);
+    // the reference run.
+    let bd = reference_run().unwrap_or_else(|fault| {
+        eprintln!("table1: reference run failed: {fault}");
+        std::process::exit(1);
+    });
     println!("\n# boundary traffic, 60 Redis GETs with lwip isolated:");
     let parts: Vec<String> = bd.by_kind.iter().map(|(k, c)| format!("{k}={c}")).collect();
     println!(

@@ -10,6 +10,7 @@
 //! these annotation counts; [`PortingPatch`] carries the patch-size
 //! metadata so the Table 1 bench can regenerate the numbers.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Index of a registered component within an image.
@@ -35,33 +36,35 @@ pub enum VarStorage {
 }
 
 /// One `__shared(...)` annotation: a variable shared with a whitelist of
-/// other components (§3.1 "Data Ownership Approach").
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// other components (§3.1 "Data Ownership Approach"). Annotations are
+/// source text, so a descriptor borrows its names from the program:
+/// describing a component allocates no string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedVar {
     /// Symbol name, e.g. `errmsg`.
-    pub name: String,
+    pub name: &'static str,
     /// Size in bytes.
     pub size: u64,
     /// Storage class, which picks the sharing strategy.
     pub storage: VarStorage,
     /// Names of components allowed to access the variable (ACL-style
     /// whitelist); the owner is implicitly allowed.
-    pub whitelist: Vec<String>,
+    pub whitelist: &'static [&'static str],
 }
 
 impl SharedVar {
     /// Convenience constructor for a static shared variable.
-    pub fn stat(name: &str, size: u64, whitelist: &[&str]) -> Self {
+    pub fn stat(name: &'static str, size: u64, whitelist: &'static [&'static str]) -> Self {
         SharedVar {
-            name: name.into(),
+            name,
             size,
             storage: VarStorage::Static,
-            whitelist: whitelist.iter().map(|s| s.to_string()).collect(),
+            whitelist,
         }
     }
 
     /// Convenience constructor for a heap-allocated shared variable.
-    pub fn heap(name: &str, size: u64, whitelist: &[&str]) -> Self {
+    pub fn heap(name: &'static str, size: u64, whitelist: &'static [&'static str]) -> Self {
         SharedVar {
             storage: VarStorage::Heap,
             ..Self::stat(name, size, whitelist)
@@ -69,7 +72,7 @@ impl SharedVar {
     }
 
     /// Convenience constructor for a stack-allocated shared variable.
-    pub fn stack(name: &str, size: u64, whitelist: &[&str]) -> Self {
+    pub fn stack(name: &'static str, size: u64, whitelist: &'static [&'static str]) -> Self {
         SharedVar {
             storage: VarStorage::Stack,
             ..Self::stat(name, size, whitelist)
@@ -110,20 +113,20 @@ pub enum ComponentKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Component (micro-library) name, e.g. `"lwip"`.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Classification for TCB accounting.
     pub kind: ComponentKind,
     /// Manually annotated shared variables (Table 1 "Shared vars").
     pub shared_vars: Vec<SharedVar>,
     /// Legal gate entry points: functions other components may call.
-    pub entry_points: Vec<String>,
+    pub entry_points: Vec<&'static str>,
     /// Patch-size metadata (Table 1 "Patch size").
     pub patch: PortingPatch,
 }
 
 impl Component {
     /// Creates a component with no annotations yet.
-    pub fn new(name: impl Into<String>, kind: ComponentKind) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>, kind: ComponentKind) -> Self {
         Component {
             name: name.into(),
             kind,
@@ -146,9 +149,8 @@ impl Component {
     }
 
     /// Declares legal entry points.
-    pub fn with_entry_points(mut self, entries: &[&str]) -> Self {
-        self.entry_points
-            .extend(entries.iter().map(|s| s.to_string()));
+    pub fn with_entry_points(mut self, entries: &[&'static str]) -> Self {
+        self.entry_points.extend_from_slice(entries);
         self
     }
 
@@ -183,7 +185,7 @@ impl ComponentRegistry {
     /// Returns the duplicate name if a component with the same name exists.
     pub fn register(&mut self, component: Component) -> Result<ComponentId, String> {
         if self.lookup(&component.name).is_some() {
-            return Err(component.name);
+            return Err(component.name.into_owned());
         }
         let id = ComponentId(self.components.len() as u16);
         self.components.push(component);

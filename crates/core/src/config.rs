@@ -32,6 +32,10 @@ use crate::compartment::{
 };
 use crate::hardening::Hardening;
 
+/// Maximum compartments in one configuration: compartment sets (a
+/// sharing group's members, the quarantine set) are `u32` bitmasks.
+pub const MAX_COMPARTMENTS: usize = 32;
+
 /// A complete build-time safety configuration.
 ///
 /// Data sharing and allocator are **per-compartment axes** resolved
@@ -81,13 +85,20 @@ impl SafetyConfig {
     ///
     /// # Errors
     ///
-    /// [`Fault::InvalidConfig`] when: no compartment is declared, no (or
-    /// more than one) default compartment exists, compartment names
-    /// collide, or a library references an unknown compartment.
+    /// [`Fault::InvalidConfig`] when: no compartment is declared or more
+    /// than [`MAX_COMPARTMENTS`], no (or more than one) default
+    /// compartment exists, compartment names collide, or a library
+    /// references an unknown compartment.
     pub fn validate(&self) -> Result<(), Fault> {
         let invalid = |reason: String| Fault::InvalidConfig { reason };
         if self.compartments.is_empty() {
             return Err(invalid("no compartments declared".into()));
+        }
+        if self.compartments.len() > MAX_COMPARTMENTS {
+            return Err(invalid(format!(
+                "at most {MAX_COMPARTMENTS} compartments supported, got {}",
+                self.compartments.len()
+            )));
         }
         let defaults = self.compartments.iter().filter(|c| c.default).count();
         if defaults != 1 {
@@ -564,6 +575,22 @@ libraries:
     fn rejects_two_defaults() {
         let bad = "compartments:\n- c1:\n    default: True\n- c2:\n    default: True\n";
         assert!(SafetyConfig::parse_str(bad).is_err());
+    }
+
+    #[test]
+    fn rejects_a_33rd_compartment_whatever_the_mechanism() {
+        let with = |n: usize| {
+            let mut b = SafetyConfig::builder()
+                .compartment(CompartmentSpec::new("c0", Mechanism::None).default_compartment());
+            for i in 1..n {
+                b = b.compartment(CompartmentSpec::new(format!("c{i}"), Mechanism::None));
+            }
+            b.build()
+        };
+        assert!(with(MAX_COMPARTMENTS).is_ok());
+        let err = with(MAX_COMPARTMENTS + 1).unwrap_err();
+        assert!(matches!(err, Fault::InvalidConfig { .. }));
+        assert!(err.to_string().contains("at most 32"));
     }
 
     #[test]

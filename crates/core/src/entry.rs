@@ -12,14 +12,17 @@
 //! * [`EntryTable`] — the image-wide intern table plus one dense bitset
 //!   per compartment recording which entries are legal there (the gates'
 //!   CFI property). The legality check on the call hot path is two index
-//!   operations and a bit test — no hashing, no allocation.
+//!   operations and a bit test — no hashing, no allocation. Registered
+//!   names are borrowed from the component descriptors and the name → id
+//!   map is ordered, so building the table copies no string and takes the
+//!   same steps in every process.
 //! * [`CallTarget`] — a fully resolved `(component, compartment, entry)`
 //!   triple. Produced once by [`crate::env::Env::resolve`]; cross-
 //!   compartment calls through a `CallTarget` are pure index arithmetic.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::borrow::Cow;
+use std::cell::{Ref, RefCell};
+use std::collections::BTreeMap;
 
 use crate::compartment::CompartmentId;
 use crate::component::ComponentId;
@@ -64,8 +67,8 @@ pub struct CallTarget {
 /// semantics of toolchain-known gate entry points.
 #[derive(Debug)]
 pub struct EntryTable {
-    names: RefCell<Vec<Rc<str>>>,
-    ids: RefCell<HashMap<Rc<str>, EntryId>>,
+    names: RefCell<Vec<Cow<'static, str>>>,
+    ids: RefCell<BTreeMap<Cow<'static, str>, EntryId>>,
     /// `legal[compartment]` — bit `i` set ⇔ entry `i` is a registered
     /// entry point of that compartment.
     legal: Vec<Vec<u64>>,
@@ -78,7 +81,7 @@ impl EntryTable {
     pub fn builder(n_compartments: usize) -> EntryTableBuilder {
         EntryTableBuilder {
             names: Vec::new(),
-            ids: HashMap::new(),
+            ids: BTreeMap::new(),
             legal: vec![Vec::new(); n_compartments],
         }
     }
@@ -100,14 +103,13 @@ impl EntryTable {
             }
         }
         let id = EntryId(names.len() as u32);
-        let retained = if names.len() - self.built >= RUNTIME_INTERN_CAP {
-            OVERFLOW_ENTRY_NAME
+        let retained: Cow<'static, str> = if names.len() - self.built >= RUNTIME_INTERN_CAP {
+            Cow::Borrowed(OVERFLOW_ENTRY_NAME)
         } else {
-            name
+            Cow::Owned(name.to_string())
         };
-        let shared: Rc<str> = Rc::from(retained);
-        names.push(Rc::clone(&shared));
-        self.ids.borrow_mut().insert(shared, id);
+        names.push(retained.clone());
+        self.ids.borrow_mut().insert(retained, id);
         id
     }
 
@@ -116,13 +118,14 @@ impl EntryTable {
         self.ids.borrow().get(name).copied()
     }
 
-    /// The name behind an interned id.
+    /// The name behind an interned id, borrowed from the table (drop it
+    /// before resolving another name).
     ///
     /// # Panics
     ///
     /// Panics if `id` was not produced by this table.
-    pub fn name(&self, id: EntryId) -> Rc<str> {
-        Rc::clone(&self.names.borrow()[id.0 as usize])
+    pub fn name(&self, id: EntryId) -> Ref<'_, str> {
+        Ref::map(self.names.borrow(), |names| names[id.0 as usize].as_ref())
     }
 
     /// `true` if `entry` is a registered entry point of `compartment` —
@@ -155,21 +158,20 @@ impl EntryTable {
 /// Build-time constructor for [`EntryTable`] (used by the toolchain while
 /// registering components' entry points).
 pub struct EntryTableBuilder {
-    names: Vec<Rc<str>>,
-    ids: HashMap<Rc<str>, EntryId>,
+    names: Vec<Cow<'static, str>>,
+    ids: BTreeMap<Cow<'static, str>, EntryId>,
     legal: Vec<Vec<u64>>,
 }
 
 impl EntryTableBuilder {
     /// Interns `name` (idempotent) and returns its id.
-    pub fn intern(&mut self, name: &str) -> EntryId {
+    pub fn intern(&mut self, name: &'static str) -> EntryId {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
         let id = EntryId(self.names.len() as u32);
-        let shared: Rc<str> = Rc::from(name);
-        self.names.push(Rc::clone(&shared));
-        self.ids.insert(shared, id);
+        self.names.push(Cow::Borrowed(name));
+        self.ids.insert(Cow::Borrowed(name), id);
         id
     }
 
@@ -269,7 +271,9 @@ mod tests {
     #[test]
     fn bitsets_grow_past_64_entries() {
         let mut b = EntryTable::builder(1);
-        let ids: Vec<EntryId> = (0..130).map(|i| b.intern(&format!("fn_{i}"))).collect();
+        let ids: Vec<EntryId> = (0..130)
+            .map(|i| b.intern(String::leak(format!("fn_{i}"))))
+            .collect();
         b.permit(CompartmentId(0), ids[129]);
         b.permit(CompartmentId(0), ids[64]);
         let t = b.build();

@@ -20,7 +20,7 @@
 //!   counted, PKRU switched, registers saved/scrubbed (full MPK/EPT
 //!   gates).
 //! * [`Env::call`] — thin `&str` wrapper over the same path; it resolves
-//!   through the image's intern table on every call (one hash lookup, no
+//!   through the image's intern table on every call (one map lookup, no
 //!   allocation) so external code can migrate incrementally.
 //! * [`Env::mem_read`] / [`Env::mem_write`] — simulated-memory access
 //!   under the *current* domain's PKRU; touching another compartment's
@@ -36,8 +36,8 @@
 //! * [`Env::shared_var`] — whitelist-checked access to `__shared`
 //!   annotated variables.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, Ref, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use flexos_alloc::Heap;
@@ -50,7 +50,7 @@ use flexos_machine::trace::{event as trace_event, EventKind};
 use flexos_machine::Machine;
 
 use crate::compartment::{CompartmentId, DataSharing, IsolationProfile, Mechanism, ResourceBudget};
-use crate::component::{ComponentId, ComponentRegistry};
+use crate::component::{ComponentId, ComponentRegistry, SharedVar};
 use crate::entry::{CallTarget, EntryId, EntryTable};
 use crate::gate::{GateKind, GateTable};
 use crate::hardening::Hardening;
@@ -58,8 +58,9 @@ use crate::hardening::Hardening;
 /// One protection domain (compartment) at runtime.
 #[derive(Debug, Clone)]
 pub struct DomainState {
-    /// Compartment name from the configuration.
-    pub name: String,
+    /// Compartment name from the configuration (shared with the names
+    /// of the compartment's regions).
+    pub name: Rc<str>,
     /// Protection key owning this compartment's private pages.
     pub key: ProtKey,
     /// PKRU installed while this compartment executes.
@@ -68,8 +69,11 @@ pub struct DomainState {
     pub mechanism: Mechanism,
 }
 
-/// Placement of one `__shared` annotated variable after build.
-#[derive(Debug, Clone)]
+/// Placement of one `__shared` annotated variable after build: where it
+/// landed and which annotation it is. Name, whitelist and region text are
+/// read through the annotation ([`Env::shared_var_decl`]) and the layout
+/// ([`Env::shared_var_region`]) when asked for, not copied per image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedVarPlacement {
     /// Simulated address of the variable.
     pub addr: Addr,
@@ -77,10 +81,11 @@ pub struct SharedVarPlacement {
     pub size: u64,
     /// Component that owns (declared) the variable.
     pub owner: ComponentId,
-    /// Components allowed to access it (owner included).
-    pub allowed: Vec<ComponentId>,
-    /// Region name the variable was placed in (for the transform report).
-    pub region: String,
+    /// Index of the annotation among the owner's `shared_vars`.
+    pub var: u16,
+    /// For a stack variable shared across compartments: the owner's
+    /// data-sharing strategy, under which its shared-heap slot is used.
+    pub shadow: Option<DataSharing>,
 }
 
 /// Modeled work performed by a component, with the instruction mix that
@@ -161,7 +166,11 @@ pub struct Env {
     profiles: Vec<IsolationProfile>,
     gates: GateTable,
     entries: EntryTable,
-    shared_vars: HashMap<String, SharedVarPlacement>,
+    /// Placements in registration order: component by component, each
+    /// component's annotations in declaration order.
+    shared_vars: Vec<SharedVarPlacement>,
+    /// Index into `shared_vars` of each component's first annotation.
+    shared_var_base: Vec<usize>,
     heaps: Vec<Rc<RefCell<Heap>>>,
     shared_heap: Rc<RefCell<Heap>>,
     /// `true` if any component in the image is KASan-hardened; when
@@ -233,8 +242,9 @@ pub struct EnvParts {
     pub gates: GateTable,
     /// Interned entry points + per-compartment CFI bitsets.
     pub entries: EntryTable,
-    /// Placements of `__shared` variables.
-    pub shared_vars: HashMap<String, SharedVarPlacement>,
+    /// Placements of `__shared` variables, in registration order (every
+    /// annotation of every component, none skipped).
+    pub shared_vars: Vec<SharedVarPlacement>,
     /// Private heap per compartment.
     pub heaps: Vec<Rc<RefCell<Heap>>>,
     /// The shared communication heap.
@@ -252,6 +262,13 @@ impl Env {
         let budgets: Vec<ResourceBudget> = parts.profiles.iter().map(|p| p.budget).collect();
         let budget_enabled = budgets.iter().any(|b| !b.is_unlimited());
         let num_cores = parts.machine.num_cores();
+        let mut shared_var_base = Vec::with_capacity(n);
+        let mut placed = 0;
+        for (_, component) in parts.registry.iter() {
+            shared_var_base.push(placed);
+            placed += component.shared_vars.len();
+        }
+        debug_assert_eq!(placed, parts.shared_vars.len());
         Rc::new(Env {
             machine: parts.machine,
             registry: parts.registry,
@@ -262,6 +279,7 @@ impl Env {
             gates: parts.gates,
             entries: parts.entries,
             shared_vars: parts.shared_vars,
+            shared_var_base,
             heaps: parts.heaps,
             shared_heap: parts.shared_heap,
             kasan_any,
@@ -360,6 +378,15 @@ impl Env {
     /// Gate matrix and crossing counters.
     pub fn gates(&self) -> &GateTable {
         &self.gates
+    }
+
+    /// Instantiated cross-domain gates as `(from, to, kind)` names.
+    pub fn gate_names(&self) -> Vec<(String, String, String)> {
+        let name = |comp: CompartmentId| self.domain(comp).name.to_string();
+        self.gates
+            .instantiated()
+            .map(|(from, to, kind)| (name(from), name(to), kind.to_string()))
+            .collect()
     }
 
     /// The image's interned entry-point table (CFI bitsets included).
@@ -676,7 +703,7 @@ impl Env {
             },
         );
         Fault::BudgetExceeded {
-            compartment: self.domains[dom.0 as usize].name.clone(),
+            compartment: self.domains[dom.0 as usize].name.to_string(),
             resource,
             used,
             limit,
@@ -734,8 +761,8 @@ impl Env {
     }
 
     /// The interned name behind an [`EntryId`] (for hooks and reports;
-    /// not needed on the call path).
-    pub fn entry_name(&self, entry: EntryId) -> Rc<str> {
+    /// not needed on the call path), borrowed from the intern table.
+    pub fn entry_name(&self, entry: EntryId) -> Ref<'_, str> {
         self.entries.name(entry)
     }
 
@@ -745,7 +772,7 @@ impl Env {
     ///
     /// This is the thin `&str` wrapper over [`Env::call_resolved`]: it
     /// re-resolves the target through the image's intern table on every
-    /// call — one hash lookup, allocation-free once the name has been
+    /// call — one map lookup, allocation-free once the name has been
     /// interned (first sight of an unregistered name interns it, bounded
     /// by [`crate::entry::RUNTIME_INTERN_CAP`]). Components with hot
     /// boundaries should resolve once at construction time instead.
@@ -852,7 +879,7 @@ impl Env {
                 self.gates.record_cfi_violation();
                 return Err(Fault::IllegalEntryPoint {
                     entry: self.entries.name(target.entry).to_string(),
-                    compartment: self.domains[to_dom.0 as usize].name.clone(),
+                    compartment: self.domains[to_dom.0 as usize].name.to_string(),
                 });
             }
             // Budget enforcement sits between CFI and the charge: a
@@ -862,7 +889,7 @@ impl Env {
             if self.budget_enabled {
                 if self.is_quarantined(to_dom) {
                     return Err(Fault::Quarantined {
-                        compartment: self.domains[to_dom.0 as usize].name.clone(),
+                        compartment: self.domains[to_dom.0 as usize].name.to_string(),
                     });
                 }
                 let budget = &self.budgets[from_dom.0 as usize];
@@ -1349,34 +1376,75 @@ impl Env {
 
     // --- shared variables ---------------------------------------------------
 
-    /// Resolves a `__shared` variable, enforcing its whitelist: only the
-    /// owner and whitelisted components may touch it (§3.1).
+    /// Resolves a `__shared` variable by its `component::variable` name,
+    /// enforcing its whitelist: only the owner and whitelisted components
+    /// may touch it (§3.1). The name is resolved through the registry
+    /// here, on lookup; the image keeps no name-keyed table.
     ///
     /// # Errors
     ///
     /// [`Fault::NotWhitelisted`] when the current component is not allowed;
     /// [`Fault::InvalidConfig`] for unknown variable names.
     pub fn shared_var(&self, name: &str) -> Result<&SharedVarPlacement, Fault> {
-        let var = self
-            .shared_vars
-            .get(name)
+        let placement = name
+            .split_once("::")
+            .and_then(|(component, var)| {
+                let owner = self.registry.lookup(component)?;
+                let decls = &self.registry.get(owner).shared_vars;
+                let index = decls.iter().position(|decl| decl.name == var)?;
+                Some(&self.shared_vars[self.shared_var_base[owner.0 as usize] + index])
+            })
             .ok_or_else(|| Fault::InvalidConfig {
                 reason: format!("unknown shared variable `{name}`"),
             })?;
         let me = self.cur.get();
-        if var.owner == me || var.allowed.contains(&me) {
-            Ok(var)
+        let my_name = &self.registry.get(me).name;
+        let whitelist = self.shared_var_decl(placement).whitelist;
+        if placement.owner == me || whitelist.contains(&my_name.as_ref()) {
+            Ok(placement)
         } else {
             Err(Fault::NotWhitelisted {
                 variable: name.to_string(),
-                compartment: self.registry.get(me).name.clone(),
+                compartment: my_name.to_string(),
             })
         }
     }
 
-    /// All shared-variable placements (for the transform report).
-    pub fn shared_var_placements(&self) -> &HashMap<String, SharedVarPlacement> {
-        &self.shared_vars
+    /// Shared-variable placements as `(component, variable, region)`
+    /// names, in registration order.
+    pub fn shared_var_names(&self) -> Vec<(String, String, String)> {
+        self.shared_vars
+            .iter()
+            .map(|placement| {
+                (
+                    self.registry.get(placement.owner).name.to_string(),
+                    self.shared_var_decl(placement).name.to_string(),
+                    self.shared_var_region(placement),
+                )
+            })
+            .collect()
+    }
+
+    /// The annotation a placement belongs to (name, storage, whitelist).
+    pub fn shared_var_decl(&self, placement: &SharedVarPlacement) -> &SharedVar {
+        &self.registry.get(placement.owner).shared_vars[placement.var as usize]
+    }
+
+    /// Name of the region a variable was placed in, as the transform
+    /// report spells it: the mapped region holding its address, with the
+    /// data-sharing label for a cross-compartment stack variable.
+    pub fn shared_var_region(&self, placement: &SharedVarPlacement) -> String {
+        let layout = self.machine.layout();
+        let region = layout
+            .find(placement.addr)
+            .expect("a placed variable lies in a mapped region");
+        let label = match placement.shadow {
+            None => return region.name().to_string(),
+            Some(DataSharing::Dss) => "dss-shadow",
+            Some(DataSharing::HeapConversion) => "heap-conversion",
+            Some(DataSharing::SharedStack) => "stack-window",
+        };
+        format!("{} ({label})", region.name())
     }
 
     // --- stack data sharing (Figure 11a) -----------------------------------

@@ -22,19 +22,22 @@
 //!    bitsets (the gates' CFI property, resolved once — never per call);
 //! 7. produces a [`TransformReport`] recording everything it did — the
 //!    inspectable artifact the paper praises source-level transforms for.
+//!    Its linker script, and `Env`'s gate and placement lists, are rendered
+//!    from the image when somebody reads them: a build composes no string and
+//!    keys every table by compartment or component id, so two builds of
+//!    one configuration take the same steps in any process.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 use flexos_alloc::{Heap, HeapKind};
 use flexos_machine::addr::pages_for;
 use flexos_machine::fault::Fault;
 use flexos_machine::key::{Pkru, ProtKey};
-use flexos_machine::layout::RegionKind;
+use flexos_machine::layout::{self, Region, RegionKind, RegionName};
 use flexos_machine::Machine;
 
 use crate::backend::IsolationBackend;
-use crate::compartment::{CompartmentId, DataSharing, IsolationProfile, Mechanism, ResourceBudget};
+use crate::compartment::{CompartmentId, IsolationProfile, Mechanism, ResourceBudget};
 use crate::component::{Component, ComponentId, ComponentRegistry, VarStorage};
 use crate::config::SafetyConfig;
 use crate::entry::EntryTable;
@@ -50,28 +53,30 @@ pub const SHARED_KEY_INDEX: u8 = 15;
 pub const MPK_MAX_COMPARTMENTS: usize = 14;
 
 /// What the toolchain did, for inspection and the Table 1/§3.1 claims.
+///
+/// The report holds the numbers only the build knows. The linker script
+/// is rendered on demand from the live image, and the gate and placement
+/// lists are `env`'s to name ([`Env::gate_names`],
+/// [`Env::shared_var_names`]), so an image nobody inspects pays nothing
+/// for being inspectable.
 #[derive(Debug, Clone)]
 pub struct TransformReport {
-    /// The generated linker script.
-    pub linker_script: String,
-    /// Instantiated cross-domain gates as `(from, to, kind)` names.
-    pub gates: Vec<(String, String, String)>,
-    /// Shared-variable placements as `(component, variable, region)`.
-    pub placements: Vec<(String, String, String)>,
     /// Estimated lines of generated/modified code (the paper: ~1 KLoC for
     /// a simple Redis configuration).
     pub generated_loc: u32,
     /// TCB accounting for this image.
     pub tcb: TcbReport,
-    /// Compartment names in id order.
-    pub compartments: Vec<String>,
-    /// Resolved per-compartment isolation profiles, in id order (the
-    /// data-sharing strategy and heap allocator each compartment ended
-    /// up with after default resolution).
-    pub profiles: Vec<IsolationProfile>,
+    /// Regions laid out when the toolchain finished; boot hooks and
+    /// threads reserve theirs later, after the script was "generated".
+    regions: usize,
 }
 
 impl TransformReport {
+    /// The generated linker script.
+    pub fn linker_script(&self, env: &Env) -> String {
+        layout::linker_script(&env.machine().layout().regions()[..self.regions])
+    }
+
     /// Per-[`GateKind`] crossing breakdown of the live image described by
     /// this report — a convenience forwarder to
     /// [`crate::gate::GateTable::breakdown`] on `env`'s dense per-kind
@@ -89,9 +94,9 @@ impl TransformReport {
     pub fn heap_highwater(&self, env: &Env) -> Vec<(String, u64)> {
         (0..env.compartment_count())
             .map(|i| {
-                let comp = crate::compartment::CompartmentId(i as u8);
+                let comp = CompartmentId(i as u8);
                 (
-                    env.domain(comp).name.clone(),
+                    env.domain(comp).name.to_string(),
                     env.heap_stats_of(comp).peak_live,
                 )
             })
@@ -110,8 +115,8 @@ pub struct Image {
 impl std::fmt::Debug for Image {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Image")
-            .field("compartments", &self.report.compartments)
-            .field("gates", &self.report.gates.len())
+            .field("compartments", &self.env.compartment_count())
+            .field("gates", &self.env.gates().instantiated().count())
             .finish()
     }
 }
@@ -186,8 +191,14 @@ impl ImageBuilder {
         config.validate()?;
 
         // -- step 1: backend validation ---------------------------------
-        let mechanisms: HashSet<Mechanism> =
-            config.compartments.iter().map(|c| c.mechanism).collect();
+        // Each mechanism once, in order of first use: validation, boot
+        // hooks and the regions they reserve follow the configuration.
+        let mut mechanisms: Vec<Mechanism> = Vec::new();
+        for spec in &config.compartments {
+            if !mechanisms.contains(&spec.mechanism) {
+                mechanisms.push(spec.mechanism);
+            }
+        }
         for mech in &mechanisms {
             if *mech == Mechanism::None {
                 continue;
@@ -229,7 +240,7 @@ impl ImageBuilder {
                 (key, pkru)
             };
             domains.push(DomainState {
-                name: spec.name.clone(),
+                name: Rc::from(spec.name.as_str()),
                 key,
                 pkru,
                 mechanism: spec.mechanism,
@@ -263,20 +274,20 @@ impl ImageBuilder {
 
         let mut heaps = Vec::with_capacity(n_comps);
         for (i, dom) in domains.iter().enumerate() {
+            let scoped = |suffix| RegionName::Scoped {
+                owner: Rc::clone(&dom.name),
+                suffix,
+            };
             for (section, kind) in [
                 (".data", RegionKind::Data),
                 (".rodata", RegionKind::Rodata),
                 (".bss", RegionKind::Bss),
             ] {
-                self.machine.map_region_kind(
-                    format!("{}{}", dom.name, section),
-                    2,
-                    dom.key,
-                    kind,
-                )?;
+                self.machine
+                    .map_region_kind(scoped(section), 2, dom.key, kind)?;
             }
             let region = self.machine.map_region_kind(
-                format!("{}/heap", dom.name),
+                scoped("/heap"),
                 self.heap_pages,
                 dom.key,
                 RegionKind::Heap,
@@ -340,67 +351,64 @@ impl ImageBuilder {
         }
 
         // -- step 5: shared-variable placement ----------------------------
-        let mut placements_report = Vec::new();
-        let mut shared_vars = HashMap::new();
+        // One placement per annotation, in registration order: `Env`
+        // indexes them by (component, annotation index).
+        let mut shared_vars =
+            Vec::with_capacity(self.registry.iter().map(|(_, c)| c.shared_vars.len()).sum());
         // Spare keys for restricted sharing groups (§4.1: "FlexOS uses
         // remaining keys for additional shared domains between restricted
-        // groups of compartments").
+        // groups of compartments"): (member compartments, section, bytes
+        // used), in order of creation.
         let mut next_group_key = (n_comps as u8 + 1).max(1);
-        let mut group_regions: BTreeMap<Vec<u8>, (flexos_machine::layout::Region, u64)> =
-            BTreeMap::new();
+        let mut groups: Vec<(u32, Region, u64)> = Vec::new();
 
         for (owner_id, component) in self.registry.iter() {
             let owner_dom = comp_of[owner_id.0 as usize];
-            for var in &component.shared_vars {
-                let allowed: Vec<ComponentId> = var
+            for (index, var) in component.shared_vars.iter().enumerate() {
+                // Compartments the variable is visible from: its owner's
+                // and every (registered) whitelisted component's.
+                let members = var
                     .whitelist
                     .iter()
                     .filter_map(|name| self.registry.lookup(name))
-                    .collect();
-                let mut allowed_with_owner = allowed.clone();
-                allowed_with_owner.push(owner_id);
-                let domains_touched: HashSet<u8> = allowed_with_owner
-                    .iter()
-                    .map(|c| comp_of[c.0 as usize].0)
-                    .collect();
+                    .fold(1u32 << owner_dom.0, |set, c| {
+                        set | 1 << comp_of[c.0 as usize].0
+                    });
+                let mut shadow = None;
 
-                let (addr, region_name) = if var.storage == VarStorage::Heap {
+                let addr = if var.storage == VarStorage::Heap {
                     // Dynamically allocated shared data lives on the
                     // shared heap regardless of whitelist shape.
-                    let addr = shared_heap.borrow_mut().malloc(var.size)?;
-                    (addr, "shared/heap".to_string())
-                } else if domains_touched.len() <= 1 || !isolated {
+                    shared_heap.borrow_mut().malloc(var.size)?
+                } else if members.count_ones() <= 1 || !isolated {
                     // Whitelist stays within one compartment: private
                     // section of the owner.
                     let dom = &domains[owner_dom.0 as usize];
-                    let region = self.machine.map_region_kind(
-                        format!("{}/.data/{}", dom.name, var.name),
-                        pages_for(var.size).max(1),
-                        dom.key,
-                        RegionKind::Data,
-                    )?;
-                    (region.base(), region.name().to_string())
+                    self.machine
+                        .map_region_kind(
+                            RegionName::Var {
+                                owner: Rc::clone(&dom.name),
+                                var: var.name,
+                            },
+                            pages_for(var.size).max(1),
+                            dom.key,
+                            RegionKind::Data,
+                        )?
+                        .base()
                 } else if var.storage == VarStorage::Stack {
                     // Stack-allocated shared data: handled at runtime by
                     // the owner compartment's data-sharing strategy; the
                     // shadow slot reserved on the shared heap is labeled
                     // with that strategy (DSS shadow slot, converted heap
                     // cell, or the shared-stack window).
-                    let addr = shared_heap.borrow_mut().malloc(var.size)?;
-                    let label = match profiles[owner_dom.0 as usize].data_sharing {
-                        DataSharing::Dss => "shared/heap (dss-shadow)",
-                        DataSharing::HeapConversion => "shared/heap (heap-conversion)",
-                        DataSharing::SharedStack => "shared/heap (stack-window)",
-                    };
-                    (addr, label.to_string())
+                    shadow = Some(profiles[owner_dom.0 as usize].data_sharing);
+                    shared_heap.borrow_mut().malloc(var.size)?
                 } else {
                     // Cross-compartment static: try a restricted group
                     // section keyed by the exact whitelist; fall back to
                     // the global shared section when keys run out.
-                    let mut group: Vec<u8> = domains_touched.iter().copied().collect();
-                    group.sort_unstable();
-                    let entry = match group_regions.get_mut(&group) {
-                        Some(entry) => entry,
+                    let slot = match groups.iter().position(|(set, ..)| *set == members) {
+                        Some(slot) => slot,
                         None => {
                             let key = if uses_mpk && next_group_key < SHARED_KEY_INDEX {
                                 let key = ProtKey::new(next_group_key)?;
@@ -410,46 +418,42 @@ impl ImageBuilder {
                                 shared_key
                             };
                             let region = self.machine.map_region_kind(
-                                format!("shared/group-{}", group_name(&group)),
+                                RegionName::Group(members),
                                 4,
                                 key,
                                 RegionKind::Data,
                             )?;
-                            group_regions.entry(group.clone()).or_insert((region, 0))
+                            groups.push((members, region, 0));
+                            groups.len() - 1
                         }
                     };
-                    let addr = entry.0.base() + entry.1;
-                    if entry.1 + var.size > entry.0.len() {
+                    let (_, region, used) = &mut groups[slot];
+                    if *used + var.size > region.len() {
                         return Err(Fault::ResourceExhausted {
                             what: "shared group section",
                         });
                     }
-                    entry.1 += var.size.next_multiple_of(16);
-                    (addr, entry.0.name().to_string())
+                    let addr = region.base() + *used;
+                    *used += var.size.next_multiple_of(16);
+                    addr
                 };
 
-                placements_report.push((
-                    component.name.clone(),
-                    var.name.clone(),
-                    region_name.clone(),
-                ));
-                shared_vars.insert(
-                    format!("{}::{}", component.name, var.name),
-                    SharedVarPlacement {
-                        addr,
-                        size: var.size,
-                        owner: owner_id,
-                        allowed,
-                        region: region_name,
-                    },
-                );
+                shared_vars.push(SharedVarPlacement {
+                    addr,
+                    size: var.size,
+                    owner: owner_id,
+                    var: index as u16,
+                    shadow,
+                });
             }
         }
 
         // Group sections must be visible to their members' PKRUs.
-        for (group, (region, _)) in &group_regions {
-            for dom_idx in group {
-                domains[*dom_idx as usize].pkru.permit(region.key());
+        for (members, region, _) in &groups {
+            for (i, dom) in domains.iter_mut().enumerate() {
+                if members >> i & 1 == 1 {
+                    dom.pkru.permit(region.key());
+                }
             }
         }
 
@@ -469,16 +473,6 @@ impl ImageBuilder {
         let entries = entry_builder.build();
 
         // -- step 7: report + env ------------------------------------------
-        let gates_list: Vec<(String, String, String)> = gates
-            .instantiated()
-            .map(|(f, t, k)| {
-                (
-                    config.compartments[f.0 as usize].name.clone(),
-                    config.compartments[t.0 as usize].name.clone(),
-                    k.to_string(),
-                )
-            })
-            .collect();
         let backend_loc: u32 = mechanisms
             .iter()
             .filter(|m| **m != Mechanism::None)
@@ -489,17 +483,12 @@ impl ImageBuilder {
             .iter()
             .filter_map(|m| backends.iter().find(|b| b.mechanism() == *m))
             .any(|b| b.duplicates_tcb());
-        let generated_loc = 180 * gates_list.len() as u32
-            + 10 * placements_report.len() as u32
-            + 40 * n_comps as u32;
         let report = TransformReport {
-            linker_script: self.machine.layout().linker_script(),
-            gates: gates_list,
-            placements: placements_report,
-            generated_loc,
+            generated_loc: 180 * gates.instantiated().count() as u32
+                + 10 * shared_vars.len() as u32
+                + 40 * n_comps as u32,
             tcb: TcbReport::new(backend_loc, duplicated, n_comps as u32),
-            compartments: config.compartments.iter().map(|c| c.name.clone()).collect(),
-            profiles: profiles.clone(),
+            regions: self.machine.layout().regions().len(),
         };
 
         let env = Env::from_parts(EnvParts {
@@ -525,14 +514,6 @@ impl ImageBuilder {
 
         Ok(Image { env, report })
     }
-}
-
-fn group_name(group: &[u8]) -> String {
-    group
-        .iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join("-")
 }
 
 type RefCellHeap = std::cell::RefCell<Heap>;
@@ -827,13 +808,14 @@ mod tests {
     #[test]
     fn report_lists_gates_sections_and_tcb() {
         let image = build_two_comp();
-        let r = &image.report;
-        assert_eq!(r.compartments, vec!["comp1", "comp2"]);
-        assert_eq!(r.gates.len(), 2, "two directed gates between two comps");
-        assert!(r.gates.iter().all(|(_, _, k)| k == "mpk-dss"));
-        assert!(r.linker_script.contains("comp1/heap"));
-        assert!(r.linker_script.contains("shared/heap"));
-        assert_eq!(r.placements.len(), 1);
+        let (r, env) = (&image.report, &image.env);
+        assert_eq!(&*env.domain(CompartmentId(1)).name, "comp2");
+        let gates = env.gate_names();
+        assert_eq!(gates.len(), 2, "two directed gates between two comps");
+        assert!(gates.iter().all(|(_, _, k)| k == "mpk-dss"));
+        assert!(r.linker_script(env).contains("comp1/heap"));
+        assert!(r.linker_script(env).contains("shared/heap"));
+        assert_eq!(env.shared_var_names().len(), 1);
         assert_eq!(r.tcb.backend_loc, 1400);
         assert!(r.generated_loc > 0);
     }
@@ -864,7 +846,7 @@ mod tests {
             .unwrap();
         let image = builder.build(&[&NoneBackend]).unwrap();
         assert_eq!(image.env.compartment_count(), 1);
-        assert_eq!(image.report.gates.len(), 0);
+        assert!(image.env.gate_names().is_empty());
         assert_eq!(image.report.tcb.backend_loc, 0);
     }
 

@@ -26,7 +26,7 @@ pub const CORE_TCB_LOC: u32 = 850;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcbReport {
     /// Member categories present in the image.
-    pub members: Vec<String>,
+    pub members: &'static [&'static str],
     /// Backend-contributed lines of code.
     pub backend_loc: u32,
     /// Core-library lines of code.
@@ -42,7 +42,7 @@ impl TcbReport {
     /// Builds a report for an image.
     pub fn new(backend_loc: u32, duplicated: bool, compartments: u32) -> Self {
         TcbReport {
-            members: TCB_MEMBERS.iter().map(|s| s.to_string()).collect(),
+            members: &TCB_MEMBERS,
             backend_loc,
             core_loc: CORE_TCB_LOC,
             duplicated_per_compartment: duplicated,

@@ -10,7 +10,7 @@ use flexos_core::gate::GateKind;
 use flexos_core::image::SHARED_KEY_INDEX;
 use flexos_machine::fault::Fault;
 use flexos_machine::key::{Pkru, ProtKey};
-use flexos_machine::layout::RegionKind;
+use flexos_machine::layout::{RegionKind, RegionName};
 
 use crate::rpc::{entry_hash, RpcRing, RpcServerPool};
 
@@ -24,8 +24,8 @@ pub struct EptBackend {
 /// Per-image EPT state, laid out for the crossing hot path the same way
 /// the gate table is: **dense vectors indexed by compartment id** and a
 /// **sorted entry-hash table per VM**, all precomputed at boot. A
-/// crossing is one `RefCell` borrow, two `Vec` index loads, and a
-/// binary search — no `HashMap`/`HashSet` SipHash work, no PKRU
+/// crossing is one borrow of this state and one of simulated memory,
+/// two `Vec` index loads, and a binary search — no hashing, no PKRU
 /// reconstruction, and no host allocation (pinned end to end by
 /// `tests/hotpath_alloc.rs`).
 #[derive(Debug, Default)]
@@ -139,7 +139,10 @@ impl IsolationBackend for EptBackend {
                 continue;
             }
             let region = machine.map_region_kind(
-                format!("{}/rpc-ring", dom.name),
+                RegionName::Scoped {
+                    owner: Rc::clone(&dom.name),
+                    suffix: "/rpc-ring",
+                },
                 1,
                 shared_key,
                 RegionKind::RpcRing,
@@ -179,7 +182,9 @@ impl IsolationBackend for EptBackend {
                 Some(ring) => ring,
                 None => return Ok(()), // callee not EPT-isolated
             };
-            let machine = env.machine();
+            // ... and one of simulated memory: every ring access below is
+            // rights-checked under `ring_pkru` all the same.
+            let mem = &mut *env.machine().memory_mut();
             let ring_pkru = state.ring_pkru;
             // Runtime-interned ids (beyond the precomputed table) are
             // illegal everywhere and never reach the hook; hash them
@@ -188,14 +193,15 @@ impl IsolationBackend for EptBackend {
                 Some(&h) => h,
                 None => entry_hash(&env.entry_name(entry)),
             };
-            let slot = ring.push_request(machine, &ring_pkru, hash, 0, 0)?;
+            ring.push_request(mem, &ring_pkru, hash, 0, 0)?;
             // Callee VM's server: busy-wait pickup, legality check, execute.
-            let req = ring
-                .pop_request(machine, &ring_pkru)?
-                .ok_or(Fault::ResourceExhausted { what: "RPC ring" })?;
-            let legal = state.legal_entries[to.0 as usize]
-                .binary_search(&req.entry)
-                .is_ok();
+            let legal_entries = &state.legal_entries[to.0 as usize];
+            let mut legal = false;
+            ring.serve_next(mem, &ring_pkru, |req| {
+                legal = legal_entries.binary_search(&req.entry).is_ok();
+                legal.then_some(0)
+            })?
+            .ok_or(Fault::ResourceExhausted { what: "RPC ring" })?;
             if let Some(pool) = state.pools[to.0 as usize].as_mut() {
                 if legal {
                     pool.record_serviced();
@@ -203,14 +209,12 @@ impl IsolationBackend for EptBackend {
                     pool.record_refused();
                 }
             }
-            drop(state);
             if !legal {
                 return Err(Fault::IllegalEntryPoint {
                     entry: env.entry_name(entry).to_string(),
-                    compartment: env.domain(to).name.clone(),
+                    compartment: env.domain(to).name.to_string(),
                 });
             }
-            ring.complete(machine, &ring_pkru, slot, 0)?;
             Ok(())
         }));
         Ok(())
@@ -224,6 +228,7 @@ mod tests {
     use flexos_core::component::{Component, ComponentKind};
     use flexos_core::config::SafetyConfig;
     use flexos_core::image::ImageBuilder;
+    use flexos_machine::layout::linker_script;
     use flexos_machine::Machine;
 
     fn build_ept_image(backend: &EptBackend) -> flexos_core::image::Image {
@@ -292,7 +297,7 @@ mod tests {
     fn rings_are_mapped_per_vm() {
         let backend = EptBackend::new();
         let image = build_ept_image(&backend);
-        let script = image.env.machine().layout().linker_script();
+        let script = linker_script(image.env.machine().layout().regions());
         assert!(script.contains("main/rpc-ring"));
         assert!(script.contains("fs/rpc-ring"));
     }

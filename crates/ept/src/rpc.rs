@@ -8,11 +8,20 @@
 //! constant is the measured round trip including the cache-line
 //! ping-pong, so ring operations here move real bytes through simulated
 //! memory but do not double-charge the clock.
+//!
+//! The operations take the simulated [`Memory`] itself, so one crossing
+//! — the caller's push, the server's turn — runs under a single borrow
+//! of it, and they move the 16-byte header and a 32-byte entry as ranged
+//! accesses: one rights-checked walk each, under the given PKRU, instead
+//! of one per word. A crossing is seven walks of simulated memory.
 
 use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
 use flexos_machine::key::Pkru;
-use flexos_machine::Machine;
+use flexos_machine::mem::Memory;
+
+#[cfg(test)]
+mod reference;
 
 /// Entries per ring.
 pub const RING_ENTRIES: u64 = 64;
@@ -84,51 +93,66 @@ impl RpcRing {
         self.base + HEADER_BYTES + (slot % RING_ENTRIES) * ENTRY_BYTES
     }
 
+    /// Reads `(head, tail)` in one access.
+    #[inline]
+    fn header(&self, mem: &Memory, pkru: &Pkru) -> Result<(u64, u64), Fault> {
+        let [head, tail] = read_words(mem, self.head_addr(), pkru)?;
+        Ok((head, tail))
+    }
+
     /// Caller side: deposits a request, returning its slot.
     ///
     /// # Errors
     ///
     /// [`Fault::ResourceExhausted`] when the ring is full; protection
     /// faults if `pkru` does not map the shared region.
+    #[inline]
     pub fn push_request(
         &self,
-        machine: &Machine,
+        mem: &mut Memory,
         pkru: &Pkru,
         entry: u64,
         arg0: u64,
         arg1: u64,
     ) -> Result<u64, Fault> {
-        let mut mem = machine.memory_mut();
-        let head = mem.read_u64(self.head_addr(), pkru)?;
-        let tail = mem.read_u64(self.tail_addr(), pkru)?;
+        let (head, tail) = self.header(mem, pkru)?;
         if head - tail >= RING_ENTRIES {
             return Err(Fault::ResourceExhausted { what: "RPC ring" });
         }
         let slot = head;
-        let at = self.entry_addr(slot);
-        mem.write_u64(at, entry, pkru)?;
-        mem.write_u64(at + 8, arg0, pkru)?;
-        mem.write_u64(at + 16, arg1, pkru)?;
-        mem.write_u64(at + 24, status::REQUEST, pkru)?;
-        mem.write_u64(self.head_addr(), head + 1, pkru)?;
+        write_words(
+            mem,
+            self.entry_addr(slot),
+            [entry, arg0, arg1, status::REQUEST],
+            pkru,
+        )?;
+        write_words(mem, self.head_addr(), [head + 1], pkru)?;
         Ok(slot)
     }
 
-    /// Server side: pops the oldest pending request, if any (the paper's
-    /// servers busy-wait on this).
+    /// Server side: takes its turn at the ring (the paper's servers
+    /// busy-wait on this). The oldest pending request, if there is one,
+    /// is handed to `handler`; the reply it returns is published and the
+    /// request retired. A handler that returns `None` refuses the request
+    /// — an illegal function pointer — and leaves it pending, as a server
+    /// that faults on it would. Returns the request it looked at.
     ///
     /// # Errors
     ///
     /// Protection faults if `pkru` does not map the shared region.
-    pub fn pop_request(&self, machine: &Machine, pkru: &Pkru) -> Result<Option<RpcRequest>, Fault> {
-        let mem = machine.memory();
-        let head = mem.read_u64(self.head_addr(), pkru)?;
-        let tail = mem.read_u64(self.tail_addr(), pkru)?;
+    #[inline]
+    pub fn serve_next(
+        &self,
+        mem: &mut Memory,
+        pkru: &Pkru,
+        handler: impl FnOnce(&RpcRequest) -> Option<u64>,
+    ) -> Result<Option<RpcRequest>, Fault> {
+        let (head, tail) = self.header(mem, pkru)?;
         if tail >= head {
             return Ok(None);
         }
         let at = self.entry_addr(tail);
-        let status_word = mem.read_u64(at + 24, pkru)?;
+        let [entry, arg0, arg1, status_word] = read_words(mem, at, pkru)?;
         if status_word != status::REQUEST {
             // A fresh (zeroed) slot is EMPTY; a retired one is DONE.
             debug_assert!(
@@ -137,33 +161,18 @@ impl RpcRing {
             );
             return Ok(None);
         }
-        Ok(Some(RpcRequest {
+        let request = RpcRequest {
             slot: tail,
-            entry: mem.read_u64(at, pkru)?,
-            arg0: mem.read_u64(at + 8, pkru)?,
-            arg1: mem.read_u64(at + 16, pkru)?,
-        }))
-    }
-
-    /// Server side: publishes the return value for `slot` and retires it.
-    ///
-    /// # Errors
-    ///
-    /// Protection faults if `pkru` does not map the shared region.
-    pub fn complete(
-        &self,
-        machine: &Machine,
-        pkru: &Pkru,
-        slot: u64,
-        ret: u64,
-    ) -> Result<(), Fault> {
-        let mut mem = machine.memory_mut();
-        let at = self.entry_addr(slot);
-        mem.write_u64(at + 8, ret, pkru)?;
-        mem.write_u64(at + 24, status::DONE, pkru)?;
-        let tail = mem.read_u64(self.tail_addr(), pkru)?;
-        mem.write_u64(self.tail_addr(), tail.max(slot) + 1, pkru)?;
-        Ok(())
+            entry,
+            arg0,
+            arg1,
+        };
+        if let Some(ret) = handler(&request) {
+            // The reply replaces `arg0`; `arg1` is rewritten as read.
+            write_words(mem, at + 8, [ret, arg1, status::DONE], pkru)?;
+            write_words(mem, self.tail_addr(), [tail + 1], pkru)?;
+        }
+        Ok(Some(request))
     }
 
     /// Caller side: reads the return value once the server completed.
@@ -171,19 +180,42 @@ impl RpcRing {
     /// # Errors
     ///
     /// Protection faults if `pkru` does not map the shared region.
-    pub fn fetch_reply(
-        &self,
-        machine: &Machine,
-        pkru: &Pkru,
-        slot: u64,
-    ) -> Result<Option<u64>, Fault> {
-        let mem = machine.memory();
+    pub fn fetch_reply(&self, mem: &Memory, pkru: &Pkru, slot: u64) -> Result<Option<u64>, Fault> {
         let at = self.entry_addr(slot);
-        if mem.read_u64(at + 24, pkru)? != status::DONE {
+        if read_words(mem, at + 24, pkru)? != [status::DONE] {
             return Ok(None);
         }
-        Ok(Some(mem.read_u64(at + 8, pkru)?))
+        let [ret] = read_words(mem, at + 8, pkru)?;
+        Ok(Some(ret))
     }
+}
+
+/// Reads `N` consecutive little-endian words at `addr` in one access.
+#[inline]
+fn read_words<const N: usize>(mem: &Memory, addr: Addr, pkru: &Pkru) -> Result<[u64; N], Fault> {
+    let mut bytes = [0u8; ENTRY_BYTES as usize];
+    let bytes = &mut bytes[..8 * N];
+    mem.read(addr, bytes, pkru)?;
+    let mut words = [0u64; N];
+    for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    }
+    Ok(words)
+}
+
+/// Writes `words` little-endian at `addr` in one access.
+#[inline]
+fn write_words<const N: usize>(
+    mem: &mut Memory,
+    addr: Addr,
+    words: [u64; N],
+    pkru: &Pkru,
+) -> Result<(), Fault> {
+    let mut bytes = [0u8; ENTRY_BYTES as usize];
+    for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    mem.write(addr, &bytes[..8 * N], pkru)
 }
 
 /// The per-VM pool of threads servicing RPC requests (§4.2: "each RPC
@@ -238,6 +270,7 @@ impl RpcServerPool {
 mod tests {
     use super::*;
     use flexos_machine::key::ProtKey;
+    use flexos_machine::Machine;
 
     fn ring() -> (std::rc::Rc<Machine>, RpcRing, Pkru) {
         let machine = Machine::new(8 * 1024 * 1024);
@@ -251,38 +284,152 @@ mod tests {
     #[test]
     fn request_reply_roundtrip() {
         let (machine, ring, pkru) = ring();
+        let mem = &mut *machine.memory_mut();
         let h = entry_hash("vfs_write");
-        let slot = ring.push_request(&machine, &pkru, h, 42, 7).unwrap();
-        let req = ring.pop_request(&machine, &pkru).unwrap().unwrap();
-        assert_eq!(req.entry, h);
+        let slot = ring.push_request(mem, &pkru, h, 42, 7).unwrap();
+        // A refused request stays pending and unanswered...
+        let refused = ring.serve_next(mem, &pkru, |_| None).unwrap().unwrap();
+        assert_eq!(ring.fetch_reply(mem, &pkru, slot).unwrap(), None);
+        // ...and the next turn sees it again.
+        let req = ring
+            .serve_next(mem, &pkru, |req| Some(req.arg0 + 1295))
+            .unwrap()
+            .unwrap();
+        assert_eq!(req, refused);
+        assert_eq!((req.slot, req.entry), (slot, h));
         assert_eq!((req.arg0, req.arg1), (42, 7));
-        assert_eq!(ring.fetch_reply(&machine, &pkru, slot).unwrap(), None);
-        ring.complete(&machine, &pkru, req.slot, 1337).unwrap();
-        assert_eq!(ring.fetch_reply(&machine, &pkru, slot).unwrap(), Some(1337));
+        assert_eq!(ring.fetch_reply(mem, &pkru, slot).unwrap(), Some(1337));
         // Retired: nothing pending.
-        assert_eq!(ring.pop_request(&machine, &pkru).unwrap(), None);
+        assert_eq!(ring.serve_next(mem, &pkru, |_| Some(0)).unwrap(), None);
     }
 
     #[test]
     fn ring_fills_up() {
         let (machine, ring, pkru) = ring();
+        let mem = &mut *machine.memory_mut();
         for i in 0..RING_ENTRIES {
-            ring.push_request(&machine, &pkru, 1, i, 0).unwrap();
+            ring.push_request(mem, &pkru, 1, i, 0).unwrap();
         }
         assert!(matches!(
-            ring.push_request(&machine, &pkru, 1, 0, 0),
+            ring.push_request(mem, &pkru, 1, 0, 0),
             Err(Fault::ResourceExhausted { .. })
         ));
     }
 
+    /// The ring's bytes as the shared domain sees them.
+    fn ring_bytes(machine: &Machine, ring: &RpcRing, pkru: &Pkru) -> Vec<u8> {
+        machine
+            .memory()
+            .read_vec(ring.base(), RING_BYTES, pkru)
+            .unwrap()
+    }
+
+    /// The reference server's turn: pop, then retire what was popped
+    /// unless the handler refuses it.
+    fn reference_serve_next(
+        ring: &RpcRing,
+        machine: &Machine,
+        pkru: &Pkru,
+        handler: impl FnOnce(&RpcRequest) -> Option<u64>,
+    ) -> Result<Option<RpcRequest>, Fault> {
+        let popped = reference::pop_request(ring, machine, pkru)?;
+        if let Some(ret) = popped.as_ref().and_then(handler) {
+            reference::complete(ring, machine, pkru, popped.unwrap().slot, ret)?;
+        }
+        Ok(popped)
+    }
+
     #[test]
-    fn foreign_domain_cannot_touch_the_ring() {
-        let (machine, ring, _) = ring();
+    fn foreign_domain_faults_on_the_first_access_with_nothing_written() {
+        let (machine, ring, owner) = ring();
+        let (ref_machine, ref_ring, _) = self::ring();
+        let before = ring_bytes(&machine, &ring, &owner);
         let stranger = Pkru::permit_only(&[ProtKey::new(3).unwrap()]);
-        assert!(matches!(
-            ring.push_request(&machine, &stranger, 1, 0, 0),
-            Err(Fault::ProtectionKey { .. })
-        ));
+        let pushed = ring
+            .push_request(&mut machine.memory_mut(), &stranger, 1, 2, 3)
+            .map(drop);
+        let served = ring
+            .serve_next(&mut machine.memory_mut(), &stranger, |_| Some(9))
+            .map(drop);
+        let fetched = ring.fetch_reply(&machine.memory(), &stranger, 0).map(drop);
+        let got = [pushed, served, fetched];
+        let want = [
+            reference::push_request(&ref_ring, &ref_machine, &stranger, 1, 2, 3).map(drop),
+            reference_serve_next(&ref_ring, &ref_machine, &stranger, |_| Some(9)).map(drop),
+            reference::fetch_reply(&ref_ring, &ref_machine, &stranger, 0).map(drop),
+        ];
+        assert_eq!(got, want, "the same fault, naming the same address");
+        for fault in &got {
+            assert!(
+                matches!(fault, Err(Fault::ProtectionKey { .. })),
+                "{fault:?}"
+            );
+        }
+        assert_eq!(ring_bytes(&machine, &ring, &owner), before);
+    }
+
+    #[test]
+    fn ranged_operations_match_the_word_at_a_time_reference() {
+        // Seeded call sequences, in long runs of pushes then long runs of
+        // server turns so the ring runs full, drains and wraps
+        // (RING_ENTRIES = 64 slots, a few thousand operations). One
+        // server turn in eight refuses its request and leaves it pending;
+        // a read-only PKRU takes its turn, so a write refused after a
+        // permitted read is compared too. After every call: same return
+        // value or fault, same ring bytes.
+        for seed in 1..=8u64 {
+            let (machine, ring, pkru) = self::ring();
+            let (ref_machine, ref_ring, _) = self::ring();
+            let mut read_only = Pkru::NO_ACCESS;
+            read_only.permit_read_only(ProtKey::new(15).unwrap());
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let (mut pushes, mut full, mut refusals) = (0u64, 0u64, 0u64);
+            for step in 0..4000 {
+                let draw = next();
+                let filling = (step / 150) % 2 == 0;
+                let who = if draw >> 8 & 15 == 0 {
+                    &read_only
+                } else {
+                    &pkru
+                };
+                let (a, b, c) = (next(), next(), next());
+                let same = match draw % 10 {
+                    0..=8 if filling => {
+                        let got = ring.push_request(&mut machine.memory_mut(), who, a, b, c);
+                        let want = reference::push_request(&ref_ring, &ref_machine, who, a, b, c);
+                        pushes += u64::from(got.is_ok());
+                        full += u64::from(matches!(got, Err(Fault::ResourceExhausted { .. })));
+                        got == want
+                    }
+                    0..=6 => {
+                        let reply = (draw >> 12 & 7 != 0).then_some(a);
+                        refusals += u64::from(reply.is_none());
+                        ring.serve_next(&mut machine.memory_mut(), who, |_| reply)
+                            == reference_serve_next(&ref_ring, &ref_machine, who, |_| reply)
+                    }
+                    _ => {
+                        // Any slot ever handed out: pending, retired, reused.
+                        let slot = (draw >> 16) % pushes.max(1);
+                        ring.fetch_reply(&machine.memory(), who, slot)
+                            == reference::fetch_reply(&ref_ring, &ref_machine, who, slot)
+                    }
+                };
+                assert!(same, "seed {seed} step {step}: answered differently");
+                assert_eq!(
+                    ring_bytes(&machine, &ring, &pkru),
+                    ring_bytes(&ref_machine, &ref_ring, &pkru),
+                    "seed {seed} step {step}: left different bytes"
+                );
+            }
+            assert!(pushes > RING_ENTRIES * 4, "seed {seed}: the ring wrapped");
+            assert!(full > 0 && refusals > 0, "seed {seed}: {full} {refusals}");
+        }
     }
 
     #[test]

@@ -224,9 +224,9 @@ pub fn build_campaign_image(spec: &CampaignSpec) -> Result<FlexOs, Fault> {
     let mut config = mpk_tenants(Some(spec.budget))?;
     config.default_budget = Some(spec.budget);
     let mut redis_a = flexos_apps::redis_component();
-    redis_a.name = "redis-a".to_string();
+    redis_a.name = "redis-a".into();
     let mut redis_b = flexos_apps::redis_component();
-    redis_b.name = "redis-b".to_string();
+    redis_b.name = "redis-b".into();
     SystemBuilder::new(config).app(redis_a).app(redis_b).build()
 }
 

@@ -7,7 +7,8 @@
 //! key-tagged regions separated by unmapped guard pages so that stray
 //! accesses land on [`crate::fault::Fault::Unmapped`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::rc::Rc;
 
 use crate::addr::{Addr, PAGE_SIZE};
 use crate::fault::Fault;
@@ -54,10 +55,85 @@ impl fmt::Display for RegionKind {
     }
 }
 
+/// A region's name, held as the parts the toolchain composed it from and
+/// rendered on [`fmt::Display`]: naming a region allocates nothing, and
+/// the text exists only when a linker script or a report asks for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegionName {
+    /// A fixed name (`shared/heap`).
+    Fixed(&'static str),
+    /// `{owner}{suffix}`: a compartment's section, heap or RPC ring
+    /// (`comp1.data`, `comp1/heap`).
+    Scoped {
+        /// The owning compartment's name.
+        owner: Rc<str>,
+        /// Which of the compartment's regions, separator included
+        /// (`.data`, `/heap`).
+        suffix: &'static str,
+    },
+    /// `{owner}/.data/{var}`: a private section holding one `__shared`
+    /// variable whose whitelist stays inside its compartment.
+    Var {
+        /// The owning compartment's name.
+        owner: Rc<str>,
+        /// The variable's symbol name.
+        var: &'static str,
+    },
+    /// `shared/group-{a}-{b}…`: a restricted sharing group's section; bit
+    /// `i` is set for member compartment `i`.
+    Group(u32),
+    /// `{owner}/thread{n}/{layout}` (`@r{epoch}` appended after a
+    /// microreboot): one thread's stack inside a compartment.
+    Stack {
+        /// The compartment the stack belongs to.
+        owner: Rc<str>,
+        /// The thread's id.
+        thread: u32,
+        /// `stack`, `stack+dss` or `stack-shared`.
+        layout: &'static str,
+        /// Microreboot generation of the compartment (0 = never rebooted).
+        epoch: u32,
+    },
+}
+
+impl From<&'static str> for RegionName {
+    fn from(name: &'static str) -> Self {
+        RegionName::Fixed(name)
+    }
+}
+
+impl fmt::Display for RegionName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RegionName::Fixed(name) => f.write_str(name),
+            RegionName::Scoped { owner, suffix } => write!(f, "{owner}{suffix}"),
+            RegionName::Var { owner, var } => write!(f, "{owner}/.data/{var}"),
+            RegionName::Group(members) => {
+                f.write_str("shared/group")?;
+                (0..u32::BITS)
+                    .filter(|i| members >> i & 1 == 1)
+                    .try_for_each(|i| write!(f, "-{i}"))
+            }
+            RegionName::Stack {
+                owner,
+                thread,
+                layout,
+                epoch,
+            } => {
+                write!(f, "{owner}/thread{thread}/{layout}")?;
+                if *epoch > 0 {
+                    write!(f, "@r{epoch}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// A named, contiguous, page-aligned region of the simulated address space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
-    name: String,
+    name: RegionName,
     base: Addr,
     pages: u64,
     key: ProtKey,
@@ -65,8 +141,8 @@ pub struct Region {
 }
 
 impl Region {
-    /// Region name (e.g. `"comp1/.data"`).
-    pub fn name(&self) -> &str {
+    /// Region name (renders as e.g. `comp1/heap`).
+    pub fn name(&self) -> &RegionName {
         &self.name
     }
 
@@ -145,7 +221,7 @@ impl RegionMap {
     /// is full.
     pub fn reserve(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<RegionName>,
         pages: u64,
         key: ProtKey,
         kind: RegionKind,
@@ -182,30 +258,28 @@ impl RegionMap {
     pub fn find(&self, addr: Addr) -> Option<&Region> {
         self.regions.iter().find(|r| r.contains(addr))
     }
+}
 
-    /// Finds a region by name.
-    pub fn find_by_name(&self, name: &str) -> Option<&Region> {
-        self.regions.iter().find(|r| r.name == name)
+/// Renders `regions` as a GNU-ld-flavoured linker script, the artifact the
+/// FlexOS toolchain generates per backend (§3.2 step 3). A prefix of
+/// [`RegionMap::regions`] is the layout as it stood when that many
+/// regions had been reserved.
+pub fn linker_script(regions: &[Region]) -> String {
+    let mut out = String::from("/* generated by the FlexOS toolchain */\nSECTIONS\n{\n");
+    for r in regions {
+        let _ = writeln!(
+            out,
+            "  . = {:#x};\n  {} ({}, {}) : {{ *({}) }} /* {} pages */",
+            r.base.raw(),
+            r.name,
+            r.kind,
+            r.key,
+            r.name,
+            r.pages
+        );
     }
-
-    /// Renders the layout as a GNU-ld-flavoured linker script, the artifact
-    /// the FlexOS toolchain generates per backend (§3.2 step 3).
-    pub fn linker_script(&self) -> String {
-        let mut out = String::from("/* generated by the FlexOS toolchain */\nSECTIONS\n{\n");
-        for r in &self.regions {
-            out.push_str(&format!(
-                "  . = {:#x};\n  {} ({}, {}) : {{ *({}) }} /* {} pages */\n",
-                r.base.raw(),
-                r.name,
-                r.kind,
-                r.key,
-                r.name,
-                r.pages
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
+    out.push_str("}\n");
+    out
 }
 
 #[cfg(test)]
@@ -249,9 +323,37 @@ mod tests {
             .unwrap();
         assert!(r.contains(r.base() + 100));
         assert!(!r.contains(r.end()));
-        assert_eq!(map.find(r.base() + 5).unwrap().name(), "comp1/heap");
-        assert!(map.find_by_name("comp1/heap").is_some());
-        assert!(map.find_by_name("nope").is_none());
+        assert_eq!(
+            map.find(r.base() + 5).unwrap().name().to_string(),
+            "comp1/heap"
+        );
+        assert!(map.find(r.end()).is_none());
+    }
+
+    #[test]
+    fn names_render_as_the_toolchain_spells_them() {
+        let owner: Rc<str> = Rc::from("comp2");
+        let scoped = |suffix| RegionName::Scoped {
+            owner: Rc::clone(&owner),
+            suffix,
+        };
+        let stack = |epoch| RegionName::Stack {
+            owner: Rc::clone(&owner),
+            thread: 7,
+            layout: "stack+dss",
+            epoch,
+        };
+        let var = RegionName::Var {
+            owner: Rc::clone(&owner),
+            var: "errno",
+        };
+        assert_eq!(RegionName::from("shared/heap").to_string(), "shared/heap");
+        assert_eq!(scoped(".bss").to_string(), "comp2.bss");
+        assert_eq!(scoped("/heap").to_string(), "comp2/heap");
+        assert_eq!(var.to_string(), "comp2/.data/errno");
+        assert_eq!(RegionName::Group(0b1101).to_string(), "shared/group-0-2-3");
+        assert_eq!(stack(0).to_string(), "comp2/thread7/stack+dss");
+        assert_eq!(stack(2).to_string(), "comp2/thread7/stack+dss@r2");
     }
 
     #[test]
@@ -261,7 +363,7 @@ mod tests {
             .unwrap();
         map.reserve("comp2/.bss", 2, ProtKey::new(2).unwrap(), RegionKind::Bss)
             .unwrap();
-        let script = map.linker_script();
+        let script = linker_script(map.regions());
         assert!(script.contains("comp1/.data"));
         assert!(script.contains("comp2/.bss"));
         assert!(script.contains("pkey1"));

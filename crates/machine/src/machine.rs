@@ -8,7 +8,7 @@ use crate::clock::CycleClock;
 use crate::cost::{ByteCostTable, CostModel};
 use crate::fault::Fault;
 use crate::key::ProtKey;
-use crate::layout::{Region, RegionKind, RegionMap};
+use crate::layout::{Region, RegionKind, RegionMap, RegionName};
 use crate::mem::Memory;
 use crate::smp::{self, Contention, VCpu};
 use flexos_trace::{EventKind, Tracer};
@@ -298,7 +298,7 @@ impl Machine {
     /// Returns [`Fault::ResourceExhausted`] if the address space is full.
     pub fn map_region(
         &self,
-        name: impl Into<String>,
+        name: impl Into<RegionName>,
         pages: u64,
         key: ProtKey,
     ) -> Result<Region, Fault> {
@@ -313,7 +313,7 @@ impl Machine {
     /// Returns [`Fault::ResourceExhausted`] if the address space is full.
     pub fn map_region_kind(
         &self,
-        name: impl Into<String>,
+        name: impl Into<RegionName>,
         pages: u64,
         key: ProtKey,
         kind: RegionKind,
@@ -352,6 +352,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::key::Pkru;
+    use crate::layout::linker_script;
 
     #[test]
     fn map_region_is_usable() {
@@ -367,8 +368,8 @@ mod tests {
         let m = Machine::new(4 * 1024 * 1024);
         m.map_region_kind("comp1/heap", 1, ProtKey::DEFAULT, RegionKind::Heap)
             .unwrap();
-        assert!(m.layout().find_by_name("comp1/heap").is_some());
-        assert!(m.layout().linker_script().contains("comp1/heap"));
+        assert_eq!(m.layout().regions().len(), 1);
+        assert!(linker_script(m.layout().regions()).contains("comp1/heap"));
     }
 
     #[test]

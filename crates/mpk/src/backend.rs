@@ -151,7 +151,7 @@ mod tests {
         assert!(matches!(err, Fault::WxViolation { .. }));
     }
 
-    fn registry(names: &[&str]) -> ComponentRegistry {
+    fn registry(names: &[&'static str]) -> ComponentRegistry {
         let mut registry = ComponentRegistry::new();
         for name in names {
             registry

@@ -6,7 +6,8 @@
 //! doubled and the upper half is re-keyed into the shared domain at
 //! creation time.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use flexos_core::compartment::{CompartmentId, DataSharing};
 use flexos_core::env::Env;
@@ -14,7 +15,7 @@ use flexos_core::image::SHARED_KEY_INDEX;
 use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
 use flexos_machine::key::ProtKey;
-use flexos_machine::layout::RegionKind;
+use flexos_machine::layout::{RegionKind, RegionName};
 
 use crate::dss::{STACK_PAGES, STACK_SIZE};
 use crate::thread::ThreadId;
@@ -39,14 +40,14 @@ impl ThreadStack {
 /// Maps `(compartment, thread)` to that thread's local stack (§4.1).
 #[derive(Debug, Default)]
 pub struct StackRegistry {
-    stacks: HashMap<(CompartmentId, ThreadId), ThreadStack>,
+    stacks: BTreeMap<(CompartmentId, ThreadId), ThreadStack>,
     /// Lookups served (the gate's stack-switch path).
     lookups: u64,
     /// Microreboot generation per compartment: bumped by
     /// [`StackRegistry::reset_compartment`], suffixed onto region names
     /// so replacement stacks are distinguishable in the memory map.
     /// Empty (and names unchanged) on images that never reboot.
-    epochs: HashMap<CompartmentId, u32>,
+    epochs: BTreeMap<CompartmentId, u32>,
 }
 
 impl StackRegistry {
@@ -88,18 +89,18 @@ impl StackRegistry {
         // Rebooted compartments re-map replacement stacks under an
         // epoch-suffixed name; epoch 0 (the common case) keeps the
         // original spelling so undisturbed images are byte-identical.
-        let epoch = self.epochs.get(&compartment).copied().unwrap_or(0);
-        let suffix = if epoch == 0 {
-            String::new()
-        } else {
-            format!("@r{epoch}")
+        let name = |layout| RegionName::Stack {
+            owner: Rc::clone(&dom.name),
+            thread: thread.0,
+            layout,
+            epoch: self.epochs.get(&compartment).copied().unwrap_or(0),
         };
         let stack = match sharing {
             DataSharing::Dss => {
                 // Doubled stack: private lower half, shared DSS upper half
                 // (Figure 4's layout).
                 let region = machine.map_region_kind(
-                    format!("{}/{}/stack+dss{}", dom.name, thread, suffix),
+                    name("stack+dss"),
                     2 * STACK_PAGES,
                     dom.key,
                     RegionKind::Stack,
@@ -116,7 +117,7 @@ impl StackRegistry {
             }
             DataSharing::SharedStack => {
                 let region = machine.map_region_kind(
-                    format!("{}/{}/stack-shared{}", dom.name, thread, suffix),
+                    name("stack-shared"),
                     STACK_PAGES,
                     shared_key,
                     RegionKind::Stack,
@@ -128,7 +129,7 @@ impl StackRegistry {
             }
             DataSharing::HeapConversion => {
                 let region = machine.map_region_kind(
-                    format!("{}/{}/stack{}", dom.name, thread, suffix),
+                    name("stack"),
                     STACK_PAGES,
                     dom.key,
                     RegionKind::Stack,

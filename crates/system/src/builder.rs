@@ -243,7 +243,7 @@ pub struct FlexOs {
 impl std::fmt::Debug for FlexOs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlexOs")
-            .field("compartments", &self.report.compartments)
+            .field("compartments", &self.env.compartment_count())
             .field("apps", &self.app_ids)
             .finish()
     }

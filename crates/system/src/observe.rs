@@ -23,9 +23,13 @@ use crate::builder::FlexOs;
 pub fn name_table(env: &Env) -> NameTable {
     NameTable {
         compartments: (0..env.compartment_count())
-            .map(|i| env.domain(CompartmentId(i as u8)).name.clone())
+            .map(|i| env.domain(CompartmentId(i as u8)).name.to_string())
             .collect(),
-        components: env.registry().iter().map(|(_, c)| c.name.clone()).collect(),
+        components: env
+            .registry()
+            .iter()
+            .map(|(_, c)| c.name.to_string())
+            .collect(),
         entries: (0..env.entries().len())
             .map(|i| env.entry_name(EntryId(i as u32)).to_string())
             .collect(),

@@ -299,7 +299,7 @@ impl Supervisor {
             .or_insert(0) += 1;
         let report = RecoveryReport {
             compartment,
-            compartment_name: self.env.domain(compartment).name.clone(),
+            compartment_name: self.env.domain(compartment).name.to_string(),
             trigger,
             at_cycle,
             stacks_dropped,

@@ -87,10 +87,10 @@ fn report_survives_the_full_standard_build() {
     .app(Component::new("demo", ComponentKind::App))
     .build()
     .unwrap();
-    assert_eq!(os.report.compartments.len(), 3);
+    assert_eq!(os.env.compartment_count(), 3);
     // 3 compartments -> 6 directed cross-domain gates.
-    assert_eq!(os.report.gates.len(), 6);
+    assert_eq!(os.env.gate_names().len(), 6);
     assert!(os.report.generated_loc > 0);
     // Every shared-variable placement names a real region.
-    assert!(!os.report.placements.is_empty());
+    assert!(!os.env.shared_var_names().is_empty());
 }

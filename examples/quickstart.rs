@@ -50,7 +50,7 @@ fn main() -> Result<(), Fault> {
     // 4. The toolchain's artifacts are inspectable, like the paper's
     //    source-level transformations.
     println!("\ngates instantiated:");
-    for (from, to, kind) in &isolated.report.gates {
+    for (from, to, kind) in isolated.env.gate_names() {
         println!("  {from} -> {to}: {kind}");
     }
     println!("{}", isolated.report.tcb);

@@ -25,10 +25,11 @@ fn build_and_measure(mechanism: &str) -> Result<(f64, String), Fault> {
         .build()?;
     let m = run_redis_gets(&os, 10, 40)?;
     let gates = os
-        .report
-        .gates
-        .first()
-        .map(|(_, _, kind)| kind.clone())
+        .env
+        .gate_names()
+        .into_iter()
+        .next()
+        .map(|(_, _, kind)| kind)
         .unwrap_or_else(|| "none".into());
     Ok((m.ops_per_sec, gates))
 }

@@ -16,9 +16,20 @@
 //! the point. Re-record with the same counts: `sweep --space quick
 //! --quiet --csv q.csv`, then `awk -F, 'NR>1{print $1, $10, $11}' q.csv`.
 //! CI runs this file in release as well as debug: the two must agree.
+//!
+//! The three `report_*.txt` files hold everything a `TransformReport`
+//! and `Env::shared_var` said about a Redis image (all-hardened `mpk3`,
+//! `ept2`, flat), recorded at the commit *before* that text stopped
+//! being composed at build time: the on-demand accessors must render
+//! the same bytes. There is no binary to re-record them with; after an
+//! intended change, write `report_text`'s output over the file.
 
+use std::fmt::Write as _;
+
+use flexos::prelude::*;
 use flexos::sweep::{emit, engine, lazy, report, SpaceSpec, Workload};
 use flexos_bench::{fig06_text, fig07_text, fig08_text};
+use flexos_core::compartment::{CompartmentId, DataSharing};
 
 const FIG_COUNTS: (u64, u64) = (15, 60);
 const SWEEP_COUNTS: (u64, u64) = (20, 200);
@@ -133,4 +144,83 @@ fn lazy_sweep_summary_matches_the_recorded_line() {
         &(summary.to_json() + "\n"),
         include_str!("data/sweep_quick_lazy_w20_m200.json"),
     );
+}
+
+/// Linker script, placements, gate list and TCB lines of the transform
+/// report, then every registered `__shared` variable as its owner
+/// resolves it.
+fn report_text(config: SafetyConfig) -> String {
+    let os = SystemBuilder::new(config)
+        .app(flexos_apps::redis_component())
+        .build()
+        .unwrap();
+    let (env, r) = (&os.env, &os.report);
+    let mut out = String::from("== linker script ==\n");
+    out.push_str(&r.linker_script(env));
+    out.push_str("== placements ==\n");
+    for (component, variable, region) in env.shared_var_names() {
+        writeln!(out, "{component} {variable} {region}").unwrap();
+    }
+    out.push_str("== gates ==\n");
+    for (from, to, kind) in env.gate_names() {
+        writeln!(out, "{from} -> {to}: {kind}").unwrap();
+    }
+    out.push_str("== tcb ==\n");
+    writeln!(out, "{}", r.tcb).unwrap();
+    writeln!(out, "generated_loc: {}", r.generated_loc).unwrap();
+    let compartments: Vec<&str> = (0..env.compartment_count())
+        .map(|i| &*env.domain(CompartmentId(i as u8)).name)
+        .collect();
+    writeln!(out, "compartments: {}", compartments.join(", ")).unwrap();
+    out.push_str("== shared vars ==\n");
+    for (owner, component) in env.registry().iter() {
+        for var in &component.shared_vars {
+            let name = format!("{}::{}", component.name, var.name);
+            let p = *env.run_as(owner, || env.shared_var(&name)).unwrap();
+            let whitelist: Vec<&str> = var
+                .whitelist
+                .iter()
+                .copied()
+                .filter(|name| env.component_id(name).is_some())
+                .collect();
+            writeln!(
+                out,
+                "{name} addr={:#x} size={} owner={} whitelist=[{}] region={}",
+                p.addr.raw(),
+                p.size,
+                env.registry().get(p.owner).name,
+                whitelist.join(", "),
+                env.shared_var_region(&p)
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn transform_reports_render_the_recorded_text_on_demand() {
+    let mut hardened = configs::mpk3(&["lwip"], &["vfscore"], DataSharing::Dss).unwrap();
+    for compartment in &mut hardened.compartments {
+        compartment.hardening = Hardening::FIG6_BUNDLE;
+    }
+    for (name, config, want) in [
+        (
+            "report mpk3_hard",
+            hardened,
+            include_str!("data/report_mpk3_hard.txt"),
+        ),
+        (
+            "report ept2",
+            configs::ept2(&["lwip"]).unwrap(),
+            include_str!("data/report_ept2.txt"),
+        ),
+        (
+            "report none",
+            configs::none(),
+            include_str!("data/report_none.txt"),
+        ),
+    ] {
+        assert_same(name, &report_text(config), want);
+    }
 }

@@ -301,7 +301,7 @@ fn same_compartment_config_has_zero_gate_overhead() {
 #[test]
 fn sections_are_keyed_per_compartment() {
     let os = redis_mpk2();
-    let script = os.report.linker_script.clone();
+    let script = os.report.linker_script(&os.env);
     assert!(script.contains("comp1/heap"));
     assert!(script.contains("comp2/heap"));
     assert!(script.contains("shared/heap"));

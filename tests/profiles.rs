@@ -8,6 +8,7 @@ use std::rc::Rc;
 use flexos::prelude::*;
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::{CompartmentId, DataSharing, IsolationProfile, ResourceBudget};
+use flexos_machine::layout::linker_script;
 
 fn light_profile() -> IsolationProfile {
     IsolationProfile {
@@ -80,7 +81,8 @@ fn mixed_gates_coexist_in_one_image() {
     assert_eq!(env.gates().kind(c1, c2), GateKind::MpkLight);
     assert_eq!(env.gates().kind(c2, c1), GateKind::MpkDss);
     // The transform report lists both flavours.
-    let kinds: Vec<&str> = os.report.gates.iter().map(|(_, _, k)| k.as_str()).collect();
+    let gates = os.env.gate_names();
+    let kinds: Vec<&str> = gates.iter().map(|(_, _, k)| k.as_str()).collect();
     assert!(kinds.contains(&"mpk-light"), "{kinds:?}");
     assert!(kinds.contains(&"mpk-dss"), "{kinds:?}");
 
@@ -120,7 +122,7 @@ fn stack_layouts_follow_the_compartment_profile() {
     });
     assert!(dss_stack.has_dss, "DSS compartment gets a doubled stack");
     assert!(!shared_stack.has_dss, "shared-stack compartment does not");
-    let script = os.env.machine().layout().linker_script();
+    let script = linker_script(os.env.machine().layout().regions());
     assert!(script.contains("stack+dss"), "{script}");
     assert!(script.contains("stack-shared"), "{script}");
 }
@@ -139,9 +141,8 @@ fn heap_allocators_follow_the_compartment_profile() {
     let redis = os.component("redis").unwrap();
     let kind = os.env.run_as(redis, || os.env.heap().borrow().kind());
     assert_eq!(kind, HeapKind::Tlsf);
-    // Profiles surface identically through Env and the report.
+    // The resolved profile surfaces through Env.
     assert_eq!(os.env.profile_of(CompartmentId(1)), light_profile());
-    assert_eq!(os.report.profiles[1], light_profile());
 }
 
 #[test]
@@ -159,6 +160,6 @@ fn default_profiles_reproduce_the_global_knob() {
         .build()
         .unwrap();
     // One global SharedStack: every cross-compartment gate is light.
-    assert!(os.report.gates.iter().all(|(_, _, k)| k == "mpk-light"));
+    assert!(os.env.gate_names().iter().all(|(_, _, k)| k == "mpk-light"));
     assert_eq!(os.env.heap_kind_of(CompartmentId(0)), HeapKind::Tlsf);
 }

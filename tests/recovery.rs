@@ -25,9 +25,9 @@ const NET_BUDGET: ResourceBudget = ResourceBudget {
 fn tenants_image_cores(net_budget: Option<ResourceBudget>, cores: usize) -> FlexOs {
     let config = configs::mpk_tenants(net_budget).unwrap();
     let mut redis_a = flexos_apps::redis_component();
-    redis_a.name = "redis-a".to_string();
+    redis_a.name = "redis-a".into();
     let mut redis_b = flexos_apps::redis_component();
-    redis_b.name = "redis-b".to_string();
+    redis_b.name = "redis-b".into();
     SystemBuilder::new(config)
         .app(redis_a)
         .app(redis_b)
