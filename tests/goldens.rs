@@ -17,6 +17,13 @@
 //! --quiet --csv q.csv`, then `awk -F, 'NR>1{print $1, $10, $11}' q.csv`.
 //! CI runs this file in release as well as debug: the two must agree.
 //!
+//! `sweep_quick_points_c4_w20_m200.txt` is the same file with every
+//! point at 4 simulated cores (`sweep --space quick --cores 4 --quiet
+//! --csv`), and `redis_uniform_p16_c1_c2.txt` one `RunMetrics` line for
+//! the uniform-key, pipeline-16 Redis loop at 1 and at 2 cores; both
+//! were recorded at the commit *before* the single-core and sharded
+//! client loops became one driver, so they hold the SMP path by value.
+//!
 //! The three `report_*.txt` files hold everything a `TransformReport`
 //! and `Env::shared_var` said about a Redis image (all-hardened `mpk3`,
 //! `ept2`, flat), recorded at the commit *before* that text stopped
@@ -28,6 +35,7 @@ use std::fmt::Write as _;
 
 use flexos::prelude::*;
 use flexos::sweep::{emit, engine, lazy, report, SpaceSpec, Workload};
+use flexos_apps::workloads::{run_redis_bench, KeyPattern, RedisBench};
 use flexos_bench::{fig06_text, fig07_text, fig08_text};
 use flexos_core::compartment::{CompartmentId, DataSharing};
 
@@ -122,6 +130,53 @@ fn every_quick_space_point_matches_its_recorded_ops_and_cycles() {
         "sweep --space quick, per point",
         &got,
         include_str!("data/sweep_quick_points_w20_m200.txt"),
+    );
+}
+
+#[test]
+fn every_quick_space_point_at_four_cores_matches_its_recorded_ops_and_cycles() {
+    let mut spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
+    spec.cores = vec![4];
+    let got: String = engine::run_parallel(&spec, SWEEP_THREADS)
+        .unwrap()
+        .iter()
+        .map(|r| format!("{} {} {}\n", r.index, r.ops, r.cycles))
+        .collect();
+    assert_same(
+        "sweep --space quick --cores 4, per point",
+        &got,
+        include_str!("data/sweep_quick_points_c4_w20_m200.txt"),
+    );
+}
+
+#[test]
+fn uniform_pipelined_redis_matches_the_recorded_metrics_at_one_and_two_cores() {
+    let mut got = String::new();
+    for cores in [1, 2] {
+        let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
+            .app(flexos_apps::redis_component())
+            .cores(cores)
+            .build()
+            .unwrap();
+        let bench = RedisBench {
+            keyspace: 8,
+            pipeline: 16,
+            pattern: KeyPattern::Uniform { space: 8, seed: 42 },
+            warmup: 32,
+            measured: 320,
+        };
+        let m = run_redis_bench(&os, bench).unwrap();
+        writeln!(
+            got,
+            "cores={cores} ops={} cycles={} cycles_per_op={:?} ops_per_sec={:?}",
+            m.ops, m.cycles, m.cycles_per_op, m.ops_per_sec
+        )
+        .unwrap();
+    }
+    assert_same(
+        "run_redis_bench uniform P16",
+        &got,
+        include_str!("data/redis_uniform_p16_c1_c2.txt"),
     );
 }
 
