@@ -36,22 +36,11 @@ pub fn encode_request(argv: &[&[u8]]) -> Vec<u8> {
     out
 }
 
-/// Incremental decode of one RESP request from `buf`; returns the request
-/// and how many bytes it consumed, or `None` if the buffer is incomplete.
-///
-/// # Errors
-///
-/// [`Fault::InvalidConfig`] on protocol violations (bad type byte,
-/// non-numeric lengths).
-pub fn decode_request(buf: &[u8]) -> Result<Option<(RespRequest, usize)>, Fault> {
-    let mut req = RespRequest::new();
-    Ok(decode_request_into(buf, &mut req)?.map(|used| (req, used)))
-}
-
-/// [`decode_request`] into a reusable request: `req`'s argument buffers
-/// are refilled in place (capacities retained), so steady-state parsing
-/// allocates nothing. Returns the bytes consumed, or `None` if the
-/// buffer is incomplete (in which case `req`'s contents are unspecified).
+/// Incremental decode of one RESP request from `buf` into a reusable
+/// request: `req`'s argument buffers are refilled in place (capacities
+/// retained), so steady-state parsing allocates nothing. Returns the
+/// bytes consumed, or `None` if the buffer is incomplete (in which case
+/// `req`'s contents are unspecified).
 ///
 /// # Errors
 ///
@@ -129,21 +118,6 @@ fn parse_int(digits: &[u8]) -> Option<usize> {
     Some(value)
 }
 
-/// `+OK\r\n`.
-pub fn ok_reply() -> Vec<u8> {
-    b"+OK\r\n".to_vec()
-}
-
-/// `+PONG\r\n`.
-pub fn pong_reply() -> Vec<u8> {
-    b"+PONG\r\n".to_vec()
-}
-
-/// `$-1\r\n` (nil bulk string).
-pub fn nil_reply() -> Vec<u8> {
-    b"$-1\r\n".to_vec()
-}
-
 /// `:n\r\n`.
 pub fn int_reply(n: i64) -> Vec<u8> {
     format!(":{n}\r\n").into_bytes()
@@ -154,14 +128,6 @@ pub fn error_reply(msg: &str) -> Vec<u8> {
     format!("-ERR {msg}\r\n").into_bytes()
 }
 
-/// `$len\r\n<data>\r\n`.
-pub fn bulk_reply(data: &[u8]) -> Vec<u8> {
-    let mut out = format!("${}\r\n", data.len()).into_bytes();
-    out.extend_from_slice(data);
-    out.extend_from_slice(b"\r\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +135,8 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let wire = encode_request(&[b"SET", b"key:1", b"value-abc"]);
-        let (req, used) = decode_request(&wire).unwrap().unwrap();
+        let mut req = RespRequest::new();
+        let used = decode_request_into(&wire, &mut req).unwrap().unwrap();
         assert_eq!(used, wire.len());
         assert_eq!(
             req.argv,
@@ -180,9 +147,10 @@ mod tests {
     #[test]
     fn partial_input_asks_for_more() {
         let wire = encode_request(&[b"GET", b"key"]);
+        let mut req = RespRequest::new();
         for cut in 1..wire.len() {
             assert_eq!(
-                decode_request(&wire[..cut]).unwrap(),
+                decode_request_into(&wire[..cut], &mut req).unwrap(),
                 None,
                 "cut at {cut} must be incomplete"
             );
@@ -194,10 +162,13 @@ mod tests {
         let mut wire = encode_request(&[b"GET", b"a"]);
         let second = encode_request(&[b"GET", b"b"]);
         wire.extend_from_slice(&second);
-        let (req, used) = decode_request(&wire).unwrap().unwrap();
+        let mut req = RespRequest::new();
+        let used = decode_request_into(&wire, &mut req).unwrap().unwrap();
         assert_eq!(req.argv[1], b"a");
-        let (req2, _) = decode_request(&wire[used..]).unwrap().unwrap();
-        assert_eq!(req2.argv[1], b"b");
+        decode_request_into(&wire[used..], &mut req)
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.argv[1], b"b");
     }
 
     #[test]
@@ -211,22 +182,18 @@ mod tests {
         let used = decode_request_into(&second, &mut req).unwrap().unwrap();
         assert_eq!(used, second.len());
         assert_eq!(req.argv, vec![b"GET".to_vec(), b"key".to_vec()]);
-        let (owned, _) = decode_request(&second).unwrap().unwrap();
-        assert_eq!(owned.argv, req.argv);
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(decode_request(b"!3\r\nxx\r\n").is_err());
-        assert!(decode_request(b"*x\r\n").is_err());
+        let mut req = RespRequest::new();
+        assert!(decode_request_into(b"!3\r\nxx\r\n", &mut req).is_err());
+        assert!(decode_request_into(b"*x\r\n", &mut req).is_err());
     }
 
     #[test]
     fn reply_encoders() {
-        assert_eq!(ok_reply(), b"+OK\r\n");
-        assert_eq!(nil_reply(), b"$-1\r\n");
         assert_eq!(int_reply(42), b":42\r\n");
-        assert_eq!(bulk_reply(b"xyz"), b"$3\r\nxyz\r\n");
         assert!(error_reply("unknown command").starts_with(b"-ERR"));
     }
 }

@@ -6,11 +6,20 @@
 //! and reports virtual-cycle metrics. Client-side work is free (dedicated
 //! client cores in the paper's testbed); everything the OS does is
 //! charged on the machine clock.
+//!
+//! Redis and Nginx each have **one sharded driver**: a listener shard
+//! per simulated core (port `base + core`, its own server instance and
+//! keep-alive connections), the cores interleaved min-clock-first on one
+//! host thread. `cores = 1` is not a special case but the one-shard,
+//! one-connection instance of that loop — shard 0 listens on the app's
+//! base port and the single client connects from 50_000 / 51_000, which
+//! is the historical single-core stream byte for byte.
 
 use std::rc::Rc;
 
 use flexos_core::gate::GATE_KIND_COUNT;
 use flexos_machine::fault::Fault;
+use flexos_machine::xorshift64star;
 use flexos_net::{SocketHandle, TcpClient};
 use flexos_system::FlexOs;
 
@@ -168,136 +177,6 @@ fn preload_value(i: u64) -> [u8; 3] {
     [b'x' + (i % 3) as u8; 3]
 }
 
-/// One step of the xorshift64* PRNG behind [`KeyPattern::Uniform`].
-fn xorshift64star(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// The generalized redis-benchmark loop (keyspace-size, pipeline-depth,
-/// and key-pattern axes). At the [`RedisBench::default`] shape
-/// (`keyspace: 3, pipeline: 1`, hot key) this reproduces the original
-/// Figure 6 GET loop cycle for cycle: same preloaded key/value bytes,
-/// same request stream, one request per event-loop tick.
-/// [`KeyPattern::Uniform`] opens the hit/miss-mix axis on a
-/// deterministic PRNG (misses reply `$-1` and stay cheaper than hits —
-/// no value copy — so the mix moves cycles/op without breaking
-/// run-to-run determinism).
-///
-/// A batch sends `pipeline` requests in one client write, then ticks the
-/// server until the whole batch is served; each tick drains every
-/// buffered request, so deep pipelines amortize the per-tick
-/// scheduler/cron crossings over many commands.
-///
-/// # Errors
-///
-/// Substrate faults; protocol errors.
-pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
-    debug_assert!(bench.keyspace >= 2, "key:1 must exist");
-    debug_assert!(bench.pipeline >= 1);
-    if os.env.num_cores() > 1 {
-        return run_redis_bench_smp(os, bench);
-    }
-    let server = install_redis(os)?;
-    // Values cycle x/y/z so the 3-key preload is byte-identical to the
-    // historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture. (Host-side
-    // key formatting is off the measured path; counters reset below.)
-    for i in 0..bench.keyspace {
-        let key = format!("key:{i}");
-        server.preload(&[(key.as_bytes(), &preload_value(i))])?;
-    }
-    let mut client = TcpClient::connect(&os.net, 50_000, REDIS_PORT)?;
-    let conn = server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-        reason: "redis: handshake did not queue a connection".to_string(),
-    })?;
-
-    // Hot-key batches are built once — the byte-identical historical
-    // request stream. Uniform batches are rebuilt per batch from the
-    // PRNG; that formatting is host-side client work, off the measured
-    // virtual clock (client cores are free in the paper's testbed).
-    let one_request = resp::encode_request(&[b"GET", b"key:1"]);
-    let mut request = Vec::new();
-    let mut expected = Vec::new();
-    if bench.pattern == KeyPattern::HotKey {
-        for _ in 0..bench.pipeline {
-            request.extend_from_slice(&one_request);
-            expected.extend_from_slice(b"$3\r\nyyy\r\n");
-        }
-    }
-    let mut rng = match bench.pattern {
-        // Force a nonzero state (xorshift has an all-zero fixed point)
-        // without disturbing low seed bits.
-        KeyPattern::Uniform { seed, .. } => seed | (1 << 63),
-        KeyPattern::HotKey => 0,
-    };
-    let run_batch = |client: &mut TcpClient,
-                     request: &mut Vec<u8>,
-                     expected: &mut Vec<u8>,
-                     rng: &mut u64|
-     -> Result<(), Fault> {
-        if let KeyPattern::Uniform { space, .. } = bench.pattern {
-            let space = space.max(1);
-            request.clear();
-            expected.clear();
-            for _ in 0..bench.pipeline {
-                let i = xorshift64star(rng) % space;
-                let key = format!("key:{i}");
-                request.extend_from_slice(&resp::encode_request(&[b"GET", key.as_bytes()]));
-                if i < bench.keyspace {
-                    expected.extend_from_slice(b"$3\r\n");
-                    expected.extend_from_slice(&preload_value(i));
-                    expected.extend_from_slice(b"\r\n");
-                } else {
-                    expected.extend_from_slice(b"$-1\r\n");
-                }
-            }
-        }
-        client.send(&os.net, request)?;
-        let target = server.stats().commands + bench.pipeline;
-        while server.stats().commands < target {
-            if !server.serve_one(conn)? {
-                return Err(Fault::InvalidConfig {
-                    reason: "redis: connection starved mid-batch".to_string(),
-                });
-            }
-        }
-        client.drain(&os.net)?;
-        debug_assert_eq!(
-            client.received(),
-            &expected[..],
-            "replies must match the key pattern"
-        );
-        client.clear_received();
-        Ok(())
-    };
-    let batches = |ops: u64| ops.div_ceil(bench.pipeline);
-    for _ in 0..batches(bench.warmup) {
-        run_batch(&mut client, &mut request, &mut expected, &mut rng)?;
-    }
-    os.env.reset_counters();
-    let start = os.cycles();
-    let measured_batches = batches(bench.measured);
-    let request_latency = os.env.machine().tracer().request_latency();
-    for _ in 0..measured_batches {
-        let batch_start = os.cycles();
-        run_batch(&mut client, &mut request, &mut expected, &mut rng)?;
-        request_latency.record(os.cycles() - batch_start);
-    }
-    Ok(metrics(
-        os,
-        measured_batches * bench.pipeline,
-        os.cycles() - start,
-    ))
-}
-
-/// Connections each per-core listener shard serves in a multi-core run
-/// (8 cores ⇒ 256 concurrent connections).
-const SMP_CONNS_PER_CORE: usize = 32;
-
 /// Runs per-core shard loops in virtual-time order until every core has
 /// executed `batches_per_core` batches: each turn picks the unfinished
 /// core with the smallest per-core clock (lowest core id on ties),
@@ -345,23 +224,98 @@ fn drive_cores(
     Ok(ends)
 }
 
-/// One per-core Redis listener shard: its own server instance (own dict,
-/// preloaded identically on every core), its own port, and
-/// [`SMP_CONNS_PER_CORE`] keep-alive client connections served
-/// round-robin.
-struct RedisShard {
-    server: Rc<RedisServer>,
+/// The two phases of a sharded run: `warmup` batches on every core,
+/// counters reset, then `measured` batches on every core with each
+/// batch's latency recorded. Returns the measured-phase makespan (the
+/// slowest core's span) and leaves the machine on core 0.
+fn drive_phases(
+    os: &FlexOs,
+    warmup: u64,
+    measured: u64,
+    mut batch: impl FnMut(usize) -> Result<(), Fault>,
+) -> Result<u64, Fault> {
+    let machine = os.env.machine();
+    drive_cores(os, warmup, false, &mut batch)?;
+    os.env.reset_counters();
+    machine.reset_smp_counters();
+    let starts: Vec<u64> = (0..os.env.num_cores())
+        .map(|c| machine.core_clock(c).now())
+        .collect();
+    let ends = drive_cores(os, measured, true, &mut batch)?;
+    os.env.switch_core(0);
+    Ok(starts
+        .iter()
+        .zip(&ends)
+        .map(|(s, e)| e - s)
+        .max()
+        .unwrap_or(0))
+}
+
+/// One listener shard's keep-alive client connections, served
+/// round-robin: the paper's single client connection on a one-core
+/// image, 32 per core above (8 cores ⇒ 256 concurrent connections).
+struct ShardConns {
     clients: Vec<TcpClient>,
     conns: Vec<SocketHandle>,
-    next_conn: usize,
+    next: usize,
+}
+
+impl ShardConns {
+    /// Connects `core`'s clients to `app`'s shard listening on `port`
+    /// (source ports `src_base + 1000 * core + i`), taking each
+    /// server-side handle from `accept`.
+    fn open(
+        os: &FlexOs,
+        app: &str,
+        core: usize,
+        src_base: u16,
+        port: u16,
+        mut accept: impl FnMut() -> Result<Option<SocketHandle>, Fault>,
+    ) -> Result<ShardConns, Fault> {
+        let count = if os.env.num_cores() == 1 { 1 } else { 32 };
+        let mut clients = Vec::with_capacity(count);
+        let mut conns = Vec::with_capacity(count);
+        for i in 0..count {
+            let src = src_base + core as u16 * 1_000 + i as u16;
+            clients.push(TcpClient::connect(&os.net, src, port)?);
+            conns.push(accept()?.ok_or_else(|| Fault::InvalidConfig {
+                reason: format!("{app}: handshake did not queue a connection"),
+            })?);
+        }
+        Ok(ShardConns {
+            clients,
+            conns,
+            next: 0,
+        })
+    }
+
+    /// The connection whose turn it is, both ends.
+    fn rotate(&mut self) -> (&mut TcpClient, SocketHandle) {
+        let idx = self.next;
+        self.next = (idx + 1) % self.clients.len();
+        (&mut self.clients[idx], self.conns[idx])
+    }
+}
+
+/// One per-core Redis listener shard: its own server instance (own dict,
+/// preloaded identically on every core), its own port, its connections,
+/// and the client-side request stream.
+struct RedisShard {
+    server: Rc<RedisServer>,
+    conns: ShardConns,
     rng: u64,
     request: Vec<u8>,
     expected: Vec<u8>,
 }
 
-/// One batch on a shard: rotate to the next connection, send the batch,
-/// tick the shard's event loop until it is served, drain and check the
-/// replies. Mirrors the single-core `run_batch` exactly.
+/// One batch on a shard: rotate to the next connection, send `pipeline`
+/// requests in one client write, tick the shard's event loop until the
+/// whole batch is served, drain and check the replies.
+///
+/// Hot-key batches were built once — the byte-identical historical
+/// request stream. Uniform batches are rebuilt per batch from the PRNG;
+/// that formatting is host-side client work, off the measured virtual
+/// clock (client cores are free in the paper's testbed).
 fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) -> Result<(), Fault> {
     if let KeyPattern::Uniform { space, .. } = bench.pattern {
         let space = space.max(1);
@@ -382,13 +336,11 @@ fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) ->
             }
         }
     }
-    let idx = shard.next_conn;
-    shard.next_conn = (idx + 1) % shard.clients.len();
-    let client = &mut shard.clients[idx];
+    let (client, conn) = shard.conns.rotate();
     client.send(&os.net, &shard.request)?;
     let target = shard.server.stats().commands + bench.pipeline;
     while shard.server.stats().commands < target {
-        if !shard.server.serve_one(shard.conns[idx])? {
+        if !shard.server.serve_one(conn)? {
             return Err(Fault::InvalidConfig {
                 reason: "redis: connection starved mid-batch".to_string(),
             });
@@ -404,35 +356,62 @@ fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) ->
     Ok(())
 }
 
-/// Multi-core redis-benchmark: one listener shard per core (port
-/// `REDIS_PORT + core`), each serving [`SMP_CONNS_PER_CORE`] keep-alive
-/// connections, with the cores multiplexed min-clock-first by
-/// [`drive_cores`]. Every core runs the full `warmup + measured` load;
-/// `ops` is the aggregate and `cycles` the makespan (slowest core's
-/// measured-phase span), so `cycles_per_op` reflects per-core throughput
-/// including cross-core gate (IPI) and contention surcharges.
-fn run_redis_bench_smp(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
+/// The generalized redis-benchmark loop (keyspace-size, pipeline-depth,
+/// and key-pattern axes). At the [`RedisBench::default`] shape
+/// (`keyspace: 3, pipeline: 1`, hot key) on a one-core image this
+/// reproduces the original Figure 6 GET loop cycle for cycle: same
+/// preloaded key/value bytes, same request stream, one request per
+/// event-loop tick. [`KeyPattern::Uniform`] opens the hit/miss-mix axis
+/// on a deterministic PRNG (misses reply `$-1` and stay cheaper than
+/// hits — no value copy — so the mix moves cycles/op without breaking
+/// run-to-run determinism).
+///
+/// One listener shard per core (port `REDIS_PORT + core`), the cores
+/// multiplexed min-clock-first by `drive_cores`; every core runs the
+/// full `warmup + measured` load. A batch sends `pipeline` requests in
+/// one client write, then ticks the shard until the whole batch is
+/// served; each tick drains every buffered request, so deep pipelines
+/// amortize the per-tick scheduler/cron crossings over many commands.
+/// `ops` is the aggregate over cores and `cycles` the makespan (the
+/// slowest core's measured-phase span), so `cycles_per_op` reflects
+/// per-core throughput including cross-core gate (IPI) and contention
+/// surcharges — none of which exist at one core.
+///
+/// # Errors
+///
+/// [`Fault::InvalidConfig`] naming the field, before the image is
+/// touched, for `keyspace < 2` (the hot key `key:1` would not exist) or
+/// `pipeline == 0`; substrate faults; protocol errors.
+pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
+    if bench.keyspace < 2 {
+        return Err(Fault::InvalidConfig {
+            reason: format!(
+                "RedisBench::keyspace is {}, must be at least 2 so `key:1` exists",
+                bench.keyspace
+            ),
+        });
+    }
+    if bench.pipeline == 0 {
+        return Err(Fault::InvalidConfig {
+            reason: "RedisBench::pipeline is 0, must be at least 1".to_string(),
+        });
+    }
     let cores = os.env.num_cores();
-    let machine = os.env.machine();
     let one_request = resp::encode_request(&[b"GET", b"key:1"]);
     let mut shards = Vec::with_capacity(cores);
     for core in 0..cores {
         os.env.switch_core(core);
         let port = REDIS_PORT + core as u16;
         let server = install_redis_named(os, "redis", port)?;
+        // Values cycle x/y/z so the 3-key preload is byte-identical to
+        // the historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture.
+        // (Host-side key formatting is off the measured path; counters
+        // reset before the measured phase.)
         for i in 0..bench.keyspace {
             let key = format!("key:{i}");
             server.preload(&[(key.as_bytes(), &preload_value(i))])?;
         }
-        let mut clients = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        let mut conns = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        for i in 0..SMP_CONNS_PER_CORE {
-            let src = 50_000 + core as u16 * 1_000 + i as u16;
-            clients.push(TcpClient::connect(&os.net, src, port)?);
-            conns.push(server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-                reason: "redis: handshake did not queue a connection".to_string(),
-            })?);
-        }
+        let conns = ShardConns::open(os, "redis", core, 50_000, port, || server.accept())?;
         let mut request = Vec::new();
         let mut expected = Vec::new();
         if bench.pattern == KeyPattern::HotKey {
@@ -442,37 +421,24 @@ fn run_redis_bench_smp(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fau
             }
         }
         let rng = match bench.pattern {
+            // Force a nonzero state (xorshift has an all-zero fixed
+            // point) without disturbing low seed bits.
             KeyPattern::Uniform { seed, .. } => seed | (1 << 63),
             KeyPattern::HotKey => 0,
         };
         shards.push(RedisShard {
             server,
-            clients,
             conns,
-            next_conn: 0,
             rng,
             request,
             expected,
         });
     }
     let batches = |ops: u64| ops.div_ceil(bench.pipeline);
-    drive_cores(os, batches(bench.warmup), false, |c| {
-        redis_shard_batch(os, &bench, &mut shards[c])
-    })?;
-    os.env.reset_counters();
-    machine.reset_smp_counters();
-    let starts: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
     let measured_batches = batches(bench.measured);
-    let ends = drive_cores(os, measured_batches, true, |c| {
+    let makespan = drive_phases(os, batches(bench.warmup), measured_batches, |c| {
         redis_shard_batch(os, &bench, &mut shards[c])
     })?;
-    let makespan = starts
-        .iter()
-        .zip(&ends)
-        .map(|(s, e)| e - s)
-        .max()
-        .unwrap_or(0);
-    os.env.switch_core(0);
     Ok(metrics(
         os,
         cores as u64 * measured_batches * bench.pipeline,
@@ -510,63 +476,23 @@ pub fn install_nginx_on(os: &FlexOs, port: u16) -> Result<Rc<NginxServer>, Fault
     Ok(server)
 }
 
-/// wrk-style keep-alive GET loop against the welcome page.
-///
-/// # Errors
-///
-/// Substrate faults; protocol errors.
-pub fn run_nginx_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
-    if os.env.num_cores() > 1 {
-        return run_nginx_gets_smp(os, warmup, measured);
-    }
-    let server = install_nginx(os)?;
-    let mut client = TcpClient::connect(&os.net, 51_000, NGINX_PORT)?;
-    let conn = server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-        reason: "nginx: handshake did not queue a connection".to_string(),
-    })?;
-
-    let run_one = |client: &mut TcpClient| -> Result<(), Fault> {
-        client.send(&os.net, NGINX_REQUEST)?;
-        server.serve_one(conn)?;
-        client.drain(&os.net)?;
-        debug_assert!(
-            client.received().starts_with(b"HTTP/1.1 200 OK"),
-            "must serve 200"
-        );
-        debug_assert!(client.received_len() > 612, "head + 612-byte body");
-        client.clear_received();
-        Ok(())
-    };
-    for _ in 0..warmup {
-        run_one(&mut client)?;
-    }
-    os.env.reset_counters();
-    let start = os.cycles();
-    for _ in 0..measured {
-        run_one(&mut client)?;
-    }
-    Ok(metrics(os, measured, os.cycles() - start))
-}
-
-/// The wrk-style keep-alive request both nginx drivers replay.
+/// The wrk-style keep-alive request the nginx driver replays.
 const NGINX_REQUEST: &[u8] =
     b"GET /index.html HTTP/1.1\r\nHost: flexos\r\nConnection: keep-alive\r\n\r\n";
 
 /// One per-core nginx listener shard (port `NGINX_PORT + core`) and its
-/// round-robin keep-alive connections.
+/// connections.
 struct NginxShard {
     server: Rc<NginxServer>,
-    clients: Vec<TcpClient>,
-    conns: Vec<SocketHandle>,
-    next_conn: usize,
+    conns: ShardConns,
 }
 
+/// One request on a shard: rotate to the next connection, send, serve,
+/// drain and check the reply.
 fn nginx_shard_batch(os: &FlexOs, shard: &mut NginxShard) -> Result<(), Fault> {
-    let idx = shard.next_conn;
-    shard.next_conn = (idx + 1) % shard.clients.len();
-    let client = &mut shard.clients[idx];
+    let (client, conn) = shard.conns.rotate();
     client.send(&os.net, NGINX_REQUEST)?;
-    shard.server.serve_one(shard.conns[idx])?;
+    shard.server.serve_one(conn)?;
     client.drain(&os.net)?;
     debug_assert!(
         client.received().starts_with(b"HTTP/1.1 200 OK"),
@@ -577,47 +503,28 @@ fn nginx_shard_batch(os: &FlexOs, shard: &mut NginxShard) -> Result<(), Fault> {
     Ok(())
 }
 
-/// Multi-core wrk loop: one nginx shard per core, cores multiplexed
-/// min-clock-first; every core serves the full `warmup + measured` GET
-/// load and `cycles` is the measured-phase makespan.
-fn run_nginx_gets_smp(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
+/// wrk-style keep-alive GET loop against the welcome page: one nginx
+/// shard per core, cores multiplexed min-clock-first; every core serves
+/// the full `warmup + measured` GET load, `ops` is the aggregate and
+/// `cycles` the measured-phase makespan. On a one-core image that is
+/// one listener on `NGINX_PORT`, one connection, one clock.
+///
+/// # Errors
+///
+/// Substrate faults; protocol errors.
+pub fn run_nginx_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
     let cores = os.env.num_cores();
-    let machine = os.env.machine();
     let mut shards = Vec::with_capacity(cores);
     for core in 0..cores {
         os.env.switch_core(core);
         let port = NGINX_PORT + core as u16;
         let server = install_nginx_on(os, port)?;
-        let mut clients = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        let mut conns = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        for i in 0..SMP_CONNS_PER_CORE {
-            let src = 51_000 + core as u16 * 1_000 + i as u16;
-            clients.push(TcpClient::connect(&os.net, src, port)?);
-            conns.push(server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-                reason: "nginx: handshake did not queue a connection".to_string(),
-            })?);
-        }
-        shards.push(NginxShard {
-            server,
-            clients,
-            conns,
-            next_conn: 0,
-        });
+        let conns = ShardConns::open(os, "nginx", core, 51_000, port, || server.accept())?;
+        shards.push(NginxShard { server, conns });
     }
-    drive_cores(os, warmup, false, |c| nginx_shard_batch(os, &mut shards[c]))?;
-    os.env.reset_counters();
-    machine.reset_smp_counters();
-    let starts: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
-    let ends = drive_cores(os, measured, true, |c| {
+    let makespan = drive_phases(os, warmup, measured, |c| {
         nginx_shard_batch(os, &mut shards[c])
     })?;
-    let makespan = starts
-        .iter()
-        .zip(&ends)
-        .map(|(s, e)| e - s)
-        .max()
-        .unwrap_or(0);
-    os.env.switch_core(0);
     Ok(metrics(os, cores as u64 * measured, makespan))
 }
 

@@ -144,7 +144,7 @@ pub fn forged_entry(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let cfi_before = env.gates().cfi_violations();
     let crossings_before = env.gates().total_crossings();
     let res = env.run_as(s.attacker, || {
-        env.observe(env.call(s.victim, "app_admin_backdoor", || Ok(())))
+        env.observe(env.call_resolved(env.resolve(s.victim, "app_admin_backdoor"), || Ok(())))
     });
     match res {
         Ok(()) => Ok(AttackOutcome::Succeeded),

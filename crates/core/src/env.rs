@@ -19,9 +19,6 @@
 //!   nothing and count as `cfi_violations`), then cost charged, crossing
 //!   counted, PKRU switched, registers saved/scrubbed (full MPK/EPT
 //!   gates).
-//! * [`Env::call`] — thin `&str` wrapper over the same path; it resolves
-//!   through the image's intern table on every call (one map lookup, no
-//!   allocation) so external code can migrate incrementally.
 //! * [`Env::mem_read`] / [`Env::mem_write`] — simulated-memory access
 //!   under the *current* domain's PKRU; touching another compartment's
 //!   pages faults exactly as MPK would. KASan-hardened components also get
@@ -115,15 +112,6 @@ impl Work {
     }
 }
 
-/// Per-component runtime statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ComponentStats {
-    /// Total cycles charged (compute + hardening surcharges).
-    pub cycles: u64,
-    /// Gate calls made *into* this component.
-    pub calls_in: u64,
-}
-
 /// Snapshot of one compartment's resource usage within the current
 /// accounting window (see [`Env::reset_budget_usage`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,6 +136,11 @@ struct BudgetCells {
 /// Capacity of the observed-fault ring: enough to audit a multi-fault
 /// attack run or a recovery sequence without unbounded growth.
 pub const FAULT_RING_CAP: usize = 8;
+
+/// Registers that carry arguments across a full (MPK-DSS / EPT) gate;
+/// the gate zeroes every register beyond them (§3.1). Every entry point
+/// in the image takes two.
+const GATE_ARG_REGS: usize = 2;
 
 /// Hook invoked on every cross-domain gate traversal; the EPT backend uses
 /// it to drive its shared-memory RPC rings. The entry point arrives as its
@@ -180,16 +173,12 @@ pub struct Env {
     cur: Cell<ComponentId>,
     pkru: Cell<Pkru>,
     regs: RefCell<RegisterFile>,
-    stats: Vec<Cell<ComponentStats>>,
     crossing_hook: RefCell<Option<CrossingHook>>,
-    /// Isolation faults observed (via [`Env::observe`]) per component —
+    /// Bounded ring of faults observed (via [`Env::observe`]), oldest
+    /// first (capacity [`FAULT_RING_CAP`]; overflow drops the oldest) —
     /// the attack-visible introspection surface of the adversarial
-    /// suite. Plain `Cell` counters: recording charges no cycles and
-    /// performs no host allocation.
-    isolation_faults: Vec<Cell<u64>>,
-    /// Bounded ring of observed faults, oldest first (capacity
-    /// [`FAULT_RING_CAP`]; overflow drops the oldest). Multi-fault
-    /// attack runs and recovery sequences stay auditable.
+    /// suite. Multi-fault attack runs and recovery sequences stay
+    /// auditable; recording charges no cycles.
     fault_ring: RefCell<VecDeque<(ComponentId, FaultKind)>>,
     /// `true` if any compartment in the image carries a resource budget.
     /// When `false` (every pre-budget configuration) the charging paths
@@ -286,11 +275,7 @@ impl Env {
             cur: Cell::new(ComponentId(0)),
             pkru: Cell::new(Pkru::ALL_ACCESS),
             regs: RefCell::new(RegisterFile::new()),
-            stats: (0..n)
-                .map(|_| Cell::new(ComponentStats::default()))
-                .collect(),
             crossing_hook: RefCell::new(None),
-            isolation_faults: (0..n).map(|_| Cell::new(0)).collect(),
             fault_ring: RefCell::new(VecDeque::with_capacity(FAULT_RING_CAP)),
             budget_enabled,
             budgets,
@@ -365,16 +350,6 @@ impl Env {
         self.data_sharing_of(self.compartment_of(self.cur.get()))
     }
 
-    /// The component currently executing.
-    pub fn current_component(&self) -> ComponentId {
-        self.cur.get()
-    }
-
-    /// The PKRU currently installed.
-    pub fn current_pkru(&self) -> Pkru {
-        self.pkru.get()
-    }
-
     /// Gate matrix and crossing counters.
     pub fn gates(&self) -> &GateTable {
         &self.gates
@@ -397,14 +372,6 @@ impl Env {
     /// Resets the gate crossing counters (between benchmark phases).
     pub fn reset_counters(&self) {
         self.gates.reset_counters();
-        for s in &self.stats {
-            s.set(ComponentStats::default());
-        }
-    }
-
-    /// Per-component statistics snapshot.
-    pub fn component_stats(&self, comp: ComponentId) -> ComponentStats {
-        self.stats[comp.0 as usize].get()
     }
 
     /// Installs the cross-domain hook (EPT RPC rings).
@@ -415,12 +382,11 @@ impl Env {
     // --- fault introspection ----------------------------------------------
 
     /// Passes `r` through unchanged while recording any fault it carries
-    /// against the currently executing component: the kind lands in
-    /// [`Env::last_observed_fault`] and isolation faults additionally bump
-    /// the component's [`Env::isolation_faults_of`] counter. The attack
-    /// harness wraps every adversarial access in this so outcomes can be
-    /// classified after the fact; recording is `Cell` traffic only — zero
-    /// cycles, zero host allocation — so costed paths are unperturbed.
+    /// against the currently executing component in the ring behind
+    /// [`Env::observed_faults`]. The attack harness wraps every
+    /// adversarial access in this so outcomes can be classified after
+    /// the fact; recording is zero cycles and zero host allocation (the
+    /// ring is pre-sized), so costed paths are unperturbed.
     pub fn observe<R>(&self, r: Result<R, Fault>) -> Result<R, Fault> {
         if let Err(fault) = &r {
             let comp = self.cur.get();
@@ -429,10 +395,6 @@ impl Env {
                 ring.pop_front();
             }
             ring.push_back((comp, fault.kind()));
-            if fault.is_isolation_fault() {
-                let cell = &self.isolation_faults[comp.0 as usize];
-                cell.set(cell.get() + 1);
-            }
             self.machine.tracer().record(
                 self.machine.clock().now(),
                 EventKind::IsolationFault {
@@ -444,17 +406,6 @@ impl Env {
         r
     }
 
-    /// Isolation faults observed (via [`Env::observe`]) while `comp` was
-    /// the executing component.
-    pub fn isolation_faults_of(&self, comp: ComponentId) -> u64 {
-        self.isolation_faults[comp.0 as usize].get()
-    }
-
-    /// Component and kind of the most recently observed fault, if any.
-    pub fn last_observed_fault(&self) -> Option<(ComponentId, FaultKind)> {
-        self.fault_ring.borrow().back().copied()
-    }
-
     /// The observed-fault ring, oldest first — up to [`FAULT_RING_CAP`]
     /// most recent faults. Attack post-mortems and recovery audits read
     /// the whole sequence instead of just the final kind.
@@ -464,9 +415,6 @@ impl Env {
 
     /// Clears the observed-fault record (between attack runs).
     pub fn clear_observed_faults(&self) {
-        for c in &self.isolation_faults {
-            c.set(0);
-        }
         self.fault_ring.borrow_mut().clear();
     }
 
@@ -489,14 +437,6 @@ impl Env {
     pub fn set_home_core(&self, comp: CompartmentId, core: usize) {
         assert!(core < self.machine.num_cores(), "core {core} out of range");
         self.home_core[comp.0 as usize].set(core as u8);
-    }
-
-    /// A compartment's pinned home core, if any.
-    pub fn home_core_of(&self, comp: CompartmentId) -> Option<usize> {
-        match self.home_core[comp.0 as usize].get() {
-            smp::ANY_CORE => None,
-            core => Some(core as usize),
-        }
     }
 
     /// Switches execution to another simulated core: parks the live
@@ -766,62 +706,16 @@ impl Env {
         self.entries.name(entry)
     }
 
-    /// The abstract call gate: invokes `entry` of `to`, running `f` as the
-    /// callee. Assumes `arg_count = 2` registers carry arguments; use
-    /// [`Env::call_with_args`] to model a different arity.
+    /// The abstract call gate: invokes `target`'s entry point, running `f`
+    /// as the callee. This is the image's one gate entry; callers holding
+    /// a name write `env.call_resolved(env.resolve(to, "entry"), f)`
+    /// (one intern-table lookup, allocation-free once the name has been
+    /// seen — first sight of an unregistered name interns it, bounded by
+    /// [`crate::entry::RUNTIME_INTERN_CAP`]) and components with hot
+    /// boundaries resolve once at construction time. Two registers carry
+    /// arguments across a full gate; it zeroes the rest (§3.1).
     ///
-    /// This is the thin `&str` wrapper over [`Env::call_resolved`]: it
-    /// re-resolves the target through the image's intern table on every
-    /// call — one map lookup, allocation-free once the name has been
-    /// interned (first sight of an unregistered name interns it, bounded
-    /// by [`crate::entry::RUNTIME_INTERN_CAP`]). Components with hot
-    /// boundaries should resolve once at construction time instead.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::IllegalEntryPoint`] if the crossing targets a function not
-    /// registered as an entry point of the callee compartment (the gates'
-    /// CFI property), plus whatever `f` itself returns.
-    pub fn call<R>(
-        &self,
-        to: ComponentId,
-        entry: &str,
-        f: impl FnOnce() -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        self.call_resolved_with_args(self.resolve(to, entry), 2, f)
-    }
-
-    /// [`Env::call`] with an explicit count of argument registers; the full
-    /// MPK/EPT gates zero every register beyond them (§3.1).
-    ///
-    /// # Errors
-    ///
-    /// See [`Env::call`].
-    pub fn call_with_args<R>(
-        &self,
-        to: ComponentId,
-        entry: &str,
-        arg_count: usize,
-        f: impl FnOnce() -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        self.call_resolved_with_args(self.resolve(to, entry), arg_count, f)
-    }
-
-    /// The abstract call gate over a pre-resolved [`CallTarget`], with the
-    /// default `arg_count = 2`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Env::call_resolved_with_args`].
-    pub fn call_resolved<R>(
-        &self,
-        target: CallTarget,
-        f: impl FnOnce() -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        self.call_resolved_with_args(target, 2, f)
-    }
-
-    /// The resolved-gate hot path: one flattened gate-descriptor read, a
+    /// The path is one flattened gate-descriptor read, a
     /// bitset CFI check, `Cell` counter bumps, and the clock charge — no
     /// heap allocation and no `RefCell<GateTable>` borrow anywhere on the
     /// success path.
@@ -834,10 +728,9 @@ impl Env {
     /// `cfi_violations` tick instead of a crossing: the gate never
     /// executes, so the clock must not advance (the callee was never
     /// entered). Also surfaces whatever the crossing hook or `f` return.
-    pub fn call_resolved_with_args<R>(
+    pub fn call_resolved<R>(
         &self,
         target: CallTarget,
-        arg_count: usize,
         f: impl FnOnce() -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         let from = self.cur.get();
@@ -861,10 +754,6 @@ impl Env {
                     .clock()
                     .advance(self.machine.cost().stack_protector_frame);
             }
-            let stats = &self.stats[to.0 as usize];
-            let mut s = stats.get();
-            s.calls_in += 1;
-            stats.set(s);
             let result = f();
             self.cur.set(from);
             return result;
@@ -955,7 +844,7 @@ impl Env {
             } else {
                 let mut regs = self.regs.borrow_mut();
                 let saved = *regs;
-                regs.clear_non_args(arg_count);
+                regs.clear_non_args(GATE_ARG_REGS);
                 Some(saved)
             }
         };
@@ -980,13 +869,6 @@ impl Env {
                 self.machine.clock().advance(entry_cycles);
             }
         }
-        {
-            let stats = &self.stats[to.0 as usize];
-            let mut s = stats.get();
-            s.calls_in += 1;
-            stats.set(s);
-        }
-
         let result = f();
 
         let tracer = self.machine.tracer();
@@ -1033,10 +915,6 @@ impl Env {
         }
         self.machine.clock().advance(cycles);
         self.budget_charge_cycles(self.compartment_of(comp), cycles);
-        let stats = &self.stats[comp.0 as usize];
-        let mut s = stats.get();
-        s.cycles += cycles;
-        stats.set(s);
     }
 
     // --- memory -----------------------------------------------------------
@@ -1114,24 +992,6 @@ impl Env {
         }
     }
 
-    /// Runs `f` over the bytes at `addr..addr+len` **without copying**:
-    /// one borrowed chunk per touched page. Charges and faults exactly
-    /// like [`Env::mem_read`] of the same range.
-    ///
-    /// `f` must not touch simulated memory itself (the machine's memory
-    /// is borrowed for the duration of the walk).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`].
-    pub fn mem_read_with(&self, addr: Addr, len: u64, f: impl FnMut(&[u8])) -> Result<(), Fault> {
-        self.kasan_filter(addr, len, Access::Read)?;
-        self.machine.charge_mem_bytes(len);
-        self.machine
-            .memory()
-            .with_bytes(addr, len, &self.pkru.get(), f)
-    }
-
     /// Compares simulated memory at `addr` with `bytes`, without copying
     /// or allocating — the rights-checked `memcmp` behind dict key
     /// probes. Charges and faults exactly like an [`Env::mem_read`] of
@@ -1192,26 +1052,6 @@ impl Env {
         self.machine
             .memory_mut()
             .fill(addr, len, byte, &self.pkru.get())
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`].
-    pub fn mem_read_u64(&self, addr: Addr) -> Result<u64, Fault> {
-        let mut b = [0u8; 8];
-        self.mem_read(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_write`].
-    pub fn mem_write_u64(&self, addr: Addr, value: u64) -> Result<(), Fault> {
-        self.mem_write(addr, &value.to_le_bytes())
     }
 
     // --- heaps ------------------------------------------------------------

@@ -582,7 +582,8 @@ mod tests {
         let app = env.component_id("app").unwrap();
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            env.call(app, "app_main", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(app, "app_main"), || Ok(()))
+                .unwrap();
             // Direct call: 2 cycles, zero isolation overhead (Figure 3 3').
             assert_eq!(env.machine().clock().now() - t0, 2);
         });
@@ -598,7 +599,8 @@ mod tests {
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap();
             let elapsed = env.machine().clock().now() - t0;
             // MPK-DSS gate (108) + callee stack-protector frame (lwip is
             // FIG6-hardened).
@@ -617,7 +619,9 @@ mod tests {
         let app = env.component_id("app").unwrap();
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(app, || {
-            let err = env.call(lwip, "lwip_internal_fn", || Ok(())).unwrap_err();
+            let err = env
+                .call_resolved(env.resolve(lwip, "lwip_internal_fn"), || Ok(()))
+                .unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
         });
     }
@@ -635,7 +639,9 @@ mod tests {
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            let err = env.call(lwip, "lwip_internal_fn", || Ok(())).unwrap_err();
+            let err = env
+                .call_resolved(env.resolve(lwip, "lwip_internal_fn"), || Ok(()))
+                .unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
             assert_eq!(env.machine().clock().now(), t0, "rejection is free");
         });
@@ -643,7 +649,8 @@ mod tests {
         assert_eq!(env.gates().cfi_violations(), 1);
         // A legal call afterwards behaves normally.
         env.run_as(app, || {
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap();
         });
         assert_eq!(env.gates().total_crossings(), 1);
         assert_eq!(env.gates().cfi_violations(), 1);
@@ -666,7 +673,8 @@ mod tests {
             env.call_resolved(target, || Ok(())).unwrap();
             let resolved_cost = env.machine().clock().now() - t0;
             let t1 = env.machine().clock().now();
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap();
             assert_eq!(env.machine().clock().now() - t1, resolved_cost);
         });
         assert_eq!(env.gates().total_crossings(), 2);
@@ -679,9 +687,12 @@ mod tests {
         let app = env.component_id("app").unwrap();
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(app, || {
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
-            env.call(lwip, "lwip_send", || Ok(())).unwrap();
-            env.call(app, "app_main", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_send"), || Ok(()))
+                .unwrap();
+            env.call_resolved(env.resolve(app, "app_main"), || Ok(()))
+                .unwrap();
         });
         let bd = image.report.crossing_breakdown(env);
         assert_eq!(bd.by_kind, vec![(GateKind::MpkDss, 2)]);
@@ -700,7 +711,7 @@ mod tests {
         env.run_as(app, move || {
             // Allocate in lwip's compartment from inside lwip...
             let lwip_buf = env2
-                .call(lwip, "lwip_recv", || {
+                .call_resolved(env2.resolve(lwip, "lwip_recv"), || {
                     let addr = env2.malloc(64)?;
                     env2.mem_write(addr, b"secret-packet")?;
                     Ok(addr)
@@ -723,7 +734,9 @@ mod tests {
             let shared = env2.malloc_shared(32).unwrap();
             env2.mem_write(shared, b"hello").unwrap();
             let got = env2
-                .call(lwip, "lwip_send", || env2.mem_read_vec(shared, 5))
+                .call_resolved(env2.resolve(lwip, "lwip_send"), || {
+                    env2.mem_read_vec(shared, 5)
+                })
                 .unwrap();
             assert_eq!(got, b"hello");
         });
@@ -876,7 +889,7 @@ mod tests {
         let env2 = Rc::clone(&env);
         env.run_as(app, move || {
             env2.regs().set(10, 0x5EC12E7);
-            env2.call(srv, "srv_fn", || {
+            env2.call_resolved(env2.resolve(srv, "srv_fn"), || {
                 // Light gate: register set is shared (lesser guarantees).
                 assert_eq!(env2.regs().get(10), 0x5EC12E7);
                 Ok(())

@@ -259,7 +259,8 @@ mod tests {
         let fs_comp = env.compartment_of(vfs);
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            env.call(vfs, "vfs_read", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(vfs, "vfs_read"), || Ok(()))
+                .unwrap();
             assert_eq!(
                 env.machine().clock().now() - t0,
                 env.machine().cost().ept_rpc_gate
@@ -277,7 +278,9 @@ mod tests {
         let app = env.component_id("app").unwrap();
         let vfs = env.component_id("vfs").unwrap();
         env.run_as(app, || {
-            let err = env.call(vfs, "vfs_secret_internal", || Ok(())).unwrap_err();
+            let err = env
+                .call_resolved(env.resolve(vfs, "vfs_secret_internal"), || Ok(()))
+                .unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
         });
     }

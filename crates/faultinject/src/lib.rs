@@ -26,6 +26,7 @@ use flexos_core::compartment::ResourceBudget;
 use flexos_core::component::ComponentId;
 use flexos_core::env::Work;
 use flexos_machine::fault::{Fault, FaultKind};
+use flexos_machine::xorshift64star;
 use flexos_system::configs::mpk_tenants;
 use flexos_system::{FlexOs, Supervisor, SystemBuilder};
 
@@ -197,18 +198,6 @@ impl CampaignLog {
     }
 }
 
-/// The xorshift64* step (same generator as the benchmark clients'
-/// `KeyPattern::Uniform`, reproduced here so the crates stay
-/// decoupled).
-fn xorshift64star(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 /// The campaign's target roster: the hostile net stack and both
 /// tenants' Redis components — every injection picks one of these.
 const TARGETS: [&str; 3] = ["lwip", "redis-a", "redis-b"];
@@ -290,7 +279,7 @@ pub fn run_campaign_on(os: &FlexOs, spec: &CampaignSpec) -> Result<CampaignLog, 
                 // compartment, never a registered entry point.
                 let victim = ids[(target_idx + 1) % ids.len()];
                 env.run_as(target, || {
-                    env.observe(env.call(victim, "admin_backdoor", || Ok(())))
+                    env.observe(env.call_resolved(env.resolve(victim, "admin_backdoor"), || Ok(())))
                         .err()
                 })
             }
@@ -323,8 +312,10 @@ pub fn run_campaign_on(os: &FlexOs, spec: &CampaignSpec) -> Result<CampaignLog, 
     env.reset_budget_usage();
     let lwip = ids[0];
     let survived = ids[1..].iter().all(|&tenant| {
-        env.run_as(lwip, || env.call(tenant, "redis_handle", || Ok(())))
-            .is_ok()
+        env.run_as(lwip, || {
+            env.call_resolved(env.resolve(tenant, "redis_handle"), || Ok(()))
+        })
+        .is_ok()
     });
 
     Ok(CampaignLog {

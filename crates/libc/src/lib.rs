@@ -416,20 +416,9 @@ impl Newlib {
     /// cooperative yield point Unikraft's blocking sockets require — the
     /// call pattern behind Redis' 43% scheduler-isolation cost (§6.1).
     ///
-    /// # Errors
-    ///
-    /// Gate faults.
-    pub fn recv(&self, sock: SocketHandle, maxlen: u64) -> Result<Vec<u8>, Fault> {
-        let mut out = Vec::new();
-        self.recv_into(sock, maxlen, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Newlib::recv`] into a caller-provided buffer: `out` is cleared
-    /// and receives up to `maxlen` bytes; returns how many arrived (0 at
-    /// EOF or after the retry budget). Identical gate traffic and cycle
-    /// charges to [`Newlib::recv`], zero host allocations once `out`'s
-    /// capacity has converged.
+    /// `out` is cleared and receives up to `maxlen` bytes; returns how
+    /// many arrived (0 at EOF or after the retry budget). Zero host
+    /// allocations once `out`'s capacity has converged.
     ///
     /// # Errors
     ///
@@ -502,18 +491,8 @@ impl Newlib {
     /// no scheduler interaction on the hot path — the reason Nginx pays
     /// only ~6% for an isolated scheduler (§6.1).
     ///
-    /// # Errors
-    ///
-    /// Gate faults.
-    pub fn recv_nowait(&self, sock: SocketHandle, maxlen: u64) -> Result<Vec<u8>, Fault> {
-        let mut out = Vec::new();
-        self.recv_nowait_into(sock, maxlen, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Newlib::recv_nowait`] into a caller-provided buffer (cleared
-    /// first); returns how many bytes arrived. Identical charges, zero
-    /// host allocations once `out`'s capacity has converged.
+    /// `out` is cleared first; returns how many bytes arrived. Zero host
+    /// allocations once `out`'s capacity has converged.
     ///
     /// # Errors
     ///

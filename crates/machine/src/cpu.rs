@@ -1,15 +1,10 @@
-//! Per-thread CPU state: PKRU, register file, stack pointer.
+//! Per-thread CPU state: the register file.
 //!
 //! FlexOS gates "guarantee isolation of the register set and therefore save
 //! and zero out all registers not used by parameters" (§3.1). The simulated
 //! register file lets the MPK backend implement exactly that dance — save,
 //! zero, load arguments, and restore on return — and lets tests verify that
 //! no callee-visible register leaks caller secrets across a domain switch.
-
-use std::fmt;
-
-use crate::addr::Addr;
-use crate::key::Pkru;
 
 /// Number of modeled general-purpose registers (x86-64's 16 GPRs).
 pub const NUM_GPRS: usize = 16;
@@ -78,40 +73,6 @@ impl RegisterFile {
     }
 }
 
-/// The architectural state a gate must save/switch/restore per crossing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpuContext {
-    /// Protection-key rights of the executing domain.
-    pub pkru: Pkru,
-    /// General-purpose registers.
-    pub regs: RegisterFile,
-    /// Current stack pointer (into the thread's per-compartment stack).
-    pub stack_ptr: Addr,
-}
-
-impl Default for CpuContext {
-    fn default() -> Self {
-        CpuContext {
-            pkru: Pkru::ALL_ACCESS,
-            regs: RegisterFile::new(),
-            stack_ptr: Addr::NULL,
-        }
-    }
-}
-
-impl CpuContext {
-    /// Boot-time context: full PKRU access, zeroed registers, no stack.
-    pub fn boot() -> Self {
-        Self::default()
-    }
-}
-
-impl fmt::Display for CpuContext {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} sp={}", self.pkru, self.stack_ptr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,12 +112,5 @@ mod tests {
         rf.set(15, 1);
         rf.clear_all();
         assert!(rf.non_args_are_clear(0));
-    }
-
-    #[test]
-    fn boot_context_has_full_access() {
-        let ctx = CpuContext::boot();
-        assert_eq!(ctx.pkru, Pkru::ALL_ACCESS);
-        assert!(ctx.stack_ptr.is_null());
     }
 }

@@ -19,9 +19,7 @@
 //!   rewrites the PKRU — 62 cycles, the raw cost of two `wrpkru`.
 
 pub mod backend;
-pub mod gates;
 pub mod wxorx;
 
 pub use backend::MpkBackend;
-pub use gates::{GateStep, MpkGate};
 pub use wxorx::{scan_text, synthesize_text, WRPKRU_OPCODE};

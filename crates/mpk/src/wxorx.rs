@@ -25,6 +25,7 @@
 use std::cell::RefCell;
 
 use flexos_machine::fault::Fault;
+use flexos_machine::xorshift64star;
 
 /// Encoding of `wrpkru` (0F 01 EF).
 pub const WRPKRU_OPCODE: [u8; 3] = [0x0F, 0x01, 0xEF];
@@ -103,11 +104,7 @@ pub fn synthesize_text(name: &str, size: usize) -> Vec<u8> {
         .max(1);
     let mut text = Vec::with_capacity(size);
     while text.len() < size {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        text.extend_from_slice(&word.to_le_bytes());
+        text.extend_from_slice(&xorshift64star(&mut state).to_le_bytes());
     }
     text.truncate(size);
     // Scrub any accidental forbidden sequence.

@@ -139,14 +139,6 @@ impl TcpClient {
         Ok(())
     }
 
-    /// Takes everything received so far, surrendering the buffer. Prefer
-    /// [`TcpClient::received`] + [`TcpClient::clear_received`] in loops:
-    /// they keep the buffer's capacity, so steady-state iterations do not
-    /// re-allocate it.
-    pub fn take_received(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.rx)
-    }
-
     /// Everything received and not yet cleared, borrowed.
     pub fn received(&self) -> &[u8] {
         &self.rx
@@ -200,8 +192,6 @@ mod tests {
     }
 
     fn serve(stack: &NetStack, port: u16) -> crate::socket::SocketHandle {
-        let env = stack.component_id();
-        let _ = env;
         let sock = stack.socket();
         stack.bind(sock, port).unwrap();
         stack.listen(sock).unwrap();
@@ -232,15 +222,18 @@ mod tests {
         let conn = stack.accept(listener).unwrap();
 
         client.send(&stack, b"PING").unwrap();
-        let got = stack
-            .env_run_recv(conn, 64)
+        let mut got = Vec::new();
+        stack
+            .recv_into(conn, 64, &mut got)
             .expect("server sees client bytes");
         assert_eq!(got, b"PING");
 
         // Server replies; client reassembles.
-        stack.env_run_send(conn, b"+PONG\r\n").unwrap();
+        stack.send(conn, b"+PONG\r\n").unwrap();
         client.drain(&stack).unwrap();
-        assert_eq!(client.take_received(), b"+PONG\r\n");
+        assert_eq!(client.received(), b"+PONG\r\n");
+        client.clear_received();
+        assert_eq!(client.received_len(), 0);
     }
 
     #[test]
@@ -254,11 +247,9 @@ mod tests {
         client.send(&stack, &blob).unwrap();
         let mut got = Vec::new();
         while got.len() < blob.len() {
-            let chunk = stack.env_run_recv(conn, 4096).unwrap();
-            if chunk.is_empty() {
+            if stack.recv_into(conn, 4096, &mut got).unwrap() == 0 {
                 break;
             }
-            got.extend_from_slice(&chunk);
         }
         assert_eq!(got, blob, "10 KB survives MSS segmentation in order");
     }
@@ -274,8 +265,11 @@ mod tests {
 
         c1.send(&stack, b"from-c1").unwrap();
         c2.send(&stack, b"from-c2").unwrap();
-        assert_eq!(stack.env_run_recv(s1, 64).unwrap(), b"from-c1");
-        assert_eq!(stack.env_run_recv(s2, 64).unwrap(), b"from-c2");
+        let (mut got1, mut got2) = (Vec::new(), Vec::new());
+        stack.recv_into(s1, 64, &mut got1).unwrap();
+        stack.recv_into(s2, 64, &mut got2).unwrap();
+        assert_eq!(got1, b"from-c1");
+        assert_eq!(got2, b"from-c2");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 pub mod checksum;
 pub mod client;
 pub mod nic;
-pub mod pbuf;
 pub mod socket;
 pub mod stack;
 pub mod tcp;
@@ -28,10 +27,7 @@ pub use client::TcpClient;
 pub use nic::SimNic;
 pub use socket::{SocketHandle, SocketKind};
 pub use stack::{NetEntries, NetStack, NetStats};
-pub use tcp::{
-    write_frame, Segment, SegmentView, TcpState, FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_RST, FLAG_SYN,
-    MSS,
-};
+pub use tcp::{write_frame, SegmentView, TcpState, FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, MSS};
 
 use flexos_core::prelude::*;
 

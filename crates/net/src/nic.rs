@@ -63,19 +63,9 @@ impl SimNic {
 
     // --- client (host) side: free -------------------------------------
 
-    /// Client side: places a frame on the wire towards the OS. Returns
-    /// `false` (dropping the frame) when the queue is full.
-    pub fn client_inject(&mut self, frame: Vec<u8>) -> bool {
-        if self.rx.len() >= QUEUE_DEPTH {
-            self.stats.rx_dropped += 1;
-            return false;
-        }
-        self.rx.push_back(frame);
-        true
-    }
-
     /// Client side: copies `bytes` into a pooled buffer and places it on
-    /// the wire — the no-alloc twin of [`SimNic::client_inject`].
+    /// the wire towards the OS. Returns `false` (dropping the frame)
+    /// when the queue is full.
     pub fn inject_from(&mut self, bytes: &[u8]) -> bool {
         if self.rx.len() >= QUEUE_DEPTH {
             self.stats.rx_dropped += 1;
@@ -85,11 +75,6 @@ impl SimNic {
         frame.extend_from_slice(bytes);
         self.rx.push_back(frame);
         true
-    }
-
-    /// Client side: collects everything the OS transmitted.
-    pub fn client_collect(&mut self) -> Vec<Vec<u8>> {
-        self.tx.drain(..).collect()
     }
 
     /// Client side: takes the next transmitted frame, if any. Return the
@@ -116,11 +101,6 @@ impl SimNic {
         self.tx.push_back(frame);
     }
 
-    /// Frames waiting to be processed by the stack.
-    pub fn rx_pending(&self) -> usize {
-        self.rx.len()
-    }
-
     /// Counters.
     pub fn stats(&self) -> NicStats {
         self.stats
@@ -134,13 +114,12 @@ mod tests {
     #[test]
     fn frames_flow_both_ways() {
         let mut nic = SimNic::new();
-        assert!(nic.client_inject(vec![1, 2, 3]));
-        assert_eq!(nic.rx_pending(), 1);
+        assert!(nic.inject_from(&[1, 2, 3]));
         assert_eq!(nic.rx_pop(), Some(vec![1, 2, 3]));
         assert_eq!(nic.rx_pop(), None);
         nic.tx_push(vec![4, 5]);
-        assert_eq!(nic.client_collect(), vec![vec![4, 5]]);
-        assert!(nic.client_collect().is_empty());
+        assert_eq!(nic.tx_pop(), Some(vec![4, 5]));
+        assert_eq!(nic.tx_pop(), None);
         assert_eq!(nic.stats().rx_frames, 1);
         assert_eq!(nic.stats().tx_frames, 1);
     }
@@ -166,9 +145,9 @@ mod tests {
     fn full_queue_drops() {
         let mut nic = SimNic::new();
         for i in 0..QUEUE_DEPTH {
-            assert!(nic.client_inject(vec![i as u8]));
+            assert!(nic.inject_from(&[i as u8]));
         }
-        assert!(!nic.client_inject(vec![0xFF]));
+        assert!(!nic.inject_from(&[0xFF]));
         assert_eq!(nic.stats().rx_dropped, 1);
     }
 }

@@ -97,22 +97,10 @@ impl SockBuf {
         Ok(take)
     }
 
-    /// Removes up to `maxlen` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Protection faults if the current domain cannot read the ring.
-    pub fn pop(&mut self, env: &Env, maxlen: u64) -> Result<Vec<u8>, Fault> {
-        let mut out = Vec::new();
-        self.pop_into(env, maxlen, &mut out)?;
-        Ok(out)
-    }
-
-    /// Removes up to `maxlen` bytes, appending them to `out` — the
-    /// reusable-buffer twin of [`SockBuf::pop`]: ring bytes land in the
-    /// caller's buffer straight from simulated memory, with zero host
-    /// allocations once `out`'s capacity has converged. Returns the
-    /// number of bytes popped.
+    /// Removes up to `maxlen` bytes, appending them to `out`: ring bytes
+    /// land in the caller's buffer straight from simulated memory, with
+    /// zero host allocations once `out`'s capacity has converged.
+    /// Returns the number of bytes popped.
     ///
     /// # Errors
     ///
@@ -205,8 +193,12 @@ mod tests {
             let mut buf = SockBuf::new(&env, 64).unwrap();
             assert_eq!(buf.push(&env, b"hello ").unwrap(), 6);
             assert_eq!(buf.push(&env, b"world").unwrap(), 5);
-            assert_eq!(buf.pop(&env, 8).unwrap(), b"hello wo");
-            assert_eq!(buf.pop(&env, 100).unwrap(), b"rld");
+            let mut out = Vec::new();
+            assert_eq!(buf.pop_into(&env, 8, &mut out).unwrap(), 8);
+            assert_eq!(out, b"hello wo");
+            // Pops append: the caller's buffer keeps what it held.
+            assert_eq!(buf.pop_into(&env, 100, &mut out).unwrap(), 3);
+            assert_eq!(out, b"hello world");
             assert!(buf.is_empty());
         });
     }
@@ -217,10 +209,13 @@ mod tests {
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(lwip, || {
             let mut buf = SockBuf::new(&env, 16).unwrap();
+            let mut out = Vec::new();
             for round in 0..10 {
                 let msg = format!("round-{round:02}");
                 assert_eq!(buf.push(&env, msg.as_bytes()).unwrap(), 8);
-                assert_eq!(buf.pop(&env, 8).unwrap(), msg.as_bytes());
+                out.clear();
+                assert_eq!(buf.pop_into(&env, 8, &mut out).unwrap(), 8);
+                assert_eq!(out, msg.as_bytes());
             }
         });
     }
@@ -233,9 +228,13 @@ mod tests {
             let mut buf = SockBuf::new(&env, 8).unwrap();
             assert_eq!(buf.push(&env, b"0123456789").unwrap(), 8);
             assert_eq!(buf.space(), 0);
-            assert_eq!(buf.pop(&env, 4).unwrap(), b"0123");
+            let mut out = Vec::new();
+            assert_eq!(buf.pop_into(&env, 4, &mut out).unwrap(), 4);
+            assert_eq!(out, b"0123");
             assert_eq!(buf.push(&env, b"ab").unwrap(), 2);
-            assert_eq!(buf.pop(&env, 10).unwrap(), b"4567ab");
+            out.clear();
+            assert_eq!(buf.pop_into(&env, 10, &mut out).unwrap(), 6);
+            assert_eq!(out, b"4567ab");
         });
     }
 }

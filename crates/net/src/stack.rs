@@ -493,23 +493,11 @@ impl NetStack {
         nic.tx_push(frame);
     }
 
-    /// Non-blocking receive: drains up to `maxlen` buffered bytes. Returns
-    /// an empty vector when nothing is buffered (blocking lives in the
-    /// libc wrapper — see the crate docs).
-    ///
-    /// # Errors
-    ///
-    /// Bad-handle faults; memory faults reading the ring.
-    pub fn recv(&self, sock: SocketHandle, maxlen: u64) -> Result<Vec<u8>, Fault> {
-        let mut out = Vec::new();
-        self.recv_into(sock, maxlen, &mut out)?;
-        Ok(out)
-    }
-
     /// Non-blocking receive into a caller-provided buffer: drains up to
     /// `maxlen` buffered bytes, appending them to `out`, and returns how
-    /// many arrived — the reusable-buffer twin of [`NetStack::recv`]
-    /// (zero host allocations once `out`'s capacity has converged).
+    /// many arrived — 0 when nothing is buffered (blocking lives in the
+    /// libc wrapper — see the crate docs). Zero host allocations once
+    /// `out`'s capacity has converged.
     ///
     /// # Errors
     ///
@@ -621,21 +609,11 @@ impl NetStack {
 
     // --- host-side access for clients/drivers ---------------------------
 
-    /// Client-side frame injection (free; models traffic from the load
-    /// generator's dedicated cores).
-    pub fn client_inject(&self, frame: Vec<u8>) -> bool {
-        self.nic.borrow_mut().client_inject(frame)
-    }
-
     /// Client-side frame injection from a borrowed slice into a pooled
-    /// NIC buffer — the no-alloc twin of [`NetStack::client_inject`].
+    /// NIC buffer (free; models traffic from the load generator's
+    /// dedicated cores). Returns `false` when the NIC dropped the frame.
     pub fn client_inject_bytes(&self, bytes: &[u8]) -> bool {
         self.nic.borrow_mut().inject_from(bytes)
-    }
-
-    /// Client-side collection of transmitted frames (free).
-    pub fn client_collect(&self) -> Vec<Vec<u8>> {
-        self.nic.borrow_mut().client_collect()
     }
 
     /// Client side: takes the next transmitted frame, if any. Hand the
@@ -659,25 +637,5 @@ impl NetStack {
     /// Propagates [`NetStack::poll`] faults.
     pub fn service(&self) -> Result<u32, Fault> {
         self.env.run_as(self.id, || self.poll())
-    }
-
-    /// Host-side helper: [`NetStack::recv`] executed as the lwip
-    /// component (tests and drivers that sit outside the image).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetStack::recv`] faults.
-    pub fn env_run_recv(&self, sock: SocketHandle, maxlen: u64) -> Result<Vec<u8>, Fault> {
-        self.env.run_as(self.id, || self.recv(sock, maxlen))
-    }
-
-    /// Host-side helper: [`NetStack::send`] executed as the lwip
-    /// component.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetStack::send`] faults.
-    pub fn env_run_send(&self, sock: SocketHandle, data: &[u8]) -> Result<u64, Fault> {
-        self.env.run_as(self.id, || self.send(sock, data))
     }
 }

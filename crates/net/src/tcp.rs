@@ -25,91 +25,11 @@ pub const FLAG_SYN: u8 = 0x01;
 pub const FLAG_ACK: u8 = 0x02;
 /// FIN flag.
 pub const FLAG_FIN: u8 = 0x04;
-/// RST flag.
-pub const FLAG_RST: u8 = 0x08;
 /// PSH flag.
 pub const FLAG_PSH: u8 = 0x10;
 
-/// A parsed TCP-lite segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Sequence number of the first payload byte.
-    pub seq: u32,
-    /// Acknowledgment number (next expected byte).
-    pub ack: u32,
-    /// Flag bits.
-    pub flags: u8,
-    /// Advertised receive window.
-    pub window: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
-impl Segment {
-    /// Builds a flags-only segment.
-    pub fn control(src: u16, dst: u16, seq: u32, ack: u32, flags: u8) -> Segment {
-        Segment {
-            src_port: src,
-            dst_port: dst,
-            seq,
-            ack,
-            flags,
-            window: 65535,
-            payload: Vec::new(),
-        }
-    }
-
-    /// Serializes to wire format with a valid checksum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload exceeds [`MSS`].
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        write_frame(
-            &mut out,
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            self.flags,
-            self.window,
-            &self.payload,
-        );
-        out
-    }
-
-    /// Parses and checksum-verifies a frame.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::InvalidConfig`] for truncated frames or checksum failures
-    /// (the stack drops these and counts them).
-    pub fn parse(frame: &[u8]) -> Result<Segment, Fault> {
-        let view = SegmentView::parse(frame)?;
-        Ok(Segment {
-            src_port: view.src_port,
-            dst_port: view.dst_port,
-            seq: view.seq,
-            ack: view.ack,
-            flags: view.flags,
-            window: view.window,
-            payload: view.payload.to_vec(),
-        })
-    }
-
-    /// `true` if the given flag is set.
-    pub fn has(&self, flag: u8) -> bool {
-        self.flags & flag != 0
-    }
-}
-
-/// A parsed segment borrowing its payload from the frame — the zero-copy,
-/// zero-allocation twin of [`Segment::parse`] the data path runs on.
+/// A parsed TCP-lite segment, borrowing its payload from the frame: the
+/// data path parses without copying or allocating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentView<'a> {
     /// Source port.
@@ -189,9 +109,9 @@ impl<'a> SegmentView<'a> {
     }
 }
 
-/// Serializes a segment into `out` (cleared first) with a valid checksum
-/// — the reusable-buffer twin of [`Segment::to_bytes`]: with a recycled
-/// `out`, framing performs zero host allocations.
+/// Serializes a segment into `out` (cleared first) with a valid
+/// checksum: with a recycled `out`, framing performs zero host
+/// allocations.
 ///
 /// # Panics
 ///
@@ -292,41 +212,54 @@ mod tests {
 
     #[test]
     fn serialize_parse_roundtrip() {
-        let seg = Segment {
-            src_port: 50000,
-            dst_port: 6379,
-            seq: 1000,
-            ack: 2000,
-            flags: FLAG_ACK | FLAG_PSH,
-            window: 4096,
-            payload: b"GET mykey".to_vec(),
-        };
-        let wire = seg.to_bytes();
-        let parsed = Segment::parse(&wire).unwrap();
-        assert_eq!(seg, parsed);
+        let mut wire = Vec::new();
+        write_frame(
+            &mut wire,
+            50000,
+            6379,
+            1000,
+            2000,
+            FLAG_ACK | FLAG_PSH,
+            4096,
+            b"GET mykey",
+        );
+        assert_eq!(
+            SegmentView::parse(&wire).unwrap(),
+            SegmentView {
+                src_port: 50000,
+                dst_port: 6379,
+                seq: 1000,
+                ack: 2000,
+                flags: FLAG_ACK | FLAG_PSH,
+                window: 4096,
+                payload: b"GET mykey",
+            }
+        );
     }
 
     #[test]
     fn corrupted_frame_rejected() {
-        let seg = Segment::control(1, 2, 0, 0, FLAG_SYN);
-        let mut wire = seg.to_bytes();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, 2, 0, 0, FLAG_SYN, 65535, &[]);
         wire[4] ^= 0xFF; // flip sequence bits
-        assert!(Segment::parse(&wire).is_err());
+        assert!(SegmentView::parse(&wire).is_err());
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 50000, 6379, 1000, 2000, FLAG_ACK, 4096, b"GET");
+        wire[5] ^= 0x10;
+        assert!(SegmentView::parse(&wire).is_err());
     }
 
     #[test]
     fn truncated_frame_rejected() {
-        assert!(Segment::parse(&[0u8; 10]).is_err());
+        assert!(SegmentView::parse(&[0u8; 10]).is_err());
         // Length field larger than actual payload.
-        let seg = Segment {
-            payload: b"xyz".to_vec(),
-            ..Segment::control(1, 2, 0, 0, 0)
-        };
-        let mut wire = seg.to_bytes();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, 2, 0, 0, 0, 65535, b"xyz");
         wire.truncate(HEADER_LEN + 1);
         // Restore checksum validity is impossible after truncation; parse
         // must fail either on checksum or on the length check.
-        assert!(Segment::parse(&wire).is_err());
+        assert!(SegmentView::parse(&wire).is_err());
+        assert!(SegmentView::parse_offloaded(&wire).is_err());
     }
 
     #[test]
@@ -338,53 +271,19 @@ mod tests {
     }
 
     #[test]
-    fn view_parse_agrees_with_owned_parse() {
-        let seg = Segment {
-            src_port: 50000,
-            dst_port: 6379,
-            seq: 1000,
-            ack: 2000,
-            flags: FLAG_ACK | FLAG_PSH,
-            window: 4096,
-            payload: b"GET mykey".to_vec(),
-        };
-        let wire = seg.to_bytes();
-        let view = SegmentView::parse(&wire).unwrap();
-        assert_eq!(view.payload, &seg.payload[..]);
-        assert_eq!(view.seq, seg.seq);
-        assert_eq!(Segment::parse(&wire).unwrap(), seg);
-        let mut corrupted = wire.clone();
-        corrupted[5] ^= 0x10;
-        assert!(SegmentView::parse(&corrupted).is_err());
-    }
-
-    #[test]
     fn write_frame_reuses_its_buffer() {
         let mut buf = vec![0xEE; 64]; // stale contents must be discarded
         write_frame(&mut buf, 1, 2, 7, 9, FLAG_ACK, 512, b"payload");
-        let seg = Segment::parse(&buf).unwrap();
+        assert_eq!(buf.len(), HEADER_LEN + 7);
+        let seg = SegmentView::parse(&buf).unwrap();
         assert_eq!(seg.payload, b"payload");
-        assert_eq!(
-            buf,
-            Segment {
-                src_port: 1,
-                dst_port: 2,
-                seq: 7,
-                ack: 9,
-                flags: FLAG_ACK,
-                window: 512,
-                payload: b"payload".to_vec(),
-            }
-            .to_bytes()
-        );
+        assert!(seg.has(FLAG_ACK) && !seg.has(FLAG_SYN));
     }
 
     #[test]
     fn max_payload_enforced() {
-        let seg = Segment {
-            payload: vec![0u8; MSS],
-            ..Segment::control(1, 2, 0, 0, 0)
-        };
-        assert_eq!(seg.to_bytes().len(), HEADER_LEN + MSS);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 1, 2, 0, 0, 0, 65535, &[0u8; MSS]);
+        assert_eq!(wire.len(), HEADER_LEN + MSS);
     }
 }

@@ -51,7 +51,7 @@ libraries:
             Err(f) => println!("  read app memory      -> {f}"),
             Ok(_) => println!("  read app memory      -> LEAKED (bug!)"),
         }
-        match env.call(redis, "redis_internal_eval", || Ok(())) {
+        match env.call_resolved(env.resolve(redis, "redis_internal_eval"), || Ok(())) {
             Err(f) => println!("  jump into app        -> {f}"),
             Ok(()) => println!("  jump into app        -> ENTERED (bug!)"),
         }

@@ -7,22 +7,8 @@
 //! not just the 100-point grid the matrix can afford to build.
 
 use flexos_attacks::expected_mask;
+use flexos_machine::xorshift64star;
 use flexos_sweep::{sweep_leq, SpaceSpec, SweepPoint};
-
-/// Deterministic xorshift64* PRNG — the workspace's no-dependency
-/// stand-in for a proptest runner.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
 
 fn assert_monotone(a: &SweepPoint, b: &SweepPoint, ma: u16, mb: u16) {
     assert_eq!(
@@ -39,9 +25,9 @@ fn assert_monotone(a: &SweepPoint, b: &SweepPoint, ma: u16, mb: u16) {
 fn random_ordered_pairs_have_inclusion_ordered_blocked_sets() {
     let spec = SpaceSpec::full(0, 0);
     let n = spec.len() as u64;
-    let mut rng = XorShift(0x5EED_CAFE_F00D_0001);
+    let mut rng = 0x5EED_CAFE_F00D_0001u64;
     let sample: Vec<SweepPoint> = (0..160)
-        .map(|_| spec.point((rng.next() % n) as usize))
+        .map(|_| spec.point((xorshift64star(&mut rng) % n) as usize))
         .collect();
     let masks: Vec<u16> = sample.iter().map(expected_mask).collect();
     let mut ordered = 0usize;
@@ -68,9 +54,9 @@ fn hardening_chains_are_inclusion_ordered() {
     // hardened (the full space enumerates all 16 masks contiguously).
     let spec = SpaceSpec::full(0, 0);
     let n = spec.len() as u64;
-    let mut rng = XorShift(0xDE7E_12A1_57A7_E001);
+    let mut rng = 0xDE7E_12A1_57A7_E001u64;
     for _ in 0..50 {
-        let i = (rng.next() % n) as usize;
+        let i = (xorshift64star(&mut rng) % n) as usize;
         let base = i - (i % 16);
         let weak = spec.point(base);
         let strong = spec.point(base + 15);

@@ -5,7 +5,10 @@
 #![allow(dead_code)] // each includer uses its own subset
 
 /// Deterministic xorshift64* generator; good enough to churn data
-/// structures, not meant for anything cryptographic.
+/// structures, not meant for anything cryptographic. Its shift triple
+/// (12, 25, 27) is not `flexos_machine::xorshift64star`'s (13, 7, 17),
+/// and it stays that way: `flexos_alloc`'s unit tests compare digests
+/// recorded from this exact stream.
 pub struct Rng(u64);
 
 impl Rng {

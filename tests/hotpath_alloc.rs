@@ -611,10 +611,12 @@ fn str_wrapper_resolves_without_allocating_after_first_use() {
     let app = os.app_ids[0];
     let lwip = env.component_id("lwip").unwrap();
     env.run_as(app, || {
-        env.call(lwip, "lwip_poll", || Ok(())).unwrap();
+        env.call_resolved(env.resolve(lwip, "lwip_poll"), || Ok(()))
+            .unwrap();
         let before = allocations();
         for _ in 0..1_000 {
-            env.call(lwip, "lwip_poll", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_poll"), || Ok(()))
+                .unwrap();
         }
         assert_eq!(allocations() - before, 0, "&str wrapper path allocated");
     });

@@ -110,10 +110,11 @@ fn gates_are_the_only_legal_entries() {
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(redis, || {
             // Registered entry point: fine.
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap();
             // Internal function: the gate's CFI property refuses it.
             let err = env
-                .call(lwip, "lwip_internal_timer", || Ok(()))
+                .call_resolved(env.resolve(lwip, "lwip_internal_timer"), || Ok(()))
                 .unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }), "{name}");
         });
@@ -190,7 +191,9 @@ fn ept_vms_duplicate_tcb_and_check_entries() {
     let app = os.app_ids[0];
     let vfs = env.component_id("vfscore").unwrap();
     env.run_as(app, || {
-        let err = env.call(vfs, "vfs_backdoor", || Ok(())).unwrap_err();
+        let err = env
+            .call_resolved(env.resolve(vfs, "vfs_backdoor"), || Ok(()))
+            .unwrap_err();
         assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
     });
 }
@@ -292,7 +295,8 @@ fn same_compartment_config_has_zero_gate_overhead() {
     let lwip = env.component_id("lwip").unwrap();
     env.run_as(redis, || {
         let t0 = env.machine().clock().now();
-        env.call(lwip, "lwip_poll", || Ok(())).unwrap();
+        env.call_resolved(env.resolve(lwip, "lwip_poll"), || Ok(()))
+            .unwrap();
         assert_eq!(env.machine().clock().now() - t0, 2);
     });
     assert_eq!(env.gates().total_crossings(), 0);

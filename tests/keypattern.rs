@@ -128,3 +128,40 @@ fn hot_key_default_is_the_historical_loop() {
     assert_eq!(shorthand.cycles, explicit.cycles);
     assert_eq!(shorthand.ops, explicit.ops);
 }
+
+#[test]
+fn degenerate_bench_shapes_are_refused_by_name_before_the_image_is_touched() {
+    let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
+        .app(flexos_apps::redis_component())
+        .build()
+        .unwrap();
+    let before = os.cycles();
+    for (bench, field) in [
+        (
+            RedisBench {
+                pipeline: 0,
+                measured: 8,
+                ..RedisBench::default()
+            },
+            "RedisBench::pipeline",
+        ),
+        (
+            RedisBench {
+                keyspace: 1,
+                measured: 8,
+                ..RedisBench::default()
+            },
+            "RedisBench::keyspace",
+        ),
+    ] {
+        match run_redis_bench(&os, bench) {
+            Err(Fault::InvalidConfig { reason }) => {
+                assert!(reason.contains(field), "`{reason}` must name {field}")
+            }
+            other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(os.cycles(), before, "a refused bench must not run");
+    }
+    // The image is still usable: nothing was installed on its ports.
+    assert!(run_redis_gets(&os, 2, 8).is_ok());
+}

@@ -12,6 +12,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use flexos::sweep::{engine, lazy, report, SpaceSpec, Workload};
 use flexos_explore::Strategy;
+use flexos_machine::xorshift64star;
 
 #[test]
 fn memoized_run_executes_once_per_canonical_point_and_matches_fresh() {
@@ -131,18 +132,6 @@ fn assert_lazy_matches_exhaustive(spec: &SpaceSpec) {
     }
 }
 
-/// Deterministic xorshift64 — the seeded sampler for the slice test.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
 #[test]
 fn lazy_matches_exhaustive_on_a_seeded_full_profiled_slice() {
     let spec = SpaceSpec::full_profiled(2, 8);
@@ -154,11 +143,14 @@ fn lazy_matches_exhaustive_on_a_seeded_full_profiled_slice() {
     // 500 canonically-distinct points: duplicates are order-equal and
     // would make the exhaustive star set (which has no canonicalization
     // layer) annihilate them pairwise.
-    let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let mut seen = HashSet::new();
     let mut sample = BTreeSet::new();
     while sample.len() < 500 {
-        let i = (rng.next() % spec.len() as u64) as usize;
+        // The draw is the generator's state, not its scrambled output:
+        // the sample this test has always checked.
+        xorshift64star(&mut rng);
+        let i = (rng % spec.len() as u64) as usize;
         if seen.insert(spec.shape(i).canonical()) {
             sample.insert(i);
         }

@@ -92,9 +92,10 @@ fn mixed_gates_coexist_in_one_image() {
     let sched = env.component_id("uksched").unwrap();
     let env2 = Rc::clone(&env);
     env.run_as(app, move || {
-        env2.call(lwip, "lwip_poll", || {
+        env2.call_resolved(env2.resolve(lwip, "lwip_poll"), || {
             // From inside the lwip compartment, cross back into comp1.
-            env2.call(sched, "uksched_yield", || Ok(())).map(|_| ())
+            env2.call_resolved(env2.resolve(sched, "uksched_yield"), || Ok(()))
+                .map(|_| ())
         })
         .unwrap();
     });

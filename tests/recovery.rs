@@ -217,14 +217,15 @@ fn crash_looping_compartment_is_evicted_after_the_restart_budget() {
     let redis = os.component("redis-a").unwrap();
     env.run_as(redis, || {
         assert!(matches!(
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap_err(),
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap_err(),
             Fault::Quarantined { .. }
         ));
     });
     // ...and further fault bursts drain quietly: still no reboot, the
     // quarantine bit never clears.
     let _ = env.run_as(redis, || {
-        env.observe(env.call(lwip, "lwip_recv", || Ok(())))
+        env.observe(env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(())))
     });
     assert!(sup.poll().is_none());
     assert!(env.is_quarantined(net));
@@ -264,9 +265,10 @@ fn isolation_trio_still_holds_after_a_microreboot() {
     // 2. Gates are still the only legal entries — the replayed entry
     // surface is neither widened nor lost.
     env.run_as(redis, || {
-        env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+        env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+            .unwrap();
         assert!(matches!(
-            env.call(lwip, "lwip_internal_timer", || Ok(()))
+            env.call_resolved(env.resolve(lwip, "lwip_internal_timer"), || Ok(()))
                 .unwrap_err(),
             Fault::IllegalEntryPoint { .. }
         ));
