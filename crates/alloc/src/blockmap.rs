@@ -43,7 +43,7 @@ mod reference;
 
 /// State of one block in the region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Block {
+pub(crate) struct Block {
     /// Block payload size in bytes.
     pub size: u64,
     /// Whether the block is on a free list.
@@ -64,7 +64,7 @@ type Chunk = [u32; CHUNK_GRANULES as usize];
 
 /// Address-ordered map of all blocks (free and live) in a region.
 #[derive(Debug)]
-pub struct BlockMap {
+pub(crate) struct BlockMap {
     base: u64,
     /// Region length in bytes; only the last block may end off-granule.
     size: u64,
@@ -85,7 +85,7 @@ impl BlockMap {
     /// # Panics
     ///
     /// Panics if the region has more than 2³⁰ granules (16 GiB).
-    pub fn new(base: Addr, size: u64) -> Self {
+    pub(crate) fn new(base: Addr, size: u64) -> Self {
         let granules = size.div_ceil(MIN_ALIGN);
         assert!(
             granules < 1 << (32 - COUNT_SHIFT),
@@ -166,7 +166,7 @@ impl BlockMap {
     }
 
     /// Looks up the block starting exactly at `addr`.
-    pub fn get(&self, addr: Addr) -> Option<Block> {
+    pub(crate) fn get(&self, addr: Addr) -> Option<Block> {
         let got = self.head(addr).map(|(g, tag)| self.block(g, tag));
         #[cfg(test)]
         assert_eq!(got, self.reference.get(addr), "get({addr})");
@@ -181,7 +181,7 @@ impl BlockMap {
     /// Panics if `addr` is not a free block of at least `want` bytes, or
     /// if a split would not fall on a [`MIN_ALIGN`] boundary — callers
     /// (the indexing policies) guarantee both.
-    pub fn take(&mut self, addr: Addr, want: u64) -> u64 {
+    pub(crate) fn take(&mut self, addr: Addr, want: u64) -> u64 {
         let (granule, tag) = self.head(addr).expect("block exists");
         let blk = self.block(granule, tag);
         assert!(blk.free, "taking a live block");
@@ -210,7 +210,7 @@ impl BlockMap {
     /// # Errors
     ///
     /// [`Fault::BadFree`] if `addr` is not a live block.
-    pub fn release(&mut self, addr: Addr) -> Result<ReleaseOutcome, Fault> {
+    pub(crate) fn release(&mut self, addr: Addr) -> Result<ReleaseOutcome, Fault> {
         let out = self.release_tags(addr);
         #[cfg(test)]
         assert_eq!(out, self.reference.release(addr), "release({addr})");
@@ -277,7 +277,7 @@ impl BlockMap {
     /// # Errors
     ///
     /// [`Fault::BadFree`] if `addr` is not a live block.
-    pub fn release_no_coalesce(&mut self, addr: Addr) -> Result<u64, Fault> {
+    pub(crate) fn release_no_coalesce(&mut self, addr: Addr) -> Result<u64, Fault> {
         let out = match self.head(addr) {
             Some((granule, tag)) if tag & FREE == 0 => {
                 self.set_tag(granule, tag | FREE);
@@ -294,8 +294,10 @@ impl BlockMap {
         out
     }
 
-    /// Iterates over `(addr, block)` pairs in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Addr, Block)> + '_ {
+    /// Iterates over `(addr, block)` pairs in address order (the block
+    /// list the lockstep reference is compared against).
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Addr, Block)> + '_ {
         let mut granule = 0;
         std::iter::from_fn(move || {
             if granule >= self.granules {
@@ -311,13 +313,13 @@ impl BlockMap {
     }
 
     /// Sum of live payload bytes.
-    pub fn live_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn live_bytes(&self) -> u64 {
         let live = self
             .iter()
             .filter(|(_, b)| !b.free)
             .map(|(_, b)| b.size)
             .sum();
-        #[cfg(test)]
         assert_eq!(live, self.reference.live_bytes());
         live
     }
@@ -328,7 +330,7 @@ impl BlockMap {
     /// coalescing, Lea-style), no two adjacent free blocks exist.
     ///
     /// Used by property tests; `region` is `(base, size)`.
-    pub fn check_invariants(
+    pub(crate) fn check_invariants(
         &self,
         base: Addr,
         size: u64,
@@ -397,7 +399,7 @@ impl BlockMap {
 
 /// Result of [`BlockMap::release`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReleaseOutcome {
+pub(crate) struct ReleaseOutcome {
     /// Payload bytes of the freed allocation.
     pub freed: u64,
     /// Base of the (possibly coalesced) free block.

@@ -11,22 +11,22 @@ use flexos_machine::fault::Fault;
 use super::{Block, ReleaseOutcome};
 
 #[derive(Debug)]
-pub struct BTreeBlocks {
+pub(crate) struct BTreeBlocks {
     blocks: BTreeMap<u64, Block>,
 }
 
 impl BTreeBlocks {
-    pub fn new(base: Addr, size: u64) -> Self {
+    pub(crate) fn new(base: Addr, size: u64) -> Self {
         let mut blocks = BTreeMap::new();
         blocks.insert(base.raw(), Block { size, free: true });
         BTreeBlocks { blocks }
     }
 
-    pub fn get(&self, addr: Addr) -> Option<Block> {
+    pub(crate) fn get(&self, addr: Addr) -> Option<Block> {
         self.blocks.get(&addr.raw()).copied()
     }
 
-    pub fn take(&mut self, addr: Addr, want: u64) -> u64 {
+    pub(crate) fn take(&mut self, addr: Addr, want: u64) -> u64 {
         let blk = self.blocks.get_mut(&addr.raw()).expect("block exists");
         assert!(blk.free, "taking a live block");
         assert!(blk.size >= want, "block too small");
@@ -45,7 +45,7 @@ impl BTreeBlocks {
         want
     }
 
-    pub fn release(&mut self, addr: Addr) -> Result<ReleaseOutcome, Fault> {
+    pub(crate) fn release(&mut self, addr: Addr) -> Result<ReleaseOutcome, Fault> {
         let raw = addr.raw();
         let blk = match self.blocks.get(&raw) {
             Some(b) if !b.free => *b,
@@ -83,7 +83,7 @@ impl BTreeBlocks {
         })
     }
 
-    pub fn release_no_coalesce(&mut self, addr: Addr) -> Result<u64, Fault> {
+    pub(crate) fn release_no_coalesce(&mut self, addr: Addr) -> Result<u64, Fault> {
         match self.blocks.get_mut(&addr.raw()) {
             Some(b) if !b.free => {
                 b.free = true;
@@ -93,11 +93,11 @@ impl BTreeBlocks {
         }
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (Addr, Block)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Addr, Block)> + '_ {
         self.blocks.iter().map(|(&a, &b)| (Addr::new(a), b))
     }
 
-    pub fn live_bytes(&self) -> u64 {
+    pub(crate) fn live_bytes(&self) -> u64 {
         self.blocks
             .values()
             .filter(|b| !b.free)
@@ -105,7 +105,7 @@ impl BTreeBlocks {
             .sum()
     }
 
-    pub fn check_invariants(
+    pub(crate) fn check_invariants(
         &self,
         base: Addr,
         size: u64,

@@ -13,7 +13,7 @@ use crate::{RegionAlloc, MIN_ALIGN};
 
 /// The bump allocator.
 #[derive(Debug)]
-pub struct Bump {
+pub(crate) struct Bump {
     base: Addr,
     size: u64,
     next: Addr,
@@ -22,19 +22,13 @@ pub struct Bump {
 
 impl Bump {
     /// Creates a bump allocator over `[base, base + size)`.
-    pub fn new(base: Addr, size: u64) -> Self {
+    pub(crate) fn new(base: Addr, size: u64) -> Self {
         Bump {
             base,
             size,
             next: base,
             live: Vec::new(),
         }
-    }
-
-    /// Resets the arena, invalidating every allocation.
-    pub fn reset(&mut self) {
-        self.next = self.base;
-        self.live.clear();
     }
 }
 
@@ -134,14 +128,5 @@ mod tests {
         assert_eq!(b.free(a1).unwrap(), 16);
         assert_eq!(b.allocated_bytes(), 16);
         assert!(matches!(b.free(a1), Err(Fault::BadFree { .. })));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut b = Bump::new(Addr::new(0x1000), 4096);
-        b.alloc(128, 16).unwrap();
-        b.reset();
-        assert_eq!(b.allocated_bytes(), 0);
-        assert_eq!(b.alloc(128, 16).unwrap(), Addr::new(0x1000));
     }
 }

@@ -123,7 +123,7 @@ impl Heap {
     /// # Errors
     ///
     /// [`Fault::ResourceExhausted`] when the heap is full.
-    pub fn malloc_aligned(&mut self, size: u64, align: u64) -> Result<Addr, Fault> {
+    pub(crate) fn malloc_aligned(&mut self, size: u64, align: u64) -> Result<Addr, Fault> {
         let cost = self.machine.cost();
         let (pad_lo, pad_hi) = if self.kasan.is_some() {
             (REDZONE, REDZONE)

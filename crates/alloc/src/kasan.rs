@@ -14,19 +14,19 @@ use flexos_machine::fault::Fault;
 use flexos_machine::key::Access;
 
 /// Bytes covered by one shadow byte.
-pub const GRANULE: u64 = 8;
+pub(crate) const GRANULE: u64 = 8;
 
 /// Redzone placed before and after each allocation.
-pub const REDZONE: u64 = 16;
+pub(crate) const REDZONE: u64 = 16;
 
 /// Shadow encodings (matching ASan's conventions).
 mod shadow {
     /// Fully addressable granule.
-    pub const OK: u8 = 0;
+    pub(crate) const OK: u8 = 0;
     /// Heap redzone.
-    pub const REDZONE: u8 = 0xFA;
+    pub(crate) const REDZONE: u8 = 0xFA;
     /// Freed (quarantined) memory.
-    pub const FREED: u8 = 0xFD;
+    pub(crate) const FREED: u8 = 0xFD;
 }
 
 /// Address sanitizer state for one heap region.
@@ -39,7 +39,7 @@ mod shadow {
 /// bytes below its high-water mark, and a check costs the same indexed
 /// load it always did.
 #[derive(Debug)]
-pub struct Kasan {
+pub(crate) struct Kasan {
     base: Addr,
     /// Granules in the region (the bound on every check; `shadow.len()`
     /// never exceeds it).
@@ -49,14 +49,12 @@ pub struct Kasan {
     quarantine: VecDeque<(Addr, u64)>,
     quarantined_bytes: u64,
     quarantine_limit: u64,
-    /// Total faults this instance has reported (for hardening stats).
-    reports: u64,
 }
 
 impl Kasan {
     /// Creates a sanitizer for the region `[base, base + size)`, initially
     /// all poisoned (nothing is allocated yet). Allocates nothing.
-    pub fn new(base: Addr, size: u64) -> Self {
+    pub(crate) fn new(base: Addr, size: u64) -> Self {
         Kasan {
             base,
             granules: (size / GRANULE) as usize + 1,
@@ -64,7 +62,6 @@ impl Kasan {
             quarantine: VecDeque::new(),
             quarantined_bytes: 0,
             quarantine_limit: 256 * 1024,
-            reports: 0,
         }
     }
 
@@ -97,7 +94,7 @@ impl Kasan {
     /// addressable and the trailing redzone starts at the next granule
     /// boundary — the same slack real ASan encodes with partial-granule
     /// shadow values (1..7).
-    pub fn on_alloc(&mut self, addr: Addr, len: u64) {
+    pub(crate) fn on_alloc(&mut self, addr: Addr, len: u64) {
         self.set_shadow(addr - REDZONE, REDZONE, shadow::REDZONE);
         self.set_shadow(addr, len, shadow::OK);
         let tail = addr + len;
@@ -110,7 +107,7 @@ impl Kasan {
 
     /// Poisons a freed allocation and moves it to quarantine. Returns the
     /// blocks that fell out of quarantine and may now really be freed.
-    pub fn on_free(&mut self, addr: Addr, len: u64) -> Vec<(Addr, u64)> {
+    pub(crate) fn on_free(&mut self, addr: Addr, len: u64) -> Vec<(Addr, u64)> {
         self.set_shadow(addr, len, shadow::FREED);
         self.quarantine.push_back((addr, len));
         self.quarantined_bytes += len;
@@ -133,7 +130,7 @@ impl Kasan {
     /// [`Fault::Kasan`] with a classification (`heap-buffer-overflow` for
     /// redzone hits, `use-after-free` for quarantined memory) when any
     /// touched granule is poisoned.
-    pub fn check(&mut self, addr: Addr, len: u64, _kind: Access) -> Result<(), Fault> {
+    pub(crate) fn check(&mut self, addr: Addr, len: u64, _kind: Access) -> Result<(), Fault> {
         if len == 0 {
             return Ok(());
         }
@@ -151,7 +148,6 @@ impl Kasan {
             }
             None => return Ok(()),
         };
-        self.reports += 1;
         Err(Fault::Kasan {
             addr: self.base + idx as u64 * GRANULE,
             what: match value {
@@ -159,26 +155,6 @@ impl Kasan {
                 _ => "heap-buffer-overflow",
             },
         })
-    }
-
-    /// `true` if `addr` lies within the sanitized region.
-    pub fn covers(&self, addr: Addr) -> bool {
-        addr >= self.base && addr.offset_from(self.base) / GRANULE < self.granules as u64
-    }
-
-    /// Number of violations reported so far.
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
-    /// Bytes currently held in quarantine.
-    pub fn quarantined_bytes(&self) -> u64 {
-        self.quarantined_bytes
-    }
-
-    /// Sets the quarantine size limit (bytes).
-    pub fn set_quarantine_limit(&mut self, bytes: u64) {
-        self.quarantine_limit = bytes;
     }
 }
 
@@ -228,13 +204,12 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(k.reports(), 1);
     }
 
     #[test]
     fn quarantine_evicts_at_limit() {
         let mut k = kasan();
-        k.set_quarantine_limit(128);
+        k.quarantine_limit = 128;
         let a = Addr::new(0x10000 + 1024);
         let b = Addr::new(0x10000 + 2048);
         k.on_alloc(a, 100);
@@ -242,7 +217,7 @@ mod tests {
         assert!(k.on_free(a, 100).is_empty(), "under limit: nothing evicted");
         let evicted = k.on_free(b, 100);
         assert_eq!(evicted, vec![(a, 100)], "oldest block leaves quarantine");
-        assert_eq!(k.quarantined_bytes(), 100);
+        assert_eq!(k.quarantined_bytes, 100);
     }
 
     #[test]
@@ -338,7 +313,7 @@ mod tests {
         let mut rng = crate::testrng::Rng::new(0x5AD0_0001);
         let mut lazy = Kasan::new(BASE, SIZE);
         let mut eager = EagerShadow::new(BASE, SIZE);
-        lazy.set_quarantine_limit(4096);
+        lazy.quarantine_limit = 4096;
         // Live payloads, carved bottom-up like the allocators do, each
         // with a redzone of room on both sides.
         let mut live: Vec<(Addr, u64)> = Vec::new();
@@ -371,7 +346,7 @@ mod tests {
                     // Microreboot: `Env::reset_heap` builds a fresh heap
                     // and sanitizer over the same region.
                     lazy = Kasan::new(BASE, SIZE);
-                    lazy.set_quarantine_limit(4096);
+                    lazy.quarantine_limit = 4096;
                     eager = EagerShadow::new(BASE, SIZE);
                     live.clear();
                     cursor = BASE + REDZONE;
@@ -403,10 +378,6 @@ mod tests {
                         eager.check(addr, len),
                         "step {step}: check({addr}, {len})"
                     );
-                    assert_eq!(
-                        lazy.covers(addr),
-                        addr.offset_from(BASE) / GRANULE <= SIZE / GRANULE
-                    );
                     match got {
                         Err(Fault::Kasan {
                             what: "use-after-free",
@@ -422,7 +393,6 @@ mod tests {
             }
         }
         assert!(lazy.shadow.len() <= eager.shadow.len());
-        assert_eq!(lazy.reports(), overflows + uafs);
         assert!(checks >= 10_000 && overflows > 1000 && uafs > 100 && past_high_water > 300);
     }
 }

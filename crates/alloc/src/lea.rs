@@ -196,11 +196,6 @@ impl Lea {
         self.large.retain(|&(_, a)| !(lo <= a && a < hi));
     }
 
-    /// Region base address.
-    pub fn base(&self) -> Addr {
-        self.base
-    }
-
     /// Validates block-map invariants; used by property tests.
     ///
     /// # Errors

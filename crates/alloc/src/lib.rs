@@ -27,10 +27,10 @@
 //! neither, which is what makes an image cheap to build and a
 //! compartment cheap to microreboot.
 
-pub mod blockmap;
-pub mod bump;
-pub mod heap;
-pub mod kasan;
+pub(crate) mod blockmap;
+pub(crate) mod bump;
+pub(crate) mod heap;
+pub(crate) mod kasan;
 pub mod lea;
 pub mod stats;
 pub mod tlsf;
@@ -40,14 +40,16 @@ pub mod tlsf;
 #[path = "../../../tests/common/mod.rs"]
 mod testrng;
 
-pub use heap::{Heap, HeapKind};
+pub use heap::Heap;
+
+pub use heap::HeapKind;
 pub use stats::AllocStats;
 
 use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
 
 /// Minimum allocation granule; everything is rounded up to this.
-pub const MIN_ALIGN: u64 = 16;
+pub(crate) const MIN_ALIGN: u64 = 16;
 
 /// A region-scoped allocator over simulated addresses.
 ///

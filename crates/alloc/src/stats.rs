@@ -36,17 +36,8 @@ impl AllocStats {
     }
 
     /// Live bytes right now.
-    pub fn live_bytes(&self) -> u64 {
+    pub(crate) fn live_bytes(&self) -> u64 {
         self.bytes_allocated.saturating_sub(self.bytes_freed)
-    }
-
-    /// Fraction of mallocs that hit the slow path.
-    pub fn slow_ratio(&self) -> f64 {
-        if self.mallocs == 0 {
-            0.0
-        } else {
-            self.slow_hits as f64 / self.mallocs as f64
-        }
     }
 }
 
@@ -82,12 +73,6 @@ mod tests {
         };
         assert_eq!(s.total_ops(), 14);
         assert_eq!(s.live_bytes(), 700);
-        assert!((s.slow_ratio() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_mallocs_zero_ratio() {
-        assert_eq!(AllocStats::default().slow_ratio(), 0.0);
     }
 
     #[test]

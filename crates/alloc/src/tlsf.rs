@@ -205,11 +205,6 @@ impl RegionAlloc for Tlsf {
 }
 
 impl Tlsf {
-    /// Region base address.
-    pub fn base(&self) -> Addr {
-        self.base
-    }
-
     /// Validates the block-map invariants (tiling, coalescing); used by
     /// property tests.
     ///

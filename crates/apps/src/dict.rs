@@ -25,7 +25,6 @@ pub struct Dict {
     env: Rc<Env>,
     buckets: Addr,
     capacity: u64,
-    len: u64,
 }
 
 impl Dict {
@@ -55,18 +54,7 @@ impl Dict {
             env,
             buckets,
             capacity,
-            len: 0,
         })
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// `true` when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn hash(&self, key: &[u8]) -> u64 {
@@ -151,7 +139,6 @@ impl Dict {
                         value.len() as u32,
                         STATE_USED,
                     )?;
-                    self.len += 1;
                     return Ok(());
                 }
                 _ if self.key_matches(kaddr, klen, key)? => {
@@ -177,20 +164,9 @@ impl Dict {
         })
     }
 
-    /// Looks up `key`.
-    ///
-    /// # Errors
-    ///
-    /// Protection faults from a foreign compartment.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, Fault> {
-        let mut out = Vec::new();
-        Ok(self.get_into(key, &mut out)?.map(|_| out))
-    }
-
-    /// Looks up `key`, **appending** the value to `out` — the
-    /// reusable-buffer twin of [`Dict::get`]: with a recycled `out`, a
-    /// steady-state probe-and-read performs zero host allocations.
-    /// Returns the value length on a hit.
+    /// Looks up `key`, **appending** the value to `out`: with a recycled
+    /// `out`, a steady-state probe-and-read performs zero host
+    /// allocations. Returns the value length on a hit.
     ///
     /// # Errors
     ///
@@ -240,7 +216,7 @@ impl Dict {
     /// # Errors
     ///
     /// Protection faults from a foreign compartment.
-    pub fn del(&mut self, key: &[u8]) -> Result<bool, Fault> {
+    pub(crate) fn del(&mut self, key: &[u8]) -> Result<bool, Fault> {
         let mut idx = self.hash(key);
         for _ in 0..self.capacity {
             let (kaddr, vaddr, klen, _vlen, state) = self.read_bucket(idx)?;
@@ -250,7 +226,6 @@ impl Dict {
                     self.env.free(Addr::new(kaddr))?;
                     self.env.free(Addr::new(vaddr))?;
                     self.write_bucket(idx, 0, 0, 0, 0, STATE_TOMB)?;
-                    self.len -= 1;
                     return Ok(true);
                 }
                 _ => idx = idx.wrapping_add(1),
@@ -285,12 +260,16 @@ mod tests {
             let mut d = Dict::with_capacity(Rc::clone(&env), 64).unwrap();
             d.set(b"alpha", b"1").unwrap();
             d.set(b"beta", b"2").unwrap();
-            assert_eq!(d.get(b"alpha").unwrap(), Some(b"1".to_vec()));
-            assert_eq!(d.get(b"gamma").unwrap(), None);
+            let mut out = Vec::new();
+            assert_eq!(d.get_into(b"alpha", &mut out).unwrap(), Some(1));
+            assert_eq!(out, b"1");
+            assert_eq!(d.get_into(b"gamma", &mut out).unwrap(), None);
             assert!(d.del(b"alpha").unwrap());
             assert!(!d.del(b"alpha").unwrap());
-            assert_eq!(d.get(b"alpha").unwrap(), None);
-            assert_eq!(d.len(), 1);
+            assert_eq!(d.get_into(b"alpha", &mut out).unwrap(), None);
+            // Hits append, misses leave the buffer alone.
+            assert_eq!(d.get_into(b"beta", &mut out).unwrap(), Some(1));
+            assert_eq!(out, b"12");
         });
     }
 
@@ -302,8 +281,9 @@ mod tests {
             let mut d = Dict::with_capacity(Rc::clone(&env), 16).unwrap();
             d.set(b"k", b"old").unwrap();
             d.set(b"k", b"newer-value").unwrap();
-            assert_eq!(d.get(b"k").unwrap(), Some(b"newer-value".to_vec()));
-            assert_eq!(d.len(), 1);
+            let mut out = Vec::new();
+            assert_eq!(d.get_into(b"k", &mut out).unwrap(), Some(11));
+            assert_eq!(out, b"newer-value");
         });
     }
 
@@ -317,12 +297,11 @@ mod tests {
                 d.set(format!("key:{i}").as_bytes(), format!("val:{i}").as_bytes())
                     .unwrap();
             }
+            let mut out = Vec::new();
             for i in 0..200u32 {
-                assert_eq!(
-                    d.get(format!("key:{i}").as_bytes()).unwrap(),
-                    Some(format!("val:{i}").into_bytes()),
-                    "key {i}"
-                );
+                out.clear();
+                d.get_into(format!("key:{i}").as_bytes(), &mut out).unwrap();
+                assert_eq!(out, format!("val:{i}").into_bytes(), "key {i}");
             }
         });
     }
@@ -356,7 +335,8 @@ mod tests {
             }
             d.del(b"x2").unwrap();
             for i in [0u32, 1, 3, 4] {
-                assert!(d.get(format!("x{i}").as_bytes()).unwrap().is_some());
+                let hit = d.get_into(format!("x{i}").as_bytes(), &mut Vec::new());
+                assert!(hit.unwrap().is_some());
             }
         });
     }

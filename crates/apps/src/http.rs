@@ -7,7 +7,7 @@ use flexos_machine::fault::Fault;
 /// A parsed HTTP request line + the headers the server cares about,
 /// borrowing method and path from the buffer it was parsed out of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HttpRequest<'a> {
+pub(crate) struct HttpRequest<'a> {
     /// Request method (only GET is served).
     pub method: &'a str,
     /// Request path.
@@ -24,7 +24,7 @@ pub struct HttpRequest<'a> {
 /// # Errors
 ///
 /// [`Fault::InvalidConfig`] on malformed request lines.
-pub fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest<'_>, usize)>, Fault> {
+pub(crate) fn parse_request(buf: &[u8]) -> Result<Option<(HttpRequest<'_>, usize)>, Fault> {
     let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
         Some(p) => p + 4,
         None => return Ok(None),
@@ -83,7 +83,7 @@ pub fn response_head(content_length: usize, keep_alive: bool) -> Vec<u8> {
 /// Appends the `200 OK` response head for a body of `content_length`
 /// bytes to `out` (a server's reused buffer: no allocation once it has
 /// grown to a head's size).
-pub fn write_response_head(out: &mut Vec<u8>, content_length: usize, keep_alive: bool) {
+pub(crate) fn write_response_head(out: &mut Vec<u8>, content_length: usize, keep_alive: bool) {
     write!(
         out,
         "HTTP/1.1 200 OK\r\n\
@@ -104,7 +104,7 @@ pub fn response_404() -> Vec<u8> {
 }
 
 /// Appends the `404 Not Found` response to `out`.
-pub fn write_response_404(out: &mut Vec<u8>) {
+pub(crate) fn write_response_404(out: &mut Vec<u8>) {
     let body = b"<html><body><h1>404 Not Found</h1></body></html>";
     write!(
         out,

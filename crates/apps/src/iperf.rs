@@ -24,35 +24,26 @@ pub struct IperfServer {
     id: ComponentId,
     libc: Rc<Newlib>,
     listener: Cell<Option<SocketHandle>>,
-    bytes_received: Cell<u64>,
     /// Reusable receive buffer (the iperf client reuses one buffer too).
     rx_scratch: RefCell<Vec<u8>>,
 }
 
 impl std::fmt::Debug for IperfServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IperfServer")
-            .field("bytes_received", &self.bytes_received.get())
-            .finish()
+        f.debug_struct("IperfServer").finish_non_exhaustive()
     }
 }
 
 impl IperfServer {
     /// Creates the server (`id` must be the iperf component's id).
-    pub fn new(env: Rc<Env>, id: ComponentId, libc: Rc<Newlib>) -> Self {
+    pub(crate) fn new(env: Rc<Env>, id: ComponentId, libc: Rc<Newlib>) -> Self {
         IperfServer {
             env,
             id,
             libc,
             listener: Cell::new(None),
-            bytes_received: Cell::new(0),
             rx_scratch: RefCell::new(Vec::new()),
         }
-    }
-
-    /// This component's id.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
     }
 
     /// Starts listening on [`IPERF_PORT`].
@@ -60,7 +51,7 @@ impl IperfServer {
     /// # Errors
     ///
     /// Stack faults.
-    pub fn start(&self) -> Result<(), Fault> {
+    pub(crate) fn start(&self) -> Result<(), Fault> {
         self.start_on(IPERF_PORT)
     }
 
@@ -70,7 +61,7 @@ impl IperfServer {
     /// # Errors
     ///
     /// Stack faults.
-    pub fn start_on(&self, port: u16) -> Result<(), Fault> {
+    pub(crate) fn start_on(&self, port: u16) -> Result<(), Fault> {
         self.env.run_as(self.id, || {
             let sock = self.libc.listen(port)?;
             self.listener.set(Some(sock));
@@ -118,13 +109,7 @@ impl IperfServer {
                 });
                 got += n;
             }
-            self.bytes_received.set(self.bytes_received.get() + got);
             Ok(got)
         })
-    }
-
-    /// Total bytes received since creation.
-    pub fn total_received(&self) -> u64 {
-        self.bytes_received.get()
     }
 }

@@ -28,15 +28,6 @@ use crate::http;
 /// Default HTTP port.
 pub const NGINX_PORT: u16 = 80;
 
-/// Counters for the harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NginxStats {
-    /// Requests served.
-    pub requests: u64,
-    /// 404 responses.
-    pub not_found: u64,
-}
-
 /// The Nginx server application component.
 pub struct NginxServer {
     env: Rc<Env>,
@@ -57,13 +48,17 @@ pub struct NginxServer {
     response_scratch: RefCell<Vec<u8>>,
     /// Reusable socket receive buffer.
     rx_scratch: RefCell<Vec<u8>>,
-    stats: Cell<NginxStats>,
     loop_ticks: Cell<u64>,
 }
 
 impl NginxServer {
     /// Creates the server (`id` must be the nginx component's id).
-    pub fn new(env: Rc<Env>, id: ComponentId, libc: Rc<Newlib>, sched: Rc<Scheduler>) -> Self {
+    pub(crate) fn new(
+        env: Rc<Env>,
+        id: ComponentId,
+        libc: Rc<Newlib>,
+        sched: Rc<Scheduler>,
+    ) -> Self {
         let sched_yield = sched.entries().yield_now;
         let sched_current = sched.entries().current;
         NginxServer {
@@ -79,38 +74,18 @@ impl NginxServer {
             head_scratch: RefCell::new(Vec::new()),
             response_scratch: RefCell::new(Vec::new()),
             rx_scratch: RefCell::new(Vec::new()),
-            stats: Cell::new(NginxStats::default()),
             loop_ticks: Cell::new(0),
         }
     }
 
-    /// This component's id.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> NginxStats {
-        self.stats.get()
-    }
-
     /// Writes the welcome page into the VFS, opens + reads it back into
-    /// the open-file cache, and starts listening — nginx's startup path.
+    /// the open-file cache, and starts listening on `port` — nginx's
+    /// startup path (the sharded driver runs one listener per core).
     ///
     /// # Errors
     ///
     /// VFS or stack faults.
-    pub fn start(&self) -> Result<(), Fault> {
-        self.start_on(NGINX_PORT)
-    }
-
-    /// [`NginxServer::start`] on an explicit port — the per-core event
-    /// loops of a multi-core run shard one listener per core.
-    ///
-    /// # Errors
-    ///
-    /// VFS or stack faults.
-    pub fn start_on(&self, port: u16) -> Result<(), Fault> {
+    pub(crate) fn start_on(&self, port: u16) -> Result<(), Fault> {
         self.env.run_as(self.id, || {
             let page = http::welcome_page();
             let fd = self
@@ -223,7 +198,6 @@ impl NginxServer {
             mem_accesses: 40,
         });
 
-        let mut stats = self.stats.get();
         if serves_page {
             // Response assembly: itoa for Content-Length, memcpy of head
             // and body into the (reused) output chain buffer — the body
@@ -239,16 +213,12 @@ impl NginxServer {
             self.libc.memcpy(&mut response, &head)?;
             self.libc.memcpy(&mut response, &body)?;
             self.libc.send_nowait(conn, &response)?;
-            stats.requests += 1;
         } else {
             let mut response = self.response_scratch.borrow_mut();
             response.clear();
             http::write_response_404(&mut response);
             self.libc.send_nowait(conn, &response)?;
-            stats.requests += 1;
-            stats.not_found += 1;
         }
-        self.stats.set(stats);
         Ok(true)
     }
 }

@@ -71,7 +71,7 @@ impl RedisServer {
     /// # Errors
     ///
     /// Heap exhaustion allocating the keyspace.
-    pub fn new(
+    pub(crate) fn new(
         env: Rc<Env>,
         id: ComponentId,
         libc: Rc<Newlib>,
@@ -108,22 +108,14 @@ impl RedisServer {
         self.stats.get()
     }
 
-    /// Binds and listens on [`REDIS_PORT`]; runs as the redis component.
+    /// Binds and listens on `port`, running as the redis component —
+    /// one listener shard per core, and multi-tenant images run several
+    /// Redis instances side by side, one port per tenant.
     ///
     /// # Errors
     ///
     /// Stack faults.
-    pub fn start(&self) -> Result<(), Fault> {
-        self.start_on(REDIS_PORT)
-    }
-
-    /// Binds and listens on an explicit port — multi-tenant images run
-    /// several Redis instances side by side, one port per tenant.
-    ///
-    /// # Errors
-    ///
-    /// Stack faults.
-    pub fn start_on(&self, port: u16) -> Result<(), Fault> {
+    pub(crate) fn start_on(&self, port: u16) -> Result<(), Fault> {
         self.env.run_as(self.id, || {
             let sock = self.libc.listen(port)?;
             self.listener.set(Some(sock));
@@ -342,10 +334,5 @@ impl RedisServer {
     /// memory, then asserts the read path's length cap catches it.
     pub fn with_dict<R>(&self, f: impl FnOnce(&Dict) -> R) -> R {
         self.env.run_as(self.id, || f(&self.dict.borrow()))
-    }
-
-    /// Number of keys stored.
-    pub fn keyspace_len(&self) -> u64 {
-        self.dict.borrow().len()
     }
 }

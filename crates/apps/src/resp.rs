@@ -119,12 +119,12 @@ fn parse_int(digits: &[u8]) -> Option<usize> {
 }
 
 /// `:n\r\n`.
-pub fn int_reply(n: i64) -> Vec<u8> {
+pub(crate) fn int_reply(n: i64) -> Vec<u8> {
     format!(":{n}\r\n").into_bytes()
 }
 
 /// `-ERR msg\r\n`.
-pub fn error_reply(msg: &str) -> Vec<u8> {
+pub(crate) fn error_reply(msg: &str) -> Vec<u8> {
     format!("-ERR {msg}\r\n").into_bytes()
 }
 

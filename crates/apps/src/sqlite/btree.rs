@@ -21,7 +21,7 @@ const INTERIOR_ENTRY: usize = 12;
 
 /// One stored row.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowRecord {
+pub(crate) struct RowRecord {
     /// The row's key.
     pub rowid: i64,
     /// Serialized row payload.
@@ -110,13 +110,13 @@ fn leaf_bytes(cells: &[RowRecord]) -> usize {
 
 /// The B+tree handle: a root page number inside a pager.
 #[derive(Debug, Clone, Copy)]
-pub struct BTree {
+pub(crate) struct BTree {
     /// Root page number.
     pub root: u32,
 }
 
 /// Result of an insert: the (possibly new) root.
-pub struct InsertOutcome {
+pub(crate) struct InsertOutcome {
     /// New root page (differs from the old one after a root split).
     pub root: u32,
 }
@@ -127,7 +127,7 @@ impl BTree {
     /// # Errors
     ///
     /// Pager faults.
-    pub fn create(pager: &mut Pager) -> Result<BTree, Fault> {
+    pub(crate) fn create(pager: &mut Pager) -> Result<BTree, Fault> {
         let root = pager.append_page()?;
         pager.write_page(root, write_leaf(&[]))?;
         Ok(BTree { root })
@@ -138,7 +138,7 @@ impl BTree {
     /// # Errors
     ///
     /// Pager faults; oversized payloads.
-    pub fn insert(
+    pub(crate) fn insert(
         &self,
         pager: &mut Pager,
         rowid: i64,
@@ -240,7 +240,7 @@ impl BTree {
     /// # Errors
     ///
     /// Pager faults; corrupt pages.
-    pub fn lookup(&self, pager: &mut Pager, rowid: i64) -> Result<Option<Vec<u8>>, Fault> {
+    pub(crate) fn lookup(&self, pager: &mut Pager, rowid: i64) -> Result<Option<Vec<u8>>, Fault> {
         let mut pgno = self.root;
         loop {
             let page = pager.read_page(pgno)?;
@@ -273,7 +273,7 @@ impl BTree {
     /// # Errors
     ///
     /// Pager faults; corrupt pages.
-    pub fn scan(&self, pager: &mut Pager) -> Result<Vec<RowRecord>, Fault> {
+    pub(crate) fn scan(&self, pager: &mut Pager) -> Result<Vec<RowRecord>, Fault> {
         let mut out = Vec::new();
         self.scan_into(pager, self.root, &mut out)?;
         Ok(out)
@@ -309,7 +309,7 @@ impl BTree {
     /// # Errors
     ///
     /// Pager faults; corrupt pages.
-    pub fn delete(&self, pager: &mut Pager, rowid: i64) -> Result<bool, Fault> {
+    pub(crate) fn delete(&self, pager: &mut Pager, rowid: i64) -> Result<bool, Fault> {
         let mut pgno = self.root;
         loop {
             let page = pager.read_page(pgno)?;
@@ -338,24 +338,6 @@ impl BTree {
                     })
                 }
             }
-        }
-    }
-
-    /// Height of the tree (1 = a single leaf).
-    ///
-    /// # Errors
-    ///
-    /// Pager faults.
-    pub fn height(&self, pager: &mut Pager) -> Result<u32, Fault> {
-        let mut h = 1;
-        let mut pgno = self.root;
-        loop {
-            let page = pager.read_page(pgno)?;
-            if page[0] == LEAF {
-                return Ok(h);
-            }
-            pgno = interior_entries(&page)[0].0;
-            h += 1;
         }
     }
 }

@@ -8,8 +8,8 @@
 //! EPT RPCs (EPT2), syscalls (Linux), microkernel IPC (seL4/Genode), or
 //! `pkey_mprotect` transitions (CubicleOS).
 
-pub mod btree;
-pub mod pager;
+pub(crate) mod btree;
+pub(crate) mod pager;
 pub mod sql;
 
 use std::cell::RefCell;
@@ -48,7 +48,6 @@ impl ExecResult {
 #[derive(Debug, Clone)]
 struct TableInfo {
     name: String,
-    columns: Vec<String>,
     tree: BTree,
     next_rowid: i64,
 }
@@ -77,7 +76,7 @@ impl Sqlite {
     /// # Errors
     ///
     /// VFS faults.
-    pub fn open(
+    pub(crate) fn open(
         env: Rc<Env>,
         id: ComponentId,
         libc: Rc<Newlib>,
@@ -91,22 +90,6 @@ impl Sqlite {
             tables: RefCell::new(Vec::new()),
             explicit_txn: RefCell::new(false),
         })
-    }
-
-    /// This component's id.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
-    /// Pager I/O statistics.
-    pub fn pager_stats(&self) -> pager::PagerStats {
-        self.pager.borrow().stats()
-    }
-
-    /// Keeps the page cache warm across transactions (disables the
-    /// Figure 10 pressure mode).
-    pub fn keep_cache(&self, keep: bool) {
-        self.pager.borrow_mut().keep_cache = keep;
     }
 
     /// Parses and executes one SQL statement (autocommit unless inside an
@@ -161,7 +144,7 @@ impl Sqlite {
                 *self.explicit_txn.borrow_mut() = false;
                 Ok(ExecResult::none())
             }
-            Stmt::CreateTable { name, columns } => self.autocommit(|this| {
+            Stmt::CreateTable { name, .. } => self.autocommit(|this| {
                 if this.find_table(&name).is_some() {
                     return Err(Fault::InvalidConfig {
                         reason: format!("table `{name}` already exists"),
@@ -170,7 +153,6 @@ impl Sqlite {
                 let tree = BTree::create(&mut this.pager.borrow_mut())?;
                 this.tables.borrow_mut().push(TableInfo {
                     name,
-                    columns,
                     tree,
                     next_rowid: 1,
                 });
@@ -278,24 +260,6 @@ impl Sqlite {
         self.find_table(name).ok_or_else(|| Fault::InvalidConfig {
             reason: format!("no such table `{name}`"),
         })
-    }
-
-    /// Column names of a table (schema introspection for examples).
-    pub fn columns(&self, table: &str) -> Option<Vec<String>> {
-        self.find_table(&table.to_uppercase())
-            .map(|i| self.tables.borrow()[i].columns.clone())
-    }
-
-    /// Tree height of a table's B-tree (test introspection).
-    ///
-    /// # Errors
-    ///
-    /// Pager faults.
-    pub fn tree_height(&self, table: &str) -> Result<u32, Fault> {
-        let idx = self.require_table(&table.to_uppercase())?;
-        let tree = self.tables.borrow()[idx].tree;
-        self.env
-            .run_as(self.id, || tree.height(&mut self.pager.borrow_mut()))
     }
 }
 

@@ -26,27 +26,10 @@ use flexos_machine::fault::Fault;
 /// Page size. SQLite's minimum (512) keeps per-transaction page counts —
 /// and therefore vfs-crossing counts — high, which is the point of the
 /// Figure 10 workload.
-pub const PAGE_SIZE: usize = 512;
-
-/// Pager I/O statistics (Figure 10 introspection).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PagerStats {
-    /// Page reads that went to the vfs.
-    pub page_reads: u64,
-    /// Page writes that went to the vfs.
-    pub page_writes: u64,
-    /// Journal record writes.
-    pub journal_writes: u64,
-    /// fsync barriers issued.
-    pub syncs: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Transactions rolled back.
-    pub rollbacks: u64,
-}
+pub(crate) const PAGE_SIZE: usize = 512;
 
 /// The pager.
-pub struct Pager {
+pub(crate) struct Pager {
     libc: Rc<Newlib>,
     db_path: String,
     journal_path: String,
@@ -61,10 +44,8 @@ pub struct Pager {
     journal_fd: Option<Fd>,
     in_txn: bool,
     page_count: u32,
-    stats: PagerStats,
-    /// Keep the cross-transaction cache (turns off the pressure mode;
-    /// used by read-heavy examples).
-    pub keep_cache: bool,
+    /// Transactions committed (the change counter written to page 0).
+    commits: u64,
 }
 
 impl std::fmt::Debug for Pager {
@@ -72,7 +53,6 @@ impl std::fmt::Debug for Pager {
         f.debug_struct("Pager")
             .field("db", &self.db_path)
             .field("pages", &self.page_count)
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -83,7 +63,7 @@ impl Pager {
     /// # Errors
     ///
     /// VFS faults.
-    pub fn open(libc: Rc<Newlib>, db_path: &str) -> Result<Pager, Fault> {
+    pub(crate) fn open(libc: Rc<Newlib>, db_path: &str) -> Result<Pager, Fault> {
         let db_fd = libc.open(db_path, OpenFlags::CREATE_KEEP)?;
         let size = libc.file_size(db_path)?;
         // Page 0 is the database header (magic, change counter, schema
@@ -100,19 +80,8 @@ impl Pager {
             journal_fd: None,
             in_txn: false,
             page_count,
-            stats: PagerStats::default(),
-            keep_cache: false,
+            commits: 0,
         })
-    }
-
-    /// Number of pages in the database.
-    pub fn page_count(&self) -> u32 {
-        self.page_count
-    }
-
-    /// I/O statistics.
-    pub fn stats(&self) -> PagerStats {
-        self.stats
     }
 
     /// Begins a transaction: hot-journal check + lock-state probes.
@@ -120,7 +89,7 @@ impl Pager {
     /// # Errors
     ///
     /// VFS faults; nested-transaction misuse.
-    pub fn begin(&mut self) -> Result<(), Fault> {
+    pub(crate) fn begin(&mut self) -> Result<(), Fault> {
         if self.in_txn {
             return Err(Fault::InvalidConfig {
                 reason: "pager: nested transaction".to_string(),
@@ -156,7 +125,7 @@ impl Pager {
     /// # Errors
     ///
     /// VFS faults.
-    pub fn read_page(&mut self, pgno: u32) -> Result<Vec<u8>, Fault> {
+    pub(crate) fn read_page(&mut self, pgno: u32) -> Result<Vec<u8>, Fault> {
         if let Some(p) = self.dirty.get(&pgno) {
             return Ok(p.clone());
         }
@@ -171,7 +140,6 @@ impl Pager {
         let mut data = self.libc.read(self.db_fd, PAGE_SIZE as u64)?;
         self.libc.lseek(self.db_fd, 0)?;
         data.resize(PAGE_SIZE, 0);
-        self.stats.page_reads += 1;
         self.cache.insert(pgno, data.clone());
         Ok(data)
     }
@@ -186,7 +154,7 @@ impl Pager {
     /// # Panics
     ///
     /// Panics if `data` is not exactly one page.
-    pub fn write_page(&mut self, pgno: u32, data: Vec<u8>) -> Result<(), Fault> {
+    pub(crate) fn write_page(&mut self, pgno: u32, data: Vec<u8>) -> Result<(), Fault> {
         assert_eq!(data.len(), PAGE_SIZE, "page-sized writes only");
         if !self.in_txn {
             return Err(Fault::InvalidConfig {
@@ -202,7 +170,6 @@ impl Pager {
             self.libc.write(fd, &original)?;
             let cksum: u32 = original.iter().map(|&b| b as u32).sum();
             self.libc.write(fd, &cksum.to_be_bytes())?;
-            self.stats.journal_writes += 1;
             self.journaled.insert(pgno, original);
         }
         self.page_count = self.page_count.max(pgno + 1);
@@ -215,7 +182,7 @@ impl Pager {
     /// # Errors
     ///
     /// VFS faults (via the eventual write-back).
-    pub fn append_page(&mut self) -> Result<u32, Fault> {
+    pub(crate) fn append_page(&mut self) -> Result<u32, Fault> {
         let pgno = self.page_count;
         self.page_count += 1;
         self.dirty.insert(pgno, vec![0u8; PAGE_SIZE]);
@@ -228,7 +195,7 @@ impl Pager {
     /// # Errors
     ///
     /// VFS faults; committing outside a transaction.
-    pub fn commit(&mut self) -> Result<(), Fault> {
+    pub(crate) fn commit(&mut self) -> Result<(), Fault> {
         if !self.in_txn {
             return Err(Fault::InvalidConfig {
                 reason: "pager: commit outside transaction".to_string(),
@@ -240,7 +207,6 @@ impl Pager {
             self.libc
                 .write(journal_fd, &(self.journaled.len() as u32).to_be_bytes())?;
             self.libc.fsync(journal_fd)?;
-            self.stats.syncs += 1;
         }
         // EXCLUSIVE-lock probe before touching the main db.
         let _ = self.libc.file_size(&self.db_path)?;
@@ -251,29 +217,21 @@ impl Pager {
                 .lseek(self.db_fd, *pgno as u64 * PAGE_SIZE as u64)?;
             self.libc.write(self.db_fd, data)?;
             self.libc.lseek(self.db_fd, 0)?;
-            self.stats.page_writes += 1;
-            if self.keep_cache {
-                self.cache.insert(*pgno, data.clone());
-            }
         }
         // Change counter on page 0 (SQLite bumps bytes 24..28 of page 1).
         self.libc.lseek(self.db_fd, 24)?;
-        self.libc
-            .write(self.db_fd, &self.stats.commits.to_be_bytes())?;
+        self.libc.write(self.db_fd, &self.commits.to_be_bytes())?;
         self.libc.fsync(self.db_fd)?;
-        self.stats.syncs += 1;
         // Retire the journal.
         if let Some(journal_fd) = self.journal_fd.take() {
             self.libc.close(journal_fd)?;
             self.libc.unlink(&self.journal_path)?;
         }
         self.journaled.clear();
-        if !self.keep_cache {
-            // The workload's "pressure" mode: cold cache every txn.
-            self.cache.clear();
-        }
+        // The workload's "pressure" mode: cold cache every txn.
+        self.cache.clear();
         self.in_txn = false;
-        self.stats.commits += 1;
+        self.commits += 1;
         Ok(())
     }
 
@@ -282,7 +240,7 @@ impl Pager {
     /// # Errors
     ///
     /// VFS faults.
-    pub fn rollback(&mut self) -> Result<(), Fault> {
+    pub(crate) fn rollback(&mut self) -> Result<(), Fault> {
         let journaled = std::mem::take(&mut self.journaled);
         for (pgno, original) in journaled {
             self.libc
@@ -300,7 +258,6 @@ impl Pager {
         let size = self.libc.file_size(&self.db_path)?;
         self.page_count = ((size as usize / PAGE_SIZE) as u32).max(1);
         self.in_txn = false;
-        self.stats.rollbacks += 1;
         Ok(())
     }
 }

@@ -9,7 +9,7 @@ use flexos_machine::fault::Fault;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Keyword or identifier.
     Ident(String),
     /// Integer literal.
@@ -27,7 +27,7 @@ pub enum Token {
 /// # Errors
 ///
 /// [`Fault::InvalidConfig`] on unterminated strings or stray bytes.
-pub fn lex(sql: &str) -> Result<Vec<Token>, Fault> {
+pub(crate) fn lex(sql: &str) -> Result<Vec<Token>, Fault> {
     let bad = |what: String| Fault::InvalidConfig {
         reason: format!("sql lexer: {what}"),
     };

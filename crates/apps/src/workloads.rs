@@ -462,7 +462,7 @@ pub fn install_nginx(os: &FlexOs) -> Result<Rc<NginxServer>, Fault> {
 /// # Errors
 ///
 /// Missing component or substrate faults.
-pub fn install_nginx_on(os: &FlexOs, port: u16) -> Result<Rc<NginxServer>, Fault> {
+pub(crate) fn install_nginx_on(os: &FlexOs, port: u16) -> Result<Rc<NginxServer>, Fault> {
     let id = os.component("nginx").ok_or_else(|| Fault::InvalidConfig {
         reason: "image has no `nginx` component".to_string(),
     })?;

@@ -74,9 +74,7 @@ fn spawn_victim_thread(os: &FlexOs, s: &Scene) -> Result<ThreadStack, Fault> {
         reason: "image has no uksched component".to_string(),
     })?;
     let victim_comp = s.env.compartment_of(s.victim);
-    let (_tid, stack) = s
-        .env
-        .run_as(uksched, || os.sched.spawn("attack-victim", victim_comp))?;
+    let (_tid, stack) = s.env.run_as(uksched, || os.sched.spawn(victim_comp))?;
     Ok(stack)
 }
 

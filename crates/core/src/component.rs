@@ -136,12 +136,6 @@ impl Component {
         }
     }
 
-    /// Adds a shared-variable annotation (builder style).
-    pub fn with_shared(mut self, var: SharedVar) -> Self {
-        self.shared_vars.push(var);
-        self
-    }
-
     /// Adds several shared-variable annotations.
     pub fn with_shared_vars(mut self, vars: impl IntoIterator<Item = SharedVar>) -> Self {
         self.shared_vars.extend(vars);
@@ -193,7 +187,7 @@ impl ComponentRegistry {
     }
 
     /// Finds a component id by name.
-    pub fn lookup(&self, name: &str) -> Option<ComponentId> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<ComponentId> {
         self.components
             .iter()
             .position(|c| c.name == name)
@@ -218,13 +212,8 @@ impl ComponentRegistry {
     }
 
     /// Number of registered components.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.components.len()
-    }
-
-    /// `true` if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
     }
 }
 
@@ -234,8 +223,10 @@ mod tests {
 
     fn lwip() -> Component {
         Component::new("lwip", ComponentKind::Kernel)
-            .with_shared(SharedVar::stat("netif_list", 64, &["uksched"]))
-            .with_shared(SharedVar::heap("pbuf_pool", 4096, &["libc", "redis"]))
+            .with_shared_vars([
+                SharedVar::stat("netif_list", 64, &["uksched"]),
+                SharedVar::heap("pbuf_pool", 4096, &["libc", "redis"]),
+            ])
             .with_entry_points(&["lwip_recv", "lwip_send"])
             .with_patch(542, 275)
     }

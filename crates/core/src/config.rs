@@ -34,7 +34,7 @@ use crate::hardening::Hardening;
 
 /// Maximum compartments in one configuration: compartment sets (a
 /// sharing group's members, the quarantine set) are `u32` bitmasks.
-pub const MAX_COMPARTMENTS: usize = 32;
+pub(crate) const MAX_COMPARTMENTS: usize = 32;
 
 /// A complete build-time safety configuration.
 ///
@@ -89,7 +89,7 @@ impl SafetyConfig {
     /// than [`MAX_COMPARTMENTS`], no (or more than one) default
     /// compartment exists, compartment names collide, or a library
     /// references an unknown compartment.
-    pub fn validate(&self) -> Result<(), Fault> {
+    pub(crate) fn validate(&self) -> Result<(), Fault> {
         let invalid = |reason: String| Fault::InvalidConfig { reason };
         if self.compartments.is_empty() {
             return Err(invalid("no compartments declared".into()));
@@ -340,13 +340,6 @@ impl SafetyConfigBuilder {
     /// without their own [`CompartmentSpec::allocator`] override.
     pub fn default_allocator(mut self, kind: HeapKind) -> Self {
         self.default_allocator = Some(kind);
-        self
-    }
-
-    /// Chooses the default resource quotas for compartments without
-    /// their own [`CompartmentSpec::budget`] override.
-    pub fn default_budget(mut self, budget: ResourceBudget) -> Self {
-        self.default_budget = Some(budget);
         self
     }
 

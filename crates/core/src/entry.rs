@@ -30,10 +30,10 @@ use crate::component::ComponentId;
 /// Cap on names interned after build (illegal-call probes). Beyond it,
 /// unknown names share one overflow id so hostile or fuzzed inputs cannot
 /// grow the table without bound.
-pub const RUNTIME_INTERN_CAP: usize = 1024;
+pub(crate) const RUNTIME_INTERN_CAP: usize = 1024;
 
 /// Name reported for entries resolved past [`RUNTIME_INTERN_CAP`].
-pub const OVERFLOW_ENTRY_NAME: &str = "<unregistered-entry>";
+pub(crate) const OVERFLOW_ENTRY_NAME: &str = "<unregistered-entry>";
 
 /// Interned handle for an entry-point name (an index into the image's
 /// [`EntryTable`]). Entry points registered at build time get dense ids
@@ -78,7 +78,7 @@ pub struct EntryTable {
 
 impl EntryTable {
     /// Starts building a table for `n_compartments` compartments.
-    pub fn builder(n_compartments: usize) -> EntryTableBuilder {
+    pub(crate) fn builder(n_compartments: usize) -> EntryTableBuilder {
         EntryTableBuilder {
             names: Vec::new(),
             ids: BTreeMap::new(),
@@ -92,7 +92,7 @@ impl EntryTable {
     /// name the offending entry) — further unknown names collapse onto a
     /// shared [`OVERFLOW_ENTRY_NAME`] id, keeping memory bounded under
     /// illegal-call fuzzing.
-    pub fn resolve(&self, name: &str) -> EntryId {
+    pub(crate) fn resolve(&self, name: &str) -> EntryId {
         if let Some(&id) = self.ids.borrow().get(name) {
             return id;
         }
@@ -113,18 +113,13 @@ impl EntryTable {
         id
     }
 
-    /// Looks up a name without interning.
-    pub fn get(&self, name: &str) -> Option<EntryId> {
-        self.ids.borrow().get(name).copied()
-    }
-
     /// The name behind an interned id, borrowed from the table (drop it
     /// before resolving another name).
     ///
     /// # Panics
     ///
     /// Panics if `id` was not produced by this table.
-    pub fn name(&self, id: EntryId) -> Ref<'_, str> {
+    pub(crate) fn name(&self, id: EntryId) -> Ref<'_, str> {
         Ref::map(self.names.borrow(), |names| names[id.0 as usize].as_ref())
     }
 
@@ -157,7 +152,7 @@ impl EntryTable {
 
 /// Build-time constructor for [`EntryTable`] (used by the toolchain while
 /// registering components' entry points).
-pub struct EntryTableBuilder {
+pub(crate) struct EntryTableBuilder {
     names: Vec<Cow<'static, str>>,
     ids: BTreeMap<Cow<'static, str>, EntryId>,
     legal: Vec<Vec<u64>>,
@@ -165,7 +160,7 @@ pub struct EntryTableBuilder {
 
 impl EntryTableBuilder {
     /// Interns `name` (idempotent) and returns its id.
-    pub fn intern(&mut self, name: &'static str) -> EntryId {
+    pub(crate) fn intern(&mut self, name: &'static str) -> EntryId {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
@@ -180,7 +175,7 @@ impl EntryTableBuilder {
     /// # Panics
     ///
     /// Panics if `compartment` is out of range for this image.
-    pub fn permit(&mut self, compartment: CompartmentId, entry: EntryId) {
+    pub(crate) fn permit(&mut self, compartment: CompartmentId, entry: EntryId) {
         let words = &mut self.legal[compartment.0 as usize];
         let i = entry.0 as usize;
         if words.len() <= i / 64 {
@@ -190,7 +185,7 @@ impl EntryTableBuilder {
     }
 
     /// Freezes the legality bitsets and produces the runtime table.
-    pub fn build(self) -> EntryTable {
+    pub(crate) fn build(self) -> EntryTable {
         EntryTable {
             built: self.names.len(),
             names: RefCell::new(self.names),

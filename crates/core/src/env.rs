@@ -146,7 +146,7 @@ const GATE_ARG_REGS: usize = 2;
 /// it to drive its shared-memory RPC rings. The entry point arrives as its
 /// interned [`EntryId`] (resolve the name via [`Env::entry_name`] off the
 /// hot path if needed).
-pub type CrossingHook =
+pub(crate) type CrossingHook =
     Box<dyn Fn(&Env, CompartmentId, CompartmentId, EntryId) -> Result<(), Fault>>;
 
 /// The image runtime. See the module docs for the full tour.
@@ -214,7 +214,7 @@ impl std::fmt::Debug for Env {
 }
 
 /// All the pieces the image builder assembles into an [`Env`].
-pub struct EnvParts {
+pub(crate) struct EnvParts {
     /// The machine everything runs on.
     pub machine: Rc<Machine>,
     /// Registered components.
@@ -242,7 +242,7 @@ pub struct EnvParts {
 
 impl Env {
     /// Assembles the runtime from built parts (called by the toolchain).
-    pub fn from_parts(parts: EnvParts) -> Rc<Env> {
+    pub(crate) fn from_parts(parts: EnvParts) -> Rc<Env> {
         let n = parts.registry.len();
         let n_comps = parts.domains.len();
         let kasan_any = parts.hardening.iter().any(|h| h.kasan);
@@ -309,11 +309,6 @@ impl Env {
         self.comp_of[comp.0 as usize]
     }
 
-    /// Effective hardening of a component.
-    pub fn hardening_of(&self, comp: ComponentId) -> Hardening {
-        self.hardening[comp.0 as usize]
-    }
-
     /// Runtime domain state of a compartment.
     pub fn domain(&self, comp: CompartmentId) -> &DomainState {
         &self.domains[comp.0 as usize]
@@ -346,7 +341,7 @@ impl Env {
     /// images that never override the axis this is the old global
     /// value). Boundary-local code should prefer
     /// [`Env::data_sharing_of`].
-    pub fn data_sharing(&self) -> DataSharing {
+    pub(crate) fn data_sharing(&self) -> DataSharing {
         self.data_sharing_of(self.compartment_of(self.cur.get()))
     }
 
@@ -482,11 +477,6 @@ impl Env {
     /// `true` if any compartment in this image carries a resource budget.
     pub fn budget_enabled(&self) -> bool {
         self.budget_enabled
-    }
-
-    /// The resolved resource budget of a compartment.
-    pub fn budget_of(&self, comp: CompartmentId) -> ResourceBudget {
-        self.budgets[comp.0 as usize]
     }
 
     /// Usage snapshot of a compartment within the current accounting
@@ -822,7 +812,7 @@ impl Env {
                 );
             }
             self.machine.clock().advance(desc.cost);
-            self.gates.record_crossing(from_dom, to_dom, kind);
+            self.gates.record_crossing(kind);
             // Cross-core doorbell: a callee compartment homed on another
             // core pays the remote-gate surcharge on top of the
             // mechanism's gate cost. Machine-level overhead, not billed
@@ -1159,7 +1149,7 @@ impl Env {
     /// # Errors
     ///
     /// [`Fault::BadFree`] on foreign or double frees.
-    pub fn free_shared(&self, addr: Addr) -> Result<(), Fault> {
+    pub(crate) fn free_shared(&self, addr: Addr) -> Result<(), Fault> {
         self.machine.charge_contention(smp::SHARED_HEAP);
         self.shared_heap.borrow_mut().free(addr)
     }
@@ -1168,11 +1158,6 @@ impl Env {
     pub fn heap(&self) -> Rc<RefCell<Heap>> {
         let dom = self.compartment_of(self.cur.get());
         Rc::clone(&self.heaps[dom.0 as usize])
-    }
-
-    /// The shared communication heap.
-    pub fn shared_heap(&self) -> Rc<RefCell<Heap>> {
-        Rc::clone(&self.shared_heap)
     }
 
     /// Allocator statistics of one compartment's private heap — the
@@ -1266,7 +1251,7 @@ impl Env {
     }
 
     /// The annotation a placement belongs to (name, storage, whitelist).
-    pub fn shared_var_decl(&self, placement: &SharedVarPlacement) -> &SharedVar {
+    pub(crate) fn shared_var_decl(&self, placement: &SharedVarPlacement) -> &SharedVar {
         &self.registry.get(placement.owner).shared_vars[placement.var as usize]
     }
 

@@ -78,7 +78,7 @@ impl GateKind {
 
     /// Round-trip latency of this gate per the calibrated cost model
     /// (Figure 11b).
-    pub fn cost(&self, model: &CostModel) -> u64 {
+    pub(crate) fn cost(&self, model: &CostModel) -> u64 {
         match self {
             GateKind::DirectCall => model.function_call,
             GateKind::MpkLight => model.mpk_light_gate,
@@ -93,7 +93,7 @@ impl GateKind {
 
     /// `true` if this gate crosses a protection-domain boundary (and must
     /// therefore switch PKRU/AS and be CFI-checked).
-    pub fn crosses_domain(&self) -> bool {
+    pub(crate) fn crosses_domain(&self) -> bool {
         !matches!(self, GateKind::DirectCall)
     }
 
@@ -101,7 +101,7 @@ impl GateKind {
     /// compartments, given their mechanisms and the image's data-sharing
     /// strategy. Mixed-mechanism pairs take the *stronger* (costlier)
     /// mechanism's gate, since both domains must be protected.
-    pub fn between(from: Mechanism, to: Mechanism, sharing: DataSharing) -> GateKind {
+    pub(crate) fn between(from: Mechanism, to: Mechanism, sharing: DataSharing) -> GateKind {
         match from.stronger(to) {
             Mechanism::None => GateKind::DirectCall,
             Mechanism::IntelMpk => match sharing {
@@ -162,13 +162,12 @@ pub struct CrossingBreakdown {
 /// The instantiated gate matrix of an image plus crossing counters.
 ///
 /// The counters are the quantity every figure of the evaluation keys on:
-/// cycles = Σ crossings(from,to) × gate cost. All counters are [`Cell`]s,
+/// cycles = Σ crossings(kind) × gate cost. All counters are [`Cell`]s,
 /// so recording a traversal needs only `&self` — the runtime keeps the
 /// table outside any `RefCell`.
 #[derive(Debug)]
 pub struct GateTable {
-    /// Compartment count (`kinds`/`costs`/`crossings` are `n×n`, row =
-    /// caller).
+    /// Compartment count (`kinds`/`costs` are `n×n`, row = caller).
     n: usize,
     /// `kinds[from*n + to]` — gate used when `from` calls into `to`.
     kinds: Vec<GateKind>,
@@ -176,8 +175,6 @@ pub struct GateTable {
     costs: Vec<u64>,
     /// Cost model the costs were computed from (re-applied on `set`).
     model: CostModel,
-    /// Crossings observed at runtime, per (from, to) pair.
-    crossings: Vec<Cell<u64>>,
     /// Crossings observed at runtime, per gate kind.
     by_kind: [Cell<u64>; GATE_KIND_COUNT],
     /// Total domain-crossing gate traversals.
@@ -198,20 +195,19 @@ impl GateTable {
     /// Builds the gate matrix for `n` compartments, all-direct by
     /// default, costed with the calibrated default model (use
     /// [`GateTable::with_model`] for a custom machine).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         GateTable::with_model(n, CostModel::default())
     }
 
     /// Builds the gate matrix for `n` compartments with an explicit cost
     /// model for the pre-computed per-pair costs.
-    pub fn with_model(n: usize, model: CostModel) -> Self {
+    pub(crate) fn with_model(n: usize, model: CostModel) -> Self {
         let direct_cost = GateKind::DirectCall.cost(&model);
         GateTable {
             n,
             kinds: vec![GateKind::DirectCall; n * n],
             costs: vec![direct_cost; n * n],
             model,
-            crossings: (0..n * n).map(|_| Cell::new(0)).collect(),
             by_kind: Default::default(),
             total_crossings: Cell::new(0),
             direct_calls: Cell::new(0),
@@ -224,23 +220,13 @@ impl GateTable {
         from.0 as usize * self.n + to.0 as usize
     }
 
-    /// Number of compartments the table covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` if the table covers no compartments.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Sets the gate between two compartments (toolchain instantiation);
     /// its cost is pre-computed immediately.
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
-    pub fn set(&mut self, from: CompartmentId, to: CompartmentId, kind: GateKind) {
+    pub(crate) fn set(&mut self, from: CompartmentId, to: CompartmentId, kind: GateKind) {
         let idx = self.idx(from, to);
         self.kinds[idx] = kind;
         self.costs[idx] = kind.cost(&self.model);
@@ -270,32 +256,18 @@ impl GateTable {
         }
     }
 
-    /// Records a traversal (the runtime does this inside the gate).
-    #[inline]
-    pub fn record(&self, from: CompartmentId, to: CompartmentId) {
-        let idx = self.idx(from, to);
-        let kind = self.kinds[idx];
-        if kind.crosses_domain() {
-            self.record_crossing(from, to, kind);
-        } else {
-            self.record_direct();
-        }
-    }
-
     /// Records a same-domain direct call — one counter bump, no
     /// descriptor lookup (the caller already holds the [`GateDesc`]).
     #[inline]
-    pub fn record_direct(&self) {
+    pub(crate) fn record_direct(&self) {
         self.direct_calls.set(self.direct_calls.get() + 1);
     }
 
     /// Records a cross-domain traversal of a gate the caller has already
     /// resolved to `kind` (skips re-reading the descriptor).
     #[inline]
-    pub fn record_crossing(&self, from: CompartmentId, to: CompartmentId, kind: GateKind) {
+    pub(crate) fn record_crossing(&self, kind: GateKind) {
         debug_assert!(kind.crosses_domain());
-        let cell = &self.crossings[self.idx(from, to)];
-        cell.set(cell.get() + 1);
         let per_kind = &self.by_kind[kind.index()];
         per_kind.set(per_kind.get() + 1);
         self.total_crossings.set(self.total_crossings.get() + 1);
@@ -305,14 +277,8 @@ impl GateTable {
     /// calls are *not* crossings: they charge no cycles and do not count
     /// toward [`GateTable::total_crossings`].
     #[inline]
-    pub fn record_cfi_violation(&self) {
+    pub(crate) fn record_cfi_violation(&self) {
         self.cfi_violations.set(self.cfi_violations.get() + 1);
-    }
-
-    /// Crossings observed between a pair of compartments (both directions
-    /// counted separately).
-    pub fn crossings_between(&self, from: CompartmentId, to: CompartmentId) -> u64 {
-        self.crossings[self.idx(from, to)].get()
     }
 
     /// Crossings observed through gates of `kind`.
@@ -351,10 +317,7 @@ impl GateTable {
     }
 
     /// Resets the runtime counters (between benchmark phases).
-    pub fn reset_counters(&self) {
-        for c in &self.crossings {
-            c.set(0);
-        }
+    pub(crate) fn reset_counters(&self) {
         for c in &self.by_kind {
             c.set(0);
         }
@@ -365,7 +328,7 @@ impl GateTable {
 
     /// Iterates the instantiated non-direct gates (for the transform
     /// report).
-    pub fn instantiated(
+    pub(crate) fn instantiated(
         &self,
     ) -> impl Iterator<Item = (CompartmentId, CompartmentId, GateKind)> + '_ {
         self.kinds.iter().enumerate().filter_map(move |(idx, &k)| {
@@ -426,12 +389,10 @@ mod tests {
         let (a, b) = (CompartmentId(0), CompartmentId(1));
         t.set(a, b, GateKind::MpkDss);
         t.set(b, a, GateKind::MpkDss);
-        t.record(a, b);
-        t.record(a, b);
-        t.record(b, a);
-        t.record(a, a); // direct
-        assert_eq!(t.crossings_between(a, b), 2);
-        assert_eq!(t.crossings_between(b, a), 1);
+        for _ in 0..3 {
+            t.record_crossing(t.desc(a, b).kind);
+        }
+        t.record_direct();
         assert_eq!(t.total_crossings(), 3);
         assert_eq!(t.direct_calls(), 1);
         assert_eq!(t.crossings_of_kind(GateKind::MpkDss), 3);
@@ -478,10 +439,10 @@ mod tests {
         let (a, b, c) = (CompartmentId(0), CompartmentId(1), CompartmentId(2));
         t.set(a, b, GateKind::MpkDss);
         t.set(a, c, GateKind::EptRpc);
-        t.record(a, b);
-        t.record(a, b);
-        t.record(a, c);
-        t.record(a, a);
+        t.record_crossing(t.desc(a, b).kind);
+        t.record_crossing(t.desc(a, b).kind);
+        t.record_crossing(t.desc(a, c).kind);
+        t.record_direct();
         t.record_cfi_violation();
         let bd = t.breakdown();
         assert_eq!(

@@ -31,14 +31,6 @@ impl Hardening {
         stack_protector: false,
     };
 
-    /// Every supported mechanism enabled.
-    pub const FULL: Hardening = Hardening {
-        cfi: true,
-        kasan: true,
-        ubsan: true,
-        stack_protector: true,
-    };
-
     /// The paper's Figure 6 hardening bundle: stack protector + UBSan +
     /// KASan toggled together per component (§6.1).
     pub const FIG6_BUNDLE: Hardening = Hardening {
@@ -49,27 +41,12 @@ impl Hardening {
     };
 
     /// `true` if no mechanism is enabled.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         *self == Self::NONE
     }
 
-    /// Number of enabled mechanisms.
-    pub fn count(&self) -> u32 {
-        self.cfi as u32 + self.kasan as u32 + self.ubsan as u32 + self.stack_protector as u32
-    }
-
-    /// `true` if every mechanism enabled in `self` is also enabled in
-    /// `other` — the "stackable software hardening" partial order used by
-    /// partial safety ordering (§5, assumption 3).
-    pub fn subset_of(&self, other: &Hardening) -> bool {
-        (!self.cfi || other.cfi)
-            && (!self.kasan || other.kasan)
-            && (!self.ubsan || other.ubsan)
-            && (!self.stack_protector || other.stack_protector)
-    }
-
     /// Union of two hardening sets.
-    pub fn union(&self, other: &Hardening) -> Hardening {
+    pub(crate) fn union(&self, other: &Hardening) -> Hardening {
         Hardening {
             cfi: self.cfi || other.cfi,
             kasan: self.kasan || other.kasan,
@@ -80,7 +57,7 @@ impl Hardening {
 
     /// Parses one mechanism name as used in configuration files
     /// (`cfi`, `asan`/`kasan`, `ubsan`, `stack-protector`/`sp`).
-    pub fn parse_mechanism(name: &str) -> Option<Hardening> {
+    pub(crate) fn parse_mechanism(name: &str) -> Option<Hardening> {
         let mut h = Hardening::NONE;
         match name.trim().to_ascii_lowercase().as_str() {
             "cfi" => h.cfi = true,
@@ -120,21 +97,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn subset_order() {
-        let none = Hardening::NONE;
-        let cfi = Hardening {
-            cfi: true,
-            ..Hardening::NONE
-        };
-        let full = Hardening::FULL;
-        assert!(none.subset_of(&cfi));
-        assert!(cfi.subset_of(&full));
-        assert!(!full.subset_of(&cfi));
-        assert!(cfi.subset_of(&cfi));
-    }
-
-    #[test]
-    fn incomparable_sets() {
+    fn union_enables_both_sides() {
         let cfi = Hardening {
             cfi: true,
             ..Hardening::NONE
@@ -143,9 +106,14 @@ mod tests {
             kasan: true,
             ..Hardening::NONE
         };
-        assert!(!cfi.subset_of(&kasan));
-        assert!(!kasan.subset_of(&cfi));
-        assert_eq!(cfi.union(&kasan).count(), 2);
+        assert_eq!(
+            cfi.union(&kasan),
+            Hardening {
+                cfi: true,
+                kasan: true,
+                ..Hardening::NONE
+            }
+        );
     }
 
     #[test]
@@ -166,17 +134,16 @@ mod tests {
     fn display_lists_mechanisms() {
         assert_eq!(Hardening::NONE.to_string(), "none");
         assert_eq!(
-            Hardening::FULL.to_string(),
+            Hardening {
+                cfi: true,
+                ..Hardening::FIG6_BUNDLE
+            }
+            .to_string(),
             "cfi+kasan+ubsan+stack-protector"
         );
         assert_eq!(
             Hardening::FIG6_BUNDLE.to_string(),
             "kasan+ubsan+stack-protector"
         );
-    }
-
-    #[test]
-    fn fig6_bundle_counts_three() {
-        assert_eq!(Hardening::FIG6_BUNDLE.count(), 3);
     }
 }

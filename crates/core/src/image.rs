@@ -568,7 +568,7 @@ mod tests {
         builder
             .register(
                 Component::new("lwip", ComponentKind::Kernel)
-                    .with_shared(SharedVar::stat("netif_state", 128, &["app"]))
+                    .with_shared_vars([SharedVar::stat("netif_state", 128, &["app"])])
                     .with_entry_points(&["lwip_recv", "lwip_send"]),
             )
             .unwrap();
@@ -756,11 +756,11 @@ mod tests {
         let mut builder = ImageBuilder::new(machine, config);
         builder
             .register(
-                Component::new("a", ComponentKind::App).with_shared(SharedVar::stat(
+                Component::new("a", ComponentKind::App).with_shared_vars([SharedVar::stat(
                     "table",
                     64,
                     &["b"],
-                )),
+                )]),
             )
             .unwrap();
         builder

@@ -53,20 +53,17 @@ pub mod tcb;
 
 /// Convenient re-exports of the types almost every user needs.
 pub mod prelude {
-    pub use crate::backend::{CubicleBackend, IsolationBackend, NoneBackend, PageTableBackend};
-    pub use crate::compartment::{
-        CompartmentId, CompartmentSpec, DataSharing, IsolationProfile, Mechanism,
-    };
-    pub use crate::component::{
-        Component, ComponentId, ComponentKind, ComponentRegistry, SharedVar, VarStorage,
-    };
-    pub use crate::config::{SafetyConfig, SafetyConfigBuilder};
-    pub use crate::entry::{CallTarget, EntryId, EntryTable};
-    pub use crate::env::{Env, StackShare, Work};
-    pub use crate::gate::{CrossingBreakdown, GateDesc, GateKind, GateTable};
+    pub use crate::backend::NoneBackend;
+    pub use crate::compartment::CompartmentId;
+    pub use crate::compartment::CompartmentSpec;
+    pub use crate::compartment::Mechanism;
+    pub use crate::component::Component;
+    pub use crate::component::ComponentKind;
+    pub use crate::component::SharedVar;
+    pub use crate::config::SafetyConfig;
+    pub use crate::gate::GateKind;
     pub use crate::hardening::Hardening;
-    pub use crate::image::{Image, ImageBuilder, TransformReport};
-    pub use crate::tcb::TcbReport;
+    pub use crate::image::ImageBuilder;
 }
 
 pub use prelude::*;

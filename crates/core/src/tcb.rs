@@ -20,7 +20,7 @@ pub const TCB_MEMBERS: [&str; 5] = [
 
 /// Core-library lines in the TCB independent of backend (§4: "850 for core
 /// libraries" of the 3250 LoC prototype patch).
-pub const CORE_TCB_LOC: u32 = 850;
+pub(crate) const CORE_TCB_LOC: u32 = 850;
 
 /// Per-image TCB accounting, included in the transform report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +40,7 @@ pub struct TcbReport {
 
 impl TcbReport {
     /// Builds a report for an image.
-    pub fn new(backend_loc: u32, duplicated: bool, compartments: u32) -> Self {
+    pub(crate) fn new(backend_loc: u32, duplicated: bool, compartments: u32) -> Self {
         TcbReport {
             members: &TCB_MEMBERS,
             backend_loc,
@@ -83,11 +83,6 @@ impl fmt::Display for TcbReport {
     }
 }
 
-/// `true` if a component name belongs to the TCB member set.
-pub fn is_tcb_member(name: &str) -> bool {
-    TCB_MEMBERS.contains(&name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,8 +104,8 @@ mod tests {
     #[test]
     fn member_set_matches_paper() {
         assert_eq!(TCB_MEMBERS.len(), 5);
-        assert!(is_tcb_member("scheduler-core"));
-        assert!(!is_tcb_member("lwip"));
+        assert!(TCB_MEMBERS.contains(&"scheduler-core"));
+        assert!(!TCB_MEMBERS.contains(&"lwip"));
     }
 
     #[test]

@@ -52,29 +52,6 @@ impl EptBackend {
         Self::default()
     }
 
-    /// Requests serviced by compartment `comp`'s RPC server so far.
-    pub fn serviced(&self, comp: CompartmentId) -> u64 {
-        self.state
-            .borrow()
-            .pools
-            .get(comp.0 as usize)
-            .and_then(Option::as_ref)
-            .map(RpcServerPool::serviced)
-            .unwrap_or(0)
-    }
-
-    /// Requests refused by compartment `comp`'s RPC server (illegal entry
-    /// points).
-    pub fn refused(&self, comp: CompartmentId) -> u64 {
-        self.state
-            .borrow()
-            .pools
-            .get(comp.0 as usize)
-            .and_then(Option::as_ref)
-            .map(RpcServerPool::refused)
-            .unwrap_or(0)
-    }
-
     /// `(serviced, refused)` totals across every VM's RPC server. The
     /// adversarial suite asserts the refused total stays zero after a
     /// forged-entry attempt: the caller-side CFI check rejects the call
@@ -148,7 +125,7 @@ impl IsolationBackend for EptBackend {
                 RegionKind::RpcRing,
             )?;
             state.rings[i] = Some(RpcRing::new(region.base()));
-            state.pools[i] = Some(RpcServerPool::new((0..2).collect()));
+            state.pools[i] = Some(RpcServerPool::new());
         }
 
         // Legal entry table: every registered entry point's build-time
@@ -256,7 +233,6 @@ mod tests {
         let env = &image.env;
         let app = env.component_id("app").unwrap();
         let vfs = env.component_id("vfs").unwrap();
-        let fs_comp = env.compartment_of(vfs);
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
             env.call_resolved(env.resolve(vfs, "vfs_read"), || Ok(()))
@@ -266,8 +242,7 @@ mod tests {
                 env.machine().cost().ept_rpc_gate
             );
         });
-        assert_eq!(backend.serviced(fs_comp), 1);
-        assert_eq!(backend.refused(fs_comp), 0);
+        assert_eq!(backend.rpc_totals(), (1, 0));
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! shared-keyed region of simulated memory, giving the same structural
 //! guarantees (RPC-only crossings, server-side entry checks, per-VM TCB).
 
-pub mod backend;
+pub(crate) mod backend;
 pub mod rpc;
-pub mod vm;
+pub(crate) mod vm;
 
 pub use backend::EptBackend;
-pub use rpc::{entry_hash, RpcRing, RpcServerPool, RING_ENTRIES};
 pub use vm::VmImage;

@@ -24,22 +24,19 @@ use flexos_machine::mem::Memory;
 mod reference;
 
 /// Entries per ring.
-pub const RING_ENTRIES: u64 = 64;
+pub(crate) const RING_ENTRIES: u64 = 64;
 
 /// Bytes per ring entry: entry_hash u64, arg0 u64, arg1 u64, status u64.
-pub const ENTRY_BYTES: u64 = 32;
+pub(crate) const ENTRY_BYTES: u64 = 32;
 
 /// Ring header: head u64, tail u64.
-pub const HEADER_BYTES: u64 = 16;
-
-/// Total ring footprint.
-pub const RING_BYTES: u64 = HEADER_BYTES + RING_ENTRIES * ENTRY_BYTES;
+pub(crate) const HEADER_BYTES: u64 = 16;
 
 /// Entry status words.
 mod status {
-    pub const EMPTY: u64 = 0;
-    pub const REQUEST: u64 = 1;
-    pub const DONE: u64 = 2;
+    pub(crate) const EMPTY: u64 = 0;
+    pub(crate) const REQUEST: u64 = 1;
+    pub(crate) const DONE: u64 = 2;
 }
 
 /// Build-time hash of an entry-point name; stands in for the function
@@ -52,7 +49,7 @@ pub fn entry_hash(name: &str) -> u64 {
 
 /// One RPC request as read back by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcRequest {
+pub(crate) struct RpcRequest {
     /// Ring slot the request occupies.
     pub slot: u64,
     /// Hash of the requested entry point.
@@ -65,20 +62,15 @@ pub struct RpcRequest {
 
 /// A shared-memory RPC ring for one callee VM.
 #[derive(Debug, Clone, Copy)]
-pub struct RpcRing {
+pub(crate) struct RpcRing {
     base: Addr,
 }
 
 impl RpcRing {
-    /// Wraps a ring at `base` (a shared-keyed region of at least
-    /// [`RING_BYTES`] bytes).
-    pub fn new(base: Addr) -> Self {
+    /// Wraps a ring at `base` (a shared-keyed region holding the header
+    /// and [`RING_ENTRIES`] entries).
+    pub(crate) fn new(base: Addr) -> Self {
         RpcRing { base }
-    }
-
-    /// The ring's base address.
-    pub fn base(&self) -> Addr {
-        self.base
     }
 
     fn head_addr(&self) -> Addr {
@@ -107,7 +99,7 @@ impl RpcRing {
     /// [`Fault::ResourceExhausted`] when the ring is full; protection
     /// faults if `pkru` does not map the shared region.
     #[inline]
-    pub fn push_request(
+    pub(crate) fn push_request(
         &self,
         mem: &mut Memory,
         pkru: &Pkru,
@@ -141,7 +133,7 @@ impl RpcRing {
     ///
     /// Protection faults if `pkru` does not map the shared region.
     #[inline]
-    pub fn serve_next(
+    pub(crate) fn serve_next(
         &self,
         mem: &mut Memory,
         pkru: &Pkru,
@@ -173,20 +165,6 @@ impl RpcRing {
             write_words(mem, self.tail_addr(), [tail + 1], pkru)?;
         }
         Ok(Some(request))
-    }
-
-    /// Caller side: reads the return value once the server completed.
-    ///
-    /// # Errors
-    ///
-    /// Protection faults if `pkru` does not map the shared region.
-    pub fn fetch_reply(&self, mem: &Memory, pkru: &Pkru, slot: u64) -> Result<Option<u64>, Fault> {
-        let at = self.entry_addr(slot);
-        if read_words(mem, at + 24, pkru)? != [status::DONE] {
-            return Ok(None);
-        }
-        let [ret] = read_words(mem, at + 8, pkru)?;
-        Ok(Some(ret))
     }
 }
 
@@ -221,9 +199,7 @@ fn write_words<const N: usize>(
 /// The per-VM pool of threads servicing RPC requests (§4.2: "each RPC
 /// server maintains a pool of threads that are used to service RPCs").
 #[derive(Debug)]
-pub struct RpcServerPool {
-    /// Thread ids registered as servers for this VM.
-    threads: Vec<u32>,
+pub(crate) struct RpcServerPool {
     /// Requests serviced.
     serviced: u64,
     /// Requests refused for illegal entry points.
@@ -231,37 +207,31 @@ pub struct RpcServerPool {
 }
 
 impl RpcServerPool {
-    /// Creates a pool with `threads` server thread ids.
-    pub fn new(threads: Vec<u32>) -> Self {
+    /// Creates a pool that has serviced nothing yet.
+    pub(crate) fn new() -> Self {
         RpcServerPool {
-            threads,
             serviced: 0,
             refused: 0,
         }
     }
 
-    /// Number of server threads.
-    pub fn size(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Records a serviced request.
-    pub fn record_serviced(&mut self) {
+    pub(crate) fn record_serviced(&mut self) {
         self.serviced += 1;
     }
 
     /// Records a refused (illegal entry point) request.
-    pub fn record_refused(&mut self) {
+    pub(crate) fn record_refused(&mut self) {
         self.refused += 1;
     }
 
     /// Requests serviced so far.
-    pub fn serviced(&self) -> u64 {
+    pub(crate) fn serviced(&self) -> u64 {
         self.serviced
     }
 
     /// Requests refused so far.
-    pub fn refused(&self) -> u64 {
+    pub(crate) fn refused(&self) -> u64 {
         self.refused
     }
 }
@@ -289,7 +259,8 @@ mod tests {
         let slot = ring.push_request(mem, &pkru, h, 42, 7).unwrap();
         // A refused request stays pending and unanswered...
         let refused = ring.serve_next(mem, &pkru, |_| None).unwrap().unwrap();
-        assert_eq!(ring.fetch_reply(mem, &pkru, slot).unwrap(), None);
+        let [_, arg0, _, status_word] = read_words(mem, ring.entry_addr(slot), &pkru).unwrap();
+        assert_eq!((arg0, status_word), (42, status::REQUEST));
         // ...and the next turn sees it again.
         let req = ring
             .serve_next(mem, &pkru, |req| Some(req.arg0 + 1295))
@@ -298,7 +269,9 @@ mod tests {
         assert_eq!(req, refused);
         assert_eq!((req.slot, req.entry), (slot, h));
         assert_eq!((req.arg0, req.arg1), (42, 7));
-        assert_eq!(ring.fetch_reply(mem, &pkru, slot).unwrap(), Some(1337));
+        // The reply replaced `arg0` and the slot is marked done.
+        let [_, reply, _, status_word] = read_words(mem, ring.entry_addr(slot), &pkru).unwrap();
+        assert_eq!((reply, status_word), (1337, status::DONE));
         // Retired: nothing pending.
         assert_eq!(ring.serve_next(mem, &pkru, |_| Some(0)).unwrap(), None);
     }
@@ -320,7 +293,7 @@ mod tests {
     fn ring_bytes(machine: &Machine, ring: &RpcRing, pkru: &Pkru) -> Vec<u8> {
         machine
             .memory()
-            .read_vec(ring.base(), RING_BYTES, pkru)
+            .read_vec(ring.base, HEADER_BYTES + RING_ENTRIES * ENTRY_BYTES, pkru)
             .unwrap()
     }
 
@@ -351,12 +324,10 @@ mod tests {
         let served = ring
             .serve_next(&mut machine.memory_mut(), &stranger, |_| Some(9))
             .map(drop);
-        let fetched = ring.fetch_reply(&machine.memory(), &stranger, 0).map(drop);
-        let got = [pushed, served, fetched];
+        let got = [pushed, served];
         let want = [
             reference::push_request(&ref_ring, &ref_machine, &stranger, 1, 2, 3).map(drop),
             reference_serve_next(&ref_ring, &ref_machine, &stranger, |_| Some(9)).map(drop),
-            reference::fetch_reply(&ref_ring, &ref_machine, &stranger, 0).map(drop),
         ];
         assert_eq!(got, want, "the same fault, naming the same address");
         for fault in &got {
@@ -383,10 +354,9 @@ mod tests {
             let mut read_only = Pkru::NO_ACCESS;
             read_only.permit_read_only(ProtKey::new(15).unwrap());
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            // The draw is the generator's state, as this stream always was.
             let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
+                flexos_machine::xorshift64star(&mut state);
                 state
             };
             let (mut pushes, mut full, mut refusals) = (0u64, 0u64, 0u64);
@@ -416,7 +386,7 @@ mod tests {
                     _ => {
                         // Any slot ever handed out: pending, retired, reused.
                         let slot = (draw >> 16) % pushes.max(1);
-                        ring.fetch_reply(&machine.memory(), who, slot)
+                        reference::fetch_reply(&ring, &machine, who, slot)
                             == reference::fetch_reply(&ref_ring, &ref_machine, who, slot)
                     }
                 };
@@ -440,8 +410,7 @@ mod tests {
 
     #[test]
     fn pool_counters() {
-        let mut pool = RpcServerPool::new(vec![1, 2, 3]);
-        assert_eq!(pool.size(), 3);
+        let mut pool = RpcServerPool::new();
         pool.record_serviced();
         pool.record_refused();
         assert_eq!(pool.serviced(), 1);

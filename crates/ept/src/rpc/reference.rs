@@ -10,7 +10,7 @@ use flexos_machine::Machine;
 
 use super::{status, RpcRequest, RpcRing, RING_ENTRIES};
 
-pub fn push_request(
+pub(crate) fn push_request(
     ring: &RpcRing,
     machine: &Machine,
     pkru: &Pkru,
@@ -34,7 +34,7 @@ pub fn push_request(
     Ok(slot)
 }
 
-pub fn pop_request(
+pub(crate) fn pop_request(
     ring: &RpcRing,
     machine: &Machine,
     pkru: &Pkru,
@@ -58,7 +58,7 @@ pub fn pop_request(
     }))
 }
 
-pub fn complete(
+pub(crate) fn complete(
     ring: &RpcRing,
     machine: &Machine,
     pkru: &Pkru,
@@ -74,7 +74,7 @@ pub fn complete(
     Ok(())
 }
 
-pub fn fetch_reply(
+pub(crate) fn fetch_reply(
     ring: &RpcRing,
     machine: &Machine,
     pkru: &Pkru,

@@ -28,14 +28,6 @@ pub struct OpenFlags {
 }
 
 impl OpenFlags {
-    /// Read-only open of an existing file.
-    pub const RDONLY: OpenFlags = OpenFlags {
-        create: false,
-        truncate: false,
-        append: false,
-        exclusive: false,
-    };
-
     /// Create-or-truncate for writing (`O_CREAT|O_TRUNC`).
     pub const CREATE: OpenFlags = OpenFlags {
         create: true,
@@ -55,7 +47,7 @@ impl OpenFlags {
 
 /// State behind one open descriptor.
 #[derive(Debug, Clone)]
-pub struct OpenFile {
+pub(crate) struct OpenFile {
     /// Normalized path of the file.
     pub path: String,
     /// Current offset.
@@ -66,19 +58,19 @@ pub struct OpenFile {
 
 /// The descriptor table.
 #[derive(Debug, Default)]
-pub struct FdTable {
+pub(crate) struct FdTable {
     slots: Vec<Option<OpenFile>>,
 }
 
 impl FdTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Installs an open file, returning its descriptor (lowest free slot,
     /// as POSIX requires).
-    pub fn install(&mut self, file: OpenFile) -> Fd {
+    pub(crate) fn install(&mut self, file: OpenFile) -> Fd {
         if let Some(idx) = self.slots.iter().position(Option::is_none) {
             self.slots[idx] = Some(file);
             Fd(idx as u32)
@@ -94,7 +86,7 @@ impl FdTable {
     ///
     /// [`Fault::InvalidConfig`] for closed or never-opened descriptors
     /// (the vfs maps this to `EBADF`).
-    pub fn get(&self, fd: Fd) -> Result<&OpenFile, Fault> {
+    pub(crate) fn get(&self, fd: Fd) -> Result<&OpenFile, Fault> {
         self.slots
             .get(fd.0 as usize)
             .and_then(Option::as_ref)
@@ -108,7 +100,7 @@ impl FdTable {
     /// # Errors
     ///
     /// Same as [`FdTable::get`].
-    pub fn get_mut(&mut self, fd: Fd) -> Result<&mut OpenFile, Fault> {
+    pub(crate) fn get_mut(&mut self, fd: Fd) -> Result<&mut OpenFile, Fault> {
         self.slots
             .get_mut(fd.0 as usize)
             .and_then(Option::as_mut)
@@ -122,18 +114,13 @@ impl FdTable {
     /// # Errors
     ///
     /// Same as [`FdTable::get`].
-    pub fn close(&mut self, fd: Fd) -> Result<OpenFile, Fault> {
+    pub(crate) fn close(&mut self, fd: Fd) -> Result<OpenFile, Fault> {
         self.slots
             .get_mut(fd.0 as usize)
             .and_then(Option::take)
             .ok_or_else(|| Fault::InvalidConfig {
                 reason: format!("bad file descriptor {fd}"),
             })
-    }
-
-    /// Number of open descriptors.
-    pub fn open_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 }
 
@@ -145,7 +132,7 @@ mod tests {
         OpenFile {
             path: path.into(),
             offset: 0,
-            flags: OpenFlags::RDONLY,
+            flags: OpenFlags::CREATE_KEEP,
         }
     }
 
@@ -158,7 +145,7 @@ mod tests {
         t.close(a).unwrap();
         let c = t.install(file("/c"));
         assert_eq!(c, Fd(0), "lowest free slot is reused (POSIX)");
-        assert_eq!(t.open_count(), 2);
+        assert!(t.get(b).is_ok() && t.get(c).is_ok());
     }
 
     #[test]

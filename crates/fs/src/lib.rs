@@ -15,14 +15,16 @@
 //! Figure 10 MPK3 configuration (fs | time | rest) pays two crossings per
 //! operation.
 
-pub mod fd;
+pub(crate) mod fd;
 pub mod path;
-pub mod ramfs;
-pub mod vfs;
+pub(crate) mod ramfs;
+pub(crate) mod vfs;
 
-pub use fd::{Fd, FdTable, OpenFile, OpenFlags};
-pub use ramfs::RamFs;
-pub use vfs::{FileStat, Vfs, VfsEntries, VfsStats};
+pub use fd::Fd;
+
+pub use fd::OpenFlags;
+pub use vfs::Vfs;
+pub use vfs::VfsEntries;
 
 use flexos_core::prelude::*;
 

@@ -26,23 +26,6 @@ pub fn normalize(path: &str) -> String {
     out
 }
 
-/// Splits a normalized path into `(parent, file name)`.
-///
-/// ```
-/// use flexos_fs::path::split;
-///
-/// assert_eq!(split("/a/b/c"), ("/a/b".to_string(), "c".to_string()));
-/// assert_eq!(split("/top"), ("/".to_string(), "top".to_string()));
-/// ```
-pub fn split(path: &str) -> (String, String) {
-    let norm = normalize(path);
-    match norm.rfind('/') {
-        Some(0) => ("/".to_string(), norm[1..].to_string()),
-        Some(idx) => (norm[..idx].to_string(), norm[idx + 1..].to_string()),
-        None => ("/".to_string(), norm),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,10 +42,5 @@ mod tests {
     #[test]
     fn parent_of_root_is_root() {
         assert_eq!(normalize("/../../.."), "/");
-    }
-
-    #[test]
-    fn split_root_file() {
-        assert_eq!(split("/db.sqlite"), ("/".into(), "db.sqlite".into()));
     }
 }

@@ -13,7 +13,7 @@ use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
 
 /// Block size used for file payloads.
-pub const BLOCK_SIZE: u64 = 4096;
+pub(crate) const BLOCK_SIZE: u64 = 4096;
 
 /// One ramfs node (a regular file).
 #[derive(Debug, Default)]
@@ -26,10 +26,9 @@ struct RamNode {
 
 /// The ramfs component state.
 #[derive(Debug)]
-pub struct RamFs {
+pub(crate) struct RamFs {
     env: Rc<Env>,
     nodes: BTreeMap<String, RamNode>,
-    block_ops: u64,
 }
 
 /// Per-block-op base cycles (directory walk, block chain chase).
@@ -38,16 +37,15 @@ const LOOKUP_CYCLES: u64 = 30;
 
 impl RamFs {
     /// Creates an empty filesystem.
-    pub fn new(env: Rc<Env>) -> Self {
+    pub(crate) fn new(env: Rc<Env>) -> Self {
         RamFs {
             env,
             nodes: BTreeMap::new(),
-            block_ops: 0,
         }
     }
 
     /// `true` if `path` names an existing file.
-    pub fn exists(&self, path: &str) -> bool {
+    pub(crate) fn exists(&self, path: &str) -> bool {
         self.nodes.contains_key(path)
     }
 
@@ -56,7 +54,7 @@ impl RamFs {
     /// # Errors
     ///
     /// Heap-exhaustion faults when freeing truncated blocks fails.
-    pub fn create(&mut self, path: &str, truncate: bool) -> Result<(), Fault> {
+    pub(crate) fn create(&mut self, path: &str, truncate: bool) -> Result<(), Fault> {
         self.charge_lookup();
         if let Some(node) = self.nodes.get_mut(path) {
             if truncate {
@@ -77,7 +75,7 @@ impl RamFs {
     /// # Errors
     ///
     /// [`Fault::InvalidConfig`] when the path does not exist.
-    pub fn remove(&mut self, path: &str) -> Result<(), Fault> {
+    pub(crate) fn remove(&mut self, path: &str) -> Result<(), Fault> {
         self.charge_lookup();
         let node = self
             .nodes
@@ -96,7 +94,7 @@ impl RamFs {
     /// # Errors
     ///
     /// [`Fault::InvalidConfig`] when the path does not exist.
-    pub fn size(&mut self, path: &str) -> Result<u64, Fault> {
+    pub(crate) fn size(&mut self, path: &str) -> Result<u64, Fault> {
         self.charge_lookup();
         self.nodes
             .get(path)
@@ -111,7 +109,7 @@ impl RamFs {
     /// # Errors
     ///
     /// [`Fault::InvalidConfig`] when the path does not exist.
-    pub fn times(&self, path: &str) -> Result<(u64, u64), Fault> {
+    pub(crate) fn times(&self, path: &str) -> Result<(u64, u64), Fault> {
         self.nodes
             .get(path)
             .map(|n| (n.mtime_ns, n.atime_ns))
@@ -122,7 +120,7 @@ impl RamFs {
 
     /// Stamps modification/access times (the vfs obtains `now_ns` from the
     /// uktime component — a gate crossing in the MPK3 scenario).
-    pub fn touch(&mut self, path: &str, now_ns: u64, modified: bool) {
+    pub(crate) fn touch(&mut self, path: &str, now_ns: u64, modified: bool) {
         if let Some(node) = self.nodes.get_mut(path) {
             node.atime_ns = now_ns;
             if modified {
@@ -137,7 +135,7 @@ impl RamFs {
     ///
     /// [`Fault::InvalidConfig`] for missing paths; memory faults if the
     /// current domain cannot read the filesystem heap.
-    pub fn read(&mut self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, Fault> {
+    pub(crate) fn read(&mut self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, Fault> {
         self.charge_lookup();
         let node = self.nodes.get(path).ok_or_else(|| Fault::InvalidConfig {
             reason: format!("no such file `{path}`"),
@@ -169,7 +167,7 @@ impl RamFs {
     ///
     /// Heap exhaustion growing the file; memory faults if the current
     /// domain cannot write the filesystem heap.
-    pub fn write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<u64, Fault> {
+    pub(crate) fn write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<u64, Fault> {
         self.charge_lookup();
         if !self.nodes.contains_key(path) {
             return Err(Fault::InvalidConfig {
@@ -206,41 +204,7 @@ impl RamFs {
         Ok(data.len() as u64)
     }
 
-    /// Truncates a file to `size` (only shrinking releases blocks).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::InvalidConfig`] for missing paths.
-    pub fn truncate(&mut self, path: &str, size: u64) -> Result<(), Fault> {
-        self.charge_lookup();
-        let node = self
-            .nodes
-            .get_mut(path)
-            .ok_or_else(|| Fault::InvalidConfig {
-                reason: format!("no such file `{path}`"),
-            })?;
-        let keep = (size.div_ceil(BLOCK_SIZE)) as usize;
-        let drop_blocks: Vec<Addr> = node.blocks.split_off(keep.min(node.blocks.len()));
-        node.size = node.size.min(size);
-        for b in drop_blocks {
-            self.env.free(b)?;
-        }
-        Ok(())
-    }
-
-    /// Names of all files (directory listing of the flat namespace).
-    pub fn list(&self) -> Vec<String> {
-        self.nodes.keys().cloned().collect()
-    }
-
-    /// Number of block-granular operations served (Figure 10 calibration
-    /// introspection).
-    pub fn block_ops(&self) -> u64 {
-        self.block_ops
-    }
-
     fn charge_block_op(&mut self) {
-        self.block_ops += 1;
         self.env.compute(Work {
             cycles: BLOCK_OP_CYCLES,
             alu_ops: 6,

@@ -50,8 +50,6 @@ pub struct VfsStats {
     pub stats: u64,
     /// `lseek` calls.
     pub seeks: u64,
-    /// `truncate` calls.
-    pub truncates: u64,
 }
 
 impl VfsStats {
@@ -66,7 +64,6 @@ impl VfsStats {
             + self.unlinks
             + self.stats
             + self.seeks
-            + self.truncates
     }
 }
 
@@ -103,14 +100,12 @@ struct VfsTargets {
     ramfs_read_block: CallTarget,
     ramfs_write_block: CallTarget,
     ramfs_remove: CallTarget,
-    ramfs_resize: CallTarget,
     time_wall: CallTarget,
 }
 
 /// The vfscore component.
 pub struct Vfs {
     env: Rc<Env>,
-    id: ComponentId,
     entries: VfsEntries,
     targets: VfsTargets,
     ramfs: RefCell<RamFs>,
@@ -162,12 +157,10 @@ impl Vfs {
             ramfs_read_block: env.resolve(ramfs_id, "ramfs_read_block"),
             ramfs_write_block: env.resolve(ramfs_id, "ramfs_write_block"),
             ramfs_remove: env.resolve(ramfs_id, "ramfs_remove"),
-            ramfs_resize: env.resolve(ramfs_id, "ramfs_resize"),
             time_wall: env.resolve(time_id, "uktime_wall"),
         };
         Vfs {
             env,
-            id,
             entries,
             targets,
             ramfs: RefCell::new(ramfs),
@@ -175,11 +168,6 @@ impl Vfs {
             fds: RefCell::new(FdTable::new()),
             stats: Cell::new(VfsStats::default()),
         }
-    }
-
-    /// This component's id (vfscore).
-    pub fn component_id(&self) -> ComponentId {
-        self.id
     }
 
     /// The component's gate entry points, resolved at construction time.
@@ -402,35 +390,5 @@ impl Vfs {
             mtime_ns,
             atime_ns,
         })
-    }
-
-    /// Truncates a file.
-    ///
-    /// # Errors
-    ///
-    /// Missing-path faults.
-    pub fn truncate(&self, path: &str, size: u64) -> Result<(), Fault> {
-        self.charge_op();
-        let norm = normalize(path);
-        let norm2 = norm.clone();
-        self.env.call_resolved(self.targets.ramfs_resize, || {
-            self.ramfs.borrow_mut().truncate(&norm2, size)
-        })?;
-        let now = self.now_ns()?;
-        self.ramfs.borrow_mut().touch(&norm, now, true);
-        let mut s = self.stats.get();
-        s.truncates += 1;
-        self.stats.set(s);
-        Ok(())
-    }
-
-    /// `true` if `path` exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.ramfs.borrow().exists(&normalize(path))
-    }
-
-    /// Open descriptor count (leak detection in tests).
-    pub fn open_count(&self) -> usize {
-        self.fds.borrow().open_count()
     }
 }

@@ -25,7 +25,6 @@
 //! the libc is wired up ([`flexos_core::entry::CallTarget`] handles);
 //! the per-call path performs no string hashing and no allocation.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use flexos_core::component::ComponentId;
@@ -37,51 +36,11 @@ use flexos_machine::fault::Fault;
 use flexos_net::{NetEntries, NetStack, SocketHandle};
 use flexos_sched::{SchedEntries, Scheduler};
 
-/// Counters over the libc boundary (calibration introspection).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LibcStats {
-    /// String/memory helper calls (the app↔libc chatter).
-    pub str_calls: u64,
-    /// Socket I/O calls.
-    pub io_calls: u64,
-    /// File I/O calls.
-    pub file_calls: u64,
-    /// Times a blocking recv had to yield to the scheduler.
-    pub recv_yields: u64,
-}
-
-/// Per-field interior-mutable counters behind [`LibcStats`]; every libc
-/// call bumps exactly one `Cell<u64>` instead of copy-modify-writing the
-/// whole struct.
-#[derive(Debug, Default)]
-struct LibcStatsCells {
-    str_calls: Cell<u64>,
-    io_calls: Cell<u64>,
-    file_calls: Cell<u64>,
-    recv_yields: Cell<u64>,
-}
-
-impl LibcStatsCells {
-    fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
-    }
-
-    fn snapshot(&self) -> LibcStats {
-        LibcStats {
-            str_calls: self.str_calls.get(),
-            io_calls: self.io_calls.get(),
-            file_calls: self.file_calls.get(),
-            recv_yields: self.recv_yields.get(),
-        }
-    }
-}
-
 /// newlib's own gate entry points, resolved once at construction — the
 /// app↔libc boundary is the hottest edge in every Figure 6 profile, so
 /// nothing string-shaped may survive onto it.
 #[derive(Debug, Clone, Copy)]
 struct NewlibEntries {
-    strlen: CallTarget,
     memchr: CallTarget,
     atoi: CallTarget,
     itoa: CallTarget,
@@ -98,13 +57,11 @@ struct NewlibEntries {
     fsync: CallTarget,
     unlink: CallTarget,
     stat: CallTarget,
-    time: CallTarget,
 }
 
 impl NewlibEntries {
     fn resolve(env: &Env, id: ComponentId) -> Self {
         NewlibEntries {
-            strlen: env.resolve(id, "nl_strlen"),
             memchr: env.resolve(id, "nl_memchr"),
             atoi: env.resolve(id, "nl_atoi"),
             itoa: env.resolve(id, "nl_itoa"),
@@ -121,7 +78,6 @@ impl NewlibEntries {
             fsync: env.resolve(id, "nl_fsync"),
             unlink: env.resolve(id, "nl_unlink"),
             stat: env.resolve(id, "nl_stat"),
-            time: env.resolve(id, "nl_time"),
         }
     }
 }
@@ -129,7 +85,6 @@ impl NewlibEntries {
 /// The newlib component.
 pub struct Newlib {
     env: Rc<Env>,
-    id: ComponentId,
     net: Rc<NetStack>,
     vfs: Rc<Vfs>,
     sched: Rc<Scheduler>,
@@ -137,15 +92,11 @@ pub struct Newlib {
     net_gates: NetEntries,
     vfs_gates: VfsEntries,
     sched_gates: SchedEntries,
-    time_wall: CallTarget,
-    stats: LibcStatsCells,
 }
 
 impl std::fmt::Debug for Newlib {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Newlib")
-            .field("stats", &self.stats.snapshot())
-            .finish()
+        f.debug_struct("Newlib").finish_non_exhaustive()
     }
 }
 
@@ -164,16 +115,13 @@ impl Newlib {
         net: Rc<NetStack>,
         vfs: Rc<Vfs>,
         sched: Rc<Scheduler>,
-        time_id: ComponentId,
     ) -> Self {
         let entries = NewlibEntries::resolve(&env, id);
         let net_gates = *net.entries();
         let vfs_gates = *vfs.entries();
         let sched_gates = *sched.entries();
-        let time_wall = env.resolve(time_id, "uktime_wall");
         Newlib {
             env,
-            id,
             net,
             vfs,
             sched,
@@ -181,41 +129,10 @@ impl Newlib {
             net_gates,
             vfs_gates,
             sched_gates,
-            time_wall,
-            stats: LibcStatsCells::default(),
         }
     }
 
-    /// This component's id in the image.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> LibcStats {
-        self.stats.snapshot()
-    }
-
     // --- string/memory helpers (the app↔libc hot chatter) ---------------
-
-    /// `strlen`: charged per byte scanned.
-    ///
-    /// # Errors
-    ///
-    /// Gate faults (illegal entry, isolation violations).
-    pub fn strlen(&self, s: &[u8]) -> Result<usize, Fault> {
-        LibcStatsCells::bump(&self.stats.str_calls);
-        self.env.call_resolved(self.entries.strlen, || {
-            self.env.compute(Work {
-                cycles: 6 + s.len() as u64 / 8,
-                alu_ops: s.len() as u64 / 8 + 1,
-                frames: 1,
-                mem_accesses: s.len() as u64 / 8 + 1,
-                ..Work::default()
-            });
-            Ok(s.iter().position(|&b| b == 0).unwrap_or(s.len()))
-        })
-    }
 
     /// `memchr`: finds `needle`, charged per byte scanned.
     ///
@@ -223,7 +140,6 @@ impl Newlib {
     ///
     /// Gate faults.
     pub fn memchr(&self, hay: &[u8], needle: u8) -> Result<Option<usize>, Fault> {
-        LibcStatsCells::bump(&self.stats.str_calls);
         self.env.call_resolved(self.entries.memchr, || {
             let pos = hay.iter().position(|&b| b == needle);
             let scanned = pos.map(|p| p + 1).unwrap_or(hay.len());
@@ -244,7 +160,6 @@ impl Newlib {
     ///
     /// Gate faults; [`Fault::InvalidConfig`] on non-numeric input.
     pub fn atoi(&self, s: &[u8]) -> Result<i64, Fault> {
-        LibcStatsCells::bump(&self.stats.str_calls);
         self.env.call_resolved(self.entries.atoi, || {
             self.env.compute(Work {
                 cycles: 8 + s.len() as u64,
@@ -302,17 +217,6 @@ impl Newlib {
         })
     }
 
-    /// `itoa`: formats an integer, charged per digit.
-    ///
-    /// # Errors
-    ///
-    /// Gate faults.
-    pub fn itoa(&self, value: i64) -> Result<Vec<u8>, Fault> {
-        let mut buf = [0u8; ITOA_BUF];
-        let n = self.itoa_digits(value, &mut buf)?;
-        Ok(buf[..n].to_vec())
-    }
-
     /// `itoa` into a caller-provided stack buffer: formats `value` into
     /// `buf` and returns the digit count — identical gate and cycle
     /// charges to [`Newlib::itoa`], zero host allocations.
@@ -321,7 +225,6 @@ impl Newlib {
     ///
     /// Gate faults.
     pub fn itoa_digits(&self, value: i64, buf: &mut [u8; ITOA_BUF]) -> Result<usize, Fault> {
-        LibcStatsCells::bump(&self.stats.str_calls);
         self.env.call_resolved(self.entries.itoa, || {
             let mut cursor = ITOA_BUF;
             let negative = value < 0;
@@ -358,7 +261,6 @@ impl Newlib {
     ///
     /// Gate faults.
     pub fn memcpy(&self, dst: &mut Vec<u8>, src: &[u8]) -> Result<(), Fault> {
-        LibcStatsCells::bump(&self.stats.str_calls);
         self.env.call_resolved(self.entries.memcpy, || {
             self.env.compute(Work {
                 cycles: 8 + (src.len() as f64 * 0.35) as u64,
@@ -380,7 +282,6 @@ impl Newlib {
     ///
     /// Gate faults; port-in-use faults from the stack.
     pub fn listen(&self, port: u16) -> Result<SocketHandle, Fault> {
-        LibcStatsCells::bump(&self.stats.io_calls);
         self.env.call_resolved(self.entries.listen, || {
             let net = Rc::clone(&self.net);
             let sock = self
@@ -400,7 +301,6 @@ impl Newlib {
     ///
     /// Gate faults.
     pub fn accept(&self, listener: SocketHandle) -> Result<Option<SocketHandle>, Fault> {
-        LibcStatsCells::bump(&self.stats.io_calls);
         self.env.call_resolved(self.entries.accept, || {
             let net = Rc::clone(&self.net);
             self.env
@@ -430,7 +330,6 @@ impl Newlib {
         out: &mut Vec<u8>,
     ) -> Result<u64, Fault> {
         out.clear();
-        LibcStatsCells::bump(&self.stats.io_calls);
         self.env.call_resolved(self.entries.recv, || {
             // fd-table lookup, sockaddr staging, iovec setup.
             self.env.compute(Work {
@@ -477,7 +376,6 @@ impl Newlib {
                     return Ok(0);
                 }
                 // Empty buffer: cooperative blocking through the scheduler.
-                LibcStatsCells::bump(&self.stats.recv_yields);
                 self.env.call_resolved(self.sched_gates.yield_now, || {
                     sched.yield_now();
                     Ok(())
@@ -504,7 +402,6 @@ impl Newlib {
         out: &mut Vec<u8>,
     ) -> Result<u64, Fault> {
         out.clear();
-        LibcStatsCells::bump(&self.stats.io_calls);
         self.env.call_resolved(self.entries.recv, || {
             let net = &self.net;
             if net.rx_available(sock) == 0 {
@@ -534,7 +431,6 @@ impl Newlib {
     ///
     /// Gate faults.
     pub fn send(&self, sock: SocketHandle, data: &[u8]) -> Result<u64, Fault> {
-        LibcStatsCells::bump(&self.stats.io_calls);
         self.env.call_resolved(self.entries.send, || {
             // fd-table lookup, iovec setup, copy-out staging.
             self.env.compute(Work {
@@ -567,7 +463,6 @@ impl Newlib {
     ///
     /// Gate faults.
     pub fn send_nowait(&self, sock: SocketHandle, data: &[u8]) -> Result<u64, Fault> {
-        LibcStatsCells::bump(&self.stats.io_calls);
         self.env.call_resolved(self.entries.send, || {
             let net = Rc::clone(&self.net);
             self.env
@@ -583,7 +478,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd, Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.open, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -597,7 +491,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn close(&self, fd: Fd) -> Result<(), Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.close, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -611,7 +504,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn read(&self, fd: Fd, len: u64) -> Result<Vec<u8>, Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.read, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -625,7 +517,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn write(&self, fd: Fd, data: &[u8]) -> Result<u64, Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.write, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -639,7 +530,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn lseek(&self, fd: Fd, offset: u64) -> Result<(), Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.lseek, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -653,7 +543,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn fsync(&self, fd: Fd) -> Result<(), Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.fsync, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -667,7 +556,6 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn unlink(&self, path: &str) -> Result<(), Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.unlink, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
@@ -681,26 +569,10 @@ impl Newlib {
     ///
     /// Gate faults; vfs faults.
     pub fn file_size(&self, path: &str) -> Result<u64, Fault> {
-        LibcStatsCells::bump(&self.stats.file_calls);
         self.env.call_resolved(self.entries.stat, || {
             let vfs = Rc::clone(&self.vfs);
             self.env
                 .call_resolved(self.vfs_gates.stat, || vfs.stat(path).map(|s| s.size))
-        })
-    }
-
-    /// `gettimeofday`-style wall clock; served via vDSO-like fast path
-    /// (no syscall on Linux — relevant to Figure 10's Linux model).
-    ///
-    /// # Errors
-    ///
-    /// Gate faults.
-    pub fn wall_ns(&self, time: &Rc<flexos_time::TimeSubsystem>) -> Result<u64, Fault> {
-        LibcStatsCells::bump(&self.stats.str_calls);
-        let time = Rc::clone(time);
-        self.env.call_resolved(self.entries.time, || {
-            self.env
-                .call_resolved(self.time_wall, move || Ok(time.wall_ns()))
         })
     }
 }

@@ -7,7 +7,7 @@ use std::ops::{Add, AddAssign, Sub};
 pub const PAGE_SIZE: usize = 4096;
 
 /// log2 of [`PAGE_SIZE`].
-pub const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 
 /// A simulated virtual address.
 ///
@@ -29,7 +29,7 @@ pub struct Addr(u64);
 
 impl Addr {
     /// The null address; never mapped, used as the "no address" sentinel.
-    pub const NULL: Addr = Addr(0);
+    pub(crate) const NULL: Addr = Addr(0);
 
     /// Creates an address from a raw u64 value.
     pub const fn new(raw: u64) -> Self {
@@ -41,11 +41,6 @@ impl Addr {
         self.0
     }
 
-    /// Returns `true` if this is the null address.
-    pub const fn is_null(self) -> bool {
-        self.0 == 0
-    }
-
     /// Index of the page containing this address.
     pub const fn page_index(self) -> u64 {
         self.0 >> PAGE_SHIFT
@@ -54,17 +49,6 @@ impl Addr {
     /// Byte offset of this address within its page.
     pub const fn page_offset(self) -> usize {
         (self.0 & (PAGE_SIZE as u64 - 1)) as usize
-    }
-
-    /// Rounds this address down to its page boundary.
-    pub const fn page_align_down(self) -> Addr {
-        Addr(self.0 & !(PAGE_SIZE as u64 - 1))
-    }
-
-    /// Rounds this address up to the next page boundary (identity if already
-    /// aligned).
-    pub const fn page_align_up(self) -> Addr {
-        Addr((self.0 + PAGE_SIZE as u64 - 1) & !(PAGE_SIZE as u64 - 1))
     }
 
     /// Offset of this address relative to `base`.
@@ -157,15 +141,6 @@ mod tests {
         let a = Addr::new(5 * PAGE_SIZE as u64 + 123);
         assert_eq!(a.page_index(), 5);
         assert_eq!(a.page_offset(), 123);
-        assert_eq!(a.page_align_down(), Addr::new(5 * PAGE_SIZE as u64));
-        assert_eq!(a.page_align_up(), Addr::new(6 * PAGE_SIZE as u64));
-    }
-
-    #[test]
-    fn aligned_address_is_its_own_alignment() {
-        let a = Addr::new(2 * PAGE_SIZE as u64);
-        assert_eq!(a.page_align_up(), a);
-        assert_eq!(a.page_align_down(), a);
     }
 
     #[test]
@@ -194,9 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn null_is_null() {
-        assert!(Addr::NULL.is_null());
-        assert!(!Addr::new(1).is_null());
+    fn null_is_the_default() {
         assert_eq!(Addr::default(), Addr::NULL);
     }
 

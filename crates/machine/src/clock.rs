@@ -44,43 +44,11 @@ impl CycleClock {
     pub fn advance(&self, cycles: u64) {
         self.cycles.set(self.cycles.get() + cycles);
     }
-
-    /// Advances the clock by a fractional cycle amount, rounding to nearest.
-    ///
-    /// Per-byte costs are fractional (e.g. 4.2 cycles/byte through the
-    /// network stack); charging rounded aggregates keeps the counter exact.
-    pub fn advance_f64(&self, cycles: f64) {
-        debug_assert!(cycles >= 0.0, "cannot charge negative cycles");
-        self.advance(cycles.round() as u64);
-    }
-
-    /// Runs `f` and returns `(result, cycles elapsed while running f)`.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, u64) {
-        let start = self.now();
-        let out = f();
-        (out, self.now() - start)
-    }
 }
 
 impl fmt::Display for CycleClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} cycles", self.now())
-    }
-}
-
-/// A saved instant on a [`CycleClock`], for structured elapsed measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Instant(pub u64);
-
-impl Instant {
-    /// Captures the current instant of `clock`.
-    pub fn now(clock: &CycleClock) -> Self {
-        Instant(clock.now())
-    }
-
-    /// Cycles elapsed on `clock` since this instant.
-    pub fn elapsed(&self, clock: &CycleClock) -> u64 {
-        clock.now() - self.0
     }
 }
 
@@ -95,33 +63,5 @@ mod tests {
         c.advance(5);
         c.advance(7);
         assert_eq!(c.now(), 12);
-    }
-
-    #[test]
-    fn fractional_charges_round() {
-        let c = CycleClock::new();
-        c.advance_f64(4.4);
-        assert_eq!(c.now(), 4);
-        c.advance_f64(4.6);
-        assert_eq!(c.now(), 9);
-    }
-
-    #[test]
-    fn measure_reports_elapsed() {
-        let c = CycleClock::new();
-        let (value, elapsed) = c.measure(|| {
-            c.advance(42);
-            "done"
-        });
-        assert_eq!(value, "done");
-        assert_eq!(elapsed, 42);
-    }
-
-    #[test]
-    fn instant_elapsed() {
-        let c = CycleClock::new();
-        let t = Instant::now(&c);
-        c.advance(100);
-        assert_eq!(t.elapsed(&c), 100);
     }
 }

@@ -114,7 +114,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// The paper's testbed: Intel Xeon Silver 4114 @ 2.2 GHz (§6).
-    pub fn xeon_silver_4114() -> Self {
+    pub(crate) fn xeon_silver_4114() -> Self {
         CostModel {
             freq_hz: 2_200_000_000,
             function_call: 2,
@@ -147,22 +147,6 @@ impl CostModel {
     /// Converts a cycle count to seconds at this model's frequency.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / self.freq_hz as f64
-    }
-
-    /// Converts seconds to cycles at this model's frequency.
-    pub fn seconds_to_cycles(&self, seconds: f64) -> u64 {
-        (seconds * self.freq_hz as f64).round() as u64
-    }
-
-    /// Operations per second achievable if each operation costs
-    /// `cycles_per_op` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles_per_op` is zero.
-    pub fn ops_per_second(&self, cycles_per_op: u64) -> f64 {
-        assert!(cycles_per_op > 0, "an operation must cost at least a cycle");
-        self.freq_hz as f64 / cycles_per_op as f64
     }
 
     /// Throughput in Gb/s when `bytes` bytes move in `cycles` cycles.
@@ -248,18 +232,13 @@ impl ByteCostTable {
             None => (len as f64 * self.per_byte).round() as u64,
         }
     }
-
-    /// The fractional per-byte cost the table was built from.
-    pub fn per_byte(&self) -> f64 {
-        self.per_byte
-    }
 }
 
 impl CostModel {
     /// The precomputed charge table for [`CostModel::mem_per_byte`] (one
     /// side of a simulated-memory access). [`crate::Machine`] takes one
     /// at construction and charges every data-path byte through it.
-    pub fn mem_cost_table(&self) -> ByteCostTable {
+    pub(crate) fn mem_cost_table(&self) -> ByteCostTable {
         ByteCostTable::new(self.mem_per_byte)
     }
 }
@@ -293,10 +272,6 @@ mod tests {
     fn unit_conversions() {
         let m = CostModel::default();
         assert!((m.cycles_to_seconds(2_200_000_000) - 1.0).abs() < 1e-12);
-        assert_eq!(m.seconds_to_cycles(0.5), 1_100_000_000);
-        // 1833 cycles/request at 2.2 GHz ≈ 1.2M req/s (Redis baseline).
-        let rps = m.ops_per_second(1833);
-        assert!((rps - 1_200_218.0).abs() < 1.0);
     }
 
     #[test]
@@ -323,28 +298,25 @@ mod tests {
 
     #[test]
     fn byte_cost_tables_are_shared_per_distinct_per_byte() {
-        use crate::Machine;
-        let a = Machine::new(1024 * 1024);
-        let b = Machine::new(Machine::DEFAULT_MEM_BYTES);
-        assert!(Rc::ptr_eq(&a.mem_costs().table, &b.mem_costs().table));
+        let model = CostModel::default();
+        let (a, b) = (model.mem_cost_table(), model.mem_cost_table());
+        assert!(Rc::ptr_eq(&a.table, &b.table));
 
         let perturbed = CostModel {
             mem_per_byte: 0.9,
             ..CostModel::default()
         };
-        let c = Machine::with_cost_model(1024 * 1024, perturbed);
-        assert!(!Rc::ptr_eq(&a.mem_costs().table, &c.mem_costs().table));
-        let d = Machine::with_cores(1024 * 1024, c.cost().clone(), 4);
-        assert!(Rc::ptr_eq(&c.mem_costs().table, &d.mem_costs().table));
+        let (c, d) = (perturbed.mem_cost_table(), perturbed.mem_cost_table());
+        assert!(!Rc::ptr_eq(&a.table, &c.table));
+        assert!(Rc::ptr_eq(&c.table, &d.table));
 
-        for costs in [a.mem_costs(), c.mem_costs()] {
+        for (costs, per_byte) in [(a, model.mem_per_byte), (c, 0.9)] {
             assert_eq!(costs.table.len(), BYTE_COST_TABLE_LEN);
             for (len, &cycles) in costs.table.iter().enumerate() {
                 assert_eq!(
                     u64::from(cycles),
-                    (len as f64 * costs.per_byte()).round() as u64,
-                    "per_byte {} len {len}",
-                    costs.per_byte()
+                    (len as f64 * per_byte).round() as u64,
+                    "per_byte {per_byte} len {len}"
                 );
             }
         }

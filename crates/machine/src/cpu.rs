@@ -7,11 +7,11 @@
 //! no callee-visible register leaks caller secrets across a domain switch.
 
 /// Number of modeled general-purpose registers (x86-64's 16 GPRs).
-pub const NUM_GPRS: usize = 16;
+pub(crate) const NUM_GPRS: usize = 16;
 
 /// Registers that carry System V call arguments (rdi, rsi, rdx, rcx, r8,
 /// r9 — indices 0..6 in our model).
-pub const ARG_REGS: usize = 6;
+pub(crate) const ARG_REGS: usize = 6;
 
 /// A simulated general-purpose register file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,18 +59,6 @@ impl RegisterFile {
             *r = 0;
         }
     }
-
-    /// Zeroes the whole file.
-    pub fn clear_all(&mut self) {
-        self.regs = [0; NUM_GPRS];
-    }
-
-    /// `true` if every register outside the first `arg_count` argument
-    /// registers is zero (i.e. nothing leaked through the gate).
-    pub fn non_args_are_clear(&self, arg_count: usize) -> bool {
-        let keep = arg_count.min(ARG_REGS);
-        self.regs.iter().skip(keep).all(|&r| r == 0)
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +77,6 @@ mod tests {
         for i in 3..NUM_GPRS {
             assert_eq!(rf.get(i), 0, "register {i} leaked");
         }
-        assert!(rf.non_args_are_clear(3));
     }
 
     #[test]
@@ -104,13 +91,5 @@ mod tests {
         for i in ARG_REGS..NUM_GPRS {
             assert_eq!(rf.get(i), 0);
         }
-    }
-
-    #[test]
-    fn clear_all() {
-        let mut rf = RegisterFile::new();
-        rf.set(15, 1);
-        rf.clear_all();
-        assert!(rf.non_args_are_clear(0));
     }
 }

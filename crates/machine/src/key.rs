@@ -15,7 +15,7 @@ use crate::fault::Fault;
 ///
 /// Real MPK provides 16 keys; FlexOS reserves one for the shared
 /// communication domain, which limits MPK images to 15 compartments (§4.1).
-pub const NUM_KEYS: u8 = 16;
+pub(crate) const NUM_KEYS: u8 = 16;
 
 /// A memory protection key (0..=15), assigned per page.
 ///
@@ -138,13 +138,6 @@ impl Pkru {
     pub fn permit_read_only(&mut self, key: ProtKey) {
         let bit = 1u16 << key.0;
         self.access_disable &= !bit;
-        self.write_disable |= bit;
-    }
-
-    /// Revokes all access to `key`.
-    pub fn deny(&mut self, key: ProtKey) {
-        let bit = 1u16 << key.0;
-        self.access_disable |= bit;
         self.write_disable |= bit;
     }
 
@@ -279,15 +272,6 @@ mod tests {
         pkru.permit_read_only(k);
         assert!(pkru.check(k, Access::Read).is_ok());
         assert!(pkru.check(k, Access::Write).is_err());
-    }
-
-    #[test]
-    fn deny_revokes() {
-        let k = ProtKey::new(1).unwrap();
-        let mut pkru = Pkru::ALL_ACCESS;
-        pkru.deny(k);
-        assert!(!pkru.allows(k, Access::Read));
-        assert!(pkru.allows(ProtKey::new(2).unwrap(), Access::Write));
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl Region {
     }
 
     /// Size in pages.
-    pub fn pages(&self) -> u64 {
+    pub(crate) fn pages(&self) -> u64 {
         self.pages
     }
 
@@ -161,24 +161,14 @@ impl Region {
         self.pages * PAGE_SIZE as u64
     }
 
-    /// `true` if the region holds zero pages.
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
-    }
-
     /// One past the last address.
-    pub fn end(&self) -> Addr {
+    pub(crate) fn end(&self) -> Addr {
         self.base + self.len()
     }
 
     /// Protection key tagged on the region's pages.
     pub fn key(&self) -> ProtKey {
         self.key
-    }
-
-    /// The region's purpose.
-    pub fn kind(&self) -> RegionKind {
-        self.kind
     }
 
     /// `true` if `addr` falls within the region.
@@ -200,12 +190,12 @@ pub struct RegionMap {
 }
 
 /// Number of unmapped guard pages between consecutive regions.
-pub const GUARD_PAGES: u64 = 1;
+pub(crate) const GUARD_PAGES: u64 = 1;
 
 impl RegionMap {
     /// Creates a map covering `[PAGE_SIZE, memory_bytes)`; the null page is
     /// never handed out.
-    pub fn new(memory_bytes: u64) -> Self {
+    pub(crate) fn new(memory_bytes: u64) -> Self {
         RegionMap {
             next: Addr::new(PAGE_SIZE as u64),
             limit: Addr::new(memory_bytes),
@@ -219,7 +209,7 @@ impl RegionMap {
     ///
     /// Returns [`Fault::ResourceExhausted`] when the simulated address space
     /// is full.
-    pub fn reserve(
+    pub(crate) fn reserve(
         &mut self,
         name: impl Into<RegionName>,
         pages: u64,

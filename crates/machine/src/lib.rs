@@ -46,10 +46,6 @@ pub mod smp;
 
 mod machine;
 
-pub use addr::{Addr, PAGE_SHIFT, PAGE_SIZE};
-pub use clock::CycleClock;
-pub use cost::CostModel;
-pub use fault::Fault;
 pub use flexos_trace as trace;
 pub use machine::Machine;
 

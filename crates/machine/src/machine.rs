@@ -3,7 +3,6 @@
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
-use crate::addr::PAGE_SIZE;
 use crate::clock::CycleClock;
 use crate::cost::{ByteCostTable, CostModel};
 use crate::fault::Fault;
@@ -61,7 +60,7 @@ impl Machine {
 
     /// Creates a machine with an explicit cost model (used by ablation
     /// benches that perturb individual constants).
-    pub fn with_cost_model(mem_bytes: u64, cost: CostModel) -> Rc<Self> {
+    pub(crate) fn with_cost_model(mem_bytes: u64, cost: CostModel) -> Rc<Self> {
         Self::with_cores(mem_bytes, cost, 1)
     }
 
@@ -149,22 +148,6 @@ impl Machine {
         assert!(core < self.cores.len(), "core {core} out of range");
         self.current.set(core);
         self.tracer.set_core(core as u8);
-    }
-
-    /// The deterministic multiplexer's choice: the core with the lowest
-    /// clock, ties broken by the lowest core id. Pure function of the
-    /// virtual clocks, hence bit-reproducible.
-    pub fn min_clock_core(&self) -> usize {
-        let mut best = 0;
-        let mut best_now = self.cores[0].clock.now();
-        for (i, c) in self.cores.iter().enumerate().skip(1) {
-            let now = c.clock.now();
-            if now < best_now {
-                best = i;
-                best_now = now;
-            }
-        }
-        best
     }
 
     /// Cross-core gate surcharge: charges the doorbell/IPI cost of
@@ -256,11 +239,6 @@ impl Machine {
         self.clock().advance(self.mem_costs.cycles(len));
     }
 
-    /// The machine's precomputed per-byte charge table.
-    pub fn mem_costs(&self) -> &ByteCostTable {
-        &self.mem_costs
-    }
-
     /// The calibrated cost model.
     pub fn cost(&self) -> &CostModel {
         &self.cost
@@ -325,26 +303,9 @@ impl Machine {
         Ok(region)
     }
 
-    /// Re-tags a mapped region with a new protection key (simulated
-    /// `pkey_mprotect`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Memory::set_key`] faults.
-    pub fn set_region_key(&self, region: &Region, key: ProtKey) -> Result<(), Fault> {
-        self.memory
-            .borrow_mut()
-            .set_key(region.base(), region.pages(), key)
-    }
-
     /// Total simulated memory in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.memory.borrow().size()
-    }
-
-    /// Bytes of simulated memory in whole pages helper.
-    pub fn pages(&self) -> u64 {
-        self.memory_bytes() / PAGE_SIZE as u64
     }
 }
 
@@ -373,15 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn set_region_key_changes_enforcement() {
-        let m = Machine::new(4 * 1024 * 1024);
-        let r = m.map_region("r", 1, ProtKey::new(1).unwrap()).unwrap();
-        m.set_region_key(&r, ProtKey::new(2).unwrap()).unwrap();
-        let old = Pkru::permit_only(&[ProtKey::new(1).unwrap()]);
-        assert!(m.memory().read_vec(r.base(), 1, &old).is_err());
-    }
-
-    #[test]
     fn clock_and_cost_are_shared() {
         let m = Machine::new(1024 * 1024);
         m.clock().advance(m.cost().ept_rpc_gate);
@@ -398,14 +350,6 @@ mod tests {
         assert_eq!(m.core_clock(0).now(), 100);
         assert_eq!(m.core_clock(1).now(), 0);
         assert_eq!(m.core_clock(2).now(), 30);
-        // Min-clock multiplexing: core 1 (clock 0) wins; ties go to the
-        // lowest id.
-        assert_eq!(m.min_clock_core(), 1);
-        m.set_current_core(1);
-        m.clock().advance(30);
-        assert_eq!(m.min_clock_core(), 1, "tie at 30 breaks to lower id");
-        m.clock().advance(1);
-        assert_eq!(m.min_clock_core(), 2);
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //!
 //! What each fault means at the edges:
 //!
-//! * an access, `map`, `set_key` or `key_of` reaching **beyond the
+//! * an access, `map` or `set_key` reaching **beyond the
 //!   configured size** ⇒ [`Fault::OutOfBounds`], checked before any page
 //!   is touched;
 //! * a page **within the configured size that was never mapped** —
@@ -173,7 +173,7 @@ impl Memory {
     }
 
     /// Total size in bytes.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.pages * PAGE_SIZE as u64
     }
 
@@ -250,22 +250,6 @@ impl Memory {
 
     fn bump_epoch(&self) {
         self.epoch.set(self.epoch.get() + 1);
-    }
-
-    /// Returns the protection key of the page containing `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Fault::Unmapped`] for unmapped addresses.
-    pub fn key_of(&self, addr: Addr) -> Result<ProtKey, Fault> {
-        let page = addr.page_index();
-        if page >= self.pages {
-            return Err(Fault::OutOfBounds { addr, len: 1 });
-        }
-        match self.frames.get(page as usize) {
-            Some(frame) if frame.mapped => Ok(frame.key),
-            _ => Err(Fault::Unmapped { addr }),
-        }
     }
 
     /// Validates the overall bounds of a non-empty access and returns its
@@ -402,7 +386,7 @@ impl Memory {
     ///
     /// Same conditions as [`Memory::read`]; `f` is not called for pages
     /// past the faulting one.
-    pub fn with_bytes(
+    pub(crate) fn with_bytes(
         &self,
         addr: Addr,
         len: u64,
@@ -592,26 +576,6 @@ impl Memory {
     pub fn write_u64(&mut self, addr: Addr, value: u64, pkru: &Pkru) -> Result<(), Fault> {
         self.write(addr, &value.to_le_bytes(), pkru)
     }
-
-    /// Reads a little-endian `u32` at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Memory::read`].
-    pub fn read_u32(&self, addr: Addr, pkru: &Pkru) -> Result<u32, Fault> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b, pkru)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u32` at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Memory::write`].
-    pub fn write_u32(&mut self, addr: Addr, value: u32, pkru: &Pkru) -> Result<(), Fault> {
-        self.write(addr, &value.to_le_bytes(), pkru)
-    }
 }
 
 #[cfg(test)]
@@ -742,9 +706,9 @@ mod tests {
         let k2 = ProtKey::new(2).unwrap();
         let (mut mem, base) = mem_with_region(k1);
         mem.set_key(base, 8, k2).unwrap();
-        assert_eq!(mem.key_of(base).unwrap(), k2);
         let old = Pkru::permit_only(&[k1]);
         assert!(mem.read_vec(base, 1, &old).is_err());
+        assert!(mem.read_vec(base, 1, &Pkru::permit_only(&[k2])).is_ok());
     }
 
     #[test]
@@ -786,7 +750,7 @@ mod tests {
                 addr: p + PAGE_SIZE as u64
             })
         );
-        assert_eq!(mem.key_of(p).unwrap(), k2, "the partial re-key stays");
+        // The partial re-key stays: the fault names key 2.
         assert!(matches!(
             mem.write(p, b"cold", &pkru),
             Err(Fault::ProtectionKey { key, .. }) if key == k2
@@ -819,10 +783,6 @@ mod tests {
             mem.read_vec(beyond, 1, &pkru),
             Err(Fault::Unmapped { addr: beyond })
         );
-        assert_eq!(
-            mem.key_of(beyond + 5),
-            Err(Fault::Unmapped { addr: beyond + 5 })
-        );
         // A write running off the mapped prefix lands its first page.
         assert_eq!(
             mem.write(beyond - 2, &[7; 4], &pkru),
@@ -837,10 +797,6 @@ mod tests {
         let last = Addr::new(SIZE - 1);
         assert!(matches!(
             mem.read_vec(last, 2, &pkru),
-            Err(Fault::OutOfBounds { .. })
-        ));
-        assert!(matches!(
-            mem.key_of(Addr::new(SIZE)),
             Err(Fault::OutOfBounds { .. })
         ));
         assert!(matches!(
@@ -1021,8 +977,6 @@ mod tests {
         let pkru = Pkru::permit_only(&[key]);
         mem.write_u64(base, 0xDEAD_BEEF_CAFE_F00D, &pkru).unwrap();
         assert_eq!(mem.read_u64(base, &pkru).unwrap(), 0xDEAD_BEEF_CAFE_F00D);
-        mem.write_u32(base + 8, 0x1234_5678, &pkru).unwrap();
-        assert_eq!(mem.read_u32(base + 8, &pkru).unwrap(), 0x1234_5678);
     }
 
     #[test]

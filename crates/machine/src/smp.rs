@@ -41,22 +41,22 @@ pub const SHARED_HEAP: usize = 0;
 /// Contention slot for the shared NIC rx/tx rings.
 pub const NIC_RING: usize = 1;
 /// Number of tracked contention slots.
-pub const NUM_SLOTS: usize = 2;
+pub(crate) const NUM_SLOTS: usize = 2;
 
 /// Width of the contention accounting window in clock bits: two touches
 /// belong to the same window when `now >> WINDOW_SHIFT` agrees (4096
 /// cycles ≈ 1.9 µs at 2.2 GHz — about the residency of a contended line
 /// in a remote cache before it migrates back).
-pub const WINDOW_SHIFT: u32 = 12;
+pub(crate) const WINDOW_SHIFT: u32 = 12;
 
 /// Discriminants of the `SmpCharge` trace event's `kind` field.
-pub mod charge {
+pub(crate) mod charge {
     /// Cross-core remote-gate (doorbell/IPI) surcharge.
-    pub const IPI: u8 = 0;
+    pub(crate) const IPI: u8 = 0;
     /// Shared-heap contention surcharge.
-    pub const HEAP: u8 = 1;
+    pub(crate) const HEAP: u8 = 1;
     /// Shared-NIC-ring contention surcharge.
-    pub const RING: u8 = 2;
+    pub(crate) const RING: u8 = 2;
 }
 
 /// One virtual CPU: a private clock plus the parked per-core CPU state.
@@ -78,7 +78,7 @@ pub struct VCpu {
 impl VCpu {
     /// A vCPU in the boot state: clock at zero, all-access PKRU, zeroed
     /// registers.
-    pub fn new() -> VCpu {
+    pub(crate) fn new() -> VCpu {
         VCpu::default()
     }
 }
@@ -91,7 +91,7 @@ impl VCpu {
 /// the mask — the multiplier for the contention surcharge. Plain `Cell`
 /// traffic, zero host allocation, like every other hot-path counter.
 #[derive(Debug)]
-pub struct Contention {
+pub(crate) struct Contention {
     slots: [Cell<(u64, u32)>; NUM_SLOTS],
 }
 
@@ -105,7 +105,7 @@ impl Default for Contention {
 
 impl Contention {
     /// A tracker with every slot untouched.
-    pub fn new() -> Contention {
+    pub(crate) fn new() -> Contention {
         Contention::default()
     }
 
@@ -113,7 +113,7 @@ impl Contention {
     /// clock) and returns the number of *other* cores that touched the
     /// same slot within the same window.
     #[inline]
-    pub fn touch(&self, slot: usize, core: usize, now: u64) -> u32 {
+    pub(crate) fn touch(&self, slot: usize, core: usize, now: u64) -> u32 {
         let window = now >> WINDOW_SHIFT;
         let bit = 1u32 << core;
         let (stored_window, mask) = self.slots[slot].get();
@@ -123,7 +123,7 @@ impl Contention {
     }
 
     /// Forgets all sharer state (between benchmark phases).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for s in &self.slots {
             s.set((0, 0));
         }
@@ -139,7 +139,7 @@ mod tests {
         let v = VCpu::new();
         assert_eq!(v.clock.now(), 0);
         assert_eq!(v.pkru.get(), Pkru::ALL_ACCESS);
-        assert!(v.regs.get().non_args_are_clear(0));
+        assert_eq!(v.regs.get(), crate::cpu::RegisterFile::new());
     }
 
     #[test]

@@ -29,9 +29,9 @@ const TEXT_BYTES_PER_COMPONENT: usize = 64 * 1024;
 /// kernel patch.
 #[derive(Debug, Default)]
 pub struct MpkBackend {
-    /// Extra text blobs to scan, injected by tests ("what if a component
-    /// smuggled a wrpkru?"). Scanned on every build: they come from
-    /// outside, so no earlier verdict covers them.
+    /// Extra text blobs to scan, pushed by this module's tests ("what if
+    /// a component smuggled a wrpkru?"). Scanned on every build: they
+    /// come from outside, so no earlier verdict covers them.
     extra_text: Vec<(String, Vec<u8>)>,
 }
 
@@ -39,11 +39,6 @@ impl MpkBackend {
     /// Creates the backend.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Injects an additional text blob into the W^X scan (test hook).
-    pub fn inject_text(&mut self, component: &str, text: Vec<u8>) {
-        self.extra_text.push((component.to_string(), text));
     }
 }
 
@@ -144,7 +139,7 @@ mod tests {
         let mut backend = MpkBackend::new();
         let mut evil = vec![0u8; 128];
         evil[10..13].copy_from_slice(&WRPKRU_OPCODE);
-        backend.inject_text("libevil", evil);
+        backend.extra_text.push(("libevil".to_string(), evil));
         let err = backend
             .validate(&config(2), &ComponentRegistry::new())
             .unwrap_err();
@@ -171,8 +166,13 @@ mod tests {
         // The worst case for a memo: an injected blob with a remembered
         // name and length, and a gadget inside.
         let mut backend = MpkBackend::new();
-        backend.inject_text("lwip", forge_gadget("lwip", TEXT_BYTES_PER_COMPONENT));
-        backend.inject_text("libevil", forge_gadget("libevil", 4096));
+        backend.extra_text.push((
+            "lwip".to_string(),
+            forge_gadget("lwip", TEXT_BYTES_PER_COMPONENT),
+        ));
+        backend
+            .extra_text
+            .push(("libevil".to_string(), forge_gadget("libevil", 4096)));
         for _ in 0..3 {
             let err = backend.validate(&config(2), &lwip).unwrap_err();
             assert!(

@@ -18,8 +18,7 @@
 //! * the **light gate** (ERIM-style): shares stack and registers, only
 //!   rewrites the PKRU — 62 cycles, the raw cost of two `wrpkru`.
 
-pub mod backend;
+pub(crate) mod backend;
 pub mod wxorx;
 
 pub use backend::MpkBackend;
-pub use wxorx::{scan_text, synthesize_text, WRPKRU_OPCODE};

@@ -28,11 +28,11 @@ use flexos_machine::fault::Fault;
 use flexos_machine::xorshift64star;
 
 /// Encoding of `wrpkru` (0F 01 EF).
-pub const WRPKRU_OPCODE: [u8; 3] = [0x0F, 0x01, 0xEF];
+pub(crate) const WRPKRU_OPCODE: [u8; 3] = [0x0F, 0x01, 0xEF];
 
 /// Encoding of `xrstor` with a PKRU-bearing mask (0F AE 2F — simplified:
 /// any `xrstor` is rejected, as ERIM does).
-pub const XRSTOR_OPCODE: [u8; 3] = [0x0F, 0xAE, 0x2F];
+pub(crate) const XRSTOR_OPCODE: [u8; 3] = [0x0F, 0xAE, 0x2F];
 
 /// Scans a component's text for PKRU-writing instructions.
 ///
@@ -94,7 +94,7 @@ pub(crate) fn remembered(name: &str, size: usize) -> bool {
 /// pseudo-random byte image seeded by its name, post-processed to remove
 /// any accidental PKRU-writing sequence — exactly the property the
 /// compiler + toolchain guarantee for real FlexOS components.
-pub fn synthesize_text(name: &str, size: usize) -> Vec<u8> {
+pub(crate) fn synthesize_text(name: &str, size: usize) -> Vec<u8> {
     // xorshift64* seeded from the name; deterministic across runs.
     let mut state: u64 = name
         .bytes()

@@ -27,17 +27,11 @@ pub fn checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// Verifies data whose checksum field was filled with [`checksum`] and
-/// zeroed before computing: folding over the full buffer must give zero.
-pub fn verify(data_with_checksum: &[u8]) -> bool {
-    checksum(data_with_checksum) == 0
-}
-
 /// Computes [`checksum`] as if the two bytes at `skip` were zero — the
 /// in-place verification of a frame's embedded checksum field, with no
 /// host-side copy of the frame (the pre-PR path cloned every received
 /// frame just to zero those two bytes).
-pub fn checksum_omitting(data: &[u8], skip: usize) -> u16 {
+pub(crate) fn checksum_omitting(data: &[u8], skip: usize) -> u16 {
     // Sum everything word-wise (the fast path), then subtract the two
     // skipped bytes' contributions: a byte at an even index is the high
     // byte of its big-endian word, at an odd index the low byte.
@@ -81,9 +75,10 @@ mod tests {
         let mut data = b"hello world, this is a segment".to_vec();
         let sum = checksum(&data);
         data.extend_from_slice(&sum.to_be_bytes());
-        assert!(verify(&data));
+        // Folding the checksum back over the data yields zero.
+        assert_eq!(checksum(&data), 0);
         data[3] ^= 0x40;
-        assert!(!verify(&data));
+        assert_ne!(checksum(&data), 0);
     }
 
     #[test]

@@ -153,25 +153,6 @@ impl TcpClient {
     pub fn received_len(&self) -> usize {
         self.rx.len()
     }
-
-    /// `true` after the handshake completed.
-    pub fn is_established(&self) -> bool {
-        self.established
-    }
-
-    /// Closes the connection with FIN.
-    ///
-    /// # Errors
-    ///
-    /// Stack faults propagate.
-    pub fn close(&mut self, stack: &NetStack) -> Result<(), Fault> {
-        self.inject(stack, self.snd_nxt, self.rcv_nxt, FLAG_FIN | FLAG_ACK, &[]);
-        self.snd_nxt = self.snd_nxt.wrapping_add(1);
-        stack.service()?;
-        self.drain(stack)?;
-        self.established = false;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +184,7 @@ mod tests {
         let stack = stack();
         let listener = serve(&stack, 6379);
         let client = TcpClient::connect(&stack, 50000, 6379).unwrap();
-        assert!(client.is_established());
+        assert!(client.established);
         let conn = stack.accept(listener);
         assert!(conn.is_some(), "handshake queues the connection");
     }
@@ -279,7 +260,9 @@ mod tests {
         let mut client = TcpClient::connect(&stack, 40000, 80).unwrap();
         let conn = stack.accept(listener).unwrap();
         assert!(!stack.at_eof(conn));
-        client.close(&stack).unwrap();
+        let (seq, ack) = (client.snd_nxt, client.rcv_nxt);
+        client.inject(&stack, seq, ack, FLAG_FIN | FLAG_ACK, &[]);
+        stack.service().unwrap();
         assert!(stack.at_eof(conn));
     }
 }

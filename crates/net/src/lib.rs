@@ -18,16 +18,15 @@
 
 pub mod checksum;
 pub mod client;
-pub mod nic;
-pub mod socket;
-pub mod stack;
+pub(crate) mod nic;
+pub(crate) mod socket;
+pub(crate) mod stack;
 pub mod tcp;
 
 pub use client::TcpClient;
-pub use nic::SimNic;
-pub use socket::{SocketHandle, SocketKind};
-pub use stack::{NetEntries, NetStack, NetStats};
-pub use tcp::{write_frame, SegmentView, TcpState, FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SYN, MSS};
+pub use socket::SocketHandle;
+pub use stack::NetEntries;
+pub use stack::NetStack;
 
 use flexos_core::prelude::*;
 

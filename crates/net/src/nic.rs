@@ -11,22 +11,11 @@
 use std::collections::VecDeque;
 
 /// Queue depth of each direction.
-pub const QUEUE_DEPTH: usize = 1024;
+pub(crate) const QUEUE_DEPTH: usize = 1024;
 
 /// Recycled frame buffers kept around (enough for every in-flight frame
 /// of the workloads; beyond this, returned buffers are simply dropped).
 const POOL_DEPTH: usize = 64;
-
-/// NIC counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NicStats {
-    /// Frames received by the stack.
-    pub rx_frames: u64,
-    /// Frames sent by the stack.
-    pub tx_frames: u64,
-    /// Frames dropped because the rx queue was full.
-    pub rx_dropped: u64,
-}
 
 /// The simulated loopback NIC.
 ///
@@ -35,26 +24,25 @@ pub struct NicStats {
 /// [`SimNic::take_buf`], so a steady-state request/reply exchange moves
 /// frames with zero host allocations.
 #[derive(Debug, Default)]
-pub struct SimNic {
+pub(crate) struct SimNic {
     rx: VecDeque<Vec<u8>>,
     tx: VecDeque<Vec<u8>>,
     pool: Vec<Vec<u8>>,
-    stats: NicStats,
 }
 
 impl SimNic {
     /// Creates an idle NIC.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// An empty frame buffer from the pool (or a fresh one).
-    pub fn take_buf(&mut self) -> Vec<u8> {
+    pub(crate) fn take_buf(&mut self) -> Vec<u8> {
         self.pool.pop().unwrap_or_default()
     }
 
     /// Returns a consumed frame's buffer to the pool.
-    pub fn recycle(&mut self, mut frame: Vec<u8>) {
+    pub(crate) fn recycle(&mut self, mut frame: Vec<u8>) {
         if self.pool.len() < POOL_DEPTH {
             frame.clear();
             self.pool.push(frame);
@@ -66,9 +54,8 @@ impl SimNic {
     /// Client side: copies `bytes` into a pooled buffer and places it on
     /// the wire towards the OS. Returns `false` (dropping the frame)
     /// when the queue is full.
-    pub fn inject_from(&mut self, bytes: &[u8]) -> bool {
+    pub(crate) fn inject_from(&mut self, bytes: &[u8]) -> bool {
         if self.rx.len() >= QUEUE_DEPTH {
-            self.stats.rx_dropped += 1;
             return false;
         }
         let mut frame = self.take_buf();
@@ -80,30 +67,20 @@ impl SimNic {
     /// Client side: takes the next transmitted frame, if any. Return the
     /// buffer with [`SimNic::recycle`] once processed to keep the
     /// steady-state path allocation-free.
-    pub fn tx_pop(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn tx_pop(&mut self) -> Option<Vec<u8>> {
         self.tx.pop_front()
     }
 
     // --- stack side -----------------------------------------------------
 
     /// Stack side: takes the next received frame, if any.
-    pub fn rx_pop(&mut self) -> Option<Vec<u8>> {
-        let frame = self.rx.pop_front();
-        if frame.is_some() {
-            self.stats.rx_frames += 1;
-        }
-        frame
+    pub(crate) fn rx_pop(&mut self) -> Option<Vec<u8>> {
+        self.rx.pop_front()
     }
 
     /// Stack side: queues a frame for transmission.
-    pub fn tx_push(&mut self, frame: Vec<u8>) {
-        self.stats.tx_frames += 1;
+    pub(crate) fn tx_push(&mut self, frame: Vec<u8>) {
         self.tx.push_back(frame);
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> NicStats {
-        self.stats
     }
 }
 
@@ -120,8 +97,6 @@ mod tests {
         nic.tx_push(vec![4, 5]);
         assert_eq!(nic.tx_pop(), Some(vec![4, 5]));
         assert_eq!(nic.tx_pop(), None);
-        assert_eq!(nic.stats().rx_frames, 1);
-        assert_eq!(nic.stats().tx_frames, 1);
     }
 
     #[test]
@@ -148,6 +123,5 @@ mod tests {
             assert!(nic.inject_from(&[i as u8]));
         }
         assert!(!nic.inject_from(&[0xFF]));
-        assert_eq!(nic.stats().rx_dropped, 1);
     }
 }

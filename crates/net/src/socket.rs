@@ -13,7 +13,7 @@ pub struct SocketHandle(pub u32);
 
 /// What a socket is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketKind {
+pub(crate) enum SocketKind {
     /// Passive listener.
     Listen,
     /// One TCP connection.
@@ -25,7 +25,7 @@ pub enum SocketKind {
 /// The ring's storage is allocated on the lwip compartment's heap; the
 /// head/tail indices live host-side (they model registers/pcb fields).
 #[derive(Debug)]
-pub struct SockBuf {
+pub(crate) struct SockBuf {
     base: Addr,
     cap: u64,
     /// `cap - 1` when `cap` is a power of two (the default ring size is):
@@ -42,7 +42,7 @@ impl SockBuf {
     /// # Errors
     ///
     /// Heap exhaustion.
-    pub fn new(env: &Env, cap: u64) -> Result<Self, Fault> {
+    pub(crate) fn new(env: &Env, cap: u64) -> Result<Self, Fault> {
         let base = env.malloc(cap)?;
         Ok(SockBuf {
             base,
@@ -62,17 +62,17 @@ impl SockBuf {
     }
 
     /// Bytes available to read.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.head - self.tail
     }
 
     /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.head == self.tail
     }
 
     /// Free space.
-    pub fn space(&self) -> u64 {
+    pub(crate) fn space(&self) -> u64 {
         self.cap - self.len()
     }
 
@@ -81,7 +81,7 @@ impl SockBuf {
     /// # Errors
     ///
     /// Protection faults if the current domain cannot write the ring.
-    pub fn push(&mut self, env: &Env, data: &[u8]) -> Result<u64, Fault> {
+    pub(crate) fn push(&mut self, env: &Env, data: &[u8]) -> Result<u64, Fault> {
         let take = (data.len() as u64).min(self.space());
         let mut written = 0u64;
         while written < take {
@@ -105,7 +105,12 @@ impl SockBuf {
     /// # Errors
     ///
     /// Protection faults if the current domain cannot read the ring.
-    pub fn pop_into(&mut self, env: &Env, maxlen: u64, out: &mut Vec<u8>) -> Result<u64, Fault> {
+    pub(crate) fn pop_into(
+        &mut self,
+        env: &Env,
+        maxlen: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<u64, Fault> {
         let take = maxlen.min(self.len());
         let mut read = 0u64;
         while read < take {
@@ -121,7 +126,7 @@ impl SockBuf {
 
 /// One socket-table entry.
 #[derive(Debug)]
-pub struct Socket {
+pub(crate) struct Socket {
     /// What the socket is.
     pub kind: SocketKind,
     /// Bound local port (0 = unbound).
@@ -138,7 +143,7 @@ pub struct Socket {
 
 impl Socket {
     /// A fresh unbound listener-capable socket.
-    pub fn new() -> Socket {
+    pub(crate) fn new() -> Socket {
         Socket {
             kind: SocketKind::Listen,
             port: 0,
@@ -150,7 +155,12 @@ impl Socket {
     }
 
     /// A connection socket with an rx ring.
-    pub fn connection(env: &Rc<Env>, port: u16, peer_port: u16, cap: u64) -> Result<Socket, Fault> {
+    pub(crate) fn connection(
+        env: &Rc<Env>,
+        port: u16,
+        peer_port: u16,
+        cap: u64,
+    ) -> Result<Socket, Fault> {
         Ok(Socket {
             kind: SocketKind::Connection,
             port,

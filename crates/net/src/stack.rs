@@ -19,7 +19,7 @@ use crate::tcp::{
 };
 
 /// Default receive-ring capacity per connection.
-pub const RX_RING_BYTES: u64 = 64 * 1024;
+pub(crate) const RX_RING_BYTES: u64 = 64 * 1024;
 
 /// Initial send sequence number the server side uses (deterministic).
 const SERVER_ISS: u32 = 0x1000_0000;
@@ -89,7 +89,7 @@ impl NetEntries {
 /// need no DoS resistance here — the "attacker" is our own benchmark
 /// client.
 #[derive(Default)]
-pub struct PortHasher(u64);
+pub(crate) struct PortHasher(u64);
 
 impl Hasher for PortHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -151,17 +151,6 @@ impl NetStatsCells {
             polls: self.polls.get(),
         }
     }
-
-    fn reset(&self) {
-        self.rx_segments.set(0);
-        self.tx_segments.set(0);
-        self.rx_bytes.set(0);
-        self.tx_bytes.set(0);
-        self.rx_errors.set(0);
-        self.recvs.set(0);
-        self.sends.set(0);
-        self.polls.set(0);
-    }
 }
 
 /// The lwip component state.
@@ -213,11 +202,6 @@ impl NetStack {
         }
     }
 
-    /// This component's id in the image.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
     /// The stack's gate entry points, resolved at construction time.
     pub fn entries(&self) -> &NetEntries {
         &self.entries
@@ -226,11 +210,6 @@ impl NetStack {
     /// Counters.
     pub fn stats(&self) -> NetStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     fn charge_sockcall(&self) {
@@ -391,7 +370,7 @@ impl NetStack {
                 socks.push(sock);
                 SocketHandle((socks.len() - 1) as u32)
             };
-            let tcb = Tcb::from_syn(seg.dst_port, seg.src_port, seg.seq, SERVER_ISS);
+            let tcb = Tcb::from_syn(seg.seq, SERVER_ISS);
             self.transmit_parts(
                 seg.dst_port,
                 seg.src_port,
@@ -465,7 +444,7 @@ impl NetStack {
                 // Pure ACK: nothing to do (no retransmit queue to clear in
                 // the lite model).
             }
-            TcpState::Listen | TcpState::CloseWait | TcpState::Closed => {}
+            TcpState::CloseWait => {}
         }
         Ok(())
     }
@@ -582,50 +561,25 @@ impl NetStack {
             .unwrap_or(true)
     }
 
-    /// Closes a connection (sends FIN).
-    ///
-    /// # Errors
-    ///
-    /// Bad-handle faults.
-    pub fn close(&self, sock: SocketHandle) -> Result<(), Fault> {
-        self.charge_sockcall();
-        let (local, peer) = {
-            let socks = self.sockets.borrow();
-            match socks.get(sock.0 as usize) {
-                Some(s) if s.kind == SocketKind::Connection => (s.port, s.peer_port),
-                _ => return Ok(()),
-            }
-        };
-        let key = (local, peer);
-        if let Some(tcb) = self.tcbs.borrow_mut().get_mut(&key) {
-            let seq = tcb.snd_nxt;
-            tcb.snd_nxt = tcb.snd_nxt.wrapping_add(1);
-            tcb.state = TcpState::Closed;
-            let ack = tcb.rcv_nxt;
-            self.transmit_parts(local, peer, seq, ack, FLAG_FIN | FLAG_ACK, &[]);
-        }
-        Ok(())
-    }
-
     // --- host-side access for clients/drivers ---------------------------
 
     /// Client-side frame injection from a borrowed slice into a pooled
     /// NIC buffer (free; models traffic from the load generator's
     /// dedicated cores). Returns `false` when the NIC dropped the frame.
-    pub fn client_inject_bytes(&self, bytes: &[u8]) -> bool {
+    pub(crate) fn client_inject_bytes(&self, bytes: &[u8]) -> bool {
         self.nic.borrow_mut().inject_from(bytes)
     }
 
     /// Client side: takes the next transmitted frame, if any. Hand the
     /// buffer back with [`NetStack::client_recycle`] once processed so
     /// the frame pool stays warm.
-    pub fn client_take_tx(&self) -> Option<Vec<u8>> {
+    pub(crate) fn client_take_tx(&self) -> Option<Vec<u8>> {
         self.nic.borrow_mut().tx_pop()
     }
 
     /// Returns a frame buffer obtained from [`NetStack::client_take_tx`]
     /// to the NIC's pool.
-    pub fn client_recycle(&self, frame: Vec<u8>) {
+    pub(crate) fn client_recycle(&self, frame: Vec<u8>) {
         self.nic.borrow_mut().recycle(frame)
     }
 
@@ -635,7 +589,7 @@ impl NetStack {
     /// # Errors
     ///
     /// Propagates [`NetStack::poll`] faults.
-    pub fn service(&self) -> Result<u32, Fault> {
+    pub(crate) fn service(&self) -> Result<u32, Fault> {
         self.env.run_as(self.id, || self.poll())
     }
 }

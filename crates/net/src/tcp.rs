@@ -14,17 +14,17 @@ use crate::checksum::checksum_omitting;
 const CSUM_OFFSET: usize = 16;
 
 /// Segment header length in bytes.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// Maximum segment payload (Ethernet-ish MTU minus headers).
-pub const MSS: usize = 1460;
+pub(crate) const MSS: usize = 1460;
 
 /// SYN flag.
-pub const FLAG_SYN: u8 = 0x01;
+pub(crate) const FLAG_SYN: u8 = 0x01;
 /// ACK flag.
 pub const FLAG_ACK: u8 = 0x02;
 /// FIN flag.
-pub const FLAG_FIN: u8 = 0x04;
+pub(crate) const FLAG_FIN: u8 = 0x04;
 /// PSH flag.
 pub const FLAG_PSH: u8 = 0x10;
 
@@ -73,7 +73,7 @@ impl<'a> SegmentView<'a> {
     }
 
     /// `true` if the given flag is set.
-    pub fn has(&self, flag: u8) -> bool {
+    pub(crate) fn has(&self, flag: u8) -> bool {
         self.flags & flag != 0
     }
 
@@ -85,7 +85,7 @@ impl<'a> SegmentView<'a> {
     /// # Errors
     ///
     /// [`Fault::InvalidConfig`] for truncated frames.
-    pub fn parse_offloaded(frame: &'a [u8]) -> Result<SegmentView<'a>, Fault> {
+    pub(crate) fn parse_offloaded(frame: &'a [u8]) -> Result<SegmentView<'a>, Fault> {
         if frame.len() < HEADER_LEN {
             return Err(Fault::InvalidConfig {
                 reason: format!("truncated frame: {} bytes", frame.len()),
@@ -165,28 +165,20 @@ fn raw_sum(data: &[u8]) -> u32 {
 
 /// Connection state (the subset of RFC 793 the evaluation exercises).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TcpState {
-    /// Passive open, waiting for SYN.
-    Listen,
+pub(crate) enum TcpState {
     /// SYN received, SYN-ACK sent.
     SynRcvd,
     /// Data transfer.
     Established,
     /// Peer sent FIN.
     CloseWait,
-    /// Fully closed.
-    Closed,
 }
 
 /// Per-connection control block.
 #[derive(Debug, Clone)]
-pub struct Tcb {
+pub(crate) struct Tcb {
     /// Connection state.
     pub state: TcpState,
-    /// Local (server) port.
-    pub local_port: u16,
-    /// Remote (client) port.
-    pub remote_port: u16,
     /// Next sequence number expected from the peer.
     pub rcv_nxt: u32,
     /// Next sequence number we will send.
@@ -195,11 +187,9 @@ pub struct Tcb {
 
 impl Tcb {
     /// Creates a control block in [`TcpState::SynRcvd`] after a SYN.
-    pub fn from_syn(local_port: u16, remote_port: u16, peer_seq: u32, iss: u32) -> Tcb {
+    pub(crate) fn from_syn(peer_seq: u32, iss: u32) -> Tcb {
         Tcb {
             state: TcpState::SynRcvd,
-            local_port,
-            remote_port,
             rcv_nxt: peer_seq.wrapping_add(1),
             snd_nxt: iss,
         }
@@ -264,7 +254,7 @@ mod tests {
 
     #[test]
     fn tcb_from_syn_acknowledges_one() {
-        let tcb = Tcb::from_syn(80, 50001, 999, 5000);
+        let tcb = Tcb::from_syn(999, 5000);
         assert_eq!(tcb.state, TcpState::SynRcvd);
         assert_eq!(tcb.rcv_nxt, 1000);
         assert_eq!(tcb.snd_nxt, 5000);

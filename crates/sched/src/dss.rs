@@ -14,7 +14,7 @@ use flexos_machine::addr::{Addr, PAGE_SIZE};
 /// Pages per (private) thread stack; the paper notes FlexOS uses small
 /// 8-page stacks, making the DSS memory overhead modest (§6.5: a Redis
 /// instance with 8 threads pays 288 KiB).
-pub const STACK_PAGES: u64 = 8;
+pub(crate) const STACK_PAGES: u64 = 8;
 
 /// Bytes per private stack half; the DSS doubles this.
 pub const STACK_SIZE: u64 = STACK_PAGES * PAGE_SIZE as u64;
@@ -32,24 +32,6 @@ pub fn shadow_of(stack_var: Addr) -> Addr {
     stack_var + STACK_SIZE
 }
 
-/// `true` if `addr` lies in the private (lower) half of a doubled stack
-/// based at `stack_base`.
-pub fn in_private_half(stack_base: Addr, addr: Addr) -> bool {
-    addr >= stack_base && addr < stack_base + STACK_SIZE
-}
-
-/// `true` if `addr` lies in the DSS (upper, shared) half of a doubled
-/// stack based at `stack_base`.
-pub fn in_dss_half(stack_base: Addr, addr: Addr) -> bool {
-    addr >= stack_base + STACK_SIZE && addr < stack_base + 2 * STACK_SIZE
-}
-
-/// The private (lower) half of a doubled stack as a `[start, end)` span —
-/// what an attacker probing a victim's stack must *not* be able to touch.
-pub fn private_span(stack_base: Addr) -> (Addr, Addr) {
-    (stack_base, stack_base + STACK_SIZE)
-}
-
 /// The DSS (upper, shared) half of a doubled stack as a `[start, end)`
 /// span — shared by design; the adversarial suite probes both halves and
 /// asserts the boundary falls exactly between them.
@@ -64,37 +46,17 @@ mod tests {
     #[test]
     fn shadow_lands_in_dss_half() {
         let base = Addr::new(0x40000);
+        let (dss_start, dss_end) = dss_span(base);
+        assert_eq!(dss_start, base + STACK_SIZE, "halves abut exactly");
+        assert_eq!(dss_end, base + 2 * STACK_SIZE);
         for off in [0u64, 8, 4096, STACK_SIZE - 1] {
             let var = base + off;
-            assert!(in_private_half(base, var));
             let shadow = shadow_of(var);
-            assert!(in_dss_half(base, shadow), "offset {off}");
+            assert!(dss_start <= shadow && shadow < dss_end, "offset {off}");
             // The shadow preserves the variable's offset within the stack,
             // so the compiler's frame layout carries over 1:1.
             assert_eq!(shadow.offset_from(base) - STACK_SIZE, off);
         }
-    }
-
-    #[test]
-    fn halves_do_not_overlap() {
-        let base = Addr::new(0x40000);
-        let boundary = base + STACK_SIZE;
-        assert!(in_private_half(base, boundary - 1));
-        assert!(!in_private_half(base, boundary));
-        assert!(in_dss_half(base, boundary));
-        assert!(!in_dss_half(base, boundary + STACK_SIZE));
-    }
-
-    #[test]
-    fn spans_tile_the_doubled_stack() {
-        let base = Addr::new(0x40000);
-        let (p0, p1) = private_span(base);
-        let (d0, d1) = dss_span(base);
-        assert_eq!(p0, base);
-        assert_eq!(p1, d0, "halves abut exactly");
-        assert_eq!(d1, base + 2 * STACK_SIZE);
-        assert!(in_private_half(base, p1 - 1) && !in_private_half(base, d0));
-        assert!(in_dss_half(base, d0) && !in_dss_half(base, d1));
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //! library, which is exactly what the Figure 6 "uksched" row exercises.
 
 pub mod dss;
-pub mod scheduler;
+pub(crate) mod scheduler;
 pub mod stack;
-pub mod thread;
+pub(crate) mod thread;
 
-pub use dss::{shadow_of, STACK_PAGES, STACK_SIZE};
-pub use scheduler::{SchedEntries, SchedStats, Scheduler};
-pub use stack::{StackRegistry, ThreadStack};
-pub use thread::{Thread, ThreadId, ThreadState};
+pub use scheduler::SchedEntries;
+pub use scheduler::Scheduler;
+pub use thread::ThreadId;
 
 use flexos_core::prelude::*;
 

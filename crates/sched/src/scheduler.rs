@@ -22,7 +22,7 @@ use crate::stack::{StackRegistry, ThreadStack};
 use crate::thread::{Thread, ThreadId, ThreadState};
 
 /// Hook invoked when a thread is created (backend API, §3.2).
-pub type ThreadCreateHook = Box<dyn Fn(&Env, CompartmentId)>;
+pub(crate) type ThreadCreateHook = Box<dyn Fn(&Env, CompartmentId)>;
 
 /// Scheduler statistics for the evaluation harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,10 +31,6 @@ pub struct SchedStats {
     pub spawned: u64,
     /// Voluntary yields served.
     pub yields: u64,
-    /// Block operations.
-    pub blocks: u64,
-    /// Wake operations.
-    pub wakes: u64,
     /// Context switches performed.
     pub switches: u64,
 }
@@ -45,8 +41,6 @@ pub struct SchedStats {
 struct SchedStatsCells {
     spawned: Cell<u64>,
     yields: Cell<u64>,
-    blocks: Cell<u64>,
-    wakes: Cell<u64>,
     switches: Cell<u64>,
 }
 
@@ -59,8 +53,6 @@ impl SchedStatsCells {
         SchedStats {
             spawned: self.spawned.get(),
             yields: self.yields.get(),
-            blocks: self.blocks.get(),
-            wakes: self.wakes.get(),
             switches: self.switches.get(),
         }
     }
@@ -102,7 +94,6 @@ impl SchedEntries {
 /// The uksched component.
 pub struct Scheduler {
     env: Rc<Env>,
-    id: ComponentId,
     entries: SchedEntries,
     threads: RefCell<Vec<Thread>>,
     /// One ready queue per simulated core; threads have hard affinity to
@@ -129,8 +120,6 @@ impl std::fmt::Debug for Scheduler {
 /// context-switch primitive); calibrated alongside the Figure 6 profiles.
 const SPAWN_CYCLES: u64 = 180;
 const YIELD_CYCLES: u64 = 72;
-const BLOCK_CYCLES: u64 = 45;
-const WAKE_CYCLES: u64 = 40;
 const CURRENT_CYCLES: u64 = 18;
 
 impl Scheduler {
@@ -141,7 +130,6 @@ impl Scheduler {
         let cores = env.machine().num_cores();
         Scheduler {
             env,
-            id,
             entries,
             threads: RefCell::new(Vec::new()),
             ready: RefCell::new(vec![VecDeque::new(); cores]),
@@ -159,20 +147,6 @@ impl Scheduler {
         self.env.machine().current_core()
     }
 
-    /// The core `thread` is pinned to (its spawn core).
-    fn affinity_of(&self, thread: ThreadId) -> usize {
-        self.threads
-            .borrow()
-            .get(thread.0 as usize)
-            .map(|t| usize::from(t.core))
-            .unwrap_or(0)
-    }
-
-    /// This component's id in the image.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
     /// The scheduler's gate entry points, resolved at construction time.
     pub fn entries(&self) -> &SchedEntries {
         &self.entries
@@ -183,26 +157,21 @@ impl Scheduler {
         self.hooks.borrow_mut().push(hook);
     }
 
-    /// Spawns a thread homed in `compartment`; allocates its stack there
-    /// (per the image's data-sharing strategy) and fires backend hooks.
+    /// Spawns a thread homed in `compartment`, pinned to the current
+    /// core; allocates its stack there (per the image's data-sharing
+    /// strategy) and fires backend hooks.
     ///
     /// # Errors
     ///
     /// Stack-allocation faults from the machine.
-    pub fn spawn(
-        &self,
-        name: &str,
-        compartment: CompartmentId,
-    ) -> Result<(ThreadId, ThreadStack), Fault> {
+    pub fn spawn(&self, compartment: CompartmentId) -> Result<(ThreadId, ThreadStack), Fault> {
         let id = ThreadId(self.threads.borrow().len() as u32);
         let core = self.core();
         let stack = self
             .registry
             .borrow_mut()
             .allocate(&self.env, compartment, id)?;
-        self.threads
-            .borrow_mut()
-            .push(Thread::new(id, name, compartment, core as u8));
+        self.threads.borrow_mut().push(Thread::new());
         self.ready.borrow_mut()[core].push_back(id);
         self.env.compute(Work {
             cycles: SPAWN_CYCLES,
@@ -216,25 +185,6 @@ impl Scheduler {
         }
         SchedStatsCells::bump(&self.stats.spawned);
         Ok((id, stack))
-    }
-
-    /// Ensures `thread` has a stack in `compartment` (gates allocate
-    /// lazily on first crossing into a new compartment).
-    ///
-    /// # Errors
-    ///
-    /// Stack-allocation faults from the machine.
-    pub fn stack_for(
-        &self,
-        thread: ThreadId,
-        compartment: CompartmentId,
-    ) -> Result<ThreadStack, Fault> {
-        if let Some(stack) = self.registry.borrow_mut().lookup(compartment, thread) {
-            return Ok(stack);
-        }
-        self.registry
-            .borrow_mut()
-            .allocate(&self.env, compartment, thread)
     }
 
     /// Drops every stack registered in `compartment` so subsequent
@@ -284,41 +234,6 @@ impl Scheduler {
         next
     }
 
-    /// Blocks a thread (e.g. empty socket receive buffer).
-    pub fn block(&self, thread: ThreadId) {
-        self.env.compute(Work {
-            cycles: BLOCK_CYCLES,
-            frames: 2,
-            alu_ops: 6,
-            mem_accesses: 5,
-            ..Work::default()
-        });
-        self.set_state(thread, ThreadState::Blocked);
-        let core = self.affinity_of(thread);
-        self.ready.borrow_mut()[core].retain(|&t| t != thread);
-        if self.current[core].get() == Some(thread) {
-            self.current[core].set(None);
-            self.pick_next(core);
-        }
-        SchedStatsCells::bump(&self.stats.blocks);
-    }
-
-    /// Wakes a blocked thread.
-    pub fn wake(&self, thread: ThreadId) {
-        self.env.compute(Work {
-            cycles: WAKE_CYCLES,
-            frames: 2,
-            alu_ops: 5,
-            mem_accesses: 5,
-            ..Work::default()
-        });
-        if self.state_of(thread) == Some(ThreadState::Blocked) {
-            self.set_state(thread, ThreadState::Ready);
-            self.ready.borrow_mut()[self.affinity_of(thread)].push_back(thread);
-        }
-        SchedStatsCells::bump(&self.stats.wakes);
-    }
-
     /// The running thread, if any.
     pub fn current(&self) -> Option<ThreadId> {
         self.env.compute(Work {
@@ -329,24 +244,6 @@ impl Scheduler {
             ..Work::default()
         });
         self.current[self.core()].get()
-    }
-
-    /// Terminates a thread.
-    pub fn exit(&self, thread: ThreadId) {
-        self.set_state(thread, ThreadState::Exited);
-        let core = self.affinity_of(thread);
-        self.ready.borrow_mut()[core].retain(|&t| t != thread);
-        if self.current[core].get() == Some(thread) {
-            self.current[core].set(None);
-        }
-    }
-
-    /// Thread state lookup (test/introspection; charges nothing).
-    pub fn state_of(&self, thread: ThreadId) -> Option<ThreadState> {
-        self.threads
-            .borrow()
-            .get(thread.0 as usize)
-            .map(|t| t.state)
     }
 
     /// Statistics snapshot.
@@ -360,20 +257,6 @@ impl Scheduler {
         self.registry.borrow().len()
     }
 
-    fn pick_next(&self, core: usize) -> Option<ThreadId> {
-        let next = self.ready.borrow_mut()[core].pop_front();
-        if let Some(tid) = next {
-            let prev = self.current[core].get();
-            self.set_state(tid, ThreadState::Running);
-            self.current[core].set(Some(tid));
-            if let Some(t) = self.threads.borrow_mut().get_mut(tid.0 as usize) {
-                t.switches += 1;
-            }
-            self.record_switch(prev, tid);
-        }
-        next
-    }
-
     /// Traces a dispatch (disabled tracer: one `Cell` read and out).
     fn record_switch(&self, prev: Option<ThreadId>, next: ThreadId) {
         let machine = self.env.machine();
@@ -384,11 +267,5 @@ impl Scheduler {
                 to: next.0,
             },
         );
-    }
-
-    fn set_state(&self, thread: ThreadId, state: ThreadState) {
-        if let Some(t) = self.threads.borrow_mut().get_mut(thread.0 as usize) {
-            t.state = state;
-        }
     }
 }

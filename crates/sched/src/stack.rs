@@ -29,20 +29,10 @@ pub struct ThreadStack {
     pub has_dss: bool,
 }
 
-impl ThreadStack {
-    /// Initial stack pointer (stacks grow down from the top of the private
-    /// half).
-    pub fn initial_sp(&self) -> Addr {
-        self.base + STACK_SIZE
-    }
-}
-
 /// Maps `(compartment, thread)` to that thread's local stack (§4.1).
 #[derive(Debug, Default)]
-pub struct StackRegistry {
+pub(crate) struct StackRegistry {
     stacks: BTreeMap<(CompartmentId, ThreadId), ThreadStack>,
-    /// Lookups served (the gate's stack-switch path).
-    lookups: u64,
     /// Microreboot generation per compartment: bumped by
     /// [`StackRegistry::reset_compartment`], suffixed onto region names
     /// so replacement stacks are distinguishable in the memory map.
@@ -52,7 +42,7 @@ pub struct StackRegistry {
 
 impl StackRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -68,7 +58,7 @@ impl StackRegistry {
     /// # Errors
     ///
     /// Address-space exhaustion faults from the machine.
-    pub fn allocate(
+    pub(crate) fn allocate(
         &mut self,
         env: &Env,
         compartment: CompartmentId,
@@ -144,26 +134,9 @@ impl StackRegistry {
         Ok(stack)
     }
 
-    /// The gate's stack-switch lookup: the stack `thread` uses inside
-    /// `compartment`.
-    pub fn lookup(&mut self, compartment: CompartmentId, thread: ThreadId) -> Option<ThreadStack> {
-        self.lookups += 1;
-        self.stacks.get(&(compartment, thread)).copied()
-    }
-
     /// Number of stacks registered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.stacks.len()
-    }
-
-    /// `true` if no stacks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.stacks.is_empty()
-    }
-
-    /// Lookups served so far.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 
     /// Drops every stack registered for `compartment` and bumps its
@@ -172,7 +145,7 @@ impl StackRegistry {
     /// of a microreboot. The superseded regions stay reserved in the
     /// machine layout (a microreboot remaps rather than reclaims
     /// simulated address space). Returns how many stacks were dropped.
-    pub fn reset_compartment(&mut self, compartment: CompartmentId) -> usize {
+    pub(crate) fn reset_compartment(&mut self, compartment: CompartmentId) -> usize {
         let before = self.stacks.len();
         self.stacks.retain(|(c, _), _| *c != compartment);
         *self.epochs.entry(compartment).or_insert(0) += 1;

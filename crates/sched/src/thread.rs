@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use flexos_core::compartment::CompartmentId;
-
 /// Identifier of a scheduler thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
@@ -16,47 +14,30 @@ impl fmt::Display for ThreadId {
 
 /// Lifecycle state of a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ThreadState {
+pub(crate) enum ThreadState {
     /// Runnable, waiting in the ready queue.
     Ready,
     /// Currently executing.
     Running,
-    /// Blocked (e.g. on a socket receive buffer or an RPC ring).
-    Blocked,
-    /// Finished.
-    Exited,
 }
 
-/// One cooperative thread.
+/// One cooperative thread: bookkeeping only — its id is its index in the
+/// scheduler's table and it stays in the ready queue of the core it was
+/// spawned on.
 #[derive(Debug, Clone)]
-pub struct Thread {
-    /// The thread's id.
-    pub id: ThreadId,
-    /// Human-readable name (e.g. `"redis-worker-0"`).
-    pub name: String,
-    /// Compartment the thread was created in (its home domain; gates may
-    /// temporarily run it in others, using the stack registry).
-    pub home: CompartmentId,
+pub(crate) struct Thread {
     /// Current lifecycle state.
     pub state: ThreadState,
     /// Number of times the thread has been context-switched in.
     pub switches: u64,
-    /// Simulated core the thread is pinned to (the core it was spawned
-    /// on; wakes always requeue it there). Single-core machines pin
-    /// everything to core 0.
-    pub core: u8,
 }
 
 impl Thread {
-    /// Creates a ready thread pinned to `core`.
-    pub fn new(id: ThreadId, name: impl Into<String>, home: CompartmentId, core: u8) -> Self {
+    /// Creates a ready thread.
+    pub(crate) fn new() -> Self {
         Thread {
-            id,
-            name: name.into(),
-            home,
             state: ThreadState::Ready,
             switches: 0,
-            core,
         }
     }
 }
@@ -67,10 +48,9 @@ mod tests {
 
     #[test]
     fn new_thread_is_ready() {
-        let t = Thread::new(ThreadId(3), "worker", CompartmentId(1), 2);
+        let t = Thread::new();
         assert_eq!(t.state, ThreadState::Ready);
-        assert_eq!(t.id.to_string(), "thread3");
+        assert_eq!(ThreadId(3).to_string(), "thread3");
         assert_eq!(t.switches, 0);
-        assert_eq!(t.core, 2);
     }
 }

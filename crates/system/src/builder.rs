@@ -137,7 +137,7 @@ impl SystemBuilder {
 
         // Live substrates over the built environment.
         let sched = Rc::new(Scheduler::new(Rc::clone(&env), sched_id));
-        let time = Rc::new(TimeSubsystem::new(Rc::clone(&env), time_id));
+        let time = Rc::new(TimeSubsystem::new(Rc::clone(&env)));
         let vfs = Rc::new(Vfs::new(
             Rc::clone(&env),
             vfs_id,
@@ -152,7 +152,6 @@ impl SystemBuilder {
             Rc::clone(&net),
             Rc::clone(&vfs),
             Rc::clone(&sched),
-            time_id,
         ));
 
         // Backend hooks into the scheduler (§3.2's worked example).
@@ -184,7 +183,7 @@ impl SystemBuilder {
         let home = app_ids.first().map(|&id| env.compartment_of(id)).unwrap_or(
             flexos_core::compartment::CompartmentId(self.config.default_compartment() as u8),
         );
-        let (main_thread, _) = env.run_as(sched_id, || sched.spawn("main", home))?;
+        let (main_thread, _) = env.run_as(sched_id, || sched.spawn(home))?;
 
         // Multi-core topology: the NIC driver/stack is serviced on its
         // home core 0, so shards on other cores pay the remote-gate IPI

@@ -43,7 +43,7 @@ fn mpk_thread_hook_charges_a_wrpkru() {
     let sched_id = os.component("uksched").unwrap();
     let before = os.cycles();
     os.env
-        .run_as(sched_id, || os.sched.spawn("worker", CompartmentId(1)))
+        .run_as(sched_id, || os.sched.spawn(CompartmentId(1)))
         .unwrap();
     let elapsed = os.cycles() - before;
     assert!(

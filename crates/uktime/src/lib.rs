@@ -13,64 +13,32 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use flexos_core::component::ComponentId;
-use flexos_core::entry::CallTarget;
 use flexos_core::env::{Env, Work};
 use flexos_core::prelude::{Component, ComponentKind};
 
 /// Nanoseconds of wall-clock epoch at boot (an arbitrary but fixed date;
 /// the simulation is deterministic).
-pub const BOOT_EPOCH_NS: u64 = 1_700_000_000_000_000_000;
+pub(crate) const BOOT_EPOCH_NS: u64 = 1_700_000_000_000_000_000;
 
 /// Cycles charged per time query (TSC read + scaling).
 const QUERY_CYCLES: u64 = 18;
-
-/// uktime's gate entry points, resolved once at construction. The
-/// vfs → uktime timestamp crossing (Figure 10's MPK3 driver) gates
-/// through [`TimeEntries::wall`] rather than re-resolving a string.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeEntries {
-    /// `uktime_monotonic`.
-    pub monotonic: CallTarget,
-    /// `uktime_wall`.
-    pub wall: CallTarget,
-    /// `uktime_sleep`.
-    pub sleep: CallTarget,
-}
 
 /// The uktime component.
 #[derive(Debug)]
 pub struct TimeSubsystem {
     env: Rc<Env>,
-    id: ComponentId,
-    entries: TimeEntries,
     queries: Cell<u64>,
 }
 
 impl TimeSubsystem {
-    /// Creates the component (`id` must be uktime's id in the image).
-    pub fn new(env: Rc<Env>, id: ComponentId) -> Self {
-        let entries = TimeEntries {
-            monotonic: env.resolve(id, "uktime_monotonic"),
-            wall: env.resolve(id, "uktime_wall"),
-            sleep: env.resolve(id, "uktime_sleep"),
-        };
+    /// Creates the component. Callers gate into it through their own
+    /// resolved targets (the vfs resolves `uktime_wall` when it is wired
+    /// up); the subsystem itself holds no gate state.
+    pub fn new(env: Rc<Env>) -> Self {
         TimeSubsystem {
             env,
-            id,
-            entries,
             queries: Cell::new(0),
         }
-    }
-
-    /// This component's id in the image.
-    pub fn component_id(&self) -> ComponentId {
-        self.id
-    }
-
-    /// The component's gate entry points, resolved at construction time.
-    pub fn entries(&self) -> &TimeEntries {
-        &self.entries
     }
 
     /// Monotonic nanoseconds since boot, derived from the cycle clock.
@@ -84,13 +52,6 @@ impl TimeSubsystem {
     /// Wall-clock nanoseconds (epoch + monotonic).
     pub fn wall_ns(&self) -> u64 {
         BOOT_EPOCH_NS + self.monotonic_ns()
-    }
-
-    /// Busy-sleeps for `ns` nanoseconds of virtual time.
-    pub fn sleep_ns(&self, ns: u64) {
-        let cost = self.env.machine().cost();
-        let cycles = (ns as u128 * cost.freq_hz as u128 / 1_000_000_000u128) as u64;
-        self.env.machine().clock().advance(cycles);
     }
 
     /// Number of time queries served (the Figure 10 MPK3 crossing-count
@@ -126,13 +87,13 @@ mod tests {
     use flexos_core::image::ImageBuilder;
     use flexos_machine::Machine;
 
-    fn time_env() -> (Rc<Env>, TimeSubsystem) {
+    fn time_env() -> (Rc<Env>, flexos_core::component::ComponentId, TimeSubsystem) {
         let machine = Machine::new(Machine::DEFAULT_MEM_BYTES);
         let mut builder = ImageBuilder::new(machine, SafetyConfig::none());
         let id = builder.register(component()).unwrap();
         let image = builder.build(&[&NoneBackend]).unwrap();
-        let time = TimeSubsystem::new(Rc::clone(&image.env), id);
-        (image.env, time)
+        let time = TimeSubsystem::new(Rc::clone(&image.env));
+        (image.env, id, time)
     }
 
     #[test]
@@ -145,8 +106,8 @@ mod tests {
 
     #[test]
     fn monotonic_follows_the_cycle_clock() {
-        let (env, time) = time_env();
-        env.run_as(time.component_id(), || {
+        let (env, id, time) = time_env();
+        env.run_as(id, || {
             let t0 = time.monotonic_ns();
             env.machine().clock().advance(2_200_000_000); // one second
             let t1 = time.monotonic_ns();
@@ -157,26 +118,16 @@ mod tests {
 
     #[test]
     fn wall_clock_has_epoch() {
-        let (env, time) = time_env();
-        env.run_as(time.component_id(), || {
+        let (env, id, time) = time_env();
+        env.run_as(id, || {
             assert!(time.wall_ns() >= BOOT_EPOCH_NS);
         });
     }
 
     #[test]
-    fn sleep_advances_virtual_time() {
-        let (env, time) = time_env();
-        env.run_as(time.component_id(), || {
-            let before = env.machine().clock().now();
-            time.sleep_ns(1_000_000); // 1 ms at 2.2 GHz = 2.2M cycles
-            assert_eq!(env.machine().clock().now() - before, 2_200_000);
-        });
-    }
-
-    #[test]
     fn queries_are_counted_and_charged() {
-        let (env, time) = time_env();
-        env.run_as(time.component_id(), || {
+        let (env, id, time) = time_env();
+        env.run_as(id, || {
             let before = env.machine().clock().now();
             time.wall_ns();
             time.monotonic_ns();

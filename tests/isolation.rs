@@ -136,7 +136,7 @@ fn dss_shares_exactly_the_shadow_half() {
         // doubled.
         let (_tid, stack) = env
             .run_as(env.component_id("uksched").unwrap(), || {
-                os.sched.spawn("lwip-worker", lwip_comp)
+                os.sched.spawn(lwip_comp)
             })
             .unwrap();
         assert!(stack.has_dss, "{name}");

@@ -117,8 +117,8 @@ fn stack_layouts_follow_the_compartment_profile() {
         .unwrap();
     let sched_id = os.component("uksched").unwrap();
     let (dss_stack, shared_stack) = os.env.run_as(sched_id, || {
-        let (_, a) = os.sched.spawn("in-dss", CompartmentId(0)).unwrap();
-        let (_, b) = os.sched.spawn("in-light", CompartmentId(1)).unwrap();
+        let (_, a) = os.sched.spawn(CompartmentId(0)).unwrap();
+        let (_, b) = os.sched.spawn(CompartmentId(1)).unwrap();
         (a, b)
     });
     assert!(dss_stack.has_dss, "DSS compartment gets a doubled stack");
