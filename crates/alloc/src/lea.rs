@@ -5,7 +5,7 @@
 //! workload of Figure 10 its exact small bins avoid the re-splitting TLSF
 //! performs, which is why CubicleOS-without-isolation beats the
 //! Unikraft-linuxu baseline (§6.4). This implementation reproduces that
-//! policy difference over the same [`BlockMap`] substrate as
+//! policy difference over the same `BlockMap` substrate as
 //! [`crate::tlsf::Tlsf`].
 
 use flexos_machine::addr::Addr;
@@ -46,7 +46,7 @@ impl Lea {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or `base` is not [`MIN_ALIGN`]-aligned.
+    /// Panics if `size` is zero or `base` is not `MIN_ALIGN`-aligned.
     pub fn new(base: Addr, size: u64) -> Self {
         assert!(size > 0, "empty region");
         assert!(base.is_aligned(MIN_ALIGN), "misaligned region base");

@@ -10,18 +10,18 @@
 //! * [`lea::Lea`] — a **Lea-style** (dlmalloc-lite) best-fit allocator with
 //!   exact small bins, used by CubicleOS; its different behaviour under the
 //!   SQLite workload explains the baseline inversion in Figure 10 (§6.4).
-//! * [`bump::Bump`] — a trivial arena for boot-time allocations.
+//! * `bump::Bump` — a trivial arena for boot-time allocations.
 //! * [`heap::Heap`] — binds an allocator to a simulated-memory region,
 //!   charges the calibrated allocation costs (Figure 11a), and optionally
-//!   layers [`kasan::Kasan`] redzones/quarantine over it (§4.5).
+//!   layers `kasan::Kasan` redzones/quarantine over it (§4.5).
 //!
 //! Per the documented substitution rule (DESIGN.md, "Deliberate
 //! deviations"): allocator payloads live in *simulated* memory and faults
 //! are enforced by the machine's protection keys, while the allocators'
 //! metadata lives in host memory — the algorithms (segregated fits,
 //! coalescing, binning) are real. Host-side that metadata is the free
-//! lists, one pair of boundary tags per block ([`blockmap::BlockMap`]) and,
-//! under KASan, one shadow byte per 8-byte granule ([`kasan::Kasan`]).
+//! lists, one pair of boundary tags per block (`blockmap::BlockMap`) and,
+//! under KASan, one shadow byte per 8-byte granule (`kasan::Kasan`).
 //! Tags and shadow are **sized by use**: a heap that has handed out
 //! 40 KiB of its 16 MiB pays for 40 KiB worth of both, a fresh heap for
 //! neither, which is what makes an image cheap to build and a
@@ -40,9 +40,7 @@ pub mod tlsf;
 #[path = "../../../tests/common/mod.rs"]
 mod testrng;
 
-pub use heap::Heap;
-
-pub use heap::HeapKind;
+pub use heap::{Heap, HeapKind};
 pub use stats::AllocStats;
 
 use flexos_machine::addr::Addr;

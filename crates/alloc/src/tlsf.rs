@@ -70,7 +70,7 @@ impl Tlsf {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero or `base` is not [`MIN_ALIGN`]-aligned.
+    /// Panics if `size` is zero or `base` is not `MIN_ALIGN`-aligned.
     pub fn new(base: Addr, size: u64) -> Self {
         assert!(size > 0, "empty region");
         assert!(base.is_aligned(MIN_ALIGN), "misaligned region base");

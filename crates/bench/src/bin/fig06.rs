@@ -13,7 +13,11 @@ fn main() {
         std::process::exit(2);
     }
     eprintln!("running 80 configurations for {app}...");
-    print!("{}", fig06_text(app, fig6_counts()).expect("sweep runs"));
+    let text = fig06_text(app, fig6_counts()).unwrap_or_else(|fault| {
+        eprintln!("fig06: run failed: {fault}");
+        std::process::exit(1);
+    });
+    print!("{text}");
 
     emit_canonical_if_requested(&obs);
 }

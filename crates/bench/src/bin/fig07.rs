@@ -7,7 +7,11 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let obs = flexos_bench::obs::extract_obs_args(&mut args);
     eprintln!("running 2x80 configurations (redis + nginx)...");
-    print!("{}", fig07_text(fig6_counts()).expect("sweeps run"));
+    let text = fig07_text(fig6_counts()).unwrap_or_else(|fault| {
+        eprintln!("fig07: run failed: {fault}");
+        std::process::exit(1);
+    });
+    print!("{text}");
 
     flexos_bench::obs::emit_canonical_if_requested(&obs);
 }

@@ -16,7 +16,11 @@ fn main() {
         }
     };
     eprintln!("running 80 redis configurations...");
-    print!("{}", fig08_text(budget, fig6_counts()).expect("sweep runs"));
+    let text = fig08_text(budget, fig6_counts()).unwrap_or_else(|fault| {
+        eprintln!("fig08: run failed: {fault}");
+        std::process::exit(1);
+    });
+    print!("{text}");
 
     flexos_bench::obs::emit_canonical_if_requested(&obs);
 }

@@ -17,10 +17,17 @@ fn run(config: SafetyConfig, buf: u64) -> Result<f64, Fault> {
     run_iperf(&os, buf, 1_000_000)
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = flexos_bench::obs::extract_obs_args(&mut args);
-    let _ = args;
+/// The figure takes no arguments of its own (`--trace`/`--metrics` are
+/// stripped before this sees the list).
+fn parse_args(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        None => Ok(()),
+        Some(arg) => Err(format!("unexpected argument `{arg}`")),
+    }
+}
+
+/// Prints the figure; the first fault ends it.
+fn report() -> Result<(), Fault> {
     let bufs: Vec<u64> = (4..=14).map(|p| 1u64 << p).collect();
     println!("# Figure 9: iPerf throughput (Gb/s) vs receive buffer size");
     println!(
@@ -30,18 +37,10 @@ fn main() {
     for &buf in &bufs {
         // The iperf app compartment vs "the rest of the system including
         // the network stack" (§6.3): everything else moves together.
-        let none = run(configs::none(), buf).expect("none");
-        let light = run(
-            configs::mpk2(&ISOLATED, DataSharing::SharedStack).expect("cfg"),
-            buf,
-        )
-        .expect("light");
-        let dss = run(
-            configs::mpk2(&ISOLATED, DataSharing::Dss).expect("cfg"),
-            buf,
-        )
-        .expect("dss");
-        let ept = run(configs::ept2(&ISOLATED).expect("cfg"), buf).expect("ept");
+        let none = run(configs::none(), buf)?;
+        let light = run(configs::mpk2(&ISOLATED, DataSharing::SharedStack)?, buf)?;
+        let dss = run(configs::mpk2(&ISOLATED, DataSharing::Dss)?, buf)?;
+        let ept = run(configs::ept2(&ISOLATED)?, buf)?;
         // Unikraft == FlexOS without the flexibility layer: identical
         // hot path, no gate metadata ("you only pay for what you get").
         let unikraft = none;
@@ -52,6 +51,32 @@ fn main() {
     }
     println!("\n# paper: MPK within 1.5x of baseline, converging >=128B;");
     println!("# EPT 1.1-2.2x slower than MPK-dss, ~90% of baseline >=256B");
+    Ok(())
+}
 
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let obs = flexos_bench::obs::extract_obs_args(&mut args);
+    if let Err(e) = parse_args(&args) {
+        eprintln!("fig09: {e}");
+        eprintln!("usage: fig09 [--trace PATH] [--metrics PATH]");
+        std::process::exit(2);
+    }
+    if let Err(fault) = report() {
+        eprintln!("fig09: run failed: {fault}");
+        std::process::exit(1);
+    }
     flexos_bench::obs::emit_canonical_if_requested(&obs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn stray_arguments_are_usage_errors_not_panics() {
+        assert_eq!(parse_args(&[]), Ok(()));
+        let err = parse_args(&["--bogus".to_string()]).unwrap_err();
+        assert!(err.contains("`--bogus`"), "{err}");
+    }
 }

@@ -43,23 +43,56 @@ fn measure(sharing: DataSharing, buffers: u32) -> Result<u64, Fault> {
     Ok((env.machine().clock().now() - start) / ROUNDS)
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = flexos_bench::obs::extract_obs_args(&mut args);
-    let _ = args;
+/// The figure takes no arguments of its own (`--trace`/`--metrics` are
+/// stripped before this sees the list).
+fn parse_args(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        None => Ok(()),
+        Some(arg) => Err(format!("unexpected argument `{arg}`")),
+    }
+}
+
+/// Prints the figure; the first fault ends it.
+fn report() -> Result<(), Fault> {
     println!("# Figure 11a: shared stack allocation latency (cycles)");
     println!(
         "{:>9} {:>8} {:>8} {:>14}",
         "buffers", "heap", "DSS", "shared-stack"
     );
     for buffers in 1..=3 {
-        let heap = measure(DataSharing::HeapConversion, buffers).expect("heap");
-        let dss = measure(DataSharing::Dss, buffers).expect("dss");
-        let shared = measure(DataSharing::SharedStack, buffers).expect("shared");
+        let heap = measure(DataSharing::HeapConversion, buffers)?;
+        let dss = measure(DataSharing::Dss, buffers)?;
+        let shared = measure(DataSharing::SharedStack, buffers)?;
         println!("{buffers:>9} {heap:>8} {dss:>8} {shared:>14}");
     }
     println!("\n# paper: heap 100-300+ cycles growing per buffer;");
     println!("# DSS and shared stack constant at stack speed (2 cycles)");
+    Ok(())
+}
 
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let obs = flexos_bench::obs::extract_obs_args(&mut args);
+    if let Err(e) = parse_args(&args) {
+        eprintln!("fig11a: {e}");
+        eprintln!("usage: fig11a [--trace PATH] [--metrics PATH]");
+        std::process::exit(2);
+    }
+    if let Err(fault) = report() {
+        eprintln!("fig11a: run failed: {fault}");
+        std::process::exit(1);
+    }
     flexos_bench::obs::emit_canonical_if_requested(&obs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn stray_arguments_are_usage_errors_not_panics() {
+        assert_eq!(parse_args(&[]), Ok(()));
+        let err = parse_args(&["--bogus".to_string()]).unwrap_err();
+        assert!(err.contains("`--bogus`"), "{err}");
+    }
 }

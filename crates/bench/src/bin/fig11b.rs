@@ -16,7 +16,11 @@ fn measure(config: SafetyConfig) -> Result<u64, Fault> {
         .build()?;
     let env = &os.env;
     let app = os.app_ids[0];
-    let lwip = env.component_id("lwip").expect("lwip registered");
+    let lwip = env
+        .component_id("lwip")
+        .ok_or_else(|| Fault::InvalidConfig {
+            reason: "image has no `lwip` component".to_string(),
+        })?;
     let poll = env.resolve(lwip, "lwip_poll");
     const ROUNDS: u64 = 64;
     env.run_as(app, || -> Result<u64, Fault> {
@@ -30,16 +34,22 @@ fn measure(config: SafetyConfig) -> Result<u64, Fault> {
     })
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = flexos_bench::obs::extract_obs_args(&mut args);
-    let _ = args;
+/// The figure takes no arguments of its own (`--trace`/`--metrics` are
+/// stripped before this sees the list).
+fn parse_args(args: &[String]) -> Result<(), String> {
+    match args.first() {
+        None => Ok(()),
+        Some(arg) => Err(format!("unexpected argument `{arg}`")),
+    }
+}
+
+/// Prints the figure; the first fault ends it.
+fn report() -> Result<(), Fault> {
     let cost = CostModel::default();
-    let call = measure(configs::none()).expect("none");
-    let light =
-        measure(configs::mpk2(&["lwip"], DataSharing::SharedStack).expect("cfg")).expect("light");
-    let dss = measure(configs::mpk2(&["lwip"], DataSharing::Dss).expect("cfg")).expect("dss");
-    let ept = measure(configs::ept2(&["lwip"]).expect("cfg")).expect("ept");
+    let call = measure(configs::none())?;
+    let light = measure(configs::mpk2(&["lwip"], DataSharing::SharedStack)?)?;
+    let dss = measure(configs::mpk2(&["lwip"], DataSharing::Dss)?)?;
+    let ept = measure(configs::ept2(&["lwip"])?)?;
 
     println!("# Figure 11b: gate latencies (cycles, round trip)");
     println!("{:>16} {:>9} {:>8}", "gate", "measured", "paper");
@@ -55,6 +65,32 @@ fn main() {
         "{:>16} {:>9} {:>8}",
         "syscall-nokpti", cost.syscall_nokpti, 146
     );
+    Ok(())
+}
 
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let obs = flexos_bench::obs::extract_obs_args(&mut args);
+    if let Err(e) = parse_args(&args) {
+        eprintln!("fig11b: {e}");
+        eprintln!("usage: fig11b [--trace PATH] [--metrics PATH]");
+        std::process::exit(2);
+    }
+    if let Err(fault) = report() {
+        eprintln!("fig11b: run failed: {fault}");
+        std::process::exit(1);
+    }
     flexos_bench::obs::emit_canonical_if_requested(&obs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn stray_arguments_are_usage_errors_not_panics() {
+        assert_eq!(parse_args(&[]), Ok(()));
+        let err = parse_args(&["--bogus".to_string()]).unwrap_err();
+        assert!(err.contains("`--bogus`"), "{err}");
+    }
 }

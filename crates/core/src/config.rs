@@ -245,7 +245,7 @@ impl SafetyConfig {
     /// # Errors
     ///
     /// [`Fault::InvalidConfig`] on syntax errors, unknown mechanisms or
-    /// hardening names, and any [`SafetyConfig::validate`] failure.
+    /// hardening names, and any `SafetyConfig::validate` failure.
     pub fn parse_str(text: &str) -> Result<SafetyConfig, Fault> {
         parse(text)
     }
@@ -347,7 +347,7 @@ impl SafetyConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates [`SafetyConfig::validate`] failures.
+    /// Propagates `SafetyConfig::validate` failures.
     pub fn build(self) -> Result<SafetyConfig, Fault> {
         let config = SafetyConfig {
             compartments: self.compartments,

@@ -62,7 +62,7 @@ pub struct CallTarget {
 /// intern table itself.
 ///
 /// The bitsets are frozen at build time: entries interned later (via
-/// [`EntryTable::resolve`] on an unknown name) have ids beyond every
+/// `EntryTable::resolve` on an unknown name) have ids beyond every
 /// bitset and are therefore never legal anywhere — exactly the CFI
 /// semantics of toolchain-known gate entry points.
 #[derive(Debug)]

@@ -68,7 +68,7 @@ pub struct DomainState {
 
 /// Placement of one `__shared` annotated variable after build: where it
 /// landed and which annotation it is. Name, whitelist and region text are
-/// read through the annotation ([`Env::shared_var_decl`]) and the layout
+/// read through the annotation (`Env::shared_var_decl`) and the layout
 /// ([`Env::shared_var_region`]) when asked for, not copied per image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedVarPlacement {
@@ -701,7 +701,7 @@ impl Env {
     /// a name write `env.call_resolved(env.resolve(to, "entry"), f)`
     /// (one intern-table lookup, allocation-free once the name has been
     /// seen — first sight of an unregistered name interns it, bounded by
-    /// [`crate::entry::RUNTIME_INTERN_CAP`]) and components with hot
+    /// `crate::entry::RUNTIME_INTERN_CAP`) and components with hot
     /// boundaries resolve once at construction time. Two registers carry
     /// arguments across a full gate; it zeroes the rest (§3.1).
     ///

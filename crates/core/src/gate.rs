@@ -132,7 +132,7 @@ impl fmt::Display for GateKind {
 }
 
 /// One flattened gate-descriptor entry: the instantiated kind plus its
-/// pre-computed round-trip cost. Everything `Env::call` needs per crossing
+/// pre-computed round-trip cost. Everything `Env::call_resolved` needs per crossing
 /// in one indexed read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateDesc {

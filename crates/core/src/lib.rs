@@ -8,8 +8,8 @@
 //!   descriptors with `__shared` annotations ([`component::SharedVar`])
 //!   and legal entry points, abstract call gates resolved once at build
 //!   time ([`env::Env::resolve`] → [`entry::CallTarget`] →
-//!   [`env::Env::call_resolved`], with [`env::Env::call`] as the `&str`
-//!   wrapper), and whitelist-checked shared data (§3.1);
+//!   [`env::Env::call_resolved`], the image's one gate entry), and
+//!   whitelist-checked shared data (§3.1);
 //! * the **safety configuration** — [`config::SafetyConfig`], buildable
 //!   programmatically or parsed from the paper's configuration-file format
 //!   (§3);
@@ -54,12 +54,8 @@ pub mod tcb;
 /// Convenient re-exports of the types almost every user needs.
 pub mod prelude {
     pub use crate::backend::NoneBackend;
-    pub use crate::compartment::CompartmentId;
-    pub use crate::compartment::CompartmentSpec;
-    pub use crate::compartment::Mechanism;
-    pub use crate::component::Component;
-    pub use crate::component::ComponentKind;
-    pub use crate::component::SharedVar;
+    pub use crate::compartment::{CompartmentId, CompartmentSpec, Mechanism};
+    pub use crate::component::{Component, ComponentKind, SharedVar};
     pub use crate::config::SafetyConfig;
     pub use crate::gate::GateKind;
     pub use crate::hardening::Hardening;

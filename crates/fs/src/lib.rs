@@ -20,11 +20,8 @@ pub mod path;
 pub(crate) mod ramfs;
 pub(crate) mod vfs;
 
-pub use fd::Fd;
-
-pub use fd::OpenFlags;
-pub use vfs::Vfs;
-pub use vfs::VfsEntries;
+pub use fd::{Fd, OpenFlags};
+pub use vfs::{Vfs, VfsEntries};
 
 use flexos_core::prelude::*;
 

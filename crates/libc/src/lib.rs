@@ -218,8 +218,8 @@ impl Newlib {
     }
 
     /// `itoa` into a caller-provided stack buffer: formats `value` into
-    /// `buf` and returns the digit count — identical gate and cycle
-    /// charges to [`Newlib::itoa`], zero host allocations.
+    /// `buf` and returns the digit count, charged per digit, with zero
+    /// host allocations.
     ///
     /// # Errors
     ///

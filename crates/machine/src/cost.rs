@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 /// Cycle costs for every primitive the simulation charges.
 ///
-/// Obtain the paper-calibrated instance with [`CostModel::xeon_silver_4114`]
+/// Obtain the paper-calibrated instance with `CostModel::xeon_silver_4114`
 /// (also the `Default`); benchmarks convert cycles to wall-clock using
 /// [`CostModel::freq_hz`].
 #[derive(Debug, Clone, PartialEq)]

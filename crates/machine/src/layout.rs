@@ -161,6 +161,11 @@ impl Region {
         self.pages * PAGE_SIZE as u64
     }
 
+    /// `true` if the region holds zero pages.
+    pub fn is_empty(&self) -> bool {
+        self.pages == 0
+    }
+
     /// One past the last address.
     pub(crate) fn end(&self) -> Addr {
         self.base + self.len()

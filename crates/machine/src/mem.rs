@@ -73,7 +73,7 @@
 //!   [`Fault::Unmapped`] naming the page base, after the earlier pages
 //!   of a multi-page access were written (or re-keyed, for `set_key`).
 //!
-//! [`Memory::size`] and the `Debug` page count report the configured
+//! `Memory::size` and the `Debug` page count report the configured
 //! size, never the table's length.
 
 use std::cell::Cell;

@@ -21,7 +21,7 @@
 //! * **Contention** — shared-heap and shared-NIC-ring access pays one
 //!   cache-line-transfer surcharge per *other* core that touched the same
 //!   region within the current accounting window (a coarse window over
-//!   the toucher's own clock, [`WINDOW_SHIFT`]).
+//!   the toucher's own clock, `WINDOW_SHIFT`).
 //!
 //! With one core both charges vanish behind a single predictable branch,
 //! which is what keeps `cores=1` byte-identical to the pre-SMP machine.

@@ -14,7 +14,7 @@
 //! after compilation, and the verdict holds for every configuration that
 //! links it because nothing can change the text afterwards. The
 //! simulated text is a pure function of `(component name, length)`
-//! ([`synthesize_text`]), so `scan_component` keeps the set of pairs
+//! (`synthesize_text`), so `scan_component` keeps the set of pairs
 //! that scanned clean and scans each distinct text once per thread,
 //! however many thousand images an exploration builds from it. What the
 //! memo cannot vouch for is scanned every time: text handed in from

@@ -25,8 +25,7 @@ pub mod tcp;
 
 pub use client::TcpClient;
 pub use socket::SocketHandle;
-pub use stack::NetEntries;
-pub use stack::NetStack;
+pub use stack::{NetEntries, NetStack};
 
 use flexos_core::prelude::*;
 

@@ -503,7 +503,7 @@ impl NetStack {
         }
     }
 
-    /// Sends `data` on a connection, segmenting at [`MSS`].
+    /// Sends `data` on a connection, segmenting at `MSS`.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! TCP-lite segments and connection state.
 //!
 //! A 20-byte header (ports, seq/ack, flags, window, checksum, length)
-//! carrying up to [`MSS`] payload bytes. The state machine covers the
+//! carrying up to `MSS` payload bytes. The state machine covers the
 //! paths the evaluation exercises: passive open (three-way handshake),
 //! established in-order data transfer with acknowledgments, and FIN
 //! teardown.
@@ -115,7 +115,7 @@ impl<'a> SegmentView<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the payload exceeds [`MSS`].
+/// Panics if the payload exceeds `MSS`.
 #[allow(clippy::too_many_arguments)]
 pub fn write_frame(
     out: &mut Vec<u8>,

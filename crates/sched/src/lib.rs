@@ -18,8 +18,7 @@ pub(crate) mod scheduler;
 pub mod stack;
 pub(crate) mod thread;
 
-pub use scheduler::SchedEntries;
-pub use scheduler::Scheduler;
+pub use scheduler::{SchedEntries, Scheduler};
 pub use thread::ThreadId;
 
 use flexos_core::prelude::*;

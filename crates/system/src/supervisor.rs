@@ -99,10 +99,6 @@ impl fmt::Display for RecoveryReport {
 pub struct Supervisor {
     env: Rc<Env>,
     sched: Rc<Scheduler>,
-    /// Fault kinds that trigger an automatic microreboot on
-    /// [`Supervisor::poll`]. Budget exhaustion and heap poison by
-    /// default: the containment events a reboot actually cures.
-    triggers: Vec<FaultKind>,
     reports: RefCell<Vec<RecoveryReport>>,
     /// Microreboots allowed per compartment before it is evicted
     /// (quarantined permanently). `None` means unbounded — the
@@ -115,8 +111,9 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Default trigger set: resource-budget exhaustion and poisoned-heap
-    /// detection.
+    /// Fault kinds that trigger an automatic microreboot on
+    /// [`Supervisor::poll`]: resource-budget exhaustion and poisoned-heap
+    /// detection — the containment events a reboot actually cures.
     pub const DEFAULT_TRIGGERS: &'static [FaultKind] = &[
         FaultKind::BudgetExceeded,
         FaultKind::Kasan,
@@ -124,23 +121,16 @@ impl Supervisor {
     ];
 
     /// Creates a supervisor over a booted image's environment and
-    /// scheduler, with the default trigger set.
+    /// scheduler.
     pub fn new(env: Rc<Env>, sched: Rc<Scheduler>) -> Self {
         Supervisor {
             env,
             sched,
-            triggers: Self::DEFAULT_TRIGGERS.to_vec(),
             reports: RefCell::new(Vec::new()),
             restart_budget: None,
             reboot_counts: RefCell::new(BTreeMap::new()),
             evicted: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Replaces the trigger set.
-    pub fn with_triggers(mut self, triggers: &[FaultKind]) -> Self {
-        self.triggers = triggers.to_vec();
-        self
     }
 
     /// Caps microreboots per compartment: after `budget` reboots, the
@@ -184,7 +174,7 @@ impl Supervisor {
             .observed_faults()
             .into_iter()
             .rev()
-            .find(|(_, kind)| self.triggers.contains(kind));
+            .find(|(_, kind)| Self::DEFAULT_TRIGGERS.contains(kind));
         let (component, kind) = hit?;
         let compartment = self.env.compartment_of(component);
         if self.is_evicted(compartment) {
@@ -320,7 +310,7 @@ impl Supervisor {
 impl fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Supervisor")
-            .field("triggers", &self.triggers)
+            .field("triggers", &Self::DEFAULT_TRIGGERS)
             .field("recoveries", &self.reports.borrow().len())
             .finish()
     }

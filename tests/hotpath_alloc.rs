@@ -601,8 +601,8 @@ fn disabled_tracing_keeps_the_get_path_alloc_free_and_cycle_exact() {
 
 #[test]
 fn str_wrapper_resolves_without_allocating_after_first_use() {
-    // The thin `&str` wrapper re-resolves through the intern table each
-    // call: one hash lookup, no allocation once the name is interned.
+    // A caller holding only a name re-resolves through the intern table
+    // each call: one hash lookup, no allocation once the name is interned.
     let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
         .app(flexos_apps::redis_component())
         .build()
@@ -618,7 +618,11 @@ fn str_wrapper_resolves_without_allocating_after_first_use() {
             env.call_resolved(env.resolve(lwip, "lwip_poll"), || Ok(()))
                 .unwrap();
         }
-        assert_eq!(allocations() - before, 0, "&str wrapper path allocated");
+        assert_eq!(
+            allocations() - before,
+            0,
+            "resolving an interned name allocated"
+        );
     });
 }
 

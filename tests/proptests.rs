@@ -286,8 +286,8 @@ fn sql_parser_never_panics() {
 
 #[test]
 fn resolved_and_string_call_paths_are_equivalent() {
-    // ISSUE 2: the `&str` wrapper path (`Env::call`) and the pre-resolved
-    // `CallTarget` path (`Env::call_resolved`) must produce identical
+    // Resolving a name on every call (`env.resolve(to, name)` inline)
+    // and holding a pre-resolved `CallTarget` must produce identical
     // faults, crossing counts, CFI-violation counts, and virtual-clock
     // readings across random configurations and entry sequences.
     use flexos_core::compartment::DataSharing;
