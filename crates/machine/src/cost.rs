@@ -12,8 +12,8 @@ use std::rc::Rc;
 
 /// Cycle costs for every primitive the simulation charges.
 ///
-/// Obtain the paper-calibrated instance with `CostModel::xeon_silver_4114`
-/// (also the `Default`); benchmarks convert cycles to wall-clock using
+/// `CostModel::default()` is the paper-calibrated instance (Xeon Silver
+/// 4114); benchmarks convert cycles to wall-clock using
 /// [`CostModel::freq_hz`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {

@@ -50,11 +50,11 @@ pub use flexos_trace as trace;
 pub use machine::Machine;
 
 /// One step of the workspace's seeded generator (xorshift64*): advances
-/// `state` and returns the scrambled draw. Every seeded stream in the
-/// repository — benchmark-client key draws, fault-injection schedules,
-/// synthesized component text, the test suites' op streams — is this
-/// step from some nonzero seed (zero is the generator's fixed point).
-/// Deterministic, not cryptographic.
+/// `state` and returns the scrambled draw. Benchmark-client key draws,
+/// fault-injection schedules, synthesized component text and the
+/// seeded samplers in `tests/` are this step from some nonzero seed
+/// (zero is the generator's fixed point). Deterministic, not
+/// cryptographic.
 pub fn xorshift64star(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

@@ -118,33 +118,32 @@ fn exhaustive_sweep_summaries_match_the_recorded_lines() {
     );
 }
 
-#[test]
-fn every_quick_space_point_matches_its_recorded_ops_and_cycles() {
-    let spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
-    let got: String = engine::run_parallel(&spec, SWEEP_THREADS)
+/// One `index ops cycles` line per point of the quick space, every
+/// point booted with `cores` simulated cores.
+fn quick_space_points(cores: u32) -> String {
+    let mut spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
+    spec.cores = vec![cores];
+    engine::run_parallel(&spec, SWEEP_THREADS)
         .unwrap()
         .iter()
         .map(|r| format!("{} {} {}\n", r.index, r.ops, r.cycles))
-        .collect();
+        .collect()
+}
+
+#[test]
+fn every_quick_space_point_matches_its_recorded_ops_and_cycles() {
     assert_same(
         "sweep --space quick, per point",
-        &got,
+        &quick_space_points(1),
         include_str!("data/sweep_quick_points_w20_m200.txt"),
     );
 }
 
 #[test]
 fn every_quick_space_point_at_four_cores_matches_its_recorded_ops_and_cycles() {
-    let mut spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
-    spec.cores = vec![4];
-    let got: String = engine::run_parallel(&spec, SWEEP_THREADS)
-        .unwrap()
-        .iter()
-        .map(|r| format!("{} {} {}\n", r.index, r.ops, r.cycles))
-        .collect();
     assert_same(
         "sweep --space quick --cores 4, per point",
-        &got,
+        &quick_space_points(4),
         include_str!("data/sweep_quick_points_c4_w20_m200.txt"),
     );
 }
