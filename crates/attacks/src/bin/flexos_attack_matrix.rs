@@ -14,62 +14,54 @@
 //! Prints the matrix as one JSON line on stdout (machine-readable,
 //! like the sweep binary) and a human summary on stderr. Exit status:
 //! `0` when every cell matches the oracle and every order edge is
-//! monotone, `2` on any expectation or monotonicity violation, `3` on
-//! usage or infrastructure errors.
+//! monotone, `1` when a `--trace`/`--metrics` path cannot be written,
+//! `2` on any expectation or monotonicity violation, `3` on usage or
+//! infrastructure errors.
+
+use std::process::ExitCode;
 
 use flexos_attacks::{attack_space, attack_space_quick, run_matrix, run_matrix_budgeted};
+use flexos_bench::cli::{self, CliError};
 
-fn usage() -> i32 {
-    eprintln!(
-        "usage: flexos_attack_matrix [--space quick|full] [--budget] [--quiet] \
-         [--trace PATH] [--metrics PATH]"
-    );
-    3
-}
+const USAGE: &str = "flexos_attack_matrix [--space quick|full] [--budget] [--quiet] \
+    [--trace PATH] [--metrics PATH]";
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let obs = flexos_bench::obs::extract_obs_args(&mut raw);
+/// Everything between argv and the exit status of a matrix that ran.
+fn matrix_main(mut raw: Vec<String>) -> Result<u8, CliError> {
+    let obs = cli::extract_obs_args(&mut raw)?;
     let mut space = "quick".to_string();
     let mut budget = false;
     let mut quiet = false;
     let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--space" => match args.next() {
-                Some(name) => space = name,
-                None => std::process::exit(usage()),
-            },
+            "--space" => {
+                space = args
+                    .next()
+                    .ok_or_else(|| CliError::Usage("missing value for --space".to_string()))?;
+            }
             "--budget" => budget = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: flexos_attack_matrix [--space quick|full] [--budget] [--quiet] \
-                     [--trace PATH] [--metrics PATH]"
-                );
-                return;
+                eprintln!("usage: {USAGE}");
+                return Ok(0);
             }
-            _ => std::process::exit(usage()),
+            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
     }
     let spec = match space.as_str() {
         "quick" => attack_space_quick(),
         "full" => attack_space(),
-        _ => std::process::exit(usage()),
+        other => return Err(CliError::Usage(format!("unknown space `{other}`"))),
     };
     let result = if budget {
         run_matrix_budgeted(&spec)
     } else {
         run_matrix(&spec)
     };
-    let report = match result {
-        Ok(report) => report,
-        Err(fault) => {
-            eprintln!("attack matrix infrastructure fault: {fault}");
-            std::process::exit(3);
-        }
-    };
-    println!("{}", report.to_json());
+    let report = result
+        .map_err(|fault| CliError::Run(format!("attack matrix infrastructure fault: {fault}")))?;
+    cli::print_stdout(&(report.to_json() + "\n"))?;
     if !quiet {
         let blocked: usize = report
             .runs
@@ -92,8 +84,20 @@ fn main() {
     for v in &report.order_violations {
         eprintln!("monotonicity violated: {v}");
     }
-    flexos_bench::obs::emit_canonical_if_requested(&obs);
-    if !report.ok() {
-        std::process::exit(2);
+    cli::emit_canonical_if_requested(&obs)?;
+    Ok(if report.ok() { 0 } else { 2 })
+}
+
+fn main() -> ExitCode {
+    match matrix_main(std::env::args().skip(1).collect()) {
+        Ok(status) => ExitCode::from(status),
+        Err(e) => {
+            // This binary's own codes: 2 is an oracle violation, so usage
+            // and infrastructure errors are 3; an unwritable path is 1
+            // as everywhere.
+            let unwritable = matches!(e, CliError::CannotWrite { .. });
+            e.report("flexos_attack_matrix", USAGE);
+            ExitCode::from(if unwritable { 1 } else { 3 })
+        }
     }
 }

@@ -21,6 +21,7 @@
 //! table1 pipelines stay byte-identical).
 
 use flexos_machine::fault::Fault;
+use flexos_machine::trace::JsonStr;
 use flexos_sweep::{sweep_order_pairs, SpaceSpec, SweepPoint, Workload};
 use flexos_system::SystemBuilder;
 
@@ -110,13 +111,10 @@ impl MatrixReport {
     /// Single-line JSON summary (hand-rolled like
     /// [`flexos_sweep::SweepSummary`]; no serde in the workspace).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
-            "{{\"space\":\"{}\",\"points\":{},\"ok\":{}",
-            esc(&self.space),
+            "{{\"space\":{},\"points\":{},\"ok\":{}",
+            JsonStr(&self.space),
             self.runs.len(),
             self.ok()
         ));
@@ -125,7 +123,7 @@ impl MatrixReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{a}\""));
+            out.push_str(&JsonStr(a.name()).to_string());
         }
         out.push_str("],\"runs\":[");
         for (i, run) in self.runs.iter().enumerate() {
@@ -133,10 +131,10 @@ impl MatrixReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"index\":{},\"label\":\"{}\",\"blocked_mask\":{},\"expected_mask\":{},\
+                "{{\"index\":{},\"label\":{},\"blocked_mask\":{},\"expected_mask\":{},\
                  \"cells\":[",
                 run.index,
-                esc(&run.label),
+                JsonStr(&run.label),
                 run.blocked_mask,
                 run.expected_mask
             ));
@@ -144,7 +142,12 @@ impl MatrixReport {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("[\"{attack}\",\"{outcome}\",{}]", exp.blocked));
+                out.push_str(&format!(
+                    "[{},{},{}]",
+                    JsonStr(attack.name()),
+                    JsonStr(&outcome.to_string()),
+                    exp.blocked
+                ));
             }
             out.push_str("]}");
         }
@@ -153,14 +156,14 @@ impl MatrixReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", esc(m)));
+            out.push_str(&JsonStr(m).to_string());
         }
         out.push_str("],\"order_violations\":[");
         for (i, v) in self.order_violations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", esc(v)));
+            out.push_str(&JsonStr(v).to_string());
         }
         out.push_str("]}");
         out

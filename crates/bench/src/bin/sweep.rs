@@ -54,11 +54,17 @@
 //! `3` when `--verify` detects serial/parallel divergence, `4` when
 //! `--verify-inference` finds statuses the order inferred wrongly.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use flexos_bench::{env_u64, fmt_rate};
+use flexos_bench::cli::{self, CliError};
+use flexos_bench::fmt_rate;
 use flexos_machine::fault::Fault;
 use flexos_sweep::{emit, engine, lazy, report, SpaceSpec};
+
+const USAGE: &str = "sweep [--space NAME] [--threads N] [--cores LIST] [--budget-frac F] \
+    [--budget WORKLOAD=F]... [--verify] [--csv PATH] [--lazy] [--verify-inference] \
+    [--pareto PATH] [--progress] [--quiet] [--trace PATH] [--metrics PATH]";
 
 /// Uniform budget ladder traced by `--pareto` (dense near the top,
 /// where the frontier actually bends).
@@ -79,7 +85,8 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args(raw: Vec<String>) -> Result<Args, String> {
+fn parse_args(raw: Vec<String>) -> Result<Args, CliError> {
+    let usage = |why: String| CliError::Usage(why);
     let mut args = Args {
         space: "full".to_string(),
         threads: engine::sweep_threads(),
@@ -96,16 +103,14 @@ fn parse_args(raw: Vec<String>) -> Result<Args, String> {
     };
     let mut it = raw.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("missing value for {flag}"));
+        let mut value = |flag: &str| {
+            it.next()
+                .ok_or_else(|| usage(format!("missing value for {flag}")))
+        };
         match flag.as_str() {
             "--space" => args.space = value("--space")?,
             "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                if args.threads == 0 {
-                    return Err("bad --threads: 0 workers cannot run a sweep (want N >= 1)".into());
-                }
+                args.threads = cli::parse_count("--threads", &value("--threads")?, 1)? as usize;
             }
             "--cores" => {
                 let list = value("--cores")?;
@@ -116,22 +121,19 @@ fn parse_args(raw: Vec<String>) -> Result<Args, String> {
                         Ok(n) => Err(format!("bad --cores entry `{n}` (want 1..=32)")),
                         Err(e) => Err(format!("bad --cores entry `{part}`: {e}")),
                     })
-                    .collect::<Result<Vec<u32>, String>>()?;
+                    .collect::<Result<Vec<u32>, String>>()
+                    .map_err(usage)?;
                 args.cores = Some(cores);
             }
             "--budget-frac" => {
-                args.budget_frac = value("--budget-frac")?
-                    .parse()
-                    .map_err(|e| format!("bad --budget-frac: {e}"))?;
+                args.budget_frac = cli::parse_fraction("--budget-frac", &value("--budget-frac")?)?;
             }
             "--budget" => {
                 let entry = value("--budget")?;
                 let (workload, frac) = entry
                     .rsplit_once('=')
-                    .ok_or_else(|| format!("bad --budget `{entry}` (want WORKLOAD=F)"))?;
-                let frac = frac
-                    .parse()
-                    .map_err(|e| format!("bad --budget fraction: {e}"))?;
+                    .ok_or_else(|| usage(format!("bad --budget `{entry}` (want WORKLOAD=F)")))?;
+                let frac = cli::parse_fraction("--budget fraction", frac)?;
                 args.budget_overrides.push((workload.to_string(), frac));
             }
             "--verify" => args.verify = true,
@@ -147,57 +149,45 @@ fn parse_args(raw: Vec<String>) -> Result<Args, String> {
             }
             "--progress" => args.progress = true,
             "--quiet" => args.quiet = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            other => return Err(usage(format!("unknown flag `{other}`"))),
         }
     }
     if args.lazy && args.verify {
-        return Err(
-            "--verify is the exhaustive serial reference; with --lazy use \
-                    --verify-inference"
+        return Err(usage(
+            "--verify is the exhaustive serial reference; with --lazy use --verify-inference"
                 .to_string(),
-        );
+        ));
     }
     if args.lazy && args.csv.is_some() {
-        return Err("--csv needs every point measured; lazy mode skips most — drop --lazy".into());
+        return Err(usage(
+            "--csv needs every point measured; lazy mode skips most — drop --lazy".to_string(),
+        ));
     }
     Ok(args)
 }
 
-/// Resolves `--budget` label overrides against the spec's workloads.
-fn budget_vector(args: &Args, spec: &SpaceSpec) -> report::BudgetVector {
+/// Resolves `--budget` label overrides against the spec's workloads;
+/// a label the space does not have is a usage error.
+fn budget_vector(args: &Args, spec: &SpaceSpec) -> Result<report::BudgetVector, CliError> {
     let mut budgets = report::BudgetVector::uniform(args.budget_frac);
     for (label, frac) in &args.budget_overrides {
-        match spec.workloads.iter().find(|w| &w.label() == label) {
-            Some(&w) => budgets = budgets.with(w, *frac),
-            None => {
-                eprintln!(
-                    "sweep: no workload labeled `{label}` in space `{}` (have: {})",
-                    spec.name,
-                    spec.workloads
-                        .iter()
-                        .map(|w| w.label())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
+        let workload = spec.workloads.iter().find(|w| &w.label() == label);
+        let Some(&w) = workload else {
+            let have: Vec<String> = spec.workloads.iter().map(|w| w.label()).collect();
+            return Err(CliError::Usage(format!(
+                "no workload labeled `{label}` in space `{}` (have: {})",
+                spec.name,
+                have.join(", ")
+            )));
+        };
+        budgets = budgets.with(w, *frac);
     }
-    budgets
-}
-
-/// Writes an output file (`--csv`, `--pareto`), exiting 1 with the path
-/// and the OS error when the write fails.
-fn write_or_exit(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("sweep: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+    Ok(budgets)
 }
 
 /// Runs the lazy sweep and prints its summary; `Ok` carries the exit
 /// status (`4` on an inference miss).
-fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<i32, Fault> {
+fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<u8, CliError> {
     if !args.quiet {
         eprintln!(
             "lazy sweep `{}`: {} points x {} measured ops, {} worker(s)...",
@@ -243,7 +233,7 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Res
     } else {
         None
     };
-    let outcome = lazy::lazy_sweep_all(spec, &cfg, progress)?;
+    let outcome = lazy::lazy_sweep_all(spec, &cfg, progress).map_err(failed("lazy"))?;
     let wall_s = t0.elapsed().as_secs_f64();
 
     if !args.quiet {
@@ -290,10 +280,10 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Res
     }
 
     if let Some(path) = &args.pareto {
-        write_or_exit(
+        cli::write_file(
             path,
             &emit::pareto_json(spec, &outcome.pareto, args.threads),
-        );
+        )?;
         if !args.quiet {
             eprintln!(
                 "wrote {path} ({} workloads x {} budget levels)",
@@ -311,7 +301,7 @@ fn run_lazy(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Res
         args.budget_frac,
         args.verify_inference,
     );
-    println!("{}", summary.to_json());
+    cli::print_stdout(&(summary.to_json() + "\n"))?;
     Ok(if outcome.inference_misses.is_empty() {
         0
     } else {
@@ -325,7 +315,7 @@ fn run_exhaustive(
     args: &Args,
     spec: &SpaceSpec,
     budgets: report::BudgetVector,
-) -> Result<i32, Fault> {
+) -> Result<u8, CliError> {
     if !args.quiet {
         eprintln!(
             "sweeping `{}`: {} points x {} measured ops, {} worker(s)...",
@@ -336,7 +326,7 @@ fn run_exhaustive(
         );
     }
     let t0 = Instant::now();
-    let results = engine::run_parallel(spec, args.threads)?;
+    let results = engine::run_parallel(spec, args.threads).map_err(failed("exhaustive"))?;
     let parallel_s = t0.elapsed().as_secs_f64();
     if !args.quiet {
         eprintln!("parallel sweep: {parallel_s:.2}s");
@@ -344,7 +334,7 @@ fn run_exhaustive(
 
     let (serial_s, verified) = if args.verify {
         let t0 = Instant::now();
-        let serial = engine::run_parallel(spec, 1)?;
+        let serial = engine::run_parallel(spec, 1).map_err(failed("exhaustive"))?;
         let serial_s = t0.elapsed().as_secs_f64();
         let identical = serial == results;
         if !args.quiet {
@@ -388,7 +378,7 @@ fn run_exhaustive(
     }
 
     if let Some(path) = &args.csv {
-        write_or_exit(path, &emit::csv(&points, &results));
+        cli::write_file(path, &emit::csv(&points, &results))?;
         if !args.quiet {
             eprintln!("wrote {path}");
         }
@@ -406,65 +396,52 @@ fn run_exhaustive(
         args.budget_frac,
         &stars,
     );
-    println!("{}", summary.to_json());
+    cli::print_stdout(&(summary.to_json() + "\n"))?;
     Ok(if verified == Some(false) { 3 } else { 0 })
 }
 
-/// Runs the sweep `args` ask for. `Ok` is the exit status of a sweep
-/// that ran; `Err` is the line to print before exiting 1 — the fault of
-/// a point that did not build or run, in either mode.
-fn run(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<i32, String> {
-    let (mode, outcome) = if args.lazy {
-        ("lazy", run_lazy(args, spec, budgets))
-    } else {
-        ("exhaustive", run_exhaustive(args, spec, budgets))
-    };
-    outcome.map_err(|fault| format!("sweep: {mode} sweep failed: {fault}"))
+/// The line a fault of either engine is reported with.
+fn failed(mode: &'static str) -> impl Fn(Fault) -> CliError {
+    move |fault| CliError::Run(format!("{mode} sweep failed: {fault}"))
 }
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let obs = flexos_bench::obs::extract_obs_args(&mut raw);
-    let args = match parse_args(raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            eprintln!(
-                "usage: sweep [--space NAME] [--threads N] [--cores LIST] [--budget-frac F] \
-                 [--budget WORKLOAD=F]... [--verify] [--csv PATH] \
-                 [--lazy] [--verify-inference] [--pareto PATH] [--progress] [--quiet] \
-                 [--trace PATH] [--metrics PATH]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let warmup = env_u64("SWEEP_WARMUP", 200);
-    let measured = env_u64("SWEEP_MEASURED", 2000);
-    let mut spec = match SpaceSpec::named(&args.space, warmup, measured) {
-        Some(s) => s,
-        None => {
-            eprintln!(
-                "sweep: unknown space `{}` (try full, full-smp, full-profiled, quick, \
-                 fig6-redis, fig6-nginx)",
-                args.space
-            );
-            std::process::exit(2);
-        }
-    };
+/// Runs the sweep `args` ask for; `Ok` is the exit status of a sweep
+/// that ran.
+fn run(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<u8, CliError> {
+    if args.lazy {
+        run_lazy(args, spec, budgets)
+    } else {
+        run_exhaustive(args, spec, budgets)
+    }
+}
+
+/// Everything between argv and the exit status.
+fn sweep_main(mut raw: Vec<String>) -> Result<u8, CliError> {
+    let obs = cli::extract_obs_args(&mut raw)?;
+    let args = parse_args(raw)?;
+    let (warmup, measured) = cli::env_counts("SWEEP", (200, 2000))?;
+    let mut spec = SpaceSpec::named(&args.space, warmup, measured).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown space `{}` (try full, full-smp, full-profiled, quick, fig6-redis, \
+             fig6-nginx)",
+            args.space
+        ))
+    })?;
     if let Some(cores) = args.cores.clone() {
         spec.cores = cores;
     }
-    let budgets = budget_vector(&args, &spec);
-    match run(&args, &spec, budgets) {
-        Ok(0) => {}
-        Ok(status) => std::process::exit(status),
-        Err(line) => {
-            eprintln!("{line}");
-            std::process::exit(1);
-        }
+    let budgets = budget_vector(&args, &spec)?;
+    match run(&args, &spec, budgets)? {
+        0 => cli::emit_canonical_if_requested(&obs).map(|()| 0),
+        status => Ok(status),
     }
+}
 
-    flexos_bench::obs::emit_canonical_if_requested(&obs);
+fn main() -> ExitCode {
+    match sweep_main(std::env::args().skip(1).collect()) {
+        Ok(status) => ExitCode::from(status),
+        Err(e) => ExitCode::from(e.report("sweep", USAGE)),
+    }
 }
 
 #[cfg(test)]
@@ -504,9 +481,46 @@ mod tests {
             (&["--lazy"][..], "lazy"),
         ] {
             let budgets = report::BudgetVector::uniform(0.8);
-            let line = run(&args(flags), &spec, budgets).unwrap_err();
-            assert_eq!(line, format!("sweep: {mode} sweep failed: {fault}"));
+            let err = run(&args(flags), &spec, budgets).unwrap_err();
+            assert_eq!(err, CliError::Run(format!("{mode} sweep failed: {fault}")));
         }
+    }
+
+    #[test]
+    fn degenerate_flag_values_are_usage_errors_naming_the_flag() {
+        let parse = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()).collect());
+        for (flags, named) in [
+            (&["--budget-frac", "nan"][..], "--budget-frac"),
+            (&["--budget-frac", "0"][..], "--budget-frac"),
+            (&["--budget-frac", "1.5"][..], "--budget-frac"),
+            (&["--budget", "nginx=inf"][..], "--budget fraction"),
+            (&["--budget", "nginx"][..], "--budget `nginx`"),
+            (&["--threads", "0"][..], "--threads"),
+            (&["--cores", "1,0"][..], "--cores"),
+            (&["--csv"][..], "--csv"),
+            (&["extra"][..], "`extra`"),
+        ] {
+            match parse(flags) {
+                Err(CliError::Usage(why)) => assert!(why.contains(named), "{flags:?}: {why}"),
+                other => panic!("{flags:?}: want a usage error, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_budget_for_a_workload_the_space_lacks_is_a_usage_error() {
+        let spec = SpaceSpec::quick(1, 2);
+        assert!(budget_vector(&args(&["--budget", "nginx=0.9"]), &spec).is_ok());
+        match budget_vector(&args(&["--budget", "sqlite=0.9"]), &spec) {
+            Err(CliError::Usage(why)) => assert!(why.contains("`sqlite`"), "{why}"),
+            other => panic!("want a usage error, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn experiments_md_lists_the_usage_line() {
+        let doc = include_str!("../../../../EXPERIMENTS.md");
+        assert!(doc.contains(&format!("`{USAGE}`")));
     }
 
     #[test]

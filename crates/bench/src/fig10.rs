@@ -1,9 +1,29 @@
-//! The Figure 10 experiment runner.
+//! Figure 10 (§6.4): the SQLite INSERT workload across systems.
+//!
+//! The three FlexOS rows (NONE / MPK3 / EPT2) are **fully simulated**:
+//! real images with real gates are built and the INSERT workload
+//! executes through them. The baseline rows are **measured-run
+//! overlays**: the NONE run yields the workload's exact operation
+//! counts (vfs entries, time queries, allocator slow-path hits), and
+//! each baseline prices those operations with its own crossing
+//! primitive, per the calibrated cost model (DESIGN.md §4):
+//!
+//! * **Unikraft/KVM** — FlexOS NONE minus the small image tax;
+//! * **Unikraft/linuxu** — plus the ring-3 privileged-operation tax
+//!   (linuxu performs privileged work as Linux syscalls);
+//! * **Linux** — every vfs entry becomes a KPTI syscall (470 cycles;
+//!   Fig 11b — which is why Linux lands next to EPT2, §6.4);
+//! * **seL4/Genode** — every fs *and* time entry becomes a microkernel
+//!   IPC through Genode's layers;
+//! * **CubicleOS** — linuxu base with the Lea allocator (cheaper slow
+//!   paths than TLSF on this churn-heavy workload) and, for MPK3,
+//!   `pkey_mprotect`-priced domain transitions.
 
 use std::fmt;
 
 use flexos_apps::workloads::{run_sqlite_inserts, SqliteRun};
 use flexos_core::compartment::DataSharing;
+use flexos_core::gate::GateKind;
 use flexos_machine::cost::CostModel;
 use flexos_machine::fault::Fault;
 use flexos_system::{configs, SystemBuilder};
@@ -103,17 +123,9 @@ pub struct Fig10Detail {
 }
 
 /// Runs the full Figure 10 experiment with `n` INSERT transactions
-/// (the paper uses 5000) and returns the nine bars in figure order.
-///
-/// # Errors
-///
-/// Configuration or substrate faults.
-pub fn run_fig10(n: u64) -> Result<Vec<Fig10Row>, Fault> {
-    run_fig10_detailed(n).map(|d| d.rows)
-}
-
-/// [`run_fig10`] with the simulated [`SqliteRun`]s attached, so harnesses
-/// can report per-gate-kind crossing counts without re-deriving them.
+/// (the paper uses 5000): the nine bars in figure order, with the
+/// simulated [`SqliteRun`]s attached so the figure can report
+/// per-gate-kind crossing counts without re-deriving them.
 ///
 /// # Errors
 ///
@@ -129,7 +141,7 @@ pub fn run_fig10_detailed(n: u64) -> Result<Fig10Detail, Fault> {
     )?;
     let ept2_run = build_and_run(configs::ept2(&["vfscore", "ramfs", "uktime"])?, n)?;
 
-    // --- measured-run overlays (see crate docs) -----------------------
+    // --- measured-run overlays (see module docs) ----------------------
     let vfs = none_run.vfs_ops as i64;
     let time_q = none_run.time_queries as i64;
     let slow = none_run.alloc_slow_hits as i64;
@@ -220,13 +232,58 @@ pub fn run_fig10_detailed(n: u64) -> Result<Fig10Detail, Fault> {
     })
 }
 
+/// Figure 10: seconds per system for `n` INSERT transactions, plus the
+/// per-gate-kind crossing counts of the three simulated runs.
+///
+/// # Errors
+///
+/// See [`run_fig10_detailed`].
+pub fn fig10_text(n: u64) -> Result<String, Fault> {
+    let detail = run_fig10_detailed(n)?;
+    let mut out = format!(
+        "# Figure 10: time for {n} INSERT transactions (seconds)\n\
+         {:>22} {:>8} {:>10} {:>10}\n",
+        "system", "profile", "seconds", "source"
+    );
+    for row in &detail.rows {
+        out += &format!(
+            "{:>22} {:>8} {:>10.3} {:>10}\n",
+            row.system.to_string(),
+            row.profile.to_string(),
+            row.seconds,
+            if row.simulated {
+                "simulated"
+            } else {
+                "overlay"
+            }
+        );
+    }
+    out += "\n# gate crossings per simulated run (dense per-kind counters):\n";
+    for (profile, run) in &detail.simulated {
+        let parts: Vec<String> = GateKind::ALL
+            .iter()
+            .filter(|k| run.crossings_by_kind[k.index()] > 0)
+            .map(|k| format!("{k}={}", run.crossings_by_kind[k.index()]))
+            .collect();
+        out += &format!(
+            "# {:>6}: total={} {}\n",
+            profile.to_string(),
+            run.total_crossings,
+            parts.join(" ")
+        );
+    }
+    out += "\n# paper:       Unikraft .052/.702  FlexOS .054/.106/.173\n\
+            # paper:       Linux .177  SeL4 .333  CubicleOS .657/1.557\n";
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn nine_rows_in_figure_order() {
-        let rows = run_fig10(50).unwrap();
+        let rows = run_fig10_detailed(50).unwrap().rows;
         assert_eq!(rows.len(), 9, "Figure 10 has nine bars");
         // Three simulated FlexOS rows, six overlays.
         assert_eq!(rows.iter().filter(|r| r.simulated).count(), 3);
@@ -239,7 +296,7 @@ mod tests {
 
     #[test]
     fn overlays_price_the_same_measured_run() {
-        let rows = run_fig10(50).unwrap();
+        let rows = run_fig10_detailed(50).unwrap().rows;
         let by = |sys: &str, prof: &str| {
             rows.iter()
                 .find(|r| r.system.to_string().contains(sys) && r.profile.to_string() == prof)

@@ -15,15 +15,22 @@
 //! | `table1` | Table 1: porting effort |
 //! | `sweep` | parallel exploration of a named `flexos_sweep` space |
 //!
-//! The text of Figures 6–8 is built by [`fig06_text`], [`fig07_text`]
-//! and [`fig08_text`] (the binaries print it), so `tests/goldens.rs`
-//! compares it in-process against outputs recorded before the last
-//! refactor. All three go through the one §5 stack: the
-//! [`SpaceSpec::fig6`] space, the sweep engine, and [`sweep_leq`].
-//! Host-time microbenchmarks live in `benchmark/` (`-- --trace 1`
-//! prints `core.gate_ns.*`, `alloc.churn_ns.*`, `apps.ns_per_op.*`).
+//! Each of those but `sweep` is a row of [`cli::FIGURES`] — name,
+//! usage line, text-returning function — behind [`cli::figure_main`],
+//! the one front end that owns argv, `--trace`/`--metrics` and the
+//! exit policy; the files under `src/bin/` are one-call shims. The
+//! text itself is built by [`fig06_text`], [`fig07_text`],
+//! [`fig08_text`] here, [`fig10::fig10_text`], and [`figures`] for the
+//! rest, so `tests/goldens.rs` compares every figure in-process
+//! against outputs recorded before the last refactor. Figures 6–8 go
+//! through the one §5 stack: the [`SpaceSpec::fig6`] space, the sweep
+//! engine, and [`sweep_leq`]. Host-time microbenchmarks live in
+//! `benchmark/` (`-- --trace 1` prints `core.gate_ns.*`,
+//! `alloc.churn_ns.*`, `apps.ns_per_op.*`).
 
-pub mod obs;
+pub mod cli;
+pub mod fig10;
+pub mod figures;
 
 use flexos_explore::{prune_and_star, ConfigNode, Poset};
 use flexos_machine::fault::Fault;
@@ -35,26 +42,6 @@ use flexos_sweep::{run_parallel, sweep_leq, sweep_threads, SpaceSpec, SweepPoint
 pub const FIG6_WARMUP: u64 = 500;
 /// Requests measured per Figure 6 configuration.
 pub const FIG6_MEASURED: u64 = 5000;
-
-/// Environment variable `name` as a count; `default` when it is unset
-/// or does not parse.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The sweep's `(warmup, measured)` request counts, honouring the
-/// `FIG6_WARMUP` / `FIG6_MEASURED` environment variables (CI smoke runs
-/// and byte-for-byte comparisons against pre-speedup outputs use the old
-/// small counts; steady-state throughput is count-independent).
-pub fn fig6_counts() -> (u64, u64) {
-    (
-        env_u64("FIG6_WARMUP", FIG6_WARMUP),
-        env_u64("FIG6_MEASURED", FIG6_MEASURED),
-    )
-}
 
 /// Sweeps the 80-point Figure 6 space of `app` at `(warmup, measured)`
 /// requests per point over `SWEEP_THREADS` workers, returning the

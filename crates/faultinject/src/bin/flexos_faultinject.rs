@@ -13,79 +13,72 @@
 //! enabled (the replay stays untraced, so `--check` doubles as proof
 //! that tracing never perturbs the virtual clock) and the campaign's
 //! own trace/metrics artifacts are written after the log. Exit
-//! status: `0` on success, `1` when the image did not survive or
-//! `--check` found a divergence, `3` on usage or infrastructure
-//! errors.
+//! status: `0` on success, `1` when the image did not survive,
+//! `--check` found a divergence or a `--trace`/`--metrics` path cannot
+//! be written, `3` on usage or infrastructure errors.
 
+use std::process::ExitCode;
+
+use flexos_bench::cli::{self, CliError};
 use flexos_faultinject::{build_campaign_image, run_campaign, run_campaign_on, CampaignSpec};
+use flexos_machine::fault::Fault;
 use flexos_machine::trace::TraceConfig;
 
-fn usage() -> i32 {
-    eprintln!(
-        "usage: flexos_faultinject [--seed N] [--rounds N] [--check] [--quiet] \
-         [--trace PATH] [--metrics PATH]"
-    );
-    3
+const USAGE: &str = "flexos_faultinject [--seed N] [--rounds N] [--check] [--quiet] \
+    [--trace PATH] [--metrics PATH]";
+
+fn infrastructure(fault: Fault) -> CliError {
+    CliError::Run(format!("fault-injection infrastructure fault: {fault}"))
 }
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let obs = flexos_bench::obs::extract_obs_args(&mut raw);
+/// Everything between argv and the exit status of a campaign that ran.
+fn campaign_main(mut raw: Vec<String>) -> Result<u8, CliError> {
+    let obs = cli::extract_obs_args(&mut raw)?;
     let mut spec = CampaignSpec::default();
     let mut check = false;
     let mut quiet = false;
     let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
+        let mut count = |flag: &str, min: u64| {
+            let text = args
+                .next()
+                .ok_or_else(|| CliError::Usage(format!("missing value for {flag}")))?;
+            cli::parse_count(flag, &text, min)
+        };
         match arg.as_str() {
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => spec.seed = seed,
-                None => std::process::exit(usage()),
-            },
-            "--rounds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(rounds) => spec.rounds = rounds,
-                None => std::process::exit(usage()),
-            },
+            "--seed" => spec.seed = count("--seed", 0)?,
+            "--rounds" => {
+                spec.rounds = u32::try_from(count("--rounds", 0)?)
+                    .map_err(|e| CliError::Usage(format!("bad --rounds: {e}")))?;
+            }
             "--check" => check = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: flexos_faultinject [--seed N] [--rounds N] [--check] [--quiet] \
-                     [--trace PATH] [--metrics PATH]"
-                );
-                return;
+                eprintln!("usage: {USAGE}");
+                return Ok(0);
             }
-            _ => std::process::exit(usage()),
+            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
     }
     let traced_os = if obs.requested() {
-        match build_campaign_image(&spec) {
-            Ok(os) => {
-                os.env.machine().tracer().enable(TraceConfig::default());
-                Some(os)
-            }
-            Err(fault) => {
-                eprintln!("fault-injection infrastructure fault: {fault}");
-                std::process::exit(3);
-            }
-        }
+        let os = build_campaign_image(&spec).map_err(infrastructure)?;
+        os.env.machine().tracer().enable(TraceConfig::default());
+        Some(os)
     } else {
         None
     };
-    let result = match &traced_os {
+    let log = match &traced_os {
         Some(os) => run_campaign_on(os, &spec),
         None => run_campaign(&spec),
-    };
-    let log = match result {
-        Ok(log) => log,
-        Err(fault) => {
-            eprintln!("fault-injection infrastructure fault: {fault}");
-            std::process::exit(3);
-        }
-    };
+    }
+    .map_err(infrastructure)?;
     if !quiet {
-        for line in log.lines() {
-            println!("{line}");
-        }
+        cli::print_stdout(
+            &log.lines()
+                .iter()
+                .map(|l| format!("{l}\n"))
+                .collect::<String>(),
+        )?;
     }
     eprintln!(
         "campaign seed={:#x} rounds={} reboots={} survived={} digest={:#018x}",
@@ -96,13 +89,8 @@ fn main() {
         log.digest()
     );
     if check {
-        let replay = match run_campaign(&spec) {
-            Ok(log) => log,
-            Err(fault) => {
-                eprintln!("fault-injection replay fault: {fault}");
-                std::process::exit(3);
-            }
-        };
+        let replay = run_campaign(&spec)
+            .map_err(|fault| CliError::Run(format!("fault-injection replay fault: {fault}")))?;
         if replay.lines() != log.lines() {
             eprintln!("determinism violated: replay diverged from first run");
             for (a, b) in log.lines().iter().zip(replay.lines()) {
@@ -111,15 +99,29 @@ fn main() {
                     eprintln!("  replay: {b}");
                 }
             }
-            std::process::exit(1);
+            return Ok(1);
         }
         eprintln!("determinism check passed: replay is byte-identical");
     }
     if let Some(os) = &traced_os {
-        flexos_bench::obs::emit_observability(os, &obs).expect("observability artifacts write");
+        cli::emit_observability(os, &obs)?;
     }
     if !log.survived {
         eprintln!("image did not survive the campaign");
-        std::process::exit(1);
+        return Ok(1);
+    }
+    Ok(0)
+}
+
+fn main() -> ExitCode {
+    match campaign_main(std::env::args().skip(1).collect()) {
+        Ok(status) => ExitCode::from(status),
+        Err(e) => {
+            // This binary's own codes: usage and infrastructure errors
+            // are 3; an unwritable path is 1 as everywhere.
+            let unwritable = matches!(e, CliError::CannotWrite { .. });
+            e.report("flexos_faultinject", USAGE);
+            ExitCode::from(if unwritable { 1 } else { 3 })
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! `BENCH_*.json` emitters).
 
 use flexos_explore::StarReport;
+use flexos_machine::trace::JsonStr;
 
 use crate::engine::PointResult;
 use crate::lazy::{LazyOutcome, WorkloadPareto};
@@ -98,13 +99,13 @@ impl SweepSummary {
         };
         format!(
             concat!(
-                "{{\"bench\":\"sweep\",\"space\":\"{}\",\"points\":{},",
+                "{{\"bench\":\"sweep\",\"space\":{},\"points\":{},",
                 "\"threads\":{},\"cores\":{},\"warmup\":{},\"measured\":{},",
                 "\"serial_s\":{},\"parallel_s\":{:.3},\"speedup\":{},",
                 "\"verified\":{},\"total_cycles\":{},",
                 "\"budget_frac\":{},\"surviving\":{},\"stars\":{}}}"
             ),
-            self.space,
+            JsonStr(&self.space),
             self.points,
             self.threads,
             self.cores,
@@ -220,13 +221,13 @@ impl LazySummary {
         };
         format!(
             concat!(
-                "{{\"bench\":\"sweep\",\"mode\":\"lazy\",\"space\":\"{}\",\"points\":{},",
+                "{{\"bench\":\"sweep\",\"mode\":\"lazy\",\"space\":{},\"points\":{},",
                 "\"canonical\":{},\"measured\":{},\"inferred\":{},\"memo_hits\":{},",
                 "\"skip_rate\":{:.4},\"threads\":{},\"host_cores\":{},\"warmup\":{},",
                 "\"measured_ops\":{},\"wall_s\":{:.3},\"budget_frac\":{},\"surviving\":{},",
                 "\"stars\":{},\"inference_misses\":{}}}"
             ),
-            self.space,
+            JsonStr(&self.space),
             self.points,
             self.canonical,
             self.measured,
@@ -252,13 +253,10 @@ impl LazySummary {
 /// `{frac, surviving, stars, star_labels}` entry per budget level,
 /// star labels derived on demand from the spec.
 pub fn pareto_json(spec: &SpaceSpec, pareto: &[WorkloadPareto], threads: usize) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let mut out = String::with_capacity(4096);
     out.push_str(&format!(
-        "{{\"space\":\"{}\",\"threads\":{},\"host_cores\":{},\"workloads\":[",
-        esc(&spec.name),
+        "{{\"space\":{},\"threads\":{},\"host_cores\":{},\"workloads\":[",
+        JsonStr(&spec.name),
         threads,
         host_cores()
     ));
@@ -267,8 +265,8 @@ pub fn pareto_json(spec: &SpaceSpec, pareto: &[WorkloadPareto], threads: usize) 
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"workload\":\"{}\",\"levels\":[",
-            esc(&wp.workload.label())
+            "{{\"workload\":{},\"levels\":[",
+            JsonStr(&wp.workload.label())
         ));
         for (j, level) in wp.levels.iter().enumerate() {
             if j > 0 {
@@ -284,7 +282,7 @@ pub fn pareto_json(spec: &SpaceSpec, pareto: &[WorkloadPareto], threads: usize) 
                 if k > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\"", esc(&spec.label_of(s))));
+                out.push_str(&JsonStr(&spec.label_of(s)).to_string());
             }
             out.push_str("]}");
         }

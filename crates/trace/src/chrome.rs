@@ -24,6 +24,7 @@ use std::fmt::Write as _;
 use crate::event::{
     resource, smp_charge, Event, EventKind, ALL_COMPARTMENTS, NO_THREAD, NO_TRIGGER, REBOOT_PHASES,
 };
+use crate::json::JsonStr;
 
 /// Resolves the raw ids carried by events into human-readable names at
 /// export time. Built by the caller (only the system layer knows the
@@ -109,7 +110,9 @@ fn push_event_json(
 ) {
     let _ = write!(
         out,
-        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}"
+        "{{\"name\":{},\"cat\":{},\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}",
+        JsonStr(name),
+        JsonStr(cat)
     );
     if ph == 'i' {
         out.push_str(",\"s\":\"p\"");
@@ -120,7 +123,7 @@ fn push_event_json(
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{k}\":{v}");
+            let _ = write!(out, "{}:{v}", JsonStr(k));
         }
         out.push('}');
     }
@@ -138,12 +141,15 @@ fn push_counter_json(
 ) {
     let _ = writeln!(
         out,
-        "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"{series}\":{value}}}}},"
+        "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{{}:{value}}}}},",
+        JsonStr(name),
+        JsonStr(series)
     );
 }
 
-fn quoted(s: &str) -> String {
-    format!("\"{s}\"")
+/// A string-valued event argument, rendered.
+fn str_arg(s: &str) -> String {
+    JsonStr(s).to_string()
 }
 
 /// Renders the event stream as a Chrome `trace_event` JSON document
@@ -198,9 +204,9 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
     for &c in &seen {
         let _ = writeln!(
             out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}},",
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":{}}}}},",
             c as u32 + 1,
-            names.compartment(c)
+            JsonStr(&names.compartment(c))
         );
     }
     if saw_machine {
@@ -241,7 +247,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                     tid,
                     ts,
                     &[
-                        ("gate", quoted(&names.gate(gate))),
+                        ("gate", str_arg(&names.gate(gate))),
                         ("cost", cost.to_string()),
                     ],
                 );
@@ -267,7 +273,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                     MACHINE_PID,
                     tid,
                     ts,
-                    &[("component", quoted(&names.component(component)))],
+                    &[("component", str_arg(&names.component(component)))],
                 );
             }
             EventKind::BudgetCharge {
@@ -337,7 +343,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
             }
             EventKind::CtxSwitch { from, to } => {
                 let from_s = if from == NO_THREAD {
-                    quoted("none")
+                    str_arg("none")
                 } else {
                     from.to_string()
                 };
@@ -389,7 +395,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                     compartment as u32 + 1,
                     tid,
                     ts,
-                    &[("trigger", quoted(&names.fault(trigger)))],
+                    &[("trigger", str_arg(&names.fault(trigger)))],
                 );
             }
             EventKind::RebootPhase { compartment, phase } => {

@@ -1,0 +1,53 @@
+//! The workspace's one JSON string writer.
+//!
+//! There is no serde in the build environment, so every JSON document
+//! the simulator emits (Chrome traces, the metrics registry, the sweep
+//! summaries and Pareto dumps, the attack matrix) is assembled with
+//! `format!`. Numbers and booleans need no help; every *string* goes
+//! through [`JsonStr`], so a compartment, workload or space name that
+//! carries a quote, a backslash or a control character still yields a
+//! document a JSON parser accepts.
+
+use std::fmt::{self, Write as _};
+
+/// Displays the wrapped text as a JSON string literal, quotes
+/// included: `"` and `\` are backslash-escaped, control characters
+/// become `\n`/`\r`/`\t` or `\u00XX`, everything else (non-ASCII
+/// included) passes through.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonStr<'a>(pub &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if c < '\u{20}' => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::JsonStr;
+
+    #[test]
+    fn strings_are_quoted_and_escaped() {
+        assert_eq!(JsonStr("lwip").to_string(), "\"lwip\"");
+        assert_eq!(JsonStr("c\"2\\").to_string(), r#""c\"2\\""#);
+        assert_eq!(JsonStr("a\nb\tc\r").to_string(), r#""a\nb\tc\r""#);
+        assert_eq!(JsonStr("\u{1}").to_string(), "\"\\u0001\"");
+        assert_eq!(JsonStr("\u{1f}").to_string(), "\"\\u001f\"");
+        // Non-ASCII is legal inside a JSON string as is.
+        assert_eq!(JsonStr("[•◦] café").to_string(), "\"[•◦] café\"");
+        assert_eq!(JsonStr("").to_string(), "\"\"");
+    }
+}

@@ -27,11 +27,13 @@
 
 pub mod chrome;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 
 pub use chrome::{chrome_trace_json, fnv1a, NameTable};
 pub use event::{Event, EventKind};
+pub use json::JsonStr;
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry};
 pub use profile::{attribute, Profile, ProfileNode};
 

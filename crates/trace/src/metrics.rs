@@ -20,6 +20,8 @@
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 
+use crate::json::JsonStr;
+
 /// Number of histogram buckets: one per possible `u64` bit length,
 /// plus bucket 0 for the value zero.
 pub const HIST_BUCKETS: usize = 65;
@@ -230,17 +232,18 @@ impl Registry {
         let entries = self.entries.borrow();
         for (i, (name, value)) in entries.iter().enumerate() {
             let comma = if i + 1 == entries.len() { "" } else { "," };
+            let name = JsonStr(name);
             match value {
                 MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "  \"{name}\": {v}{comma}");
+                    let _ = writeln!(out, "  {name}: {v}{comma}");
                 }
                 MetricValue::Float(v) => {
-                    let _ = writeln!(out, "  \"{name}\": {v:.3}{comma}");
+                    let _ = writeln!(out, "  {name}: {v:.3}{comma}");
                 }
                 MetricValue::Histogram(h) => {
                     let _ = write!(
                         out,
-                        "  \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
+                        "  {name}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
                         h.count, h.sum, h.min, h.max
                     );
                     for (j, (bucket, count)) in h.buckets.iter().enumerate() {

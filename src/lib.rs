@@ -35,7 +35,6 @@
 pub use flexos_alloc as alloc;
 pub use flexos_apps as apps;
 pub use flexos_attacks as attacks;
-pub use flexos_baselines as baselines;
 pub use flexos_core as core;
 pub use flexos_ept as ept;
 pub use flexos_explore as explore;

@@ -115,7 +115,7 @@ fn iperf_batching_closes_the_gap() {
 fn fig10_ordering_holds() {
     // Figure 10's ranking: Unikraft/FlexOS-NONE fastest, then MPK3, then
     // EPT2 ≈ Linux, then seL4, then the CubicleOS pair.
-    let rows = flexos_baselines::run_fig10(250).unwrap();
+    let rows = flexos_bench::fig10::run_fig10_detailed(250).unwrap().rows;
     let sec = |sys: &str, prof: &str| {
         rows.iter()
             .find(|r| r.system.to_string().contains(sys) && r.profile.to_string() == prof)

@@ -1,4 +1,4 @@
-//! Byte-identity gates: the user-facing text of Figures 6–8 and the
+//! Byte-identity gates: the user-facing text of every figure and the
 //! `sweep` binary's JSON summary lines must equal the files under
 //! `tests/data/`, recorded from the binaries at the commit *before* the
 //! §5 stack was unified (one order, one space model, one executor) —
@@ -8,6 +8,12 @@
 //! `fig07`, `fig08`; `SWEEP_WARMUP=20 SWEEP_MEASURED=200 sweep
 //! --threads 2 --quiet` with `--space quick --verify`, `--space quick
 //! --lazy --verify-inference --budget "nginx=0.9"`, `--space fig6-redis`.
+//!
+//! `fig09.out`, `fig10_n250.out`, `fig11a.out`, `fig11b.out` and
+//! `table1.out` are the stdout of `fig09`, `fig10 250`, `fig11a`,
+//! `fig11b` and `table1` at the commit *before* those binaries became
+//! rows of `flexos_bench::cli::FIGURES`; they are rendered through the
+//! table, at full counts. Re-record by running the binary.
 //!
 //! The per-point file (`sweep_quick_points_w20_m200.txt`, one `index ops
 //! cycles` line per point of the quick space) was recorded at the commit
@@ -36,6 +42,7 @@ use std::fmt::Write as _;
 use flexos::prelude::*;
 use flexos::sweep::{emit, engine, lazy, report, SpaceSpec, Workload};
 use flexos_apps::workloads::{run_redis_bench, KeyPattern, RedisBench};
+use flexos_bench::cli::FIGURES;
 use flexos_bench::{fig06_text, fig07_text, fig08_text};
 use flexos_core::compartment::{CompartmentId, DataSharing};
 
@@ -83,6 +90,49 @@ fn figures_7_and_8_match_the_recorded_output() {
         &fig08_text(500_000.0, FIG_COUNTS).unwrap(),
         include_str!("data/fig08_w15_m60.out"),
     );
+}
+
+/// The figures whose text depends on no environment variable: binary
+/// name, positional arguments, recorded stdout.
+const TABLE_GOLDENS: [(&str, &[&str], &str); 5] = [
+    ("fig09", &[], include_str!("data/fig09.out")),
+    ("fig10", &["250"], include_str!("data/fig10_n250.out")),
+    ("fig11a", &[], include_str!("data/fig11a.out")),
+    ("fig11b", &[], include_str!("data/fig11b.out")),
+    ("table1", &[], include_str!("data/table1.out")),
+];
+
+#[test]
+fn every_other_figure_rendered_through_the_table_matches_its_recorded_output() {
+    for (name, args, want) in TABLE_GOLDENS {
+        let figure = FIGURES.iter().find(|f| f.name == name).unwrap();
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        assert_same(name, &(figure.render)(&args).unwrap(), want);
+    }
+}
+
+/// Every figure binary is a row of the table and has a golden here:
+/// the five above, or one of the `fig06`–`fig08` files (those rows read
+/// `FIG6_*` from the environment, so their text functions are called
+/// with explicit counts instead).
+#[test]
+fn every_figure_binary_has_a_row_and_a_golden() {
+    let mut bins: Vec<String> = std::fs::read_dir("crates/bench/src/bin")
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter_map(|file| file.strip_suffix(".rs").map(str::to_string))
+        .filter(|bin| bin != "sweep")
+        .collect();
+    bins.sort();
+    let rows: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    assert_eq!(bins, rows, "src/bin/*.rs (but sweep) and FIGURES differ");
+    for row in rows {
+        assert!(
+            matches!(row, "fig06" | "fig07" | "fig08")
+                || TABLE_GOLDENS.iter().any(|(name, ..)| *name == row),
+            "{row} has no golden"
+        );
+    }
 }
 
 /// `sweep --space NAME [--verify]`: the exhaustive summary line.

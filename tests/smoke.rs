@@ -10,7 +10,6 @@ fn umbrella_reexports_resolve() {
     // One cheap, side-effect-free touch per re-exported crate.
     let _ = flexos::alloc::stats::AllocStats::default();
     let _ = flexos::apps::redis_component();
-    let _ = flexos::baselines::fig10::run_fig10;
     let _ = flexos::core::SafetyConfig::none();
     let _ = flexos::ept::rpc::entry_hash("lwip_poll");
     let _ = flexos::explore::Strategy::ALL;

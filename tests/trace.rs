@@ -115,3 +115,50 @@ fn ring_overflow_drops_oldest_and_counts() {
         assert!(pair[0].at <= pair[1].at, "events out of order after wrap");
     }
 }
+
+/// A compartment named `c"2\` in config text must still export
+/// documents a JSON parser accepts: the name reaches the Chrome trace's
+/// `process_name` line and the metrics keys through the one escaping
+/// writer (`flexos_trace::JsonStr`).
+#[test]
+fn hostile_compartment_names_are_escaped_in_every_json_export() {
+    let config = SafetyConfig::parse_str(
+        "compartments:\n\
+         - comp1:\n    mechanism: intel-mpk\n    default: True\n\
+         - c\"2\\:\n    mechanism: intel-mpk\n\
+         libraries:\n\
+         - lwip: c\"2\\\n",
+    )
+    .unwrap();
+    assert_eq!(config.compartments[1].name, "c\"2\\");
+    let os = SystemBuilder::new(config)
+        .app(flexos_apps::redis_component())
+        .build()
+        .unwrap();
+    os.env.machine().tracer().enable(TraceConfig::default());
+    run_redis_gets(&os, 0, 2).unwrap();
+
+    let chrome = trace_artifacts(&os.env).chrome_json;
+    let process_names: Vec<&str> = chrome
+        .lines()
+        .filter(|line| line.contains("\"process_name\""))
+        .collect();
+    let escaped = r#""args":{"name":"c\"2\\"}}"#;
+    assert!(
+        process_names.iter().any(|line| line.contains(escaped)),
+        "no process_name line carries the escaped name: {process_names:?}"
+    );
+    assert!(!chrome.contains(r#"{"name":"c"2\"}"#), "raw name leaked");
+
+    let metrics = metrics_json(&os);
+    for key in [
+        "cycles_used",
+        "crossings_used",
+        "heap_bytes_live",
+        "refusals",
+    ] {
+        let want = format!(r#"  "budget.c\"2\\.{key}": "#);
+        assert!(metrics.contains(&want), "metrics lack {want}");
+    }
+    assert!(!metrics.contains("budget.c\"2\\."), "raw name leaked");
+}
