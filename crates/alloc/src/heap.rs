@@ -74,10 +74,6 @@ pub struct Heap {
     alloc: Box<dyn RegionAlloc>,
     kasan: Option<Kasan>,
     stats: AllocStats,
-    /// Extra cycles charged per slow-path malloc, beyond the cost model's
-    /// `malloc_slow`; set on `linuxu` platforms to reproduce the TLSF
-    /// behaviour behind Figure 10's CubicleOS/Unikraft inversion.
-    extra_slow_cycles: u64,
 }
 
 impl Heap {
@@ -91,7 +87,6 @@ impl Heap {
             alloc,
             kasan: None,
             stats: AllocStats::default(),
-            extra_slow_cycles: 0,
         }
     }
 
@@ -102,11 +97,6 @@ impl Heap {
         if self.kasan.is_none() {
             self.kasan = Some(Kasan::new(self.region.base(), self.region.len()));
         }
-    }
-
-    /// Sets the per-slow-path surcharge (see field docs).
-    pub fn set_extra_slow_cycles(&mut self, cycles: u64) {
-        self.extra_slow_cycles = cycles;
     }
 
     /// Allocates `size` bytes (16-byte aligned), charging calibrated cycles.
@@ -146,9 +136,6 @@ impl Heap {
         } else {
             cost.malloc_fast
         };
-        if slow {
-            cycles += self.extra_slow_cycles;
-        }
         if let Some(kasan) = &mut self.kasan {
             kasan.on_alloc(payload, size);
             // Shadow setup cost scales with the allocation's granule count.
@@ -371,14 +358,13 @@ mod tests {
     }
 
     #[test]
-    fn extra_slow_cycles_apply() {
+    fn the_first_cut_charges_exactly_the_slow_path() {
         let mut h = heap(HeapKind::Tlsf);
-        h.set_extra_slow_cycles(1000);
         let before = h.machine.clock().now();
         h.malloc(64).unwrap(); // slow (first cut)
         assert_eq!(
             h.machine.clock().now() - before,
-            h.machine.cost().malloc_slow + 1000
+            h.machine.cost().malloc_slow
         );
     }
 

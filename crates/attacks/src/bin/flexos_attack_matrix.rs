@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--budget` doubles the grid: every point runs unbudgeted *and* with
-//! the uniform [`flexos_attacks::GRID_BUDGET`] compartment budget, and
+//! the uniform `flexos_attacks::GRID_BUDGET` compartment budget, and
 //! the order check spans the unbudgeted -> budgeted edges.
 //!
 //! Prints the matrix as one JSON line on stdout (machine-readable,

@@ -36,10 +36,10 @@
 //!   class), stopped only by a per-compartment cycle budget; without
 //!   one the hog monopolizes the virtual clock and succeeds.
 //!
-//! On top sits the differential matrix ([`matrix`]): every attack runs
+//! On top sits the differential matrix (`matrix`): every attack runs
 //! against a representative grid of mechanism × `IsolationProfile`
 //! points, the observed outcome is compared against a per-attack
-//! expectation [`oracle`] derived purely from the configuration, and
+//! expectation `oracle` derived purely from the configuration, and
 //! the empirical blocked-set is checked to be **monotone** in the §5
 //! safety order (`flexos_sweep::sweep_leq`): a stronger point must
 //! block a superset of what a weaker point blocks — the sweep's
@@ -51,15 +51,12 @@ use std::fmt;
 use flexos_machine::fault::{Fault, FaultKind};
 use flexos_system::FlexOs;
 
-pub mod matrix;
-pub mod oracle;
-pub mod workloads;
+mod matrix;
+mod oracle;
+mod workloads;
 
-pub use matrix::{
-    attack_space, attack_space_quick, budgeted_points, run_matrix, run_matrix_budgeted,
-    run_matrix_points, MatrixReport, PointRun, GRID_BUDGET,
-};
-pub use oracle::{expected, expected_mask, Expectation};
+pub use matrix::{attack_space, attack_space_quick, run_matrix, run_matrix_budgeted};
+pub use oracle::expected_mask;
 
 /// The attack classes of the suite, in the order the matrix runs them
 /// (the heap-exhausting DoS goes last so earlier attacks see a healthy
@@ -101,7 +98,7 @@ impl Attack {
     ];
 
     /// Stable short name (CSV/JSON emission).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Attack::OobRead => "oob-read",
             Attack::OobWrite => "oob-write",
@@ -169,7 +166,7 @@ pub enum AttackOutcome {
 
 impl AttackOutcome {
     /// `true` when the attack was stopped.
-    pub fn blocked(&self) -> bool {
+    pub(crate) fn blocked(&self) -> bool {
         matches!(self, AttackOutcome::Blocked { .. })
     }
 }

@@ -75,16 +75,16 @@ pub fn attack_space_quick() -> SpaceSpec {
 #[derive(Debug, Clone)]
 pub struct PointRun {
     /// Point index within the grid's enumeration.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The point's label (copied so reports need no spec access).
-    pub label: String,
+    pub(crate) label: String,
     /// Per-attack (observed outcome, oracle expectation) cells, in
     /// [`Attack::ALL`] order.
-    pub outcomes: Vec<(Attack, AttackOutcome, Expectation)>,
+    pub(crate) outcomes: Vec<(Attack, AttackOutcome, Expectation)>,
     /// Observed blocked-set, as an [`Attack::bit`] mask.
     pub blocked_mask: u16,
     /// Predicted blocked-set ([`expected_mask`]).
-    pub expected_mask: u16,
+    pub(crate) expected_mask: u16,
 }
 
 /// The whole matrix, plus everything that disagreed.
@@ -111,62 +111,49 @@ impl MatrixReport {
     /// Single-line JSON summary (hand-rolled like
     /// [`flexos_sweep::SweepSummary`]; no serde in the workspace).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\"space\":{},\"points\":{},\"ok\":{}",
+        let strings = |items: &[String]| -> String {
+            let quoted: Vec<String> = items.iter().map(|s| JsonStr(s).to_string()).collect();
+            quoted.join(",")
+        };
+        let attacks: Vec<String> = Attack::ALL.iter().map(|a| a.name().to_string()).collect();
+        let runs: Vec<String> = self
+            .runs
+            .iter()
+            .map(|run| {
+                let cells: Vec<String> = run
+                    .outcomes
+                    .iter()
+                    .map(|(attack, outcome, exp)| {
+                        format!(
+                            "[{},{},{}]",
+                            JsonStr(attack.name()),
+                            JsonStr(&outcome.to_string()),
+                            exp.blocked
+                        )
+                    })
+                    .collect();
+                format!(
+                    "{{\"index\":{},\"label\":{},\"blocked_mask\":{},\"expected_mask\":{},\
+                     \"cells\":[{}]}}",
+                    run.index,
+                    JsonStr(&run.label),
+                    run.blocked_mask,
+                    run.expected_mask,
+                    cells.join(",")
+                )
+            })
+            .collect();
+        format!(
+            "{{\"space\":{},\"points\":{},\"ok\":{},\"attacks\":[{}],\"runs\":[{}],\
+             \"mismatches\":[{}],\"order_violations\":[{}]}}",
             JsonStr(&self.space),
             self.runs.len(),
-            self.ok()
-        ));
-        out.push_str(",\"attacks\":[");
-        for (i, a) in Attack::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&JsonStr(a.name()).to_string());
-        }
-        out.push_str("],\"runs\":[");
-        for (i, run) in self.runs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"label\":{},\"blocked_mask\":{},\"expected_mask\":{},\
-                 \"cells\":[",
-                run.index,
-                JsonStr(&run.label),
-                run.blocked_mask,
-                run.expected_mask
-            ));
-            for (j, (attack, outcome, exp)) in run.outcomes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "[{},{},{}]",
-                    JsonStr(attack.name()),
-                    JsonStr(&outcome.to_string()),
-                    exp.blocked
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"mismatches\":[");
-        for (i, m) in self.mismatches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&JsonStr(m).to_string());
-        }
-        out.push_str("],\"order_violations\":[");
-        for (i, v) in self.order_violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&JsonStr(v).to_string());
-        }
-        out.push_str("]}");
-        out
+            self.ok(),
+            strings(&attacks),
+            runs.join(","),
+            strings(&self.mismatches),
+            strings(&self.order_violations)
+        )
     }
 }
 
@@ -179,7 +166,7 @@ impl MatrixReport {
 /// Configuration faults from the build, or infrastructure faults from
 /// an attack's setup — never the attacks' own adversarial faults,
 /// which fold into the outcomes.
-pub fn run_point_attacks(point: &SweepPoint) -> Result<PointRun, Fault> {
+pub(crate) fn run_point_attacks(point: &SweepPoint) -> Result<PointRun, Fault> {
     let component = match point.workload {
         Workload::RedisGet { .. } => flexos_apps::redis_component(),
         Workload::NginxGet => flexos_apps::nginx_component(),
@@ -217,7 +204,7 @@ pub fn run_point_attacks(point: &SweepPoint) -> Result<PointRun, Fault> {
 ///
 /// # Errors
 ///
-/// See [`run_point_attacks`]; the first faulting point aborts the
+/// See `run_point_attacks`; the first faulting point aborts the
 /// matrix.
 pub fn run_matrix(spec: &SpaceSpec) -> Result<MatrixReport, Fault> {
     run_matrix_points(&spec.name, spec.points().collect())
@@ -227,7 +214,7 @@ pub fn run_matrix(spec: &SpaceSpec) -> Result<MatrixReport, Fault> {
 /// 2 MiB of live heap (an eighth of a compartment heap), one million
 /// cycles per accounting window, and a crossings cap high enough that
 /// only a loop could hit it.
-pub const GRID_BUDGET: ResourceBudget = ResourceBudget {
+pub(crate) const GRID_BUDGET: ResourceBudget = ResourceBudget {
     heap_bytes: Some(2 * 1024 * 1024),
     cycles: Some(1_000_000),
     crossings: Some(100_000),
@@ -236,7 +223,7 @@ pub const GRID_BUDGET: ResourceBudget = ResourceBudget {
 /// `spec`'s grid re-labeled with [`GRID_BUDGET`] as every compartment's
 /// budget; indices continue after the unbudgeted grid so the two can
 /// run as one matrix.
-pub fn budgeted_points(spec: &SpaceSpec) -> Vec<SweepPoint> {
+pub(crate) fn budgeted_points(spec: &SpaceSpec) -> Vec<SweepPoint> {
     let offset = spec.len();
     spec.points()
         .map(|mut p| {
@@ -248,14 +235,14 @@ pub fn budgeted_points(spec: &SpaceSpec) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// [`run_matrix`] over `spec`'s grid *and* its [`budgeted_points`]
+/// [`run_matrix`] over `spec`'s grid *and* its `budgeted_points`
 /// clone in one report: every unbudgeted point sits below its budgeted
 /// twin in the §5 order (unlimited <= any limit, per axis), so the
 /// order check now also proves budgets only ever *add* blocked attacks.
 ///
 /// # Errors
 ///
-/// See [`run_point_attacks`].
+/// See `run_point_attacks`.
 pub fn run_matrix_budgeted(spec: &SpaceSpec) -> Result<MatrixReport, Fault> {
     let mut points: Vec<SweepPoint> = spec.points().collect();
     points.extend(budgeted_points(spec));
@@ -269,7 +256,10 @@ pub fn run_matrix_budgeted(spec: &SpaceSpec) -> Result<MatrixReport, Fault> {
 ///
 /// See [`run_point_attacks`]; the first faulting point aborts the
 /// matrix.
-pub fn run_matrix_points(space: &str, points: Vec<SweepPoint>) -> Result<MatrixReport, Fault> {
+pub(crate) fn run_matrix_points(
+    space: &str,
+    points: Vec<SweepPoint>,
+) -> Result<MatrixReport, Fault> {
     let mut runs = Vec::with_capacity(points.len());
     let mut mismatches = Vec::new();
     for point in &points {

@@ -47,11 +47,11 @@ const LWIP_HARDENED: u8 = 1 << 3;
 
 /// What the oracle predicts for one (attack, configuration) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Expectation {
+pub(crate) struct Expectation {
     /// `true` when the configuration must block the attack.
-    pub blocked: bool,
+    pub(crate) blocked: bool,
     /// The fault kind that must stop it (`None` when not blocked).
-    pub fault: Option<FaultKind>,
+    pub(crate) fault: Option<FaultKind>,
 }
 
 impl Expectation {
@@ -64,7 +64,7 @@ impl Expectation {
 }
 
 /// Predicts the outcome of `attack` against `point`'s configuration.
-pub fn expected(attack: Attack, point: &SweepPoint) -> Expectation {
+pub(crate) fn expected(attack: Attack, point: &SweepPoint) -> Expectation {
     // Different compartments at all (heap placement follows this)...
     let apart = point.config.placement("lwip") != point.config.placement(point.workload.app());
     // ...and actually enforced by a mechanism (key-backed separation).

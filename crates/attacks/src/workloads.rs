@@ -84,7 +84,7 @@ fn spawn_victim_thread(os: &FlexOs, s: &Scene) -> Result<ThreadStack, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn oob_read(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn oob_read(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let secret = env.run_as(s.victim, || {
@@ -107,7 +107,7 @@ pub fn oob_read(os: &FlexOs) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn oob_write(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn oob_write(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let target = env.run_as(s.victim, || {
@@ -136,7 +136,7 @@ pub fn oob_write(os: &FlexOs) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn forged_entry(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn forged_entry(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let cfi_before = env.gates().cfi_violations();
@@ -176,7 +176,7 @@ pub fn forged_entry(os: &FlexOs) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn stack_smash(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn stack_smash(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let stack = spawn_victim_thread(os, &s)?;
@@ -209,7 +209,7 @@ pub fn stack_smash(os: &FlexOs) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn info_leak(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn info_leak(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let victim_comp = env.compartment_of(s.victim);
@@ -270,7 +270,7 @@ fn stack_probe(os: &FlexOs, s: &Scene) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn heap_smash(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn heap_smash(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     env.run_as(s.attacker, || {
@@ -291,7 +291,7 @@ pub fn heap_smash(os: &FlexOs) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn pkru_forge(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn pkru_forge(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let attacker_comp = env.compartment_of(s.attacker);
@@ -329,7 +329,7 @@ pub fn pkru_forge(os: &FlexOs) -> Result<AttackOutcome, Fault> {
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn alloc_exhaustion(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn alloc_exhaustion(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let mut hoard = Vec::new();
@@ -417,7 +417,7 @@ const HOG_CHUNK_CYCLES: u64 = 50_000;
 /// # Errors
 ///
 /// Infrastructure faults only.
-pub fn cycle_hog(os: &FlexOs) -> Result<AttackOutcome, Fault> {
+pub(crate) fn cycle_hog(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let res: Result<(), Fault> = env.run_as(s.attacker, || {

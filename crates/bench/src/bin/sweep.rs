@@ -17,15 +17,9 @@
 //!   The only mode that makes `full-profiled` (3×10⁵ enumerated
 //!   points) affordable.
 //!
-//! Star/spread details go to stderr.
-//!
-//! ```text
-//! sweep [--space full|full-smp|full-profiled|quick|fig6-redis|fig6-nginx]
-//!       [--threads N] [--cores LIST] [--budget-frac F]
-//!       [--budget "WORKLOAD=F"]... [--verify] [--csv PATH]
-//!       [--lazy] [--verify-inference] [--pareto PATH]
-//!       [--progress] [--quiet]
-//! ```
+//! Star/spread details go to stderr. `--space` takes `full`,
+//! `full-smp`, `full-profiled`, `quick`, `fig6-redis` or `fig6-nginx`;
+//! `USAGE` lists every flag.
 //!
 //! `--budget` entries override the uniform `--budget-frac` for single
 //! workload groups (matched by workload label, e.g. `redis k3 P1`,
@@ -47,8 +41,9 @@
 //! a lazy `--verify-inference` pass, and **fails on divergence** via
 //! the nonzero exits).
 //!
-//! Exit status: `0` on success, `1` when a `--csv`/`--pareto` file
-//! cannot be written or either engine reports a fault (a point that
+//! Exit status: `0` on success, `1` when an output file (`--csv`,
+//! `--pareto`, `--trace`, `--metrics`) cannot be written or either
+//! engine reports a fault (a point that
 //! does not build or cannot run its workload, an order without minimal
 //! elements) — the fault is printed, nothing panics, `2` on bad usage,
 //! `3` when `--verify` detects serial/parallel divergence, `4` when
@@ -70,6 +65,7 @@ const USAGE: &str = "sweep [--space NAME] [--threads N] [--cores LIST] [--budget
 /// where the frontier actually bends).
 const PARETO_FRACS: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
 
+#[derive(Default)]
 struct Args {
     space: String,
     threads: usize,
@@ -86,20 +82,12 @@ struct Args {
 }
 
 fn parse_args(raw: Vec<String>) -> Result<Args, CliError> {
-    let usage = |why: String| CliError::Usage(why);
+    let usage = CliError::Usage;
     let mut args = Args {
         space: "full".to_string(),
         threads: engine::sweep_threads(),
-        cores: None,
         budget_frac: 0.8,
-        budget_overrides: Vec::new(),
-        verify: false,
-        csv: None,
-        lazy: false,
-        verify_inference: false,
-        pareto: None,
-        progress: false,
-        quiet: false,
+        ..Args::default()
     };
     let mut it = raw.into_iter();
     while let Some(flag) = it.next() {

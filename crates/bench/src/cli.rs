@@ -93,7 +93,7 @@ pub fn parse_count(what: &str, text: &str, min: u64) -> Result<u64, CliError> {
 }
 
 /// Parses `text` as a finite number above zero (a rate, a budget).
-pub fn parse_positive(what: &str, text: &str) -> Result<f64, CliError> {
+pub(crate) fn parse_positive(what: &str, text: &str) -> Result<f64, CliError> {
     match text.parse::<f64>() {
         Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
         Ok(_) => Err(CliError::Usage(format!(
@@ -132,11 +132,12 @@ pub fn env_counts(prefix: &str, defaults: (u64, u64)) -> Result<(u64, u64), CliE
     ))
 }
 
-/// The Figure 6 sweep's `(warmup, measured)` counts, honouring
-/// `FIG6_WARMUP` / `FIG6_MEASURED` (CI smoke runs and the goldens use
-/// small counts; steady-state throughput is count-independent).
-pub fn fig6_counts() -> Result<(u64, u64), CliError> {
-    env_counts("FIG6", (crate::FIG6_WARMUP, crate::FIG6_MEASURED))
+/// The Figure 6 sweep's `(warmup, measured)` counts: 500 and 5000
+/// requests per configuration unless `FIG6_WARMUP` / `FIG6_MEASURED`
+/// say otherwise (CI smoke runs and the goldens use small counts;
+/// steady-state throughput is count-independent).
+fn fig6_counts() -> Result<(u64, u64), CliError> {
+    env_counts("FIG6", (500, 5000))
 }
 
 /// `args` when it holds at most `max` positional arguments; the first
@@ -149,12 +150,18 @@ fn at_most(args: &[String], max: usize) -> Result<&[String], CliError> {
     }
 }
 
+/// The row of a figure that takes no arguments and reads no environment.
+fn no_args(args: &[String], text: fn() -> Result<String, Fault>) -> Result<String, CliError> {
+    at_most(args, 0)?;
+    Ok(text()?)
+}
+
 /// One figure or table binary.
 pub struct Figure {
     /// Binary name (`crates/bench/src/bin/<name>.rs`).
     pub name: &'static str,
     /// The usage line printed on bad input.
-    pub usage: &'static str,
+    pub(crate) usage: &'static str,
     /// Renders the figure's stdout from its positional arguments
     /// (`--trace`/`--metrics` already stripped).
     pub render: fn(&[String]) -> Result<String, CliError>,
@@ -201,10 +208,7 @@ pub const FIGURES: [Figure; 8] = [
     Figure {
         name: "fig09",
         usage: "fig09 [--trace PATH] [--metrics PATH]",
-        render: |args| {
-            at_most(args, 0)?;
-            Ok(figures::fig09_text()?)
-        },
+        render: |args| no_args(args, figures::fig09_text),
     },
     Figure {
         name: "fig10",
@@ -221,26 +225,17 @@ pub const FIGURES: [Figure; 8] = [
     Figure {
         name: "fig11a",
         usage: "fig11a [--trace PATH] [--metrics PATH]",
-        render: |args| {
-            at_most(args, 0)?;
-            Ok(figures::fig11a_text()?)
-        },
+        render: |args| no_args(args, figures::fig11a_text),
     },
     Figure {
         name: "fig11b",
         usage: "fig11b [--trace PATH] [--metrics PATH]",
-        render: |args| {
-            at_most(args, 0)?;
-            Ok(figures::fig11b_text()?)
-        },
+        render: |args| no_args(args, figures::fig11b_text),
     },
     Figure {
         name: "table1",
         usage: "table1 [--trace PATH] [--metrics PATH]",
-        render: |args| {
-            at_most(args, 0)?;
-            Ok(figures::table1_text()?)
-        },
+        render: |args| no_args(args, figures::table1_text),
     },
 ];
 
@@ -290,9 +285,9 @@ fn cannot_write(path: &str, error: &std::io::Error) -> CliError {
 pub struct ObsArgs {
     /// `--trace PATH`: write Chrome `trace_event` JSON here (and the
     /// folded attribution profile next to it, at `PATH.profile`).
-    pub trace: Option<String>,
+    pub(crate) trace: Option<String>,
     /// `--metrics PATH`: write the metrics-registry JSON here.
-    pub metrics: Option<String>,
+    pub(crate) metrics: Option<String>,
 }
 
 impl ObsArgs {

@@ -97,7 +97,7 @@ pub struct Fig10Row {
     /// Time for the 5000-INSERT workload, seconds.
     pub seconds: f64,
     /// `true` for fully simulated rows, `false` for measured-run overlays.
-    pub simulated: bool,
+    pub(crate) simulated: bool,
 }
 
 fn overlay(run: &SqliteRun, cost: &CostModel, extra_cycles: i64) -> f64 {
@@ -119,7 +119,7 @@ pub struct Fig10Detail {
     /// The nine bars in figure order.
     pub rows: Vec<Fig10Row>,
     /// The fully simulated FlexOS runs, per isolation profile.
-    pub simulated: Vec<(IsolationProfile, SqliteRun)>,
+    pub(crate) simulated: Vec<(IsolationProfile, SqliteRun)>,
 }
 
 /// Runs the full Figure 10 experiment with `n` INSERT transactions
@@ -166,62 +166,31 @@ pub fn run_fig10_detailed(n: u64) -> Result<Fig10Detail, Fault> {
             + (vfs + time_q) * cost.cubicleos_transition as i64,
     );
 
-    let rows = vec![
-        Fig10Row {
-            system: SystemUnderTest::UnikraftKvm,
-            profile: IsolationProfile::None,
-            seconds: unikraft_kvm,
-            simulated: false,
-        },
-        Fig10Row {
-            system: SystemUnderTest::UnikraftLinuxu,
-            profile: IsolationProfile::None,
-            seconds: unikraft_linuxu,
-            simulated: false,
-        },
-        Fig10Row {
-            system: SystemUnderTest::FlexOs,
-            profile: IsolationProfile::None,
-            seconds: none_run.seconds,
-            simulated: true,
-        },
-        Fig10Row {
-            system: SystemUnderTest::FlexOs,
-            profile: IsolationProfile::Mpk3,
-            seconds: mpk3_run.seconds,
-            simulated: true,
-        },
-        Fig10Row {
-            system: SystemUnderTest::FlexOs,
-            profile: IsolationProfile::Ept2,
-            seconds: ept2_run.seconds,
-            simulated: true,
-        },
-        Fig10Row {
-            system: SystemUnderTest::Linux,
-            profile: IsolationProfile::Pt2,
-            seconds: linux,
-            simulated: false,
-        },
-        Fig10Row {
-            system: SystemUnderTest::Sel4Genode,
-            profile: IsolationProfile::Pt3,
-            seconds: sel4,
-            simulated: false,
-        },
-        Fig10Row {
-            system: SystemUnderTest::CubicleOs,
-            profile: IsolationProfile::None,
-            seconds: cubicle_none,
-            simulated: false,
-        },
-        Fig10Row {
-            system: SystemUnderTest::CubicleOs,
-            profile: IsolationProfile::Mpk3,
-            seconds: cubicle_mpk3,
-            simulated: false,
-        },
-    ];
+    use IsolationProfile::{Ept2, Mpk3, None as Flat, Pt2, Pt3};
+    let rows = [
+        (SystemUnderTest::UnikraftKvm, Flat, unikraft_kvm, false),
+        (
+            SystemUnderTest::UnikraftLinuxu,
+            Flat,
+            unikraft_linuxu,
+            false,
+        ),
+        (SystemUnderTest::FlexOs, Flat, none_run.seconds, true),
+        (SystemUnderTest::FlexOs, Mpk3, mpk3_run.seconds, true),
+        (SystemUnderTest::FlexOs, Ept2, ept2_run.seconds, true),
+        (SystemUnderTest::Linux, Pt2, linux, false),
+        (SystemUnderTest::Sel4Genode, Pt3, sel4, false),
+        (SystemUnderTest::CubicleOs, Flat, cubicle_none, false),
+        (SystemUnderTest::CubicleOs, Mpk3, cubicle_mpk3, false),
+    ]
+    .into_iter()
+    .map(|(system, profile, seconds, simulated)| Fig10Row {
+        system,
+        profile,
+        seconds,
+        simulated,
+    })
+    .collect();
     Ok(Fig10Detail {
         rows,
         simulated: vec![
@@ -238,7 +207,7 @@ pub fn run_fig10_detailed(n: u64) -> Result<Fig10Detail, Fault> {
 /// # Errors
 ///
 /// See [`run_fig10_detailed`].
-pub fn fig10_text(n: u64) -> Result<String, Fault> {
+pub(crate) fn fig10_text(n: u64) -> Result<String, Fault> {
     let detail = run_fig10_detailed(n)?;
     let mut out = format!(
         "# Figure 10: time for {n} INSERT transactions (seconds)\n\

@@ -30,7 +30,7 @@ fn iperf_gbps(config: SafetyConfig, buf: u64) -> Result<f64, Fault> {
 /// # Errors
 ///
 /// Configuration or substrate faults; the first one ends the figure.
-pub fn fig09_text() -> Result<String, Fault> {
+pub(crate) fn fig09_text() -> Result<String, Fault> {
     let mut out = format!(
         "# Figure 9: iPerf throughput (Gb/s) vs receive buffer size\n\
          {:>8} {:>10} {:>12} {:>14} {:>12} {:>12}\n",
@@ -98,7 +98,7 @@ fn stack_share_cycles(sharing: DataSharing, buffers: u32) -> Result<u64, Fault> 
 /// # Errors
 ///
 /// Configuration or substrate faults; the first one ends the figure.
-pub fn fig11a_text() -> Result<String, Fault> {
+pub(crate) fn fig11a_text() -> Result<String, Fault> {
     let mut out = format!(
         "# Figure 11a: shared stack allocation latency (cycles)\n\
          {:>9} {:>8} {:>8} {:>14}\n",
@@ -148,7 +148,7 @@ fn gate_cycles(config: SafetyConfig) -> Result<u64, Fault> {
 /// # Errors
 ///
 /// Configuration or substrate faults; the first one ends the figure.
-pub fn fig11b_text() -> Result<String, Fault> {
+pub(crate) fn fig11b_text() -> Result<String, Fault> {
     let cost = CostModel::default();
     let rows = [
         ("function", gate_cycles(configs::none())?, 2),
@@ -193,7 +193,7 @@ fn component_row(label: &str, c: &Component) -> String {
 /// # Errors
 ///
 /// Configuration or substrate faults from the reference run.
-pub fn table1_text() -> Result<String, Fault> {
+pub(crate) fn table1_text() -> Result<String, Fault> {
     let mut out = String::from("# Table 1: porting effort per component\n");
     out += &format!(
         "{:>28} {:>13} {:>12}\n",

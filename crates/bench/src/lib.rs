@@ -20,7 +20,7 @@
 //! the one front end that owns argv, `--trace`/`--metrics` and the
 //! exit policy; the files under `src/bin/` are one-call shims. The
 //! text itself is built by [`fig06_text`], [`fig07_text`],
-//! [`fig08_text`] here, [`fig10::fig10_text`], and [`figures`] for the
+//! [`fig08_text`] here, `fig10::fig10_text`, and `figures` for the
 //! rest, so `tests/goldens.rs` compares every figure in-process
 //! against outputs recorded before the last refactor. Figures 6–8 go
 //! through the one §5 stack: the [`SpaceSpec::fig6`] space, the sweep
@@ -30,18 +30,11 @@
 
 pub mod cli;
 pub mod fig10;
-pub mod figures;
+pub(crate) mod figures;
 
 use flexos_explore::{prune_and_star, ConfigNode, Poset};
 use flexos_machine::fault::Fault;
 use flexos_sweep::{run_parallel, sweep_leq, sweep_threads, SpaceSpec, SweepPoint};
-
-/// Requests used to warm each Figure 6 configuration. The fast data
-/// path (ISSUE 3) made a simulated request cost ~0.5 µs host-side, so
-/// the sweep drives ~100× the traffic the seed harness could afford.
-pub const FIG6_WARMUP: u64 = 500;
-/// Requests measured per Figure 6 configuration.
-pub const FIG6_MEASURED: u64 = 5000;
 
 /// Sweeps the 80-point Figure 6 space of `app` at `(warmup, measured)`
 /// requests per point over `SWEEP_THREADS` workers, returning the
@@ -51,7 +44,7 @@ pub const FIG6_MEASURED: u64 = 5000;
 ///
 /// [`Fault::InvalidConfig`] for an app other than `redis`/`nginx`;
 /// configuration or substrate faults from the points themselves.
-pub fn run_fig6_sweep(
+pub(crate) fn run_fig6_sweep(
     app: &str,
     (warmup, measured): (u64, u64),
 ) -> Result<(Vec<SweepPoint>, Vec<f64>), Fault> {
@@ -83,7 +76,7 @@ pub fn fig6_label(point: &SweepPoint) -> String {
 ///
 /// # Errors
 ///
-/// See [`run_fig6_sweep`].
+/// See `run_fig6_sweep`.
 pub fn fig06_text(app: &str, counts: (u64, u64)) -> Result<String, Fault> {
     let (space, perf) = run_fig6_sweep(app, counts)?;
     let mut order: Vec<usize> = (0..space.len()).collect();
@@ -116,7 +109,7 @@ pub fn fig06_text(app: &str, counts: (u64, u64)) -> Result<String, Fault> {
 ///
 /// # Errors
 ///
-/// See [`run_fig6_sweep`].
+/// See `run_fig6_sweep`.
 pub fn fig07_text(counts: (u64, u64)) -> Result<String, Fault> {
     let (space, redis) = run_fig6_sweep("redis", counts)?;
     let (_, nginx) = run_fig6_sweep("nginx", counts)?;
@@ -146,7 +139,7 @@ pub fn fig07_text(counts: (u64, u64)) -> Result<String, Fault> {
 ///
 /// # Errors
 ///
-/// See [`run_fig6_sweep`]; [`Fault::InvalidConfig`] if the order fails
+/// See `run_fig6_sweep`; [`Fault::InvalidConfig`] if the order fails
 /// the partial-order axioms.
 pub fn fig08_text(budget: f64, counts: (u64, u64)) -> Result<String, Fault> {
     let (space, perf) = run_fig6_sweep("redis", counts)?;

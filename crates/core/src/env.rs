@@ -1188,17 +1188,6 @@ impl Env {
         total
     }
 
-    /// Applies a per-slow-path allocator surcharge to every heap in the
-    /// image; models TLSF's slow-path behaviour on the `linuxu` platform
-    /// behind Figure 10's CubicleOS/Unikraft comparison (see
-    /// `CostModel::tlsf_linuxu_slow_delta`).
-    pub fn set_alloc_slow_surcharge(&self, cycles: u64) {
-        for heap in &self.heaps {
-            heap.borrow_mut().set_extra_slow_cycles(cycles);
-        }
-        self.shared_heap.borrow_mut().set_extra_slow_cycles(cycles);
-    }
-
     // --- shared variables ---------------------------------------------------
 
     /// Resolves a `__shared` variable by its `component::variable` name,

@@ -11,8 +11,6 @@ use crate::poset::Poset;
 /// Result of the exploration.
 #[derive(Debug, Clone)]
 pub struct StarReport {
-    /// The budget applied (same metric as node performance).
-    pub budget: f64,
     /// Indices meeting the budget.
     pub surviving: Vec<usize>,
     /// Indices of the starred (maximal surviving) configurations.
@@ -28,7 +26,7 @@ impl StarReport {
 
 /// Prunes `poset` under `budget` and stars the safest survivors.
 pub fn prune_and_star(poset: &Poset, budget: f64) -> StarReport {
-    prune_and_star_by(poset, budget, |_| budget)
+    prune_and_star_by(poset, |_| budget)
 }
 
 /// [`prune_and_star`] with a *per-node* budget: node `i` survives when
@@ -36,22 +34,12 @@ pub fn prune_and_star(poset: &Poset, budget: f64) -> StarReport {
 /// budget **vectors** over heterogeneous spaces — one fractional budget
 /// per workload group, each applied to the nodes driving that workload
 /// — while star extraction stays the stock maximal-element computation.
-/// `representative` is the budget recorded in the report (callers pass
-/// their default fraction).
-pub fn prune_and_star_by(
-    poset: &Poset,
-    representative: f64,
-    budget_of: impl Fn(usize) -> f64,
-) -> StarReport {
+pub fn prune_and_star_by(poset: &Poset, budget_of: impl Fn(usize) -> f64) -> StarReport {
     let surviving: Vec<usize> = (0..poset.len())
         .filter(|&i| poset.node(i).performance >= budget_of(i))
         .collect();
     let stars = poset.maximal_among(&surviving);
-    StarReport {
-        budget: representative,
-        surviving,
-        stars,
-    }
+    StarReport { surviving, stars }
 }
 
 /// Budget status of one node during a lazy classification.
@@ -130,18 +118,6 @@ pub fn minimal_among(
         .collect()
 }
 
-/// Outcome of [`lazy_classify`].
-#[derive(Debug, Clone)]
-pub struct LazyClassification {
-    /// Final status per node (never `Unknown` on return).
-    pub statuses: Vec<PointStatus>,
-    /// Nodes whose performance was requested from `measure_batch`, in
-    /// request order (deduplicated).
-    pub measured: Vec<usize>,
-    /// Nodes classified purely by order inference.
-    pub inferred: usize,
-}
-
 /// Classifies every node of a measured-on-demand poset against a
 /// per-node budget, measuring only what the §5 order cannot infer.
 ///
@@ -159,29 +135,25 @@ pub struct LazyClassification {
 /// `meets(i, perf)` is the budget predicate (callers encode normalized
 /// thresholds there); `measure_batch` returns one performance value per
 /// requested node and may serve repeats from a cache. The result is
-/// exact — identical to classifying exhaustive measurements — whenever
-/// the monotonicity assumption holds; verification modes re-measure
-/// skipped nodes and diff.
+/// final status per node (never `Unknown`), exact — identical to
+/// classifying exhaustive measurements — whenever the monotonicity
+/// assumption holds; verification modes re-measure skipped nodes and
+/// diff.
 pub fn lazy_classify(
     n: usize,
     leq: impl Fn(usize, usize) -> bool,
     chains: &[Vec<usize>],
     mut measure_batch: impl FnMut(&[usize]) -> Vec<f64>,
     meets: impl Fn(usize, f64) -> bool,
-) -> LazyClassification {
+) -> Vec<PointStatus> {
     let mut statuses = vec![PointStatus::Unknown; n];
-    let mut measured = Vec::new();
     let mut unknown = n;
 
     // Seed: measure every *minimal element* (needed by callers for
     // normalization anyway) — they bound every chain's fast end.
     let bottoms: Vec<usize> = chains.iter().map(|c| c[0]).collect();
     let minimals = minimal_among(&bottoms, n, &leq);
-    let classify = |i: usize,
-                    perf: f64,
-                    statuses: &mut Vec<PointStatus>,
-                    unknown: &mut usize,
-                    inferred_bonus: &mut usize| {
+    let classify = |i: usize, perf: f64, statuses: &mut Vec<PointStatus>, unknown: &mut usize| {
         let status = if meets(i, perf) {
             PointStatus::Survives
         } else {
@@ -205,19 +177,16 @@ pub fn lazy_classify(
             if implied {
                 *slot = status;
                 *unknown -= 1;
-                *inferred_bonus += 1;
             }
         }
     };
 
-    let mut inferred = 0;
     let mut round: Vec<usize> = minimals;
     while !round.is_empty() {
         let perfs = measure_batch(&round);
         debug_assert_eq!(perfs.len(), round.len());
         for (&i, &p) in round.iter().zip(&perfs) {
-            measured.push(i);
-            classify(i, p, &mut statuses, &mut unknown, &mut inferred);
+            classify(i, p, &mut statuses, &mut unknown);
         }
         if unknown == 0 {
             break;
@@ -243,11 +212,7 @@ pub fn lazy_classify(
             .collect();
     }
     debug_assert_eq!(unknown, 0, "chain cover must reach every node");
-    LazyClassification {
-        statuses,
-        measured,
-        inferred,
-    }
+    statuses
 }
 
 #[cfg(test)]
@@ -293,7 +258,7 @@ mod tests {
         let perf: Vec<f64> = (0..64).map(f64::from).collect();
         let poset = lattice(&perf);
         // Even indices need >= 40, odd indices >= 10.
-        let report = prune_and_star_by(&poset, 0.0, |i| if i % 2 == 0 { 40.0 } else { 10.0 });
+        let report = prune_and_star_by(&poset, |i| if i % 2 == 0 { 40.0 } else { 10.0 });
         for &s in &report.surviving {
             assert!(perf[s] >= if s % 2 == 0 { 40.0 } else { 10.0 });
         }
@@ -301,7 +266,7 @@ mod tests {
         assert!(!report.surviving.contains(&8));
         // The uniform wrapper is the constant-vector special case.
         let uniform = prune_and_star(&poset, 40.0);
-        let by = prune_and_star_by(&poset, 40.0, |_| 40.0);
+        let by = prune_and_star_by(&poset, |_| 40.0);
         assert_eq!(uniform.surviving, by.surviving);
         assert_eq!(uniform.stars, by.stars);
     }
@@ -358,26 +323,26 @@ mod tests {
             .collect();
         let budget = 975.0;
         let chains = chain_cover(n, subset);
-        let mut executions = 0usize;
-        let out = lazy_classify(
+        let mut requested = Vec::new();
+        let statuses = lazy_classify(
             n,
             subset,
             &chains,
             |batch| {
-                executions += batch.len();
+                requested.extend_from_slice(batch);
                 batch.iter().map(|&i| perf[i]).collect()
             },
             |_, p| p >= budget,
         );
+        let executions = requested.len();
         for (i, &p) in perf.iter().enumerate() {
             let want = if p >= budget {
                 PointStatus::Survives
             } else {
                 PointStatus::Pruned
             };
-            assert_eq!(out.statuses[i], want, "node {i}");
+            assert_eq!(statuses[i], want, "node {i}");
         }
-        assert_eq!(out.measured.len(), executions);
         // B6 with the cut mid-lattice is adversarial: every chain
         // straddles the budget boundary and every node on the crossing
         // antichain (C(6,2) + C(6,3) = 35) must be measured, so the
@@ -390,9 +355,8 @@ mod tests {
         );
         // Chains are disjoint and rounds only request unknown nodes, so
         // no node is ever measured twice.
-        let unique: std::collections::HashSet<_> = out.measured.iter().collect();
-        assert_eq!(unique.len(), out.measured.len());
-        assert!(out.inferred + executions >= n);
+        let unique: std::collections::HashSet<_> = requested.iter().collect();
+        assert_eq!(unique.len(), executions);
     }
 
     #[test]
@@ -412,7 +376,7 @@ mod tests {
             } else {
                 PointStatus::Pruned
             };
-            assert!(out.statuses.iter().all(|&s| s == want));
+            assert!(out.iter().all(|&s| s == want));
         }
     }
 }

@@ -15,7 +15,7 @@ use flexos_core::hardening::Hardening;
 
 /// The four Figure 6 components, in row order (the application slot is
 /// filled with the concrete app name).
-pub const FIG6_COMPONENTS: [&str; 4] = ["app", "newlib", "uksched", "lwip"];
+pub(crate) const FIG6_COMPONENTS: [&str; 4] = ["app", "newlib", "uksched", "lwip"];
 
 /// The five compartmentalization strategies of Figure 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +94,7 @@ impl Strategy {
 
 /// Builds the configuration of one point of the (generalized)
 /// Figure 6 space: `strategy`'s partition over compartments guarded by
-/// `mechanism`, hardening mask `mask` over [`FIG6_COMPONENTS`] (the
+/// `mechanism`, hardening mask `mask` over `FIG6_COMPONENTS` (the
 /// application row resolving to `app`), and `profiles[c]` the
 /// `(data-sharing, allocator)` profile of compartment `c`. Entries
 /// beyond `strategy.compartments()` are ignored (they are the

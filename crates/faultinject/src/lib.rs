@@ -32,7 +32,7 @@ use flexos_system::{FlexOs, Supervisor, SystemBuilder};
 
 /// The injection classes a campaign draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Injection {
+pub(crate) enum Injection {
     /// Burn compute past the target compartment's cycle budget
     /// ([`FaultKind::BudgetExceeded`]; triggers a microreboot).
     BudgetExhaust,
@@ -48,14 +48,14 @@ pub enum Injection {
 
 impl Injection {
     /// All injection classes, draw order.
-    pub const ALL: [Injection; 3] = [
+    pub(crate) const ALL: [Injection; 3] = [
         Injection::BudgetExhaust,
         Injection::GateAbuse,
         Injection::HeapPoison,
     ];
 
     /// Stable short name (log emission).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Injection::BudgetExhaust => "budget-exhaust",
             Injection::GateAbuse => "gate-abuse",
@@ -78,7 +78,7 @@ pub struct CampaignSpec {
     /// Number of injections to fire.
     pub rounds: u32,
     /// Per-compartment budget applied image-wide (`default_budget`).
-    pub budget: ResourceBudget,
+    pub(crate) budget: ResourceBudget,
 }
 
 impl Default for CampaignSpec {
@@ -99,27 +99,27 @@ impl Default for CampaignSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignEvent {
     /// Injection ordinal (0-based).
-    pub round: u32,
+    pub(crate) round: u32,
     /// Virtual cycle at which the injection fired.
-    pub at_cycle: u64,
+    pub(crate) at_cycle: u64,
     /// Target component's name.
-    pub target: String,
+    pub(crate) target: String,
     /// What was injected.
-    pub injection: Injection,
+    pub(crate) injection: Injection,
     /// The fault the image answered with (`None` would mean the
     /// injection was absorbed silently — a containment bug).
-    pub fault: Option<FaultKind>,
+    pub(crate) fault: Option<FaultKind>,
     /// Recovery latency in virtual cycles when the supervisor rebooted
     /// a compartment in response; `None` when no reboot was needed.
-    pub recovery_latency: Option<u64>,
+    pub(crate) recovery_latency: Option<u64>,
     /// Per-phase recovery latencies (quarantine, heap-reset,
     /// stack-teardown, entry-replay, release) when a reboot happened;
     /// sums to `recovery_latency`.
-    pub recovery_phases: Option<[u64; 5]>,
+    pub(crate) recovery_phases: Option<[u64; 5]>,
     /// Budget refusals the injection provoked this round, summed across
     /// compartments (sampled *before* the supervisor's release phase
     /// clears the victim's window).
-    pub refusals: u64,
+    pub(crate) refusals: u64,
 }
 
 impl fmt::Display for CampaignEvent {
@@ -160,7 +160,7 @@ pub struct CampaignLog {
     /// Microreboots performed across the campaign.
     pub reboots: usize,
     /// Virtual clock value after the last injection settled.
-    pub final_cycle: u64,
+    pub(crate) final_cycle: u64,
     /// `true` when the post-campaign health probe (a cross-tenant gate
     /// call into each tenant) succeeded — the image survived.
     pub survived: bool,

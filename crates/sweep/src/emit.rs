@@ -7,7 +7,7 @@ use flexos_explore::StarReport;
 use flexos_machine::trace::JsonStr;
 
 use crate::engine::PointResult;
-use crate::lazy::{LazyOutcome, WorkloadPareto};
+use crate::lazy::{LazyOutcome, ParetoLevel, WorkloadPareto};
 use crate::space::{SpaceSpec, SweepPoint};
 
 /// Renders the sweep as CSV, one row per point (header included):
@@ -47,40 +47,40 @@ pub fn csv(points: &[SweepPoint], results: &[PointResult]) -> String {
 #[derive(Debug, Clone)]
 pub struct SweepSummary {
     /// Space name.
-    pub space: String,
+    pub(crate) space: String,
     /// Points swept.
-    pub points: usize,
+    pub(crate) points: usize,
     /// Worker threads used for the parallel run.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Host cores visible to the process.
     pub cores: usize,
     /// Per-point warmup operations.
-    pub warmup: u64,
+    pub(crate) warmup: u64,
     /// Per-point measured operations.
-    pub measured: u64,
+    pub(crate) measured: u64,
     /// Wall-clock seconds of the serial reference run (when taken).
-    pub serial_s: Option<f64>,
+    pub(crate) serial_s: Option<f64>,
     /// Wall-clock seconds of the parallel run.
-    pub parallel_s: f64,
+    pub(crate) parallel_s: f64,
     /// `Some(true)` when a serial reference run was bit-identical to
     /// the parallel run; `Some(false)` on divergence; `None` when no
     /// reference was taken.
-    pub verified: Option<bool>,
+    pub(crate) verified: Option<bool>,
     /// Total virtual cycles across all points (a whole-space
     /// determinism digest: any per-point divergence moves it).
-    pub total_cycles: u64,
+    pub(crate) total_cycles: u64,
     /// Fractional performance budget applied for the star report.
-    pub budget_frac: f64,
+    pub(crate) budget_frac: f64,
     /// Configurations surviving the budget.
-    pub surviving: usize,
+    pub(crate) surviving: usize,
     /// Starred (maximal surviving) configurations.
-    pub stars: usize,
+    pub(crate) stars: usize,
 }
 
 impl SweepSummary {
     /// Serial-over-parallel wall-clock speedup (when a serial reference
     /// was taken).
-    pub fn speedup(&self) -> Option<f64> {
+    pub(crate) fn speedup(&self) -> Option<f64> {
         self.serial_s
             .filter(|_| self.parallel_s > 0.0)
             .map(|s| s / self.parallel_s)
@@ -124,14 +124,14 @@ impl SweepSummary {
 }
 
 /// Sums the virtual cycles of a result set (the determinism digest).
-pub fn total_cycles(results: &[PointResult]) -> u64 {
+pub(crate) fn total_cycles(results: &[PointResult]) -> u64 {
     results.iter().map(|r| r.cycles).sum()
 }
 
 /// Host cores visible to the process — recorded in every `BENCH_*.json`
 /// payload so a reader can tell how parallel the *host* run was
 /// (simulated core counts are a per-point axis, never host state).
-pub fn host_cores() -> usize {
+pub(crate) fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -143,36 +143,36 @@ pub fn host_cores() -> usize {
 #[derive(Debug, Clone)]
 pub struct LazySummary {
     /// Space name.
-    pub space: String,
+    pub(crate) space: String,
     /// Enumerated points explored.
-    pub points: usize,
+    pub(crate) points: usize,
     /// Distinct canonical experiments among them.
-    pub canonical: usize,
+    pub(crate) canonical: usize,
     /// Canonical experiments actually executed.
-    pub measured: usize,
+    pub(crate) measured: usize,
     /// Canonical experiments classified purely by order inference.
-    pub inferred: usize,
+    pub(crate) inferred: usize,
     /// Measurement requests served from the memo.
-    pub memo_hits: usize,
+    pub(crate) memo_hits: usize,
     /// Worker threads per measurement batch.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Host cores visible to the process.
     pub host_cores: usize,
     /// Per-point warmup operations.
-    pub warmup: u64,
+    pub(crate) warmup: u64,
     /// Per-point measured operations.
-    pub measured_ops: u64,
+    pub(crate) measured_ops: u64,
     /// Wall-clock seconds of the whole lazy run.
-    pub wall_s: f64,
+    pub(crate) wall_s: f64,
     /// Default fractional budget of the primary classification.
-    pub budget_frac: f64,
+    pub(crate) budget_frac: f64,
     /// Enumerated points surviving their workload's budget.
-    pub surviving: usize,
+    pub(crate) surviving: usize,
     /// Starred (maximal surviving canonical) configurations.
-    pub stars: usize,
+    pub(crate) stars: usize,
     /// `Some(miss_count)` when `--verify-inference` ran (0 = the
     /// monotonicity assumption held everywhere); `None` otherwise.
-    pub inference_misses: Option<usize>,
+    pub(crate) inference_misses: Option<usize>,
 }
 
 impl LazySummary {
@@ -205,7 +205,7 @@ impl LazySummary {
     }
 
     /// Fraction of enumerated points that never cost an execution.
-    pub fn skip_rate(&self) -> f64 {
+    pub(crate) fn skip_rate(&self) -> f64 {
         if self.points == 0 {
             0.0
         } else {
@@ -253,43 +253,38 @@ impl LazySummary {
 /// `{frac, surviving, stars, star_labels}` entry per budget level,
 /// star labels derived on demand from the spec.
 pub fn pareto_json(spec: &SpaceSpec, pareto: &[WorkloadPareto], threads: usize) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "{{\"space\":{},\"threads\":{},\"host_cores\":{},\"workloads\":[",
+    let level_json = |level: &ParetoLevel| {
+        let labels: Vec<String> = level
+            .stars
+            .iter()
+            .map(|&s| JsonStr(&spec.label_of(s)).to_string())
+            .collect();
+        format!(
+            "{{\"frac\":{},\"surviving\":{},\"stars\":{},\"star_labels\":[{}]}}",
+            level.frac,
+            level.surviving,
+            level.stars.len(),
+            labels.join(",")
+        )
+    };
+    let workloads: Vec<String> = pareto
+        .iter()
+        .map(|wp| {
+            let levels: Vec<String> = wp.levels.iter().map(level_json).collect();
+            format!(
+                "{{\"workload\":{},\"levels\":[{}]}}",
+                JsonStr(&wp.workload.label()),
+                levels.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "{{\"space\":{},\"threads\":{},\"host_cores\":{},\"workloads\":[{}]}}",
         JsonStr(&spec.name),
         threads,
-        host_cores()
-    ));
-    for (i, wp) in pareto.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"workload\":{},\"levels\":[",
-            JsonStr(&wp.workload.label())
-        ));
-        for (j, level) in wp.levels.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"frac\":{},\"surviving\":{},\"stars\":{},\"star_labels\":[",
-                level.frac,
-                level.surviving,
-                level.stars.len()
-            ));
-            for (k, &s) in level.stars.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&JsonStr(&spec.label_of(s)).to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+        host_cores(),
+        workloads.join(",")
+    )
 }
 
 /// How a sweep was executed, wall-clock-wise (input to [`summary`]).
@@ -426,7 +421,6 @@ mod tests {
 
     #[test]
     fn pareto_json_labels_stars_from_the_spec() {
-        use crate::lazy::{ParetoLevel, WorkloadPareto};
         let spec = SpaceSpec::quick(1, 4);
         let w = spec.workloads[0];
         let pareto = vec![WorkloadPareto {

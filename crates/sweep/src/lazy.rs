@@ -19,7 +19,7 @@
 //! Two more layers make 10⁵-point spaces affordable:
 //!
 //! * a **measurement memo** keyed by canonical representative: points
-//!   that collapse to the same experiment ([`CanonicalPoint`] —
+//!   that collapse to the same experiment (`CanonicalPoint` —
 //!   don't-care profile slots of per-compartment spaces) are built and
 //!   run once, and repeat requests across binary-search rounds and
 //!   Pareto budget levels are served from the memo;
@@ -62,18 +62,6 @@ pub struct LazyConfig {
     /// Additional uniform budget levels for the per-workload
     /// perf × safety Pareto frontier (empty: skip).
     pub pareto_fracs: Vec<f64>,
-}
-
-impl LazyConfig {
-    /// A plain lazy run at one uniform budget.
-    pub fn uniform(threads: usize, budget_frac: f64) -> LazyConfig {
-        LazyConfig {
-            threads,
-            budgets: BudgetVector::uniform(budget_frac),
-            verify_inference: false,
-            pareto_fracs: Vec::new(),
-        }
-    }
 }
 
 /// How a lazy sweep spent (and avoided) measurements. Frozen after the
@@ -148,10 +136,8 @@ pub struct ProgressSnapshot {
 /// Outcome of [`lazy_sweep`].
 #[derive(Debug)]
 pub struct LazyOutcome {
-    /// The explored spec indices (the `indices` argument, verbatim).
-    pub indices: Vec<usize>,
-    /// Final status per explored position (parallel to `indices`;
-    /// never [`PointStatus::Unknown`]).
+    /// Final status per explored position (parallel to the `indices`
+    /// argument; never [`PointStatus::Unknown`]).
     pub statuses: Vec<PointStatus>,
     /// Spec indices surviving their workload's budget, ascending.
     pub surviving: Vec<usize>,
@@ -280,7 +266,7 @@ fn classify_all(
         let frac = budget_of(scope.workload);
         let gmax = max_of(group_max, scope.workload)?;
         let mut fault = None;
-        let out = lazy_classify(
+        let statuses = lazy_classify(
             ids.len(),
             leq,
             &scope.chains,
@@ -302,7 +288,7 @@ fn classify_all(
             return Err(f);
         }
         for (local, &id) in ids.iter().enumerate() {
-            rep_status[id] = out.statuses[local];
+            rep_status[id] = statuses[local];
         }
         classified += ids.len();
         if let Some(cb) = progress.as_mut() {
@@ -570,7 +556,6 @@ pub fn lazy_sweep(
         .collect();
 
     Ok(LazyOutcome {
-        indices: indices.to_vec(),
         statuses,
         surviving,
         stars,
@@ -613,7 +598,12 @@ mod tests {
         let spec = tiny();
         let mut snaps: Vec<(usize, usize)> = Vec::new();
         let mut cb = |s: &ProgressSnapshot| snaps.push((s.classified, s.executed));
-        let cfg = LazyConfig::uniform(1, 0.8);
+        let cfg = LazyConfig {
+            threads: 1,
+            budgets: BudgetVector::uniform(0.8),
+            verify_inference: false,
+            pareto_fracs: Vec::new(),
+        };
         lazy_sweep_all(&spec, &cfg, Some(&mut cb)).unwrap();
         assert!(!snaps.is_empty());
         assert!(snaps.windows(2).all(|w| w[0].0 <= w[1].0));

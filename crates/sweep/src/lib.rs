@@ -49,15 +49,11 @@ pub mod emit;
 pub mod engine;
 pub mod lazy;
 pub mod report;
-pub mod space;
+mod space;
 
-pub use emit::{csv, pareto_json, LazySummary, SweepSummary};
 pub use engine::{run_indices, run_parallel, run_point, sweep_threads, PointResult};
-pub use lazy::{
-    lazy_sweep, lazy_sweep_all, LazyConfig, LazyOutcome, LazyStats, ParetoLevel, ProgressSnapshot,
-    WorkloadPareto,
-};
+pub use lazy::{lazy_sweep, LazyConfig, LazyOutcome};
 pub use report::{
     mechanism_rank, star_report_vec, sweep_leq, sweep_order_pairs, sweep_poset, BudgetVector,
 };
-pub use space::{CanonicalPoint, PointShape, SpaceSpec, SweepPoint, Workload};
+pub use space::{PointShape, SpaceSpec, SweepPoint, Workload};

@@ -236,7 +236,7 @@ pub fn sweep_poset(points: &[SweepPoint], results: &[PointResult]) -> Poset {
 #[derive(Debug, Clone)]
 pub struct BudgetVector {
     /// Budget applied to workloads without an explicit entry.
-    pub default_frac: f64,
+    pub(crate) default_frac: f64,
     /// `(workload, fraction)` overrides.
     pub per_workload: Vec<(Workload, f64)>,
 }
@@ -258,7 +258,7 @@ impl BudgetVector {
     }
 
     /// The budget applied to `workload`.
-    pub fn budget_for(&self, workload: Workload) -> f64 {
+    pub(crate) fn budget_for(&self, workload: Workload) -> f64 {
         self.per_workload
             .iter()
             .find(|(w, _)| *w == workload)
@@ -281,9 +281,7 @@ pub fn star_report_vec(
     budgets: &BudgetVector,
 ) -> (Poset, StarReport) {
     let poset = sweep_poset(points, results);
-    let report = prune_and_star_by(&poset, budgets.default_frac, |i| {
-        budgets.budget_for(points[i].workload)
-    });
+    let report = prune_and_star_by(&poset, |i| budgets.budget_for(points[i].workload));
     (poset, report)
 }
 

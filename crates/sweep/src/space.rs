@@ -94,7 +94,7 @@ pub struct SpaceSpec {
     /// Heap-allocator profile applied to every compartment of a point.
     pub allocators: Vec<HeapKind>,
     /// Per-component hardening masks over
-    /// [`flexos_explore::FIG6_COMPONENTS`].
+    /// `flexos_explore::FIG6_COMPONENTS`.
     pub hardening_masks: Vec<u8>,
     /// Simulated core counts (the SMP axis). `vec![1]` — the default
     /// everywhere — leaves every point byte-identical to the pre-SMP
@@ -140,9 +140,9 @@ pub struct PointShape {
     /// exactly `strategy.compartments()` entries, don't-care slots
     /// dropped and the single-compartment sharing collapsed — two
     /// shapes with equal canonical fields build byte-equal configs.
-    pub profiles: Vec<(DataSharing, HeapKind)>,
+    pub(crate) profiles: Vec<(DataSharing, HeapKind)>,
     /// Simulated cores the instance boots with.
-    pub cores: u32,
+    pub(crate) cores: u32,
 }
 
 /// The canonical experiment identity of a point: every field that
@@ -153,17 +153,17 @@ pub struct PointShape {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CanonicalPoint {
     /// The workload driven.
-    pub workload: Workload,
+    pub(crate) workload: Workload,
     /// Compartmentalization strategy.
-    pub strategy: Strategy,
+    pub(crate) strategy: Strategy,
     /// Effective mechanism.
-    pub mechanism: Mechanism,
+    pub(crate) mechanism: Mechanism,
     /// Per-component hardening mask.
-    pub hardening_mask: u8,
+    pub(crate) hardening_mask: u8,
     /// Effective per-compartment profiles.
-    pub profiles: Vec<(DataSharing, HeapKind)>,
+    pub(crate) profiles: Vec<(DataSharing, HeapKind)>,
     /// Simulated cores the instance boots with.
-    pub cores: u32,
+    pub(crate) cores: u32,
 }
 
 impl PointShape {
@@ -198,13 +198,13 @@ pub struct SweepPoint {
     pub data_sharing: DataSharing,
     /// Heap-allocator profile of compartment 0 (the image default; the
     /// whole image in uniform-profile spaces).
-    pub allocator: HeapKind,
+    pub(crate) allocator: HeapKind,
     /// Bit `i` hardens `FIG6_COMPONENTS[i]` with the Figure 6 bundle.
     pub hardening_mask: u8,
     /// Effective per-compartment `(data-sharing, allocator)` profiles
     /// (`strategy.compartments()` entries; uniform spaces repeat the
     /// scalar axes).
-    pub profiles: Vec<(DataSharing, HeapKind)>,
+    pub(crate) profiles: Vec<(DataSharing, HeapKind)>,
     /// Simulated cores the instance boots with.
     pub cores: u32,
     /// The buildable configuration.

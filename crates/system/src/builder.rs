@@ -7,7 +7,6 @@ use flexos_core::backend::{CubicleBackend, IsolationBackend, NoneBackend, PageTa
 use flexos_core::compartment::Mechanism;
 use flexos_core::component::{Component, ComponentId};
 use flexos_core::config::SafetyConfig;
-use flexos_core::entry::CallTarget;
 use flexos_core::env::Env;
 use flexos_core::image::{ImageBuilder, TransformReport};
 use flexos_ept::{EptBackend, VmImage};
@@ -18,17 +17,17 @@ use flexos_machine::fault::Fault;
 use flexos_machine::Machine;
 use flexos_mpk::MpkBackend;
 use flexos_net::NetStack;
-use flexos_sched::{Scheduler, ThreadId};
+use flexos_sched::Scheduler;
 use flexos_time::TimeSubsystem;
+
+/// Pages per compartment-private heap (per simulated core).
+const HEAP_PAGES: u64 = 4096;
 
 /// Incremental FlexOS system constructor.
 pub struct SystemBuilder {
     config: SafetyConfig,
-    mem_bytes: u64,
     heap_kind: HeapKind,
-    heap_pages: u64,
     apps: Vec<Component>,
-    alloc_slow_surcharge: u64,
     cores: usize,
 }
 
@@ -37,11 +36,8 @@ impl SystemBuilder {
     pub fn new(config: SafetyConfig) -> Self {
         SystemBuilder {
             config,
-            mem_bytes: Machine::DEFAULT_MEM_BYTES,
             heap_kind: HeapKind::Tlsf,
-            heap_pages: 4096,
             apps: Vec::new(),
-            alloc_slow_surcharge: 0,
             cores: 1,
         }
     }
@@ -61,29 +57,10 @@ impl SystemBuilder {
         self
     }
 
-    /// Simulated memory size.
-    pub fn mem_bytes(mut self, bytes: u64) -> Self {
-        self.mem_bytes = bytes;
-        self
-    }
-
     /// Allocator policy for every heap (TLSF by default; CubicleOS uses
     /// Lea, §6.4).
     pub fn heap_kind(mut self, kind: HeapKind) -> Self {
         self.heap_kind = kind;
-        self
-    }
-
-    /// Pages per compartment-private heap.
-    pub fn heap_pages(mut self, pages: u64) -> Self {
-        self.heap_pages = pages;
-        self
-    }
-
-    /// Extra cycles per allocator slow-path hit (models TLSF's behaviour
-    /// on the linuxu platform in Figure 10; see `CostModel` docs).
-    pub fn alloc_slow_surcharge(mut self, cycles: u64) -> Self {
-        self.alloc_slow_surcharge = cycles;
         self
     }
 
@@ -100,9 +77,13 @@ impl SystemBuilder {
         // The multiplier is 1 on single-core builds, so their layout
         // stays byte-identical to the pre-SMP system.
         let scale = self.cores as u64;
-        let machine = Machine::with_cores(self.mem_bytes * scale, CostModel::default(), self.cores);
+        let machine = Machine::with_cores(
+            Machine::DEFAULT_MEM_BYTES * scale,
+            CostModel::default(),
+            self.cores,
+        );
         let mut builder = ImageBuilder::new(Rc::clone(&machine), self.config.clone());
-        builder.heap_pages(self.heap_pages * scale);
+        builder.heap_pages(HEAP_PAGES * scale);
         if scale > 1 {
             builder.shared_heap_pages(1024 * scale);
         }
@@ -131,9 +112,6 @@ impl SystemBuilder {
         ];
         let image = builder.build(&backends)?;
         let env = Rc::clone(&image.env);
-        if self.alloc_slow_surcharge > 0 {
-            env.set_alloc_slow_surcharge(self.alloc_slow_surcharge);
-        }
 
         // Live substrates over the built environment.
         let sched = Rc::new(Scheduler::new(Rc::clone(&env), sched_id));
@@ -183,7 +161,7 @@ impl SystemBuilder {
         let home = app_ids.first().map(|&id| env.compartment_of(id)).unwrap_or(
             flexos_core::compartment::CompartmentId(self.config.default_compartment() as u8),
         );
-        let (main_thread, _) = env.run_as(sched_id, || sched.spawn(home))?;
+        env.run_as(sched_id, || sched.spawn(home))?;
 
         // Multi-core topology: the NIC driver/stack is serviced on its
         // home core 0, so shards on other cores pay the remote-gate IPI
@@ -203,7 +181,6 @@ impl SystemBuilder {
             libc,
             app_ids,
             vm_images,
-            main_thread,
             _mpk: mpk,
             ept,
         })
@@ -230,8 +207,6 @@ pub struct FlexOs {
     pub app_ids: Vec<ComponentId>,
     /// Per-compartment VM images (EPT configurations only).
     pub vm_images: Vec<VmImage>,
-    /// The boot thread.
-    pub main_thread: ThreadId,
     _mpk: Rc<MpkBackend>,
     /// The EPT backend (RPC-server counters; inert on non-EPT images).
     /// The adversarial suite reads its refusal totals to show forged
@@ -252,15 +227,6 @@ impl FlexOs {
     /// Looks up a component id by name.
     pub fn component(&self, name: &str) -> Option<ComponentId> {
         self.env.component_id(name)
-    }
-
-    /// Resolves a gate target by component name — the resolve-once
-    /// pattern for application code: fetch the [`CallTarget`] handle at
-    /// setup time and gate through [`flexos_core::env::Env::call_resolved`]
-    /// on hot paths. Returns `None` for unknown component names.
-    pub fn resolve(&self, component: &str, entry: &str) -> Option<CallTarget> {
-        self.component(component)
-            .map(|id| self.env.resolve(id, entry))
     }
 
     /// Runs `f` in the context of the (first) application component.

@@ -83,31 +83,6 @@ pub fn mpk2_profiled(
     b.build()
 }
 
-/// Applies a per-compartment profile override to an existing
-/// configuration (by compartment name).
-///
-/// # Errors
-///
-/// [`Fault::InvalidConfig`] for unknown compartment names.
-pub fn with_compartment_profile(
-    mut config: SafetyConfig,
-    compartment: &str,
-    profile: IsolationProfile,
-) -> Result<SafetyConfig, Fault> {
-    let spec = config
-        .compartments
-        .iter_mut()
-        .find(|c| c.name == compartment)
-        .ok_or_else(|| Fault::InvalidConfig {
-            reason: format!("unknown compartment `{compartment}`"),
-        })?;
-    spec.data_sharing = Some(profile.data_sharing);
-    spec.allocator = Some(profile.allocator);
-    spec.hardening = profile.hardening;
-    spec.budget = Some(profile.budget);
-    Ok(config)
-}
-
 /// The multi-tenant scenario: two Redis tenants in their own MPK
 /// compartments, the network stack (the hostile tenant of the
 /// adversarial suite) in a third, the remaining kernel components in the
@@ -199,9 +174,6 @@ mod tests {
         assert_eq!(cfg.profile_of(0), main);
         assert_eq!(cfg.profile_of(1), iso);
         assert_eq!(cfg.data_sharing_of(1), DataSharing::SharedStack);
-        let cfg = with_compartment_profile(cfg, "comp2", main).unwrap();
-        assert_eq!(cfg.profile_of(1), main);
-        assert!(with_compartment_profile(cfg, "ghost", main).is_err());
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! # Ok(()) }
 //! ```
 
-pub mod builder;
+mod builder;
 pub mod configs;
 pub mod observe;
-pub mod supervisor;
+mod supervisor;
 #[cfg(test)]
 mod tests;
 
 pub use builder::{FlexOs, SystemBuilder};
-pub use supervisor::{RecoveryReport, Supervisor};
+pub use supervisor::Supervisor;

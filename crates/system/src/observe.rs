@@ -20,7 +20,7 @@ use crate::builder::FlexOs;
 
 /// Builds the export-time name table for an image: compartments,
 /// components, interned entry points, gate kinds, fault kinds.
-pub fn name_table(env: &Env) -> NameTable {
+pub(crate) fn name_table(env: &Env) -> NameTable {
     NameTable {
         compartments: (0..env.compartment_count())
             .map(|i| env.domain(CompartmentId(i as u8)).name.to_string())

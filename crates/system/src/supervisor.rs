@@ -37,38 +37,35 @@ use flexos_machine::fault::FaultKind;
 use flexos_machine::trace::{event as trace_event, EventKind};
 use flexos_sched::Scheduler;
 
-/// Modeled base cost of one microreboot (quarantine bookkeeping, heap
-/// metadata reinitialization, supervisor dispatch). Split across the
-/// five phases as [`REBOOT_PHASE_BASE_CYCLES`]; the sum is unchanged so
-/// pre-split recovery latencies are preserved exactly.
-pub const REBOOT_BASE_CYCLES: u64 = 20_000;
 /// Modeled cost per dropped thread stack (unmap + registry surgery).
-pub const REBOOT_STACK_CYCLES: u64 = 2_000;
+pub(crate) const REBOOT_STACK_CYCLES: u64 = 2_000;
 /// Modeled cost per replayed entry-point resolution (CFI bitset check).
-pub const REBOOT_ENTRY_CYCLES: u64 = 200;
-/// Fixed per-phase share of [`REBOOT_BASE_CYCLES`], in state-machine
-/// order (quarantine, heap-reset, stack-teardown, entry-replay,
-/// release). Heap metadata reinitialization dominates the base cost;
+pub(crate) const REBOOT_ENTRY_CYCLES: u64 = 200;
+/// Modeled base cost of one microreboot (quarantine bookkeeping, heap
+/// metadata reinitialization, supervisor dispatch) — 20 000 cycles in
+/// all — as fixed per-phase shares in state-machine order (quarantine,
+/// heap-reset, stack-teardown, entry-replay, release). Heap metadata
+/// reinitialization dominates the base cost;
 /// the variable per-stack / per-entry costs land in their phases on
 /// top of these bases.
-pub const REBOOT_PHASE_BASE_CYCLES: [u64; 5] = [2_000, 12_000, 2_000, 2_000, 2_000];
+pub(crate) const REBOOT_PHASE_BASE_CYCLES: [u64; 5] = [2_000, 12_000, 2_000, 2_000, 2_000];
 
 /// What one microreboot did, in virtual-clock terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The rebooted compartment.
-    pub compartment: CompartmentId,
+    pub(crate) compartment: CompartmentId,
     /// Its configured name.
     pub compartment_name: String,
     /// The fault kind that triggered recovery (`None` for explicit
     /// operator-initiated reboots).
     pub trigger: Option<FaultKind>,
     /// Virtual cycle at which the reboot began.
-    pub at_cycle: u64,
+    pub(crate) at_cycle: u64,
     /// Thread stacks dropped and queued for remapping.
-    pub stacks_dropped: usize,
+    pub(crate) stacks_dropped: usize,
     /// Entry points re-resolved and CFI-verified.
-    pub entries_replayed: usize,
+    pub(crate) entries_replayed: usize,
     /// End-to-end recovery latency in virtual cycles.
     pub latency_cycles: u64,
     /// Virtual cycles spent in each of the five phases, in
@@ -114,7 +111,7 @@ impl Supervisor {
     /// Fault kinds that trigger an automatic microreboot on
     /// [`Supervisor::poll`]: resource-budget exhaustion and poisoned-heap
     /// detection — the containment events a reboot actually cures.
-    pub const DEFAULT_TRIGGERS: &'static [FaultKind] = &[
+    pub(crate) const DEFAULT_TRIGGERS: &'static [FaultKind] = &[
         FaultKind::BudgetExceeded,
         FaultKind::Kasan,
         FaultKind::BadFree,

@@ -66,20 +66,6 @@ fn ept_configs_generate_vm_inventory() {
 }
 
 #[test]
-fn alloc_surcharge_knob_reaches_every_heap() {
-    let os = SystemBuilder::new(configs::none())
-        .app(Component::new("demo", ComponentKind::App))
-        .alloc_slow_surcharge(5_000)
-        .build()
-        .unwrap();
-    let app = os.app_ids[0];
-    let before = os.cycles();
-    os.env.run_as(app, || os.env.malloc(64)).unwrap();
-    // First cut is the slow path: the surcharge must apply.
-    assert!(os.cycles() - before >= 5_000);
-}
-
-#[test]
 fn report_survives_the_full_standard_build() {
     let os = SystemBuilder::new(
         configs::mpk3(&["vfscore", "ramfs"], &["uktime"], DataSharing::Dss).unwrap(),

@@ -44,51 +44,44 @@ pub struct NameTable {
     pub faults: Vec<String>,
 }
 
+/// `names[id]`, or the stable synthesized `<prefix><id>`.
+fn name_or(names: &[String], id: usize, prefix: &str) -> String {
+    names
+        .get(id)
+        .cloned()
+        .unwrap_or_else(|| format!("{prefix}{id}"))
+}
+
 impl NameTable {
-    /// Compartment name or `dom<n>`.
-    pub fn compartment(&self, id: u8) -> String {
+    /// Compartment name, `all`, or `dom<n>`.
+    pub(crate) fn compartment(&self, id: u8) -> String {
         if id == ALL_COMPARTMENTS {
             return "all".to_string();
         }
-        self.compartments
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("dom{id}"))
+        name_or(&self.compartments, id as usize, "dom")
     }
 
     /// Component name or `comp<n>`.
-    pub fn component(&self, id: u16) -> String {
-        self.components
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("comp{id}"))
+    pub(crate) fn component(&self, id: u16) -> String {
+        name_or(&self.components, id as usize, "comp")
     }
 
     /// Entry-point name or `entry<n>`.
-    pub fn entry(&self, id: u32) -> String {
-        self.entries
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("entry{id}"))
+    pub(crate) fn entry(&self, id: u32) -> String {
+        name_or(&self.entries, id as usize, "entry")
     }
 
     /// Gate-kind name or `gate<n>`.
-    pub fn gate(&self, id: u8) -> String {
-        self.gates
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("gate{id}"))
+    pub(crate) fn gate(&self, id: u8) -> String {
+        name_or(&self.gates, id as usize, "gate")
     }
 
-    /// Fault-kind name or `fault<n>`.
-    pub fn fault(&self, id: u8) -> String {
+    /// Fault-kind name, `operator`, or `fault<n>`.
+    pub(crate) fn fault(&self, id: u8) -> String {
         if id == NO_TRIGGER {
             return "operator".to_string();
         }
-        self.faults
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("fault{id}"))
+        name_or(&self.faults, id as usize, "fault")
     }
 }
 
@@ -97,54 +90,50 @@ impl NameTable {
 /// confused with the viewer's "unknown process" 0.
 const MACHINE_PID: u32 = 1000;
 
-#[allow(clippy::too_many_arguments)]
-fn push_event_json(
-    out: &mut String,
-    ph: char,
-    name: &str,
-    cat: &str,
-    pid: u32,
+/// Where one event's JSON lines go: the document, plus the track and
+/// timestamp every line of the event shares.
+struct Line<'a> {
+    out: &'a mut String,
     tid: u32,
     ts: u64,
-    args: &[(&str, String)],
-) {
-    let _ = write!(
-        out,
-        "{{\"name\":{},\"cat\":{},\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}",
-        JsonStr(name),
-        JsonStr(cat)
-    );
-    if ph == 'i' {
-        out.push_str(",\"s\":\"p\"");
-    }
-    if !args.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", JsonStr(k));
-        }
-        out.push('}');
-    }
-    out.push_str("},\n");
 }
 
-fn push_counter_json(
-    out: &mut String,
-    name: &str,
-    pid: u32,
-    tid: u32,
-    ts: u64,
-    series: &str,
-    value: u64,
-) {
-    let _ = writeln!(
-        out,
-        "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{{}:{value}}}}},",
-        JsonStr(name),
-        JsonStr(series)
-    );
+impl Line<'_> {
+    /// A begin (`B`), end (`E`) or instant (`i`) line on `pid`'s track.
+    fn event(&mut self, ph: char, name: &str, cat: &str, pid: u32, args: &[(&str, String)]) {
+        let Line { out, tid, ts } = self;
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"cat\":{},\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}",
+            JsonStr(name),
+            JsonStr(cat)
+        );
+        if ph == 'i' {
+            out.push_str(",\"s\":\"p\"");
+        }
+        if !args.is_empty() {
+            out.push_str(",\"args\":{");
+            for (i, (k, v)) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{}:{v}", JsonStr(k));
+            }
+            out.push('}');
+        }
+        out.push_str("},\n");
+    }
+
+    /// A counter (`C`) sample of `series` on `pid`'s track.
+    fn counter(&mut self, name: &str, pid: u32, series: &str, value: u64) {
+        let Line { out, tid, ts } = self;
+        let _ = writeln!(
+            out,
+            "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{{}:{value}}}}},",
+            JsonStr(name),
+            JsonStr(series)
+        );
+    }
 }
 
 /// A string-valued event argument, rendered.
@@ -225,11 +214,14 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
     // Open-phase bookkeeping for microreboots: phase spans close when
     // the next phase (or the reboot end) arrives.
     let mut open_phase: Vec<Option<&'static str>> = vec![None; 256];
-    let mut reboot_started_at: Vec<Option<u64>> = vec![None; 256];
 
     for ev in events {
-        let ts = ev.at;
-        let tid = u32::from(ev.core);
+        let mut line = Line {
+            out: &mut out,
+            tid: u32::from(ev.core),
+            ts: ev.at,
+        };
+        let pid_of = |compartment: u8| compartment as u32 + 1;
         match ev.kind {
             EventKind::GateEnter {
                 from,
@@ -237,236 +229,120 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                 entry,
                 gate,
                 cost,
-            } => {
-                push_event_json(
-                    &mut out,
-                    'B',
-                    &format!("{}::{}", names.compartment(to), names.entry(entry)),
-                    "gate",
-                    from as u32 + 1,
-                    tid,
-                    ts,
-                    &[
-                        ("gate", str_arg(&names.gate(gate))),
-                        ("cost", cost.to_string()),
-                    ],
-                );
-            }
-            EventKind::GateExit { from, to, entry } => {
-                push_event_json(
-                    &mut out,
-                    'E',
-                    &format!("{}::{}", names.compartment(to), names.entry(entry)),
-                    "gate",
-                    from as u32 + 1,
-                    tid,
-                    ts,
-                    &[],
-                );
-            }
-            EventKind::IsolationFault { component, fault } => {
-                push_event_json(
-                    &mut out,
-                    'i',
-                    &format!("fault:{}", names.fault(fault)),
-                    "fault",
-                    MACHINE_PID,
-                    tid,
-                    ts,
-                    &[("component", str_arg(&names.component(component)))],
-                );
-            }
+            } => line.event(
+                'B',
+                &format!("{}::{}", names.compartment(to), names.entry(entry)),
+                "gate",
+                pid_of(from),
+                &[
+                    ("gate", str_arg(&names.gate(gate))),
+                    ("cost", cost.to_string()),
+                ],
+            ),
+            EventKind::GateExit { from, to, entry } => line.event(
+                'E',
+                &format!("{}::{}", names.compartment(to), names.entry(entry)),
+                "gate",
+                pid_of(from),
+                &[],
+            ),
+            EventKind::IsolationFault { component, fault } => line.event(
+                'i',
+                &format!("fault:{}", names.fault(fault)),
+                "fault",
+                MACHINE_PID,
+                &[("component", str_arg(&names.component(component)))],
+            ),
             EventKind::BudgetCharge {
                 compartment,
                 resource: res,
                 amount,
-            } => {
-                push_counter_json(
-                    &mut out,
-                    &format!("budget:{}", resource::name(res)),
-                    compartment as u32 + 1,
-                    tid,
-                    ts,
-                    "charged",
-                    amount,
-                );
-            }
+            } => line.counter(
+                &format!("budget:{}", resource::name(res)),
+                pid_of(compartment),
+                "charged",
+                amount,
+            ),
             EventKind::BudgetRefusal {
                 compartment,
                 resource: res,
                 would,
                 limit,
-            } => {
-                push_event_json(
-                    &mut out,
-                    'i',
-                    &format!("refusal:{}", resource::name(res)),
-                    "budget",
-                    compartment as u32 + 1,
-                    tid,
-                    ts,
-                    &[("would", would.to_string()), ("limit", limit.to_string())],
-                );
-            }
+            } => line.event(
+                'i',
+                &format!("refusal:{}", resource::name(res)),
+                "budget",
+                pid_of(compartment),
+                &[("would", would.to_string()), ("limit", limit.to_string())],
+            ),
             EventKind::BudgetWindowReset { compartment } => {
                 let pid = if compartment == ALL_COMPARTMENTS {
                     MACHINE_PID
                 } else {
-                    compartment as u32 + 1
+                    pid_of(compartment)
                 };
-                push_event_json(
-                    &mut out,
-                    'i',
-                    "budget-window-reset",
-                    "budget",
-                    pid,
-                    tid,
-                    ts,
-                    &[],
-                );
+                line.event('i', "budget-window-reset", "budget", pid, &[]);
             }
             EventKind::HeapAlloc {
                 compartment, live, ..
             }
             | EventKind::HeapFree {
                 compartment, live, ..
-            } => {
-                push_counter_json(
-                    &mut out,
-                    "heap-live-bytes",
-                    compartment as u32 + 1,
-                    tid,
-                    ts,
-                    "live",
-                    live,
-                );
-            }
+            } => line.counter("heap-live-bytes", pid_of(compartment), "live", live),
             EventKind::CtxSwitch { from, to } => {
                 let from_s = if from == NO_THREAD {
                     str_arg("none")
                 } else {
                     from.to_string()
                 };
-                push_event_json(
-                    &mut out,
-                    'i',
-                    "ctx-switch",
-                    "sched",
-                    MACHINE_PID,
-                    tid,
-                    ts,
-                    &[("from", from_s), ("to", to.to_string())],
-                );
+                let args = [("from", from_s), ("to", to.to_string())];
+                line.event('i', "ctx-switch", "sched", MACHINE_PID, &args);
             }
             EventKind::NicEnqueue { frame_len } => {
-                push_event_json(
-                    &mut out,
-                    'i',
-                    "nic-tx",
-                    "net",
-                    MACHINE_PID,
-                    tid,
-                    ts,
-                    &[("len", frame_len.to_string())],
-                );
+                let args = [("len", frame_len.to_string())];
+                line.event('i', "nic-tx", "net", MACHINE_PID, &args);
             }
             EventKind::NicDequeue { frame_len } => {
-                push_event_json(
-                    &mut out,
-                    'i',
-                    "nic-rx",
-                    "net",
-                    MACHINE_PID,
-                    tid,
-                    ts,
-                    &[("len", frame_len.to_string())],
-                );
+                let args = [("len", frame_len.to_string())];
+                line.event('i', "nic-rx", "net", MACHINE_PID, &args);
             }
             EventKind::RebootStart {
                 compartment,
                 trigger,
             } => {
-                reboot_started_at[compartment as usize] = Some(ts);
-                push_event_json(
-                    &mut out,
-                    'B',
-                    "microreboot",
-                    "supervisor",
-                    compartment as u32 + 1,
-                    tid,
-                    ts,
-                    &[("trigger", str_arg(&names.fault(trigger)))],
-                );
+                let args = [("trigger", str_arg(&names.fault(trigger)))];
+                line.event('B', "microreboot", "supervisor", pid_of(compartment), &args);
             }
             EventKind::RebootPhase { compartment, phase } => {
+                let pid = pid_of(compartment);
                 if let Some(prev) = open_phase[compartment as usize].take() {
-                    push_event_json(
-                        &mut out,
-                        'E',
-                        prev,
-                        "supervisor",
-                        compartment as u32 + 1,
-                        tid,
-                        ts,
-                        &[],
-                    );
+                    line.event('E', prev, "supervisor", pid, &[]);
                 }
                 let name = REBOOT_PHASES
                     .get(phase as usize)
                     .copied()
                     .unwrap_or("unknown-phase");
                 open_phase[compartment as usize] = Some(name);
-                push_event_json(
-                    &mut out,
-                    'B',
-                    name,
-                    "supervisor",
-                    compartment as u32 + 1,
-                    tid,
-                    ts,
-                    &[],
-                );
+                line.event('B', name, "supervisor", pid, &[]);
             }
             EventKind::RebootEnd {
                 compartment,
                 latency,
             } => {
+                let pid = pid_of(compartment);
                 if let Some(prev) = open_phase[compartment as usize].take() {
-                    push_event_json(
-                        &mut out,
-                        'E',
-                        prev,
-                        "supervisor",
-                        compartment as u32 + 1,
-                        tid,
-                        ts,
-                        &[],
-                    );
+                    line.event('E', prev, "supervisor", pid, &[]);
                 }
-                reboot_started_at[compartment as usize] = None;
-                push_event_json(
-                    &mut out,
-                    'E',
-                    "microreboot",
-                    "supervisor",
-                    compartment as u32 + 1,
-                    tid,
-                    ts,
-                    &[("latency", latency.to_string())],
-                );
+                let args = [("latency", latency.to_string())];
+                line.event('E', "microreboot", "supervisor", pid, &args);
             }
-            EventKind::SmpCharge { kind, cost } => {
-                push_event_json(
-                    &mut out,
-                    'i',
-                    &format!("smp:{}", smp_charge::name(kind)),
-                    "smp",
-                    MACHINE_PID,
-                    tid,
-                    ts,
-                    &[("cost", cost.to_string())],
-                );
-            }
+            EventKind::SmpCharge { kind, cost } => line.event(
+                'i',
+                &format!("smp:{}", smp_charge::name(kind)),
+                "smp",
+                MACHINE_PID,
+                &[("cost", cost.to_string())],
+            ),
         }
     }
 
@@ -583,7 +459,7 @@ mod tests {
             at: 30000,
             core: 2,
             kind: EventKind::SmpCharge {
-                kind: smp_charge::IPI,
+                kind: 0, // ipi
                 cost: 420,
             },
         });

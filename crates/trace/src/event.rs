@@ -33,7 +33,7 @@ pub mod resource {
     pub const CROSSINGS: u8 = 2;
 
     /// Stable display name of a resource code.
-    pub fn name(code: u8) -> &'static str {
+    pub(crate) fn name(code: u8) -> &'static str {
         match code {
             HEAP_BYTES => "heap-bytes",
             CYCLES => "cycles",
@@ -184,11 +184,11 @@ pub enum EventKind {
         latency: u64,
     },
     /// A cross-core SMP surcharge was paid on the recording core's
-    /// clock; `kind` indexes [`smp_charge::NAMES`]. Stamped *after* the
+    /// clock; `kind` indexes `smp_charge::NAMES`. Stamped *after* the
     /// charge, so the span `[at - cost, at]` is attributable cross-core
     /// overhead. Only multi-core machines emit these.
     SmpCharge {
-        /// Charge kind code ([`smp_charge`]).
+        /// Charge kind code (`smp_charge`).
         kind: u8,
         /// Cycles charged.
         cost: u32,
@@ -197,19 +197,14 @@ pub enum EventKind {
 
 /// Charge-kind codes carried by [`EventKind::SmpCharge`] (mirrors
 /// `flexos_machine::smp::charge` — this crate sits below the machine).
-pub mod smp_charge {
-    /// Cross-core remote-gate (doorbell/IPI) surcharge.
-    pub const IPI: u8 = 0;
-    /// Shared-heap contention surcharge.
-    pub const HEAP: u8 = 1;
-    /// Shared-NIC-ring contention surcharge.
-    pub const RING: u8 = 2;
-
-    /// Stable display names, indexed by charge code.
-    pub const NAMES: [&str; 3] = ["ipi", "heap-contention", "ring-contention"];
+pub(crate) mod smp_charge {
+    /// Stable display names, indexed by charge code: 0 is the
+    /// cross-core remote-gate (doorbell/IPI) surcharge, 1 shared-heap
+    /// contention, 2 shared-NIC-ring contention.
+    pub(crate) const NAMES: [&str; 3] = ["ipi", "heap-contention", "ring-contention"];
 
     /// Stable display name of a charge code.
-    pub fn name(code: u8) -> &'static str {
+    pub(crate) fn name(code: u8) -> &'static str {
         NAMES
             .get(code as usize)
             .copied()
@@ -226,9 +221,9 @@ pub struct Event {
     pub at: u64,
     /// Core whose clock stamped the event (always 0 on single-core
     /// machines).
-    pub core: u8,
+    pub(crate) core: u8,
     /// What happened.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 #[cfg(test)]

@@ -25,17 +25,19 @@
 //!    byte-identical across runs — observability doubles as a
 //!    differential-testing oracle.
 
-pub mod chrome;
+mod chrome;
 pub mod event;
-pub mod json;
-pub mod metrics;
-pub mod profile;
+mod json;
+mod metrics;
+mod profile;
 
 pub use chrome::{chrome_trace_json, fnv1a, NameTable};
-pub use event::{Event, EventKind};
+use event::Event;
+pub use event::EventKind;
 pub use json::JsonStr;
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Registry};
-pub use profile::{attribute, Profile, ProfileNode};
+use metrics::Histogram;
+pub use metrics::Registry;
+pub use profile::attribute;
 
 use std::cell::{Cell, RefCell};
 
@@ -90,11 +92,6 @@ impl Tracer {
         self.enabled.set(true);
     }
 
-    /// Turns recording off; the ring contents stay readable.
-    pub fn disable(&self) {
-        self.enabled.set(false);
-    }
-
     /// Whether [`Tracer::record`] currently stores events.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -133,11 +130,6 @@ impl Tracer {
     #[inline]
     pub fn set_core(&self, core: u8) {
         self.core.set(core);
-    }
-
-    /// The core id currently stamped on recorded events.
-    pub fn current_core(&self) -> u8 {
-        self.core.get()
     }
 
     /// Events recorded so far, oldest first (the ring is rotated into
@@ -216,11 +208,10 @@ mod tests {
     fn reenable_clears() {
         let t = Tracer::new();
         t.enable(TraceConfig { capacity: 4 });
-        t.record(1, tick(1));
-        t.disable();
-        assert_eq!(t.len(), 1, "ring readable after disable");
-        t.record(2, tick(2));
-        assert_eq!(t.len(), 1, "disabled tracer drops silently");
+        for at in 0..6 {
+            t.record(at, tick(at));
+        }
+        assert_eq!((t.len(), t.dropped()), (4, 2));
         t.enable(TraceConfig { capacity: 4 });
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
@@ -237,7 +228,6 @@ mod tests {
         t.record(3, tick(3));
         let cores: Vec<u8> = t.events().iter().map(|e| e.core).collect();
         assert_eq!(cores, vec![0, 3, 0]);
-        assert_eq!(t.current_core(), 0);
     }
 
     #[test]

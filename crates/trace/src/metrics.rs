@@ -1,11 +1,11 @@
-//! The metrics registry: dense `Cell` counters and deterministic
-//! log-bucketed histograms behind one export surface.
+//! The metrics registry: deterministic log-bucketed histograms and
+//! the counters an image kept, behind one export surface.
 //!
 //! Two layers with different disciplines:
 //!
-//! * **Recording** ([`Counter`], [`Histogram`]) is hot-path-safe: a
-//!   `Cell` bump or a `leading_zeros` + `Cell` bump, no allocation, no
-//!   `RefCell` borrow, never touches the virtual clock.
+//! * **Recording** ([`Histogram`]) is hot-path-safe: a
+//!   `leading_zeros` + `Cell` bump, no allocation, no `RefCell`
+//!   borrow, never touches the virtual clock.
 //! * **Export** ([`Registry`]) happens once per run: callers snapshot
 //!   whatever counters the image kept (component stats, gate
 //!   breakdowns, budget refusals, allocator stats) into one
@@ -24,40 +24,7 @@ use crate::json::JsonStr;
 
 /// Number of histogram buckets: one per possible `u64` bit length,
 /// plus bucket 0 for the value zero.
-pub const HIST_BUCKETS: usize = 65;
-
-/// A monotonically increasing `Cell` counter.
-#[derive(Debug, Default)]
-pub struct Counter(Cell<u64>);
-
-impl Counter {
-    /// A fresh zero counter.
-    pub fn new() -> Self {
-        Counter(Cell::new(0))
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.set(0);
-    }
-}
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// A deterministic log2-bucketed latency histogram over `Cell`s.
 #[derive(Debug)]
@@ -82,15 +49,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// A fresh empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     /// The bucket a value lands in: its bit length (0 for 0), i.e.
     /// bucket *i* spans `[2^(i-1), 2^i)`.
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
@@ -106,27 +68,6 @@ impl Histogram {
         if value > self.max.get() {
             self.max.set(value);
         }
-    }
-
-    /// Values recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum.get()
-    }
-
-    /// Forgets everything recorded.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.set(0);
-        }
-        self.count.set(0);
-        self.sum.set(0);
-        self.min.set(u64::MAX);
-        self.max.set(0);
     }
 
     /// An owned snapshot for the export layer.
@@ -156,22 +97,21 @@ impl Histogram {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Values recorded.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of recorded values.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Smallest recorded value (0 when empty).
-    pub min: u64,
+    pub(crate) min: u64,
     /// Largest recorded value.
-    pub max: u64,
+    pub(crate) max: u64,
     /// Non-empty `(bucket, count)` pairs, ascending.
-    pub buckets: Vec<(u8, u64)>,
+    pub(crate) buckets: Vec<(u8, u64)>,
 }
 
 /// What one registry entry holds.
 #[derive(Debug, Clone, PartialEq)]
 enum MetricValue {
     Counter(u64),
-    Float(f64),
     Histogram(HistogramSnapshot),
 }
 
@@ -195,12 +135,6 @@ impl Registry {
         self.put(name, MetricValue::Counter(value));
     }
 
-    /// Registers (or overwrites) a float gauge (rendered with fixed
-    /// precision so exports stay byte-stable).
-    pub fn set_float(&self, name: &str, value: f64) {
-        self.put(name, MetricValue::Float(value));
-    }
-
     /// Registers (or overwrites) a histogram snapshot.
     pub fn set_histogram(&self, name: &str, snap: HistogramSnapshot) {
         self.put(name, MetricValue::Histogram(snap));
@@ -215,16 +149,6 @@ impl Registry {
         }
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
-    /// `true` when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
-    }
-
     /// Renders the registry as one pretty-stable JSON object, metrics
     /// in registration order.
     pub fn to_json(&self) -> String {
@@ -236,9 +160,6 @@ impl Registry {
             match value {
                 MetricValue::Counter(v) => {
                     let _ = writeln!(out, "  {name}: {v}{comma}");
-                }
-                MetricValue::Float(v) => {
-                    let _ = writeln!(out, "  {name}: {v:.3}{comma}");
                 }
                 MetricValue::Histogram(h) => {
                     let _ = write!(
@@ -278,7 +199,7 @@ mod tests {
 
     #[test]
     fn histogram_records_and_snapshots() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [0, 1, 3, 3, 100, 1024] {
             h.record(v);
         }
@@ -288,8 +209,11 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 1024);
         assert_eq!(s.buckets, vec![(0, 1), (1, 1), (2, 2), (7, 1), (11, 1)]);
-        h.reset();
-        assert_eq!(h.snapshot(), HistogramSnapshot::default());
+        assert_eq!(
+            Histogram::default().snapshot(),
+            HistogramSnapshot::default(),
+            "an empty histogram reports min 0, not u64::MAX"
+        );
     }
 
     #[test]
@@ -297,7 +221,7 @@ mod tests {
         let reg = Registry::new();
         reg.set_counter("b.second", 2);
         reg.set_counter("a.first", 1);
-        reg.set_float("c.third", 0.5);
+        reg.set_counter("c.third", 3);
         let json = reg.to_json();
         let b = json.find("b.second").unwrap();
         let a = json.find("a.first").unwrap();
@@ -305,15 +229,16 @@ mod tests {
         assert!(b < a && a < c, "insertion order is serialization order");
         // Overwrite keeps the slot.
         reg.set_counter("b.second", 7);
-        assert_eq!(reg.len(), 3);
-        assert!(reg.to_json().contains("\"b.second\": 7"));
+        let json = reg.to_json();
+        assert_eq!(json.lines().count(), 5, "three metrics between the braces");
+        assert!(json.starts_with("{\n  \"b.second\": 7,\n"));
     }
 
     #[test]
     fn registry_json_shape() {
         let reg = Registry::new();
         reg.set_counter("x", 1);
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(5);
         reg.set_histogram("lat", h.snapshot());
         let json = reg.to_json();

@@ -12,23 +12,23 @@
 
 use std::fmt::Write as _;
 
-use crate::chrome::{fnv1a, NameTable};
+use crate::chrome::NameTable;
 use crate::event::{smp_charge, Event, EventKind};
 
 /// One node of the attribution tree.
 #[derive(Debug)]
-pub struct ProfileNode {
+pub(crate) struct ProfileNode {
     /// Display label (`compartment` at the roots, `compartment::entry`
     /// or `microreboot(trigger)` below).
-    pub label: String,
+    pub(crate) label: String,
     /// Times this span was entered.
-    pub calls: u64,
+    pub(crate) calls: u64,
     /// Inclusive virtual cycles spent in this span.
-    pub total_cycles: u64,
+    pub(crate) total_cycles: u64,
     /// Portion of `total_cycles` that was pre-computed gate overhead.
-    pub gate_cycles: u64,
+    pub(crate) gate_cycles: u64,
     /// Arena indices of the children, in first-appearance order.
-    pub children: Vec<usize>,
+    pub(crate) children: Vec<usize>,
 }
 
 /// The folded profile: an arena of nodes plus the root list (one root
@@ -36,9 +36,9 @@ pub struct ProfileNode {
 #[derive(Debug, Default)]
 pub struct Profile {
     /// Node arena; `roots` and `ProfileNode::children` index into it.
-    pub nodes: Vec<ProfileNode>,
+    pub(crate) nodes: Vec<ProfileNode>,
     /// Arena indices of the per-compartment roots.
-    pub roots: Vec<usize>,
+    pub(crate) roots: Vec<usize>,
 }
 
 impl Profile {
@@ -71,7 +71,7 @@ impl Profile {
 
     /// Inclusive cycles of a node minus its children — what the span
     /// spent itself (saturating, in case of clipped open spans).
-    pub fn self_cycles(&self, idx: usize) -> u64 {
+    pub(crate) fn self_cycles(&self, idx: usize) -> u64 {
         let node = &self.nodes[idx];
         let children: u64 = node
             .children
@@ -108,11 +108,6 @@ impl Profile {
         for &child in &node.children {
             self.render_node(out, child, depth + 1);
         }
-    }
-
-    /// FNV-1a digest of the rendered tree — the behavioral fingerprint.
-    pub fn digest(&self) -> u64 {
-        fnv1a(self.render().as_bytes())
     }
 }
 
@@ -314,10 +309,9 @@ mod tests {
         assert_eq!(inner.total_cycles, 120);
         assert_eq!(inner.gate_cycles, 20);
         assert_eq!(p.self_cycles(outer_idx), 280);
-        // Deterministic render and digest.
+        // Deterministic render (callers digest the rendered bytes).
         let p2 = attribute(&events, &NameTable::default());
         assert_eq!(p.render(), p2.render());
-        assert_eq!(p.digest(), p2.digest());
     }
 
     #[test]
@@ -380,12 +374,12 @@ mod tests {
         };
         let events = vec![
             on_core(1, enter(100, 0, 1, 0, 50)),
-            charge(150, 1, smp_charge::IPI, 420),
-            charge(200, 1, smp_charge::HEAP, 72),
-            charge(250, 1, smp_charge::IPI, 420),
+            charge(150, 1, 0, 420),
+            charge(200, 1, 1, 72),
+            charge(250, 1, 0, 420),
             on_core(1, exit(500, 0, 1, 0)),
             // A charge with no open span lands under a core-level root.
-            charge(600, 2, smp_charge::RING, 144),
+            charge(600, 2, 2, 144),
         ];
         let p = attribute(&events, &NameTable::default());
         let render = p.render();
