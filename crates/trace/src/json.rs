@@ -20,17 +20,28 @@ pub struct JsonStr<'a>(pub &'a str);
 impl fmt::Display for JsonStr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_char('"')?;
-        for c in self.0.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\r' => f.write_str("\\r")?,
-                '\t' => f.write_str("\\t")?,
-                c if c < '\u{20}' => write!(f, "\\u{:04x}", c as u32)?,
-                c => f.write_char(c)?,
+        // Everything that needs escaping is one ASCII byte, so clean
+        // runs between such bytes are written whole.
+        let mut clean = 0;
+        for (i, byte) in self.0.bytes().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            f.write_str(&self.0[clean..i])?;
+            if escape.is_empty() {
+                write!(f, "\\u{byte:04x}")?;
+            } else {
+                f.write_str(escape)?;
             }
+            clean = i + 1;
         }
+        f.write_str(&self.0[clean..])?;
         f.write_char('"')
     }
 }
