@@ -136,11 +136,6 @@ impl Line<'_> {
     }
 }
 
-/// A string-valued event argument, rendered.
-fn str_arg(s: &str) -> String {
-    JsonStr(s).to_string()
-}
-
 /// Renders the event stream as a Chrome `trace_event` JSON document
 /// (the `{"traceEvents": [...]}` object form). Deterministic: the
 /// output is a pure function of `events` and `names`.
@@ -235,7 +230,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                 "gate",
                 pid_of(from),
                 &[
-                    ("gate", str_arg(&names.gate(gate))),
+                    ("gate", JsonStr(&names.gate(gate)).to_string()),
                     ("cost", cost.to_string()),
                 ],
             ),
@@ -251,7 +246,10 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                 &format!("fault:{}", names.fault(fault)),
                 "fault",
                 MACHINE_PID,
-                &[("component", str_arg(&names.component(component)))],
+                &[(
+                    "component",
+                    JsonStr(&names.component(component)).to_string(),
+                )],
             ),
             EventKind::BudgetCharge {
                 compartment,
@@ -291,7 +289,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
             } => line.counter("heap-live-bytes", pid_of(compartment), "live", live),
             EventKind::CtxSwitch { from, to } => {
                 let from_s = if from == NO_THREAD {
-                    str_arg("none")
+                    JsonStr("none").to_string()
                 } else {
                     from.to_string()
                 };
@@ -310,7 +308,7 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
                 compartment,
                 trigger,
             } => {
-                let args = [("trigger", str_arg(&names.fault(trigger)))];
+                let args = [("trigger", JsonStr(&names.fault(trigger)).to_string())];
                 line.event('B', "microreboot", "supervisor", pid_of(compartment), &args);
             }
             EventKind::RebootPhase { compartment, phase } => {
