@@ -42,8 +42,10 @@ pub struct NginxServer {
     /// Open-file cache: the welcome page, loaded via the VFS at startup.
     cached_page: RefCell<Vec<u8>>,
     pending: RefCell<Vec<u8>>,
-    /// Reusable buffer the response head is rendered into.
-    head_scratch: RefCell<Vec<u8>>,
+    /// The rendered `200 OK` response head, and the `(content length,
+    /// keep-alive)` it was rendered for: re-rendered only when they change.
+    head: RefCell<Vec<u8>>,
+    head_for: Cell<Option<(usize, bool)>>,
     /// Reusable response assembly buffer (ngx_output_chain staging).
     response_scratch: RefCell<Vec<u8>>,
     /// Reusable socket receive buffer.
@@ -71,7 +73,8 @@ impl NginxServer {
             listener: Cell::new(None),
             cached_page: RefCell::new(Vec::new()),
             pending: RefCell::new(Vec::new()),
-            head_scratch: RefCell::new(Vec::new()),
+            head: RefCell::new(Vec::new()),
+            head_for: Cell::new(None),
             response_scratch: RefCell::new(Vec::new()),
             rx_scratch: RefCell::new(Vec::new()),
             loop_ticks: Cell::new(0),
@@ -205,9 +208,12 @@ impl NginxServer {
             let body = self.cached_page.borrow();
             let mut digits = [0u8; flexos_libc::ITOA_BUF];
             self.libc.itoa_digits(body.len() as i64, &mut digits)?;
-            let mut head = self.head_scratch.borrow_mut();
-            head.clear();
-            http::write_response_head(&mut head, body.len(), keep_alive);
+            let mut head = self.head.borrow_mut();
+            if self.head_for.get() != Some((body.len(), keep_alive)) {
+                head.clear();
+                http::write_response_head(&mut head, body.len(), keep_alive);
+                self.head_for.set(Some((body.len(), keep_alive)));
+            }
             let mut response = self.response_scratch.borrow_mut();
             response.clear();
             self.libc.memcpy(&mut response, &head)?;

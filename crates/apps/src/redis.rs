@@ -65,6 +65,9 @@ pub struct RedisServer {
 /// Default redis port.
 pub const REDIS_PORT: u16 = 6379;
 
+/// Buckets in the server's dict: the most keys it can hold.
+pub(crate) const DICT_BUCKETS: u64 = 16384;
+
 impl RedisServer {
     /// Creates the server (`id` must be the redis component's id).
     ///
@@ -77,7 +80,7 @@ impl RedisServer {
         libc: Rc<Newlib>,
         sched: Rc<Scheduler>,
     ) -> Result<Self, Fault> {
-        let dict = env.run_as(id, || Dict::with_capacity(Rc::clone(&env), 16384))?;
+        let dict = env.run_as(id, || Dict::with_capacity(Rc::clone(&env), DICT_BUCKETS))?;
         let sched_yield = sched.entries().yield_now;
         let sched_current = sched.entries().current;
         Ok(RedisServer {

@@ -25,7 +25,7 @@ use flexos_system::FlexOs;
 
 use crate::iperf::{IperfServer, IPERF_PORT};
 use crate::nginx::{NginxServer, NGINX_PORT};
-use crate::redis::{RedisServer, REDIS_PORT};
+use crate::redis::{RedisServer, DICT_BUCKETS, REDIS_PORT};
 use crate::resp;
 use crate::sqlite::Sqlite;
 
@@ -171,10 +171,61 @@ pub fn run_redis_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetr
 
 /// The value preloaded for `key:{i}` — cycling x/y/z so the 3-key
 /// preload stays byte-identical to the historical `xxx/yyy/zzz`
-/// fixture. Shared by the preload loop and the uniform-mode
-/// expected-reply builder so the two can never desynchronize.
-fn preload_value(i: u64) -> [u8; 3] {
-    [b'x' + (i % 3) as u8; 3]
+/// fixture. Shared by the preload and the uniform-mode expected-reply
+/// builder so the two can never desynchronize.
+fn preload_value(i: u64) -> &'static [u8; 3] {
+    const VALUES: [[u8; 3]; 3] = [*b"xxx", *b"yyy", *b"zzz"];
+    &VALUES[(i % 3) as usize]
+}
+
+/// Appends `key:{i}` to `out` the way `format!` renders it, with no
+/// `String` and no formatter.
+fn push_key(out: &mut Vec<u8>, mut i: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (i % 10) as u8;
+        i /= 10;
+        if i == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(b"key:");
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Preloads `key:0..keyspace`, each with its `preload_value`, in key
+/// order and in one [`RedisServer::preload`] call: the keys are rendered
+/// into one buffer, so the host pays a few allocations for the whole
+/// keyspace instead of one per key. The simulated work — and so the
+/// clock, the heap and the dict's layout — is that of `keyspace`
+/// single-pair preloads in the same order.
+///
+/// # Errors
+///
+/// [`Fault::ResourceExhausted`], before rendering a key, when the
+/// keyspace cannot fit the dict; dict/heap faults.
+pub fn preload_keyspace(server: &RedisServer, keyspace: u64) -> Result<(), Fault> {
+    if keyspace > DICT_BUCKETS {
+        return Err(Fault::ResourceExhausted {
+            what: "redis dict buckets",
+        });
+    }
+    let n = keyspace as usize;
+    let mut keys = Vec::with_capacity(n * "key:1024".len());
+    let mut ends = Vec::with_capacity(n);
+    for i in 0..keyspace {
+        push_key(&mut keys, i);
+        ends.push(keys.len());
+    }
+    let mut pairs: Vec<(&[u8], &[u8])> = Vec::with_capacity(n);
+    let mut start = 0;
+    for (i, &end) in (0..keyspace).zip(&ends) {
+        pairs.push((&keys[start..end], preload_value(i)));
+        start = end;
+    }
+    server.preload(&pairs)
 }
 
 /// Runs per-core shard loops in virtual-time order until every core has
@@ -329,7 +380,7 @@ fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) ->
                 .extend_from_slice(&resp::encode_request(&[b"GET", key.as_bytes()]));
             if i < bench.keyspace {
                 shard.expected.extend_from_slice(b"$3\r\n");
-                shard.expected.extend_from_slice(&preload_value(i));
+                shard.expected.extend_from_slice(preload_value(i));
                 shard.expected.extend_from_slice(b"\r\n");
             } else {
                 shard.expected.extend_from_slice(b"$-1\r\n");
@@ -380,13 +431,15 @@ fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) ->
 /// # Errors
 ///
 /// [`Fault::InvalidConfig`] naming the field, before the image is
-/// touched, for `keyspace < 2` (the hot key `key:1` would not exist) or
-/// `pipeline == 0`; substrate faults; protocol errors.
+/// touched, for `keyspace < 2` (the hot key `key:1` would not exist),
+/// a keyspace larger than the server's dict, or `pipeline == 0`;
+/// substrate faults; protocol errors.
 pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
-    if bench.keyspace < 2 {
+    if !(2..=DICT_BUCKETS).contains(&bench.keyspace) {
         return Err(Fault::InvalidConfig {
             reason: format!(
-                "RedisBench::keyspace is {}, must be at least 2 so `key:1` exists",
+                "RedisBench::keyspace is {}, must be at least 2 so `key:1` exists \
+                 and at most {DICT_BUCKETS}, the dict's buckets",
                 bench.keyspace
             ),
         });
@@ -405,12 +458,7 @@ pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fau
         let server = install_redis_named(os, "redis", port)?;
         // Values cycle x/y/z so the 3-key preload is byte-identical to
         // the historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture.
-        // (Host-side key formatting is off the measured path; counters
-        // reset before the measured phase.)
-        for i in 0..bench.keyspace {
-            let key = format!("key:{i}");
-            server.preload(&[(key.as_bytes(), &preload_value(i))])?;
-        }
+        preload_keyspace(&server, bench.keyspace)?;
         let conns = ShardConns::open(os, "redis", core, 50_000, port, || server.accept())?;
         let mut request = Vec::new();
         let mut expected = Vec::new();
@@ -675,4 +723,19 @@ pub fn run_sqlite_inserts(os: &FlexOs, n: u64) -> Result<SqliteRun, Fault> {
         total_crossings: breakdown.total_crossings,
         crossings_by_kind,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn keys_render_as_format_does() {
+        let mut out = Vec::new();
+        for i in (0..=100_000).chain([u64::from(u32::MAX), u64::MAX]) {
+            out.clear();
+            push_key(&mut out, i);
+            assert_eq!(out, format!("key:{i}").as_bytes());
+        }
+    }
 }

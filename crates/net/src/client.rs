@@ -12,11 +12,11 @@ use crate::tcp::{write_frame, SegmentView, FLAG_ACK, FLAG_FIN, FLAG_PSH, FLAG_SY
 
 /// A client-side TCP connection.
 ///
-/// All framing goes through a reusable scratch buffer and the NIC's
-/// frame pool, so a steady-state request/reply loop performs zero host
-/// allocations on the client side (the load generator's cycles are free,
-/// but its host allocations would still pollute end-to-end alloc
-/// measurements).
+/// Every outgoing frame is built straight into a buffer from the NIC's
+/// frame pool and handed over without a copy, so a steady-state
+/// request/reply loop performs zero host allocations on the client side
+/// (the load generator's cycles are free, but its host allocations would
+/// still pollute end-to-end alloc measurements).
 #[derive(Debug)]
 pub struct TcpClient {
     src_port: u16,
@@ -26,15 +26,14 @@ pub struct TcpClient {
     established: bool,
     /// Reassembled bytes received from the server.
     rx: Vec<u8>,
-    /// Scratch buffer outgoing frames are built in.
-    tx_frame: Vec<u8>,
 }
 
 impl TcpClient {
-    /// Builds a frame in the scratch buffer and injects it.
-    fn inject(&mut self, stack: &NetStack, seq: u32, ack: u32, flags: u8, payload: &[u8]) {
+    /// Builds a frame in a pooled NIC buffer and injects it.
+    fn inject(&self, stack: &NetStack, seq: u32, ack: u32, flags: u8, payload: &[u8]) {
+        let mut frame = stack.client_take_buf();
         write_frame(
-            &mut self.tx_frame,
+            &mut frame,
             self.src_port,
             self.dst_port,
             seq,
@@ -43,7 +42,7 @@ impl TcpClient {
             65535,
             payload,
         );
-        stack.client_inject_bytes(&self.tx_frame);
+        stack.client_inject(frame);
     }
 
     /// Opens a connection to `dst_port` with a full three-way handshake.
@@ -61,7 +60,6 @@ impl TcpClient {
             rcv_nxt: 0,
             established: false,
             rx: Vec::new(),
-            tx_frame: Vec::new(),
         };
         client.inject(stack, iss, 0, FLAG_SYN, &[]);
         stack.service()?;
@@ -257,7 +255,7 @@ mod tests {
     fn fin_reaches_eof() {
         let stack = stack();
         let listener = serve(&stack, 80);
-        let mut client = TcpClient::connect(&stack, 40000, 80).unwrap();
+        let client = TcpClient::connect(&stack, 40000, 80).unwrap();
         let conn = stack.accept(listener).unwrap();
         assert!(!stack.at_eof(conn));
         let (seq, ack) = (client.snd_nxt, client.rcv_nxt);

@@ -20,9 +20,9 @@ const POOL_DEPTH: usize = 64;
 /// The simulated loopback NIC.
 ///
 /// Frame buffers are **pooled**: consumed frames return to a free list
-/// via [`SimNic::recycle`] and are reused by [`SimNic::inject_from`] /
-/// [`SimNic::take_buf`], so a steady-state request/reply exchange moves
-/// frames with zero host allocations.
+/// via [`SimNic::recycle`] and both sides build new frames straight
+/// into [`SimNic::take_buf`] buffers, so a steady-state request/reply
+/// exchange moves frames with zero host allocations and no copies.
 #[derive(Debug, Default)]
 pub(crate) struct SimNic {
     rx: VecDeque<Vec<u8>>,
@@ -51,15 +51,14 @@ impl SimNic {
 
     // --- client (host) side: free -------------------------------------
 
-    /// Client side: copies `bytes` into a pooled buffer and places it on
-    /// the wire towards the OS. Returns `false` (dropping the frame)
-    /// when the queue is full.
-    pub(crate) fn inject_from(&mut self, bytes: &[u8]) -> bool {
+    /// Client side: places a frame built in a [`SimNic::take_buf`]
+    /// buffer on the wire towards the OS. Returns `false` (recycling the
+    /// frame) when the queue is full.
+    pub(crate) fn inject(&mut self, frame: Vec<u8>) -> bool {
         if self.rx.len() >= QUEUE_DEPTH {
+            self.recycle(frame);
             return false;
         }
-        let mut frame = self.take_buf();
-        frame.extend_from_slice(bytes);
         self.rx.push_back(frame);
         true
     }
@@ -88,10 +87,18 @@ impl SimNic {
 mod tests {
     use super::*;
 
+    /// A pooled frame holding `bytes`, the way the client builds one.
+    fn frame(nic: &mut SimNic, bytes: &[u8]) -> Vec<u8> {
+        let mut frame = nic.take_buf();
+        frame.extend_from_slice(bytes);
+        frame
+    }
+
     #[test]
     fn frames_flow_both_ways() {
         let mut nic = SimNic::new();
-        assert!(nic.inject_from(&[1, 2, 3]));
+        let f = frame(&mut nic, &[1, 2, 3]);
+        assert!(nic.inject(f));
         assert_eq!(nic.rx_pop(), Some(vec![1, 2, 3]));
         assert_eq!(nic.rx_pop(), None);
         nic.tx_push(vec![4, 5]);
@@ -102,26 +109,33 @@ mod tests {
     #[test]
     fn pooled_frames_recycle() {
         let mut nic = SimNic::new();
-        assert!(nic.inject_from(b"abc"));
-        let frame = nic.rx_pop().unwrap();
-        assert_eq!(frame, b"abc");
-        let cap = frame.capacity();
-        let ptr = frame.as_ptr();
-        nic.recycle(frame);
+        let f = frame(&mut nic, b"abc");
+        assert!(nic.inject(f));
+        let f = nic.rx_pop().unwrap();
+        assert_eq!(f, b"abc");
+        let cap = f.capacity();
+        let ptr = f.as_ptr();
+        nic.recycle(f);
         // The next pooled frame (of no greater size) reuses the buffer.
-        assert!(nic.inject_from(b"def"));
-        let frame = nic.rx_pop().unwrap();
-        assert_eq!(frame, b"def");
-        assert!(frame.capacity() >= cap);
-        assert_eq!(frame.as_ptr(), ptr, "buffer was reused, not reallocated");
+        let f = frame(&mut nic, b"def");
+        assert!(nic.inject(f));
+        let f = nic.rx_pop().unwrap();
+        assert_eq!(f, b"def");
+        assert!(f.capacity() >= cap);
+        assert_eq!(f.as_ptr(), ptr, "buffer was reused, not reallocated");
     }
 
     #[test]
     fn full_queue_drops() {
         let mut nic = SimNic::new();
         for i in 0..QUEUE_DEPTH {
-            assert!(nic.inject_from(&[i as u8]));
+            let f = frame(&mut nic, &[i as u8]);
+            assert!(nic.inject(f));
         }
-        assert!(!nic.inject_from(&[0xFF]));
+        let f = frame(&mut nic, &[0xFF]);
+        let ptr = f.as_ptr();
+        assert!(!nic.inject(f));
+        let reused = nic.take_buf();
+        assert_eq!(reused.as_ptr(), ptr, "dropped frame went to the pool");
     }
 }

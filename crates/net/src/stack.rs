@@ -160,10 +160,9 @@ pub struct NetStack {
     entries: NetEntries,
     nic: RefCell<SimNic>,
     sockets: RefCell<Vec<Socket>>,
-    /// `(local_port, remote_port)` → connection socket.
-    conns: RefCell<PortMap<(u16, u16), SocketHandle>>,
-    /// TCP control blocks, parallel to `conns`.
-    tcbs: RefCell<PortMap<(u16, u16), Tcb>>,
+    /// `(local_port, remote_port)` → the connection's control block and
+    /// socket: one lookup per segment.
+    pcbs: RefCell<PortMap<(u16, u16), (Tcb, SocketHandle)>>,
     listeners: RefCell<PortMap<u16, SocketHandle>>,
     stats: NetStatsCells,
 }
@@ -195,8 +194,7 @@ impl NetStack {
             entries,
             nic: RefCell::new(SimNic::new()),
             sockets: RefCell::new(Vec::new()),
-            conns: RefCell::new(PortMap::default()),
-            tcbs: RefCell::new(PortMap::default()),
+            pcbs: RefCell::new(PortMap::default()),
             listeners: RefCell::new(PortMap::default()),
             stats: NetStatsCells::default(),
         }
@@ -359,10 +357,9 @@ impl NetStack {
         let key = (seg.dst_port, seg.src_port);
         // New connection?
         if seg.has(FLAG_SYN) && !seg.has(FLAG_ACK) {
-            let listener = match self.listeners.borrow().get(&seg.dst_port) {
-                Some(&l) => l,
-                None => return Ok(()), // no listener: drop (no RST needed here)
-            };
+            if !self.listeners.borrow().contains_key(&seg.dst_port) {
+                return Ok(()); // no listener: drop (no RST needed here)
+            }
             let conn_sock = {
                 let sock =
                     Socket::connection(&self.env, seg.dst_port, seg.src_port, RX_RING_BYTES)?;
@@ -379,37 +376,37 @@ impl NetStack {
                 FLAG_SYN | FLAG_ACK,
                 &[],
             );
-            self.tcbs.borrow_mut().insert(key, tcb);
-            self.conns.borrow_mut().insert(key, conn_sock);
-            // Remember which listener to queue the socket on once the
-            // handshake completes.
-            let _ = listener;
+            self.pcbs.borrow_mut().insert(key, (tcb, conn_sock));
             return Ok(());
         }
 
-        let mut tcbs = self.tcbs.borrow_mut();
-        let tcb = match tcbs.get_mut(&key) {
-            Some(t) => t,
-            None => return Ok(()), // unknown connection: drop
-        };
-        match tcb.state {
-            TcpState::SynRcvd => {
-                if seg.has(FLAG_ACK) && seg.ack == tcb.snd_nxt.wrapping_add(1) {
-                    tcb.state = TcpState::Established;
-                    tcb.snd_nxt = tcb.snd_nxt.wrapping_add(1);
-                    let conn = self.conns.borrow()[&key];
-                    if let Some(&listener) = self.listeners.borrow().get(&seg.dst_port) {
-                        if let Some(l) = self.sockets.borrow_mut().get_mut(listener.0 as usize) {
-                            l.accept_queue.push_back(conn);
+        // One PCB lookup. Data and FIN segments are ACKed with the
+        // connection's sequence numbers once the borrow ends; every other
+        // segment stops here.
+        let (snd, rcv) = {
+            let mut pcbs = self.pcbs.borrow_mut();
+            let Some((tcb, conn)) = pcbs.get_mut(&key) else {
+                return Ok(()); // unknown connection: drop
+            };
+            match tcb.state {
+                TcpState::SynRcvd => {
+                    if seg.has(FLAG_ACK) && seg.ack == tcb.snd_nxt.wrapping_add(1) {
+                        tcb.state = TcpState::Established;
+                        tcb.snd_nxt = tcb.snd_nxt.wrapping_add(1);
+                        if let Some(&listener) = self.listeners.borrow().get(&seg.dst_port) {
+                            if let Some(l) = self.sockets.borrow_mut().get_mut(listener.0 as usize)
+                            {
+                                l.accept_queue.push_back(*conn);
+                            }
                         }
                     }
+                    return Ok(());
                 }
-            }
-            TcpState::Established => {
-                if !seg.payload.is_empty() {
+                TcpState::Established if !seg.payload.is_empty() => {
+                    // In order: deliver. Out of order: drop. Either way,
+                    // ACK the next expected sequence.
                     if seg.seq == tcb.rcv_nxt {
                         tcb.rcv_nxt = tcb.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                        let conn = self.conns.borrow()[&key];
                         let pushed = {
                             let mut socks = self.sockets.borrow_mut();
                             let s = socks.get_mut(conn.0 as usize).expect("conn socket exists");
@@ -418,34 +415,22 @@ impl NetStack {
                                 .push(&self.env, seg.payload)?
                         };
                         NetStatsCells::add(&self.stats.rx_bytes, pushed);
-                        let (snd, rcv) = (tcb.snd_nxt, tcb.rcv_nxt);
-                        drop(tcbs);
-                        self.transmit_parts(seg.dst_port, seg.src_port, snd, rcv, FLAG_ACK, &[]);
-                        return Ok(());
                     }
-                    // Out-of-order: drop and re-ACK the expected sequence.
-                    let (snd, rcv) = (tcb.snd_nxt, tcb.rcv_nxt);
-                    drop(tcbs);
-                    self.transmit_parts(seg.dst_port, seg.src_port, snd, rcv, FLAG_ACK, &[]);
-                    return Ok(());
                 }
-                if seg.has(FLAG_FIN) {
+                TcpState::Established if seg.has(FLAG_FIN) => {
                     tcb.rcv_nxt = tcb.rcv_nxt.wrapping_add(1);
                     tcb.state = TcpState::CloseWait;
-                    let conn = self.conns.borrow()[&key];
                     if let Some(s) = self.sockets.borrow_mut().get_mut(conn.0 as usize) {
                         s.peer_closed = true;
                     }
-                    let (snd, rcv) = (tcb.snd_nxt, tcb.rcv_nxt);
-                    drop(tcbs);
-                    self.transmit_parts(seg.dst_port, seg.src_port, snd, rcv, FLAG_ACK, &[]);
-                    return Ok(());
                 }
                 // Pure ACK: nothing to do (no retransmit queue to clear in
                 // the lite model).
+                TcpState::Established | TcpState::CloseWait => return Ok(()),
             }
-            TcpState::CloseWait => {}
-        }
+            (tcb.snd_nxt, tcb.rcv_nxt)
+        };
+        self.transmit_parts(seg.dst_port, seg.src_port, snd, rcv, FLAG_ACK, &[]);
         Ok(())
     }
 
@@ -527,8 +512,8 @@ impl NetStack {
         let key = (local, peer);
         for chunk in data.chunks(MSS) {
             let (seq, ack) = {
-                let mut tcbs = self.tcbs.borrow_mut();
-                let tcb = tcbs.get_mut(&key).ok_or_else(|| Fault::InvalidConfig {
+                let mut pcbs = self.pcbs.borrow_mut();
+                let (tcb, _) = pcbs.get_mut(&key).ok_or_else(|| Fault::InvalidConfig {
                     reason: "send on connection without TCB".to_string(),
                 })?;
                 let seq = tcb.snd_nxt;
@@ -563,11 +548,17 @@ impl NetStack {
 
     // --- host-side access for clients/drivers ---------------------------
 
-    /// Client-side frame injection from a borrowed slice into a pooled
-    /// NIC buffer (free; models traffic from the load generator's
-    /// dedicated cores). Returns `false` when the NIC dropped the frame.
-    pub(crate) fn client_inject_bytes(&self, bytes: &[u8]) -> bool {
-        self.nic.borrow_mut().inject_from(bytes)
+    /// Client side: an empty pooled NIC buffer to build a frame in.
+    pub(crate) fn client_take_buf(&self) -> Vec<u8> {
+        self.nic.borrow_mut().take_buf()
+    }
+
+    /// Client-side injection of a frame built in a
+    /// [`NetStack::client_take_buf`] buffer (free; models traffic from
+    /// the load generator's dedicated cores). Returns `false` when the
+    /// NIC dropped the frame.
+    pub(crate) fn client_inject(&self, frame: Vec<u8>) -> bool {
+        self.nic.borrow_mut().inject(frame)
     }
 
     /// Client side: takes the next transmitted frame, if any. Hand the

@@ -145,17 +145,26 @@ impl OrderKey {
 /// coarser partition. The clause is a total order on the axis, so
 /// antisymmetry is preserved.
 pub fn sweep_leq(a: &SweepPoint, b: &SweepPoint) -> bool {
-    let key = |p: &SweepPoint| {
-        OrderKey::new(
-            p.workload,
-            p.strategy,
-            p.mechanism,
-            p.hardening_mask,
-            &p.profiles,
-            p.cores,
-        )
-    };
-    key(a).leq(&key(b)) && budget_leq(a, b)
+    order_key(a).leq(&order_key(b)) && budget_leq(a, b)
+}
+
+/// The packed order key of a sweep point — what [`sweep_leq`] compares.
+fn order_key(p: &SweepPoint) -> OrderKey {
+    OrderKey::new(
+        p.workload,
+        p.strategy,
+        p.mechanism,
+        p.hardening_mask,
+        &p.profiles,
+        p.cores,
+    )
+}
+
+/// [`sweep_leq`] over `points` by index, each point's key built once
+/// rather than twice per pair: the form the O(n²) callers use.
+fn indexed_leq(points: &[SweepPoint]) -> impl Fn(usize, usize) -> bool + '_ {
+    let keys: Vec<OrderKey> = points.iter().map(order_key).collect();
+    move |a, b| keys[a].leq(&keys[b]) && budget_leq(&points[a], &points[b])
 }
 
 /// The resource-budget dimension of the order: per component, per
@@ -189,10 +198,11 @@ fn budget_leq(a: &SweepPoint, b: &SweepPoint) -> bool {
 /// edges to check that an empirical per-point property is monotone in
 /// the order (stronger point ⇒ superset of blocked attacks).
 pub fn sweep_order_pairs(points: &[SweepPoint]) -> Vec<(usize, usize)> {
+    let leq = indexed_leq(points);
     let mut pairs = Vec::new();
-    for (i, a) in points.iter().enumerate() {
-        for (j, b) in points.iter().enumerate() {
-            if i != j && sweep_leq(a, b) {
+    for i in 0..points.len() {
+        for j in 0..points.len() {
+            if i != j && leq(i, j) {
                 pairs.push((i, j));
             }
         }
@@ -224,7 +234,7 @@ pub fn sweep_poset(points: &[SweepPoint], results: &[PointResult]) -> Poset {
             performance: r.ops_per_sec / group_max[&p.workload],
         })
         .collect();
-    Poset::new(nodes, |a, b| sweep_leq(&points[a], &points[b]))
+    Poset::new(nodes, indexed_leq(points))
 }
 
 /// A per-workload budget *vector*: one fractional budget per workload

@@ -764,6 +764,74 @@ fn build_cost_of_an_all_hardened_image_does_not_include_its_heaps_capacity() {
 }
 
 #[test]
+fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
+    // The keyspace-1024 preload every Redis-1024 sweep point pays renders
+    // its keys into one buffer and hands them to `RedisServer::preload`
+    // at once (it was a `format!` and a call per key: 1169–1204 allocator
+    // calls). What it simulates must not change: on a twin image, 1024
+    // single-pair preloads in key order leave the same clock, the same
+    // heap statistics and every key in the same bucket. Sampled across
+    // the full space's Redis-1024 configurations: the stride picks 16,
+    // with both mechanisms, every strategy and sharing, both allocators
+    // and hardening masks from none to all.
+    use flexos_apps::workloads::{install_redis, preload_keyspace};
+    use flexos_sweep::{SpaceSpec, Workload};
+    const KEYSPACE: u64 = 1024;
+    let spec = SpaceSpec::full(0, 0);
+    let redis_1024: Vec<usize> = (0..spec.len())
+        .filter(|&i| {
+            spec.shape(i).workload
+                == Workload::RedisGet {
+                    keyspace: KEYSPACE as u32,
+                    pipeline: 1,
+                }
+        })
+        .collect();
+    for &i in redis_1024.iter().step_by(53) {
+        let point = spec.point(i);
+        let build = || {
+            SystemBuilder::new(point.config.clone())
+                .app(flexos_apps::redis_component())
+                .build()
+                .unwrap()
+        };
+        let (whole, single) = (build(), build());
+        let server = install_redis(&whole).unwrap();
+        let twin = install_redis(&single).unwrap();
+        let ((), _, calls) = cost_of(|| preload_keyspace(&server, KEYSPACE).unwrap());
+        assert!(
+            calls < 256,
+            "{}: the keyspace-1024 preload made {calls} allocator calls",
+            point.label
+        );
+        for i in 0..KEYSPACE {
+            let value = [b'x' + (i % 3) as u8; 3];
+            twin.preload(&[(format!("key:{i}").as_bytes(), &value)])
+                .unwrap();
+        }
+        assert_eq!(whole.cycles(), single.cycles(), "{}: clock", point.label);
+        let comp = whole.env.compartment_of(server.component_id());
+        assert_eq!(
+            whole.env.heap_stats_of(comp),
+            single.env.heap_stats_of(comp),
+            "{}: heap statistics",
+            point.label
+        );
+        for i in 0..KEYSPACE {
+            let key = format!("key:{i}");
+            let bucket = server.with_dict(|d| d.bucket_of(key.as_bytes())).unwrap();
+            assert!(bucket.is_some(), "{}: {key} is preloaded", point.label);
+            assert_eq!(
+                bucket,
+                twin.with_dict(|d| d.bucket_of(key.as_bytes())).unwrap(),
+                "{}: {key}'s bucket",
+                point.label
+            );
+        }
+    }
+}
+
+#[test]
 fn installing_redis_does_not_materialise_its_empty_dict() {
     // The dict's bucket array is 512 KiB of simulated zeros. Zeroing it
     // must cost neither a host buffer of that size nor the 128 frames

@@ -153,6 +153,16 @@ fn degenerate_bench_shapes_are_refused_by_name_before_the_image_is_touched() {
             },
             "RedisBench::keyspace",
         ),
+        (
+            // More keys than the dict has buckets: refused by name,
+            // before a key is rendered or inserted.
+            RedisBench {
+                keyspace: u64::MAX,
+                measured: 8,
+                ..RedisBench::default()
+            },
+            "RedisBench::keyspace",
+        ),
     ] {
         match run_redis_bench(&os, bench) {
             Err(Fault::InvalidConfig { reason }) => {
