@@ -63,7 +63,11 @@ const CHUNK_GRANULES: u64 = 256;
 type Chunk = [u32; CHUNK_GRANULES as usize];
 
 /// Address-ordered map of all blocks (free and live) in a region.
-#[derive(Debug)]
+///
+/// Equality is representational: two maps are equal when they hold the
+/// same chunks with the same tags, so a clone behaves exactly like its
+/// original.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockMap {
     base: u64,
     /// Region length in bytes; only the last block may end off-granule.
@@ -100,6 +104,13 @@ impl BlockMap {
             #[cfg(test)]
             reference: reference::BTreeBlocks::new(base, size),
         }
+    }
+
+    /// Host bytes the tags occupy.
+    pub(crate) fn host_bytes(&self) -> usize {
+        let present = self.chunks.iter().flatten().count();
+        self.chunks.len() * std::mem::size_of::<Option<Box<Chunk>>>()
+            + present * std::mem::size_of::<Chunk>()
     }
 
     fn tag(&self, granule: u64) -> u32 {

@@ -10,7 +10,7 @@ use flexos_machine::fault::Fault;
 
 use super::{Block, ReleaseOutcome};
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BTreeBlocks {
     blocks: BTreeMap<u64, Block>,
 }

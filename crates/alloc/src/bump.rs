@@ -12,7 +12,7 @@ use flexos_machine::fault::Fault;
 use crate::{RegionAlloc, MIN_ALIGN};
 
 /// The bump allocator.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Bump {
     base: Addr,
     size: u64,
@@ -29,6 +29,11 @@ impl Bump {
             next: base,
             live: Vec::new(),
         }
+    }
+
+    /// Host bytes the allocator's bookkeeping occupies, roughly.
+    pub(crate) fn host_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.live.len() * std::mem::size_of::<(u64, u64)>()
     }
 }
 

@@ -8,6 +8,13 @@
 //! region, charges the Figure 11a-calibrated allocation costs on the
 //! machine clock, and (when the owning compartment is KASan-hardened)
 //! maintains redzones and a quarantine.
+//!
+//! Everything a heap decides with — the policy's metadata, the KASan
+//! shadow and quarantine, the counters — is one plain value,
+//! [`HeapState`]: `Clone + Eq`, no pointers into the machine. A heap in
+//! a state equal to another's answers every request the same way, which
+//! is what lets a recorded effect be replayed onto it (`flexos_core`'s
+//! heap templates).
 
 use std::rc::Rc;
 
@@ -35,14 +42,6 @@ pub enum HeapKind {
 }
 
 impl HeapKind {
-    fn build(self, base: Addr, size: u64) -> Box<dyn RegionAlloc> {
-        match self {
-            HeapKind::Tlsf => Box::new(Tlsf::new(base, size)),
-            HeapKind::Lea => Box::new(Lea::new(base, size)),
-            HeapKind::Bump => Box::new(Bump::new(base, size)),
-        }
-    }
-
     /// Parses the configuration-file spelling (`tlsf`, `lea`, `bump`) —
     /// the per-compartment `allocator:` key of the safety configuration.
     pub fn parse(name: &str) -> Option<HeapKind> {
@@ -65,28 +64,94 @@ impl std::fmt::Display for HeapKind {
     }
 }
 
+/// A heap's allocation policy with its metadata.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Policy {
+    Tlsf(Tlsf),
+    Lea(Lea),
+    Bump(Bump),
+}
+
+impl Policy {
+    fn new(kind: HeapKind, base: Addr, size: u64) -> Policy {
+        match kind {
+            HeapKind::Tlsf => Policy::Tlsf(Tlsf::new(base, size)),
+            HeapKind::Lea => Policy::Lea(Lea::new(base, size)),
+            HeapKind::Bump => Policy::Bump(Bump::new(base, size)),
+        }
+    }
+
+    fn kind(&self) -> HeapKind {
+        match self {
+            Policy::Tlsf(_) => HeapKind::Tlsf,
+            Policy::Lea(_) => HeapKind::Lea,
+            Policy::Bump(_) => HeapKind::Bump,
+        }
+    }
+
+    fn get(&self) -> &dyn RegionAlloc {
+        match self {
+            Policy::Tlsf(a) => a,
+            Policy::Lea(a) => a,
+            Policy::Bump(a) => a,
+        }
+    }
+
+    fn get_mut(&mut self) -> &mut dyn RegionAlloc {
+        match self {
+            Policy::Tlsf(a) => a,
+            Policy::Lea(a) => a,
+            Policy::Bump(a) => a,
+        }
+    }
+
+    fn host_bytes(&self) -> usize {
+        match self {
+            Policy::Tlsf(a) => a.host_bytes(),
+            Policy::Lea(a) => a.host_bytes(),
+            Policy::Bump(a) => a.host_bytes(),
+        }
+    }
+}
+
+/// Everything a [`Heap`] decides with: the policy's metadata, the KASan
+/// shadow and quarantine when hardened, and the counters. Equality is
+/// exact (representational), so two heaps over the same region in equal
+/// states answer every later request identically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HeapState {
+    alloc: Policy,
+    kasan: Option<Kasan>,
+    stats: AllocStats,
+}
+
+impl HeapState {
+    /// Host bytes the state occupies, roughly: what keeping a copy costs.
+    pub fn host_bytes(&self) -> usize {
+        self.alloc.host_bytes() + self.kasan.as_ref().map_or(0, Kasan::host_bytes)
+    }
+}
+
 /// A heap bound to a simulated-memory region.
 #[derive(Debug)]
 pub struct Heap {
     machine: Rc<Machine>,
     region: Region,
-    kind: HeapKind,
-    alloc: Box<dyn RegionAlloc>,
-    kasan: Option<Kasan>,
-    stats: AllocStats,
+    state: HeapState,
 }
 
 impl Heap {
     /// Creates a heap of `kind` over `region`.
     pub fn new(machine: Rc<Machine>, region: Region, kind: HeapKind) -> Self {
-        let alloc = kind.build(region.base(), region.len());
+        let alloc = Policy::new(kind, region.base(), region.len());
         Heap {
             machine,
             region,
-            kind,
-            alloc,
-            kasan: None,
-            stats: AllocStats::default(),
+            state: HeapState {
+                alloc,
+                kasan: None,
+                stats: AllocStats::default(),
+            },
         }
     }
 
@@ -94,9 +159,20 @@ impl Heap {
     /// FlexOS does this when the owning compartment requests `kasan`
     /// hardening (§4.5).
     pub fn enable_kasan(&mut self) {
-        if self.kasan.is_none() {
-            self.kasan = Some(Kasan::new(self.region.base(), self.region.len()));
+        if self.state.kasan.is_none() {
+            self.state.kasan = Some(Kasan::new(self.region.base(), self.region.len()));
         }
+    }
+
+    /// The heap's whole decision state (see [`HeapState`]).
+    pub fn state(&self) -> &HeapState {
+        &self.state
+    }
+
+    /// Puts the heap into `state`, which must have been taken from a heap
+    /// over the same region. Charges nothing.
+    pub fn set_state(&mut self, state: &HeapState) {
+        self.state.clone_from(state);
     }
 
     /// Allocates `size` bytes (16-byte aligned), charging calibrated cycles.
@@ -115,45 +191,47 @@ impl Heap {
     /// [`Fault::ResourceExhausted`] when the heap is full.
     pub(crate) fn malloc_aligned(&mut self, size: u64, align: u64) -> Result<Addr, Fault> {
         let cost = self.machine.cost();
-        let (pad_lo, pad_hi) = if self.kasan.is_some() {
+        let state = &mut self.state;
+        let (pad_lo, pad_hi) = if state.kasan.is_some() {
             (REDZONE, REDZONE)
         } else {
             (0, 0)
         };
-        let addr = match self.alloc.alloc(size + pad_lo + pad_hi, align) {
+        let alloc = state.alloc.get_mut();
+        let addr = match alloc.alloc(size + pad_lo + pad_hi, align) {
             Ok(a) => a,
             Err(e) => {
                 // Refusals charge no cycles, so the counter is free to
                 // bump without perturbing costed paths.
-                self.stats.exhaustions += 1;
+                state.stats.exhaustions += 1;
                 return Err(e);
             }
         };
         let payload = addr + pad_lo;
-        let slow = self.alloc.last_was_slow_path();
+        let slow = alloc.last_was_slow_path();
         let mut cycles = if slow {
             cost.malloc_slow
         } else {
             cost.malloc_fast
         };
-        if let Some(kasan) = &mut self.kasan {
+        // Track granted (rounded) payload bytes so malloc/free pair up.
+        let granted = alloc
+            .size_of(addr)
+            .unwrap_or(size + pad_lo + pad_hi)
+            .saturating_sub(pad_lo + pad_hi);
+        if let Some(kasan) = &mut state.kasan {
             kasan.on_alloc(payload, size);
             // Shadow setup cost scales with the allocation's granule count.
             cycles += 8 + size / 32;
         }
         self.machine.clock().advance(cycles);
-        self.stats.mallocs += 1;
+        let stats = &mut state.stats;
+        stats.mallocs += 1;
         if slow {
-            self.stats.slow_hits += 1;
+            stats.slow_hits += 1;
         }
-        // Track granted (rounded) payload bytes so malloc/free pair up.
-        let granted = self
-            .alloc
-            .size_of(addr)
-            .unwrap_or(size + pad_lo + pad_hi)
-            .saturating_sub(pad_lo + pad_hi);
-        self.stats.bytes_allocated += granted;
-        self.stats.peak_live = self.stats.peak_live.max(self.stats.live_bytes());
+        stats.bytes_allocated += granted;
+        stats.peak_live = stats.peak_live.max(stats.live_bytes());
         Ok(payload)
     }
 
@@ -164,12 +242,13 @@ impl Heap {
     /// [`Fault::BadFree`] on foreign or double frees.
     pub fn free(&mut self, addr: Addr) -> Result<(), Fault> {
         let cost = self.machine.cost();
-        let pad = if self.kasan.is_some() { REDZONE } else { 0 };
+        let state = &mut self.state;
+        let alloc = state.alloc.get_mut();
+        let pad = if state.kasan.is_some() { REDZONE } else { 0 };
         let real = addr - pad;
         let mut cycles = cost.free_fast;
-        if let Some(kasan) = &mut self.kasan {
-            let size = self
-                .alloc
+        if let Some(kasan) = &mut state.kasan {
+            let size = alloc
                 .size_of(real)
                 .ok_or(Fault::BadFree { addr })?
                 .saturating_sub(2 * REDZONE);
@@ -177,18 +256,18 @@ impl Heap {
             let evicted = kasan.on_free(addr, size);
             cycles += 10;
             for (payload, _) in evicted {
-                self.alloc.free(payload - pad)?;
+                alloc.free(payload - pad)?;
             }
             // The block itself stays quarantined: account the free now.
-            self.stats.frees += 1;
-            self.stats.bytes_freed += size;
+            state.stats.frees += 1;
+            state.stats.bytes_freed += size;
             self.machine.clock().advance(cycles);
             return Ok(());
         }
-        let freed = self.alloc.free(real)?;
+        let freed = alloc.free(real)?;
         self.machine.clock().advance(cycles);
-        self.stats.frees += 1;
-        self.stats.bytes_freed += freed;
+        state.stats.frees += 1;
+        state.stats.bytes_freed += freed;
         Ok(())
     }
 
@@ -203,10 +282,10 @@ impl Heap {
         len: u64,
         kind: flexos_machine::key::Access,
     ) -> Result<(), Fault> {
-        if let Some(kasan) = &mut self.kasan {
+        if let Some(kasan) = &mut self.state.kasan {
             let r = kasan.check(addr, len, kind);
             if r.is_err() {
-                self.stats.kasan_reports += 1;
+                self.state.stats.kasan_reports += 1;
             }
             self.machine
                 .clock()
@@ -219,7 +298,7 @@ impl Heap {
 
     /// The heap's allocation policy.
     pub fn kind(&self) -> HeapKind {
-        self.kind
+        self.state.alloc.kind()
     }
 
     /// The mapped region backing this heap.
@@ -234,18 +313,24 @@ impl Heap {
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> AllocStats {
-        self.stats
+        self.state.stats
     }
 
     /// `true` if KASan instrumentation is enabled.
     pub fn kasan_enabled(&self) -> bool {
-        self.kasan.is_some()
+        self.state.kasan.is_some()
     }
 
     /// Live payload size of an allocation (KASan padding excluded).
     pub fn size_of(&self, addr: Addr) -> Option<u64> {
-        let pad = if self.kasan.is_some() { REDZONE } else { 0 };
-        self.alloc
+        let pad = if self.state.kasan.is_some() {
+            REDZONE
+        } else {
+            0
+        };
+        self.state
+            .alloc
+            .get()
             .size_of(addr - pad)
             .map(|s| s.saturating_sub(2 * pad))
     }

@@ -29,23 +29,49 @@ mod shadow {
     pub(crate) const FREED: u8 = 0xFD;
 }
 
+/// Granules per shadow chunk: 32 KiB of heap, whose shadow is one 4 KiB
+/// host page.
+const CHUNK: usize = 4096;
+
+/// The shadow of one chunk of granules: one value for all of them, or a
+/// byte each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Chunk {
+    Uniform(u8),
+    Bytes(Box<[u8; CHUNK]>),
+}
+
+impl Chunk {
+    /// The chunk's bytes, spelled out first if it was uniform.
+    fn bytes_mut(&mut self) -> &mut [u8; CHUNK] {
+        if let Chunk::Uniform(value) = *self {
+            *self = Chunk::Bytes(Box::new([value; CHUNK]));
+        }
+        match self {
+            Chunk::Bytes(bytes) => bytes,
+            Chunk::Uniform(_) => unreachable!("spelled out above"),
+        }
+    }
+}
+
 /// Address sanitizer state for one heap region.
 ///
-/// The shadow is sized by use, not by the region: the vector covers the
-/// granules up to the highest one ever un-poisoned, and a granule past
-/// its end *reads as* a redzone — which is what a never-allocated
-/// granule is. A fresh sanitizer therefore allocates nothing, a heap
-/// that hands out addresses bottom-up pays one shadow byte per eight
-/// bytes below its high-water mark, and a check costs the same indexed
-/// load it always did.
-#[derive(Debug)]
+/// The shadow is sized by use, not by the region: the chunks cover the
+/// heap up to the chunk holding the highest granule ever un-poisoned,
+/// and a granule past them *reads as* a redzone — which is what a
+/// never-allocated granule is. A chunk that one value covers is that
+/// value, not 4096 copies of it: the inside of a 512 KiB bucket array is
+/// 15 one-byte chunks, not 60 KiB. A fresh sanitizer allocates nothing,
+/// and copying or comparing one costs about what its allocations' edges
+/// cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Kasan {
     base: Addr,
-    /// Granules in the region (the bound on every check; `shadow.len()`
-    /// never exceeds it).
+    /// Granules in the region (the bound on every check).
     granules: usize,
-    /// Shadow bytes of granules `0..shadow.len()`; the rest are redzone.
-    shadow: Vec<u8>,
+    /// Shadow of granules `0..CHUNK * shadow.len()`, a chunk at a time;
+    /// the rest are redzone.
+    shadow: Vec<Chunk>,
     quarantine: VecDeque<(Addr, u64)>,
     quarantined_bytes: u64,
     quarantine_limit: u64,
@@ -65,6 +91,24 @@ impl Kasan {
         }
     }
 
+    /// Host bytes the shadow and the quarantine occupy.
+    pub(crate) fn host_bytes(&self) -> usize {
+        let spelled = self
+            .shadow
+            .iter()
+            .filter(|c| matches!(c, Chunk::Bytes(_)))
+            .count();
+        std::mem::size_of::<Self>()
+            + self.shadow.len() * std::mem::size_of::<Chunk>()
+            + spelled * CHUNK
+            + self.quarantine.len() * std::mem::size_of::<(Addr, u64)>()
+    }
+
+    /// Granules the chunks cover.
+    fn covered(&self) -> usize {
+        self.shadow.len() * CHUNK
+    }
+
     fn granule_range(&self, addr: Addr, len: u64) -> (usize, usize) {
         let start = addr.offset_from(self.base) / GRANULE;
         let end = (addr.offset_from(self.base) + len.max(1) - 1) / GRANULE;
@@ -76,14 +120,26 @@ impl Kasan {
             return;
         }
         let (start, end) = self.granule_range(addr, len);
-        // Only un-poisoning grows the vector: past its end everything
-        // already reads as a redzone.
-        if value != shadow::REDZONE && end >= self.shadow.len() {
-            self.shadow.resize(end + 1, shadow::REDZONE);
+        // Only un-poisoning adds chunks: past them everything already
+        // reads as a redzone.
+        if value != shadow::REDZONE && end >= self.covered() {
+            self.shadow
+                .resize(end / CHUNK + 1, Chunk::Uniform(shadow::REDZONE));
         }
-        let end = (end + 1).min(self.shadow.len());
-        if start < end {
-            self.shadow[start..end].fill(value);
+        let covered = self.covered();
+        if start >= covered || start > end {
+            return;
+        }
+        let end = end.min(covered - 1);
+        for c in start / CHUNK..=end / CHUNK {
+            let first = c * CHUNK;
+            let (lo, hi) = (start.max(first) - first, end.min(first + CHUNK - 1) - first);
+            let chunk = &mut self.shadow[c];
+            if (lo, hi) == (0, CHUNK - 1) {
+                *chunk = Chunk::Uniform(value);
+            } else if *chunk != Chunk::Uniform(value) {
+                chunk.bytes_mut()[lo..=hi].fill(value);
+            }
         }
     }
 
@@ -123,6 +179,30 @@ impl Kasan {
         evicted
     }
 
+    /// The first poisoned granule of `start..=end` and its shadow value,
+    /// in address order: one inside the chunks, else the first one past
+    /// them (a redzone by definition).
+    fn first_poisoned_granule(&self, start: usize, end: usize) -> Option<(usize, u8)> {
+        let covered = self.covered();
+        if start < covered {
+            for c in start / CHUNK..=end.min(covered - 1) / CHUNK {
+                let first = c * CHUNK;
+                let lo = start.max(first) - first;
+                let hi = end.min(first + CHUNK - 1) - first;
+                match &self.shadow[c] {
+                    Chunk::Uniform(shadow::OK) => {}
+                    &Chunk::Uniform(value) => return Some((first + lo, value)),
+                    Chunk::Bytes(bytes) => {
+                        if let Some(at) = first_poisoned(&bytes[lo..=hi]) {
+                            return Some((first + lo + at, bytes[lo + at]));
+                        }
+                    }
+                }
+            }
+        }
+        (end >= covered).then_some((start.max(covered), shadow::REDZONE))
+    }
+
     /// Checks an access against the shadow.
     ///
     /// # Errors
@@ -135,18 +215,11 @@ impl Kasan {
             return Ok(());
         }
         let (start, end) = self.granule_range(addr, len);
-        // The first poisoned granule, in address order: one inside the
-        // vector, else the first one past it (a redzone by definition).
-        let stored = self
-            .shadow
-            .get(start..self.shadow.len().min(end + 1))
-            .unwrap_or(&[]);
-        let (idx, value) = match first_poisoned(stored) {
-            Some(at) => (start + at, stored[at]),
-            None if start <= end && end >= self.shadow.len() => {
-                (start.max(self.shadow.len()), shadow::REDZONE)
-            }
-            None => return Ok(()),
+        if start > end {
+            return Ok(());
+        }
+        let Some((idx, value)) = self.first_poisoned_granule(start, end) else {
+            return Ok(());
         };
         Err(Fault::Kasan {
             addr: self.base + idx as u64 * GRANULE,
@@ -161,8 +234,7 @@ impl Kasan {
 /// Index of the first shadow byte that is not [`shadow::OK`], read
 /// eight at a time: `OK` is zero, so a word is clean iff it is zero, and
 /// the first poisoned byte of a little-endian word is its lowest nonzero
-/// one. A hardened Redis install checks its 512 KiB bucket array's 64 Ki
-/// shadow bytes in one call.
+/// one.
 fn first_poisoned(shadow: &[u8]) -> Option<usize> {
     const _: () = assert!(shadow::OK == 0);
     let mut words = shadow.chunks_exact(8);
@@ -316,13 +388,14 @@ mod tests {
 
     #[test]
     fn word_scan_matches_a_byte_scan_at_every_start_and_length() {
-        // A 512-byte payload with one freed granule and one redzone
-        // granule inside it, far enough from either end that a check can
-        // cross several clean eight-byte shadow words before reaching
-        // them; every access from before the payload to past the shadow
-        // vector's end.
+        // A 512-byte payload across a shadow-chunk boundary,
+        // with one freed granule and one redzone granule inside it on
+        // either side of that boundary, far enough from either end that a
+        // check can cross several clean eight-byte shadow words before
+        // reaching them; every access from before the payload to past
+        // its end.
         const BASE: Addr = Addr::new(0x10000);
-        let a = BASE + 1024;
+        let a = BASE + (CHUNK as u64 * GRANULE) - 256;
         let mut k = Kasan::new(BASE, 1 << 16);
         let mut eager = EagerShadow::new(BASE, 1 << 16);
         k.on_alloc(a, 512);
@@ -351,27 +424,47 @@ mod tests {
         k.set_shadow(Addr::new(0x10000 + 4096), 4096, shadow::REDZONE);
         assert_eq!(k.shadow.capacity(), 0, "already reads as redzone");
         k.on_alloc(Addr::new(0x10000 + 64), 100);
-        // Payload granules 8..=20; the trailing redzone is past the end.
-        assert_eq!(k.shadow.len(), 21);
+        // Payload granules 8..=20 lie in the first chunk.
+        assert_eq!(k.covered(), CHUNK);
+        // A payload spanning chunks spells out only the chunks its edges
+        // fall in.
+        let chunk_bytes = CHUNK as u64 * GRANULE;
+        k.on_alloc(Addr::new(0x10000 + chunk_bytes + 16), 5 * chunk_bytes);
+        assert_eq!(k.shadow.len(), 7);
+        let spelled: Vec<bool> = k
+            .shadow
+            .iter()
+            .map(|c| matches!(c, Chunk::Bytes(_)))
+            .collect();
+        assert_eq!(spelled, [true, true, false, false, false, false, true]);
     }
 
     #[test]
     fn lazy_shadow_matches_an_eagerly_filled_one_on_a_seeded_stream() {
         const BASE: Addr = Addr::new(0x40000);
-        const SIZE: u64 = 1 << 16;
+        const SIZE: u64 = 1 << 18;
         let mut rng = crate::testrng::Rng::new(0x5AD0_0001);
         let mut lazy = Kasan::new(BASE, SIZE);
         let mut eager = EagerShadow::new(BASE, SIZE);
-        lazy.quarantine_limit = 4096;
+        lazy.quarantine_limit = 64 * 1024;
         // Live payloads, carved bottom-up like the allocators do, each
         // with a redzone of room on both sides.
         let mut live: Vec<(Addr, u64)> = Vec::new();
         let mut cursor = BASE + REDZONE;
         let (mut overflows, mut uafs, mut past_high_water, mut checks) = (0, 0, 0, 0);
+        let mut uniform = [false; 2];
+        let mut evictions = 0;
         for step in 0..20_000 {
+            uniform[0] |= lazy.shadow.contains(&Chunk::Uniform(shadow::OK));
             match rng.range(0, 16) {
                 0..=3 => {
-                    let len = rng.range(1, 300);
+                    // Now and then a payload of whole chunks, so chunks
+                    // go uniform (and uniformly freed).
+                    let len = if rng.range(0, 40) == 0 {
+                        rng.range(CHUNK as u64 * GRANULE, 80_000)
+                    } else {
+                        rng.range(1, 300)
+                    };
                     if (cursor + len + REDZONE).offset_from(BASE) > SIZE {
                         continue;
                     }
@@ -385,7 +478,10 @@ mod tests {
                     eager.set(addr, len, shadow::FREED);
                     // An evicted block goes back to the allocator, which
                     // may hand it out again: re-allocate it at once.
-                    for (a, l) in lazy.on_free(addr, len) {
+                    let evicted = lazy.on_free(addr, len);
+                    uniform[1] |= lazy.shadow.contains(&Chunk::Uniform(shadow::FREED));
+                    evictions += evicted.len();
+                    for (a, l) in evicted {
                         lazy.on_alloc(a, l);
                         eager.on_alloc(a, l);
                         live.push((a, l));
@@ -395,13 +491,13 @@ mod tests {
                     // Microreboot: `Env::reset_heap` builds a fresh heap
                     // and sanitizer over the same region.
                     lazy = Kasan::new(BASE, SIZE);
-                    lazy.quarantine_limit = 4096;
+                    lazy.quarantine_limit = 64 * 1024;
                     eager = EagerShadow::new(BASE, SIZE);
                     live.clear();
                     cursor = BASE + REDZONE;
                 }
                 _ => {
-                    let high_water = BASE + lazy.shadow.len() as u64 * GRANULE;
+                    let high_water = BASE + lazy.covered() as u64 * GRANULE;
                     let (addr, len) = match rng.range(0, 8) {
                         // inside, and just off either end of, a live payload
                         0..=3 if !live.is_empty() => {
@@ -413,7 +509,7 @@ mod tests {
                         4 => (high_water + rng.range(0, 4096), rng.range(1, 64)),
                         // straddling the high-water mark from below
                         5 => (
-                            high_water - rng.range(0, 64).min(lazy.shadow.len() as u64 * GRANULE),
+                            high_water - rng.range(0, 64).min(lazy.covered() as u64 * GRANULE),
                             128,
                         ),
                         // the region's last granule and the slack past it
@@ -441,7 +537,12 @@ mod tests {
                 }
             }
         }
-        assert!(lazy.shadow.len() <= eager.shadow.len());
+        assert!(lazy.covered() <= eager.shadow.len().next_multiple_of(CHUNK));
         assert!(checks >= 10_000 && overflows > 1000 && uafs > 100 && past_high_water > 300);
+        assert!(evictions > 1000, "{evictions} blocks left quarantine");
+        assert_eq!(
+            uniform, [true; 2],
+            "whole chunks went addressable and freed"
+        );
     }
 }

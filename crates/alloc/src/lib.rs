@@ -21,7 +21,8 @@
 //! metadata lives in host memory — the algorithms (segregated fits,
 //! coalescing, binning) are real. Host-side that metadata is the free
 //! lists, one pair of boundary tags per block (`blockmap::BlockMap`) and,
-//! under KASan, one shadow byte per 8-byte granule (`kasan::Kasan`).
+//! under KASan, one shadow byte per 8-byte granule, a heap page at a
+//! time, a page one value covers kept as that value (`kasan::Kasan`).
 //! Tags and shadow are **sized by use**: a heap that has handed out
 //! 40 KiB of its 16 MiB pays for 40 KiB worth of both, a fresh heap for
 //! neither, which is what makes an image cheap to build and a
@@ -40,7 +41,7 @@ pub mod tlsf;
 #[path = "../../../tests/common/mod.rs"]
 mod testrng;
 
-pub use heap::{Heap, HeapKind};
+pub use heap::{Heap, HeapKind, HeapState};
 pub use stats::AllocStats;
 
 use flexos_machine::addr::Addr;
@@ -48,6 +49,13 @@ use flexos_machine::fault::Fault;
 
 /// Minimum allocation granule; everything is rounded up to this.
 pub(crate) const MIN_ALIGN: u64 = 16;
+
+/// `a == b` for free lists, element by element: the derived comparison
+/// calls `memcmp` once per list, and a TLSF heap has 640 lists, nearly
+/// all empty, which made comparing two heap states cost ≈ 100 µs.
+pub(crate) fn lists_eq(a: &[Vec<u64>], b: &[Vec<u64>]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.iter().eq(y))
+}
 
 /// A region-scoped allocator over simulated addresses.
 ///

@@ -24,7 +24,7 @@ const FL_COUNT: usize = 40;
 const SMALL_THRESHOLD: u64 = 1 << (SL_SHIFT + 4); // 256
 
 /// The TLSF allocator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tlsf {
     base: Addr,
     size: u64,
@@ -39,6 +39,35 @@ pub struct Tlsf {
     allocated: u64,
     last_slow: bool,
 }
+
+impl PartialEq for Tlsf {
+    /// Field by field, destructured so a new field cannot be missed.
+    fn eq(&self, other: &Self) -> bool {
+        let Tlsf {
+            base,
+            size,
+            blocks,
+            free_lists,
+            fl_bitmap,
+            sl_bitmaps,
+            allocated,
+            last_slow,
+        } = self;
+        (*base, *size, *fl_bitmap, *allocated, *last_slow)
+            == (
+                other.base,
+                other.size,
+                other.fl_bitmap,
+                other.allocated,
+                other.last_slow,
+            )
+            && *sl_bitmaps == other.sl_bitmaps
+            && crate::lists_eq(free_lists.as_flattened(), other.free_lists.as_flattened())
+            && *blocks == other.blocks
+    }
+}
+
+impl Eq for Tlsf {}
 
 /// Computes the (first-level, second-level) index of a block of `size`.
 fn mapping(size: u64) -> (usize, usize) {
@@ -95,18 +124,18 @@ impl Tlsf {
         self.sl_bitmaps[fl] |= 1 << sl;
     }
 
-    fn unfile_free(&mut self, addr: Addr, size: u64) {
-        let (fl, sl) = mapping(size);
+    /// Takes the most recently filed block of class (fl, sl) — the LIFO
+    /// end of its list — clearing the class's bits when it empties.
+    fn pop_free(&mut self, fl: usize, sl: usize) -> Option<u64> {
         let list = &mut self.free_lists[fl][sl];
-        if let Some(pos) = list.iter().position(|&a| a == addr.raw()) {
-            list.swap_remove(pos);
-        }
+        let raw = list.pop()?;
         if list.is_empty() {
             self.sl_bitmaps[fl] &= !(1 << sl);
             if self.sl_bitmaps[fl] == 0 {
                 self.fl_bitmap &= !(1 << fl);
             }
         }
+        Some(raw)
     }
 
     /// Finds a free class >= (fl, sl) using the bitmaps (the O(1) search
@@ -140,13 +169,10 @@ impl RegionAlloc for Tlsf {
         let (ffl, fsl, exact) = self.find_class(fl, sl).ok_or(Fault::ResourceExhausted {
             what: "TLSF heap region",
         })?;
-        let raw = *self.free_lists[ffl][fsl]
-            .last()
-            .expect("bitmap said non-empty");
+        let raw = self.pop_free(ffl, fsl).expect("bitmap said non-empty");
         let addr = Addr::new(raw);
         let blk = self.blocks.get(addr).expect("filed block exists");
-        debug_assert!(blk.free && blk.size >= want);
-        self.unfile_free(addr, blk.size);
+        debug_assert!(blk.free && blk.size >= want && mapping(blk.size) == (ffl, fsl));
         self.blocks.take(addr, want);
         let remainder = blk.size - want;
         if remainder > 0 {
@@ -213,6 +239,15 @@ impl Tlsf {
     /// Returns a description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.blocks.check_invariants(self.base, self.size, false)
+    }
+
+    /// Host bytes the allocator's metadata occupies, roughly.
+    pub(crate) fn host_bytes(&self) -> usize {
+        let filed: usize = self.free_lists.iter().flatten().map(Vec::len).sum();
+        std::mem::size_of::<Self>()
+            + self.blocks.host_bytes()
+            + self.free_lists.len() * std::mem::size_of::<[Vec<u64>; SL_COUNT]>()
+            + filed * std::mem::size_of::<u64>()
     }
 }
 

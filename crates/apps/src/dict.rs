@@ -57,6 +57,11 @@ impl Dict {
         })
     }
 
+    /// Where the table lives: its bucket array's address and capacity.
+    pub(crate) fn place(&self) -> (Addr, u64) {
+        (self.buckets, self.capacity)
+    }
+
     fn hash(&self, key: &[u8]) -> u64 {
         // SipHash-flavoured mixing is overkill; Redis uses SipHash-1-2 but
         // the distribution property is what matters here (FNV-1a).
@@ -115,22 +120,44 @@ impl Dict {
         self.env.mem_compare(Addr::new(key_addr), key)
     }
 
+    /// Allocates a block for `bytes` and writes them there, giving the
+    /// block back if the write faults.
+    fn store(&self, bytes: &[u8]) -> Result<Addr, Fault> {
+        let addr = self.env.malloc(bytes.len().max(1) as u64)?;
+        if let Err(fault) = self.env.mem_write(addr, bytes) {
+            self.env.free(addr)?;
+            return Err(fault);
+        }
+        Ok(addr)
+    }
+
     /// Inserts or replaces `key` → `value`.
+    ///
+    /// A refused insert leaves the table as it was. A refused replace
+    /// has already freed the old value, so it removes the entry (the
+    /// key reads as absent) instead of leaving it pointing at freed
+    /// memory. Either way no block is leaked.
     ///
     /// # Errors
     ///
     /// [`Fault::ResourceExhausted`] when the table is full or the heap is
-    /// exhausted; protection faults from a foreign compartment.
+    /// exhausted; [`Fault::BudgetExceeded`] when the compartment's heap
+    /// budget refuses a block; protection faults from a foreign
+    /// compartment.
     pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<(), Fault> {
         let mut idx = self.hash(key);
         for _ in 0..self.capacity {
             let (kaddr, vaddr, klen, _vlen, state) = self.read_bucket(idx)?;
             match state {
                 STATE_EMPTY | STATE_TOMB => {
-                    let key_addr = self.env.malloc(key.len().max(1) as u64)?;
-                    self.env.mem_write(key_addr, key)?;
-                    let val_addr = self.env.malloc(value.len().max(1) as u64)?;
-                    self.env.mem_write(val_addr, value)?;
+                    let key_addr = self.store(key)?;
+                    let val_addr = match self.store(value) {
+                        Ok(addr) => addr,
+                        Err(fault) => {
+                            self.env.free(key_addr)?;
+                            return Err(fault);
+                        }
+                    };
                     self.write_bucket(
                         idx,
                         key_addr.raw(),
@@ -144,8 +171,14 @@ impl Dict {
                 _ if self.key_matches(kaddr, klen, key)? => {
                     // Replace the value in place.
                     self.env.free(Addr::new(vaddr))?;
-                    let val_addr = self.env.malloc(value.len().max(1) as u64)?;
-                    self.env.mem_write(val_addr, value)?;
+                    let val_addr = match self.store(value) {
+                        Ok(addr) => addr,
+                        Err(fault) => {
+                            self.write_bucket(idx, 0, 0, 0, 0, STATE_TOMB)?;
+                            self.env.free(Addr::new(kaddr))?;
+                            return Err(fault);
+                        }
+                    };
                     self.write_bucket(
                         idx,
                         kaddr,
@@ -239,17 +272,64 @@ impl Dict {
 mod tests {
     use super::*;
     use flexos_core::backend::NoneBackend;
+    use flexos_core::compartment::ResourceBudget;
     use flexos_core::config::SafetyConfig;
     use flexos_core::image::ImageBuilder;
     use flexos_core::prelude::{Component, ComponentKind};
     use flexos_machine::Machine;
 
     fn env() -> Rc<Env> {
+        build(SafetyConfig::none())
+    }
+
+    fn build(config: SafetyConfig) -> Rc<Env> {
         let machine = Machine::new(Machine::DEFAULT_MEM_BYTES);
-        let mut b = ImageBuilder::new(machine, SafetyConfig::none());
+        let mut b = ImageBuilder::new(machine, config);
         b.register(Component::new("redis", ComponentKind::App))
             .unwrap();
         b.build(&[&NoneBackend]).unwrap().env
+    }
+
+    #[test]
+    fn a_refused_set_leaks_nothing_and_leaves_no_dangling_value() {
+        // 16 buckets (512 bytes) and two 16-byte blocks fit the budget; a
+        // 1 KiB value does not.
+        let mut config = SafetyConfig::none();
+        config.default_budget = Some(ResourceBudget {
+            heap_bytes: Some(1024),
+            ..ResourceBudget::UNLIMITED
+        });
+        let env = build(config);
+        let redis = env.component_id("redis").unwrap();
+        let comp = env.compartment_of(redis);
+        let live = || {
+            let stats = env.heap_stats_of(comp);
+            let live = stats.bytes_allocated - stats.bytes_freed;
+            assert_eq!(live, env.budget_usage(comp).heap_bytes, "ledger = heap");
+            live
+        };
+        let big = [b'v'; 1024];
+        env.run_as(redis, || {
+            let mut d = Dict::with_capacity(Rc::clone(&env), 16).unwrap();
+            let mut out = Vec::new();
+            // Refused insert: the key block is given back.
+            let empty = live();
+            let refused = d.set(b"k", &big);
+            assert!(matches!(refused, Err(Fault::BudgetExceeded { .. })));
+            assert_eq!(live(), empty);
+            assert_eq!(d.get_into(b"k", &mut out).unwrap(), None);
+            // Refused replace: the entry goes, with its key and both values.
+            d.set(b"k", b"old").unwrap();
+            let refused = d.set(b"k", &big);
+            assert!(matches!(refused, Err(Fault::BudgetExceeded { .. })));
+            assert_eq!(d.get_into(b"k", &mut out).unwrap(), None);
+            assert_eq!(d.bucket_of(b"k").unwrap(), None);
+            assert_eq!(live(), empty);
+            // The key is free to come back.
+            d.set(b"k", b"new").unwrap();
+            assert_eq!(d.get_into(b"k", &mut out).unwrap(), Some(3));
+            assert_eq!(out, b"new");
+        });
     }
 
     #[test]

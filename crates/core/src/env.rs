@@ -32,6 +32,9 @@
 //!   shared-heap allocation (§4.1 data ownership).
 //! * [`Env::shared_var`] — whitelist-checked access to `__shared`
 //!   annotated variables.
+//! * [`Env::record_heap_template`] / [`Env::replay_heap_template`] —
+//!   what a run did to the current compartment's heap, recorded once and
+//!   replayed onto an identical heap (`template`).
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::VecDeque;
@@ -51,6 +54,9 @@ use crate::component::{ComponentId, ComponentRegistry, SharedVar};
 use crate::entry::{CallTarget, EntryId, EntryTable};
 use crate::gate::{GateKind, GateTable};
 use crate::hardening::Hardening;
+
+mod template;
+pub use template::HeapTemplate;
 
 /// One protection domain (compartment) at runtime.
 #[derive(Debug, Clone)]

@@ -29,12 +29,15 @@
 //! What is left of a point is priced by what the point touches, not by
 //! what its image could hold: the KASan shadow and the allocators' block
 //! tags grow with a heap's use (`flexos_alloc`), and zeroing Redis's
-//! empty 512 KiB dict materialises no page (`Memory::fill`). A
-//! 220-request point of the `full` space then splits, in host time
-//! (`benchmark -- --workload explore-exhaustive --trace 1`), roughly
-//! build 0.23 / install 0.20 / drive 0.49 / drop 0.07 of ≈ 0.4 ms: the
-//! request loop is now the largest share, and the next thing to make
-//! cheaper is a gate crossing, not a build.
+//! empty 512 KiB dict materialises no page (`Memory::fill`). The one
+//! phase that repeated identical work — a keyspace-1024 point preloading
+//! the same 1024 keys into a heap in one of six states — replays a
+//! template recorded once per process (`flexos_core::env::HeapTemplate`).
+//! Timed phase by phase over 404 points of `explore-lazy`'s Redis shape
+//! (keyspace 1024, pipeline 4, 220 requests; 2-core Xeon @ 2.1 GHz,
+//! release), a point splits as build ≈ 32 µs, install ≈ 2 µs, preload
+//! ≈ 38 µs replayed (≈ 320 µs simulated), drive + drop ≈ 150 µs: the
+//! request loop is the largest share again.
 //!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
 //! EPT points cost several times an MPK point host-side), and write

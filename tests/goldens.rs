@@ -328,3 +328,57 @@ fn transform_reports_render_the_recorded_text_on_demand() {
         assert_same(name, &report_text(config), want);
     }
 }
+
+/// The per-point fingerprints `benchmark/expected.json` pins for
+/// `SpaceSpec::full(20, 200)`: sixteen bits of an FNV-1a digest of each
+/// point's `(index, ops, cycles)`, four hex digits per point in index
+/// order. Read, never written: only the benchmark re-blesses that file.
+fn full_space_fingerprints() -> Vec<u16> {
+    let json = include_str!("../benchmark/expected.json");
+    let (_, rest) = json
+        .split_once("\"fingerprints\": \"")
+        .expect("expected.json pins fingerprints");
+    let hex = &rest[..rest.find('"').expect("the table is one string")];
+    (0..hex.len() / 4)
+        .map(|i| u16::from_str_radix(&hex[4 * i..4 * i + 4], 16).unwrap())
+        .collect()
+}
+
+/// The benchmark's fingerprint of one point's virtual result.
+fn fingerprint(r: &engine::PointResult) -> u16 {
+    let digest = [r.index as u64, r.ops, r.cycles]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+    digest as u16
+}
+
+#[test]
+fn every_redis_point_of_the_full_space_matches_its_pinned_fingerprint() {
+    // 4 800 Redis points, keyspaces 3 and 1024, on one thread: the
+    // keyspace-1024 ones recorded once per heap state and replayed after,
+    // every one held to the result the benchmark pinned before templates
+    // existed. A debug build takes a stride of them.
+    let spec = SpaceSpec::full(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
+    let pinned = full_space_fingerprints();
+    assert_eq!(pinned.len(), spec.len(), "one fingerprint per point");
+    let redis: Vec<usize> = (0..spec.len())
+        .filter(|&i| matches!(spec.shape(i).workload, Workload::RedisGet { .. }))
+        .collect();
+    assert_eq!(redis.len(), 4_800);
+    let stride = if cfg!(debug_assertions) { 59 } else { 1 };
+    let run: Vec<usize> = redis.into_iter().step_by(stride).collect();
+    for r in engine::run_indices(&spec, &run, 1).unwrap() {
+        assert_eq!(
+            fingerprint(&r),
+            pinned[r.index],
+            "point {} ({}): ops {} cycles {}",
+            r.index,
+            spec.label_of(r.index),
+            r.ops,
+            r.cycles
+        );
+    }
+}

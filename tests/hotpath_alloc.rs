@@ -20,10 +20,18 @@
 //! recomputation back fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use flexos::prelude::*;
+use flexos_alloc::{Heap, HeapState};
+use flexos_apps::redis::KeyspacePreload;
+use flexos_apps::workloads::{preload_keyspace, run_redis_bench, RedisBench};
+use flexos_apps::RedisServer;
 use flexos_core::compartment::DataSharing;
+use flexos_machine::addr::PAGE_SIZE;
+use flexos_machine::key::Pkru;
+use flexos_sweep::{SpaceSpec, SweepPoint, Workload};
 
 struct CountingAlloc;
 
@@ -763,71 +771,217 @@ fn build_cost_of_an_all_hardened_image_does_not_include_its_heaps_capacity() {
     );
 }
 
+/// The keyspace every Redis-1024 sweep point preloads.
+const KEYSPACE: u64 = 1024;
+
+/// A fresh build of `config` at `cores` cores with a Redis server
+/// installed on `core`, on a port of its own, so `run_redis_bench` can
+/// install the benchmark's servers beside it afterwards.
+fn redis_image(config: &SafetyConfig, cores: usize, core: usize) -> (FlexOs, Rc<RedisServer>) {
+    let os = SystemBuilder::new(config.clone())
+        .app(flexos_apps::redis_component())
+        .cores(cores)
+        .build()
+        .unwrap();
+    os.env.switch_core(core);
+    let server = flexos_apps::workloads::install_redis_named(&os, "redis", 7000).unwrap();
+    (os, server)
+}
+
+/// The redis compartment's heap on an image.
+fn redis_heap(os: &FlexOs, server: &RedisServer) -> Rc<RefCell<Heap>> {
+    os.env.run_as(server.component_id(), || os.env.heap())
+}
+
+/// Every core's clock on an image.
+fn core_clocks(os: &FlexOs) -> Vec<u64> {
+    let machine = os.env.machine();
+    (0..os.env.num_cores())
+        .map(|c| machine.core_clock(c).now())
+        .collect()
+}
+
+/// Asserts that two images hold the same keyspace preload in everything
+/// later work can observe but the clocks, which the key lookups advance.
+fn assert_same_preload(
+    label: &str,
+    (a, server_a): &(FlexOs, Rc<RedisServer>),
+    (b, server_b): &(FlexOs, Rc<RedisServer>),
+) {
+    let comp = a.env.compartment_of(server_a.component_id());
+    assert_eq!(
+        a.env.heap_stats_of(comp),
+        b.env.heap_stats_of(comp),
+        "{label}: heap statistics"
+    );
+    {
+        let (heap_a, heap_b) = (redis_heap(a, server_a), redis_heap(b, server_b));
+        let (heap_a, heap_b) = (heap_a.borrow(), heap_b.borrow());
+        // The whole state: the allocator's blocks and free lists, the KASan
+        // shadow and quarantine, the counters.
+        assert!(
+            heap_a.state() == heap_b.state(),
+            "{label}: heap state (block list, KASan shadow)"
+        );
+        let region = heap_a.region();
+        let (memory_a, memory_b) = (a.env.machine().memory(), b.env.machine().memory());
+        let (mut page_a, mut page_b) = ([0u8; PAGE_SIZE], [0u8; PAGE_SIZE]);
+        for at in (0..region.len())
+            .step_by(PAGE_SIZE)
+            .map(|o| region.base() + o)
+        {
+            memory_a.read(at, &mut page_a, &Pkru::ALL_ACCESS).unwrap();
+            memory_b.read(at, &mut page_b, &Pkru::ALL_ACCESS).unwrap();
+            assert!(page_a == page_b, "{label}: heap bytes at {at}");
+        }
+    }
+    for i in 0..KEYSPACE {
+        let key = format!("key:{i}");
+        let bucket = server_a.with_dict(|d| d.bucket_of(key.as_bytes())).unwrap();
+        assert!(bucket.is_some(), "{label}: {key} is preloaded");
+        assert_eq!(
+            bucket,
+            server_b.with_dict(|d| d.bucket_of(key.as_bytes())).unwrap(),
+            "{label}: {key}'s bucket"
+        );
+    }
+}
+
+/// What a template is keyed on beyond the keyspace and the (default)
+/// cost model, read off an image with Redis installed: the redis heap's
+/// whole state, which fixes where the dict sits, and redis's hardening.
+/// The heap's region is the same in every image of these spaces.
+fn template_key(point: &SweepPoint) -> (HeapState, Hardening) {
+    let (os, server) = redis_image(&point.config, 1, 0);
+    let state = redis_heap(&os, &server).borrow().state().clone();
+    (state, point.config.hardening_of("redis"))
+}
+
 #[test]
 fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
-    // The keyspace-1024 preload every Redis-1024 sweep point pays renders
-    // its keys into one buffer and hands them to `RedisServer::preload`
-    // at once (it was a `format!` and a call per key: 1169–1204 allocator
-    // calls). What it simulates must not change: on a twin image, 1024
-    // single-pair preloads in key order leave the same clock, the same
-    // heap statistics and every key in the same bucket. Sampled across
-    // the full space's Redis-1024 configurations: the stride picks 16,
-    // with both mechanisms, every strategy and sharing, both allocators
-    // and hardening masks from none to all.
-    use flexos_apps::workloads::{install_redis, preload_keyspace};
-    use flexos_sweep::{SpaceSpec, Workload};
-    const KEYSPACE: u64 = 1024;
-    let spec = SpaceSpec::full(0, 0);
-    let redis_1024: Vec<usize> = (0..spec.len())
-        .filter(|&i| {
-            spec.shape(i).workload
-                == Workload::RedisGet {
-                    keyspace: KEYSPACE as u32,
-                    pipeline: 1,
-                }
-        })
-        .collect();
-    for &i in redis_1024.iter().step_by(53) {
-        let point = spec.point(i);
-        let build = || {
-            SystemBuilder::new(point.config.clone())
-                .app(flexos_apps::redis_component())
-                .build()
-                .unwrap()
-        };
-        let (whole, single) = (build(), build());
-        let server = install_redis(&whole).unwrap();
-        let twin = install_redis(&single).unwrap();
-        let ((), _, calls) = cost_of(|| preload_keyspace(&server, KEYSPACE).unwrap());
-        assert!(
-            calls < 256,
-            "{}: the keyspace-1024 preload made {calls} allocator calls",
-            point.label
-        );
-        for i in 0..KEYSPACE {
-            let value = [b'x' + (i % 3) as u8; 3];
-            twin.preload(&[(format!("key:{i}").as_bytes(), &value)])
-                .unwrap();
+    // Every Redis-1024 sweep point preloads the same 1024 keys into a
+    // redis heap in one of a handful of states, so the first preload into
+    // each state is recorded and later ones replay it. A replay must be
+    // the preload: on twin images, one preloaded key by key through
+    // single-pair `RedisServer::preload`s, one by the call that records
+    // the template and one by the call that replays it must agree on every
+    // clock, the heap's whole state, every byte of its region, every
+    // key's bucket and the benchmark loop run next. Both calls stay one
+    // call's worth of host allocations (per key, the preload was a
+    // `format!` and a call: 1169–1204 allocator calls).
+    //
+    // Covered: every template key of the Redis-1024 shapes of `full`, a
+    // stride of `full-profiled`'s (they differ from `full`'s only in the
+    // profiles of compartments redis does not live in, and must land on
+    // the same keys), and one 2-core image preloading on core 1.
+    let redis_1024 = Workload::RedisGet {
+        keyspace: KEYSPACE as u32,
+        pipeline: 1,
+    };
+    let full = SpaceSpec::full(0, 0);
+    let mut keys: Vec<((HeapState, Hardening), SweepPoint)> = Vec::new();
+    for i in (0..full.len()).filter(|&i| full.shape(i).workload == redis_1024) {
+        let point = full.point(i);
+        let key = template_key(&point);
+        if !keys.iter().any(|(k, _)| *k == key) {
+            keys.push((key, point));
         }
-        assert_eq!(whole.cycles(), single.cycles(), "{}: clock", point.label);
-        let comp = whole.env.compartment_of(server.component_id());
-        assert_eq!(
-            whole.env.heap_stats_of(comp),
-            single.env.heap_stats_of(comp),
-            "{}: heap statistics",
-            point.label
-        );
-        for i in 0..KEYSPACE {
-            let key = format!("key:{i}");
-            let bucket = server.with_dict(|d| d.bucket_of(key.as_bytes())).unwrap();
-            assert!(bucket.is_some(), "{}: {key} is preloaded", point.label);
-            assert_eq!(
-                bucket,
-                twin.with_dict(|d| d.bucket_of(key.as_bytes())).unwrap(),
-                "{}: {key}'s bucket",
+    }
+    assert_eq!(
+        keys.len(),
+        6,
+        "TLSF or Lea × KASan heap or not × hardened redis or not"
+    );
+    let profiled = SpaceSpec::full_profiled(0, 0);
+    let mut sampled = 0;
+    for i in (0..profiled.len()).step_by(97) {
+        if profiled.shape(i).workload == redis_1024 {
+            let point = profiled.point(i);
+            let key = template_key(&point);
+            assert!(
+                keys.iter().any(|(k, _)| *k == key),
+                "{}: a new key",
                 point.label
             );
+            sampled += 1;
         }
+    }
+    assert!(sampled > 100, "{sampled} full-profiled points sampled");
+
+    let first = keys[0].1.clone();
+    let cases = keys
+        .into_iter()
+        .map(|(_, point)| (point, 1, 0))
+        .chain([(first.clone(), 2, 1)]);
+    for (point, cores, core) in cases {
+        let label = format!("{} at {cores} cores", point.label);
+        let images: [_; 3] = std::array::from_fn(|_| redis_image(&point.config, cores, core));
+        let [recorded, replayed, twin] = &images;
+        let (first, _, calls) = cost_of(|| preload_keyspace(&recorded.1, KEYSPACE).unwrap());
+        assert!(
+            calls < 256,
+            "{label}: recording made {calls} allocator calls"
+        );
+        assert_ne!(first, KeyspacePreload::Simulated, "{label}: recorded");
+        let (second, _, calls) = cost_of(|| preload_keyspace(&replayed.1, KEYSPACE).unwrap());
+        assert!(
+            calls < 256,
+            "{label}: replaying made {calls} allocator calls"
+        );
+        assert_eq!(second, KeyspacePreload::Replayed, "{label}: replayed");
+        preload_key_by_key(&twin.1);
+        let [clocks_recorded, clocks_replayed, clocks_twin] =
+            images.each_ref().map(|(os, _)| core_clocks(os));
+        assert_eq!(clocks_recorded, clocks_twin, "{label}: recorded clocks");
+        assert_eq!(clocks_replayed, clocks_twin, "{label}: replayed clocks");
+        assert_same_preload(&format!("{label}, recorded"), recorded, twin);
+        assert_same_preload(&format!("{label}, replayed"), replayed, twin);
+        let bench = RedisBench {
+            keyspace: KEYSPACE,
+            warmup: 4,
+            measured: 16,
+            ..RedisBench::default()
+        };
+        let [a, b, c] = images
+            .each_ref()
+            .map(|(os, _)| run_redis_bench(os, bench).unwrap());
+        assert_eq!((a, b), (c, c), "{label}: the benchmark loop run next");
+    }
+
+    // A heap region written to outside any recorded run is not blank,
+    // whatever the heap's state: the preload is simulated, and matches a
+    // twin preloaded key by key over the same stray bytes (which the
+    // first key block only partly overwrites).
+    let label = format!("{} with stray bytes", first.label);
+    let images: [_; 2] = std::array::from_fn(|_| {
+        let (os, server) = redis_image(&first.config, 1, 0);
+        let at = redis_heap(&os, &server).borrow().region().base() + (512 << 10);
+        os.env
+            .machine()
+            .memory_mut()
+            .write(at, &[0xAB; 32], &Pkru::ALL_ACCESS)
+            .unwrap();
+        (os, server)
+    });
+    let [stray, twin] = &images;
+    let path = preload_keyspace(&stray.1, KEYSPACE).unwrap();
+    assert_eq!(path, KeyspacePreload::Simulated, "{label}");
+    preload_key_by_key(&twin.1);
+    assert_eq!(
+        core_clocks(&stray.0),
+        core_clocks(&twin.0),
+        "{label}: clocks"
+    );
+    assert_same_preload(&label, stray, twin);
+}
+
+/// `key:0..KEYSPACE` as 1024 single-pair preloads, in key order.
+fn preload_key_by_key(server: &RedisServer) {
+    for i in 0..KEYSPACE {
+        let value = [b'x' + (i % 3) as u8; 3];
+        server
+            .preload(&[(format!("key:{i}").as_bytes(), &value)])
+            .unwrap();
     }
 }
 
