@@ -76,7 +76,8 @@ pub fn attack_space_quick() -> SpaceSpec {
 pub struct PointRun {
     /// Point index within the grid's enumeration.
     pub(crate) index: usize,
-    /// The point's label (copied so reports need no spec access).
+    /// The point's label, with a `+budget` suffix when its config
+    /// carries a budget (copied so reports need no spec access).
     pub(crate) label: String,
     /// Per-attack (observed outcome, oracle expectation) cells, in
     /// [`Attack::ALL`] order.
@@ -190,9 +191,13 @@ pub(crate) fn run_point_attacks(point: &SweepPoint) -> Result<PointRun, Fault> {
         }
         outcomes.push((attack, outcome, expected(attack, point)));
     }
+    let mut label = point.to_string();
+    if point.config.any_budget() {
+        label.push_str("+budget");
+    }
     Ok(PointRun {
         index: point.index,
-        label: point.label.clone(),
+        label,
         outcomes,
         blocked_mask,
         expected_mask: expected_mask(point),
@@ -220,16 +225,15 @@ pub(crate) const GRID_BUDGET: ResourceBudget = ResourceBudget {
     crossings: Some(100_000),
 };
 
-/// `spec`'s grid re-labeled with [`GRID_BUDGET`] as every compartment's
-/// budget; indices continue after the unbudgeted grid so the two can
-/// run as one matrix.
+/// `spec`'s grid with [`GRID_BUDGET`] as every compartment's budget
+/// (its rows' labels carry `+budget`); indices continue after the
+/// unbudgeted grid so the two can run as one matrix.
 pub(crate) fn budgeted_points(spec: &SpaceSpec) -> Vec<SweepPoint> {
     let offset = spec.len();
     spec.points()
         .map(|mut p| {
             p.config.default_budget = Some(GRID_BUDGET);
-            p.index += offset;
-            p.label.push_str("+budget");
+            p.shape.index += offset;
             p
         })
         .collect()
@@ -269,14 +273,14 @@ pub(crate) fn run_matrix_points(
                 (AttackOutcome::Succeeded, Expectation { blocked: true, .. }) => {
                     mismatches.push(format!(
                         "{}: {attack} succeeded but the configuration claims to block it",
-                        point.label
+                        run.label
                     ));
                 }
                 (AttackOutcome::Blocked { fault }, Expectation { blocked: false, .. }) => {
                     mismatches.push(format!(
                         "{}: {attack} blocked({fault}) but the configuration does not \
                          claim to block it",
-                        point.label
+                        run.label
                     ));
                 }
                 (
@@ -288,7 +292,7 @@ pub(crate) fn run_matrix_points(
                 ) if fault != want => {
                     mismatches.push(format!(
                         "{}: {attack} blocked by {fault}, oracle expects {want}",
-                        point.label
+                        run.label
                     ));
                 }
                 _ => {}
@@ -302,7 +306,7 @@ pub(crate) fn run_matrix_points(
         if weak & !strong != 0 {
             order_violations.push(format!(
                 "{} <= {} in the safety order, but blocks {:09b} vs {:09b}",
-                points[i].label, points[j].label, weak, strong
+                runs[i].label, runs[j].label, weak, strong
             ));
         }
     }

@@ -69,17 +69,18 @@ pub(crate) fn expected(attack: Attack, point: &SweepPoint) -> Expectation {
     let apart = point.config.placement("lwip") != point.config.placement(point.workload.app());
     // ...and actually enforced by a mechanism (key-backed separation).
     let keyed = apart && point.mechanism != Mechanism::None;
+    let (sharing, _) = point.profiles[0];
     match attack {
         Attack::OobRead | Attack::OobWrite => {
             Expectation::blocked_iff(keyed, FaultKind::ProtectionKey)
         }
         Attack::ForgedEntry => Expectation::blocked_iff(keyed, FaultKind::IllegalEntryPoint),
         Attack::StackSmash => Expectation::blocked_iff(
-            keyed && point.data_sharing != DataSharing::SharedStack,
+            keyed && sharing != DataSharing::SharedStack,
             FaultKind::ProtectionKey,
         ),
         Attack::InfoLeak => Expectation::blocked_iff(
-            keyed && point.data_sharing == DataSharing::Dss,
+            keyed && sharing == DataSharing::Dss,
             FaultKind::ProtectionKey,
         ),
         Attack::HeapSmash => {
@@ -145,7 +146,7 @@ mod tests {
             } else {
                 0
             };
-            assert_eq!(expected_mask(p), want, "{}", p.label);
+            assert_eq!(expected_mask(p), want, "{p}");
         }
     }
 
@@ -157,13 +158,13 @@ mod tests {
             .find(|p| {
                 p.strategy == Strategy::SplitLwip
                     && p.mechanism == Mechanism::IntelMpk
-                    && p.data_sharing == DataSharing::Dss
+                    && p.profiles[0].0 == DataSharing::Dss
                     && p.hardening_mask == 0b1111
             })
             .expect("grid has the strong point");
         // All eight spatial/hardening attacks — but never the cycle
         // hog, which no unbudgeted configuration can stop.
-        assert_eq!(expected_mask(&p), 0xFF, "{}", p.label);
+        assert_eq!(expected_mask(&p), 0xFF, "{p}");
         assert_eq!(expected_mask(&p) & (1 << Attack::CycleHog.bit()), 0);
     }
 
@@ -198,7 +199,7 @@ mod tests {
             .points()
             .find(|p| {
                 p.strategy == Strategy::SplitLwip
-                    && p.data_sharing == DataSharing::SharedStack
+                    && p.profiles[0].0 == DataSharing::SharedStack
                     && p.hardening_mask == 0
             })
             .expect("grid has a shared-stack point");
@@ -216,15 +217,7 @@ mod tests {
             for b in &points {
                 if sweep_leq(a, b) {
                     let (ma, mb) = (expected_mask(a), expected_mask(b));
-                    assert_eq!(
-                        ma & !mb,
-                        0,
-                        "{} <= {} but predicts {:09b} vs {:09b}",
-                        a.label,
-                        b.label,
-                        ma,
-                        mb
-                    );
+                    assert_eq!(ma & !mb, 0, "{a} <= {b} but predicts {ma:09b} vs {mb:09b}");
                 }
             }
         }

@@ -111,6 +111,11 @@ fn parse_args(raw: Vec<String>) -> Result<Args, CliError> {
                     })
                     .collect::<Result<Vec<u32>, String>>()
                     .map_err(usage)?;
+                if let Some(n) = (1..cores.len()).find(|&i| cores[..i].contains(&cores[i])) {
+                    // Twin points are order-equal: each would knock the
+                    // other out of the star set.
+                    return Err(usage(format!("repeated --cores entry `{}`", cores[n])));
+                }
                 args.cores = Some(cores);
             }
             "--budget-frac" => {
@@ -150,6 +155,14 @@ fn parse_args(raw: Vec<String>) -> Result<Args, CliError> {
         return Err(usage(
             "--csv needs every point measured; lazy mode skips most — drop --lazy".to_string(),
         ));
+    }
+    let profiled = SpaceSpec::named(&args.space, 0, 0).is_some_and(|s| s.per_compartment_profiles);
+    if profiled && !args.lazy {
+        return Err(usage(format!(
+            "space `{}` repeats experiments in its don't-care profile slots, which the \
+             exhaustive star report cannot rank — use --lazy",
+            args.space
+        )));
     }
     Ok(args)
 }
@@ -485,6 +498,8 @@ mod tests {
             (&["--budget", "nginx"][..], "--budget `nginx`"),
             (&["--threads", "0"][..], "--threads"),
             (&["--cores", "1,0"][..], "--cores"),
+            (&["--cores", "1,2,1"][..], "--cores"),
+            (&["--space", "full-profiled"][..], "--lazy"),
             (&["--csv"][..], "--csv"),
             (&["extra"][..], "`extra`"),
         ] {

@@ -57,8 +57,13 @@ impl Mechanism {
     }
 
     /// Relative isolation strength used by partial safety ordering
-    /// (§5, assumption 4): higher is probabilistically safer.
-    pub(crate) fn strength(&self) -> u8 {
+    /// (§5, assumption 4): higher is probabilistically safer. The order
+    /// is total and injective. The modeling choices: Cubicle's
+    /// trap-based MPK beats nothing-at-all but not inline MPK gates' W^X
+    /// guarantees; page tables (separate address spaces) beat
+    /// intra-address-space keys; EPT (separate address spaces *and*
+    /// separate EPT roots per VM) tops the scale.
+    pub fn strength(&self) -> u8 {
         match self {
             Mechanism::None => 0,
             Mechanism::CubicleOs => 1,

@@ -7,7 +7,7 @@ use flexos_explore::StarReport;
 use flexos_machine::trace::JsonStr;
 
 use crate::engine::PointResult;
-use crate::lazy::{LazyOutcome, ParetoLevel, WorkloadPareto};
+use crate::lazy::{LazyOutcome, LazyStats, ParetoLevel, WorkloadPareto};
 use crate::space::{SpaceSpec, SweepPoint};
 
 /// Renders the sweep as CSV, one row per point (header included):
@@ -23,6 +23,7 @@ pub fn csv(points: &[SweepPoint], results: &[PointResult]) -> String {
          hardening_mask,ops,cycles,ops_per_sec\n",
     );
     for (p, r) in points.iter().zip(results) {
+        let (data_sharing, allocator) = p.profiles[0];
         out.push_str(&format!(
             "{},{},{},{:?},{:?},{},{},{},{},{},{},{:.1}\n",
             p.index,
@@ -31,8 +32,8 @@ pub fn csv(points: &[SweepPoint], results: &[PointResult]) -> String {
             p.mechanism,
             p.strategy,
             p.strategy.compartments(),
-            p.data_sharing,
-            p.allocator,
+            data_sharing,
+            allocator,
             p.hardening_mask,
             r.ops,
             r.cycles,
@@ -144,16 +145,8 @@ pub(crate) fn host_cores() -> usize {
 pub struct LazySummary {
     /// Space name.
     pub(crate) space: String,
-    /// Enumerated points explored.
-    pub(crate) points: usize,
-    /// Distinct canonical experiments among them.
-    pub(crate) canonical: usize,
-    /// Canonical experiments actually executed.
-    pub(crate) measured: usize,
-    /// Canonical experiments classified purely by order inference.
-    pub(crate) inferred: usize,
-    /// Measurement requests served from the memo.
-    pub(crate) memo_hits: usize,
+    /// How the run spent (and avoided) measurements.
+    pub(crate) stats: LazyStats,
     /// Worker threads per measurement batch.
     pub(crate) threads: usize,
     /// Host cores visible to the process.
@@ -187,11 +180,7 @@ impl LazySummary {
     ) -> LazySummary {
         LazySummary {
             space: spec.name.clone(),
-            points: outcome.stats.points,
-            canonical: outcome.stats.canonical,
-            measured: outcome.stats.measured,
-            inferred: outcome.stats.inferred,
-            memo_hits: outcome.stats.memo_hits,
+            stats: outcome.stats,
             threads,
             host_cores: host_cores(),
             warmup: spec.warmup,
@@ -204,17 +193,9 @@ impl LazySummary {
         }
     }
 
-    /// Fraction of enumerated points that never cost an execution.
-    pub(crate) fn skip_rate(&self) -> f64 {
-        if self.points == 0 {
-            0.0
-        } else {
-            1.0 - self.measured as f64 / self.points as f64
-        }
-    }
-
     /// The single-line JSON rendering.
     pub fn to_json(&self) -> String {
+        let stats = &self.stats;
         let misses = match self.inference_misses {
             Some(m) => m.to_string(),
             None => "null".to_string(),
@@ -228,12 +209,12 @@ impl LazySummary {
                 "\"stars\":{},\"inference_misses\":{}}}"
             ),
             JsonStr(&self.space),
-            self.points,
-            self.canonical,
-            self.measured,
-            self.inferred,
-            self.memo_hits,
-            self.skip_rate(),
+            stats.points,
+            stats.canonical,
+            stats.measured,
+            stats.inferred,
+            stats.memo_hits,
+            stats.skip_rate(),
             self.threads,
             self.host_cores,
             self.warmup,
@@ -391,11 +372,13 @@ mod tests {
     fn lazy_summary_reports_skip_rate() {
         let s = LazySummary {
             space: "full-profiled".into(),
-            points: 311_040,
-            canonical: 104_000,
-            measured: 26_000,
-            inferred: 78_000,
-            memo_hits: 250_000,
+            stats: LazyStats {
+                points: 311_040,
+                canonical: 104_000,
+                measured: 26_000,
+                inferred: 78_000,
+                memo_hits: 250_000,
+            },
             threads: 4,
             host_cores: 8,
             warmup: 20,
@@ -406,7 +389,7 @@ mod tests {
             stars: 40,
             inference_misses: Some(0),
         };
-        assert!((s.skip_rate() - (1.0 - 26_000.0 / 311_040.0)).abs() < 1e-12);
+        assert!((s.stats.skip_rate() - (1.0 - 26_000.0 / 311_040.0)).abs() < 1e-12);
         let json = s.to_json();
         assert!(json.contains("\"mode\":\"lazy\""));
         assert!(json.contains("\"measured\":26000"));

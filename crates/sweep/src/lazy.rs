@@ -18,10 +18,10 @@
 //!
 //! Two more layers make 10⁵-point spaces affordable:
 //!
-//! * a **measurement memo** keyed by canonical representative: points
-//!   that collapse to the same experiment (`CanonicalPoint` —
-//!   don't-care profile slots of per-compartment spaces) are built and
-//!   run once, and repeat requests across binary-search rounds and
+//! * a **measurement memo** keyed by the order key, which is the
+//!   experiment's identity: points that collapse to the same experiment
+//!   (don't-care profile slots of per-compartment spaces) share a key
+//!   and are built and run once, and repeat requests across binary-search rounds and
 //!   Pareto budget levels are served from the memo;
 //! * per-workload **normalization from minimal elements**: monotonicity
 //!   puts each workload's best configuration among the poset's minimal
@@ -45,7 +45,7 @@ use flexos_machine::fault::Fault;
 
 use crate::engine::{run_indices, PointResult};
 use crate::report::{BudgetVector, OrderKey};
-use crate::space::{CanonicalPoint, SpaceSpec, Workload};
+use crate::space::{SpaceSpec, Workload};
 
 /// Knobs of a lazy sweep.
 #[derive(Debug, Clone)]
@@ -357,25 +357,19 @@ pub fn lazy_sweep(
     let n = indices.len();
     let started = Instant::now();
 
-    // ---- canonicalization: positions → canonical representatives.
-    let mut rep_of_key: HashMap<CanonicalPoint, usize> = HashMap::new();
+    // ---- canonicalization: positions → canonical representatives,
+    // one per distinct order key.
+    let mut rep_of_key: HashMap<OrderKey, usize> = HashMap::new();
     let mut rep_spec_index: Vec<usize> = Vec::new();
     let mut rep_key: Vec<OrderKey> = Vec::new();
     let mut rep_of_pos: Vec<usize> = Vec::with_capacity(n);
     for &i in indices {
-        let shape = spec.shape(i);
+        let key = OrderKey::from(&spec.shape(i));
         let next_id = rep_spec_index.len();
-        let id = *rep_of_key.entry(shape.canonical()).or_insert(next_id);
+        let id = *rep_of_key.entry(key).or_insert(next_id);
         if id == next_id {
             rep_spec_index.push(i);
-            rep_key.push(OrderKey::new(
-                shape.workload,
-                shape.strategy,
-                shape.mechanism,
-                shape.hardening_mask,
-                &shape.profiles,
-                shape.cores,
-            ));
+            rep_key.push(key);
         }
         rep_of_pos.push(id);
     }

@@ -18,34 +18,33 @@
 use std::collections::HashMap;
 
 use flexos_alloc::HeapKind;
-use flexos_core::compartment::{DataSharing, Mechanism};
+use flexos_core::compartment::Mechanism;
 use flexos_explore::{prune_and_star_by, ConfigNode, Poset, StarReport, Strategy};
 
 use crate::engine::PointResult;
-use crate::space::{SweepPoint, Workload};
+use crate::space::{PointShape, SweepPoint, Workload};
 
 /// Total strength order over isolation mechanisms (§5 assumption 4),
-/// stronger = larger. The modeling choices: Cubicle's trap-based MPK
-/// beats nothing-at-all but not inline MPK gates' W^X guarantees; page
-/// tables (separate address spaces) beat intra-address-space keys; EPT
-/// (separate address spaces *and* separate EPT roots per VM) tops the
-/// scale.
+/// stronger = larger: [`Mechanism::strength`], whose exhaustive match
+/// is the one rank table.
 pub fn mechanism_rank(m: Mechanism) -> u8 {
-    match m {
-        Mechanism::None => 0,
-        Mechanism::CubicleOs => 1,
-        Mechanism::IntelMpk => 2,
-        Mechanism::PageTable => 3,
-        Mechanism::VmEpt => 4,
-        _ => 0,
-    }
+    m.strength()
 }
 
 /// The packed §5 order key of one point: every field of its *shape*
 /// the order reads, with the per-component vectors resolved once.
 /// [`sweep_leq`] and the lazy engine compare these and nothing else,
 /// so the two cannot disagree on a clause.
-#[derive(Debug, Clone, Copy)]
+///
+/// The key is also the lazy engine's experiment identity. It is
+/// injective on shapes up to their index: the mechanism rank and
+/// [`DataSharing::strength`](flexos_core::compartment::DataSharing::strength)
+/// are injective, the per-component
+/// allocator and strength vectors recover every compartment's profile
+/// under the strategy (each compartment holds a component), and the
+/// unsplit image's sharing slot is pinned by
+/// [`SpaceSpec::shape`](crate::space::SpaceSpec::shape).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct OrderKey {
     pub(crate) workload: Workload,
     /// Heap allocator seen by each of the four Figure 6 components: a
@@ -64,28 +63,35 @@ pub(crate) struct OrderKey {
     strengths: [u8; 4],
 }
 
-impl OrderKey {
-    pub(crate) fn new(
-        workload: Workload,
-        strategy: Strategy,
-        mechanism: Mechanism,
-        hardening_mask: u8,
-        profiles: &[(DataSharing, HeapKind)],
-        cores: u32,
-    ) -> OrderKey {
+/// The one place an axis of the space is ordered: the pattern names
+/// every field of [`PointShape`], so a new axis does not compile until
+/// this constructor places it in the key.
+impl From<&PointShape> for OrderKey {
+    fn from(shape: &PointShape) -> OrderKey {
+        let PointShape {
+            index: _, // enumeration position, not an axis
+            workload,
+            strategy,
+            mechanism,
+            hardening_mask,
+            profiles,
+            cores,
+        } = shape;
         let split = strategy.compartments() > 1;
         let of = |i: usize| profiles[strategy.compartment_of(i)];
         OrderKey {
-            workload,
+            workload: *workload,
             allocators: std::array::from_fn(|i| of(i).1),
-            cores,
-            strategy,
-            mech: mechanism_rank(mechanism),
-            mask: hardening_mask,
+            cores: *cores,
+            strategy: *strategy,
+            mech: mechanism_rank(*mechanism),
+            mask: *hardening_mask,
             strengths: std::array::from_fn(|i| if split { of(i).0.strength() } else { 0 }),
         }
     }
+}
 
+impl OrderKey {
     /// `self ≤ other`: the shape half of [`sweep_leq`] (everything but
     /// the resource-budget dimension, which lives in the built config).
     pub(crate) fn leq(&self, other: &OrderKey) -> bool {
@@ -145,25 +151,13 @@ impl OrderKey {
 /// coarser partition. The clause is a total order on the axis, so
 /// antisymmetry is preserved.
 pub fn sweep_leq(a: &SweepPoint, b: &SweepPoint) -> bool {
-    order_key(a).leq(&order_key(b)) && budget_leq(a, b)
-}
-
-/// The packed order key of a sweep point — what [`sweep_leq`] compares.
-fn order_key(p: &SweepPoint) -> OrderKey {
-    OrderKey::new(
-        p.workload,
-        p.strategy,
-        p.mechanism,
-        p.hardening_mask,
-        &p.profiles,
-        p.cores,
-    )
+    OrderKey::from(&a.shape).leq(&OrderKey::from(&b.shape)) && budget_leq(a, b)
 }
 
 /// [`sweep_leq`] over `points` by index, each point's key built once
 /// rather than twice per pair: the form the O(n²) callers use.
 fn indexed_leq(points: &[SweepPoint]) -> impl Fn(usize, usize) -> bool + '_ {
-    let keys: Vec<OrderKey> = points.iter().map(order_key).collect();
+    let keys: Vec<OrderKey> = points.iter().map(|p| OrderKey::from(&p.shape)).collect();
     move |a, b| keys[a].leq(&keys[b]) && budget_leq(&points[a], &points[b])
 }
 
@@ -230,7 +224,7 @@ pub fn sweep_poset(points: &[SweepPoint], results: &[PointResult]) -> Poset {
         .enumerate()
         .map(|(i, (p, r))| ConfigNode {
             index: i,
-            label: p.label.clone(),
+            label: p.to_string(),
             performance: r.ops_per_sec / group_max[&p.workload],
         })
         .collect();
@@ -299,6 +293,7 @@ pub fn star_report_vec(
 mod tests {
     use super::*;
     use crate::space::{SpaceSpec, Workload};
+    use flexos_core::compartment::DataSharing;
     use flexos_explore::Strategy;
 
     fn points_of(spec: &SpaceSpec) -> Vec<SweepPoint> {
@@ -355,9 +350,7 @@ mod tests {
                     sweep_leq(a, b),
                     a.strategy.refined_by(&b.strategy)
                         && a.hardening_mask & b.hardening_mask == a.hardening_mask,
-                    "{} vs {}",
-                    a.label,
-                    b.label
+                    "{a} vs {b}"
                 );
             }
         }
@@ -385,14 +378,15 @@ mod tests {
             (DataSharing::HeapConversion, HeapKind::Tlsf),
         ];
         let key = |strategy, profiles: &[(DataSharing, HeapKind)]| {
-            OrderKey::new(
-                Workload::NginxGet,
+            OrderKey::from(&PointShape {
+                index: 0,
+                workload: Workload::NginxGet,
                 strategy,
-                Mechanism::IntelMpk,
-                0,
-                profiles,
-                1,
-            )
+                mechanism: Mechanism::IntelMpk,
+                hardening_mask: 0,
+                profiles: profiles.to_vec(),
+                cores: 1,
+            })
         };
         let three = key(Strategy::ThreeWay, &profiles);
         let (dss, shared, heap) = (
@@ -441,8 +435,7 @@ mod tests {
                     && p.strategy == Strategy::ThreeWay
                     && p.hardening_mask == 0
                     && p.workload == mpk.workload
-                    && p.data_sharing == mpk.data_sharing
-                    && p.allocator == mpk.allocator
+                    && p.profiles == mpk.profiles
             })
             .unwrap();
         assert!(sweep_leq(mpk, ept));
@@ -456,7 +449,7 @@ mod tests {
         let light = points
             .iter()
             .find(|p| {
-                p.data_sharing == flexos_core::compartment::DataSharing::SharedStack
+                p.profiles[0].0 == DataSharing::SharedStack
                     && p.strategy == Strategy::ThreeWay
                     && p.hardening_mask == 0
             })
@@ -464,12 +457,12 @@ mod tests {
         let dss = points
             .iter()
             .find(|p| {
-                p.data_sharing == flexos_core::compartment::DataSharing::Dss
+                p.profiles[0].0 == DataSharing::Dss
                     && p.strategy == light.strategy
                     && p.hardening_mask == 0
                     && p.mechanism == light.mechanism
                     && p.workload == light.workload
-                    && p.allocator == light.allocator
+                    && p.profiles[0].1 == light.profiles[0].1
             })
             .unwrap();
         assert!(sweep_leq(light, dss));
@@ -489,15 +482,10 @@ mod tests {
             for split in points.iter().filter(|p| {
                 p.strategy.compartments() > 1
                     && p.workload == together.workload
-                    && p.allocator == together.allocator
+                    && p.profiles[0].1 == together.profiles[0].1
                     && together.hardening_mask & p.hardening_mask == together.hardening_mask
             }) {
-                assert!(
-                    sweep_leq(together, split),
-                    "{} must be <= {}",
-                    together.label,
-                    split.label
-                );
+                assert!(sweep_leq(together, split), "{together} must be <= {split}");
                 assert!(!sweep_leq(split, together));
             }
         }
@@ -512,8 +500,8 @@ mod tests {
         let points = points_of(&spec);
         for a in &points {
             for b in &points {
-                if a.allocator != b.allocator {
-                    assert!(!sweep_leq(a, b), "{} vs {}", a.label, b.label);
+                if a.profiles[0].1 != b.profiles[0].1 {
+                    assert!(!sweep_leq(a, b), "{a} vs {b}");
                 }
             }
         }
@@ -535,12 +523,7 @@ mod tests {
             let (one, four) = (&points[i], &points[i + per_core]);
             assert_eq!(one.cores, 1);
             assert_eq!(four.cores, 4);
-            assert!(
-                sweep_leq(four, one),
-                "{} must be <= {}",
-                four.label,
-                one.label
-            );
+            assert!(sweep_leq(four, one), "{four} must be <= {one}");
             assert!(!sweep_leq(one, four));
         }
         let results = synthetic_results(&points);

@@ -17,6 +17,9 @@
 //! of configs, so worker threads can mint their own points from a
 //! shared `&SpaceSpec` without cloning configuration trees around.
 
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
+
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::{DataSharing, Mechanism};
 use flexos_core::config::SafetyConfig;
@@ -119,70 +122,14 @@ pub struct SpaceSpec {
     pub measured: u64,
 }
 
-/// The decoded axes of one point, without the built configuration or
-/// label — the cheap view the lazy engine uses for ordering and
-/// canonicalization over 10⁵-point spaces ([`SpaceSpec::point`] costs a
+/// The decoded axes of one point — everything but its built
+/// configuration. It is the cheap view the lazy engine orders and
+/// deduplicates over 10⁵-point spaces ([`SpaceSpec::point`] costs a
 /// config-builder walk per call; [`SpaceSpec::shape`] is arithmetic
-/// plus one small `Vec`).
+/// plus one small `Vec`), and its [`Display`](fmt::Display) is the
+/// point's label.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PointShape {
-    /// Index within the spec's enumeration.
-    pub index: usize,
-    /// The workload driven against the built image.
-    pub workload: Workload,
-    /// Compartmentalization strategy.
-    pub strategy: Strategy,
-    /// Effective mechanism ([`Mechanism::None`] when single-compartment).
-    pub mechanism: Mechanism,
-    /// Bit `i` hardens `FIG6_COMPONENTS[i]`.
-    pub hardening_mask: u8,
-    /// Effective per-compartment `(data-sharing, allocator)` profiles:
-    /// exactly `strategy.compartments()` entries, don't-care slots
-    /// dropped and the single-compartment sharing collapsed — two
-    /// shapes with equal canonical fields build byte-equal configs.
-    pub(crate) profiles: Vec<(DataSharing, HeapKind)>,
-    /// Simulated cores the instance boots with.
-    pub(crate) cores: u32,
-}
-
-/// The canonical experiment identity of a point: every field that
-/// reaches the built configuration or the workload driver, and nothing
-/// else (the enumeration index is *not* part of it). Points of a
-/// per-compartment-profile space that differ only in don't-care slots
-/// share a key; the measurement memo runs each key once.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CanonicalPoint {
-    /// The workload driven.
-    pub(crate) workload: Workload,
-    /// Compartmentalization strategy.
-    pub(crate) strategy: Strategy,
-    /// Effective mechanism.
-    pub(crate) mechanism: Mechanism,
-    /// Per-component hardening mask.
-    pub(crate) hardening_mask: u8,
-    /// Effective per-compartment profiles.
-    pub(crate) profiles: Vec<(DataSharing, HeapKind)>,
-    /// Simulated cores the instance boots with.
-    pub(crate) cores: u32,
-}
-
-impl PointShape {
-    /// This shape's canonical experiment identity.
-    pub fn canonical(&self) -> CanonicalPoint {
-        CanonicalPoint {
-            workload: self.workload,
-            strategy: self.strategy,
-            mechanism: self.mechanism,
-            hardening_mask: self.hardening_mask,
-            profiles: self.profiles.clone(),
-            cores: self.cores,
-        }
-    }
-}
-
-/// One generated point of a [`SpaceSpec`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
     /// Index within the spec's enumeration.
     pub index: usize,
     /// The workload driven against the built image.
@@ -192,25 +139,42 @@ pub struct SweepPoint {
     /// *Effective* mechanism: the axis value, or [`Mechanism::None`]
     /// for single-compartment strategies (no boundary to guard).
     pub mechanism: Mechanism,
-    /// *Effective* data-sharing profile of compartment 0: the axis
-    /// value, or the default ([`DataSharing::Dss`]) for
-    /// single-compartment strategies (no boundary to cross).
-    pub data_sharing: DataSharing,
-    /// Heap-allocator profile of compartment 0 (the image default; the
-    /// whole image in uniform-profile spaces).
-    pub(crate) allocator: HeapKind,
     /// Bit `i` hardens `FIG6_COMPONENTS[i]` with the Figure 6 bundle.
     pub hardening_mask: u8,
-    /// Effective per-compartment `(data-sharing, allocator)` profiles
-    /// (`strategy.compartments()` entries; uniform spaces repeat the
-    /// scalar axes).
-    pub(crate) profiles: Vec<(DataSharing, HeapKind)>,
+    /// Effective per-compartment `(data-sharing, allocator)` profiles:
+    /// exactly `strategy.compartments()` entries, don't-care slots
+    /// dropped and the single-compartment sharing collapsed to the
+    /// default ([`DataSharing::Dss`]) — two shapes whose fields other
+    /// than `index` are equal build byte-equal configs. Uniform spaces
+    /// repeat the scalar axes.
+    pub profiles: Vec<(DataSharing, HeapKind)>,
     /// Simulated cores the instance boots with.
     pub cores: u32,
+}
+
+/// One generated point of a [`SpaceSpec`]: its shape plus the built
+/// configuration. It derefs to the shape, so `point.workload` reads the
+/// shape's field, and displays as the shape's label.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepPoint {
+    /// The decoded axes.
+    pub shape: PointShape,
     /// The buildable configuration.
     pub config: SafetyConfig,
-    /// Human-readable label.
-    pub label: String,
+}
+
+impl Deref for SweepPoint {
+    type Target = PointShape;
+
+    fn deref(&self) -> &PointShape {
+        &self.shape
+    }
+}
+
+impl fmt::Display for SweepPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.shape.fmt(f)
+    }
 }
 
 impl SpaceSpec {
@@ -460,9 +424,9 @@ impl SpaceSpec {
     }
 
     /// Decodes the axes of point `index` without building its
-    /// configuration or label — arithmetic plus one `compartments()`-
-    /// sized `Vec`, cheap enough to call 10⁵ times for ordering and
-    /// canonicalization. Uniform spaces decode workload-major, then
+    /// configuration — arithmetic plus one `compartments()`-sized
+    /// `Vec`, cheap enough to call 10⁵ times for ordering and
+    /// deduplication. Uniform spaces decode workload-major, then
     /// strategy, then mechanism, then data sharing, then allocator,
     /// then hardening mask; per-compartment-profile spaces replace the
     /// two profile axes with slot-0-major profile assignment digits.
@@ -499,7 +463,7 @@ impl SpaceSpec {
             if n == 1 {
                 // No boundary: the sharing slot is a don't-care; pin it
                 // to the same collapsed default as the uniform axes so
-                // equal canonical keys mean equal configs.
+                // equal order keys mean equal configs.
                 assignment[0].0 = DataSharing::default();
             }
             PointShape {
@@ -539,7 +503,7 @@ impl SpaceSpec {
     ///
     /// Panics if `index >= self.len()`.
     pub fn label_of(&self, index: usize) -> String {
-        label_from_shape(&self.shape(index))
+        self.shape(index).to_string()
     }
 
     /// Generates point `index` (see [`SpaceSpec::shape`] for the
@@ -550,29 +514,14 @@ impl SpaceSpec {
     /// Panics if `index >= self.len()`.
     pub fn point(&self, index: usize) -> SweepPoint {
         let shape = self.shape(index);
-        let app = shape.workload.app();
-        let (data_sharing, allocator) = shape.profiles[0];
         let config = flexos_explore::assigned_config(
-            app,
+            shape.workload.app(),
             shape.strategy,
             shape.mechanism,
             shape.hardening_mask,
             &shape.profiles,
         );
-        let label = label_from_shape(&shape);
-        SweepPoint {
-            index,
-            workload: shape.workload,
-            strategy: shape.strategy,
-            mechanism: shape.mechanism,
-            data_sharing,
-            allocator,
-            hardening_mask: shape.hardening_mask,
-            profiles: shape.profiles,
-            cores: shape.cores,
-            config,
-            label,
-        }
+        SweepPoint { shape, config }
     }
 
     /// Iterates every point (allocates each lazily).
@@ -581,49 +530,46 @@ impl SpaceSpec {
     }
 }
 
-/// Renders a shape's label. Points with one profile across every
-/// compartment print the historical scalar form (`dss · tlsf`);
-/// genuinely mixed assignments join per-compartment entries
-/// (`dss/tlsf+shared-stack/lea`).
-fn label_from_shape(shape: &PointShape) -> String {
-    let app = shape.workload.app();
-    let dots: String = (0..4)
-        .map(|i| {
-            if shape.hardening_mask & (1 << i) != 0 {
+/// The point's label. Points with one profile across every compartment
+/// print the historical scalar form (`dss · tlsf`); genuinely mixed
+/// assignments join per-compartment entries (`dss/tlsf+shared-stack/lea`).
+impl fmt::Display for PointShape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('[')?;
+        for i in 0..4 {
+            f.write_char(if self.hardening_mask & (1 << i) != 0 {
                 '•'
             } else {
                 '◦'
+            })?;
+        }
+        let mech = match self.mechanism {
+            Mechanism::None => "none",
+            Mechanism::IntelMpk => "mpk",
+            Mechanism::VmEpt => "ept",
+            Mechanism::PageTable => "pt",
+            _ => "cubicle",
+        };
+        write!(
+            f,
+            "] {} · {mech} · ",
+            self.strategy.label(self.workload.app())
+        )?;
+        let (ds0, al0) = self.profiles[0];
+        if self.profiles.iter().all(|&p| p == (ds0, al0)) {
+            write!(f, "{ds0} · {al0}")?;
+        } else {
+            for (slot, (ds, al)) in self.profiles.iter().enumerate() {
+                let sep = if slot == 0 { "" } else { "+" };
+                write!(f, "{sep}{ds}/{al}")?;
             }
-        })
-        .collect();
-    let mech = match shape.mechanism {
-        Mechanism::None => "none",
-        Mechanism::IntelMpk => "mpk",
-        Mechanism::VmEpt => "ept",
-        Mechanism::PageTable => "pt",
-        _ => "cubicle",
-    };
-    let (ds0, al0) = shape.profiles[0];
-    let profile = if shape.profiles.iter().all(|&p| p == (ds0, al0)) {
-        format!("{ds0} · {al0}")
-    } else {
-        let slots: Vec<String> = shape
-            .profiles
-            .iter()
-            .map(|(ds, al)| format!("{ds}/{al}"))
-            .collect();
-        slots.join("+")
-    };
-    let cores = if shape.cores == 1 {
-        String::new()
-    } else {
-        format!(" · c{}", shape.cores)
-    };
-    format!(
-        "[{dots}] {} · {mech} · {profile} · {}{cores}",
-        shape.strategy.label(app),
-        shape.workload.label()
-    )
+        }
+        write!(f, " · {}", self.workload.label())?;
+        if self.cores != 1 {
+            write!(f, " · c{}", self.cores)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -657,7 +603,7 @@ mod tests {
                     } else {
                         Hardening::NONE
                     };
-                    assert_eq!(p.config.hardening_of(name), want, "{}", p.label);
+                    assert_eq!(p.config.hardening_of(name), want, "{p}");
                 }
             }
         }
@@ -684,16 +630,14 @@ mod tests {
                     p.workload,
                     p.strategy,
                     p.mechanism,
-                    p.data_sharing,
-                    p.allocator,
+                    p.profiles[0],
                     p.hardening_mask
                 )),
-                "duplicate point {}",
-                p.label
+                "duplicate point {p}"
             );
             if p.strategy.compartments() == 1 {
                 assert_eq!(p.mechanism, Mechanism::None);
-                assert_eq!(p.data_sharing, DataSharing::Dss);
+                assert_eq!(p.profiles[0].0, DataSharing::Dss);
             }
         }
         assert_eq!(seen.len(), spec.len());
@@ -704,13 +648,12 @@ mod tests {
         let spec = SpaceSpec::quick(5, 20);
         let light = spec
             .points()
-            .find(|p| p.data_sharing == DataSharing::SharedStack && p.allocator == HeapKind::Lea)
+            .find(|p| p.profiles[0] == (DataSharing::SharedStack, HeapKind::Lea))
             .expect("quick space has a shared-stack + Lea point");
         assert_eq!(
             light.config.data_sharing(),
             DataSharing::SharedStack,
-            "{}",
-            light.label
+            "{light}"
         );
         assert_eq!(light.config.default_allocator, Some(HeapKind::Lea));
         for c in 0..light.config.compartment_count() {
@@ -745,16 +688,10 @@ mod tests {
         profiled.per_compartment_profiles = true;
         for spec in [SpaceSpec::quick(5, 20), profiled] {
             for i in (0..spec.len()).step_by(7) {
-                let s = spec.shape(i);
                 let p = spec.point(i);
-                assert_eq!(s.index, i);
-                assert_eq!(s.workload, p.workload);
-                assert_eq!(s.strategy, p.strategy);
-                assert_eq!(s.mechanism, p.mechanism);
-                assert_eq!(s.hardening_mask, p.hardening_mask);
-                assert_eq!(s.profiles, p.profiles);
-                assert_eq!(s.profiles.len(), p.strategy.compartments());
-                assert_eq!(spec.label_of(i), p.label);
+                assert_eq!(p.index, i);
+                assert_eq!(p.profiles.len(), p.strategy.compartments());
+                assert_eq!(spec.label_of(i), p.to_string());
             }
         }
     }
@@ -819,38 +756,50 @@ mod tests {
 
     #[test]
     fn profiled_duplicates_share_canonical_key_and_config() {
-        let mut spec = SpaceSpec::quick(5, 20);
-        spec.per_compartment_profiles = true;
-        assert_eq!(spec.len(), 4608);
-        let mut by_key: std::collections::HashMap<CanonicalPoint, usize> =
-            std::collections::HashMap::new();
-        let mut checked = 0;
-        for i in 0..spec.len() {
-            let key = spec.shape(i).canonical();
-            match by_key.entry(key) {
-                std::collections::hash_map::Entry::Occupied(seen) => {
-                    // Don't-care-slot duplicates must build the same
-                    // experiment, byte for byte (sampled: config
-                    // building is the expensive part).
-                    if checked < 32 {
-                        let a = spec.point(*seen.get());
-                        let b = spec.point(i);
-                        assert_eq!(a.config, b.config, "{} vs {}", a.index, b.index);
-                        assert_eq!(a.label, b.label);
-                        checked += 1;
+        // The order key is the lazy memo's identity: two shapes share a
+        // key iff they build the same config for the same workload. Over
+        // every point of profiled `quick` and a stride of
+        // `full-profiled`, equal keys must mean equal experiments, and
+        // there must be as many keys as distinct experiments.
+        use crate::report::OrderKey;
+        use std::collections::hash_map::Entry;
+        use std::collections::{HashMap, HashSet};
+        let mut quick = SpaceSpec::quick(5, 20);
+        quick.per_compartment_profiles = true;
+        assert_eq!(quick.len(), 4608);
+        let full = SpaceSpec::full_profiled(5, 20);
+        let slices = [
+            (&quick, (0..quick.len()).collect::<Vec<_>>()),
+            (&full, (0..full.len()).step_by(97).collect()),
+        ];
+        for (spec, indices) in slices {
+            let mut by_key: HashMap<OrderKey, SweepPoint> = HashMap::new();
+            let mut experiments = HashSet::new();
+            for i in indices {
+                let p = spec.point(i);
+                experiments.insert(format!("{:?} {:?}", p.workload, p.config));
+                match by_key.entry(OrderKey::from(&p.shape)) {
+                    Entry::Occupied(seen) => {
+                        let seen = seen.get();
+                        assert_eq!(seen.workload, p.workload, "{} vs {}", seen.index, i);
+                        assert_eq!(seen.config, p.config, "{} vs {}", seen.index, i);
+                        assert_eq!(seen.to_string(), p.to_string());
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(p);
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(i);
-                }
+            }
+            assert_eq!(by_key.len(), experiments.len(), "{}", spec.name);
+            if spec.name == "quick" {
+                // Per workload x mask: Together keeps only its slot-0
+                // allocator (2), each 2-compartment strategy 4^2
+                // assignments x 2 mechs, the 3-way strategy 4^3 x 2
+                // mechs.
+                let canonical_per_group = 2 + 3 * 2 * 16 + 2 * 64;
+                assert_eq!(by_key.len(), 4 * 2 * canonical_per_group);
             }
         }
-        // Per workload x mask: Together keeps only its slot-0 allocator
-        // (2), each 2-compartment strategy 4^2 assignments x 2 mechs,
-        // the 3-way strategy 4^3 x 2 mechs.
-        let canonical_per_group = 2 + 3 * 2 * 16 + 2 * 64;
-        assert_eq!(by_key.len(), 4 * 2 * canonical_per_group);
-        assert!(checked > 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn full_grid_matches_the_oracle_and_is_monotone() {
     // consequence explicitly (the empirical blocked-set IS the claim).
     let points: Vec<_> = spec.points().collect();
     for (run, point) in report.runs.iter().zip(&points) {
-        assert_eq!(run.blocked_mask, expected_mask(point), "{}", point.label);
+        assert_eq!(run.blocked_mask, expected_mask(point), "{point}");
     }
 
     // The grid must be discriminating: every attack class is blocked

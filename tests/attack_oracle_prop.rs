@@ -14,10 +14,8 @@ fn assert_monotone(a: &SweepPoint, b: &SweepPoint, ma: u16, mb: u16) {
     assert_eq!(
         ma & !mb,
         0,
-        "{} <= {} in the safety order, but the oracle predicts blocked \
-         {ma:08b} vs {mb:08b} (not inclusion-ordered)",
-        a.label,
-        b.label
+        "{a} <= {b} in the safety order, but the oracle predicts blocked \
+         {ma:08b} vs {mb:08b} (not inclusion-ordered)"
     );
 }
 
@@ -62,8 +60,7 @@ fn hardening_chains_are_inclusion_ordered() {
         let strong = spec.point(base + 15);
         assert!(
             sweep_leq(&weak, &strong),
-            "mask 0 must be <= mask 15 at the same shape: {}",
-            weak.label
+            "mask 0 must be <= mask 15 at the same shape: {weak}"
         );
         assert_monotone(&weak, &strong, expected_mask(&weak), expected_mask(&strong));
     }

@@ -9,14 +9,14 @@
 /// (12, 25, 27) is not `flexos_machine::xorshift64star`'s (13, 7, 17),
 /// and it stays that way: `flexos_alloc`'s unit tests compare digests
 /// recorded from this exact stream.
-pub struct Rng(u64);
+pub(crate) struct Rng(u64);
 
 impl Rng {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Rng(seed.max(1))
     }
 
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;
@@ -26,11 +26,11 @@ impl Rng {
     }
 
     /// Uniform-ish value in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next() % (hi - lo)
     }
 
-    pub fn bytes(&mut self, len: usize) -> Vec<u8> {
+    pub(crate) fn bytes(&mut self, len: usize) -> Vec<u8> {
         (0..len).map(|_| self.next() as u8).collect()
     }
 }

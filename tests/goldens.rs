@@ -36,6 +36,12 @@
 //! being composed at build time: the on-demand accessors must render
 //! the same bytes. There is no binary to re-record them with; after an
 //! intended change, write `report_text`'s output over the file.
+//!
+//! `attack_matrix_quick.json` and `attack_matrix_quick_budget.json` are
+//! the stdout of `flexos_attack_matrix --space quick` and `--space quick
+//! --budget`, recorded at the commit *before* a point's label became a
+//! rendering of its shape (the budgeted rows append `+budget`).
+//! Re-record by running the binary.
 
 use std::fmt::Write as _;
 
@@ -247,6 +253,22 @@ fn lazy_sweep_summary_matches_the_recorded_line() {
         "sweep --space quick --lazy --verify-inference",
         &(summary.to_json() + "\n"),
         include_str!("data/sweep_quick_lazy_w20_m200.json"),
+    );
+}
+
+#[test]
+fn quick_attack_matrix_matches_the_recorded_json_with_and_without_budgets() {
+    use flexos::attacks::{attack_space_quick, run_matrix, run_matrix_budgeted};
+    let spec = attack_space_quick();
+    assert_same(
+        "flexos_attack_matrix --space quick",
+        &(run_matrix(&spec).unwrap().to_json() + "\n"),
+        include_str!("data/attack_matrix_quick.json"),
+    );
+    assert_same(
+        "flexos_attack_matrix --space quick --budget",
+        &(run_matrix_budgeted(&spec).unwrap().to_json() + "\n"),
+        include_str!("data/attack_matrix_quick_budget.json"),
     );
 }
 

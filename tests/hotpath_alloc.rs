@@ -898,11 +898,7 @@ fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
         if profiled.shape(i).workload == redis_1024 {
             let point = profiled.point(i);
             let key = template_key(&point);
-            assert!(
-                keys.iter().any(|(k, _)| *k == key),
-                "{}: a new key",
-                point.label
-            );
+            assert!(keys.iter().any(|(k, _)| *k == key), "{point}: a new key");
             sampled += 1;
         }
     }
@@ -914,7 +910,7 @@ fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
         .map(|(_, point)| (point, 1, 0))
         .chain([(first.clone(), 2, 1)]);
     for (point, cores, core) in cases {
-        let label = format!("{} at {cores} cores", point.label);
+        let label = format!("{point} at {cores} cores");
         let images: [_; 3] = std::array::from_fn(|_| redis_image(&point.config, cores, core));
         let [recorded, replayed, twin] = &images;
         let (first, _, calls) = cost_of(|| preload_keyspace(&recorded.1, KEYSPACE).unwrap());
@@ -952,7 +948,7 @@ fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
     // whatever the heap's state: the preload is simulated, and matches a
     // twin preloaded key by key over the same stray bytes (which the
     // first key block only partly overwrites).
-    let label = format!("{} with stray bytes", first.label);
+    let label = format!("{first} with stray bytes");
     let images: [_; 2] = std::array::from_fn(|_| {
         let (os, server) = redis_image(&first.config, 1, 0);
         let at = redis_heap(&os, &server).borrow().region().base() + (512 << 10);

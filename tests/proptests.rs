@@ -227,7 +227,7 @@ fn poset_axioms_hold_on_random_subsets() {
         .iter()
         .map(|p| ConfigNode {
             index: p.index,
-            label: p.label.clone(),
+            label: p.to_string(),
             performance: (p.index * 13 % 97) as f64,
         })
         .collect();

@@ -132,7 +132,7 @@ fn cores_axis_moves_the_budget_stars_between_1_and_8() {
         assert_eq!(
             points[s].cores, 8,
             "a 1-core point starred under the 50% budget: {}",
-            points[s].label
+            points[s]
         );
     }
 
@@ -142,15 +142,11 @@ fn cores_axis_moves_the_budget_stars_between_1_and_8() {
     let results1 = engine::run_parallel(&one_core, 1).unwrap();
     let (_, stars1) = report::star_report_vec(&points1, &results1, &half);
     assert!(!stars1.stars.is_empty());
-    let labels: Vec<&str> = stars
-        .stars
-        .iter()
-        .map(|&s| points[s].label.as_str())
-        .collect();
+    let labels: Vec<String> = stars.stars.iter().map(|&s| points[s].to_string()).collect();
     for &s in &stars1.stars {
         assert_eq!(points1[s].cores, 1);
         assert!(
-            !labels.contains(&points1[s].label.as_str()),
+            !labels.contains(&points1[s].to_string()),
             "star sets must differ between 1 and 8 cores"
         );
     }
