@@ -52,6 +52,13 @@ impl ProtKey {
     pub const fn index(self) -> u8 {
         self.0
     }
+
+    /// The key whose [`ProtKey::index`] is `index`, which the caller has
+    /// already checked is below 16 (a key-table byte, in `mem`).
+    pub(crate) const fn from_index(index: u8) -> Self {
+        debug_assert!(index < NUM_KEYS);
+        ProtKey(index)
+    }
 }
 
 impl fmt::Display for ProtKey {

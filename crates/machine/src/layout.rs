@@ -213,7 +213,7 @@ impl RegionMap {
     /// # Errors
     ///
     /// Returns [`Fault::ResourceExhausted`] when the simulated address space
-    /// is full.
+    /// is full, and leaves the map unchanged.
     pub(crate) fn reserve(
         &mut self,
         name: impl Into<RegionName>,
@@ -221,17 +221,18 @@ impl RegionMap {
         key: ProtKey,
         kind: RegionKind,
     ) -> Result<Region, Fault> {
-        let base = self.next + GUARD_PAGES * PAGE_SIZE as u64;
-        let end = base
-            .checked_add(pages * PAGE_SIZE as u64)
-            .ok_or(Fault::ResourceExhausted {
-                what: "simulated address space",
-            })?;
-        if end > self.limit {
-            return Err(Fault::ResourceExhausted {
-                what: "simulated address space",
-            });
-        }
+        let full = || Fault::ResourceExhausted {
+            what: "simulated address space",
+        };
+        let base = self
+            .next
+            .checked_add(GUARD_PAGES * PAGE_SIZE as u64)
+            .ok_or_else(full)?;
+        let end = pages
+            .checked_mul(PAGE_SIZE as u64)
+            .and_then(|len| base.checked_add(len))
+            .filter(|&end| end <= self.limit)
+            .ok_or_else(full)?;
         let region = Region {
             name: name.into(),
             base,
@@ -308,6 +309,29 @@ mod tests {
             map.reserve("big", 100, ProtKey::DEFAULT, RegionKind::Heap),
             Err(Fault::ResourceExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn page_counts_whose_size_overflows_exhaust_the_space() {
+        // `pages * PAGE_SIZE` overflows for both counts: no wrapped,
+        // phantom region may be recorded, in any build.
+        let mut map = RegionMap::new(1 << 24);
+        map.reserve("a", 1, ProtKey::DEFAULT, RegionKind::Heap)
+            .unwrap();
+        for pages in [u64::MAX / PAGE_SIZE as u64 + 2, u64::MAX] {
+            assert_eq!(
+                map.reserve("huge", pages, ProtKey::DEFAULT, RegionKind::Heap),
+                Err(Fault::ResourceExhausted {
+                    what: "simulated address space"
+                }),
+                "{pages} pages"
+            );
+        }
+        assert_eq!(map.regions().len(), 1);
+        let b = map
+            .reserve("b", 1, ProtKey::DEFAULT, RegionKind::Heap)
+            .unwrap();
+        assert_eq!(b.base(), Addr::new(4 * PAGE_SIZE as u64));
     }
 
     #[test]

@@ -312,6 +312,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
     use crate::key::Pkru;
     use crate::layout::linker_script;
 
@@ -331,6 +332,20 @@ mod tests {
             .unwrap();
         assert_eq!(m.layout().regions().len(), 1);
         assert!(linker_script(m.layout().regions()).contains("comp1/heap"));
+    }
+
+    #[test]
+    fn a_failed_map_region_leaves_the_layout_unchanged() {
+        let m = Machine::new(4 * 1024 * 1024);
+        m.map_region("r", 2, ProtKey::DEFAULT).unwrap();
+        for pages in [1024, u64::MAX / PAGE_SIZE as u64 + 2, u64::MAX] {
+            assert!(matches!(
+                m.map_region("huge", pages, ProtKey::DEFAULT),
+                Err(Fault::ResourceExhausted { .. })
+            ));
+        }
+        assert_eq!(m.layout().regions().len(), 1);
+        assert!(format!("{:?}", m.memory()).contains("mapped_pages: 2"));
     }
 
     #[test]

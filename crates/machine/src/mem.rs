@@ -38,38 +38,53 @@
 //! before it are already re-keyed, like a `pkey_mprotect` that returns
 //! `ENOMEM` after changing some of the range.
 //!
-//! # The frame table is sized by the mapped extent
+//! # A key byte per mapped page, a frame per written page
 //!
-//! A [`Memory`] remembers its configured size in pages, but its frame
-//! table holds an entry only for pages up to the highest one ever
-//! mapped: [`Memory::new`] allocates nothing and [`Memory::map`] grows
-//! the table to the end of the range it maps. The region allocator hands
-//! out addresses bottom-up, so an image's mapped pages are a prefix of
-//! the address space and the table costs what the image uses — 5–13 k
-//! entries of the 65 536 a 256 MiB machine could have — instead of a
-//! fill at build and a walk at drop over all of them, once per sweep
-//! point. A page past the table is simply a page that was never mapped.
+//! Under MPK a page's protection is 4 bits of its page-table entry, and
+//! a page costs host memory only once something is stored in it. A
+//! [`Memory`] is priced the same way, in two structures:
 //!
-//! Growing the table can move it, and a move copies every entry; whether
-//! the host allocator can extend the block in place instead depends on
-//! what else the heap holds at that moment, so a table grown by plain
-//! doubling makes an image's build cost depend on the heap's history
-//! (measured: 53–57 of 96 growths moved in one process, 0–2.4 MB copied
-//! per 8-vCPU build). When the table must grow, `map` therefore reserves
-//! room for four times the new extent, capped at the configured size:
-//! an image maps a few small sections, then its compartment heaps, the
-//! shared heap and the stacks, and all of those land in reserved room.
-//! That is the capacity doubling reached anyway (16 428 entries for a
-//! 1-vCPU image), taken in one step; entries beyond the extent are
-//! never written.
+//! * **The key table**: one byte per page up to the highest page ever
+//!   mapped, holding the page's key index, or `UNMAPPED` for a page that
+//!   was never mapped (a guard page). [`Memory::new`] allocates nothing
+//!   and [`Memory::map`] extends the table to the end of the range it
+//!   maps and fills the range with the key. The region allocator hands
+//!   out addresses bottom-up, so an image's mapped pages are a prefix of
+//!   the address space and the table costs what the image maps — 9 304
+//!   bytes for a 1-vCPU mpk2 Redis image (9 270 mapped pages and their
+//!   guard pages), of the 65 536 pages its 256 MiB machine could have.
+//!   A page past the table was never mapped.
+//! * **The frame store**: a 4 KiB frame for each page ever written, in
+//!   leaves of 512 frame slots — one leaf covers 2 MiB, like a
+//!   last-level page table — allocated on the first write into them,
+//!   under a directory of one slot per leaf. A page without a frame
+//!   reads as zeros from one shared zero page. A Redis image writes
+//!   6–288 of the 9 270–73 782 pages it maps (1 to 8 vCPUs), and none
+//!   while it is built or installed, so a build allocates no frame and
+//!   a drop visits the directory and the leaves that were written.
+//!
+//! Growing the key table can move it, and a move copies every entry;
+//! whether the host allocator can extend the block in place instead
+//! depends on what else the heap holds at that moment, so a table grown
+//! by plain doubling makes an image's build cost depend on the heap's
+//! history (measured with 24-byte entries: 53–57 of 96 growths moved in
+//! one process, 0–2.4 MB copied per 8-vCPU build). When the table must
+//! grow, `map` therefore reserves room for four times the new extent,
+//! capped at the configured size: an image maps a few small sections,
+//! then its compartment heaps, the shared heap and the stacks, and all
+//! of those land in reserved room — 16 428 bytes for a 1-vCPU image,
+//! taken in one step. The frame directory is sized once, on the first
+//! write, to cover that room, and again only after the key table has
+//! outgrown it.
 //!
 //! What each fault means at the edges:
 //!
 //! * an access, `map` or `set_key` reaching **beyond the
 //!   configured size** ⇒ [`Fault::OutOfBounds`], checked before any page
-//!   is touched;
+//!   is touched; a `map` or `set_key` whose page count overflows is one
+//!   too, its `len` saturated at `u64::MAX`;
 //! * a page **within the configured size that was never mapped** —
-//!   inside the table (a guard page) or past its end ⇒
+//!   inside the key table (a guard page) or past its end ⇒
 //!   [`Fault::Unmapped`] naming the page base, after the earlier pages
 //!   of a multi-page access were written (or re-keyed, for `set_key`).
 //!
@@ -97,31 +112,30 @@ use crate::key::{Access, Pkru, ProtKey};
 /// zero-filled frames).
 static ZERO_PAGE: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
 
-/// One simulated page frame.
-///
-/// Frames are zero-fill-on-demand: `data` stays unallocated (in host terms)
-/// until first written, which keeps multi-hundred-MiB simulated address
-/// spaces cheap.
-#[derive(Debug, Default)]
-struct PageFrame {
-    key: ProtKey,
-    mapped: bool,
-    data: Option<Box<[u8]>>,
+/// The key-table byte of a page that was never mapped; a mapped page's
+/// byte is its key's index, below 16.
+const UNMAPPED: u8 = u8::MAX;
+
+/// One written page's bytes.
+type Frame = Box<[u8; PAGE_SIZE]>;
+
+/// Frame slots per leaf of the frame store: one 4 KiB leaf of slots
+/// covers 2 MiB of simulated memory.
+const LEAF_PAGES: usize = 512;
+
+/// A leaf of the frame store; a `None` slot is a page never written.
+type Leaf = [Option<Frame>; LEAF_PAGES];
+
+// Out of line: the write path materialises a leaf or a frame once, and
+// must stay small every other time.
+#[cold]
+fn new_leaf() -> Box<Leaf> {
+    Box::new([const { None }; LEAF_PAGES])
 }
 
-impl PageFrame {
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        self.data
-            .get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
-    }
-
-    /// The frame's readable bytes: its data, or the shared zero page.
-    fn bytes(&self) -> &[u8] {
-        match &self.data {
-            Some(data) => data,
-            None => &ZERO_PAGE,
-        }
-    }
+#[cold]
+fn new_frame() -> Frame {
+    Box::new([0; PAGE_SIZE])
 }
 
 /// The one-entry access-rights cache (see the module docs). `page` is
@@ -200,10 +214,14 @@ fn nonzero_runs(data: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
 /// The simulated physical memory: an array of pages, each tagged with a
 /// protection key.
 pub struct Memory {
-    /// The frame table, sized by the mapped extent (see the module docs):
-    /// one entry per page up to the highest page ever mapped. Pages in
-    /// `frames.len()..pages` are unmapped.
-    frames: Vec<PageFrame>,
+    /// The key table (see the module docs): one byte per page up to the
+    /// highest page ever mapped, the page's key index or [`UNMAPPED`].
+    /// Pages in `keys.len()..pages` are unmapped.
+    keys: Vec<u8>,
+    /// The frame store's directory: one slot per leaf of [`LEAF_PAGES`]
+    /// pages, sized on the first write to cover the key table's room. A
+    /// page whose leaf or slot is missing was never written.
+    leaves: Vec<Option<Box<Leaf>>>,
     /// The configured size in pages: the bound every access is checked
     /// against, whatever the table's length.
     pages: u64,
@@ -214,7 +232,7 @@ pub struct Memory {
 
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mapped = self.frames.iter().filter(|p| p.mapped).count();
+        let mapped = self.keys.iter().filter(|&&k| k != UNMAPPED).count();
         f.debug_struct("Memory")
             .field("pages", &self.pages)
             .field("mapped_pages", &mapped)
@@ -224,11 +242,12 @@ impl fmt::Debug for Memory {
 
 impl Memory {
     /// Creates a memory of `bytes` bytes (rounded up to whole pages), all
-    /// of it unmapped. This allocates nothing: the frame table grows in
-    /// [`Memory::map`].
+    /// of it unmapped. This allocates nothing: the key table grows in
+    /// [`Memory::map`], the frame store on the first write.
     pub fn new(bytes: u64) -> Self {
         Memory {
-            frames: Vec::new(),
+            keys: Vec::new(),
+            leaves: Vec::new(),
             pages: crate::addr::pages_for(bytes),
             epoch: Cell::new(0),
             rights_cache: Cell::new(RightsEntry::EMPTY),
@@ -240,6 +259,20 @@ impl Memory {
         self.pages * PAGE_SIZE as u64
     }
 
+    /// The page indices of `pages` pages at `base`, if they all lie within
+    /// the configured size.
+    fn span(&self, base: Addr, pages: u64) -> Result<std::ops::Range<usize>, Fault> {
+        let first = base.page_index();
+        let last = first
+            .checked_add(pages)
+            .filter(|&end| end <= self.pages)
+            .ok_or(Fault::OutOfBounds {
+                addr: base,
+                len: pages.saturating_mul(PAGE_SIZE as u64),
+            })?;
+        Ok(first as usize..last as usize)
+    }
+
     /// Maps `pages` pages starting at `base` (page-aligned) and tags them
     /// with `key`. Boot-time operation; requires no PKRU (the boot code is
     /// TCB, §3.3).
@@ -249,28 +282,18 @@ impl Memory {
     /// Returns [`Fault::OutOfBounds`] if the range exceeds physical memory.
     pub fn map(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
         debug_assert_eq!(base.page_offset(), 0, "map base must be page-aligned");
-        let first = base.page_index();
-        let last = first
-            .checked_add(pages)
-            .filter(|&end| end <= self.pages)
-            .ok_or(Fault::OutOfBounds {
-                addr: base,
-                len: pages * PAGE_SIZE as u64,
-            })?;
-        if last as usize > self.frames.len() {
-            if last as usize > self.frames.capacity() {
+        let span = self.span(base, pages)?;
+        if span.end > self.keys.len() {
+            if span.end > self.keys.capacity() {
                 // Room for four times the new extent (see the module
                 // docs): the regions an image maps next must not move
                 // the table.
-                let room = last.saturating_mul(4).min(self.pages) as usize;
-                self.frames.reserve_exact(room - self.frames.len());
+                let room = span.end.saturating_mul(4).min(self.pages as usize);
+                self.keys.reserve_exact(room - self.keys.len());
             }
-            self.frames.resize_with(last as usize, PageFrame::default);
+            self.keys.resize(span.end, UNMAPPED);
         }
-        for frame in &mut self.frames[first as usize..last as usize] {
-            frame.mapped = true;
-            frame.key = key;
-        }
+        self.keys[span].fill(key.index());
         self.bump_epoch();
         Ok(())
     }
@@ -283,19 +306,12 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Returns [`Fault::Unmapped`] if any page in range is unmapped.
+    /// Returns [`Fault::OutOfBounds`] if the range exceeds physical
+    /// memory, [`Fault::Unmapped`] if any page in range is unmapped.
     pub fn set_key(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
-        let first = base.page_index() as usize;
-        let last = first + pages as usize;
-        if last as u64 > self.pages {
-            return Err(Fault::OutOfBounds {
-                addr: base,
-                len: pages * PAGE_SIZE as u64,
-            });
-        }
-        for page in first..last {
-            match self.frames.get_mut(page) {
-                Some(frame) if frame.mapped => frame.key = key,
+        for page in self.span(base, pages)? {
+            match self.keys.get_mut(page) {
+                Some(k) if *k != UNMAPPED => *k = key.index(),
                 _ => {
                     // The pages before this one are already re-keyed: a
                     // cached decision about one of them must not outlive
@@ -313,6 +329,65 @@ impl Memory {
 
     fn bump_epoch(&self) {
         self.epoch.set(self.epoch.get() + 1);
+    }
+
+    /// The key of `page`, or `None` if it was never mapped.
+    #[inline]
+    fn key(&self, page: u64) -> Option<ProtKey> {
+        match self.keys.get(page as usize) {
+            Some(&k) if k != UNMAPPED => Some(ProtKey::from_index(k)),
+            _ => None,
+        }
+    }
+
+    /// The frame of `page`, if something was ever written to it.
+    #[inline]
+    fn written_frame(&self, page: u64) -> Option<&[u8; PAGE_SIZE]> {
+        let page = page as usize;
+        self.leaves.get(page / LEAF_PAGES)?.as_deref()?[page % LEAF_PAGES].as_deref()
+    }
+
+    /// The bytes of `page`: its frame, or the shared zero page if it was
+    /// never written.
+    #[inline]
+    fn frame(&self, page: u64) -> &[u8; PAGE_SIZE] {
+        self.written_frame(page).unwrap_or(&ZERO_PAGE)
+    }
+
+    /// The frame of `page`, a mapped page, materialised as zeros on the
+    /// first write to it — and its leaf on the first write into the leaf.
+    #[inline]
+    fn frame_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
+        let page = page as usize;
+        if page / LEAF_PAGES >= self.leaves.len() {
+            self.grow_directory();
+        }
+        let leaf = self.leaves[page / LEAF_PAGES].get_or_insert_with(new_leaf);
+        leaf[page % LEAF_PAGES].get_or_insert_with(new_frame)
+    }
+
+    /// Sizes the frame directory to cover the key table's room, in one
+    /// step (see the module docs): every mapped page has a slot after it.
+    #[cold]
+    fn grow_directory(&mut self) {
+        let slots = self.keys.capacity().div_ceil(LEAF_PAGES);
+        self.leaves.reserve_exact(slots - self.leaves.len());
+        self.leaves.resize_with(slots, || None);
+    }
+
+    /// The written pages of `first..end` with their frames, ascending.
+    fn written(&self, first: usize, end: usize) -> impl Iterator<Item = (u64, &[u8; PAGE_SIZE])> {
+        let end = end.min(self.leaves.len() * LEAF_PAGES);
+        (first / LEAF_PAGES..end.div_ceil(LEAF_PAGES))
+            .filter_map(|l| Some((l * LEAF_PAGES, self.leaves[l].as_deref()?)))
+            .flat_map(move |(base, leaf)| {
+                let from = first.max(base);
+                let to = end.min(base + LEAF_PAGES);
+                (from..to).filter_map(move |page| {
+                    let frame = leaf[page - base].as_deref()?;
+                    Some((page as u64, frame))
+                })
+            })
     }
 
     /// Validates the overall bounds of a non-empty access and returns its
@@ -357,21 +432,21 @@ impl Memory {
                 Access::Write => {} // cached read-only: recheck below
             }
         }
-        // In bounds (`range_pages`) but possibly past the frame table:
+        // In bounds (`range_pages`) but possibly past the key table:
         // such a page was never mapped.
-        let Some(frame) = self.frames.get(page as usize).filter(|f| f.mapped) else {
+        let Some(key) = self.key(page) else {
             return Err(Fault::Unmapped {
                 addr: Addr::new(page * PAGE_SIZE as u64),
             });
         };
-        if !pkru.allows(frame.key, kind) {
+        if !pkru.allows(key, kind) {
             return Err(Fault::ProtectionKey {
                 addr: if page == first_page {
                     range_addr
                 } else {
                     Addr::new(page * PAGE_SIZE as u64)
                 },
-                key: frame.key,
+                key,
                 access: kind,
             });
         }
@@ -379,7 +454,7 @@ impl Memory {
             epoch: self.epoch.get(),
             page,
             pkru: *pkru,
-            write_ok: pkru.allows(frame.key, Access::Write),
+            write_ok: pkru.allows(key, Access::Write),
         });
         Ok(())
     }
@@ -403,7 +478,7 @@ impl Memory {
             // Same-page fast path: one frame, one rights check, one copy.
             self.check_page(first, first, addr, pkru, Access::Read)?;
             let off = addr.page_offset();
-            buf.copy_from_slice(&self.frames[first as usize].bytes()[off..off + len]);
+            buf.copy_from_slice(&self.frame(first)[off..off + len]);
             return Ok(());
         }
         let mut copied = 0usize;
@@ -413,8 +488,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Read)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min(len - copied);
-            buf[copied..copied + take]
-                .copy_from_slice(&self.frames[page as usize].bytes()[off..off + take]);
+            buf[copied..copied + take].copy_from_slice(&self.frame(page)[off..off + take]);
             copied += take;
             cur += take as u64;
         }
@@ -467,7 +541,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Read)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min((len - done) as usize);
-            f(&self.frames[page as usize].bytes()[off..off + take]);
+            f(&self.frame(page)[off..off + take]);
             done += take as u64;
             cur += take as u64;
         }
@@ -492,7 +566,7 @@ impl Memory {
             // memcmp.
             self.check_page(first, first, addr, pkru, Access::Read)?;
             let off = addr.page_offset();
-            return Ok(&self.frames[first as usize].bytes()[off..off + len] == bytes);
+            return Ok(&self.frame(first)[off..off + len] == bytes);
         }
         let mut equal = true;
         let mut checked = 0usize;
@@ -522,7 +596,7 @@ impl Memory {
         if first == last {
             self.check_page(first, first, addr, pkru, Access::Write)?;
             let off = addr.page_offset();
-            self.frames[first as usize].bytes_mut()[off..off + len].copy_from_slice(buf);
+            self.frame_mut(first)[off..off + len].copy_from_slice(buf);
             return Ok(());
         }
         let mut copied = 0usize;
@@ -532,8 +606,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Write)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min(len - copied);
-            self.frames[page as usize].bytes_mut()[off..off + take]
-                .copy_from_slice(&buf[copied..copied + take]);
+            self.frame_mut(page)[off..off + take].copy_from_slice(&buf[copied..copied + take]);
             copied += take;
             cur += take as u64;
         }
@@ -562,9 +635,8 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Write)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min(remaining as usize);
-            let frame = &mut self.frames[page as usize];
-            if byte != 0 || frame.data.is_some() {
-                frame.bytes_mut()[off..off + take].fill(byte);
+            if byte != 0 || self.written_frame(page).is_some() {
+                self.frame_mut(page)[off..off + take].fill(byte);
             }
             remaining -= take as u64;
             cur += take as u64;
@@ -609,12 +681,10 @@ impl Memory {
                 .min((len - done) as usize);
             let spage = s.page_index();
             self.check_page(spage, sfirst, src, pkru, Access::Read)?;
-            staging[..take]
-                .copy_from_slice(&self.frames[spage as usize].bytes()[soff..soff + take]);
+            staging[..take].copy_from_slice(&self.frame(spage)[soff..soff + take]);
             let dpage = d.page_index();
             self.check_page(dpage, dfirst, dst, pkru, Access::Write)?;
-            self.frames[dpage as usize].bytes_mut()[doff..doff + take]
-                .copy_from_slice(&staging[..take]);
+            self.frame_mut(dpage)[doff..doff + take].copy_from_slice(&staging[..take]);
             done += take as u64;
         }
         Ok(())
@@ -625,28 +695,26 @@ impl Memory {
     /// frame in the range is materialised, so it reads as zeros and no
     /// access to it can fault on rights.
     pub fn is_blank(&self, base: Addr, pages: u64, pkru: &Pkru) -> bool {
-        let first = base.page_index() as usize;
-        let Some(range) = self.frames.get(first..first + pages as usize) else {
+        let Ok(span) = self.span(base, pages) else {
             return false;
         };
-        range.iter().all(|f| {
-            f.mapped
-                && f.data.is_none()
-                && pkru.allows(f.key, Access::Read)
-                && pkru.allows(f.key, Access::Write)
-        })
+        let Some(keys) = self.keys.get(span.clone()) else {
+            return false;
+        };
+        keys.iter().all(|&k| {
+            k != UNMAPPED && {
+                let key = ProtKey::from_index(k);
+                pkru.allows(key, Access::Read) && pkru.allows(key, Access::Write)
+            }
+        }) && self.written(span.start, span.end).next().is_none()
     }
 
     /// The non-zero bytes of `pages` pages at `base` as a [`PageImage`].
     /// Pages never written contribute nothing. No rights check.
     pub fn capture(&self, base: Addr, pages: u64) -> PageImage {
         let first = base.page_index() as usize;
-        let written = || {
-            (first..first + pages as usize).filter_map(|page| {
-                let data = self.frames.get(page)?.data.as_deref()?;
-                Some((page as u64, data))
-            })
-        };
+        let end = first.saturating_add(pages as usize);
+        let written = || self.written(first, end);
         // Sized in a first pass: recording a preload must not pay for
         // growing the image a run at a time.
         let (mut pages, mut runs, mut bytes) = (0, 0, 0);
@@ -681,9 +749,8 @@ impl Memory {
     pub fn restore(&mut self, image: &PageImage) {
         let (mut run, mut at) = (0usize, 0usize);
         for &(page, end) in &image.pages {
-            let frame = &mut self.frames[page as usize];
-            debug_assert!(frame.mapped, "restoring onto an unmapped page");
-            let data = frame.bytes_mut();
+            debug_assert!(self.key(page).is_some(), "restoring onto an unmapped page");
+            let data = self.frame_mut(page);
             for &(offset, len) in &image.runs[run..end as usize] {
                 let (offset, len) = (usize::from(offset), usize::from(len));
                 data[offset..offset + len].copy_from_slice(&image.bytes[at..at + len]);
@@ -899,16 +966,16 @@ mod tests {
     }
 
     #[test]
-    fn frame_table_follows_the_mapped_extent() {
+    fn key_table_follows_the_mapped_extent() {
         const SIZE: u64 = 256 * 1024 * 1024;
         let page = PAGE_SIZE as u64;
         let key = ProtKey::new(1).unwrap();
         let pkru = Pkru::permit_only(&[key]);
         let mut mem = Memory::new(SIZE);
-        assert_eq!(mem.frames.capacity(), 0, "an empty memory owns no table");
+        assert_eq!(mem.keys.capacity(), 0, "an empty memory owns no table");
         mem.map(Addr::new(page), 16, key).unwrap();
-        assert_eq!(mem.frames.len(), 17);
-        assert!(mem.frames.capacity() < 128, "table is 16-entry scale");
+        assert_eq!(mem.keys.len(), 17);
+        assert!(mem.keys.capacity() < 128, "table is 16-entry scale");
         assert_eq!(mem.size(), SIZE);
         assert!(format!("{mem:?}").contains("pages: 65536"));
         mem.write(Addr::new(16 * page), b"kept", &pkru).unwrap();
@@ -946,7 +1013,7 @@ mod tests {
 
         // Mapping higher up extends the table; written pages stay.
         mem.map(Addr::new(1000 * page), 4, key).unwrap();
-        assert_eq!(mem.frames.len(), 1004);
+        assert_eq!(mem.keys.len(), 1004);
         assert_eq!(
             mem.read_vec(Addr::new(16 * page), 4, &pkru).unwrap(),
             b"kept"
@@ -961,8 +1028,93 @@ mod tests {
             "the gap the table now spans is still unmapped"
         );
         mem.map(Addr::new(SIZE - page), 1, key).unwrap();
-        assert_eq!(mem.frames.len(), 65536);
+        assert_eq!(mem.keys.len(), 65536);
         mem.write(last, &[1], &pkru).unwrap();
+    }
+
+    /// `(leaves, frames)` the frame store holds.
+    fn materialised(mem: &Memory) -> (usize, usize) {
+        let leaves = mem.leaves.iter().flatten();
+        let frames = leaves.clone().flat_map(|leaf| leaf.iter().flatten());
+        (leaves.count(), frames.count())
+    }
+
+    #[test]
+    fn frames_exist_only_where_pages_were_written() {
+        let page = PAGE_SIZE as u64;
+        let key = ProtKey::new(1).unwrap();
+        let pkru = Pkru::permit_only(&[key]);
+        let mut mem = Memory::new(256 * 1024 * 1024);
+        // A 16 MiB mapping owns a key byte per page and nothing else; so
+        // do reads of it and zero-fills of it.
+        mem.map(Addr::new(page), 4096, key).unwrap();
+        assert!(mem.leaves.is_empty(), "mapping allocated a frame store");
+        assert!(mem.compare(Addr::new(page), &[0; 64], &pkru).unwrap());
+        mem.fill(Addr::new(page), 8 * page, 0, &pkru).unwrap();
+        assert!(mem.leaves.is_empty(), "a zero-fill materialised frames");
+
+        // The first write sizes the directory to the key table's room and
+        // materialises one leaf and one frame; a write to a page in the
+        // same leaf adds a frame, a fill elsewhere a leaf per 2 MiB.
+        mem.write(Addr::new(3000 * page + 5), b"first", &pkru)
+            .unwrap();
+        let slots = mem.leaves.len();
+        assert_eq!(slots, mem.keys.capacity().div_ceil(LEAF_PAGES));
+        assert_eq!(materialised(&mem), (1, 1));
+        mem.write(Addr::new(3001 * page), b"next", &pkru).unwrap();
+        assert_eq!(materialised(&mem), (1, 2));
+        mem.fill(Addr::new(1023 * page), 2 * page, 0xEE, &pkru)
+            .unwrap();
+        assert_eq!(materialised(&mem), (3, 4));
+        assert!(!mem.is_blank(Addr::new(1024 * page), 1, &pkru));
+        assert!(mem.is_blank(Addr::new(1025 * page), 1900, &pkru));
+
+        // Mapping past the room grows the key table; a write up there
+        // grows the directory, keeping every frame.
+        let high = Addr::new(60_000 * page);
+        mem.map(high, 4, key).unwrap();
+        assert_eq!(mem.leaves.len(), slots, "mapping alone grows no directory");
+        mem.write(high, b"high", &pkru).unwrap();
+        assert_eq!(mem.leaves.len(), mem.keys.capacity().div_ceil(LEAF_PAGES));
+        assert_eq!(materialised(&mem), (4, 5));
+        assert_eq!(
+            mem.read_vec(Addr::new(3000 * page + 5), 5, &pkru).unwrap(),
+            b"first"
+        );
+        assert_eq!(
+            mem.capture(Addr::new(0), 65_536),
+            mem.capture(Addr::new(page), 60_003)
+        );
+    }
+
+    #[test]
+    fn page_counts_that_overflow_fault_instead_of_wrapping() {
+        // `first + pages` and `pages * PAGE_SIZE` both overflow here; the
+        // caller gets a clean fault and nothing changes, in every build.
+        let k1 = ProtKey::new(1).unwrap();
+        let k2 = ProtKey::new(2).unwrap();
+        let (mut mem, base) = mem_with_region(k1);
+        let huge = u64::MAX / PAGE_SIZE as u64 + 2;
+        for pages in [huge, u64::MAX] {
+            let overflow = Err(Fault::OutOfBounds {
+                addr: base,
+                len: u64::MAX,
+            });
+            assert_eq!(mem.map(base, pages, k2), overflow, "map of {pages}");
+            assert_eq!(mem.set_key(base, pages, k2), overflow, "set_key of {pages}");
+            assert!(!mem.is_blank(base, pages, &Pkru::ALL_ACCESS));
+            assert_eq!(mem.capture(base, pages), PageImage::default());
+        }
+        assert_eq!(
+            mem.set_key(base, 1 << 40, k2),
+            Err(Fault::OutOfBounds {
+                addr: base,
+                len: 1 << 52
+            })
+        );
+        // Nothing was re-keyed or mapped.
+        assert!(mem.is_blank(base, 8, &Pkru::permit_only(&[k1])));
+        assert!(format!("{mem:?}").contains("mapped_pages: 8"));
     }
 
     #[test]
@@ -983,16 +1135,16 @@ mod tests {
         for pages in [2, 2, 2, 4096] {
             map(&mut mem, pages);
         }
-        let (table, room) = (mem.frames.as_ptr(), mem.frames.capacity());
+        let (table, room) = (mem.keys.as_ptr(), mem.keys.capacity());
         for pages in [2, 2, 4096, 1024, 4, 1, 1, 1, 16] {
             map(&mut mem, pages);
         }
-        assert_eq!(mem.frames.as_ptr(), table, "the table moved");
-        assert_eq!(mem.frames.capacity(), room);
+        assert_eq!(mem.keys.as_ptr(), table, "the table moved");
+        assert_eq!(mem.keys.capacity(), room);
         // The reserve never exceeds the configured size.
         let mut small = Memory::new(64 * PAGE_SIZE as u64);
         small.map(Addr::new(0), 40, key).unwrap();
-        assert_eq!(small.frames.capacity(), 64);
+        assert_eq!(small.keys.capacity(), 64);
     }
 
     #[test]

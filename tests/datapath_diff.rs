@@ -11,11 +11,20 @@
 //! same variant, same addresses — and identical partial effects on
 //! failure.
 //!
-//! `Memory`'s frame table ends at the highest mapped page while the
+//! `Memory`'s key table ends at the highest mapped page while the
 //! reference keeps one entry per configured page, so every third case
 //! maps only the lower half of the range and aims a share of its reads,
 //! writes, copies and re-keyings across that edge: past the table must
 //! be indistinguishable from unmapped.
+//!
+//! `Memory` keeps frames only for written pages, in leaves of 512, and
+//! sizes its key table and leaf directory as mappings arrive. A third
+//! property maps sparse regions over 1 280 pages *between* reads and
+//! writes, so both tables grow after frames exist and accesses cross
+//! leaf boundaries, and holds `is_blank`, `capture` and `restore` to the
+//! reference too: a page is blank when it is mapped, accessible and was
+//! never stored to, and a captured range restored onto a blank twin
+//! reads back the reference's bytes.
 //!
 //! A second property pins the integer per-byte charge table against the
 //! pre-refactor float formula, cycle for cycle.
@@ -39,46 +48,48 @@ const REF_PAGES: u64 = 64;
 /// address, later pages the page base; unmapped pages always the page
 /// base) so `Fault` values compare equal structurally.
 struct RefMem {
+    pages: u64,
     key: Vec<ProtKey>,
     mapped: Vec<bool>,
+    /// Pages some store reached: never blank again.
+    written: Vec<bool>,
     data: Vec<u8>,
 }
 
 impl RefMem {
-    fn new() -> RefMem {
+    fn new(pages: u64) -> RefMem {
         RefMem {
-            key: vec![ProtKey::DEFAULT; REF_PAGES as usize],
-            mapped: vec![false; REF_PAGES as usize],
-            data: vec![0u8; (REF_PAGES as usize) * PAGE_SIZE],
+            pages,
+            key: vec![ProtKey::DEFAULT; pages as usize],
+            mapped: vec![false; pages as usize],
+            written: vec![false; pages as usize],
+            data: vec![0u8; (pages as usize) * PAGE_SIZE],
         }
     }
 
-    fn map(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
+    /// The pages of a `map`/`set_key` range, checked against the size.
+    fn span(&self, base: Addr, pages: u64) -> Result<std::ops::Range<usize>, Fault> {
         let first = base.page_index();
         let last = first
             .checked_add(pages)
-            .filter(|&end| end <= REF_PAGES)
+            .filter(|&end| end <= self.pages)
             .ok_or(Fault::OutOfBounds {
                 addr: base,
-                len: pages * PAGE_SIZE as u64,
+                len: pages.saturating_mul(PAGE_SIZE as u64),
             })?;
-        for page in first..last {
-            self.mapped[page as usize] = true;
-            self.key[page as usize] = key;
+        Ok(first as usize..last as usize)
+    }
+
+    fn map(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
+        for page in self.span(base, pages)? {
+            self.mapped[page] = true;
+            self.key[page] = key;
         }
         Ok(())
     }
 
     fn set_key(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
-        let first = base.page_index() as usize;
-        let last = first + pages as usize;
-        if last > REF_PAGES as usize {
-            return Err(Fault::OutOfBounds {
-                addr: base,
-                len: pages * PAGE_SIZE as u64,
-            });
-        }
-        for page in first..last {
+        for page in self.span(base, pages)? {
             if !self.mapped[page] {
                 return Err(Fault::Unmapped {
                     addr: Addr::new((page * PAGE_SIZE) as u64),
@@ -97,10 +108,27 @@ impl RefMem {
         let end = addr
             .checked_add(len - 1)
             .ok_or(Fault::OutOfBounds { addr, len })?;
-        if end.page_index() >= REF_PAGES {
+        if end.page_index() >= self.pages {
             return Err(Fault::OutOfBounds { addr, len });
         }
         Ok(())
+    }
+
+    fn store(&mut self, at: Addr, byte: u8) {
+        self.written[at.page_index() as usize] = true;
+        self.data[at.raw() as usize] = byte;
+    }
+
+    /// Mapped, readable and writable under `pkru`, and never stored to.
+    fn is_blank(&self, base: Addr, pages: u64, pkru: &Pkru) -> bool {
+        self.span(base, pages).is_ok_and(|mut span| {
+            span.all(|page| {
+                self.mapped[page]
+                    && !self.written[page]
+                    && pkru.allows(self.key[page], Access::Read)
+                    && pkru.allows(self.key[page], Access::Write)
+            })
+        })
     }
 
     /// Per-byte page check with the production fault-addressing rule.
@@ -139,17 +167,21 @@ impl RefMem {
         for (i, &byte) in buf.iter().enumerate() {
             let at = addr + i as u64;
             self.check_byte(at, addr, pkru, Access::Write)?;
-            self.data[at.raw() as usize] = byte;
+            self.store(at, byte);
         }
         Ok(())
     }
 
+    /// A zero fill of a page never stored to is no store: the page
+    /// already reads as zeros, and stays blank.
     fn fill(&mut self, addr: Addr, len: u64, byte: u8, pkru: &Pkru) -> Result<(), Fault> {
         self.bounds(addr, len)?;
         for i in 0..len {
             let at = addr + i;
             self.check_byte(at, addr, pkru, Access::Write)?;
-            self.data[at.raw() as usize] = byte;
+            if byte != 0 || self.written[at.page_index() as usize] {
+                self.store(at, byte);
+            }
         }
         Ok(())
     }
@@ -178,7 +210,7 @@ impl RefMem {
             self.check_byte(s, src, pkru, Access::Read)?;
             let byte = self.data[s.raw() as usize];
             self.check_byte(d, dst, pkru, Access::Write)?;
-            self.data[d.raw() as usize] = byte;
+            self.store(d, byte);
         }
         Ok(())
     }
@@ -214,7 +246,7 @@ fn random_pkru(rng: &mut Rng) -> Pkru {
 }
 
 /// `edge` is the address one past the highest mapped page: where
-/// `Memory`'s frame table ends.
+/// `Memory`'s key table ends.
 fn random_addr(rng: &mut Rng, edge: u64) -> Addr {
     match rng.range(0, 16) {
         // Occasionally aim out of bounds or near overflow.
@@ -257,7 +289,7 @@ fn fast_path_matches_byte_at_a_time_reference() {
     let mut rng = Rng::new(0xDA7A_9A74);
     for case in 0..120 {
         let mut mem = Memory::new(REF_PAGES * PAGE_SIZE as u64);
-        let mut refm = RefMem::new();
+        let mut refm = RefMem::new(REF_PAGES);
 
         // Random layout: a handful of regions with random keys; some of
         // the address space stays unmapped — in every third case, all of
@@ -412,9 +444,15 @@ fn fast_path_matches_byte_at_a_time_reference() {
 /// Every mapped page's content, page by page under the TCB view, against
 /// the reference's.
 fn assert_same_content(mem: &Memory, refm: &RefMem, what: &str) {
-    for page in 0..REF_PAGES {
+    for page in 0..refm.pages {
         let base = Addr::new(page * PAGE_SIZE as u64);
-        if let Ok(bytes) = mem.read_vec(base, PAGE_SIZE as u64, &Pkru::ALL_ACCESS) {
+        let read = mem.read_vec(base, PAGE_SIZE as u64, &Pkru::ALL_ACCESS);
+        assert_eq!(
+            read.is_ok(),
+            refm.mapped[page as usize],
+            "{what}: page {page} mapping divergence"
+        );
+        if let Ok(bytes) = read {
             let at = (page as usize) * PAGE_SIZE;
             assert_eq!(
                 bytes,
@@ -423,6 +461,188 @@ fn assert_same_content(mem: &Memory, refm: &RefMem, what: &str) {
             );
         }
     }
+}
+
+/// Pages of the sparse property's memory: two and a half leaves.
+const SPARSE_PAGES: u64 = 1280;
+
+/// Pages per leaf of `Memory`'s frame store.
+const LEAF_PAGES: u64 = 512;
+
+/// Maps a range on both sides and records it for replay on twins.
+fn map_both(
+    (mem, refm, maps): (&mut Memory, &mut RefMem, &mut Vec<(Addr, u64, ProtKey)>),
+    base: Addr,
+    pages: u64,
+    key: ProtKey,
+    what: &str,
+) -> bool {
+    let result = mem.map(base, pages, key);
+    assert_eq!(result, refm.map(base, pages, key), "{what}: map divergence");
+    if result.is_ok() {
+        maps.push((base, pages, key));
+    }
+    result.is_ok()
+}
+
+/// An address inside (or just around) one of the mapped regions, or just
+/// below a leaf boundary, or now and then anywhere, or past the end.
+fn sparse_addr(rng: &mut Rng, maps: &[(Addr, u64, ProtKey)]) -> Addr {
+    let page = PAGE_SIZE as u64;
+    match rng.range(0, 8) {
+        0 => Addr::new(rng.range(0, SPARSE_PAGES * page)),
+        2 => Addr::new(LEAF_PAGES * rng.range(1, 3) * page - rng.range(1, 6000)),
+        1 => Addr::new(rng.range(SPARSE_PAGES * page - 2 * page, SPARSE_PAGES * page * 2)),
+        _ => {
+            let (base, pages, _) = maps[rng.range(0, maps.len() as u64) as usize];
+            Addr::new((base.raw() + rng.range(0, (pages + 1) * page)).saturating_sub(page / 2))
+        }
+    }
+}
+
+#[test]
+fn sparse_layouts_mapped_between_accesses_match_the_reference() {
+    let page = PAGE_SIZE as u64;
+    let mut rng = Rng::new(0x5BA2_5E00);
+    let (mut grown, mut crossed, mut blank, mut restored) = (0, 0, 0, 0);
+    for case in 0..48 {
+        let mut mem = Memory::new(SPARSE_PAGES * page);
+        let mut refm = RefMem::new(SPARSE_PAGES);
+        let mut maps = Vec::new();
+        // A small low region, written first: everything mapped later
+        // extends tables that already hold frames.
+        let low = Addr::new(rng.range(1, 32) * page);
+        let key = ProtKey::new(rng.range(0, 8) as u8).unwrap();
+        let what = format!("case {case}");
+        assert!(map_both(
+            (&mut mem, &mut refm, &mut maps),
+            low,
+            rng.range(1, 8),
+            key,
+            &what
+        ));
+        let data = rng.bytes(64);
+        assert_eq!(
+            mem.write(low + 100, &data, &Pkru::ALL_ACCESS),
+            refm.write(low + 100, &data, &Pkru::ALL_ACCESS)
+        );
+        let first_extent = maps[0].0.page_index() + maps[0].1;
+
+        for op in 0..80 {
+            let what = format!("case {case} op {op}");
+            let pkru = if rng.next().is_multiple_of(2) {
+                Pkru::ALL_ACCESS
+            } else {
+                random_pkru(&mut rng)
+            };
+            let addr = sparse_addr(&mut rng, &maps);
+            let len = random_len(&mut rng);
+            let crosses = |len: u64| {
+                len > 0
+                    && addr.page_index() / LEAF_PAGES != (addr.raw() + len - 1) / page / LEAF_PAGES
+            };
+            match rng.range(0, 8) {
+                0 => {
+                    // Half the maps land above everything mapped so far,
+                    // a quarter across a leaf boundary.
+                    let top = maps
+                        .iter()
+                        .map(|&(b, p, _)| b.page_index() + p)
+                        .max()
+                        .unwrap();
+                    let first = match rng.range(0, 4) {
+                        0 | 1 => top + rng.range(1, 400),
+                        2 => LEAF_PAGES * rng.range(1, 3) - rng.range(1, 8),
+                        _ => rng.range(0, SPARSE_PAGES),
+                    };
+                    let pages = rng.range(1, 24);
+                    let key = ProtKey::new(rng.range(0, 8) as u8).unwrap();
+                    let base = Addr::new(first * page);
+                    if map_both((&mut mem, &mut refm, &mut maps), base, pages, key, &what)
+                        && first + pages > 4 * first_extent
+                    {
+                        grown += 1;
+                    }
+                }
+                1 | 2 => {
+                    let data = rng.bytes(len as usize);
+                    let result = mem.write(addr, &data, &pkru);
+                    assert_eq!(result, refm.write(addr, &data, &pkru), "{what}: write");
+                    crossed += usize::from(result.is_ok() && crosses(len));
+                }
+                3 => {
+                    let mut got = vec![0u8; len as usize];
+                    let mut want = vec![0u8; len as usize];
+                    let result = mem.read(addr, &mut got, &pkru);
+                    assert_eq!(result, refm.read(addr, &mut want, &pkru), "{what}: read");
+                    assert_eq!(got, want, "{what}: read bytes");
+                }
+                4 => {
+                    let byte = if rng.next().is_multiple_of(2) {
+                        0
+                    } else {
+                        rng.next() as u8
+                    };
+                    let result = mem.fill(addr, len, byte, &pkru);
+                    assert_eq!(result, refm.fill(addr, len, byte, &pkru), "{what}: fill");
+                    crossed += usize::from(result.is_ok() && byte != 0 && crosses(len));
+                }
+                5 => {
+                    let len = len.min(2 * page);
+                    let dst = sparse_addr(&mut rng, &maps);
+                    if addr.raw() + len <= dst.raw() || dst.raw() + len <= addr.raw() {
+                        let result = mem.copy(addr, dst, len, &pkru);
+                        assert_eq!(result, refm.copy(addr, dst, len, &pkru), "{what}: copy");
+                    }
+                }
+                6 => {
+                    let pages = rng.range(1, 8);
+                    let got = mem.is_blank(addr, pages, &pkru);
+                    assert_eq!(got, refm.is_blank(addr, pages, &pkru), "{what}: is_blank");
+                    blank += usize::from(got);
+                }
+                _ => {
+                    // Capture a range that may span leaves and restore it
+                    // onto a twin with the same mappings and nothing
+                    // written: the twin then holds the reference's bytes
+                    // inside the range, and stays blank outside it and
+                    // on every page the reference holds only zeros on.
+                    let (base, pages) = (Addr::new(addr.page_index() * page), rng.range(1, 700));
+                    let image = mem.capture(base, pages);
+                    let mut twin = Memory::new(SPARSE_PAGES * page);
+                    for &(b, p, k) in &maps {
+                        twin.map(b, p, k).unwrap();
+                    }
+                    twin.restore(&image);
+                    assert_eq!(twin.capture(base, pages), image, "{what}: recapture");
+                    let range = base.page_index()..base.page_index() + pages;
+                    for p in (0..SPARSE_PAGES).filter(|&p| refm.mapped[p as usize]) {
+                        let at = Addr::new(p * page);
+                        let bytes = &refm.dump()[(p * page) as usize..((p + 1) * page) as usize];
+                        let zero = bytes.iter().all(|&b| b == 0);
+                        let inside = range.contains(&p);
+                        assert_eq!(
+                            twin.is_blank(at, 1, &Pkru::ALL_ACCESS),
+                            !inside || zero,
+                            "{what}: page {p} blank after restore"
+                        );
+                        if inside {
+                            let read = twin.read_vec(at, page, &Pkru::ALL_ACCESS).unwrap();
+                            assert_eq!(read, bytes, "{what}: page {p} restored bytes");
+                            restored += usize::from(!zero);
+                        }
+                    }
+                }
+            }
+        }
+        assert_same_content(&mem, &refm, &format!("case {case}: final"));
+    }
+    // The stream really grew the tables after frames existed, wrote
+    // across leaf boundaries, met blank ranges and restored bytes.
+    assert!(
+        grown > 50 && crossed > 10 && blank > 50 && restored > 50,
+        "grown {grown}, crossed {crossed}, blank {blank}, restored {restored}"
+    );
 }
 
 #[test]
@@ -439,7 +659,7 @@ fn zero_fill_matches_the_reference_whatever_the_pages_hold() {
     let (mut guard_faults, mut key_faults, mut clean) = (0, 0, 0);
     for case in 0..200 {
         let mut mem = Memory::new(REF_PAGES * PAGE_SIZE as u64);
-        let mut refm = RefMem::new();
+        let mut refm = RefMem::new(REF_PAGES);
         // own pages | guard | own pages | foreign pages
         let guard = rng.range(4, 12);
         let own_end = guard + 1 + rng.range(2, 8);

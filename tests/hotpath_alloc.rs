@@ -668,9 +668,10 @@ fn build_cost_of_an_mpk_image_is_bounded_and_does_not_grow() {
     drop(first);
     let (second, second_bytes, second_calls) = cost_of(build);
     assert!(
-        second_bytes <= 1024 * 1024 && second_calls <= 400,
+        second_bytes <= 256 * 1024 && second_calls <= 400,
         "an mpk2 Redis build allocated {second_bytes} bytes in {second_calls} calls: \
-         a build composes no names and copies no descriptor strings"
+         a build composes no names, copies no descriptor strings and pays \
+         host memory per page written, not per page mapped"
     );
     assert!(
         second_bytes <= first_bytes && second_calls <= first_calls,
@@ -683,6 +684,26 @@ fn build_cost_of_an_mpk_image_is_bounded_and_does_not_grow() {
         (third_bytes, third_calls),
         (second_bytes, second_calls),
         "builds of one configuration on a warm thread cost the same, exactly"
+    );
+}
+
+#[test]
+fn build_cost_of_an_8_vcpu_image_is_priced_by_pages_written() {
+    // Eight vCPUs map eight times the heaps, stacks and memory of one —
+    // 73 816 pages for an mpk2 Redis image — and a build writes none of
+    // them: it costs a key byte per mapped page, not a frame-table entry.
+    let build = || {
+        SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
+            .app(flexos_apps::redis_component())
+            .cores(8)
+            .build()
+            .unwrap()
+    };
+    drop(build()); // the once-per-thread work
+    let (_os, bytes, calls) = cost_of(build);
+    assert!(
+        bytes <= 512 * 1024,
+        "an 8-vCPU mpk2 Redis build allocated {bytes} bytes in {calls} calls"
     );
 }
 
