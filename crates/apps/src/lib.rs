@@ -29,6 +29,16 @@ pub use sqlite::Sqlite;
 
 use flexos_core::prelude::*;
 
+flexos_core::entry_points! {
+    /// Redis's gate entry points: the fault-injection campaign's health
+    /// probe gates into a tenant through `handle`.
+    pub struct RedisEntries {
+        main: "redis_main",
+        handle: "redis_handle",
+        cron: "redis_cron",
+    }
+}
+
 /// Component descriptor for the Redis port (Table 1: +279/-90, 16 shared
 /// variables).
 pub fn redis_component() -> Component {
@@ -51,7 +61,7 @@ pub fn redis_component() -> Component {
             SharedVar::stat("maxmemory_policy", 4, &["newlib"]),
             SharedVar::stack("getrange_tmp", 64, &["newlib"]),
         ])
-        .with_entry_points(&["redis_main", "redis_handle", "redis_cron"])
+        .with_entry_points(RedisEntries::NAMES)
         .with_patch(279, 90)
 }
 

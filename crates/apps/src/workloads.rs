@@ -253,7 +253,7 @@ fn drive_cores(
     mut batch: impl FnMut(usize) -> Result<(), Fault>,
 ) -> Result<Vec<u64>, Fault> {
     let machine = os.env.machine();
-    let cores = os.env.num_cores();
+    let cores = os.env.machine().num_cores();
     let mut done = vec![0u64; cores];
     let mut ends: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
     loop {
@@ -300,7 +300,7 @@ fn drive_phases(
     drive_cores(os, warmup, false, &mut batch)?;
     os.env.reset_counters();
     machine.reset_smp_counters();
-    let starts: Vec<u64> = (0..os.env.num_cores())
+    let starts: Vec<u64> = (0..os.env.machine().num_cores())
         .map(|c| machine.core_clock(c).now())
         .collect();
     let ends = drive_cores(os, measured, true, &mut batch)?;
@@ -334,7 +334,11 @@ impl ShardConns {
         port: u16,
         mut accept: impl FnMut() -> Result<Option<SocketHandle>, Fault>,
     ) -> Result<ShardConns, Fault> {
-        let count = if os.env.num_cores() == 1 { 1 } else { 32 };
+        let count = if os.env.machine().num_cores() == 1 {
+            1
+        } else {
+            32
+        };
         let mut clients = Vec::with_capacity(count);
         let mut conns = Vec::with_capacity(count);
         for i in 0..count {
@@ -460,7 +464,7 @@ pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fau
             reason: "RedisBench::pipeline is 0, must be at least 1".to_string(),
         });
     }
-    let cores = os.env.num_cores();
+    let cores = os.env.machine().num_cores();
     let one_request = resp::encode_request(&[b"GET", b"key:1"]);
     let mut shards = Vec::with_capacity(cores);
     for core in 0..cores {
@@ -572,7 +576,7 @@ fn nginx_shard_batch(os: &FlexOs, shard: &mut NginxShard) -> Result<(), Fault> {
 ///
 /// Substrate faults; protocol errors.
 pub fn run_nginx_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
-    let cores = os.env.num_cores();
+    let cores = os.env.machine().num_cores();
     let mut shards = Vec::with_capacity(cores);
     for core in 0..cores {
         os.env.switch_core(core);

@@ -213,7 +213,7 @@ pub(crate) fn info_leak(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let s = scene(os)?;
     let env = &s.env;
     let victim_comp = env.compartment_of(s.victim);
-    match env.data_sharing_of(victim_comp) {
+    match env.profile_of(victim_comp).data_sharing {
         DataSharing::HeapConversion => {
             let share = env.run_as(s.victim, || env.stack_share_alloc(SECRET.len() as u64))?;
             match share {

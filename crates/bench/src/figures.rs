@@ -124,12 +124,7 @@ fn gate_cycles(config: SafetyConfig) -> Result<u64, Fault> {
         .build()?;
     let env = &os.env;
     let app = os.app_ids[0];
-    let lwip = env
-        .component_id("lwip")
-        .ok_or_else(|| Fault::InvalidConfig {
-            reason: "image has no `lwip` component".to_string(),
-        })?;
-    let poll = env.resolve(lwip, "lwip_poll");
+    let poll = os.net.entries().poll;
     const ROUNDS: u64 = 64;
     env.run_as(app, || -> Result<u64, Fault> {
         // Warm once (EPT ring setup etc.).

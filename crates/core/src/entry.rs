@@ -58,6 +58,51 @@ pub struct CallTarget {
     pub entry: EntryId,
 }
 
+/// Declares a component's gate entry points once, as a struct of resolved
+/// [`CallTarget`]s with one field per entry:
+///
+/// * `NAMES` lists the entry names in the order written — the list a
+///   component registers through
+///   [`Component::with_entry_points`](crate::component::Component::with_entry_points),
+///   so the order fixes the interned [`EntryId`]s;
+/// * `resolve(env, id)` resolves every one of them against component `id`
+///   through [`Env::resolve`](crate::env::Env::resolve), once, when the
+///   component is wired up.
+///
+/// ```
+/// flexos_core::entry_points! {
+///     /// A clock component's gate entry points.
+///     pub struct ClockEntries {
+///         now: "clock_now",
+///         sleep: "clock_sleep",
+///     }
+/// }
+/// assert_eq!(ClockEntries::NAMES, ["clock_now", "clock_sleep"]);
+/// ```
+#[macro_export]
+macro_rules! entry_points {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident { $($field:ident: $entry:literal,)* }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy)]
+        $vis struct $name {
+            $(#[doc = concat!("`", $entry, "`.")] $vis $field: $crate::entry::CallTarget,)*
+        }
+
+        impl $name {
+            /// The entry-point names, in registration order.
+            $vis const NAMES: &'static [&'static str] = &[$($entry),*];
+
+            /// Resolves every entry point against component `id`.
+            $vis fn resolve(env: &$crate::env::Env, id: $crate::component::ComponentId) -> Self {
+                $name { $($field: env.resolve(id, $entry),)* }
+            }
+        }
+    };
+}
+
 /// Per-compartment legality bitsets over interned entry ids, plus the
 /// intern table itself.
 ///

@@ -6,57 +6,74 @@
 //! and the live CPU state (current component, PKRU, registers).
 //!
 //! Every substrate component holds an `Rc<Env>` and interacts with the
-//! world exclusively through it:
+//! world exclusively through it. This file holds the struct, its
+//! construction and introspection, the simulated-SMP context switch and
+//! the gate; each other policy is an `impl Env` block in a submodule of
+//! its own:
 //!
-//! * [`Env::resolve`] + [`Env::call_resolved`] — the abstract gate of
-//!   §3.1, split the way the paper splits it: *resolution* (component →
-//!   compartment, entry name → interned [`EntryId`]) happens once, when a
-//!   component wires itself up; the *call* is pure index arithmetic over
-//!   the flattened gate-descriptor row and dense `Cell` counters — zero
-//!   heap allocation, no `RefCell<GateTable>` borrow. Same compartment →
-//!   plain call (2 cycles); across compartments → the configured
-//!   mechanism's gate: entry point CFI-checked *first* (rejections charge
-//!   nothing and count as `cfi_violations`), then cost charged, crossing
-//!   counted, PKRU switched, registers saved/scrubbed (full MPK/EPT
-//!   gates).
-//! * [`Env::mem_read`] / [`Env::mem_write`] — simulated-memory access
-//!   under the *current* domain's PKRU; touching another compartment's
-//!   pages faults exactly as MPK would. KASan-hardened components also get
-//!   shadow checks here.
-//! * [`Env::compute`] — charges modeled compute cycles with the
+//! * [`Env::resolve`] + [`Env::call_resolved`] (here) — the abstract gate
+//!   of §3.1, split the way the paper splits it: *resolution* (component
+//!   → compartment, entry name → interned [`EntryId`]) happens once, when
+//!   a component wires itself up; the *call* is pure index arithmetic
+//!   over the flattened gate-descriptor row and dense `Cell` counters —
+//!   zero heap allocation, no `RefCell<GateTable>` borrow. Same
+//!   compartment → plain call (2 cycles); across compartments → the
+//!   configured mechanism's gate: entry point CFI-checked *first*
+//!   (rejections charge nothing and count as `cfi_violations`), then the
+//!   ledger's admission, then cost charged, crossing counted, PKRU
+//!   switched, registers saved/scrubbed (full MPK/EPT gates).
+//! * [`Env::compute`] (here) — charges modeled compute cycles with the
 //!   instruction-mix surcharges of the enabled hardening (UBSan on ALU
 //!   ops, stack protector on frames, CFI on indirect calls, KASan on
 //!   private-memory accesses), so hardening overhead *emerges* from what
 //!   components actually do.
-//! * [`Env::malloc`] / [`Env::malloc_shared`] — compartment-private and
-//!   shared-heap allocation (§4.1 data ownership).
-//! * [`Env::shared_var`] — whitelist-checked access to `__shared`
-//!   annotated variables.
-//! * [`Env::record_heap_template`] / [`Env::replay_heap_template`] —
-//!   what a run did to the current compartment's heap, recorded once and
-//!   replayed onto an identical heap (`template`).
+//! * `budget` — the one budget ledger: limits, window usage, refusals and
+//!   the quarantine mask ([`Env::budget_usage`], [`Env::check_budget`],
+//!   [`Env::set_quarantined`]).
+//! * `faults` — the observed-fault ring ([`Env::observe`]).
+//! * `mem` — [`Env::mem_read`] / [`Env::mem_write`] and friends:
+//!   simulated-memory access under the *current* domain's PKRU, plus
+//!   KASan shadow checks for hardened components.
+//! * `heap` — [`Env::malloc`] / [`Env::malloc_shared`]:
+//!   compartment-private and shared-heap allocation (§4.1 data
+//!   ownership), and the microreboot's [`Env::reset_heap`].
+//! * `shared` — [`Env::shared_var`], whitelist-checked access to
+//!   `__shared` annotated variables, and stack-data sharing.
+//! * `template` — [`Env::record_heap_template`] /
+//!   [`Env::replay_heap_template`]: what a run did to the current
+//!   compartment's heap, recorded once and replayed onto an identical
+//!   heap.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use flexos_alloc::Heap;
-use flexos_machine::addr::Addr;
 use flexos_machine::cpu::RegisterFile;
 use flexos_machine::fault::{Fault, FaultKind};
-use flexos_machine::key::{Access, Pkru, ProtKey};
+use flexos_machine::key::{Pkru, ProtKey};
 use flexos_machine::smp;
-use flexos_machine::trace::{event as trace_event, EventKind};
+use flexos_machine::trace::EventKind;
 use flexos_machine::Machine;
 
-use crate::compartment::{CompartmentId, DataSharing, IsolationProfile, Mechanism, ResourceBudget};
-use crate::component::{ComponentId, ComponentRegistry, SharedVar};
+use crate::compartment::{CompartmentId, IsolationProfile, Mechanism};
+use crate::component::{ComponentId, ComponentRegistry};
 use crate::entry::{CallTarget, EntryId, EntryTable};
 use crate::gate::{GateKind, GateTable};
 use crate::hardening::Hardening;
 
+mod budget;
+mod faults;
+mod heap;
+mod mem;
+mod shared;
 mod template;
-pub use template::HeapTemplate;
+pub use self::{
+    budget::BudgetUsage,
+    faults::FAULT_RING_CAP,
+    shared::{SharedVarPlacement, StackShare},
+    template::HeapTemplate,
+};
 
 /// One protection domain (compartment) at runtime.
 #[derive(Debug, Clone)]
@@ -70,25 +87,6 @@ pub struct DomainState {
     pub pkru: Pkru,
     /// Isolation mechanism enclosing the compartment.
     pub mechanism: Mechanism,
-}
-
-/// Placement of one `__shared` annotated variable after build: where it
-/// landed and which annotation it is. Name, whitelist and region text are
-/// read through the annotation (`Env::shared_var_decl`) and the layout
-/// ([`Env::shared_var_region`]) when asked for, not copied per image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedVarPlacement {
-    /// Simulated address of the variable.
-    pub addr: Addr,
-    /// Size in bytes.
-    pub size: u64,
-    /// Component that owns (declared) the variable.
-    pub owner: ComponentId,
-    /// Index of the annotation among the owner's `shared_vars`.
-    pub var: u16,
-    /// For a stack variable shared across compartments: the owner's
-    /// data-sharing strategy, under which its shared-heap slot is used.
-    pub shadow: Option<DataSharing>,
 }
 
 /// Modeled work performed by a component, with the instruction mix that
@@ -117,31 +115,6 @@ impl Work {
         }
     }
 }
-
-/// Snapshot of one compartment's resource usage within the current
-/// accounting window (see [`Env::reset_budget_usage`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BudgetUsage {
-    /// Live private-heap bytes currently held (frees credit back).
-    pub heap_bytes: u64,
-    /// Compute + initiated-gate cycles accumulated this window.
-    pub cycles: u64,
-    /// Cross-compartment calls initiated this window.
-    pub crossings: u64,
-}
-
-/// Interior-mutable usage counters for one compartment — `Cell` traffic
-/// only, same zero-alloc discipline as the gate crossing counters.
-#[derive(Debug, Default)]
-struct BudgetCells {
-    heap_bytes: Cell<u64>,
-    cycles: Cell<u64>,
-    crossings: Cell<u64>,
-}
-
-/// Capacity of the observed-fault ring: enough to audit a multi-fault
-/// attack run or a recovery sequence without unbounded growth.
-pub const FAULT_RING_CAP: usize = 8;
 
 /// Registers that carry arguments across a full (MPK-DSS / EPT) gate;
 /// the gate zeroes every register beyond them (§3.1). Every entry point
@@ -180,26 +153,10 @@ pub struct Env {
     pkru: Cell<Pkru>,
     regs: RefCell<RegisterFile>,
     crossing_hook: RefCell<Option<CrossingHook>>,
-    /// Bounded ring of faults observed (via [`Env::observe`]), oldest
-    /// first (capacity [`FAULT_RING_CAP`]; overflow drops the oldest) —
-    /// the attack-visible introspection surface of the adversarial
-    /// suite. Multi-fault attack runs and recovery sequences stay
-    /// auditable; recording charges no cycles.
+    /// Observed faults, oldest first (see `faults`).
     fault_ring: RefCell<VecDeque<(ComponentId, FaultKind)>>,
-    /// `true` if any compartment in the image carries a resource budget.
-    /// When `false` (every pre-budget configuration) the charging paths
-    /// reduce to a single predictable branch — unbudgeted images charge
-    /// nothing and change no virtual-cycle output.
-    budget_enabled: bool,
-    /// Resolved per-compartment budgets (mirrors `profiles[i].budget`).
-    budgets: Vec<ResourceBudget>,
-    /// Per-compartment usage counters for the current accounting window.
-    budget_used: Vec<BudgetCells>,
-    /// Operations refused with `BudgetExceeded`, per compartment.
-    budget_refusals: Vec<Cell<u64>>,
-    /// Bitmask of quarantined compartments: gate entries into a
-    /// quarantined compartment are refused (supervisor containment).
-    quarantined: Cell<u32>,
+    /// Budgets, usage, refusals and quarantine (see `budget`).
+    budget: budget::Ledger,
     /// Home core of each compartment ([`smp::ANY_CORE`] = not pinned).
     /// On multi-core machines, gate entries into a compartment homed on
     /// a *different* core pay the remote-gate (doorbell/IPI) surcharge.
@@ -254,8 +211,7 @@ impl Env {
         let kasan_any = parts.hardening.iter().any(|h| h.kasan);
         // Budgets ride on the resolved profiles — same resolution chain
         // as the data-sharing and allocator axes, no extra plumbing.
-        let budgets: Vec<ResourceBudget> = parts.profiles.iter().map(|p| p.budget).collect();
-        let budget_enabled = budgets.iter().any(|b| !b.is_unlimited());
+        let budget = budget::Ledger::new(parts.profiles.iter().map(|p| p.budget));
         let num_cores = parts.machine.num_cores();
         let mut shared_var_base = Vec::with_capacity(n);
         let mut placed = 0;
@@ -283,11 +239,7 @@ impl Env {
             regs: RefCell::new(RegisterFile::new()),
             crossing_hook: RefCell::new(None),
             fault_ring: RefCell::new(VecDeque::with_capacity(FAULT_RING_CAP)),
-            budget_enabled,
-            budgets,
-            budget_used: (0..n_comps).map(|_| BudgetCells::default()).collect(),
-            budget_refusals: (0..n_comps).map(|_| Cell::new(0)).collect(),
-            quarantined: Cell::new(0),
+            budget,
             home_core: (0..n_comps).map(|_| Cell::new(smp::ANY_CORE)).collect(),
             core_cur: (0..num_cores).map(|_| Cell::new(ComponentId(0))).collect(),
         })
@@ -330,27 +282,6 @@ impl Env {
         self.profiles[comp.0 as usize]
     }
 
-    /// The data-sharing strategy of one compartment's boundaries
-    /// (callee side): crossings *into* `comp` use this flavour, and
-    /// `comp`'s thread stacks are laid out for it.
-    pub fn data_sharing_of(&self, comp: CompartmentId) -> DataSharing {
-        self.profiles[comp.0 as usize].data_sharing
-    }
-
-    /// The allocator policy of one compartment's private heap.
-    pub fn heap_kind_of(&self, comp: CompartmentId) -> flexos_alloc::HeapKind {
-        self.profiles[comp.0 as usize].allocator
-    }
-
-    /// The stack-data sharing strategy of the *currently executing*
-    /// compartment (per-compartment since the profile redesign; on
-    /// images that never override the axis this is the old global
-    /// value). Boundary-local code should prefer
-    /// [`Env::data_sharing_of`].
-    pub(crate) fn data_sharing(&self) -> DataSharing {
-        self.data_sharing_of(self.compartment_of(self.cur.get()))
-    }
-
     /// Gate matrix and crossing counters.
     pub fn gates(&self) -> &GateTable {
         &self.gates
@@ -380,56 +311,12 @@ impl Env {
         *self.crossing_hook.borrow_mut() = Some(hook);
     }
 
-    // --- fault introspection ----------------------------------------------
-
-    /// Passes `r` through unchanged while recording any fault it carries
-    /// against the currently executing component in the ring behind
-    /// [`Env::observed_faults`]. The attack harness wraps every
-    /// adversarial access in this so outcomes can be classified after
-    /// the fact; recording is zero cycles and zero host allocation (the
-    /// ring is pre-sized), so costed paths are unperturbed.
-    pub fn observe<R>(&self, r: Result<R, Fault>) -> Result<R, Fault> {
-        if let Err(fault) = &r {
-            let comp = self.cur.get();
-            let mut ring = self.fault_ring.borrow_mut();
-            if ring.len() == FAULT_RING_CAP {
-                ring.pop_front();
-            }
-            ring.push_back((comp, fault.kind()));
-            self.machine.tracer().record(
-                self.machine.clock().now(),
-                EventKind::IsolationFault {
-                    component: comp.0,
-                    fault: fault.kind() as u8,
-                },
-            );
-        }
-        r
-    }
-
-    /// The observed-fault ring, oldest first — up to [`FAULT_RING_CAP`]
-    /// most recent faults. Attack post-mortems and recovery audits read
-    /// the whole sequence instead of just the final kind.
-    pub fn observed_faults(&self) -> Vec<(ComponentId, FaultKind)> {
-        self.fault_ring.borrow().iter().copied().collect()
-    }
-
-    /// Clears the observed-fault record (between attack runs).
-    pub fn clear_observed_faults(&self) {
-        self.fault_ring.borrow_mut().clear();
-    }
-
     /// The register file (tests verify gate scrubbing through this).
     pub fn regs(&self) -> std::cell::RefMut<'_, RegisterFile> {
         self.regs.borrow_mut()
     }
 
     // --- simulated SMP ------------------------------------------------------
-
-    /// Number of simulated cores (delegates to the machine).
-    pub fn num_cores(&self) -> usize {
-        self.machine.num_cores()
-    }
 
     /// Pins a compartment's home core: on multi-core machines every gate
     /// entry from another core pays the remote-gate surcharge. The
@@ -461,207 +348,6 @@ impl Env {
         self.pkru.set(inc.pkru.get());
         *self.regs.borrow_mut() = inc.regs.get();
         self.cur.set(self.core_cur[core].get());
-    }
-
-    // --- resource budgets ---------------------------------------------------
-    //
-    // Budget semantics (DESIGN.md "Resource budgets & recovery"):
-    //
-    // * `heap_bytes` caps *live* private-heap bytes — a quota, not a
-    //   meter: frees credit the counter back.
-    // * `cycles` caps compute + initiated-gate cycles accumulated per
-    //   accounting window ([`Env::reset_budget_usage`] opens a window).
-    // * `crossings` caps cross-compartment calls *initiated* per window.
-    //
-    // Enforcement happens only at fallible points: `malloc`, the gate
-    // path, and the explicit [`Env::check_budget`] /
-    // [`Env::compute_checked`] preemption points — `compute` itself
-    // stays infallible. Checks and refusals never advance the clock
-    // (same discipline as CFI rejections), and on images with no budget
-    // anywhere the entire subsystem is one predictable branch.
-
-    /// `true` if any compartment in this image carries a resource budget.
-    pub fn budget_enabled(&self) -> bool {
-        self.budget_enabled
-    }
-
-    /// Usage snapshot of a compartment within the current accounting
-    /// window. All-zero on images with budgets disabled (nothing is
-    /// accumulated there).
-    pub fn budget_usage(&self, comp: CompartmentId) -> BudgetUsage {
-        let cells = &self.budget_used[comp.0 as usize];
-        BudgetUsage {
-            heap_bytes: cells.heap_bytes.get(),
-            cycles: cells.cycles.get(),
-            crossings: cells.crossings.get(),
-        }
-    }
-
-    /// Operations refused with `BudgetExceeded` against a compartment.
-    pub fn budget_refusals_of(&self, comp: CompartmentId) -> u64 {
-        self.budget_refusals[comp.0 as usize].get()
-    }
-
-    /// Opens a fresh accounting window: zeroes every compartment's
-    /// cycle/crossing usage and refusal counters. Heap usage is *live
-    /// bytes* and deliberately survives the reset — a quota does not
-    /// forgive memory still held.
-    pub fn reset_budget_usage(&self) {
-        for cells in &self.budget_used {
-            cells.cycles.set(0);
-            cells.crossings.set(0);
-        }
-        for c in &self.budget_refusals {
-            c.set(0);
-        }
-        if self.budget_enabled {
-            self.machine.tracer().record(
-                self.machine.clock().now(),
-                EventKind::BudgetWindowReset {
-                    compartment: trace_event::ALL_COMPARTMENTS,
-                },
-            );
-        }
-    }
-
-    /// Opens a fresh accounting window for *one* compartment — the
-    /// supervisor's post-microreboot reset. Unlike the image-wide
-    /// [`Env::reset_budget_usage`] this also zeroes heap usage: the
-    /// reboot just discarded every live allocation.
-    pub fn reset_budget_usage_of(&self, comp: CompartmentId) {
-        let cells = &self.budget_used[comp.0 as usize];
-        cells.heap_bytes.set(0);
-        cells.cycles.set(0);
-        cells.crossings.set(0);
-        self.budget_refusals[comp.0 as usize].set(0);
-        self.machine.tracer().record(
-            self.machine.clock().now(),
-            EventKind::BudgetWindowReset {
-                compartment: comp.0,
-            },
-        );
-    }
-
-    /// Quarantines (or releases) a compartment: while quarantined, every
-    /// cross-compartment gate entry into it is refused with
-    /// [`Fault::Quarantined`] — the supervisor's containment primitive.
-    pub fn set_quarantined(&self, comp: CompartmentId, quarantined: bool) {
-        let bit = 1u32 << comp.0;
-        let cur = self.quarantined.get();
-        self.quarantined
-            .set(if quarantined { cur | bit } else { cur & !bit });
-    }
-
-    /// `true` while `comp` is quarantined.
-    pub fn is_quarantined(&self, comp: CompartmentId) -> bool {
-        self.quarantined.get() & (1u32 << comp.0) != 0
-    }
-
-    /// Explicit budget preemption point: errs if the current
-    /// compartment's accumulated cycles exceed its budget. Long-running
-    /// loops call this (or [`Env::compute_checked`]) at their natural
-    /// yield points — enforcement granularity is the distance between
-    /// checks, exactly like timer-interrupt preemption.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::BudgetExceeded`] (resource `"cycles"`) when over budget.
-    /// The check itself charges nothing.
-    #[inline]
-    pub fn check_budget(&self) -> Result<(), Fault> {
-        if !self.budget_enabled {
-            return Ok(());
-        }
-        let dom = self.compartment_of(self.cur.get());
-        if let Some(limit) = self.budgets[dom.0 as usize].cycles {
-            let used = self.budget_used[dom.0 as usize].cycles.get();
-            if used > limit {
-                return Err(self.budget_refused(dom, "cycles", used, limit));
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Env::compute`] followed by [`Env::check_budget`]: charges the
-    /// work unconditionally (it already executed), then faults if the
-    /// charge pushed the compartment over its cycle budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`Env::check_budget`].
-    pub fn compute_checked(&self, work: Work) -> Result<(), Fault> {
-        self.compute(work);
-        self.check_budget()
-    }
-
-    /// Swaps a compartment's private heap for a fresh one over the same
-    /// region, same allocator policy, same KASan state — the microreboot
-    /// primitive: every prior allocation (including attacker hoards and
-    /// poisoned blocks) is forgotten.
-    pub fn reset_heap(&self, comp: CompartmentId) {
-        let cell = &self.heaps[comp.0 as usize];
-        let (region, kind, kasan) = {
-            let heap = cell.borrow();
-            (heap.region().clone(), heap.kind(), heap.kasan_enabled())
-        };
-        let mut fresh = Heap::new(Rc::clone(&self.machine), region, kind);
-        if kasan {
-            fresh.enable_kasan();
-        }
-        *cell.borrow_mut() = fresh;
-        if self.budget_enabled {
-            self.budget_used[comp.0 as usize].heap_bytes.set(0);
-        }
-    }
-
-    /// Records a refusal and builds the fault (never advances the clock).
-    #[cold]
-    fn budget_refused(
-        &self,
-        dom: CompartmentId,
-        resource: &'static str,
-        used: u64,
-        limit: u64,
-    ) -> Fault {
-        let c = &self.budget_refusals[dom.0 as usize];
-        c.set(c.get() + 1);
-        self.machine.tracer().record(
-            self.machine.clock().now(),
-            EventKind::BudgetRefusal {
-                compartment: dom.0,
-                resource: match resource {
-                    "heap-bytes" => trace_event::resource::HEAP_BYTES,
-                    "crossings" => trace_event::resource::CROSSINGS,
-                    _ => trace_event::resource::CYCLES,
-                },
-                would: used,
-                limit,
-            },
-        );
-        Fault::BudgetExceeded {
-            compartment: self.domains[dom.0 as usize].name.to_string(),
-            resource,
-            used,
-            limit,
-        }
-    }
-
-    /// Accumulates cycles against a compartment's window (budgeted
-    /// images only).
-    #[inline]
-    fn budget_charge_cycles(&self, dom: CompartmentId, cycles: u64) {
-        if self.budget_enabled {
-            let c = &self.budget_used[dom.0 as usize].cycles;
-            c.set(c.get() + cycles);
-            self.machine.tracer().record(
-                self.machine.clock().now(),
-                EventKind::BudgetCharge {
-                    compartment: dom.0,
-                    resource: trace_event::resource::CYCLES,
-                    amount: cycles,
-                },
-            );
-        }
     }
 
     // --- execution --------------------------------------------------------
@@ -741,7 +427,7 @@ impl Env {
             // Same-compartment fast path: a plain call. No PKRU touch, no
             // register save, no CFI — charge, count, run as the callee.
             self.machine.clock().advance(desc.cost);
-            self.budget_charge_cycles(from_dom, desc.cost);
+            self.charge_cycles(from_dom, desc.cost);
             self.gates.record_direct();
             self.cur.set(to);
             let callee_h = self.hardening[to.0 as usize];
@@ -767,41 +453,11 @@ impl Env {
                     compartment: self.domains[to_dom.0 as usize].name.to_string(),
                 });
             }
-            // Budget enforcement sits between CFI and the charge: a
-            // quarantined callee or an over-budget caller is refused
-            // like a CFI rejection — the gate never executes, nothing
-            // is charged, the clock does not advance.
-            if self.budget_enabled {
-                if self.is_quarantined(to_dom) {
-                    return Err(Fault::Quarantined {
-                        compartment: self.domains[to_dom.0 as usize].name.to_string(),
-                    });
-                }
-                let budget = &self.budgets[from_dom.0 as usize];
-                let used = &self.budget_used[from_dom.0 as usize];
-                if let Some(limit) = budget.crossings {
-                    let would = used.crossings.get() + 1;
-                    if would > limit {
-                        return Err(self.budget_refused(from_dom, "crossings", would, limit));
-                    }
-                }
-                if let Some(limit) = budget.cycles {
-                    let would = used.cycles.get() + desc.cost;
-                    if would > limit {
-                        return Err(self.budget_refused(from_dom, "cycles", would, limit));
-                    }
-                }
-                used.crossings.set(used.crossings.get() + 1);
-                used.cycles.set(used.cycles.get() + desc.cost);
-                self.machine.tracer().record(
-                    self.machine.clock().now(),
-                    EventKind::BudgetCharge {
-                        compartment: from_dom.0,
-                        resource: trace_event::resource::CROSSINGS,
-                        amount: 1,
-                    },
-                );
-            }
+            // The ledger admits between CFI and the charge: a quarantined
+            // callee or an over-budget caller is refused like a CFI
+            // rejection — the gate never executes, nothing is charged,
+            // the clock does not advance.
+            self.admit_crossing(from_dom, to_dom, desc.cost)?;
             // Stamped *before* the gate cost is charged so the span
             // `[at, at + cost]` is attributable gate overhead.
             let tracer = self.machine.tracer();
@@ -910,408 +566,6 @@ impl Env {
             cycles += work.mem_accesses * cost.kasan_check;
         }
         self.machine.clock().advance(cycles);
-        self.budget_charge_cycles(self.compartment_of(comp), cycles);
+        self.charge_cycles(self.compartment_of(comp), cycles);
     }
-
-    // --- memory -----------------------------------------------------------
-
-    #[inline]
-    fn kasan_filter(&self, addr: Addr, len: u64, kind: Access) -> Result<(), Fault> {
-        if !self.kasan_any || !self.hardening[self.cur.get().0 as usize].kasan {
-            return Ok(());
-        }
-        let dom = self.compartment_of(self.cur.get());
-        let heap = &self.heaps[dom.0 as usize];
-        if heap.borrow().contains(addr) {
-            return heap.borrow_mut().kasan_check(addr, len, kind);
-        }
-        if self.shared_heap.borrow().contains(addr) {
-            return self.shared_heap.borrow_mut().kasan_check(addr, len, kind);
-        }
-        Ok(())
-    }
-
-    /// Reads simulated memory under the current domain's PKRU.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::ProtectionKey`] when the current compartment does not hold
-    /// the page's key — the MPK isolation event; [`Fault::Kasan`] under
-    /// KASan hardening for redzone/quarantine hits.
-    #[inline]
-    pub fn mem_read(&self, addr: Addr, buf: &mut [u8]) -> Result<(), Fault> {
-        self.kasan_filter(addr, buf.len() as u64, Access::Read)?;
-        self.machine.charge_mem_bytes(buf.len() as u64);
-        self.machine.memory().read(addr, buf, &self.pkru.get())
-    }
-
-    /// Reads `len` bytes into a fresh vector.
-    ///
-    /// The length is validated against the machine's memory size before
-    /// the vector is allocated: a corrupted length field read *out of*
-    /// simulated memory faults cleanly instead of triggering an
-    /// arbitrarily large host-side allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`].
-    pub fn mem_read_vec(&self, addr: Addr, len: u64) -> Result<Vec<u8>, Fault> {
-        if len > self.machine.memory_bytes() {
-            return Err(Fault::OutOfBounds { addr, len });
-        }
-        let mut buf = vec![0u8; len as usize];
-        self.mem_read(addr, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Reads `len` bytes and **appends** them to `out` — the
-    /// reusable-buffer twin of [`Env::mem_read_vec`]: once `out`'s
-    /// capacity has converged, steady-state reads perform zero host
-    /// allocations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`]; on error `out` is truncated
-    /// back to its original length.
-    pub fn mem_read_into(&self, addr: Addr, len: u64, out: &mut Vec<u8>) -> Result<(), Fault> {
-        if len > self.machine.memory_bytes() {
-            return Err(Fault::OutOfBounds { addr, len });
-        }
-        let start = out.len();
-        out.resize(start + len as usize, 0);
-        match self.mem_read(addr, &mut out[start..]) {
-            Ok(()) => Ok(()),
-            Err(fault) => {
-                out.truncate(start);
-                Err(fault)
-            }
-        }
-    }
-
-    /// Compares simulated memory at `addr` with `bytes`, without copying
-    /// or allocating — the rights-checked `memcmp` behind dict key
-    /// probes. Charges and faults exactly like an [`Env::mem_read`] of
-    /// the same length.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`].
-    #[inline]
-    pub fn mem_compare(&self, addr: Addr, bytes: &[u8]) -> Result<bool, Fault> {
-        self.kasan_filter(addr, bytes.len() as u64, Access::Read)?;
-        self.machine.charge_mem_bytes(bytes.len() as u64);
-        self.machine.memory().compare(addr, bytes, &self.pkru.get())
-    }
-
-    /// Copies `len` bytes from `src` to `dst` inside simulated memory —
-    /// page-pair-wise, with no host allocation. Charges one read side
-    /// plus one write side, exactly like an [`Env::mem_read`] followed by
-    /// an [`Env::mem_write`] of the same length.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`] / [`Env::mem_write`].
-    pub fn mem_copy(&self, src: Addr, dst: Addr, len: u64) -> Result<(), Fault> {
-        self.kasan_filter(src, len, Access::Read)?;
-        self.machine.charge_mem_bytes(len);
-        self.kasan_filter(dst, len, Access::Write)?;
-        self.machine.charge_mem_bytes(len);
-        self.machine
-            .memory_mut()
-            .copy(src, dst, len, &self.pkru.get())
-    }
-
-    /// Writes simulated memory under the current domain's PKRU.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_read`].
-    #[inline]
-    pub fn mem_write(&self, addr: Addr, data: &[u8]) -> Result<(), Fault> {
-        self.kasan_filter(addr, data.len() as u64, Access::Write)?;
-        self.machine.charge_mem_bytes(data.len() as u64);
-        self.machine
-            .memory_mut()
-            .write(addr, data, &self.pkru.get())
-    }
-
-    /// Fills `len` bytes at `addr` with `byte` — a `memset` with no host
-    /// buffer behind it. Charges and faults exactly like an
-    /// [`Env::mem_write`] of `len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Env::mem_write`].
-    pub fn mem_fill(&self, addr: Addr, len: u64, byte: u8) -> Result<(), Fault> {
-        self.kasan_filter(addr, len, Access::Write)?;
-        self.machine.charge_mem_bytes(len);
-        self.machine
-            .memory_mut()
-            .fill(addr, len, byte, &self.pkru.get())
-    }
-
-    // --- heaps ------------------------------------------------------------
-
-    /// Allocates from the current compartment's private heap.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::ResourceExhausted`] when the heap is full;
-    /// [`Fault::BudgetExceeded`] when the request would push live bytes
-    /// over the compartment's heap budget (a quota refusal: nothing is
-    /// allocated and no cycles are charged).
-    pub fn malloc(&self, size: u64) -> Result<Addr, Fault> {
-        let dom = self.compartment_of(self.cur.get());
-        if self.budget_enabled {
-            if let Some(limit) = self.budgets[dom.0 as usize].heap_bytes {
-                let would = self.budget_used[dom.0 as usize].heap_bytes.get() + size;
-                if would > limit {
-                    return Err(self.budget_refused(dom, "heap-bytes", would, limit));
-                }
-            }
-        }
-        let addr = self.heaps[dom.0 as usize].borrow_mut().malloc(size)?;
-        if self.budget_enabled {
-            // Charge what the allocator actually granted (rounded
-            // block), so free() credits the exact same amount back.
-            let granted = self.heaps[dom.0 as usize]
-                .borrow()
-                .size_of(addr)
-                .unwrap_or(size);
-            let c = &self.budget_used[dom.0 as usize].heap_bytes;
-            c.set(c.get() + granted);
-            self.machine.tracer().record(
-                self.machine.clock().now(),
-                EventKind::BudgetCharge {
-                    compartment: dom.0,
-                    resource: trace_event::resource::HEAP_BYTES,
-                    amount: granted,
-                },
-            );
-        }
-        let tracer = self.machine.tracer();
-        if tracer.is_enabled() {
-            let heap = self.heaps[dom.0 as usize].borrow();
-            let granted = heap.size_of(addr).unwrap_or(size);
-            let s = heap.stats();
-            tracer.record(
-                self.machine.clock().now(),
-                EventKind::HeapAlloc {
-                    compartment: dom.0,
-                    bytes: granted,
-                    live: s.bytes_allocated.saturating_sub(s.bytes_freed),
-                },
-            );
-        }
-        Ok(addr)
-    }
-
-    /// Frees a private-heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::BadFree`] on foreign or double frees.
-    pub fn free(&self, addr: Addr) -> Result<(), Fault> {
-        let dom = self.compartment_of(self.cur.get());
-        let tracing = self.machine.tracer().is_enabled();
-        let credit = if self.budget_enabled || tracing {
-            self.heaps[dom.0 as usize].borrow().size_of(addr)
-        } else {
-            None
-        };
-        self.heaps[dom.0 as usize].borrow_mut().free(addr)?;
-        if let Some(bytes) = credit {
-            if self.budget_enabled {
-                let c = &self.budget_used[dom.0 as usize].heap_bytes;
-                c.set(c.get().saturating_sub(bytes));
-            }
-            if tracing {
-                let s = self.heaps[dom.0 as usize].borrow().stats();
-                self.machine.tracer().record(
-                    self.machine.clock().now(),
-                    EventKind::HeapFree {
-                        compartment: dom.0,
-                        bytes,
-                        live: s.bytes_allocated.saturating_sub(s.bytes_freed),
-                    },
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Allocates from the shared communication heap (§4.1).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::ResourceExhausted`] when the shared heap is full.
-    pub fn malloc_shared(&self, size: u64) -> Result<Addr, Fault> {
-        self.machine.charge_contention(smp::SHARED_HEAP);
-        self.shared_heap.borrow_mut().malloc(size)
-    }
-
-    /// Frees a shared-heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::BadFree`] on foreign or double frees.
-    pub(crate) fn free_shared(&self, addr: Addr) -> Result<(), Fault> {
-        self.machine.charge_contention(smp::SHARED_HEAP);
-        self.shared_heap.borrow_mut().free(addr)
-    }
-
-    /// The current compartment's private heap.
-    pub fn heap(&self) -> Rc<RefCell<Heap>> {
-        let dom = self.compartment_of(self.cur.get());
-        Rc::clone(&self.heaps[dom.0 as usize])
-    }
-
-    /// Allocator statistics of one compartment's private heap — the
-    /// per-compartment live-bytes high-water surface behind
-    /// `TransformReport::heap_highwater`.
-    pub fn heap_stats_of(&self, comp: CompartmentId) -> flexos_alloc::AllocStats {
-        self.heaps[comp.0 as usize].borrow().stats()
-    }
-
-    /// Aggregated allocator statistics across every heap in the image
-    /// (Figure 10's allocator-behaviour accounting).
-    pub fn total_alloc_stats(&self) -> flexos_alloc::AllocStats {
-        let mut total = flexos_alloc::AllocStats::default();
-        let mut add = |s: flexos_alloc::AllocStats| {
-            total.mallocs += s.mallocs;
-            total.frees += s.frees;
-            total.slow_hits += s.slow_hits;
-            total.bytes_allocated += s.bytes_allocated;
-            total.bytes_freed += s.bytes_freed;
-            total.peak_live += s.peak_live;
-            total.kasan_reports += s.kasan_reports;
-            total.exhaustions += s.exhaustions;
-        };
-        for heap in &self.heaps {
-            add(heap.borrow().stats());
-        }
-        add(self.shared_heap.borrow().stats());
-        total
-    }
-
-    // --- shared variables ---------------------------------------------------
-
-    /// Resolves a `__shared` variable by its `component::variable` name,
-    /// enforcing its whitelist: only the owner and whitelisted components
-    /// may touch it (§3.1). The name is resolved through the registry
-    /// here, on lookup; the image keeps no name-keyed table.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::NotWhitelisted`] when the current component is not allowed;
-    /// [`Fault::InvalidConfig`] for unknown variable names.
-    pub fn shared_var(&self, name: &str) -> Result<&SharedVarPlacement, Fault> {
-        let placement = name
-            .split_once("::")
-            .and_then(|(component, var)| {
-                let owner = self.registry.lookup(component)?;
-                let decls = &self.registry.get(owner).shared_vars;
-                let index = decls.iter().position(|decl| decl.name == var)?;
-                Some(&self.shared_vars[self.shared_var_base[owner.0 as usize] + index])
-            })
-            .ok_or_else(|| Fault::InvalidConfig {
-                reason: format!("unknown shared variable `{name}`"),
-            })?;
-        let me = self.cur.get();
-        let my_name = &self.registry.get(me).name;
-        let whitelist = self.shared_var_decl(placement).whitelist;
-        if placement.owner == me || whitelist.contains(&my_name.as_ref()) {
-            Ok(placement)
-        } else {
-            Err(Fault::NotWhitelisted {
-                variable: name.to_string(),
-                compartment: my_name.to_string(),
-            })
-        }
-    }
-
-    /// Shared-variable placements as `(component, variable, region)`
-    /// names, in registration order.
-    pub fn shared_var_names(&self) -> Vec<(String, String, String)> {
-        self.shared_vars
-            .iter()
-            .map(|placement| {
-                (
-                    self.registry.get(placement.owner).name.to_string(),
-                    self.shared_var_decl(placement).name.to_string(),
-                    self.shared_var_region(placement),
-                )
-            })
-            .collect()
-    }
-
-    /// The annotation a placement belongs to (name, storage, whitelist).
-    pub(crate) fn shared_var_decl(&self, placement: &SharedVarPlacement) -> &SharedVar {
-        &self.registry.get(placement.owner).shared_vars[placement.var as usize]
-    }
-
-    /// Name of the region a variable was placed in, as the transform
-    /// report spells it: the mapped region holding its address, with the
-    /// data-sharing label for a cross-compartment stack variable.
-    pub fn shared_var_region(&self, placement: &SharedVarPlacement) -> String {
-        let layout = self.machine.layout();
-        let region = layout
-            .find(placement.addr)
-            .expect("a placed variable lies in a mapped region");
-        let label = match placement.shadow {
-            None => return region.name().to_string(),
-            Some(DataSharing::Dss) => "dss-shadow",
-            Some(DataSharing::HeapConversion) => "heap-conversion",
-            Some(DataSharing::SharedStack) => "stack-window",
-        };
-        format!("{} ({label})", region.name())
-    }
-
-    // --- stack data sharing (Figure 11a) -----------------------------------
-
-    /// Models allocating one shared stack variable under the *current
-    /// compartment's* data-sharing strategy, returning the cycles it
-    /// cost: DSS and shared
-    /// stacks are compiler bookkeeping (stack speed); heap conversion pays
-    /// a full shared-heap malloc (§4.1 "Data Shadow Stacks", Figure 11a).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::ResourceExhausted`] if heap conversion exhausts the shared
-    /// heap.
-    pub fn stack_share_alloc(&self, size: u64) -> Result<StackShare, Fault> {
-        let cost = self.machine.cost();
-        match self.data_sharing() {
-            DataSharing::Dss | DataSharing::SharedStack => {
-                self.machine.clock().advance(cost.stack_alloc);
-                Ok(StackShare::Stack)
-            }
-            DataSharing::HeapConversion => {
-                let addr = self.malloc_shared(size)?;
-                Ok(StackShare::Heap(addr))
-            }
-        }
-    }
-
-    /// Releases a [`StackShare`] (frees the heap conversion, no-op for
-    /// stack-backed sharing).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::BadFree`] if a heap-converted variable is released twice.
-    pub fn stack_share_release(&self, share: StackShare) -> Result<(), Fault> {
-        match share {
-            StackShare::Stack => Ok(()),
-            StackShare::Heap(addr) => self.free_shared(addr),
-        }
-    }
-}
-
-/// Token for one shared stack variable (see [`Env::stack_share_alloc`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StackShare {
-    /// Backed by the DSS or a shared stack — nothing to release.
-    Stack,
-    /// Converted to a shared-heap allocation at this address.
-    Heap(Addr),
 }

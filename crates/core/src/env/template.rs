@@ -84,7 +84,7 @@ impl Env {
     /// recorded or replayed here now (see the module docs); the region's
     /// blankness is checked apart, by `is_blank`.
     fn template_site(&self) -> Option<(CompartmentId, (Addr, u64))> {
-        if self.budget_enabled || self.machine.tracer().is_enabled() {
+        if self.budget_enabled() || self.machine.tracer().is_enabled() {
             return None;
         }
         let dom = self.compartment_of(self.cur.get());

@@ -22,6 +22,7 @@
 use std::fmt;
 use std::rc::Rc;
 
+use flexos_apps::RedisEntries;
 use flexos_core::compartment::ResourceBudget;
 use flexos_core::component::ComponentId;
 use flexos_core::env::Work;
@@ -313,7 +314,7 @@ pub fn run_campaign_on(os: &FlexOs, spec: &CampaignSpec) -> Result<CampaignLog, 
     let lwip = ids[0];
     let survived = ids[1..].iter().all(|&tenant| {
         env.run_as(lwip, || {
-            env.call_resolved(env.resolve(tenant, "redis_handle"), || Ok(()))
+            env.call_resolved(RedisEntries::resolve(&env, tenant).handle, || Ok(()))
         })
         .is_ok()
     });

@@ -39,17 +39,7 @@ pub fn vfscore_component() -> Component {
             SharedVar::stack("vfs_iov_tmp", 64, &["newlib"]),
             SharedVar::stat("vfs_sync_epoch", 8, &["ramfs"]),
         ])
-        .with_entry_points(&[
-            "vfs_open",
-            "vfs_close",
-            "vfs_read",
-            "vfs_write",
-            "vfs_lseek",
-            "vfs_fsync",
-            "vfs_unlink",
-            "vfs_stat",
-            "vfs_truncate",
-        ])
+        .with_entry_points(VfsEntries::NAMES)
         .with_patch(110, 25)
 }
 
@@ -63,13 +53,6 @@ pub fn ramfs_component() -> Component {
             SharedVar::stat("ramfs_node_count", 8, &["vfscore"]),
             SharedVar::stat("ramfs_free_hint", 8, &["vfscore"]),
         ])
-        .with_entry_points(&[
-            "ramfs_lookup",
-            "ramfs_create",
-            "ramfs_read_block",
-            "ramfs_write_block",
-            "ramfs_remove",
-            "ramfs_resize",
-        ])
+        .with_entry_points(ramfs::RamfsEntries::NAMES)
         .with_patch(38, 12)
 }

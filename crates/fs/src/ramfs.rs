@@ -35,6 +35,18 @@ pub(crate) struct RamFs {
 const BLOCK_OP_CYCLES: u64 = 40;
 const LOOKUP_CYCLES: u64 = 30;
 
+flexos_core::entry_points! {
+    /// ramfs's gate entry points, resolved once by the vfs.
+    pub(crate) struct RamfsEntries {
+        lookup: "ramfs_lookup",
+        create: "ramfs_create",
+        read_block: "ramfs_read_block",
+        write_block: "ramfs_write_block",
+        remove: "ramfs_remove",
+        resize: "ramfs_resize",
+    }
+}
+
 impl RamFs {
     /// Creates an empty filesystem.
     pub(crate) fn new(env: Rc<Env>) -> Self {

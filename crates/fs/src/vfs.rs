@@ -14,11 +14,11 @@ use flexos_core::component::ComponentId;
 use flexos_core::entry::CallTarget;
 use flexos_core::env::{Env, Work};
 use flexos_machine::fault::Fault;
-use flexos_time::TimeSubsystem;
+use flexos_time::{TimeEntries, TimeSubsystem};
 
 use crate::fd::{Fd, FdTable, OpenFile, OpenFlags};
 use crate::path::normalize;
-use crate::ramfs::RamFs;
+use crate::ramfs::{RamFs, RamfsEntries};
 
 /// File metadata returned by [`Vfs::stat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,47 +67,30 @@ impl VfsStats {
     }
 }
 
-/// vfscore's own gate entry points, resolved once at construction (the
-/// libc gates file I/O through these handles).
-#[derive(Debug, Clone, Copy)]
-pub struct VfsEntries {
-    /// `vfs_open`.
-    pub open: CallTarget,
-    /// `vfs_close`.
-    pub close: CallTarget,
-    /// `vfs_read`.
-    pub read: CallTarget,
-    /// `vfs_write`.
-    pub write: CallTarget,
-    /// `vfs_lseek`.
-    pub lseek: CallTarget,
-    /// `vfs_fsync`.
-    pub fsync: CallTarget,
-    /// `vfs_unlink`.
-    pub unlink: CallTarget,
-    /// `vfs_stat`.
-    pub stat: CallTarget,
-    /// `vfs_truncate`.
-    pub truncate: CallTarget,
-}
-
-/// The ramfs and uktime targets the vfs itself gates through, resolved
-/// once (two crossings per operation: node/block work + timestamping).
-#[derive(Debug, Clone, Copy)]
-struct VfsTargets {
-    ramfs_lookup: CallTarget,
-    ramfs_create: CallTarget,
-    ramfs_read_block: CallTarget,
-    ramfs_write_block: CallTarget,
-    ramfs_remove: CallTarget,
-    time_wall: CallTarget,
+flexos_core::entry_points! {
+    /// vfscore's own gate entry points, resolved once at construction (the
+    /// libc gates file I/O through these handles).
+    pub struct VfsEntries {
+        open: "vfs_open",
+        close: "vfs_close",
+        read: "vfs_read",
+        write: "vfs_write",
+        lseek: "vfs_lseek",
+        fsync: "vfs_fsync",
+        unlink: "vfs_unlink",
+        stat: "vfs_stat",
+        truncate: "vfs_truncate",
+    }
 }
 
 /// The vfscore component.
 pub struct Vfs {
     env: Rc<Env>,
     entries: VfsEntries,
-    targets: VfsTargets,
+    /// The ramfs and uktime targets the vfs itself gates through (two
+    /// crossings per operation: node/block work + timestamping).
+    ramfs_gates: RamfsEntries,
+    time_wall: CallTarget,
     ramfs: RefCell<RamFs>,
     time: Rc<TimeSubsystem>,
     fds: RefCell<FdTable>,
@@ -140,29 +123,11 @@ impl Vfs {
         time: Rc<TimeSubsystem>,
     ) -> Self {
         let ramfs = RamFs::new(Rc::clone(&env));
-        let entries = VfsEntries {
-            open: env.resolve(id, "vfs_open"),
-            close: env.resolve(id, "vfs_close"),
-            read: env.resolve(id, "vfs_read"),
-            write: env.resolve(id, "vfs_write"),
-            lseek: env.resolve(id, "vfs_lseek"),
-            fsync: env.resolve(id, "vfs_fsync"),
-            unlink: env.resolve(id, "vfs_unlink"),
-            stat: env.resolve(id, "vfs_stat"),
-            truncate: env.resolve(id, "vfs_truncate"),
-        };
-        let targets = VfsTargets {
-            ramfs_lookup: env.resolve(ramfs_id, "ramfs_lookup"),
-            ramfs_create: env.resolve(ramfs_id, "ramfs_create"),
-            ramfs_read_block: env.resolve(ramfs_id, "ramfs_read_block"),
-            ramfs_write_block: env.resolve(ramfs_id, "ramfs_write_block"),
-            ramfs_remove: env.resolve(ramfs_id, "ramfs_remove"),
-            time_wall: env.resolve(time_id, "uktime_wall"),
-        };
         Vfs {
+            entries: VfsEntries::resolve(&env, id),
+            ramfs_gates: RamfsEntries::resolve(&env, ramfs_id),
+            time_wall: TimeEntries::resolve(&env, time_id).wall,
             env,
-            entries,
-            targets,
             ramfs: RefCell::new(ramfs),
             time,
             fds: RefCell::new(FdTable::new()),
@@ -190,7 +155,7 @@ impl Vfs {
         // target resolved at construction.
         let time = Rc::clone(&self.time);
         self.env
-            .call_resolved(self.targets.time_wall, move || Ok(time.wall_ns()))
+            .call_resolved(self.time_wall, move || Ok(time.wall_ns()))
     }
 
     fn charge_op(&self) {
@@ -225,7 +190,7 @@ impl Vfs {
         }
         if !exists || flags.truncate {
             let norm2 = norm.clone();
-            self.env.call_resolved(self.targets.ramfs_create, || {
+            self.env.call_resolved(self.ramfs_gates.create, || {
                 self.ramfs.borrow_mut().create(&norm2, flags.truncate)
             })?;
         }
@@ -270,7 +235,7 @@ impl Vfs {
         };
         let data = {
             let path = path.clone();
-            self.env.call_resolved(self.targets.ramfs_read_block, || {
+            self.env.call_resolved(self.ramfs_gates.read_block, || {
                 self.ramfs.borrow_mut().read(&path, offset, len)
             })?
         };
@@ -300,7 +265,7 @@ impl Vfs {
         }
         let written = {
             let path = path.clone();
-            self.env.call_resolved(self.targets.ramfs_write_block, || {
+            self.env.call_resolved(self.ramfs_gates.write_block, || {
                 self.ramfs.borrow_mut().write(&path, offset, data)
             })?
         };
@@ -357,7 +322,7 @@ impl Vfs {
         self.charge_op();
         let norm = normalize(path);
         let norm2 = norm.clone();
-        self.env.call_resolved(self.targets.ramfs_remove, || {
+        self.env.call_resolved(self.ramfs_gates.remove, || {
             self.ramfs.borrow_mut().remove(&norm2)
         })?;
         let _ = self.now_ns()?;
@@ -377,7 +342,7 @@ impl Vfs {
         let norm = normalize(path);
         let size = {
             let norm = norm.clone();
-            self.env.call_resolved(self.targets.ramfs_lookup, || {
+            self.env.call_resolved(self.ramfs_gates.lookup, || {
                 self.ramfs.borrow_mut().size(&norm)
             })?
         };

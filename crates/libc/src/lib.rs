@@ -28,7 +28,6 @@
 use std::rc::Rc;
 
 use flexos_core::component::ComponentId;
-use flexos_core::entry::CallTarget;
 use flexos_core::env::{Env, Work};
 use flexos_core::prelude::{Component, ComponentKind, SharedVar};
 use flexos_fs::{Fd, OpenFlags, Vfs, VfsEntries};
@@ -36,49 +35,29 @@ use flexos_machine::fault::Fault;
 use flexos_net::{NetEntries, NetStack, SocketHandle};
 use flexos_sched::{SchedEntries, Scheduler};
 
-/// newlib's own gate entry points, resolved once at construction — the
-/// app↔libc boundary is the hottest edge in every Figure 6 profile, so
-/// nothing string-shaped may survive onto it.
-#[derive(Debug, Clone, Copy)]
-struct NewlibEntries {
-    memchr: CallTarget,
-    atoi: CallTarget,
-    itoa: CallTarget,
-    memcpy: CallTarget,
-    listen: CallTarget,
-    accept: CallTarget,
-    recv: CallTarget,
-    send: CallTarget,
-    open: CallTarget,
-    close: CallTarget,
-    read: CallTarget,
-    write: CallTarget,
-    lseek: CallTarget,
-    fsync: CallTarget,
-    unlink: CallTarget,
-    stat: CallTarget,
-}
-
-impl NewlibEntries {
-    fn resolve(env: &Env, id: ComponentId) -> Self {
-        NewlibEntries {
-            memchr: env.resolve(id, "nl_memchr"),
-            atoi: env.resolve(id, "nl_atoi"),
-            itoa: env.resolve(id, "nl_itoa"),
-            memcpy: env.resolve(id, "nl_memcpy"),
-            listen: env.resolve(id, "nl_listen"),
-            accept: env.resolve(id, "nl_accept"),
-            recv: env.resolve(id, "nl_recv"),
-            send: env.resolve(id, "nl_send"),
-            open: env.resolve(id, "nl_open"),
-            close: env.resolve(id, "nl_close"),
-            read: env.resolve(id, "nl_read"),
-            write: env.resolve(id, "nl_write"),
-            lseek: env.resolve(id, "nl_lseek"),
-            fsync: env.resolve(id, "nl_fsync"),
-            unlink: env.resolve(id, "nl_unlink"),
-            stat: env.resolve(id, "nl_stat"),
-        }
+flexos_core::entry_points! {
+    /// newlib's own gate entry points, resolved once at construction —
+    /// the app↔libc boundary is the hottest edge in every Figure 6
+    /// profile, so nothing string-shaped may survive onto it.
+    struct NewlibEntries {
+        strlen: "nl_strlen",
+        memchr: "nl_memchr",
+        atoi: "nl_atoi",
+        itoa: "nl_itoa",
+        memcpy: "nl_memcpy",
+        listen: "nl_listen",
+        accept: "nl_accept",
+        recv: "nl_recv",
+        send: "nl_send",
+        open: "nl_open",
+        close: "nl_close",
+        read: "nl_read",
+        write: "nl_write",
+        lseek: "nl_lseek",
+        fsync: "nl_fsync",
+        unlink: "nl_unlink",
+        stat: "nl_stat",
+        time: "nl_time",
     }
 }
 
@@ -116,19 +95,15 @@ impl Newlib {
         vfs: Rc<Vfs>,
         sched: Rc<Scheduler>,
     ) -> Self {
-        let entries = NewlibEntries::resolve(&env, id);
-        let net_gates = *net.entries();
-        let vfs_gates = *vfs.entries();
-        let sched_gates = *sched.entries();
         Newlib {
+            entries: NewlibEntries::resolve(&env, id),
+            net_gates: *net.entries(),
+            vfs_gates: *vfs.entries(),
+            sched_gates: *sched.entries(),
             env,
             net,
             vfs,
             sched,
-            entries,
-            net_gates,
-            vfs_gates,
-            sched_gates,
         }
     }
 
@@ -602,25 +577,6 @@ pub fn component() -> Component {
             SharedVar::stat("locale_tab", 256, &["redis", "nginx"]),
             SharedVar::stat("atexit_list", 64, &["redis"]),
         ])
-        .with_entry_points(&[
-            "nl_strlen",
-            "nl_memchr",
-            "nl_atoi",
-            "nl_itoa",
-            "nl_memcpy",
-            "nl_listen",
-            "nl_accept",
-            "nl_recv",
-            "nl_send",
-            "nl_open",
-            "nl_close",
-            "nl_read",
-            "nl_write",
-            "nl_lseek",
-            "nl_fsync",
-            "nl_unlink",
-            "nl_stat",
-            "nl_time",
-        ])
+        .with_entry_points(NewlibEntries::NAMES)
         .with_patch(130, 42)
 }

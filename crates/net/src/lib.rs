@@ -62,15 +62,6 @@ pub fn component() -> Component {
     debug_assert_eq!(vars.len(), 23, "Table 1: lwip shares 23 variables");
     Component::new("lwip", ComponentKind::Kernel)
         .with_shared_vars(vars)
-        .with_entry_points(&[
-            "lwip_socket",
-            "lwip_bind",
-            "lwip_listen",
-            "lwip_accept",
-            "lwip_recv",
-            "lwip_send",
-            "lwip_poll",
-            "lwip_close",
-        ])
+        .with_entry_points(NetEntries::NAMES)
         .with_patch(542, 275)
 }

@@ -6,7 +6,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use flexos_core::component::ComponentId;
-use flexos_core::entry::CallTarget;
 use flexos_core::env::{Env, Work};
 use flexos_machine::fault::Fault;
 use flexos_machine::smp;
@@ -45,41 +44,20 @@ pub struct NetStats {
     pub polls: u64,
 }
 
-/// lwip's gate entry points, resolved once when the stack is wired up
-/// (the resolve-once pattern: callers gate through these handles instead
-/// of re-resolving `"lwip_*"` strings per call).
-#[derive(Debug, Clone, Copy)]
-pub struct NetEntries {
-    /// `lwip_socket`.
-    pub socket: CallTarget,
-    /// `lwip_bind`.
-    pub bind: CallTarget,
-    /// `lwip_listen`.
-    pub listen: CallTarget,
-    /// `lwip_accept`.
-    pub accept: CallTarget,
-    /// `lwip_recv`.
-    pub recv: CallTarget,
-    /// `lwip_send`.
-    pub send: CallTarget,
-    /// `lwip_poll`.
-    pub poll: CallTarget,
-    /// `lwip_close`.
-    pub close: CallTarget,
-}
-
-impl NetEntries {
-    fn resolve(env: &Env, id: ComponentId) -> Self {
-        NetEntries {
-            socket: env.resolve(id, "lwip_socket"),
-            bind: env.resolve(id, "lwip_bind"),
-            listen: env.resolve(id, "lwip_listen"),
-            accept: env.resolve(id, "lwip_accept"),
-            recv: env.resolve(id, "lwip_recv"),
-            send: env.resolve(id, "lwip_send"),
-            poll: env.resolve(id, "lwip_poll"),
-            close: env.resolve(id, "lwip_close"),
-        }
+flexos_core::entry_points! {
+    /// lwip's gate entry points, resolved once when the stack is wired up
+    /// (the resolve-once pattern: callers gate through these handles
+    /// instead of re-resolving names per call). `NAMES` is the list the
+    /// component registers.
+    pub struct NetEntries {
+        socket: "lwip_socket",
+        bind: "lwip_bind",
+        listen: "lwip_listen",
+        accept: "lwip_accept",
+        recv: "lwip_recv",
+        send: "lwip_send",
+        poll: "lwip_poll",
+        close: "lwip_close",
     }
 }
 
@@ -187,11 +165,10 @@ const CSUM_PER_BYTE: f64 = 1.15;
 impl NetStack {
     /// Creates the stack (`id` must be lwip's id in the image).
     pub fn new(env: Rc<Env>, id: ComponentId) -> Self {
-        let entries = NetEntries::resolve(&env, id);
         NetStack {
+            entries: NetEntries::resolve(&env, id),
             env,
             id,
-            entries,
             nic: RefCell::new(SimNic::new()),
             sockets: RefCell::new(Vec::new()),
             pcbs: RefCell::new(PortMap::default()),

@@ -34,13 +34,6 @@ pub fn component() -> Component {
             SharedVar::heap("sched_wait_entries", 256, &["lwip", "vfscore"]),
             SharedVar::stat("sched_tick_hz", 8, &["uktime"]),
         ])
-        .with_entry_points(&[
-            "uksched_spawn",
-            "uksched_yield",
-            "uksched_block",
-            "uksched_wake",
-            "uksched_current",
-            "uksched_exit",
-        ])
+        .with_entry_points(SchedEntries::NAMES)
         .with_patch(48, 8)
 }

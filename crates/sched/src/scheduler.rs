@@ -13,7 +13,6 @@ use std::rc::Rc;
 
 use flexos_core::compartment::CompartmentId;
 use flexos_core::component::ComponentId;
-use flexos_core::entry::CallTarget;
 use flexos_core::env::{Env, Work};
 use flexos_machine::fault::Fault;
 use flexos_machine::trace::{event as trace_event, EventKind};
@@ -58,36 +57,18 @@ impl SchedStatsCells {
     }
 }
 
-/// uksched's gate entry points, resolved once when the scheduler is
-/// wired up. The blocking-socket paths in the libc and the app event
-/// loops gate through these handles on every iteration — the hottest
-/// edges of Figure 6 — so nothing string-shaped survives there.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedEntries {
-    /// `uksched_spawn`.
-    pub spawn: CallTarget,
-    /// `uksched_yield`.
-    pub yield_now: CallTarget,
-    /// `uksched_block`.
-    pub block: CallTarget,
-    /// `uksched_wake`.
-    pub wake: CallTarget,
-    /// `uksched_current`.
-    pub current: CallTarget,
-    /// `uksched_exit`.
-    pub exit: CallTarget,
-}
-
-impl SchedEntries {
-    fn resolve(env: &Env, id: ComponentId) -> Self {
-        SchedEntries {
-            spawn: env.resolve(id, "uksched_spawn"),
-            yield_now: env.resolve(id, "uksched_yield"),
-            block: env.resolve(id, "uksched_block"),
-            wake: env.resolve(id, "uksched_wake"),
-            current: env.resolve(id, "uksched_current"),
-            exit: env.resolve(id, "uksched_exit"),
-        }
+flexos_core::entry_points! {
+    /// uksched's gate entry points, resolved once when the scheduler is
+    /// wired up. The blocking-socket paths in the libc and the app event
+    /// loops gate through these handles on every iteration — the hottest
+    /// edges of Figure 6 — so nothing string-shaped survives there.
+    pub struct SchedEntries {
+        spawn: "uksched_spawn",
+        yield_now: "uksched_yield",
+        block: "uksched_block",
+        wake: "uksched_wake",
+        current: "uksched_current",
+        exit: "uksched_exit",
     }
 }
 
@@ -126,11 +107,10 @@ impl Scheduler {
     /// Creates the scheduler component (`id` must be uksched's id in the
     /// image).
     pub fn new(env: Rc<Env>, id: ComponentId) -> Self {
-        let entries = SchedEntries::resolve(&env, id);
         let cores = env.machine().num_cores();
         Scheduler {
+            entries: SchedEntries::resolve(&env, id),
             env,
-            entries,
             threads: RefCell::new(Vec::new()),
             ready: RefCell::new(vec![VecDeque::new(); cores]),
             current: (0..cores).map(|_| Cell::new(None)).collect(),

@@ -69,7 +69,7 @@ impl StackRegistry {
         }
         let machine = env.machine();
         let dom = env.domain(compartment);
-        let sharing = env.data_sharing_of(compartment);
+        let sharing = env.profile_of(compartment).data_sharing;
         let isolated = env.compartment_count() > 1;
         let shared_key = if isolated {
             ProtKey::new(SHARED_KEY_INDEX)?

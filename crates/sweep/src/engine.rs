@@ -35,9 +35,12 @@
 //! template recorded once per process (`flexos_core::env::HeapTemplate`).
 //! Timed phase by phase over 404 points of `explore-lazy`'s Redis shape
 //! (keyspace 1024, pipeline 4, 220 requests; 2-core Xeon @ 2.1 GHz,
-//! release), a point splits as build ≈ 32 µs, install ≈ 2 µs, preload
+//! release), a point splits as build ≈ 16 µs, install ≈ 2 µs, preload
 //! ≈ 38 µs replayed (≈ 320 µs simulated), drive + drop ≈ 150 µs: the
-//! request loop is the largest share again.
+//! request loop is the largest share again. The build figure is
+//! `system.build_us.mpk` from `flexos_benchmark --workload
+//! explore-exhaustive --seed 1 --trace 1` on the same host (three runs:
+//! 15.6, 16.3 and 16.6 µs); the others were timed in-engine.
 //!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
 //! EPT points cost several times an MPK point host-side), and write

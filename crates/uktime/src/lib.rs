@@ -23,6 +23,16 @@ pub(crate) const BOOT_EPOCH_NS: u64 = 1_700_000_000_000_000_000;
 /// Cycles charged per time query (TSC read + scaling).
 const QUERY_CYCLES: u64 = 18;
 
+flexos_core::entry_points! {
+    /// uktime's gate entry points, resolved by each caller when it is
+    /// wired up (the vfs timestamps through `wall`).
+    pub struct TimeEntries {
+        monotonic: "uktime_monotonic",
+        wall: "uktime_wall",
+        sleep: "uktime_sleep",
+    }
+}
+
 /// The uktime component.
 #[derive(Debug)]
 pub struct TimeSubsystem {
@@ -32,8 +42,8 @@ pub struct TimeSubsystem {
 
 impl TimeSubsystem {
     /// Creates the component. Callers gate into it through their own
-    /// resolved targets (the vfs resolves `uktime_wall` when it is wired
-    /// up); the subsystem itself holds no gate state.
+    /// resolved [`TimeEntries`]; the subsystem itself holds no gate
+    /// state.
     pub fn new(env: Rc<Env>) -> Self {
         TimeSubsystem {
             env,
@@ -75,7 +85,7 @@ impl TimeSubsystem {
 /// metadata: 0 shared variables, +10/-9 patch.
 pub fn component() -> Component {
     Component::new("uktime", ComponentKind::Kernel)
-        .with_entry_points(&["uktime_monotonic", "uktime_wall", "uktime_sleep"])
+        .with_entry_points(TimeEntries::NAMES)
         .with_patch(10, 9)
 }
 

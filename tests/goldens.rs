@@ -42,6 +42,17 @@
 //! --budget`, recorded at the commit *before* a point's label became a
 //! rendering of its shape (the budgeted rows append `+budget`).
 //! Re-record by running the binary.
+//!
+//! `faultinject_default.log` is the stdout of `flexos_faultinject` (the
+//! default campaign; its digest is the one CI prints). The two
+//! `trace_*.txt` files hold the Chrome-trace digest, the profile digest
+//! and the `metrics_json` text of a traced run: the default campaign
+//! under `flexos_faultinject --trace PATH --metrics PATH`, and the
+//! canonical run of `tests/common/traced.rs`. They pin every budget
+//! charge, refusal and window-reset event those runs record. All three
+//! were recorded at the commit *before* the budget ledger became one
+//! module; after an intended change, write `trace_text`'s output over
+//! the file.
 
 use std::fmt::Write as _;
 
@@ -51,6 +62,11 @@ use flexos_apps::workloads::{run_redis_bench, KeyPattern, RedisBench};
 use flexos_bench::cli::FIGURES;
 use flexos_bench::{fig06_text, fig07_text, fig08_text};
 use flexos_core::compartment::{CompartmentId, DataSharing};
+use flexos_faultinject::{build_campaign_image, run_campaign, run_campaign_on, CampaignSpec};
+use flexos_system::observe::{metrics_json, trace_artifacts};
+
+#[path = "common/traced.rs"]
+mod traced;
 
 const FIG_COUNTS: (u64, u64) = (15, 60);
 const SWEEP_COUNTS: (u64, u64) = (20, 200);
@@ -403,4 +419,54 @@ fn every_redis_point_of_the_full_space_matches_its_pinned_fingerprint() {
             r.cycles
         );
     }
+}
+
+/// The two trace digests and the metrics JSON of a traced image.
+fn trace_text(os: &FlexOs) -> String {
+    let a = trace_artifacts(&os.env);
+    format!(
+        "chrome-digest={:016x}\nprofile-digest={:016x}\n{}\n",
+        a.chrome_digest,
+        a.profile_digest,
+        metrics_json(os)
+    )
+}
+
+#[test]
+fn default_fault_injection_campaign_matches_the_recorded_log_and_trace() {
+    let spec = CampaignSpec::default();
+    let log = run_campaign(&spec).unwrap();
+    let text: String = log.lines().iter().map(|line| format!("{line}\n")).collect();
+    assert_same(
+        "flexos_faultinject",
+        &text,
+        include_str!("data/faultinject_default.log"),
+    );
+    assert_eq!(log.digest(), 0xb2b1_2012_ba72_eb87, "the digest CI prints");
+
+    let os = build_campaign_image(&spec).unwrap();
+    os.env
+        .machine()
+        .tracer()
+        .enable(flexos::trace::TraceConfig::default());
+    assert_eq!(
+        run_campaign_on(&os, &spec).unwrap(),
+        log,
+        "tracing moved the campaign"
+    );
+    assert_same(
+        "flexos_faultinject --trace --metrics",
+        &trace_text(&os),
+        include_str!("data/trace_faultinject.txt"),
+    );
+}
+
+#[test]
+fn canonical_traced_run_matches_the_recorded_digests_and_metrics() {
+    let (os, _, _) = traced::traced_run();
+    assert_same(
+        "traced_run",
+        &trace_text(&os),
+        include_str!("data/trace_redis_mpk2.txt"),
+    );
 }

@@ -817,7 +817,7 @@ fn redis_heap(os: &FlexOs, server: &RedisServer) -> Rc<RefCell<Heap>> {
 /// Every core's clock on an image.
 fn core_clocks(os: &FlexOs) -> Vec<u64> {
     let machine = os.env.machine();
-    (0..os.env.num_cores())
+    (0..os.env.machine().num_cores())
         .map(|c| machine.core_clock(c).now())
         .collect()
 }

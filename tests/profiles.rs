@@ -134,8 +134,11 @@ fn heap_allocators_follow_the_compartment_profile() {
         .app(flexos_apps::redis_component())
         .build()
         .unwrap();
-    assert_eq!(os.env.heap_kind_of(CompartmentId(0)), HeapKind::Tlsf);
-    assert_eq!(os.env.heap_kind_of(CompartmentId(1)), HeapKind::Lea);
+    assert_eq!(
+        os.env.profile_of(CompartmentId(0)).allocator,
+        HeapKind::Tlsf
+    );
+    assert_eq!(os.env.profile_of(CompartmentId(1)).allocator, HeapKind::Lea);
     let lwip = os.component("lwip").unwrap();
     let kind = os.env.run_as(lwip, || os.env.heap().borrow().kind());
     assert_eq!(kind, HeapKind::Lea);
@@ -162,5 +165,8 @@ fn default_profiles_reproduce_the_global_knob() {
         .unwrap();
     // One global SharedStack: every cross-compartment gate is light.
     assert!(os.env.gate_names().iter().all(|(_, _, k)| k == "mpk-light"));
-    assert_eq!(os.env.heap_kind_of(CompartmentId(0)), HeapKind::Tlsf);
+    assert_eq!(
+        os.env.profile_of(CompartmentId(0)).allocator,
+        HeapKind::Tlsf
+    );
 }

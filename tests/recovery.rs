@@ -6,12 +6,16 @@
 use std::rc::Rc;
 
 use flexos::prelude::*;
-use flexos_apps::{redis::RedisServer, resp, workloads::install_redis_named};
+use flexos_apps::{redis::RedisServer, resp, workloads::install_redis_named, RedisEntries};
 use flexos_attacks::{Attack, AttackOutcome};
 use flexos_core::compartment::ResourceBudget;
 use flexos_core::env::Work;
+use flexos_machine::addr::Addr;
 use flexos_machine::fault::FaultKind;
 use flexos_net::client::TcpClient;
+
+mod common;
+use common::Rng;
 
 /// The budget the hostile `net` compartment runs under.
 const NET_BUDGET: ResourceBudget = ResourceBudget {
@@ -23,7 +27,11 @@ const NET_BUDGET: ResourceBudget = ResourceBudget {
 /// Builds the two-tenant image: redis-a/tenant-a, redis-b/tenant-b,
 /// lwip alone in `net` (budgeted or not), on `cores` simulated vCPUs.
 fn tenants_image_cores(net_budget: Option<ResourceBudget>, cores: usize) -> FlexOs {
-    let config = configs::mpk_tenants(net_budget).unwrap();
+    tenants_on(configs::mpk_tenants(net_budget).unwrap(), cores)
+}
+
+/// The two Redis tenants registered on `config`, on `cores` vCPUs.
+fn tenants_on(config: SafetyConfig, cores: usize) -> FlexOs {
     let mut redis_a = flexos_apps::redis_component();
     redis_a.name = "redis-a".into();
     let mut redis_b = flexos_apps::redis_component();
@@ -230,6 +238,119 @@ fn crash_looping_compartment_is_evicted_after_the_restart_budget() {
     assert!(sup.poll().is_none());
     assert!(env.is_quarantined(net));
     assert_eq!(sup.reports().len(), 2);
+}
+
+#[test]
+fn eviction_quarantines_on_an_unbudgeted_image_too() {
+    // Quarantine is containment, not accounting: with no budget
+    // anywhere in the image, an evicted compartment still refuses every
+    // gate entry.
+    let os = tenants_image(None);
+    let env = Rc::clone(&os.env);
+    let sup = Supervisor::new(Rc::clone(&os.env), Rc::clone(&os.sched)).with_restart_budget(0);
+    let lwip = env.component_id("lwip").unwrap();
+    let net = env.compartment_of(lwip);
+    let double_free = env
+        .run_as(lwip, || {
+            let addr = env.malloc(64)?;
+            env.free(addr)?;
+            Ok::<_, Fault>(env.observe(env.free(addr)))
+        })
+        .unwrap();
+    assert!(matches!(double_free, Err(Fault::BadFree { .. })));
+    assert!(sup.poll().is_none(), "no restart budget: eviction");
+    assert!(sup.is_evicted(net));
+
+    let redis = os.component("redis-a").unwrap();
+    env.run_as(redis, || {
+        assert!(matches!(
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap_err(),
+            Fault::Quarantined { .. }
+        ));
+    });
+}
+
+/// Small enough that the seeded mix below runs into every limit.
+const LAW_BUDGET: ResourceBudget = ResourceBudget {
+    heap_bytes: Some(24 * 1024),
+    cycles: Some(40_000),
+    crossings: Some(120),
+};
+
+#[test]
+fn ledger_heap_bytes_are_the_live_granted_blocks_and_refusals_move_no_clock() {
+    // Every compartment under LAW_BUDGET, a seeded mix of mallocs, frees
+    // and gate calls from the three tenants, and one microreboot of
+    // `net` halfway. After every step, each compartment's ledger heap
+    // bytes must equal the granted sizes of the blocks the test still
+    // holds there, read back through the allocator.
+    let mut config = configs::mpk_tenants(Some(LAW_BUDGET)).unwrap();
+    config.default_budget = Some(LAW_BUDGET);
+    let os = tenants_on(config, 1);
+    let env = Rc::clone(&os.env);
+    let sup = Supervisor::new(Rc::clone(&os.env), Rc::clone(&os.sched));
+    let actors = ["redis-a", "redis-b", "lwip"].map(|name| os.component(name).unwrap());
+    // Each actor gates into a registered entry point of another one.
+    let targets = [
+        os.net.entries().recv,
+        RedisEntries::resolve(&env, actors[0]).handle,
+        RedisEntries::resolve(&env, actors[1]).handle,
+    ];
+    let net = env.compartment_of(actors[2]);
+    let mut held: Vec<Vec<Addr>> = vec![Vec::new(); actors.len()];
+    let mut refusals = 0;
+    let mut rng = Rng::new(0x1ed9_e7a1);
+    for step in 0..1_500 {
+        if step == 750 {
+            sup.microreboot(net, None);
+            held[2].clear();
+        }
+        if step % 250 == 0 {
+            env.reset_budget_usage();
+        }
+        let actor = rng.range(0, 3) as usize;
+        let me = actors[actor];
+        let before = env.machine().clock().now();
+        let outcome = env.run_as(me, || match rng.range(0, 4) {
+            0 | 1 => env
+                .malloc(rng.range(1, 3_000))
+                .map(|addr| held[actor].push(addr)),
+            2 if !held[actor].is_empty() => {
+                let pick = rng.range(0, held[actor].len() as u64) as usize;
+                let addr = held[actor].swap_remove(pick);
+                env.free(addr)
+            }
+            _ => env.call_resolved(targets[actor], || Ok(())),
+        });
+        match outcome {
+            Ok(()) => {}
+            Err(Fault::BudgetExceeded { .. }) => {
+                assert_eq!(
+                    env.machine().clock().now(),
+                    before,
+                    "step {step}: a refusal moved the clock"
+                );
+                refusals += 1;
+            }
+            Err(other) => panic!("step {step}: unexpected fault {other}"),
+        }
+        for (actor, &component) in actors.iter().enumerate() {
+            let heap = env.run_as(component, || env.heap());
+            let live: u64 = held[actor]
+                .iter()
+                .map(|&addr| heap.borrow().size_of(addr).expect("a held block is live"))
+                .sum();
+            let dom = env.compartment_of(component);
+            assert_eq!(
+                env.budget_usage(dom).heap_bytes,
+                live,
+                "step {step}: {}",
+                env.domain(dom).name
+            );
+        }
+    }
+    assert!(refusals > 0, "the mix never reached a limit");
 }
 
 #[test]
