@@ -271,29 +271,37 @@ impl Heap {
         Ok(())
     }
 
-    /// Checks a memory access against KASan shadow (no-op when KASan off).
+    /// Checks a memory access against KASan shadow (no-op when KASan off),
+    /// charging one shadow check and counting a report.
     ///
     /// # Errors
     ///
     /// [`Fault::Kasan`] if the access touches a redzone or freed memory.
-    pub fn kasan_check(
-        &mut self,
-        addr: Addr,
-        len: u64,
-        kind: flexos_machine::key::Access,
-    ) -> Result<(), Fault> {
-        if let Some(kasan) = &mut self.state.kasan {
-            let r = kasan.check(addr, len, kind);
-            if r.is_err() {
-                self.state.stats.kasan_reports += 1;
-            }
-            self.machine
-                .clock()
-                .advance(self.machine.cost().kasan_check);
-            r
-        } else {
-            Ok(())
+    pub fn kasan_check(&mut self, addr: Addr, len: u64) -> Result<(), Fault> {
+        if self.state.kasan.is_none() {
+            return Ok(());
         }
+        let r = self.kasan_verdict(addr, len);
+        if r.is_err() {
+            self.state.stats.kasan_reports += 1;
+        }
+        self.machine
+            .clock()
+            .advance(self.machine.cost().kasan_check);
+        r
+    }
+
+    /// What [`Heap::kasan_check`] would answer for an access, with
+    /// nothing charged or counted.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Kasan`] if the access touches a redzone or freed memory.
+    pub fn kasan_verdict(&self, addr: Addr, len: u64) -> Result<(), Fault> {
+        self.state
+            .kasan
+            .as_ref()
+            .map_or(Ok(()), |kasan| kasan.check(addr, len))
     }
 
     /// The heap's allocation policy.
@@ -304,11 +312,6 @@ impl Heap {
     /// The mapped region backing this heap.
     pub fn region(&self) -> &Region {
         &self.region
-    }
-
-    /// `true` if `addr` lies within this heap's region.
-    pub fn contains(&self, addr: Addr) -> bool {
-        self.region.contains(addr)
     }
 
     /// Counters accumulated so far.
@@ -339,7 +342,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexos_machine::key::{Access, Pkru, ProtKey};
+    use flexos_machine::key::{Pkru, ProtKey};
 
     fn heap(kind: HeapKind) -> Heap {
         let machine = Machine::new(16 * 1024 * 1024);
@@ -398,8 +401,8 @@ mod tests {
         let mut h = heap(HeapKind::Tlsf);
         h.enable_kasan();
         let a = h.malloc(32).unwrap();
-        assert!(h.kasan_check(a, 32, Access::Read).is_ok());
-        let err = h.kasan_check(a + 32, 4, Access::Write).unwrap_err();
+        assert!(h.kasan_check(a, 32).is_ok());
+        let err = h.kasan_check(a + 32, 4).unwrap_err();
         assert!(matches!(err, Fault::Kasan { .. }));
         assert_eq!(h.stats().kasan_reports, 1);
     }
@@ -410,7 +413,7 @@ mod tests {
         h.enable_kasan();
         let a = h.malloc(32).unwrap();
         h.free(a).unwrap();
-        let err = h.kasan_check(a, 1, Access::Read).unwrap_err();
+        let err = h.kasan_check(a, 1).unwrap_err();
         assert!(matches!(
             err,
             Fault::Kasan {

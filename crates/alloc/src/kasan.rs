@@ -11,7 +11,6 @@ use std::collections::VecDeque;
 
 use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
-use flexos_machine::key::Access;
 
 /// Bytes covered by one shadow byte.
 pub(crate) const GRANULE: u64 = 8;
@@ -210,7 +209,7 @@ impl Kasan {
     /// [`Fault::Kasan`] with a classification (`heap-buffer-overflow` for
     /// redzone hits, `use-after-free` for quarantined memory) when any
     /// touched granule is poisoned.
-    pub(crate) fn check(&mut self, addr: Addr, len: u64, _kind: Access) -> Result<(), Fault> {
+    pub(crate) fn check(&self, addr: Addr, len: u64) -> Result<(), Fault> {
         if len == 0 {
             return Ok(());
         }
@@ -262,8 +261,8 @@ mod tests {
         let mut k = kasan();
         let a = Addr::new(0x10000 + 256);
         k.on_alloc(a, 64);
-        assert!(k.check(a, 64, Access::Read).is_ok());
-        let over = k.check(a + 64, 1, Access::Read).unwrap_err();
+        assert!(k.check(a, 64).is_ok());
+        let over = k.check(a + 64, 1).unwrap_err();
         assert!(matches!(
             over,
             Fault::Kasan {
@@ -271,7 +270,7 @@ mod tests {
                 ..
             }
         ));
-        let under = k.check(a - 8, 1, Access::Write).unwrap_err();
+        let under = k.check(a - 8, 1).unwrap_err();
         assert!(matches!(
             under,
             Fault::Kasan {
@@ -287,7 +286,7 @@ mod tests {
         let a = Addr::new(0x10000 + 256);
         k.on_alloc(a, 64);
         k.on_free(a, 64);
-        let err = k.check(a, 1, Access::Read).unwrap_err();
+        let err = k.check(a, 1).unwrap_err();
         assert!(matches!(
             err,
             Fault::Kasan {
@@ -317,7 +316,7 @@ mod tests {
         let a = Addr::new(0x10000 + 512);
         k.on_alloc(a, 32);
         // An access spanning payload *and* redzone must fail.
-        assert!(k.check(a + 24, 16, Access::Read).is_err());
+        assert!(k.check(a + 24, 16).is_err());
     }
 
     #[test]
@@ -327,7 +326,7 @@ mod tests {
         k.on_alloc(a, 32);
         k.on_free(a, 32);
         k.on_alloc(a, 32); // reallocated at same address
-        assert!(k.check(a, 32, Access::Write).is_ok());
+        assert!(k.check(a, 32).is_ok());
     }
 
     /// The sanitizer as it was before the shadow was sized by use: one
@@ -409,7 +408,7 @@ mod tests {
         for start in lo.raw()..hi.raw() {
             for len in 0..=hi.raw() - start {
                 let addr = Addr::new(start);
-                let got = k.check(addr, len, Access::Read);
+                let got = k.check(addr, len);
                 assert_eq!(got, eager.check(addr, len), "check({addr}, {len})");
                 faults += usize::from(got.is_err());
             }
@@ -517,7 +516,7 @@ mod tests {
                         _ => (BASE + rng.range(0, SIZE), rng.range(0, 600)),
                     };
                     checks += 1;
-                    let got = lazy.check(addr, len, Access::Read);
+                    let got = lazy.check(addr, len);
                     assert_eq!(
                         got,
                         eager.check(addr, len),

@@ -313,6 +313,16 @@ fn drive_phases(
         .unwrap_or(0))
 }
 
+/// Source port of client connection `i` of shard `core`: `src_base +
+/// 1000·core + i`, continued from the bottom of the port space past
+/// 65 535. Shards 0–15 of Redis (base 50 000) and 0–14 of nginx (base
+/// 51 000) fit below the top; Redis shards 16–31 take 464–15 495 and
+/// nginx shards 15–31 464–16 495, 1 000 ports apart — clear of each
+/// other and of both apps' listeners (80 and 6 379 plus the core).
+fn client_port(src_base: u16, core: usize, i: usize) -> u16 {
+    ((usize::from(src_base) + 1_000 * core + i) % (1 << 16)) as u16
+}
+
 /// One listener shard's keep-alive client connections, served
 /// round-robin: the paper's single client connection on a one-core
 /// image, 32 per core above (8 cores ⇒ 256 concurrent connections).
@@ -324,8 +334,8 @@ struct ShardConns {
 
 impl ShardConns {
     /// Connects `core`'s clients to `app`'s shard listening on `port`
-    /// (source ports `src_base + 1000 * core + i`), taking each
-    /// server-side handle from `accept`.
+    /// (source ports from [`client_port`]), taking each server-side
+    /// handle from `accept`.
     fn open(
         os: &FlexOs,
         app: &str,
@@ -342,8 +352,11 @@ impl ShardConns {
         let mut clients = Vec::with_capacity(count);
         let mut conns = Vec::with_capacity(count);
         for i in 0..count {
-            let src = src_base + core as u16 * 1_000 + i as u16;
-            clients.push(TcpClient::connect(&os.net, src, port)?);
+            clients.push(TcpClient::connect(
+                &os.net,
+                client_port(src_base, core, i),
+                port,
+            )?);
             conns.push(accept()?.ok_or_else(|| Fault::InvalidConfig {
                 reason: format!("{app}: handshake did not queue a connection"),
             })?);
@@ -372,6 +385,41 @@ struct RedisShard {
     rng: u64,
     request: Vec<u8>,
     expected: Vec<u8>,
+}
+
+impl RedisShard {
+    /// Installs, preloads and connects `core`'s shard (port `REDIS_PORT
+    /// + core`); the machine must be on `core`.
+    fn open(os: &FlexOs, bench: &RedisBench, core: usize) -> Result<RedisShard, Fault> {
+        let port = REDIS_PORT + core as u16;
+        let server = install_redis_named(os, "redis", port)?;
+        // Values cycle x/y/z so the 3-key preload is byte-identical to
+        // the historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture.
+        preload_keyspace(&server, bench.keyspace)?;
+        let conns = ShardConns::open(os, "redis", core, 50_000, port, || server.accept())?;
+        let mut request = Vec::new();
+        let mut expected = Vec::new();
+        if bench.pattern == KeyPattern::HotKey {
+            let one_request = resp::encode_request(&[b"GET", b"key:1"]);
+            for _ in 0..bench.pipeline {
+                request.extend_from_slice(&one_request);
+                expected.extend_from_slice(b"$3\r\nyyy\r\n");
+            }
+        }
+        let rng = match bench.pattern {
+            // Force a nonzero state (xorshift has an all-zero fixed
+            // point) without disturbing low seed bits.
+            KeyPattern::Uniform { seed, .. } => seed | (1 << 63),
+            KeyPattern::HotKey => 0,
+        };
+        Ok(RedisShard {
+            server,
+            conns,
+            rng,
+            request,
+            expected,
+        })
+    }
 }
 
 /// One batch on a shard: rotate to the next connection, send `pipeline`
@@ -413,11 +461,11 @@ fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) ->
         }
     }
     client.drain(&os.net)?;
-    debug_assert_eq!(
-        client.received(),
-        &shard.expected[..],
-        "replies must match the key pattern"
-    );
+    if client.received() != shard.expected {
+        return Err(Fault::InvalidConfig {
+            reason: "redis: a reply differs from the one the key pattern expects".to_string(),
+        });
+    }
     client.clear_received();
     Ok(())
 }
@@ -448,7 +496,8 @@ fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) ->
 /// [`Fault::InvalidConfig`] naming the field, before the image is
 /// touched, for `keyspace < 2` (the hot key `key:1` would not exist),
 /// a keyspace larger than the server's dict, or `pipeline == 0`;
-/// substrate faults; protocol errors.
+/// [`Fault::InvalidConfig`] naming redis when a reply is not the one the
+/// key pattern expects; substrate faults; protocol errors.
 pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
     if !(2..=DICT_BUCKETS).contains(&bench.keyspace) {
         return Err(Fault::InvalidConfig {
@@ -465,37 +514,10 @@ pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fau
         });
     }
     let cores = os.env.machine().num_cores();
-    let one_request = resp::encode_request(&[b"GET", b"key:1"]);
     let mut shards = Vec::with_capacity(cores);
     for core in 0..cores {
         os.env.switch_core(core);
-        let port = REDIS_PORT + core as u16;
-        let server = install_redis_named(os, "redis", port)?;
-        // Values cycle x/y/z so the 3-key preload is byte-identical to
-        // the historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture.
-        preload_keyspace(&server, bench.keyspace)?;
-        let conns = ShardConns::open(os, "redis", core, 50_000, port, || server.accept())?;
-        let mut request = Vec::new();
-        let mut expected = Vec::new();
-        if bench.pattern == KeyPattern::HotKey {
-            for _ in 0..bench.pipeline {
-                request.extend_from_slice(&one_request);
-                expected.extend_from_slice(b"$3\r\nyyy\r\n");
-            }
-        }
-        let rng = match bench.pattern {
-            // Force a nonzero state (xorshift has an all-zero fixed
-            // point) without disturbing low seed bits.
-            KeyPattern::Uniform { seed, .. } => seed | (1 << 63),
-            KeyPattern::HotKey => 0,
-        };
-        shards.push(RedisShard {
-            server,
-            conns,
-            rng,
-            request,
-            expected,
-        });
+        shards.push(RedisShard::open(os, &bench, core)?);
     }
     let batches = |ops: u64| ops.div_ceil(bench.pipeline);
     let measured_batches = batches(bench.measured);
@@ -557,11 +579,12 @@ fn nginx_shard_batch(os: &FlexOs, shard: &mut NginxShard) -> Result<(), Fault> {
     client.send(&os.net, NGINX_REQUEST)?;
     shard.server.serve_one(conn)?;
     client.drain(&os.net)?;
-    debug_assert!(
-        client.received().starts_with(b"HTTP/1.1 200 OK"),
-        "must serve 200"
-    );
-    debug_assert!(client.received_len() > 612, "head + 612-byte body");
+    // A 200 head and the 612-byte body.
+    if !client.received().starts_with(b"HTTP/1.1 200 OK") || client.received_len() <= 612 {
+        return Err(Fault::InvalidConfig {
+            reason: "nginx: a reply is not the 200 and welcome page".to_string(),
+        });
+    }
     client.clear_received();
     Ok(())
 }
@@ -574,7 +597,8 @@ fn nginx_shard_batch(os: &FlexOs, shard: &mut NginxShard) -> Result<(), Fault> {
 ///
 /// # Errors
 ///
-/// Substrate faults; protocol errors.
+/// [`Fault::InvalidConfig`] naming nginx when a reply is not a `200` with
+/// the welcome page; substrate faults; protocol errors.
 pub fn run_nginx_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
     let cores = os.env.machine().num_cores();
     let mut shards = Vec::with_capacity(cores);
@@ -614,7 +638,7 @@ pub fn install_iperf(os: &FlexOs) -> Result<Rc<IperfServer>, Fault> {
 ///
 /// # Errors
 ///
-/// Substrate faults.
+/// See [`run_iperf_metrics`].
 pub fn run_iperf(os: &FlexOs, recv_buf: u64, total_bytes: u64) -> Result<f64, Fault> {
     // On success the stream arrived in full, so `total_bytes` is the
     // exact byte count (`ops` is KiB, rounded).
@@ -628,7 +652,8 @@ pub fn run_iperf(os: &FlexOs, recv_buf: u64, total_bytes: u64) -> Result<f64, Fa
 ///
 /// # Errors
 ///
-/// Substrate faults.
+/// [`Fault::InvalidConfig`] naming iperf when the stream does not arrive
+/// in full; substrate faults.
 pub fn run_iperf_metrics(
     os: &FlexOs,
     recv_buf: u64,
@@ -656,7 +681,11 @@ pub fn run_iperf_metrics(
         received += server.drain(conn, recv_buf)?;
     }
     let cycles = os.cycles() - start;
-    debug_assert_eq!(received, total_bytes, "stream must arrive in full");
+    if received != total_bytes {
+        return Err(Fault::InvalidConfig {
+            reason: format!("iperf: {received} of {total_bytes} bytes arrived"),
+        });
+    }
     Ok(metrics(os, received.div_ceil(1024), cycles))
 }
 
@@ -722,7 +751,7 @@ pub fn run_sqlite_inserts(os: &FlexOs, n: u64) -> Result<SqliteRun, Fault> {
     }
     let cycles = os.cycles() - start;
     let alloc1 = os.env.total_alloc_stats();
-    let breakdown = os.report.crossing_breakdown(&os.env);
+    let breakdown = os.env.gates().breakdown();
     let mut crossings_by_kind = [0u64; GATE_KIND_COUNT];
     for &(kind, count) in &breakdown.by_kind {
         crossings_by_kind[kind.index()] = count;
@@ -743,6 +772,69 @@ pub fn run_sqlite_inserts(os: &FlexOs, n: u64) -> Result<SqliteRun, Fault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexos_core::config::SafetyConfig;
+    use flexos_system::SystemBuilder;
+
+    fn image(app: flexos_core::component::Component, cores: usize) -> FlexOs {
+        SystemBuilder::new(SafetyConfig::none())
+            .app(app)
+            .cores(cores)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_reply_that_is_not_the_expected_one_is_a_fault_in_every_build() {
+        let os = image(crate::redis_component(), 1);
+        let bench = RedisBench {
+            measured: 1,
+            ..RedisBench::default()
+        };
+        let mut shard = RedisShard::open(&os, &bench, 0).unwrap();
+        redis_shard_batch(&os, &bench, &mut shard).unwrap();
+        shard.expected = b"$3\r\nzzz\r\n".to_vec();
+        match redis_shard_batch(&os, &bench, &mut shard) {
+            Err(Fault::InvalidConfig { reason }) => {
+                assert!(reason.starts_with("redis: "), "{reason}")
+            }
+            other => panic!("a wrong reply passed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shards_at_every_core_count_connect_from_distinct_ports() {
+        for (base, listen) in [(50_000, REDIS_PORT), (51_000, NGINX_PORT)] {
+            for cores in 1..=32usize {
+                let per_core = if cores == 1 { 1 } else { 32 };
+                let listeners: Vec<u16> = (0..cores).map(|c| listen + c as u16).collect();
+                let mut ports: Vec<u16> = (0..cores)
+                    .flat_map(|c| (0..per_core).map(move |i| client_port(base, c, i)))
+                    .collect();
+                assert!(
+                    ports.iter().all(|p| !listeners.contains(p)),
+                    "{cores} cores"
+                );
+                ports.sort_unstable();
+                ports.dedup();
+                assert_eq!(ports.len(), cores * per_core, "{cores} cores");
+            }
+        }
+        // Release builds wrapped the top shards to the bottom of the
+        // port space before the range was written down.
+        assert_eq!(client_port(50_000, 16, 0), 464);
+        assert_eq!(client_port(51_000, 15, 0), 464);
+        for cores in 1..=32 {
+            let redis = image(crate::redis_component(), cores);
+            let bench = RedisBench {
+                keyspace: 2,
+                measured: 1,
+                ..RedisBench::default()
+            };
+            run_redis_bench(&redis, bench).unwrap();
+            let nginx = image(crate::nginx_component(), cores);
+            run_nginx_gets(&nginx, 0, 1).unwrap();
+        }
+    }
 
     #[test]
     fn keys_render_as_format_does() {

@@ -3,8 +3,9 @@
 //! The front end of the `flexos_sweep` engine, in two modes:
 //!
 //! * **Exhaustive** (default): sweeps every point thread-per-worker,
-//!   optionally re-runs it serially to *prove* the parallel results
-//!   bit-identical (and to measure the speedup), runs the generalized
+//!   optionally re-simulates every point serially, pricing none, to
+//!   *prove* the parallel and priced results bit-identical (and to
+//!   measure the speedup), runs the generalized
 //!   Figure 8 star report, and prints a single JSON summary line to
 //!   stdout — the payload checked in as `BENCH_sweep.json`.
 //! * **Lazy** (`--lazy`): measures only what the §5 partial order
@@ -46,7 +47,8 @@
 //! engine reports a fault (a point that
 //! does not build or cannot run its workload, an order without minimal
 //! elements) — the fault is printed, nothing panics, `2` on bad usage,
-//! `3` when `--verify` detects serial/parallel divergence, `4` when
+//! `3` when `--verify` detects serial/parallel divergence (the first
+//! differing point, its label and both cycle counts go to stderr), `4` when
 //! `--verify-inference` finds statuses the order inferred wrongly.
 
 use std::process::ExitCode;
@@ -335,20 +337,34 @@ fn run_exhaustive(
 
     let (serial_s, verified) = if args.verify {
         let t0 = Instant::now();
-        let serial = engine::run_parallel(spec, 1).map_err(failed("exhaustive"))?;
+        let serial = (0..spec.len())
+            .map(|i| engine::simulate_point(spec, i))
+            .collect::<Result<Vec<_>, Fault>>()
+            .map_err(failed("exhaustive"))?;
         let serial_s = t0.elapsed().as_secs_f64();
-        let identical = serial == results;
+        let diverged = serial.iter().zip(&results).find(|(s, r)| s != r);
         if !args.quiet {
             eprintln!(
                 "serial reference: {serial_s:.2}s; parallel results {}",
-                if identical {
+                if diverged.is_none() {
                     "bit-identical"
                 } else {
                     "DIVERGED"
                 }
             );
         }
-        (Some(serial_s), Some(identical))
+        if let Some((s, r)) = diverged {
+            // Printed even under --quiet: the exit status alone does not
+            // say which point to look at.
+            eprintln!(
+                "first divergence: point {} ({}): {} cycles simulated, {} swept",
+                s.index,
+                spec.label_of(s.index),
+                s.cycles,
+                r.cycles
+            );
+        }
+        (Some(serial_s), Some(diverged.is_none()))
     } else {
         (None, None)
     };

@@ -223,7 +223,7 @@ pub(crate) fn table1_text() -> Result<String, Fault> {
         .app(flexos_apps::redis_component())
         .build()?;
     run_redis_gets(&os, 5, 60)?;
-    let bd = os.report.crossing_breakdown(&os.env);
+    let bd = os.env.gates().breakdown();
     let parts: Vec<String> = bd.by_kind.iter().map(|(k, c)| format!("{k}={c}")).collect();
     out += &format!(
         "\n# boundary traffic, 60 Redis GETs with lwip isolated:\n\

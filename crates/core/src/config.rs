@@ -156,6 +156,20 @@ impl SafetyConfig {
         self.compartments[self.placement(component)].hardening
     }
 
+    /// Which compartments' private heaps run KASan (redzones, quarantine,
+    /// shadow): bit `i` is set when one of `components` placed in
+    /// compartment `i` is KASan-hardened. The image builder enables KASan
+    /// on exactly these heaps, and a heap's KASan state decides its layout
+    /// and its allocation costs whatever the hardening of the component
+    /// running on it — so the sweep engine keys its hardening classes on
+    /// the same bits.
+    pub fn kasan_heaps<'a>(&self, components: impl IntoIterator<Item = &'a str>) -> u32 {
+        components
+            .into_iter()
+            .filter(|name| self.hardening_of(name).kasan)
+            .fold(0, |bits, name| bits | 1 << self.placement(name))
+    }
+
     /// Number of compartments.
     pub fn compartment_count(&self) -> usize {
         self.compartments.len()

@@ -39,6 +39,10 @@
 //!   ownership), and the microreboot's [`Env::reset_heap`].
 //! * `shared` — [`Env::shared_var`], whitelist-checked access to
 //!   `__shared` annotated variables, and stack-data sharing.
+//! * `recorder` — [`Env::record_hardening`]: what each component's
+//!   hardening flags add to a measured window, counted so a sweep can
+//!   price the other hardening assignments of a run instead of
+//!   simulating them.
 //! * `template` — [`Env::record_heap_template`] /
 //!   [`Env::replay_heap_template`]: what a run did to the current
 //!   compartment's heap, recorded once and replayed onto an identical
@@ -66,6 +70,7 @@ mod budget;
 mod faults;
 mod heap;
 mod mem;
+mod recorder;
 mod shared;
 mod template;
 pub use self::{
@@ -157,6 +162,8 @@ pub struct Env {
     fault_ring: RefCell<VecDeque<(ComponentId, FaultKind)>>,
     /// Budgets, usage, refusals and quarantine (see `budget`).
     budget: budget::Ledger,
+    /// What each hardening flag multiplies, while on (see `recorder`).
+    recorder: recorder::Recorder,
     /// Home core of each compartment ([`smp::ANY_CORE`] = not pinned).
     /// On multi-core machines, gate entries into a compartment homed on
     /// a *different* core pay the remote-gate (doorbell/IPI) surcharge.
@@ -240,6 +247,7 @@ impl Env {
             crossing_hook: RefCell::new(None),
             fault_ring: RefCell::new(VecDeque::with_capacity(FAULT_RING_CAP)),
             budget,
+            recorder: recorder::Recorder::default(),
             home_core: (0..n_comps).map(|_| Cell::new(smp::ANY_CORE)).collect(),
             core_cur: (0..num_cores).map(|_| Cell::new(ComponentId(0))).collect(),
         })
@@ -301,9 +309,11 @@ impl Env {
         &self.entries
     }
 
-    /// Resets the gate crossing counters (between benchmark phases).
+    /// Resets the gate crossing counters (between benchmark phases) and
+    /// opens the hardening recorder's measured window.
     pub fn reset_counters(&self) {
         self.gates.reset_counters();
+        self.recorder.restart();
     }
 
     /// Installs the cross-domain hook (EPT RPC rings).
@@ -430,6 +440,9 @@ impl Env {
             self.charge_cycles(from_dom, desc.cost);
             self.gates.record_direct();
             self.cur.set(to);
+            if self.recorder.is_on() {
+                self.recorder.entry(to, false);
+            }
             let callee_h = self.hardening[to.0 as usize];
             if callee_h.stack_protector {
                 self.machine
@@ -507,6 +520,9 @@ impl Env {
         self.cur.set(to);
 
         // Callee-side hardening charges on entry.
+        if self.recorder.is_on() {
+            self.recorder.entry(to, true);
+        }
         let callee_h = self.hardening[to.0 as usize];
         if callee_h.stack_protector || callee_h.cfi {
             let cost = self.machine.cost();
@@ -550,6 +566,9 @@ impl Env {
     #[inline]
     pub fn compute(&self, work: Work) {
         let comp = self.cur.get();
+        if self.recorder.is_on() {
+            self.recorder.work(comp, work);
+        }
         let h = self.hardening[comp.0 as usize];
         let cost = self.machine.cost();
         let mut cycles = work.cycles;

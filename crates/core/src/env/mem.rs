@@ -4,23 +4,35 @@
 
 use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
-use flexos_machine::key::Access;
 
 use super::Env;
 
 impl Env {
+    /// The KASan shadow check of an access by the current component:
+    /// charged when the component is KASan-hardened and the access lands
+    /// in its compartment's heap or the shared heap. While the hardening
+    /// recorder is on, an access to the component's own heap counts when
+    /// that heap runs KASan, charged or not.
     #[inline]
-    fn kasan_filter(&self, addr: Addr, len: u64, kind: Access) -> Result<(), Fault> {
-        if !self.kasan_any || !self.hardening[self.cur.get().0 as usize].kasan {
+    fn kasan_filter(&self, addr: Addr, len: u64) -> Result<(), Fault> {
+        if !self.kasan_any {
             return Ok(());
         }
-        let dom = self.compartment_of(self.cur.get());
-        let heap = &self.heaps[dom.0 as usize];
-        if heap.borrow().contains(addr) {
-            return heap.borrow_mut().kasan_check(addr, len, kind);
+        let comp = self.cur.get();
+        let flagged = self.hardening[comp.0 as usize].kasan;
+        if !flagged && !self.recorder.is_on() {
+            return Ok(());
         }
-        if self.shared_heap.borrow().contains(addr) {
-            return self.shared_heap.borrow_mut().kasan_check(addr, len, kind);
+        let heap = &self.heaps[self.compartment_of(comp).0 as usize];
+        if heap.borrow().region().contains(addr) {
+            if self.recorder.is_on() && heap.borrow().kasan_enabled() {
+                self.record_heap_access(comp, addr, len);
+            }
+            if flagged {
+                return heap.borrow_mut().kasan_check(addr, len);
+            }
+        } else if flagged && self.shared_heap.borrow().region().contains(addr) {
+            return self.shared_heap.borrow_mut().kasan_check(addr, len);
         }
         Ok(())
     }
@@ -34,7 +46,7 @@ impl Env {
     /// KASan hardening for redzone/quarantine hits.
     #[inline]
     pub fn mem_read(&self, addr: Addr, buf: &mut [u8]) -> Result<(), Fault> {
-        self.kasan_filter(addr, buf.len() as u64, Access::Read)?;
+        self.kasan_filter(addr, buf.len() as u64)?;
         self.machine.charge_mem_bytes(buf.len() as u64);
         self.machine.memory().read(addr, buf, &self.pkru.get())
     }
@@ -92,7 +104,7 @@ impl Env {
     /// Same conditions as [`Env::mem_read`].
     #[inline]
     pub fn mem_compare(&self, addr: Addr, bytes: &[u8]) -> Result<bool, Fault> {
-        self.kasan_filter(addr, bytes.len() as u64, Access::Read)?;
+        self.kasan_filter(addr, bytes.len() as u64)?;
         self.machine.charge_mem_bytes(bytes.len() as u64);
         self.machine.memory().compare(addr, bytes, &self.pkru.get())
     }
@@ -106,9 +118,9 @@ impl Env {
     ///
     /// Same conditions as [`Env::mem_read`] / [`Env::mem_write`].
     pub fn mem_copy(&self, src: Addr, dst: Addr, len: u64) -> Result<(), Fault> {
-        self.kasan_filter(src, len, Access::Read)?;
+        self.kasan_filter(src, len)?;
         self.machine.charge_mem_bytes(len);
-        self.kasan_filter(dst, len, Access::Write)?;
+        self.kasan_filter(dst, len)?;
         self.machine.charge_mem_bytes(len);
         self.machine
             .memory_mut()
@@ -122,7 +134,7 @@ impl Env {
     /// Same conditions as [`Env::mem_read`].
     #[inline]
     pub fn mem_write(&self, addr: Addr, data: &[u8]) -> Result<(), Fault> {
-        self.kasan_filter(addr, data.len() as u64, Access::Write)?;
+        self.kasan_filter(addr, data.len() as u64)?;
         self.machine.charge_mem_bytes(data.len() as u64);
         self.machine
             .memory_mut()
@@ -137,7 +149,7 @@ impl Env {
     ///
     /// Same conditions as [`Env::mem_write`].
     pub fn mem_fill(&self, addr: Addr, len: u64, byte: u8) -> Result<(), Fault> {
-        self.kasan_filter(addr, len, Access::Write)?;
+        self.kasan_filter(addr, len)?;
         self.machine.charge_mem_bytes(len);
         self.machine
             .memory_mut()

@@ -21,7 +21,9 @@
 //!
 //! Nothing is recorded or replayed while the tracer is on (a replay
 //! would drop the run's events) or while the image has any budget
-//! (every compartment's usage counters move with a charge).
+//! (every compartment's usage counters move with a charge), and nothing
+//! is replayed for a component without KASan on a KASan heap while the
+//! hardening recorder is on (see `recorder`).
 
 use std::sync::Arc;
 
@@ -163,7 +165,14 @@ impl Env {
         {
             return false;
         }
-        let mut heap = self.heaps[dom.0 as usize].borrow_mut();
+        // A run under the hardening recorder checks each access of an
+        // unhardened component to a KASan heap against the shadow (see
+        // `recorder`); a replay would skip those checks.
+        let heap = &self.heaps[dom.0 as usize];
+        if self.recorder.is_on() && !template.hardening.kasan && heap.borrow().kasan_enabled() {
+            return false;
+        }
+        let mut heap = heap.borrow_mut();
         if *heap.state() != *template.before || !self.is_blank(region) {
             return false;
         }

@@ -42,7 +42,7 @@ use crate::component::{Component, ComponentId, ComponentRegistry, VarStorage};
 use crate::config::SafetyConfig;
 use crate::entry::EntryTable;
 use crate::env::{DomainState, Env, EnvParts, SharedVarPlacement};
-use crate::gate::{CrossingBreakdown, GateKind, GateTable};
+use crate::gate::{GateKind, GateTable};
 use crate::tcb::TcbReport;
 
 /// Protection key reserved for the shared communication domain (§4.1).
@@ -75,16 +75,6 @@ impl TransformReport {
     /// The generated linker script.
     pub fn linker_script(&self, env: &Env) -> String {
         layout::linker_script(&env.machine().layout().regions()[..self.regions])
-    }
-
-    /// Per-[`GateKind`] crossing breakdown of the live image described by
-    /// this report — a convenience forwarder to
-    /// [`crate::gate::GateTable::breakdown`] on `env`'s dense per-kind
-    /// counters, so the fig10/table1 harnesses report gate traffic next
-    /// to the build-time gate list without re-deriving totals from the
-    /// `n×n` matrix.
-    pub fn crossing_breakdown(&self, env: &Env) -> CrossingBreakdown {
-        env.gates().breakdown()
     }
 
     /// Per-compartment private-heap live-bytes high-water marks of the
@@ -272,6 +262,7 @@ impl ImageBuilder {
             })
             .collect();
 
+        let kasan_heaps = config.kasan_heaps(self.registry.iter().map(|(_, c)| &*c.name));
         let mut heaps = Vec::with_capacity(n_comps);
         for (i, dom) in domains.iter().enumerate() {
             let scoped = |suffix| RegionName::Scoped {
@@ -293,12 +284,7 @@ impl ImageBuilder {
                 RegionKind::Heap,
             )?;
             let mut heap = Heap::new(Rc::clone(&self.machine), region, profiles[i].allocator);
-            let compartment_has_kasan = self
-                .registry
-                .iter()
-                .enumerate()
-                .any(|(idx, _)| comp_of[idx].0 as usize == i && hardening[idx].kasan);
-            if compartment_has_kasan {
+            if kasan_heaps & 1 << i != 0 {
                 heap.enable_kasan();
             }
             heaps.push(Rc::new(RefCellHeap::new(heap)));
@@ -694,7 +680,7 @@ mod tests {
             env.call_resolved(env.resolve(app, "app_main"), || Ok(()))
                 .unwrap();
         });
-        let bd = image.report.crossing_breakdown(env);
+        let bd = env.gates().breakdown();
         assert_eq!(bd.by_kind, vec![(GateKind::MpkDss, 2)]);
         assert_eq!(bd.total_crossings, 2);
         assert_eq!(bd.direct_calls, 1);

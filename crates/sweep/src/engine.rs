@@ -6,46 +6,48 @@
 //! (`Rc`-based machine state), so parallelism comes from **instances,
 //! not sharing**: each worker thread mints points from the shared spec
 //! and builds a private [`Machine`](flexos_machine::Machine) per point.
-//! No simulation state ever crosses a thread boundary — only the
-//! [`PointResult`]s — which is what makes the parallel sweep
-//! *deterministic*: a point's virtual-cycle outcome is a pure function
-//! of the point, so worker count and scheduling order cannot perturb
-//! it. `tests/sweep_determinism.rs` holds the engine to that claim.
+//! No machine ever crosses a thread boundary. What workers do share is
+//! plain recorded data — the keyspace preload templates
+//! (`flexos_core::env::HeapTemplate`) and the hardening class table
+//! below — and each entry of it reproduces a simulation exactly, so a
+//! point's virtual-cycle outcome stays a pure function of the point:
+//! worker count, scheduling order and which point of a class ran first
+//! cannot perturb it. `tests/sweep_determinism.rs` and
+//! `tests/pricing.rs` hold the engine to that claim, and `sweep
+//! --verify` re-simulates every point through [`simulate_point`].
 //!
-//! A point costs one image build, so what a build recomputes is what a
-//! sweep pays 8000 times. The configuration-independent products of a
-//! build — the W⊕X verdict on each component's text, the byte-cost
-//! table — are memoised below this layer, **per thread**
-//! (`flexos_mpk::wxorx`, `flexos_machine::cost`): the first point a
-//! worker runs pays for them, every later point on that worker reuses
-//! them, and the rule above stays literally true — the memos are
-//! thread-local, so they never cross a thread boundary either. The
-//! engine does nothing to get this (no template, no reset path); it only
-//! has to keep a worker's points on one thread, which it does. (A
-//! multi-worker [`run_indices`] call starts fresh worker threads, so its
-//! workers pay the once-per-thread work once per call: under a
-//! millisecond each.)
+//! **Hardening is a price, not a path.** A point's hardening mask only
+//! adds per-component instrumentation charges to an event sequence it
+//! does not change, so one-core points that differ only in hardening —
+//! with their compartment heaps running KASan alike — form a *class*
+//! whose cycles are one recorded base plus what each point's flags add
+//! (the `classes` module has the argument and its guards). [`run_point`]
+//! simulates the first point of a class with
+//! `flexos_core`'s recorder on and prices every later one in
+//! microseconds, without building an image: `full`'s 8000 points are
+//! 2440 classes, and an exhaustive sweep simulates 2440 of them. A
+//! multi-core point, or a class whose recorded run was unfit to price
+//! from, is simulated every time.
 //!
-//! What is left of a point is priced by what the point touches, not by
-//! what its image could hold: the KASan shadow and the allocators' block
-//! tags grow with a heap's use (`flexos_alloc`), and zeroing Redis's
-//! empty 512 KiB dict materialises no page (`Memory::fill`). The one
-//! phase that repeated identical work — a keyspace-1024 point preloading
-//! the same 1024 keys into a heap in one of six states — replays a
-//! template recorded once per process (`flexos_core::env::HeapTemplate`).
-//! Timed phase by phase over 404 points of `explore-lazy`'s Redis shape
-//! (keyspace 1024, pipeline 4, 220 requests; 2-core Xeon @ 2.1 GHz,
-//! release), a point splits as build ≈ 16 µs, install ≈ 2 µs, preload
-//! ≈ 38 µs replayed (≈ 320 µs simulated), drive + drop ≈ 150 µs: the
-//! request loop is the largest share again. The build figure is
-//! `system.build_us.mpk` from `flexos_benchmark --workload
-//! explore-exhaustive --seed 1 --trace 1` on the same host (three runs:
-//! 15.6, 16.3 and 16.6 µs); the others were timed in-engine.
+//! What a simulated point costs is what it touches. The
+//! configuration-independent products of a build — the W⊕X verdict on
+//! each component's text, the byte-cost table — are memoised per thread
+//! (`flexos_mpk::wxorx`, `flexos_machine::cost`); the KASan shadow and
+//! the allocators' block tags grow with a heap's use (`flexos_alloc`);
+//! zeroing Redis's empty 512 KiB dict materialises no page
+//! (`Memory::fill`); and a keyspace-1024 preload replays a template
+//! recorded once per process. Timed phase by phase over 404 points of
+//! `explore-lazy`'s Redis shape (keyspace 1024, pipeline 4, 220
+//! requests; 2-core Xeon @ 2.1 GHz, release), a simulated point splits
+//! as build ≈ 16 µs, install ≈ 2 µs, preload ≈ 38 µs replayed (≈ 320 µs
+//! simulated), drive + drop ≈ 150 µs. A priced point costs one
+//! `SpaceSpec::point` call, a table lookup and the sum of its flags.
 //!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
-//! EPT points cost several times an MPK point host-side), and write
-//! results into per-point slots, so output order is always enumeration
-//! order regardless of completion order.
+//! EPT points cost several times an MPK point host-side, and a priced
+//! point almost nothing), and write results into per-point slots, so
+//! output order is always enumeration order regardless of completion
+//! order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -54,9 +56,10 @@ use flexos_apps::workloads::{
     run_iperf_metrics, run_nginx_gets, run_redis_bench, RedisBench, RunMetrics,
 };
 use flexos_machine::fault::Fault;
-use flexos_system::SystemBuilder;
+use flexos_system::{FlexOs, SystemBuilder};
 
-use crate::space::{SpaceSpec, Workload};
+use crate::classes::{self, Verdict};
+use crate::space::{SpaceSpec, SweepPoint, Workload};
 
 /// Measured outcome of one sweep point. `ops`/`cycles` are virtual
 /// (simulated) quantities and the payload of the determinism guarantee;
@@ -101,25 +104,82 @@ pub fn sweep_threads() -> usize {
         })
 }
 
-/// Builds and measures one point of `spec`.
+/// Measures one point of `spec`: priced from its hardening class when
+/// the class has been recorded (see the module docs), simulated
+/// otherwise. The result is bit-identical to [`simulate_point`]'s.
 ///
 /// # Errors
 ///
 /// Configuration or substrate faults.
 pub fn run_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
     let point = spec.point(index);
+    if point.cores != 1 {
+        return simulate(spec, &point, index);
+    }
+    match classes::lookup(spec, &point) {
+        Verdict::Priced {
+            ops,
+            cycles,
+            freq_hz,
+        } => {
+            // `RunMetrics`' own arithmetic, so the floats are equal.
+            let cycles_per_op = cycles as f64 / ops.max(1) as f64;
+            Ok(PointResult {
+                index,
+                ops,
+                cycles,
+                ops_per_sec: freq_hz as f64 / cycles_per_op,
+            })
+        }
+        Verdict::Simulate => simulate(spec, &point, index),
+        Verdict::Record => {
+            let os = build(&point)?;
+            let (m, rows) = match os.env.record_hardening(|| drive(&os, spec, &point)) {
+                Ok(run) => run,
+                Err(fault) => {
+                    classes::record(spec, &point, &os, None);
+                    return Err(fault);
+                }
+            };
+            classes::record(spec, &point, &os, rows.map(|rows| (m, rows)));
+            Ok(PointResult::new(index, m))
+        }
+    }
+}
+
+/// Builds and measures one point of `spec`, always by simulation: the
+/// reference `sweep --verify` holds [`run_point`]'s priced results to.
+///
+/// # Errors
+///
+/// Configuration or substrate faults.
+pub fn simulate_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
+    simulate(spec, &spec.point(index), index)
+}
+
+fn simulate(spec: &SpaceSpec, point: &SweepPoint, index: usize) -> Result<PointResult, Fault> {
+    let os = build(point)?;
+    drive(&os, spec, point).map(|m| PointResult::new(index, m))
+}
+
+/// Boots the point's image with its application registered.
+fn build(point: &SweepPoint) -> Result<FlexOs, Fault> {
     let component = match point.workload {
         Workload::RedisGet { .. } => flexos_apps::redis_component(),
         Workload::NginxGet => flexos_apps::nginx_component(),
         Workload::IperfStream { .. } => flexos_apps::iperf_component(),
     };
-    let os = SystemBuilder::new(point.config.clone())
+    SystemBuilder::new(point.config.clone())
         .app(component)
         .cores(point.cores as usize)
-        .build()?;
-    let m = match point.workload {
+        .build()
+}
+
+/// Installs and drives the point's workload on `os`.
+fn drive(os: &FlexOs, spec: &SpaceSpec, point: &SweepPoint) -> Result<RunMetrics, Fault> {
+    match point.workload {
         Workload::RedisGet { keyspace, pipeline } => run_redis_bench(
-            &os,
+            os,
             RedisBench {
                 keyspace: u64::from(keyspace),
                 pipeline: u64::from(pipeline),
@@ -127,15 +187,14 @@ pub fn run_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
                 measured: spec.measured,
                 ..RedisBench::default()
             },
-        )?,
-        Workload::NginxGet => run_nginx_gets(&os, spec.warmup, spec.measured)?,
+        ),
+        Workload::NginxGet => run_nginx_gets(os, spec.warmup, spec.measured),
         // iPerf warms itself with one fixed 1 KiB chunk; `measured` is
         // the KiB streamed.
         Workload::IperfStream { recv_buf } => {
-            run_iperf_metrics(&os, u64::from(recv_buf), spec.measured * 1024)?
+            run_iperf_metrics(os, u64::from(recv_buf), spec.measured * 1024)
         }
-    };
-    Ok(PointResult::new(index, m))
+    }
 }
 
 /// Runs the given point `indices` of `spec` over `threads` worker

@@ -43,6 +43,13 @@
 //! rendering of its shape (the budgeted rows append `+budget`).
 //! Re-record by running the binary.
 //!
+//! `sweep_quick_lazy_pareto_w20_m200.json` is everything `SWEEP_WARMUP=20
+//! SWEEP_MEASURED=200 sweep --space quick --lazy --threads 2 --quiet
+//! --pareto PATH` writes: the stdout line, then the `PATH` document, with
+//! `wall_s` and every `host_cores` zeroed. It was recorded at the commit
+//! *before* the engine began pricing hardening instead of simulating it,
+//! so it holds every lazy classification and Pareto level by value.
+//!
 //! `faultinject_default.log` is the stdout of `flexos_faultinject` (the
 //! default campaign; its digest is the one CI prints). The two
 //! `trace_*.txt` files hold the Chrome-trace digest, the profile digest
@@ -161,7 +168,8 @@ fn every_figure_binary_has_a_row_and_a_golden() {
 fn exhaustive_summary(space: &str, verify: bool) -> String {
     let spec = SpaceSpec::named(space, SWEEP_COUNTS.0, SWEEP_COUNTS.1).unwrap();
     let results = engine::run_parallel(&spec, SWEEP_THREADS).unwrap();
-    let verified = verify.then(|| engine::run_parallel(&spec, 1).unwrap() == results);
+    let verified = verify
+        .then(|| (0..spec.len()).all(|i| engine::simulate_point(&spec, i).unwrap() == results[i]));
     let points: Vec<_> = spec.points().collect();
     let (_, stars) =
         report::star_report_vec(&points, &results, &report::BudgetVector::uniform(0.8));
@@ -269,6 +277,47 @@ fn lazy_sweep_summary_matches_the_recorded_line() {
         "sweep --space quick --lazy --verify-inference",
         &(summary.to_json() + "\n"),
         include_str!("data/sweep_quick_lazy_w20_m200.json"),
+    );
+}
+
+/// `"host_cores":N` with `N` zeroed, wherever it appears.
+fn zero_host_cores(json: &str) -> String {
+    let key = "\"host_cores\":";
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find(key) {
+        let digits = rest[at + key.len()..]
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len() - at - key.len());
+        out.push_str(&rest[..at + key.len()]);
+        out.push('0');
+        rest = &rest[at + key.len() + digits..];
+    }
+    out + rest
+}
+
+#[test]
+fn lazy_sweep_stdout_and_pareto_payload_match_the_recorded_json() {
+    // sweep --space quick --lazy --pareto PATH: the stdout line, then
+    // the PATH document.
+    let spec = SpaceSpec::quick(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
+    let cfg = lazy::LazyConfig {
+        threads: SWEEP_THREADS,
+        budgets: report::BudgetVector::uniform(0.8),
+        verify_inference: false,
+        pareto_fracs: vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95],
+    };
+    let outcome = lazy::lazy_sweep_all(&spec, &cfg, None).unwrap();
+    let summary = emit::LazySummary::from_outcome(&spec, &outcome, SWEEP_THREADS, 0.0, 0.8, false);
+    let got = format!(
+        "{}\n{}\n",
+        summary.to_json(),
+        emit::pareto_json(&spec, &outcome.pareto, SWEEP_THREADS)
+    );
+    assert_same(
+        "sweep --space quick --lazy --pareto",
+        &zero_host_cores(&got),
+        include_str!("data/sweep_quick_lazy_pareto_w20_m200.json"),
     );
 }
 
