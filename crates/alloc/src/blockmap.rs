@@ -106,13 +106,6 @@ impl BlockMap {
         }
     }
 
-    /// Host bytes the tags occupy.
-    pub(crate) fn host_bytes(&self) -> usize {
-        let present = self.chunks.iter().flatten().count();
-        self.chunks.len() * std::mem::size_of::<Option<Box<Chunk>>>()
-            + present * std::mem::size_of::<Chunk>()
-    }
-
     fn tag(&self, granule: u64) -> u32 {
         if granule == 0 {
             return self.first;

@@ -30,11 +30,6 @@ impl Bump {
             live: Vec::new(),
         }
     }
-
-    /// Host bytes the allocator's bookkeeping occupies, roughly.
-    pub(crate) fn host_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.live.len() * std::mem::size_of::<(u64, u64)>()
-    }
 }
 
 impl RegionAlloc for Bump {

@@ -13,8 +13,8 @@
 //! shadow and quarantine, the counters — is one plain value,
 //! [`HeapState`]: `Clone + Eq`, no pointers into the machine. A heap in
 //! a state equal to another's answers every request the same way, which
-//! is what lets a recorded effect be replayed onto it (`flexos_core`'s
-//! heap templates).
+//! is what lets a test hold two heaps to the same decisions by comparing
+//! their states.
 
 use std::rc::Rc;
 
@@ -104,14 +104,6 @@ impl Policy {
             Policy::Bump(a) => a,
         }
     }
-
-    fn host_bytes(&self) -> usize {
-        match self {
-            Policy::Tlsf(a) => a.host_bytes(),
-            Policy::Lea(a) => a.host_bytes(),
-            Policy::Bump(a) => a.host_bytes(),
-        }
-    }
 }
 
 /// Everything a [`Heap`] decides with: the policy's metadata, the KASan
@@ -123,13 +115,6 @@ pub struct HeapState {
     alloc: Policy,
     kasan: Option<Kasan>,
     stats: AllocStats,
-}
-
-impl HeapState {
-    /// Host bytes the state occupies, roughly: what keeping a copy costs.
-    pub fn host_bytes(&self) -> usize {
-        self.alloc.host_bytes() + self.kasan.as_ref().map_or(0, Kasan::host_bytes)
-    }
 }
 
 /// A heap bound to a simulated-memory region.
@@ -167,12 +152,6 @@ impl Heap {
     /// The heap's whole decision state (see [`HeapState`]).
     pub fn state(&self) -> &HeapState {
         &self.state
-    }
-
-    /// Puts the heap into `state`, which must have been taken from a heap
-    /// over the same region. Charges nothing.
-    pub fn set_state(&mut self, state: &HeapState) {
-        self.state.clone_from(state);
     }
 
     /// Allocates `size` bytes (16-byte aligned), charging calibrated cycles.

@@ -90,19 +90,6 @@ impl Kasan {
         }
     }
 
-    /// Host bytes the shadow and the quarantine occupy.
-    pub(crate) fn host_bytes(&self) -> usize {
-        let spelled = self
-            .shadow
-            .iter()
-            .filter(|c| matches!(c, Chunk::Bytes(_)))
-            .count();
-        std::mem::size_of::<Self>()
-            + self.shadow.len() * std::mem::size_of::<Chunk>()
-            + spelled * CHUNK
-            + self.quarantine.len() * std::mem::size_of::<(Addr, u64)>()
-    }
-
     /// Granules the chunks cover.
     fn covered(&self) -> usize {
         self.shadow.len() * CHUNK

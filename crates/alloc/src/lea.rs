@@ -20,7 +20,7 @@ const SMALL_MAX: u64 = 512;
 const NUM_SMALL_BINS: usize = (SMALL_MAX / MIN_ALIGN) as usize;
 
 /// The Lea-style allocator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lea {
     base: Addr,
     size: u64,
@@ -32,28 +32,6 @@ pub struct Lea {
     allocated: u64,
     last_slow: bool,
 }
-
-impl PartialEq for Lea {
-    /// Field by field, destructured so a new field cannot be missed.
-    fn eq(&self, other: &Self) -> bool {
-        let Lea {
-            base,
-            size,
-            blocks,
-            small_bins,
-            large,
-            allocated,
-            last_slow,
-        } = self;
-        (*base, *size, *allocated, *last_slow)
-            == (other.base, other.size, other.allocated, other.last_slow)
-            && *large == other.large
-            && crate::lists_eq(small_bins, &other.small_bins)
-            && *blocks == other.blocks
-    }
-}
-
-impl Eq for Lea {}
 
 fn small_bin_index(size: u64) -> Option<usize> {
     if size <= SMALL_MAX {
@@ -225,16 +203,6 @@ impl Lea {
     /// Returns a description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.blocks.check_invariants(self.base, self.size, true)
-    }
-
-    /// Host bytes the allocator's metadata occupies, roughly.
-    pub(crate) fn host_bytes(&self) -> usize {
-        let binned: usize = self.small_bins.iter().map(Vec::len).sum();
-        std::mem::size_of::<Self>()
-            + self.blocks.host_bytes()
-            + self.small_bins.len() * std::mem::size_of::<Vec<u64>>()
-            + binned * std::mem::size_of::<u64>()
-            + self.large.len() * std::mem::size_of::<(u64, u64)>()
     }
 }
 

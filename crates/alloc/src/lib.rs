@@ -50,13 +50,6 @@ use flexos_machine::fault::Fault;
 /// Minimum allocation granule; everything is rounded up to this.
 pub(crate) const MIN_ALIGN: u64 = 16;
 
-/// `a == b` for free lists, element by element: the derived comparison
-/// calls `memcmp` once per list, and a TLSF heap has 640 lists, nearly
-/// all empty, which made comparing two heap states cost ≈ 100 µs.
-pub(crate) fn lists_eq(a: &[Vec<u64>], b: &[Vec<u64>]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.iter().eq(y))
-}
-
 /// A region-scoped allocator over simulated addresses.
 ///
 /// Implementors hand out non-overlapping `[addr, addr+size)` ranges within

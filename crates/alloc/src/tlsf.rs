@@ -24,7 +24,7 @@ const FL_COUNT: usize = 40;
 const SMALL_THRESHOLD: u64 = 1 << (SL_SHIFT + 4); // 256
 
 /// The TLSF allocator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlsf {
     base: Addr,
     size: u64,
@@ -39,35 +39,6 @@ pub struct Tlsf {
     allocated: u64,
     last_slow: bool,
 }
-
-impl PartialEq for Tlsf {
-    /// Field by field, destructured so a new field cannot be missed.
-    fn eq(&self, other: &Self) -> bool {
-        let Tlsf {
-            base,
-            size,
-            blocks,
-            free_lists,
-            fl_bitmap,
-            sl_bitmaps,
-            allocated,
-            last_slow,
-        } = self;
-        (*base, *size, *fl_bitmap, *allocated, *last_slow)
-            == (
-                other.base,
-                other.size,
-                other.fl_bitmap,
-                other.allocated,
-                other.last_slow,
-            )
-            && *sl_bitmaps == other.sl_bitmaps
-            && crate::lists_eq(free_lists.as_flattened(), other.free_lists.as_flattened())
-            && *blocks == other.blocks
-    }
-}
-
-impl Eq for Tlsf {}
 
 /// Computes the (first-level, second-level) index of a block of `size`.
 fn mapping(size: u64) -> (usize, usize) {
@@ -239,15 +210,6 @@ impl Tlsf {
     /// Returns a description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.blocks.check_invariants(self.base, self.size, false)
-    }
-
-    /// Host bytes the allocator's metadata occupies, roughly.
-    pub(crate) fn host_bytes(&self) -> usize {
-        let filed: usize = self.free_lists.iter().flatten().map(Vec::len).sum();
-        std::mem::size_of::<Self>()
-            + self.blocks.host_bytes()
-            + self.free_lists.len() * std::mem::size_of::<[Vec<u64>; SL_COUNT]>()
-            + filed * std::mem::size_of::<u64>()
     }
 }
 

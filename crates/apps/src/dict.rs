@@ -57,11 +57,6 @@ impl Dict {
         })
     }
 
-    /// Where the table lives: its bucket array's address and capacity.
-    pub(crate) fn place(&self) -> (Addr, u64) {
-        (self.buckets, self.capacity)
-    }
-
     fn hash(&self, key: &[u8]) -> u64 {
         // SipHash-flavoured mixing is overkill; Redis uses SipHash-1-2 but
         // the distribution property is what matters here (FNV-1a).

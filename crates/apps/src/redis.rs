@@ -14,13 +14,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::{PoisonError, RwLock};
 
 use flexos_core::component::ComponentId;
 use flexos_core::entry::CallTarget;
-use flexos_core::env::{Env, HeapTemplate, Work};
+use flexos_core::env::{Env, Work};
 use flexos_libc::{Newlib, ITOA_BUF};
-use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
 use flexos_net::SocketHandle;
 use flexos_sched::Scheduler;
@@ -69,49 +67,6 @@ pub const REDIS_PORT: u16 = 6379;
 
 /// Buckets in the server's dict: the most keys it can hold.
 pub(crate) const DICT_BUCKETS: u64 = 16384;
-
-/// How a keyspace preload filled the dict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyspacePreload {
-    /// Simulated key by key; nothing was recorded (a small keyspace, a
-    /// heap region already written, a tracer or a budget on, or the
-    /// template table full).
-    Simulated,
-    /// Simulated key by key and recorded as a template.
-    Recorded,
-    /// Replayed from a template recorded earlier in the process.
-    Replayed,
-}
-
-/// One recorded keyspace preload: the keyspace and the dict it filled,
-/// and what filling it did to the redis heap.
-#[derive(Debug, PartialEq)]
-struct KeyspaceTemplate {
-    keyspace: u64,
-    dict: (Addr, u64),
-    heap: HeapTemplate,
-}
-
-/// Every keyspace preload recorded in this process, shared by all its
-/// threads: a sweep starts fresh workers for every batch it measures.
-/// The one write is a push of a finished template, so a lock poisoned by
-/// a panicking worker still guards a valid table.
-static KEYSPACE_TEMPLATES: RwLock<Vec<KeyspaceTemplate>> = RwLock::new(Vec::new());
-
-/// Keyspaces below this preload directly. A replay costs 10–35 µs
-/// whatever the keyspace (compare the heap state, copy the recorded one,
-/// scan the region, write the image), a direct preload 0.2–0.35 µs a key
-/// (2-core Xeon, release): 64 keys are about even, 1024 keys replay
-/// 5–8× faster.
-const KEYSPACE_TEMPLATE_MIN_KEYS: u64 = 128;
-
-/// Cap on the host bytes the templates hold, counted unshared. The
-/// `full` and `full-profiled` spaces reach six keyspace-1024 templates
-/// (TLSF or Lea × KASan heap or not × hardened app or not, in the six
-/// combinations they build), 90–270 KiB each unshared and ≈ 0.6 MiB
-/// together once they share their equal parts; the cap leaves room for
-/// as many again.
-const KEYSPACE_TEMPLATE_BYTES: usize = 2 << 20;
 
 impl RedisServer {
     /// Creates the server (`id` must be the redis component's id).
@@ -373,64 +328,6 @@ impl RedisServer {
                 dict.set(k, v)?;
             }
             Ok(())
-        })
-    }
-
-    /// Fills the keyspace `key:0..keyspace` as `direct` does, replaying a
-    /// recorded template instead when one applies: same keyspace, same
-    /// dict, and a heap where the template's was (see
-    /// `flexos_core::env::HeapTemplate`). On a miss `direct` runs as the
-    /// server component and, when the heap allows, is recorded. Below
-    /// [`KEYSPACE_TEMPLATE_MIN_KEYS`] `direct` just runs.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `direct` returns.
-    pub(crate) fn preload_keyspace_with(
-        &self,
-        keyspace: u64,
-        direct: impl FnOnce() -> Result<(), Fault>,
-    ) -> Result<KeyspacePreload, Fault> {
-        if keyspace < KEYSPACE_TEMPLATE_MIN_KEYS {
-            return direct().map(|()| KeyspacePreload::Simulated);
-        }
-        self.env.run_as(self.id, || {
-            let dict = self.dict.borrow().place();
-            let applies = |t: &KeyspaceTemplate| t.keyspace == keyspace && t.dict == dict;
-            let templates = KEYSPACE_TEMPLATES
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if templates
-                .iter()
-                .any(|t| applies(t) && self.env.replay_heap_template(&t.heap))
-            {
-                return Ok(KeyspacePreload::Replayed);
-            }
-            drop(templates);
-            let ((), heap) = self.env.record_heap_template(direct)?;
-            let Some(mut heap) = heap else {
-                return Ok(KeyspacePreload::Simulated);
-            };
-            let mut templates = KEYSPACE_TEMPLATES
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let held: usize = templates.iter().map(|t| t.heap.host_bytes()).sum();
-            if held + heap.host_bytes() > KEYSPACE_TEMPLATE_BYTES {
-                return Ok(KeyspacePreload::Simulated);
-            }
-            for t in templates.iter() {
-                heap.share_with(&t.heap);
-            }
-            let recorded = KeyspaceTemplate {
-                keyspace,
-                dict,
-                heap,
-            };
-            // Two workers can record the same preload at once.
-            if !templates.contains(&recorded) {
-                templates.push(recorded);
-            }
-            Ok(KeyspacePreload::Recorded)
         })
     }
 

@@ -25,7 +25,7 @@ use flexos_system::FlexOs;
 
 use crate::iperf::{IperfServer, IPERF_PORT};
 use crate::nginx::{NginxServer, NGINX_PORT};
-use crate::redis::{KeyspacePreload, RedisServer, DICT_BUCKETS, REDIS_PORT};
+use crate::redis::{RedisServer, DICT_BUCKETS, REDIS_PORT};
 use crate::resp;
 use crate::sqlite::Sqlite;
 
@@ -198,31 +198,20 @@ fn push_key(out: &mut Vec<u8>, mut i: u64) {
 /// Preloads `key:0..keyspace`, each with its `preload_value`, in key
 /// order. The simulated work — and so the clock, the heap and the dict's
 /// layout — is that of `keyspace` single-pair [`RedisServer::preload`]s
-/// in the same order.
-///
-/// Every sweep point of one keyspace preloads the same keys into a heap
-/// in one of a handful of states, so the first preload into each state
-/// is recorded and later ones replay it (`RedisServer::preload_keyspace_with`):
-/// the same heap, the same region bytes and the same cycles, without
-/// simulating the allocations again. The result says which happened.
+/// in the same order. The keys are rendered into one buffer and handed
+/// to one [`RedisServer::preload`] call, so the host pays a few
+/// allocations for the whole keyspace instead of one per key.
 ///
 /// # Errors
 ///
 /// [`Fault::ResourceExhausted`], before rendering a key, when the
 /// keyspace cannot fit the dict; dict/heap faults.
-pub fn preload_keyspace(server: &RedisServer, keyspace: u64) -> Result<KeyspacePreload, Fault> {
+pub fn preload_keyspace(server: &RedisServer, keyspace: u64) -> Result<(), Fault> {
     if keyspace > DICT_BUCKETS {
         return Err(Fault::ResourceExhausted {
             what: "redis dict buckets",
         });
     }
-    server.preload_keyspace_with(keyspace, || preload_keyspace_direct(server, keyspace))
-}
-
-/// [`preload_keyspace`] simulated: the keys are rendered into one buffer
-/// and handed to one [`RedisServer::preload`] call, so the host pays a
-/// few allocations for the whole keyspace instead of one per key.
-fn preload_keyspace_direct(server: &RedisServer, keyspace: u64) -> Result<(), Fault> {
     let n = keyspace as usize;
     let mut keys = Vec::with_capacity(n * "key:1024".len());
     let mut ends = Vec::with_capacity(n);

@@ -89,15 +89,6 @@ fn matrix_main(mut raw: Vec<String>) -> Result<u8, CliError> {
 }
 
 fn main() -> ExitCode {
-    match matrix_main(std::env::args().skip(1).collect()) {
-        Ok(status) => ExitCode::from(status),
-        Err(e) => {
-            // This binary's own codes: 2 is an oracle violation, so usage
-            // and infrastructure errors are 3; an unwritable path is 1
-            // as everywhere.
-            let unwritable = matches!(e, CliError::CannotWrite { .. });
-            e.report("flexos_attack_matrix", USAGE);
-            ExitCode::from(if unwritable { 1 } else { 3 })
-        }
-    }
+    let result = matrix_main(std::env::args().skip(1).collect());
+    cli::adversary_exit("flexos_attack_matrix", USAGE, result)
 }

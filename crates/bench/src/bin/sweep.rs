@@ -36,8 +36,8 @@
 //! classification progress (with an ETA) to stderr; `--quiet` silences
 //! all stderr narration, including it.
 //!
-//! Environment: `SWEEP_THREADS` (worker count; also the `--threads`
-//! default), `SWEEP_WARMUP` / `SWEEP_MEASURED` (per-point operation
+//! Environment: `SWEEP_THREADS` (the `--threads` default, at least 1),
+//! `SWEEP_WARMUP` / `SWEEP_MEASURED` (per-point operation
 //! counts — CI runs a reduced multi-threaded sweep with `--verify` and
 //! a lazy `--verify-inference` pass, and **fails on divergence** via
 //! the nonzero exits).
@@ -83,11 +83,13 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args(raw: Vec<String>) -> Result<Args, CliError> {
+/// Parses the flags; `threads` is the worker count when `--threads` is
+/// not given.
+fn parse_args(raw: Vec<String>, threads: usize) -> Result<Args, CliError> {
     let usage = CliError::Usage;
     let mut args = Args {
         space: "full".to_string(),
-        threads: engine::sweep_threads(),
+        threads,
         budget_frac: 0.8,
         ..Args::default()
     };
@@ -435,8 +437,8 @@ fn run(args: &Args, spec: &SpaceSpec, budgets: report::BudgetVector) -> Result<u
 /// Everything between argv and the exit status.
 fn sweep_main(mut raw: Vec<String>) -> Result<u8, CliError> {
     let obs = cli::extract_obs_args(&mut raw)?;
-    let args = parse_args(raw)?;
-    let (warmup, measured) = cli::env_counts("SWEEP", (200, 2000))?;
+    let ((warmup, measured), threads) = cli::sweep_env()?;
+    let args = parse_args(raw, threads)?;
     let mut spec = SpaceSpec::named(&args.space, warmup, measured).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown space `{}` (try full, full-smp, full-profiled, quick, fig6-redis, \
@@ -485,7 +487,7 @@ mod tests {
     fn args(flags: &[&str]) -> Args {
         let mut raw = vec!["--threads".to_string(), "1".into(), "--quiet".into()];
         raw.extend(flags.iter().map(|f| f.to_string()));
-        parse_args(raw).unwrap()
+        parse_args(raw, 1).unwrap()
     }
 
     #[test]
@@ -505,7 +507,7 @@ mod tests {
 
     #[test]
     fn degenerate_flag_values_are_usage_errors_naming_the_flag() {
-        let parse = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()).collect());
+        let parse = |flags: &[&str]| parse_args(flags.iter().map(|f| f.to_string()).collect(), 1);
         for (flags, named) in [
             (&["--budget-frac", "nan"][..], "--budget-frac"),
             (&["--budget-frac", "0"][..], "--budget-frac"),

@@ -26,6 +26,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::rc::Rc;
 
+use flexos_apps::workloads::{run_redis_gets, RunMetrics};
 use flexos_core::compartment::DataSharing;
 use flexos_machine::fault::Fault;
 use flexos_machine::trace::TraceConfig;
@@ -113,23 +114,52 @@ pub fn parse_fraction(what: &str, text: &str) -> Result<f64, CliError> {
     }
 }
 
+/// `value`, the value of environment variable `name`, as a count of at
+/// least `min`, or `None` when the variable is unset. A value that does
+/// not parse or is below `min` is a usage error naming the variable —
+/// never a silent default.
+fn env_count(
+    name: &str,
+    value: Result<String, VarError>,
+    min: u64,
+) -> Result<Option<u64>, CliError> {
+    match value {
+        Ok(text) => parse_count(name, &text, min).map(Some),
+        Err(VarError::NotPresent) => Ok(None),
+        Err(VarError::NotUnicode(_)) => Err(CliError::Usage(format!("bad {name}: not UTF-8"))),
+    }
+}
+
 /// The `(warmup, measured)` request counts from `<PREFIX>_WARMUP` /
-/// `<PREFIX>_MEASURED`, `defaults` where a variable is unset. A value
-/// that does not parse, or a measured count of 0, is a usage error
-/// naming the variable — never a silent default.
-pub fn env_counts(prefix: &str, defaults: (u64, u64)) -> Result<(u64, u64), CliError> {
+/// `<PREFIX>_MEASURED`, `defaults` where a variable is unset; a measured
+/// count must be at least 1 (see `env_count`).
+fn env_counts(prefix: &str, defaults: (u64, u64)) -> Result<(u64, u64), CliError> {
     let count = |suffix: &str, default: u64, min: u64| {
         let name = format!("{prefix}_{suffix}");
-        match std::env::var(&name) {
-            Ok(text) => parse_count(&name, &text, min),
-            Err(VarError::NotPresent) => Ok(default),
-            Err(VarError::NotUnicode(_)) => Err(CliError::Usage(format!("bad {name}: not UTF-8"))),
-        }
+        let value = std::env::var(&name);
+        env_count(&name, value, min).map(|n| n.unwrap_or(default))
     };
     Ok((
         count("WARMUP", defaults.0, 0)?,
         count("MEASURED", defaults.1, 1)?,
     ))
+}
+
+/// The sweep worker count: `SWEEP_THREADS`, at least 1, or the host's
+/// available parallelism when it is unset (see `env_count`).
+fn sweep_threads() -> Result<usize, CliError> {
+    let threads = env_count("SWEEP_THREADS", std::env::var("SWEEP_THREADS"), 1)?;
+    Ok(threads.map_or_else(
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        |n| n as usize,
+    ))
+}
+
+/// The `sweep` binary's environment: the per-point `(warmup, measured)`
+/// counts from `SWEEP_WARMUP` / `SWEEP_MEASURED`, 200 and 2000 unless
+/// set, and the default worker count from `SWEEP_THREADS`.
+pub fn sweep_env() -> Result<((u64, u64), usize), CliError> {
+    Ok((env_counts("SWEEP", (200, 2000))?, sweep_threads()?))
 }
 
 /// The Figure 6 sweep's `(warmup, measured)` counts: 500 and 5000
@@ -177,9 +207,9 @@ pub const FIGURES: [Figure; 8] = [
             if !matches!(app, "redis" | "nginx") {
                 return Err(CliError::Usage(format!("unknown app `{app}`")));
             }
-            let counts = fig6_counts()?;
+            let (counts, threads) = (fig6_counts()?, sweep_threads()?);
             eprintln!("running 80 configurations for {app}...");
-            Ok(fig06_text(app, counts)?)
+            Ok(fig06_text(app, counts, threads)?)
         },
     },
     Figure {
@@ -187,9 +217,9 @@ pub const FIGURES: [Figure; 8] = [
         usage: "fig07 [--trace PATH] [--metrics PATH]",
         render: |args| {
             at_most(args, 0)?;
-            let counts = fig6_counts()?;
+            let (counts, threads) = (fig6_counts()?, sweep_threads()?);
             eprintln!("running 2x80 configurations (redis + nginx)...");
-            Ok(fig07_text(counts)?)
+            Ok(fig07_text(counts, threads)?)
         },
     },
     Figure {
@@ -200,9 +230,9 @@ pub const FIGURES: [Figure; 8] = [
                 None => 500_000.0,
                 Some(text) => parse_positive("budget", text)?,
             };
-            let counts = fig6_counts()?;
+            let (counts, threads) = (fig6_counts()?, sweep_threads()?);
             eprintln!("running 80 redis configurations...");
-            Ok(fig08_text(budget, counts)?)
+            Ok(fig08_text(budget, counts, threads)?)
         },
     },
     Figure {
@@ -256,6 +286,21 @@ pub fn figure_main(name: &str) -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => ExitCode::from(e.report(figure.name, figure.usage)),
+    }
+}
+
+/// The exit status of an adversary binary (`flexos_attack_matrix`,
+/// `flexos_faultinject`), whose 1 and 2 are verdicts of their own runs:
+/// the status `result` carries, or — after reporting the error with
+/// `usage` — 1 for an unwritable path and 3 for everything else.
+pub fn adversary_exit(bin: &str, usage: &str, result: Result<u8, CliError>) -> ExitCode {
+    match result {
+        Ok(status) => ExitCode::from(status),
+        Err(e) => {
+            e.report(bin, usage);
+            let unwritable = matches!(e, CliError::CannotWrite { .. });
+            ExitCode::from(if unwritable { 1 } else { 3 })
+        }
     }
 }
 
@@ -323,20 +368,24 @@ pub fn extract_obs_args(args: &mut Vec<String>) -> Result<ObsArgs, CliError> {
 /// `mpk2(["lwip"], Dss)` with the tracer enabled, the fig6-shaped GET
 /// workload at `(warmup, measured)` requests, and one
 /// operator-initiated microreboot of the lwip compartment. Returns the
-/// image with the event ring populated.
-fn run_traced_canonical((warmup, measured): (u64, u64)) -> Result<FlexOs, Fault> {
+/// image with the event ring populated and the workload's metrics.
+///
+/// # Errors
+///
+/// Configuration, build or workload faults.
+pub fn run_traced_canonical((warmup, measured): (u64, u64)) -> Result<(FlexOs, RunMetrics), Fault> {
     let config = configs::mpk2(&["lwip"], DataSharing::Dss)?;
     let os = SystemBuilder::new(config)
         .app(flexos_apps::redis_component())
         .build()?;
     os.env.machine().tracer().enable(TraceConfig::default());
-    flexos_apps::workloads::run_redis_gets(&os, warmup, measured)?;
+    let metrics = run_redis_gets(&os, warmup, measured)?;
     let lwip = os.component("lwip").ok_or_else(|| Fault::InvalidConfig {
         reason: "canonical profile image has no `lwip` component".to_string(),
     })?;
     let sup = Supervisor::new(Rc::clone(&os.env), Rc::clone(&os.sched));
     sup.microreboot(os.env.compartment_of(lwip), None);
-    Ok(os)
+    Ok((os, metrics))
 }
 
 /// Writes the requested artifacts for `os`: Chrome JSON (plus the
@@ -367,7 +416,7 @@ pub fn emit_canonical_if_requested(obs: &ObsArgs) -> Result<(), CliError> {
     if !obs.requested() {
         return Ok(());
     }
-    let os = run_traced_canonical(fig6_counts()?)?;
+    let (os, _) = run_traced_canonical(fig6_counts()?)?;
     emit_observability(&os, obs)
 }
 
@@ -440,6 +489,20 @@ mod tests {
         assert!(
             junk.contains("SWEEP_MEASURED") && junk.contains("`abc`"),
             "{junk}"
+        );
+    }
+
+    #[test]
+    fn a_bad_sweep_threads_is_a_usage_error_and_unset_is_no_count() {
+        let threads = |value: &str| env_count("SWEEP_THREADS", Ok(value.to_string()), 1);
+        assert_eq!(threads("3"), Ok(Some(3)));
+        for bad in ["abc", "0", "-1", ""] {
+            let err = usage_error(threads(bad));
+            assert!(err.contains("SWEEP_THREADS"), "{bad}: {err}");
+        }
+        assert_eq!(
+            env_count("SWEEP_THREADS", Err(VarError::NotPresent), 1),
+            Ok(None)
         );
     }
 

@@ -34,11 +34,12 @@ pub(crate) mod figures;
 
 use flexos_explore::{prune_and_star, ConfigNode, Poset};
 use flexos_machine::fault::Fault;
-use flexos_sweep::{run_parallel, sweep_leq, sweep_threads, SpaceSpec, SweepPoint};
+use flexos_sweep::{run_parallel, sweep_leq, SpaceSpec, SweepPoint};
 
 /// Sweeps the 80-point Figure 6 space of `app` at `(warmup, measured)`
-/// requests per point over `SWEEP_THREADS` workers, returning the
-/// points and their throughputs (req/s), index-aligned.
+/// requests per point over `threads` workers, returning the points and
+/// their throughputs (req/s), index-aligned; the throughputs do not
+/// depend on `threads`.
 ///
 /// # Errors
 ///
@@ -47,6 +48,7 @@ use flexos_sweep::{run_parallel, sweep_leq, sweep_threads, SpaceSpec, SweepPoint
 pub(crate) fn run_fig6_sweep(
     app: &str,
     (warmup, measured): (u64, u64),
+    threads: usize,
 ) -> Result<(Vec<SweepPoint>, Vec<f64>), Fault> {
     if !matches!(app, "redis" | "nginx") {
         return Err(Fault::InvalidConfig {
@@ -54,7 +56,7 @@ pub(crate) fn run_fig6_sweep(
         });
     }
     let spec = SpaceSpec::fig6(app, warmup, measured);
-    let results = run_parallel(&spec, sweep_threads())?;
+    let results = run_parallel(&spec, threads)?;
     let perf = results.into_iter().map(|r| r.ops_per_sec).collect();
     Ok((spec.points().collect(), perf))
 }
@@ -77,8 +79,8 @@ pub fn fig6_label(point: &SweepPoint) -> String {
 /// # Errors
 ///
 /// See `run_fig6_sweep`.
-pub fn fig06_text(app: &str, counts: (u64, u64)) -> Result<String, Fault> {
-    let (space, perf) = run_fig6_sweep(app, counts)?;
+pub fn fig06_text(app: &str, counts: (u64, u64), threads: usize) -> Result<String, Fault> {
+    let (space, perf) = run_fig6_sweep(app, counts, threads)?;
     let mut order: Vec<usize> = (0..space.len()).collect();
     order.sort_by(|&a, &b| perf[a].total_cmp(&perf[b]));
     let rows: String = order
@@ -110,9 +112,9 @@ pub fn fig06_text(app: &str, counts: (u64, u64)) -> Result<String, Fault> {
 /// # Errors
 ///
 /// See `run_fig6_sweep`.
-pub fn fig07_text(counts: (u64, u64)) -> Result<String, Fault> {
-    let (space, redis) = run_fig6_sweep("redis", counts)?;
-    let (_, nginx) = run_fig6_sweep("nginx", counts)?;
+pub fn fig07_text(counts: (u64, u64), threads: usize) -> Result<String, Fault> {
+    let (space, redis) = run_fig6_sweep("redis", counts, threads)?;
+    let (_, nginx) = run_fig6_sweep("nginx", counts, threads)?;
     let rmax = redis.iter().cloned().fold(f64::MIN, f64::max);
     let nmax = nginx.iter().cloned().fold(f64::MIN, f64::max);
 
@@ -141,8 +143,8 @@ pub fn fig07_text(counts: (u64, u64)) -> Result<String, Fault> {
 ///
 /// See `run_fig6_sweep`; [`Fault::InvalidConfig`] if the order fails
 /// the partial-order axioms.
-pub fn fig08_text(budget: f64, counts: (u64, u64)) -> Result<String, Fault> {
-    let (space, perf) = run_fig6_sweep("redis", counts)?;
+pub fn fig08_text(budget: f64, counts: (u64, u64), threads: usize) -> Result<String, Fault> {
+    let (space, perf) = run_fig6_sweep("redis", counts, threads)?;
     let nodes = space
         .iter()
         .zip(&perf)
@@ -209,7 +211,7 @@ mod tests {
     #[test]
     fn unknown_fig6_apps_are_a_fault_not_a_redis_run() {
         assert!(matches!(
-            run_fig6_sweep("sqlite", (1, 1)),
+            run_fig6_sweep("sqlite", (1, 1), 1),
             Err(Fault::InvalidConfig { .. })
         ));
     }

@@ -43,10 +43,6 @@
 //!   hardening flags add to a measured window, counted so a sweep can
 //!   price the other hardening assignments of a run instead of
 //!   simulating them.
-//! * `template` — [`Env::record_heap_template`] /
-//!   [`Env::replay_heap_template`]: what a run did to the current
-//!   compartment's heap, recorded once and replayed onto an identical
-//!   heap.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::VecDeque;
@@ -72,12 +68,10 @@ mod heap;
 mod mem;
 mod recorder;
 mod shared;
-mod template;
 pub use self::{
     budget::BudgetUsage,
     faults::FAULT_RING_CAP,
     shared::{SharedVarPlacement, StackShare},
-    template::HeapTemplate,
 };
 
 /// One protection domain (compartment) at runtime.

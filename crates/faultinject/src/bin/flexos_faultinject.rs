@@ -114,14 +114,6 @@ fn campaign_main(mut raw: Vec<String>) -> Result<u8, CliError> {
 }
 
 fn main() -> ExitCode {
-    match campaign_main(std::env::args().skip(1).collect()) {
-        Ok(status) => ExitCode::from(status),
-        Err(e) => {
-            // This binary's own codes: usage and infrastructure errors
-            // are 3; an unwritable path is 1 as everywhere.
-            let unwritable = matches!(e, CliError::CannotWrite { .. });
-            e.report("flexos_faultinject", USAGE);
-            ExitCode::from(if unwritable { 1 } else { 3 })
-        }
-    }
+    let result = campaign_main(std::env::args().skip(1).collect());
+    cli::adversary_exit("flexos_faultinject", USAGE, result)
 }

@@ -90,15 +90,6 @@
 //!
 //! `Memory::size` and the `Debug` page count report the configured
 //! size, never the table's length.
-//!
-//! # Page images
-//!
-//! [`Memory::capture`] takes the non-zero bytes of a page range as a
-//! sparse [`PageImage`] and [`Memory::restore`] writes one back; with
-//! [`Memory::is_blank`] (mapped, accessible, never written) they let a
-//! caller replay what a run did to a range that started out as zeros
-//! without re-running it. Neither checks rights nor charges anything:
-//! they are host-side bookkeeping, like mapping a region.
 
 use std::cell::Cell;
 use std::fmt;
@@ -155,60 +146,6 @@ impl RightsEntry {
         pkru: Pkru::NO_ACCESS,
         write_ok: false,
     };
-}
-
-/// Zero words a run of a [`PageImage`] may span before it is split: an
-/// empty 32-byte dict bucket between two full ones stays inside one run.
-const IMAGE_GAP_WORDS: usize = 4;
-
-/// The non-zero bytes of a page range, page by page (see the module
-/// docs): for each written page, its runs of non-zero 8-byte words. A
-/// run may hold up to four zero words in a row, so restoring
-/// writes a few zeros over zeros — the range's bytes are the same.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PageImage {
-    /// `(page index, end of the page's runs in runs)`, ascending.
-    pages: Vec<(u64, u32)>,
-    /// `(byte offset in the page, byte length)` of each run, in order;
-    /// their bytes are concatenated in `bytes`.
-    runs: Vec<(u16, u16)>,
-    bytes: Vec<u8>,
-}
-
-impl PageImage {
-    /// Host bytes the image occupies.
-    pub fn host_bytes(&self) -> usize {
-        self.pages.len() * std::mem::size_of::<(u64, u32)>()
-            + self.runs.len() * std::mem::size_of::<(u16, u16)>()
-            + self.bytes.len()
-    }
-}
-
-/// The `(from, to)` byte ranges of a page's runs of non-zero 8-byte
-/// words, each taking in every non-zero word that follows its end after
-/// at most [`IMAGE_GAP_WORDS`] zero words.
-fn nonzero_runs(data: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let words = data.len() / 8;
-    let nonzero = move |w: usize| data[8 * w..8 * w + 8] != [0; 8];
-    let mut w = 0;
-    std::iter::from_fn(move || {
-        while w < words && !nonzero(w) {
-            w += 1;
-        }
-        if w == words {
-            return None;
-        }
-        let (start, mut end) = (w, w + 1);
-        let mut probe = end;
-        while probe < words && probe - end <= IMAGE_GAP_WORDS {
-            if nonzero(probe) {
-                end = probe + 1;
-            }
-            probe += 1;
-        }
-        w = end;
-        Some((8 * start, 8 * end))
-    })
 }
 
 /// The simulated physical memory: an array of pages, each tagged with a
@@ -373,21 +310,6 @@ impl Memory {
         let slots = self.keys.capacity().div_ceil(LEAF_PAGES);
         self.leaves.reserve_exact(slots - self.leaves.len());
         self.leaves.resize_with(slots, || None);
-    }
-
-    /// The written pages of `first..end` with their frames, ascending.
-    fn written(&self, first: usize, end: usize) -> impl Iterator<Item = (u64, &[u8; PAGE_SIZE])> {
-        let end = end.min(self.leaves.len() * LEAF_PAGES);
-        (first / LEAF_PAGES..end.div_ceil(LEAF_PAGES))
-            .filter_map(|l| Some((l * LEAF_PAGES, self.leaves[l].as_deref()?)))
-            .flat_map(move |(base, leaf)| {
-                let from = first.max(base);
-                let to = end.min(base + LEAF_PAGES);
-                (from..to).filter_map(move |page| {
-                    let frame = leaf[page - base].as_deref()?;
-                    Some((page as u64, frame))
-                })
-            })
     }
 
     /// Validates the overall bounds of a non-empty access and returns its
@@ -688,76 +610,6 @@ impl Memory {
             done += take as u64;
         }
         Ok(())
-    }
-
-    /// `true` if every page of `pages` pages at `base` is mapped,
-    /// readable and writable under `pkru`, and was never written — no
-    /// frame in the range is materialised, so it reads as zeros and no
-    /// access to it can fault on rights.
-    pub fn is_blank(&self, base: Addr, pages: u64, pkru: &Pkru) -> bool {
-        let Ok(span) = self.span(base, pages) else {
-            return false;
-        };
-        let Some(keys) = self.keys.get(span.clone()) else {
-            return false;
-        };
-        keys.iter().all(|&k| {
-            k != UNMAPPED && {
-                let key = ProtKey::from_index(k);
-                pkru.allows(key, Access::Read) && pkru.allows(key, Access::Write)
-            }
-        }) && self.written(span.start, span.end).next().is_none()
-    }
-
-    /// The non-zero bytes of `pages` pages at `base` as a [`PageImage`].
-    /// Pages never written contribute nothing. No rights check.
-    pub fn capture(&self, base: Addr, pages: u64) -> PageImage {
-        let first = base.page_index() as usize;
-        let end = first.saturating_add(pages as usize);
-        let written = || self.written(first, end);
-        // Sized in a first pass: recording a preload must not pay for
-        // growing the image a run at a time.
-        let (mut pages, mut runs, mut bytes) = (0, 0, 0);
-        for (_, data) in written() {
-            let before = runs;
-            for (from, to) in nonzero_runs(data) {
-                runs += 1;
-                bytes += to - from;
-            }
-            pages += usize::from(runs > before);
-        }
-        let mut image = PageImage {
-            pages: Vec::with_capacity(pages),
-            runs: Vec::with_capacity(runs),
-            bytes: Vec::with_capacity(bytes),
-        };
-        for (page, data) in written() {
-            for (from, to) in nonzero_runs(data) {
-                image.runs.push((from as u16, (to - from) as u16));
-                image.bytes.extend_from_slice(&data[from..to]);
-            }
-            if image.pages.last().map_or(0, |&(_, end)| end as usize) < image.runs.len() {
-                image.pages.push((page, image.runs.len() as u32));
-            }
-        }
-        image
-    }
-
-    /// Writes `image` back: every run's bytes at its page and offset,
-    /// materialising the pages it names. No rights check, no charge; the
-    /// pages must be mapped.
-    pub fn restore(&mut self, image: &PageImage) {
-        let (mut run, mut at) = (0usize, 0usize);
-        for &(page, end) in &image.pages {
-            debug_assert!(self.key(page).is_some(), "restoring onto an unmapped page");
-            let data = self.frame_mut(page);
-            for &(offset, len) in &image.runs[run..end as usize] {
-                let (offset, len) = (usize::from(offset), usize::from(len));
-                data[offset..offset + len].copy_from_slice(&image.bytes[at..at + len]);
-                at += len;
-            }
-            run = end as usize;
-        }
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -1066,8 +918,6 @@ mod tests {
         mem.fill(Addr::new(1023 * page), 2 * page, 0xEE, &pkru)
             .unwrap();
         assert_eq!(materialised(&mem), (3, 4));
-        assert!(!mem.is_blank(Addr::new(1024 * page), 1, &pkru));
-        assert!(mem.is_blank(Addr::new(1025 * page), 1900, &pkru));
 
         // Mapping past the room grows the key table; a write up there
         // grows the directory, keeping every frame.
@@ -1080,10 +930,6 @@ mod tests {
         assert_eq!(
             mem.read_vec(Addr::new(3000 * page + 5), 5, &pkru).unwrap(),
             b"first"
-        );
-        assert_eq!(
-            mem.capture(Addr::new(0), 65_536),
-            mem.capture(Addr::new(page), 60_003)
         );
     }
 
@@ -1102,8 +948,6 @@ mod tests {
             });
             assert_eq!(mem.map(base, pages, k2), overflow, "map of {pages}");
             assert_eq!(mem.set_key(base, pages, k2), overflow, "set_key of {pages}");
-            assert!(!mem.is_blank(base, pages, &Pkru::ALL_ACCESS));
-            assert_eq!(mem.capture(base, pages), PageImage::default());
         }
         assert_eq!(
             mem.set_key(base, 1 << 40, k2),
@@ -1112,8 +956,10 @@ mod tests {
                 len: 1 << 52
             })
         );
-        // Nothing was re-keyed or mapped.
-        assert!(mem.is_blank(base, 8, &Pkru::permit_only(&[k1])));
+        // Nothing was re-keyed or mapped: every page is still writable
+        // under the old key alone.
+        let len = 8 * PAGE_SIZE as u64;
+        assert_eq!(mem.fill(base, len, 0, &Pkru::permit_only(&[k1])), Ok(()));
         assert!(format!("{mem:?}").contains("mapped_pages: 8"));
     }
 
@@ -1265,42 +1111,6 @@ mod tests {
         let pkru = Pkru::permit_only(&[key]);
         mem.write_u64(base, 0xDEAD_BEEF_CAFE_F00D, &pkru).unwrap();
         assert_eq!(mem.read_u64(base, &pkru).unwrap(), 0xDEAD_BEEF_CAFE_F00D);
-    }
-
-    #[test]
-    fn a_captured_image_restores_the_same_bytes_onto_a_blank_range() {
-        let key = ProtKey::new(1).unwrap();
-        let pkru = Pkru::permit_only(&[key]);
-        let (mut mem, base) = mem_with_region(key);
-        let (mut twin, _) = mem_with_region(key);
-        assert!(mem.is_blank(base, 8, &pkru));
-        assert!(!mem.is_blank(base, 8, &Pkru::NO_ACCESS));
-        assert!(!mem.is_blank(base, 9, &pkru), "page 9 is unmapped");
-        // Bytes at both ends of a page, runs split by long and short
-        // zero gaps, a page written only with zeros, a straddling write.
-        mem.write(base, &[1], &pkru).unwrap();
-        mem.write(base + 40, &[2; 9], &pkru).unwrap();
-        mem.write(base + 400, &[3; 3], &pkru).unwrap();
-        mem.write(base + PAGE_SIZE as u64 - 1, &[4, 5], &pkru)
-            .unwrap();
-        mem.write(base + 3 * PAGE_SIZE as u64, &[0; 64], &pkru)
-            .unwrap();
-        mem.write(base + 5 * PAGE_SIZE as u64 + 4095, &[6], &pkru)
-            .unwrap();
-        assert!(!mem.is_blank(base, 8, &pkru));
-        let image = mem.capture(base, 8);
-        assert_eq!(image.pages.len(), 3, "the zero-written page is left out");
-        // Page 0: words 0..7 (a four-word gap is bridged), 50 and 511;
-        // page 1: word 0; page 5: word 511.
-        assert_eq!(image.runs.len(), 5);
-        assert!(image.bytes.len() < 128);
-        twin.restore(&image);
-        let len = 8 * PAGE_SIZE as u64;
-        assert_eq!(
-            twin.read_vec(base, len, &pkru).unwrap(),
-            mem.read_vec(base, len, &pkru).unwrap()
-        );
-        assert_eq!(twin.capture(base, 8), image);
     }
 
     #[test]

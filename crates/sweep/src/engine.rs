@@ -7,9 +7,8 @@
 //! not sharing**: each worker thread mints points from the shared spec
 //! and builds a private [`Machine`](flexos_machine::Machine) per point.
 //! No machine ever crosses a thread boundary. What workers do share is
-//! plain recorded data — the keyspace preload templates
-//! (`flexos_core::env::HeapTemplate`) and the hardening class table
-//! below — and each entry of it reproduces a simulation exactly, so a
+//! plain recorded data — the hardening class table below — and each
+//! entry of it reproduces a simulation exactly, so a
 //! point's virtual-cycle outcome stays a pure function of the point:
 //! worker count, scheduling order and which point of a class ran first
 //! cannot perturb it. `tests/sweep_determinism.rs` and
@@ -35,12 +34,12 @@
 //! (`flexos_mpk::wxorx`, `flexos_machine::cost`); the KASan shadow and
 //! the allocators' block tags grow with a heap's use (`flexos_alloc`);
 //! zeroing Redis's empty 512 KiB dict materialises no page
-//! (`Memory::fill`); and a keyspace-1024 preload replays a template
-//! recorded once per process. Timed phase by phase over 404 points of
-//! `explore-lazy`'s Redis shape (keyspace 1024, pipeline 4, 220
-//! requests; 2-core Xeon @ 2.1 GHz, release), a simulated point splits
-//! as build ≈ 16 µs, install ≈ 2 µs, preload ≈ 38 µs replayed (≈ 320 µs
-//! simulated), drive + drop ≈ 150 µs. A priced point costs one
+//! (`Memory::fill`); and a keyspace preload is simulated key by key,
+//! once per class recording — a priced point never reaches it. Timed
+//! phase by phase over 404 points of `explore-lazy`'s Redis shape
+//! (keyspace 1024, pipeline 4, 220 requests; 2-core Xeon @ 2.1 GHz,
+//! release), a simulated point splits as build ≈ 16 µs, install ≈ 2 µs,
+//! preload ≈ 320 µs, drive + drop ≈ 150 µs. A priced point costs one
 //! `SpaceSpec::point` call, a table lookup and the sum of its flags.
 //!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
@@ -88,20 +87,6 @@ impl PointResult {
             ops_per_sec: m.ops_per_sec,
         }
     }
-}
-
-/// Default worker count: the `SWEEP_THREADS` environment variable,
-/// defaulting to the host's available parallelism.
-pub fn sweep_threads() -> usize {
-    std::env::var("SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
 }
 
 /// Measures one point of `spec`: priced from its hardening class when
@@ -307,11 +292,5 @@ mod tests {
             assert!(r.ops > 0);
             assert!(r.ops_per_sec > 0.0);
         }
-    }
-
-    #[test]
-    fn thread_knob_parses_and_clamps() {
-        // No env manipulation (tests run threaded); just the default.
-        assert!(sweep_threads() >= 1);
     }
 }

@@ -52,9 +52,7 @@ pub mod lazy;
 pub mod report;
 mod space;
 
-pub use engine::{
-    run_indices, run_parallel, run_point, simulate_point, sweep_threads, PointResult,
-};
+pub use engine::{run_indices, run_parallel, run_point, simulate_point, PointResult};
 pub use lazy::{lazy_sweep, LazyConfig, LazyOutcome};
 pub use report::{
     mechanism_rank, star_report_vec, sweep_leq, sweep_order_pairs, sweep_poset, BudgetVector,

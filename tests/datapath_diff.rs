@@ -21,10 +21,7 @@
 //! sizes its key table and leaf directory as mappings arrive. A third
 //! property maps sparse regions over 1 280 pages *between* reads and
 //! writes, so both tables grow after frames exist and accesses cross
-//! leaf boundaries, and holds `is_blank`, `capture` and `restore` to the
-//! reference too: a page is blank when it is mapped, accessible and was
-//! never stored to, and a captured range restored onto a blank twin
-//! reads back the reference's bytes.
+//! leaf boundaries.
 //!
 //! A second property pins the integer per-byte charge table against the
 //! pre-refactor float formula, cycle for cycle.
@@ -51,8 +48,6 @@ struct RefMem {
     pages: u64,
     key: Vec<ProtKey>,
     mapped: Vec<bool>,
-    /// Pages some store reached: never blank again.
-    written: Vec<bool>,
     data: Vec<u8>,
 }
 
@@ -62,7 +57,6 @@ impl RefMem {
             pages,
             key: vec![ProtKey::DEFAULT; pages as usize],
             mapped: vec![false; pages as usize],
-            written: vec![false; pages as usize],
             data: vec![0u8; (pages as usize) * PAGE_SIZE],
         }
     }
@@ -114,23 +108,6 @@ impl RefMem {
         Ok(())
     }
 
-    fn store(&mut self, at: Addr, byte: u8) {
-        self.written[at.page_index() as usize] = true;
-        self.data[at.raw() as usize] = byte;
-    }
-
-    /// Mapped, readable and writable under `pkru`, and never stored to.
-    fn is_blank(&self, base: Addr, pages: u64, pkru: &Pkru) -> bool {
-        self.span(base, pages).is_ok_and(|mut span| {
-            span.all(|page| {
-                self.mapped[page]
-                    && !self.written[page]
-                    && pkru.allows(self.key[page], Access::Read)
-                    && pkru.allows(self.key[page], Access::Write)
-            })
-        })
-    }
-
     /// Per-byte page check with the production fault-addressing rule.
     fn check_byte(&self, at: Addr, range: Addr, pkru: &Pkru, kind: Access) -> Result<(), Fault> {
         let page = at.page_index();
@@ -167,21 +144,17 @@ impl RefMem {
         for (i, &byte) in buf.iter().enumerate() {
             let at = addr + i as u64;
             self.check_byte(at, addr, pkru, Access::Write)?;
-            self.store(at, byte);
+            self.data[at.raw() as usize] = byte;
         }
         Ok(())
     }
 
-    /// A zero fill of a page never stored to is no store: the page
-    /// already reads as zeros, and stays blank.
     fn fill(&mut self, addr: Addr, len: u64, byte: u8, pkru: &Pkru) -> Result<(), Fault> {
         self.bounds(addr, len)?;
         for i in 0..len {
             let at = addr + i;
             self.check_byte(at, addr, pkru, Access::Write)?;
-            if byte != 0 || self.written[at.page_index() as usize] {
-                self.store(at, byte);
-            }
+            self.data[at.raw() as usize] = byte;
         }
         Ok(())
     }
@@ -210,7 +183,7 @@ impl RefMem {
             self.check_byte(s, src, pkru, Access::Read)?;
             let byte = self.data[s.raw() as usize];
             self.check_byte(d, dst, pkru, Access::Write)?;
-            self.store(d, byte);
+            self.data[d.raw() as usize] = byte;
         }
         Ok(())
     }
@@ -469,7 +442,7 @@ const SPARSE_PAGES: u64 = 1280;
 /// Pages per leaf of `Memory`'s frame store.
 const LEAF_PAGES: u64 = 512;
 
-/// Maps a range on both sides and records it for replay on twins.
+/// Maps a range on both sides and records it in `maps`.
 fn map_both(
     (mem, refm, maps): (&mut Memory, &mut RefMem, &mut Vec<(Addr, u64, ProtKey)>),
     base: Addr,
@@ -504,7 +477,7 @@ fn sparse_addr(rng: &mut Rng, maps: &[(Addr, u64, ProtKey)]) -> Addr {
 fn sparse_layouts_mapped_between_accesses_match_the_reference() {
     let page = PAGE_SIZE as u64;
     let mut rng = Rng::new(0x5BA2_5E00);
-    let (mut grown, mut crossed, mut blank, mut restored) = (0, 0, 0, 0);
+    let (mut grown, mut crossed) = (0, 0);
     for case in 0..48 {
         let mut mem = Memory::new(SPARSE_PAGES * page);
         let mut refm = RefMem::new(SPARSE_PAGES);
@@ -541,7 +514,7 @@ fn sparse_layouts_mapped_between_accesses_match_the_reference() {
                 len > 0
                     && addr.page_index() / LEAF_PAGES != (addr.raw() + len - 1) / page / LEAF_PAGES
             };
-            match rng.range(0, 8) {
+            match rng.range(0, 6) {
                 0 => {
                     // Half the maps land above everything mapped so far,
                     // a quarter across a leaf boundary.
@@ -587,7 +560,7 @@ fn sparse_layouts_mapped_between_accesses_match_the_reference() {
                     assert_eq!(result, refm.fill(addr, len, byte, &pkru), "{what}: fill");
                     crossed += usize::from(result.is_ok() && byte != 0 && crosses(len));
                 }
-                5 => {
+                _ => {
                     let len = len.min(2 * page);
                     let dst = sparse_addr(&mut rng, &maps);
                     if addr.raw() + len <= dst.raw() || dst.raw() + len <= addr.raw() {
@@ -595,53 +568,15 @@ fn sparse_layouts_mapped_between_accesses_match_the_reference() {
                         assert_eq!(result, refm.copy(addr, dst, len, &pkru), "{what}: copy");
                     }
                 }
-                6 => {
-                    let pages = rng.range(1, 8);
-                    let got = mem.is_blank(addr, pages, &pkru);
-                    assert_eq!(got, refm.is_blank(addr, pages, &pkru), "{what}: is_blank");
-                    blank += usize::from(got);
-                }
-                _ => {
-                    // Capture a range that may span leaves and restore it
-                    // onto a twin with the same mappings and nothing
-                    // written: the twin then holds the reference's bytes
-                    // inside the range, and stays blank outside it and
-                    // on every page the reference holds only zeros on.
-                    let (base, pages) = (Addr::new(addr.page_index() * page), rng.range(1, 700));
-                    let image = mem.capture(base, pages);
-                    let mut twin = Memory::new(SPARSE_PAGES * page);
-                    for &(b, p, k) in &maps {
-                        twin.map(b, p, k).unwrap();
-                    }
-                    twin.restore(&image);
-                    assert_eq!(twin.capture(base, pages), image, "{what}: recapture");
-                    let range = base.page_index()..base.page_index() + pages;
-                    for p in (0..SPARSE_PAGES).filter(|&p| refm.mapped[p as usize]) {
-                        let at = Addr::new(p * page);
-                        let bytes = &refm.dump()[(p * page) as usize..((p + 1) * page) as usize];
-                        let zero = bytes.iter().all(|&b| b == 0);
-                        let inside = range.contains(&p);
-                        assert_eq!(
-                            twin.is_blank(at, 1, &Pkru::ALL_ACCESS),
-                            !inside || zero,
-                            "{what}: page {p} blank after restore"
-                        );
-                        if inside {
-                            let read = twin.read_vec(at, page, &Pkru::ALL_ACCESS).unwrap();
-                            assert_eq!(read, bytes, "{what}: page {p} restored bytes");
-                            restored += usize::from(!zero);
-                        }
-                    }
-                }
             }
         }
         assert_same_content(&mem, &refm, &format!("case {case}: final"));
     }
-    // The stream really grew the tables after frames existed, wrote
-    // across leaf boundaries, met blank ranges and restored bytes.
+    // The stream really grew the tables after frames existed and wrote
+    // across leaf boundaries.
     assert!(
-        grown > 50 && crossed > 10 && blank > 50 && restored > 50,
-        "grown {grown}, crossed {crossed}, blank {blank}, restored {restored}"
+        grown > 50 && crossed > 10,
+        "grown {grown}, crossed {crossed}"
     );
 }
 

@@ -51,15 +51,19 @@
 //! so it holds every lazy classification and Pareto level by value.
 //!
 //! `faultinject_default.log` is the stdout of `flexos_faultinject` (the
-//! default campaign; its digest is the one CI prints). The two
+//! default campaign; its digest is the one CI prints). The
 //! `trace_*.txt` files hold the Chrome-trace digest, the profile digest
 //! and the `metrics_json` text of a traced run: the default campaign
 //! under `flexos_faultinject --trace PATH --metrics PATH`, and the
-//! canonical run of `tests/common/traced.rs`. They pin every budget
-//! charge, refusal and window-reset event those runs record. All three
-//! were recorded at the commit *before* the budget ledger became one
-//! module; after an intended change, write `trace_text`'s output over
-//! the file.
+//! binaries' canonical run (`flexos_bench::cli::run_traced_canonical`)
+//! at the 50/200 counts of `tests/common/traced.rs` and at the 15/60 of
+//! `FIG6_WARMUP=15 FIG6_MEASURED=60 fig06 redis --trace PATH --metrics
+//! PATH`. They pin every budget charge, refusal and window-reset event
+//! those runs record. The log and the first two were recorded at the
+//! commit *before* the budget ledger became one module, the 15/60 file
+//! from `fig06`'s stderr digests and metrics file at the commit before
+//! its test was added; after an intended change, write `trace_text`'s
+//! output over the file.
 
 use std::fmt::Write as _;
 
@@ -97,12 +101,12 @@ fn assert_same(name: &str, got: &str, want: &str) {
 fn figure_6_redis_and_nginx_match_the_recorded_output() {
     assert_same(
         "fig06 redis",
-        &fig06_text("redis", FIG_COUNTS).unwrap(),
+        &fig06_text("redis", FIG_COUNTS, SWEEP_THREADS).unwrap(),
         include_str!("data/fig06_redis_w15_m60.out"),
     );
     assert_same(
         "fig06 nginx",
-        &fig06_text("nginx", FIG_COUNTS).unwrap(),
+        &fig06_text("nginx", FIG_COUNTS, SWEEP_THREADS).unwrap(),
         include_str!("data/fig06_nginx_w15_m60.out"),
     );
 }
@@ -111,12 +115,12 @@ fn figure_6_redis_and_nginx_match_the_recorded_output() {
 fn figures_7_and_8_match_the_recorded_output() {
     assert_same(
         "fig07",
-        &fig07_text(FIG_COUNTS).unwrap(),
+        &fig07_text(FIG_COUNTS, SWEEP_THREADS).unwrap(),
         include_str!("data/fig07_w15_m60.out"),
     );
     assert_same(
         "fig08",
-        &fig08_text(500_000.0, FIG_COUNTS).unwrap(),
+        &fig08_text(500_000.0, FIG_COUNTS, SWEEP_THREADS).unwrap(),
         include_str!("data/fig08_w15_m60.out"),
     );
 }
@@ -444,10 +448,10 @@ fn fingerprint(r: &engine::PointResult) -> u16 {
 
 #[test]
 fn every_redis_point_of_the_full_space_matches_its_pinned_fingerprint() {
-    // 4 800 Redis points, keyspaces 3 and 1024, on one thread: the
-    // keyspace-1024 ones recorded once per heap state and replayed after,
-    // every one held to the result the benchmark pinned before templates
-    // existed. A debug build takes a stride of them.
+    // 4 800 Redis points, keyspaces 3 and 1024, on one thread: the first
+    // point of each hardening class simulated, keyspace preload and all,
+    // the others priced from it, every one held to the result the
+    // benchmark pinned. A debug build takes a stride of them.
     let spec = SpaceSpec::full(SWEEP_COUNTS.0, SWEEP_COUNTS.1);
     let pinned = full_space_fingerprints();
     assert_eq!(pinned.len(), spec.len(), "one fingerprint per point");
@@ -517,5 +521,13 @@ fn canonical_traced_run_matches_the_recorded_digests_and_metrics() {
         "traced_run",
         &trace_text(&os),
         include_str!("data/trace_redis_mpk2.txt"),
+    );
+    // The same run at the counts CI's trace-determinism step gives
+    // `fig06 redis --trace --metrics`.
+    let (os, _) = flexos_bench::cli::run_traced_canonical(FIG_COUNTS).unwrap();
+    assert_same(
+        "fig06 redis --trace --metrics",
+        &trace_text(&os),
+        include_str!("data/trace_fig06_w15_m60.txt"),
     );
 }

@@ -25,7 +25,6 @@ use std::rc::Rc;
 
 use flexos::prelude::*;
 use flexos_alloc::{Heap, HeapState};
-use flexos_apps::redis::KeyspacePreload;
 use flexos_apps::workloads::{preload_keyspace, run_redis_bench, RedisBench};
 use flexos_apps::RedisServer;
 use flexos_core::compartment::DataSharing;
@@ -868,11 +867,11 @@ fn assert_same_preload(
     }
 }
 
-/// What a template is keyed on beyond the keyspace and the (default)
-/// cost model, read off an image with Redis installed: the redis heap's
+/// What a keyspace preload reads of an image with Redis installed,
+/// beyond the keyspace and the (default) cost model: the redis heap's
 /// whole state, which fixes where the dict sits, and redis's hardening.
-/// The heap's region is the same in every image of these spaces.
-fn template_key(point: &SweepPoint) -> (HeapState, Hardening) {
+/// The heap's region is the same in every image of `full`.
+fn redis_heap_key(point: &SweepPoint) -> (HeapState, Hardening) {
     let (os, server) = redis_image(&point.config, 1, 0);
     let state = redis_heap(&os, &server).borrow().state().clone();
     (state, point.config.hardening_of("redis"))
@@ -880,21 +879,17 @@ fn template_key(point: &SweepPoint) -> (HeapState, Hardening) {
 
 #[test]
 fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
-    // Every Redis-1024 sweep point preloads the same 1024 keys into a
-    // redis heap in one of a handful of states, so the first preload into
-    // each state is recorded and later ones replay it. A replay must be
-    // the preload: on twin images, one preloaded key by key through
-    // single-pair `RedisServer::preload`s, one by the call that records
-    // the template and one by the call that replays it must agree on every
+    // `preload_keyspace` renders every key into one buffer and makes one
+    // `RedisServer::preload` call. It must be the preload: on twin
+    // images, one preloaded key by key through single-pair
+    // `RedisServer::preload`s and one by the call must agree on every
     // clock, the heap's whole state, every byte of its region, every
-    // key's bucket and the benchmark loop run next. Both calls stay one
+    // key's bucket and the benchmark loop run next. The call stays one
     // call's worth of host allocations (per key, the preload was a
     // `format!` and a call: 1169–1204 allocator calls).
     //
-    // Covered: every template key of the Redis-1024 shapes of `full`, a
-    // stride of `full-profiled`'s (they differ from `full`'s only in the
-    // profiles of compartments redis does not live in, and must land on
-    // the same keys), and one 2-core image preloading on core 1.
+    // Covered: one image for each redis-heap state the Redis-1024 shapes
+    // of `full` reach, and one 2-core image preloading on core 1.
     let redis_1024 = Workload::RedisGet {
         keyspace: KEYSPACE as u32,
         pipeline: 1,
@@ -903,7 +898,7 @@ fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
     let mut keys: Vec<((HeapState, Hardening), SweepPoint)> = Vec::new();
     for i in (0..full.len()).filter(|&i| full.shape(i).workload == redis_1024) {
         let point = full.point(i);
-        let key = template_key(&point);
+        let key = redis_heap_key(&point);
         if !keys.iter().any(|(k, _)| *k == key) {
             keys.push((key, point));
         }
@@ -913,83 +908,39 @@ fn keyspace_preload_is_one_call_that_simulates_one_preload_per_key() {
         6,
         "TLSF or Lea × KASan heap or not × hardened redis or not"
     );
-    let profiled = SpaceSpec::full_profiled(0, 0);
-    let mut sampled = 0;
-    for i in (0..profiled.len()).step_by(97) {
-        if profiled.shape(i).workload == redis_1024 {
-            let point = profiled.point(i);
-            let key = template_key(&point);
-            assert!(keys.iter().any(|(k, _)| *k == key), "{point}: a new key");
-            sampled += 1;
-        }
-    }
-    assert!(sampled > 100, "{sampled} full-profiled points sampled");
 
     let first = keys[0].1.clone();
     let cases = keys
         .into_iter()
         .map(|(_, point)| (point, 1, 0))
-        .chain([(first.clone(), 2, 1)]);
+        .chain([(first, 2, 1)]);
     for (point, cores, core) in cases {
         let label = format!("{point} at {cores} cores");
-        let images: [_; 3] = std::array::from_fn(|_| redis_image(&point.config, cores, core));
-        let [recorded, replayed, twin] = &images;
-        let (first, _, calls) = cost_of(|| preload_keyspace(&recorded.1, KEYSPACE).unwrap());
+        let images: [_; 2] = std::array::from_fn(|_| redis_image(&point.config, cores, core));
+        let [preloaded, twin] = &images;
+        let ((), _, calls) = cost_of(|| preload_keyspace(&preloaded.1, KEYSPACE).unwrap());
         assert!(
             calls < 256,
-            "{label}: recording made {calls} allocator calls"
+            "{label}: the preload made {calls} allocator calls"
         );
-        assert_ne!(first, KeyspacePreload::Simulated, "{label}: recorded");
-        let (second, _, calls) = cost_of(|| preload_keyspace(&replayed.1, KEYSPACE).unwrap());
-        assert!(
-            calls < 256,
-            "{label}: replaying made {calls} allocator calls"
-        );
-        assert_eq!(second, KeyspacePreload::Replayed, "{label}: replayed");
         preload_key_by_key(&twin.1);
-        let [clocks_recorded, clocks_replayed, clocks_twin] =
-            images.each_ref().map(|(os, _)| core_clocks(os));
-        assert_eq!(clocks_recorded, clocks_twin, "{label}: recorded clocks");
-        assert_eq!(clocks_replayed, clocks_twin, "{label}: replayed clocks");
-        assert_same_preload(&format!("{label}, recorded"), recorded, twin);
-        assert_same_preload(&format!("{label}, replayed"), replayed, twin);
+        assert_eq!(
+            core_clocks(&preloaded.0),
+            core_clocks(&twin.0),
+            "{label}: clocks"
+        );
+        assert_same_preload(&label, preloaded, twin);
         let bench = RedisBench {
             keyspace: KEYSPACE,
             warmup: 4,
             measured: 16,
             ..RedisBench::default()
         };
-        let [a, b, c] = images
+        let [a, b] = images
             .each_ref()
             .map(|(os, _)| run_redis_bench(os, bench).unwrap());
-        assert_eq!((a, b), (c, c), "{label}: the benchmark loop run next");
+        assert_eq!(a, b, "{label}: the benchmark loop run next");
     }
-
-    // A heap region written to outside any recorded run is not blank,
-    // whatever the heap's state: the preload is simulated, and matches a
-    // twin preloaded key by key over the same stray bytes (which the
-    // first key block only partly overwrites).
-    let label = format!("{first} with stray bytes");
-    let images: [_; 2] = std::array::from_fn(|_| {
-        let (os, server) = redis_image(&first.config, 1, 0);
-        let at = redis_heap(&os, &server).borrow().region().base() + (512 << 10);
-        os.env
-            .machine()
-            .memory_mut()
-            .write(at, &[0xAB; 32], &Pkru::ALL_ACCESS)
-            .unwrap();
-        (os, server)
-    });
-    let [stray, twin] = &images;
-    let path = preload_keyspace(&stray.1, KEYSPACE).unwrap();
-    assert_eq!(path, KeyspacePreload::Simulated, "{label}");
-    preload_key_by_key(&twin.1);
-    assert_eq!(
-        core_clocks(&stray.0),
-        core_clocks(&twin.0),
-        "{label}: clocks"
-    );
-    assert_same_preload(&label, stray, twin);
 }
 
 /// `key:0..KEYSPACE` as 1024 single-pair preloads, in key order.
