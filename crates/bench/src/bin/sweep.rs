@@ -32,9 +32,9 @@
 //! the space's simulated-core axis: every shape is swept once per core
 //! count, cores-major, each instance booted on that many simulated
 //! vCPUs. `--threads N` must be at least 1 — a zero-worker sweep is a
-//! usage error, not an empty run. `--progress` prints periodic
-//! classification progress (with an ETA) to stderr; `--quiet` silences
-//! all stderr narration, including it.
+//! usage error, not an empty run. `--progress` (lazy mode only, a usage
+//! error without `--lazy`) prints periodic classification progress with
+//! an ETA to stderr; `--quiet` silences all stderr narration, with it.
 //!
 //! Environment: `SWEEP_THREADS` (the `--threads` default, at least 1),
 //! `SWEEP_WARMUP` / `SWEEP_MEASURED` (per-point operation
@@ -153,6 +153,11 @@ fn parse_args(raw: Vec<String>, threads: usize) -> Result<Args, CliError> {
         return Err(usage(
             "--verify is the exhaustive serial reference; with --lazy use --verify-inference"
                 .to_string(),
+        ));
+    }
+    if args.progress && !args.lazy {
+        return Err(usage(
+            "--progress reports lazy classification — add --lazy".into(),
         ));
     }
     if args.lazy && args.csv.is_some() {
@@ -372,7 +377,7 @@ fn run_exhaustive(
     };
 
     let points: Vec<_> = spec.points().collect();
-    let (poset, stars) = report::star_report_vec(&points, &results, &budgets);
+    let (_, stars) = report::star_report_vec(&points, &results, &budgets);
     if !args.quiet {
         eprintln!(
             "budget {:.0}% of per-workload best ({} override(s)): {} survive, {} pruned, \
@@ -385,11 +390,7 @@ fn run_exhaustive(
         );
         for &s in stars.stars.iter().take(12) {
             let r = &results[s];
-            eprintln!(
-                "  * {:>10}  {}",
-                fmt_rate(r.ops_per_sec),
-                poset.node(s).label
-            );
+            eprintln!("  * {:>10}  {}", fmt_rate(r.ops_per_sec), spec.label_of(s));
         }
         if stars.stars.len() > 12 {
             eprintln!("  ... and {} more", stars.stars.len() - 12);
@@ -518,6 +519,7 @@ mod tests {
             (&["--cores", "1,0"][..], "--cores"),
             (&["--cores", "1,2,1"][..], "--cores"),
             (&["--space", "full-profiled"][..], "--lazy"),
+            (&["--progress"][..], "--lazy"),
             (&["--csv"][..], "--csv"),
             (&["extra"][..], "`extra`"),
         ] {

@@ -32,7 +32,7 @@ pub mod cli;
 pub mod fig10;
 pub(crate) mod figures;
 
-use flexos_explore::{prune_and_star, ConfigNode, Poset};
+use flexos_explore::{prune_and_star_by, Poset};
 use flexos_machine::fault::Fault;
 use flexos_sweep::{run_parallel, sweep_leq, SpaceSpec, SweepPoint};
 
@@ -145,25 +145,21 @@ pub fn fig07_text(counts: (u64, u64), threads: usize) -> Result<String, Fault> {
 /// the partial-order axioms.
 pub fn fig08_text(budget: f64, counts: (u64, u64), threads: usize) -> Result<String, Fault> {
     let (space, perf) = run_fig6_sweep("redis", counts, threads)?;
-    let nodes = space
-        .iter()
-        .zip(&perf)
-        .map(|(point, &performance)| ConfigNode {
-            index: point.index,
-            label: fig6_label(point),
-            performance,
-        })
-        .collect();
-    let poset = Poset::new(nodes, |a, b| sweep_leq(&space[a], &space[b]));
+    let poset = Poset::new(perf, |a, b| sweep_leq(&space[a], &space[b]));
     poset
         .check_axioms()
         .map_err(|reason| Fault::InvalidConfig { reason })?;
-    let report = prune_and_star(&poset, budget);
+    let report = prune_and_star_by(&poset, |_| budget);
     let stars: String = report
         .stars
         .iter()
-        .map(|&s| poset.node(s))
-        .map(|n| format!("  * {:>10}  {}\n", fmt_rate(n.performance), n.label))
+        .map(|&s| {
+            format!(
+                "  * {:>10}  {}\n",
+                fmt_rate(poset.performance(s)),
+                fig6_label(&space[s])
+            )
+        })
         .collect();
     Ok(format!(
         "# Figure 8: partial safety ordering on the Redis numbers\n\

@@ -24,22 +24,30 @@ impl StarReport {
     }
 }
 
-/// Prunes `poset` under `budget` and stars the safest survivors.
-pub fn prune_and_star(poset: &Poset, budget: f64) -> StarReport {
-    prune_and_star_by(poset, |_| budget)
+/// Prunes `poset` under a *per-node* budget and stars the safest
+/// survivors: node `i` survives when its performance meets
+/// `budget_of(i)`. A uniform budget is `|_| budget`; one fractional
+/// budget per workload group, each applied to the nodes driving that
+/// workload, is the budget **vector** over heterogeneous spaces. The
+/// stars are [`maximal_among`] the survivors.
+pub fn prune_and_star_by(poset: &Poset<'_>, budget_of: impl Fn(usize) -> f64) -> StarReport {
+    let surviving: Vec<usize> = (0..poset.len())
+        .filter(|&i| poset.performance(i) >= budget_of(i))
+        .collect();
+    let stars = maximal_among(&surviving, |a, b| poset.leq(a, b));
+    StarReport { surviving, stars }
 }
 
-/// [`prune_and_star`] with a *per-node* budget: node `i` survives when
-/// its performance meets `budget_of(i)`. This is the primitive behind
-/// budget **vectors** over heterogeneous spaces — one fractional budget
-/// per workload group, each applied to the nodes driving that workload
-/// — while star extraction stays the stock maximal-element computation.
-pub fn prune_and_star_by(poset: &Poset, budget_of: impl Fn(usize) -> f64) -> StarReport {
-    let surviving: Vec<usize> = (0..poset.len())
-        .filter(|&i| poset.node(i).performance >= budget_of(i))
-        .collect();
-    let stars = poset.maximal_among(&surviving);
-    StarReport { surviving, stars }
+/// The elements of `keep` no other element of `keep` lies strictly
+/// above under `leq`, in `keep`'s order — the Figure 8 stars when
+/// `keep` is the budget-satisfying set. `leq` is called on pairs of
+/// `keep` only, so the cost is `O(|keep|²)` comparisons whatever the
+/// size of the space around it.
+pub fn maximal_among(keep: &[usize], leq: impl Fn(usize, usize) -> bool) -> Vec<usize> {
+    keep.iter()
+        .copied()
+        .filter(|&a| !keep.iter().any(|&b| a != b && leq(a, b)))
+        .collect()
 }
 
 /// Budget status of one node during a lazy classification.
@@ -222,23 +230,14 @@ mod tests {
     /// The subset lattice over `perf.len()` bitmask nodes, labelled
     /// with `perf` (the order-specific star tests live with the §5
     /// order itself, in `flexos_sweep::report`).
-    fn lattice(perf: &[f64]) -> Poset {
-        let nodes = perf
-            .iter()
-            .enumerate()
-            .map(|(index, &performance)| crate::poset::ConfigNode {
-                index,
-                label: format!("{index:#b}"),
-                performance,
-            })
-            .collect();
-        Poset::new(nodes, subset)
+    fn lattice(perf: &[f64]) -> Poset<'static> {
+        Poset::new(perf.to_vec(), subset)
     }
 
     #[test]
     fn zero_budget_keeps_everything() {
         let poset = lattice(&[1.0; 64]);
-        let report = prune_and_star(&poset, 0.0);
+        let report = prune_and_star_by(&poset, |_| 0.0);
         assert_eq!(report.surviving.len(), 64);
         // With uniform performance the only maximal element is the global
         // maximum of the order.
@@ -248,7 +247,7 @@ mod tests {
     #[test]
     fn impossible_budget_stars_nothing() {
         let poset = lattice(&[1.0; 64]);
-        let report = prune_and_star(&poset, 2.0);
+        let report = prune_and_star_by(&poset, |_| 2.0);
         assert!(report.stars.is_empty());
         assert_eq!(report.pruned(64), 64);
     }
@@ -264,11 +263,6 @@ mod tests {
         }
         assert!(report.surviving.contains(&11));
         assert!(!report.surviving.contains(&8));
-        // The uniform wrapper is the constant-vector special case.
-        let uniform = prune_and_star(&poset, 40.0);
-        let by = prune_and_star_by(&poset, |_| 40.0);
-        assert_eq!(uniform.surviving, by.surviving);
-        assert_eq!(uniform.stars, by.stars);
     }
 
     /// The divisibility order on 1..=n: a rich poset with known chains.

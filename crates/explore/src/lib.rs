@@ -17,8 +17,8 @@
 //! that satisfy the budget (Figure 8 stars).
 //!
 //! This crate holds the space-independent half: the Figure 6 axis types
-//! and the one config builder (`space`), the poset (`poset`), and
-//! the budget / chain-cover / lazy-classification maths (`budget`).
+//! and the one config builder (`space`), the poset view (`poset`), and
+//! the budget / star / chain-cover / lazy-classification maths (`budget`).
 //! The order itself (`sweep_leq`) and the spaces it runs on — Figure 6
 //! is `SpaceSpec::fig6` — live in `flexos_sweep`.
 
@@ -27,8 +27,8 @@ mod poset;
 mod space;
 
 pub use budget::{
-    chain_cover, lazy_classify, minimal_among, prune_and_star, prune_and_star_by, PointStatus,
+    chain_cover, lazy_classify, maximal_among, minimal_among, prune_and_star_by, PointStatus,
     StarReport,
 };
-pub use poset::{ConfigNode, Poset};
+pub use poset::Poset;
 pub use space::{assigned_config, Strategy};

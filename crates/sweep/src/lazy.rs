@@ -40,7 +40,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use flexos_explore::{chain_cover, lazy_classify, minimal_among, PointStatus};
+use flexos_explore::{chain_cover, lazy_classify, maximal_among, minimal_among, PointStatus};
 use flexos_machine::fault::Fault;
 
 use crate::engine::{run_indices, PointResult};
@@ -307,22 +307,18 @@ fn classify_all(
     Ok(rep_status)
 }
 
-/// Stars of one scope under `rep_status`: surviving representatives
-/// with no surviving representative strictly above, in ascending
-/// spec-index order — the per-scope restriction of
-/// [`Poset::maximal_among`](flexos_explore::Poset::maximal_among)
-/// (cross-scope points are incomparable, so the union over scopes is
-/// the global star set).
+/// Stars of one scope under `rep_status`: the surviving
+/// representatives [`maximal_among`] the scope's survivors, as spec
+/// indices in ascending order (cross-scope points are incomparable, so
+/// the union over scopes is the global star set).
 fn stars_of(ctx: &Ctx<'_>, scope: &Scope, rep_status: &[PointStatus]) -> Vec<usize> {
     let ids = &scope.reps;
     let leq = |a: usize, b: usize| ctx.rep_key[ids[a]].leq(&ctx.rep_key[ids[b]]);
     let surviving: Vec<usize> = (0..ids.len())
         .filter(|&l| rep_status[ids[l]] == PointStatus::Survives)
         .collect();
-    surviving
-        .iter()
-        .copied()
-        .filter(|&a| !surviving.iter().any(|&b| a != b && leq(a, b)))
+    maximal_among(&surviving, leq)
+        .into_iter()
         .map(|l| ctx.rep_spec_index[ids[l]])
         .collect()
 }

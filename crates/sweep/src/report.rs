@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::Mechanism;
-use flexos_explore::{prune_and_star_by, ConfigNode, Poset, StarReport, Strategy};
+use flexos_explore::{prune_and_star_by, Poset, StarReport, Strategy};
 
 use crate::engine::PointResult;
 use crate::space::{PointShape, SweepPoint, Workload};
@@ -155,7 +155,8 @@ pub fn sweep_leq(a: &SweepPoint, b: &SweepPoint) -> bool {
 }
 
 /// [`sweep_leq`] over `points` by index, each point's key built once
-/// rather than twice per pair: the form the O(n²) callers use.
+/// rather than twice per comparison: the form the poset and the edge
+/// list use.
 fn indexed_leq(points: &[SweepPoint]) -> impl Fn(usize, usize) -> bool + '_ {
     let keys: Vec<OrderKey> = points.iter().map(|p| OrderKey::from(&p.shape)).collect();
     move |a, b| keys[a].leq(&keys[b]) && budget_leq(&points[a], &points[b])
@@ -207,28 +208,25 @@ pub fn sweep_order_pairs(points: &[SweepPoint]) -> Vec<(usize, usize)> {
 /// Builds the poset over measured sweep points. Node performance is
 /// the point's metric normalized to its workload group's maximum, so a
 /// single fractional budget applies across heterogeneous workloads.
+/// The order is [`sweep_leq`] over `points`, each point's key built
+/// once here and compared only where the poset is asked.
 ///
 /// # Panics
 ///
 /// Panics if `results.len() != points.len()`.
-pub fn sweep_poset(points: &[SweepPoint], results: &[PointResult]) -> Poset {
+pub fn sweep_poset<'a>(points: &'a [SweepPoint], results: &[PointResult]) -> Poset<'a> {
     assert_eq!(points.len(), results.len(), "one result per point");
     let mut group_max: HashMap<Workload, f64> = HashMap::new();
     for (p, r) in points.iter().zip(results) {
         let best = group_max.entry(p.workload).or_insert(f64::MIN);
         *best = best.max(r.ops_per_sec);
     }
-    let nodes = points
+    let performance = points
         .iter()
         .zip(results)
-        .enumerate()
-        .map(|(i, (p, r))| ConfigNode {
-            index: i,
-            label: p.to_string(),
-            performance: r.ops_per_sec / group_max[&p.workload],
-        })
+        .map(|(p, r)| r.ops_per_sec / group_max[&p.workload])
         .collect();
-    Poset::new(nodes, indexed_leq(points))
+    Poset::new(performance, indexed_leq(points))
 }
 
 /// A per-workload budget *vector*: one fractional budget per workload
@@ -279,11 +277,11 @@ impl BudgetVector {
 /// # Panics
 ///
 /// Panics if `results.len() != points.len()`.
-pub fn star_report_vec(
-    points: &[SweepPoint],
+pub fn star_report_vec<'a>(
+    points: &'a [SweepPoint],
     results: &[PointResult],
     budgets: &BudgetVector,
-) -> (Poset, StarReport) {
+) -> (Poset<'a>, StarReport) {
     let poset = sweep_poset(points, results);
     let report = prune_and_star_by(&poset, |i| budgets.budget_for(points[i].workload));
     (poset, report)
@@ -293,8 +291,8 @@ pub fn star_report_vec(
 mod tests {
     use super::*;
     use crate::space::{SpaceSpec, Workload};
-    use flexos_core::compartment::DataSharing;
-    use flexos_explore::Strategy;
+    use flexos_core::compartment::{DataSharing, ResourceBudget};
+    use flexos_explore::{maximal_among, Strategy};
 
     fn points_of(spec: &SpaceSpec) -> Vec<SweepPoint> {
         spec.points().collect()
@@ -361,7 +359,7 @@ mod tests {
                                // The fully hardened three-way split (last point) is the one
                                // maximum; the unsplit, unhardened point 0 is below it.
         let all: Vec<usize> = (0..p.len()).collect();
-        assert_eq!(p.maximal_among(&all), vec![p.len() - 1]);
+        assert_eq!(maximal_among(&all, |a, b| p.leq(a, b)), vec![p.len() - 1]);
         assert!(p.lt(0, p.len() - 1));
         // Cover edges never skip levels: a < c < b excluded by def.
         let edges = p.cover_edges();
@@ -547,7 +545,7 @@ mod tests {
         assert!(!report.stars.is_empty());
         for &s in &report.surviving {
             let needed = budgets.budget_for(points[s].workload);
-            assert!(poset.node(s).performance >= needed, "survivor {s}");
+            assert!(poset.performance(s) >= needed, "survivor {s}");
         }
         // The strict workload must lose survivors relative to a uniform
         // 0.5 budget; the lenient ones must keep exactly theirs.
@@ -567,19 +565,56 @@ mod tests {
 
     #[test]
     fn stars_meet_the_fractional_budget_and_are_maximal() {
-        for spec in order_specs() {
-            let points = points_of(&spec);
+        // Both order specs whole, and a seeded 1 000-point stride of
+        // `full` (multi-workload, mechanism and sharing axes live).
+        let full = SpaceSpec::full(1, 4);
+        let step = full.len() / 1000;
+        let stride: Vec<SweepPoint> = (0..1000)
+            .map(|k| full.point(0x5eed % step + k * step))
+            .collect();
+        let inputs = order_specs().map(|spec| points_of(&spec));
+        for points in inputs.into_iter().chain([stride]) {
             let results = synthetic_results(&points);
             let (poset, report) = star_report_vec(&points, &results, &BudgetVector::uniform(0.8));
             assert!(!report.stars.is_empty());
             assert!(report.pruned(points.len()) > 0, "budget must bite");
             for &s in &report.stars {
-                assert!(poset.node(s).performance >= 0.8);
-                for &o in &report.surviving {
-                    assert!(!poset.lt(s, o), "star {s} dominated by survivor {o}");
-                }
+                assert!(poset.performance(s) >= 0.8 && report.surviving.contains(&s));
+            }
+            // Stars are exactly the survivors no survivor lies above.
+            for &s in &report.surviving {
+                let dominated = report.surviving.iter().any(|&o| poset.lt(s, o));
+                assert_eq!(report.stars.contains(&s), !dominated, "survivor {s}");
             }
         }
+    }
+
+    #[test]
+    fn limited_budgets_sit_above_unlimited_and_reach_the_star_report() {
+        // One point in three copies that differ only in their resource
+        // budget: unlimited, and two distinct finite limits.
+        let base = points_of(&SpaceSpec::quick(1, 4)).swap_remove(0);
+        let limited = |cycles| {
+            let mut p = base.clone();
+            p.config.default_budget = Some(ResourceBudget {
+                cycles: Some(cycles),
+                ..ResourceBudget::UNLIMITED
+            });
+            p
+        };
+        let (unlimited, low, high) = (base.clone(), limited(1 << 20), limited(1 << 30));
+        assert!(budget_leq(&unlimited, &low) && !budget_leq(&low, &unlimited));
+        assert!(!budget_leq(&low, &high) && !budget_leq(&high, &low));
+        // Equal performance, so the order alone decides the stars. The
+        // keyed comparison must keep the budget dimension: without it
+        // each copy would knock the other out and nothing would star.
+        let budget = BudgetVector::uniform(0.5);
+        let stars = |points: &[SweepPoint]| {
+            let (_, report) = star_report_vec(points, &synthetic_results(points), &budget);
+            report.stars
+        };
+        assert_eq!(stars(&[low.clone(), high]), vec![0, 1]);
+        assert_eq!(stars(&[unlimited, low]), vec![1]);
     }
 
     #[test]
@@ -594,7 +629,7 @@ mod tests {
         ] {
             let best = (0..points.len())
                 .filter(|&i| points[i].workload == w)
-                .map(|i| poset.node(i).performance)
+                .map(|i| poset.performance(i))
                 .fold(f64::MIN, f64::max);
             assert!((best - 1.0).abs() < 1e-12);
         }

@@ -114,7 +114,8 @@ pub struct SpaceSpec {
     /// are don't-cares: distinct indices can then decode to the same
     /// canonical experiment, which the engine's measurement memo
     /// collapses (such a space must be explored lazily, never through
-    /// the dense poset — duplicates would break antisymmetry).
+    /// the exhaustive star report — duplicates would break
+    /// antisymmetry).
     pub per_compartment_profiles: bool,
     /// Operations (requests / KiB) driven before measurement, per point.
     pub warmup: u64,

@@ -9,7 +9,7 @@
 
 use flexos::prelude::*;
 use flexos_bench::fig6_label;
-use flexos_explore::{prune_and_star, ConfigNode, Poset, Strategy};
+use flexos_explore::{prune_and_star_by, Poset, Strategy};
 use flexos_sweep::{run_parallel, sweep_leq, SpaceSpec};
 
 fn main() -> Result<(), Fault> {
@@ -24,18 +24,14 @@ fn main() -> Result<(), Fault> {
     spec.strategies = vec![Strategy::Together, Strategy::SplitLwip];
     println!("measuring {} configurations...", spec.len());
     let slice: Vec<_> = spec.points().collect();
-    let nodes = run_parallel(&spec, 1)?
+    let perf: Vec<f64> = run_parallel(&spec, 1)?
         .iter()
-        .map(|r| ConfigNode {
-            index: r.index,
-            label: fig6_label(&slice[r.index]),
-            performance: r.ops_per_sec,
-        })
+        .map(|r| r.ops_per_sec)
         .collect();
 
-    let poset = Poset::new(nodes, |a, b| sweep_leq(&slice[a], &slice[b]));
+    let poset = Poset::new(perf, |a, b| sweep_leq(&slice[a], &slice[b]));
     poset.check_axioms().expect("sound partial order");
-    let report = prune_and_star(&poset, budget);
+    let report = prune_and_star_by(&poset, |_| budget);
 
     println!(
         "\nbudget {:.0} req/s: {} survive, {} pruned, {} starred",
@@ -47,8 +43,8 @@ fn main() -> Result<(), Fault> {
     for &s in &report.stars {
         println!(
             "  * {:>9.0} req/s  {}",
-            poset.node(s).performance,
-            poset.node(s).label
+            poset.performance(s),
+            fig6_label(&slice[s])
         );
     }
     println!("\npick any star: it is a safest-available configuration at this budget.");

@@ -10,7 +10,7 @@ mod common;
 
 use flexos::prelude::*;
 use flexos_alloc::{lea::Lea, tlsf::Tlsf, RegionAlloc};
-use flexos_explore::{ConfigNode, Poset};
+use flexos_explore::{maximal_among, Poset};
 use flexos_machine::addr::Addr;
 use flexos_machine::key::{Access, Pkru, ProtKey};
 use flexos_machine::mem::Memory;
@@ -223,15 +223,10 @@ fn poset_axioms_hold_on_random_subsets() {
     let space: Vec<_> = flexos_sweep::SpaceSpec::fig6("redis", 1, 1)
         .points()
         .collect();
-    let nodes = space
-        .iter()
-        .map(|p| ConfigNode {
-            index: p.index,
-            label: p.to_string(),
-            performance: (p.index * 13 % 97) as f64,
-        })
-        .collect();
-    let poset = Poset::new(nodes, |a, b| flexos_sweep::sweep_leq(&space[a], &space[b]));
+    let performance = space.iter().map(|p| (p.index * 13 % 97) as f64).collect();
+    let poset = Poset::new(performance, |a, b| {
+        flexos_sweep::sweep_leq(&space[a], &space[b])
+    });
     let mut rng = Rng::new(0x9053_f008);
     for _case in 0..64 {
         let count = rng.range(2, 12) as usize;
@@ -243,7 +238,7 @@ fn poset_axioms_hold_on_random_subsets() {
             }
         }
         keep.sort_unstable();
-        let maximal = poset.maximal_among(&keep);
+        let maximal = maximal_among(&keep, |a, b| poset.leq(a, b));
         assert!(!maximal.is_empty(), "non-empty subsets have maxima");
         for &m in &maximal {
             for &other in &keep {
