@@ -5,6 +5,7 @@
 //! the toolchain instantiates the matching gates between compartments at
 //! build time (P1/P2).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use flexos_alloc::HeapKind;
@@ -290,8 +291,9 @@ impl Default for IsolationProfile {
 /// global-knob API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompartmentSpec {
-    /// Compartment name from the configuration file (e.g. `comp1`).
-    pub name: String,
+    /// Compartment name from the configuration file (e.g. `comp1`):
+    /// borrowed when static, owned when parsed.
+    pub name: Cow<'static, str>,
     /// Isolation mechanism enclosing this compartment.
     pub mechanism: Mechanism,
     /// Hardening applied to every component in the compartment (individual
@@ -314,7 +316,7 @@ pub struct CompartmentSpec {
 impl CompartmentSpec {
     /// Creates a compartment spec with no hardening and inherited
     /// data-sharing/allocator axes.
-    pub fn new(name: impl Into<String>, mechanism: Mechanism) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>, mechanism: Mechanism) -> Self {
         CompartmentSpec {
             name: name.into(),
             mechanism,

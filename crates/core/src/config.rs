@@ -21,6 +21,7 @@
 //! - lwip: comp2
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,11 +50,13 @@ pub struct SafetyConfig {
     ///
     /// [`CompartmentId`]: crate::compartment::CompartmentId
     pub compartments: Vec<CompartmentSpec>,
-    /// Component name → compartment name placements.
-    pub libraries: Vec<(String, String)>,
+    /// Component name → compartment name placements. Names are
+    /// borrowed when the caller has them for the whole program (the
+    /// sweep's generated configs) and owned when parsed.
+    pub libraries: Vec<(Cow<'static, str>, Cow<'static, str>)>,
     /// Per-component hardening overrides (Figure 6 varies hardening per
     /// component; compartment-wide hardening is the default).
-    pub component_hardening: BTreeMap<String, Hardening>,
+    pub component_hardening: BTreeMap<Cow<'static, str>, Hardening>,
     /// Default data-sharing strategy for compartments without their own
     /// (the old image-global knob, kept as the inherited default).
     pub default_data_sharing: DataSharing,
@@ -314,8 +317,8 @@ impl fmt::Display for SafetyConfig {
 #[derive(Debug, Default)]
 pub struct SafetyConfigBuilder {
     compartments: Vec<CompartmentSpec>,
-    libraries: Vec<(String, String)>,
-    component_hardening: BTreeMap<String, Hardening>,
+    libraries: Vec<(Cow<'static, str>, Cow<'static, str>)>,
+    component_hardening: BTreeMap<Cow<'static, str>, Hardening>,
     data_sharing: DataSharing,
     default_allocator: Option<HeapKind>,
     default_budget: Option<ResourceBudget>,
@@ -329,16 +332,22 @@ impl SafetyConfigBuilder {
     }
 
     /// Places a component into a compartment by name.
-    pub fn place(mut self, component: &str, compartment: &str) -> Self {
-        self.libraries
-            .push((component.to_string(), compartment.to_string()));
+    pub fn place(
+        mut self,
+        component: impl Into<Cow<'static, str>>,
+        compartment: impl Into<Cow<'static, str>>,
+    ) -> Self {
+        self.libraries.push((component.into(), compartment.into()));
         self
     }
 
     /// Overrides hardening for one component.
-    pub fn harden_component(mut self, component: &str, hardening: Hardening) -> Self {
-        self.component_hardening
-            .insert(component.to_string(), hardening);
+    pub fn harden_component(
+        mut self,
+        component: impl Into<Cow<'static, str>>,
+        hardening: Hardening,
+    ) -> Self {
+        self.component_hardening.insert(component.into(), hardening);
         self
     }
 
@@ -442,7 +451,7 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
                     if name.is_empty() {
                         return Err(err_at("empty compartment name"));
                     }
-                    compartments.push(CompartmentSpec::new(name, Mechanism::None));
+                    compartments.push(CompartmentSpec::new(name.to_string(), Mechanism::None));
                 } else {
                     let comp = compartments
                         .last_mut()
@@ -502,7 +511,10 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
                 let (lib, comp) = entry
                     .split_once(':')
                     .ok_or_else(|| err_at("expected `library: compartment`"))?;
-                libraries.push((lib.trim().to_string(), comp.trim().to_string()));
+                libraries.push((
+                    Cow::Owned(lib.trim().to_string()),
+                    Cow::Owned(comp.trim().to_string()),
+                ));
             }
             Section::None => return Err(err_at("content outside any section")),
         }

@@ -230,7 +230,7 @@ impl ImageBuilder {
                 (key, pkru)
             };
             domains.push(DomainState {
-                name: Rc::from(spec.name.as_str()),
+                name: Rc::from(&*spec.name),
                 key,
                 pkru,
                 mechanism: spec.mechanism,

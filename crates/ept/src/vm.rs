@@ -37,11 +37,11 @@ impl VmImage {
                     .libraries
                     .iter()
                     .filter(|(_, comp)| comp == &spec.name)
-                    .map(|(lib, _)| lib.clone())
+                    .map(|(lib, _)| lib.to_string())
                     .collect();
                 VmImage {
                     compartment: CompartmentId(i as u8),
-                    name: spec.name.clone(),
+                    name: spec.name.to_string(),
                     tcb_members: TCB_MEMBERS.iter().map(|s| s.to_string()).collect(),
                     libraries,
                     vcpu: i as u32,

@@ -31,4 +31,4 @@ pub use budget::{
     StarReport,
 };
 pub use poset::Poset;
-pub use space::{assigned_config, Strategy};
+pub use space::{assigned_config, Strategy, FIG6_COMPONENTS};

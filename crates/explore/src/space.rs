@@ -14,8 +14,13 @@ use flexos_core::config::SafetyConfig;
 use flexos_core::hardening::Hardening;
 
 /// The four Figure 6 components, in row order (the application slot is
-/// filled with the concrete app name).
-pub(crate) const FIG6_COMPONENTS: [&str; 4] = ["app", "newlib", "uksched", "lwip"];
+/// filled with the concrete app name): bit `i` of a hardening mask
+/// hardens row `i`.
+pub const FIG6_COMPONENTS: [&str; 4] = ["app", "newlib", "uksched", "lwip"];
+
+/// Compartment names of a generated configuration, by compartment index
+/// (no strategy has more than three).
+const COMPARTMENT_NAMES: [&str; 3] = ["comp1", "comp2", "comp3"];
 
 /// The five compartmentalization strategies of Figure 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,7 +113,8 @@ impl Strategy {
 /// plain image-default config (the historical Figure 6 points are the
 /// `(Dss, Tlsf)` case), and truly mixed images (shared-stack lwip next
 /// to a DSS scheduler, TLSF next to Lea heaps) come out of the same
-/// call.
+/// call. Every name is `'static` (the app's, the rows' and
+/// `comp1`..`comp3`), so the config holds no string of its own.
 ///
 /// Single-compartment strategies collapse the *mechanism* **and**
 /// *data-sharing* axes to their defaults — an unsplit image has no
@@ -123,7 +129,7 @@ impl Strategy {
 /// Panics if `profiles` has fewer entries than the strategy has
 /// compartments.
 pub fn assigned_config(
-    app: &str,
+    app: &'static str,
     strategy: Strategy,
     mechanism: Mechanism,
     mask: u8,
@@ -141,7 +147,7 @@ pub fn assigned_config(
         .data_sharing(default_sharing)
         .default_allocator(allocator0);
     for (c, &(sharing, allocator)) in profiles.iter().enumerate().take(n) {
-        let mut spec = CompartmentSpec::new(format!("comp{}", c + 1), mechanism);
+        let mut spec = CompartmentSpec::new(COMPARTMENT_NAMES[c], mechanism);
         if c == 0 {
             spec = spec.default_compartment();
         }
@@ -157,7 +163,7 @@ pub fn assigned_config(
         let name = if *row == "app" { app } else { row };
         let comp = strategy.compartment_of(i);
         if comp > 0 {
-            builder = builder.place(name, &format!("comp{}", comp + 1));
+            builder = builder.place(name, COMPARTMENT_NAMES[comp]);
         }
         if mask & (1 << i) != 0 {
             builder = builder.harden_component(name, Hardening::FIG6_BUNDLE);

@@ -26,6 +26,20 @@
 //! points never get here: at 2, 4 and 8 cores contention and IPI
 //! timings make cycles non-additive in the masks.
 //!
+//! A class is keyed, and its points priced, from the point's *shape*
+//! alone ([`PointShape`]: no config is built for a lookup). The only
+//! part of a class that reads the image is which compartments' heaps
+//! run KASan, and the shape answers it from the hardening mask,
+//! [`Strategy::compartment_of`] and where the app's image registers the
+//! four Figure 6 rows ([`RowMap`], learnt from the first image built for
+//! the app): a hardened row's compartment runs a KASan heap. The
+//! surcharge reads the same three. The image builder's own definition is
+//! [`SafetyConfig::kasan_heaps`](flexos_core::config::SafetyConfig::kasan_heaps)
+//! on the built config; a recording, which builds the config anyway,
+//! asserts that the two give the same key, and `tests/pricing.rs` holds
+//! them (and the two surcharges) equal over every point of `quick` and
+//! `full` and a stride of `full-profiled`.
+//!
 //! The table is process-wide and stays small: a class is a 32-bit key and
 //! two 32-bit words (a base that does not fit 32 bits leaves its class
 //! simulate-only), and equal recordings — the per-flag cycles of every
@@ -35,11 +49,10 @@ use std::collections::HashMap;
 use std::sync::{LazyLock, PoisonError, RwLock};
 
 use flexos_apps::workloads::RunMetrics;
-use flexos_core::hardening::Hardening;
 use flexos_explore::Strategy;
 use flexos_system::FlexOs;
 
-use crate::space::{SpaceSpec, SweepPoint, Workload};
+use crate::space::{PointShape, RowMap, SpaceSpec, SweepPoint, Workload};
 
 /// What a recorded run says about every point of its class.
 #[derive(Debug, PartialEq, Eq)]
@@ -49,24 +62,6 @@ struct Recording {
     /// Per component, in registry order: the cycles each hardening flag
     /// adds, as `[cfi, kasan, ubsan, stack_protector]`.
     rows: Box<[[u64; 4]]>,
-}
-
-impl Recording {
-    /// What `point`'s hardening adds to the measured window.
-    fn surcharge(&self, point: &SweepPoint, components: &[Box<str>]) -> u64 {
-        components
-            .iter()
-            .zip(self.rows.iter())
-            .map(|(name, row)| {
-                let h: Hardening = point.config.hardening_of(name);
-                [h.cfi, h.kasan, h.ubsan, h.stack_protector]
-                    .iter()
-                    .zip(row)
-                    .map(|(&on, &cycles)| u64::from(on) * cycles)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
 }
 
 /// One class: its base cycles and the index of its recording, or
@@ -97,9 +92,9 @@ pub(crate) enum Verdict {
 
 #[derive(Debug, Default)]
 struct Classes {
-    /// The components each app's image registers, in registry order,
-    /// learnt from the first image built for it.
-    apps: Vec<(&'static str, Box<[Box<str>]>)>,
+    /// Where each app's image registers the four Figure 6 rows, learnt
+    /// from the first image built for it.
+    apps: Vec<(&'static str, RowMap)>,
     /// `(workload, warmup, measured)`, numbered in order of first sight.
     contexts: Vec<(Workload, u64, u64)>,
     classes: HashMap<u32, Class>,
@@ -126,29 +121,26 @@ fn pack(fields: impl IntoIterator<Item = (usize, u32)>) -> Option<u32> {
 }
 
 impl Classes {
-    fn components(&self, app: &str) -> Option<&[Box<str>]> {
-        self.apps.iter().find(|(a, _)| *a == app).map(|(_, c)| &**c)
+    fn rows(&self, app: &str) -> Option<RowMap> {
+        self.apps
+            .iter()
+            .find(|(a, _)| *a == app)
+            .map(|&(_, rows)| rows)
     }
 
     /// The class key of a one-core point, given the context's number and
-    /// the app's components.
-    fn key(point: &SweepPoint, context: usize, components: &[Box<str>]) -> Option<u32> {
-        let strategy = Strategy::ALL.iter().position(|s| *s == point.strategy)?;
+    /// which compartments' heaps run KASan.
+    fn key(shape: &PointShape, context: usize, kasan_heaps: u32) -> Option<u32> {
+        let strategy = Strategy::ALL.iter().position(|s| *s == shape.strategy)?;
         let mut profiles = [0; 3];
-        if point.profiles.len() > profiles.len() {
-            return None;
-        }
-        for (slot, &(sharing, allocator)) in profiles.iter_mut().zip(&point.profiles) {
+        for (slot, &(sharing, allocator)) in profiles.iter_mut().zip(shape.profiles.iter()) {
             // One past each discriminant, so an absent slot reads 0.
             *slot = (sharing as usize) << 2 | (allocator as usize + 1);
         }
-        let kasan_heaps = point
-            .config
-            .kasan_heaps(components.iter().map(|name| &**name));
         pack([
             (context, 8),
             (strategy, 3),
-            (point.mechanism as usize, 3),
+            (shape.mechanism as usize, 3),
             (profiles[0], 4),
             (profiles[1], 4),
             (profiles[2], 4),
@@ -156,19 +148,18 @@ impl Classes {
         ])
     }
 
-    fn context(&self, spec: &SpaceSpec, point: &SweepPoint) -> Option<usize> {
-        let context = (point.workload, spec.warmup, spec.measured);
+    fn context(&self, spec: &SpaceSpec, shape: &PointShape) -> Option<usize> {
+        let context = (shape.workload, spec.warmup, spec.measured);
         self.contexts.iter().position(|c| *c == context)
     }
 
-    fn lookup(&self, spec: &SpaceSpec, point: &SweepPoint) -> Verdict {
-        let (Some(components), Some(context)) = (
-            self.components(point.workload.app()),
-            self.context(spec, point),
-        ) else {
+    fn lookup(&self, spec: &SpaceSpec, shape: &PointShape) -> Verdict {
+        let (Some(rows), Some(context)) =
+            (self.rows(shape.workload.app()), self.context(spec, shape))
+        else {
             return Verdict::Record;
         };
-        let Some(key) = Self::key(point, context, components) else {
+        let Some(key) = Self::key(shape, context, shape.kasan_bits(rows)) else {
             return Verdict::Simulate;
         };
         let Some(class) = self.classes.get(&key) else {
@@ -179,7 +170,7 @@ impl Classes {
         };
         Verdict::Priced {
             ops: recording.ops,
-            cycles: u64::from(class.base) + recording.surcharge(point, components),
+            cycles: u64::from(class.base) + shape.row_surcharge(rows, &recording.rows),
             freq_hz: recording.freq_hz,
         }
     }
@@ -192,13 +183,9 @@ impl Classes {
         run: Option<(RunMetrics, Vec<[u64; 4]>)>,
     ) {
         let app = point.workload.app();
-        if self.components(app).is_none() {
-            let names = os
-                .env
-                .registry()
-                .iter()
-                .map(|(_, c)| c.name.as_ref().into());
-            self.apps.push((app, names.collect()));
+        let registered = || os.env.registry().iter().map(|(_, c)| &*c.name);
+        if self.rows(app).is_none() {
+            self.apps.push((app, RowMap::new(app, registered())));
         }
         let context = match self.context(spec, point) {
             Some(c) => c,
@@ -208,8 +195,17 @@ impl Classes {
                 self.contexts.len() - 1
             }
         };
-        let components = self.components(app).expect("pushed above");
-        let Some(key) = Self::key(point, context, components) else {
+        let rows = self.rows(app).expect("pushed above");
+        let key = Self::key(point, context, point.kasan_bits(rows));
+        // The shape's reading of the image is the only one lookups use;
+        // here the built config is at hand to check it against.
+        assert_eq!(
+            key,
+            Self::key(point, context, point.config.kasan_heaps(registered())),
+            "point {}: the shape and the config disagree on its KASan heaps",
+            point.index
+        );
+        let Some(key) = key else {
             return;
         };
         // A clock read in the window could have fed the cycles back into
@@ -217,15 +213,13 @@ impl Classes {
         let uktime = os.component("uktime").map(|id| id.0 as usize);
         let priced = run
             .filter(|(_, rows)| uktime.is_none_or(|t| rows[t] == [0; 4]))
-            .and_then(|(m, rows)| {
+            .and_then(|(m, per_flag)| {
+                let base = m.cycles.checked_sub(point.row_surcharge(rows, &per_flag))?;
                 let recording = Recording {
                     ops: m.ops,
                     freq_hz: os.env.machine().cost().freq_hz,
-                    rows: rows.into(),
+                    rows: per_flag.into(),
                 };
-                let base = m
-                    .cycles
-                    .checked_sub(recording.surcharge(point, components))?;
                 Some((u32::try_from(base).ok()?, recording))
             });
         let class = priced.map_or(Class::SIMULATE, |(base, recording)| Class {
@@ -248,13 +242,13 @@ impl Classes {
     }
 }
 
-/// What the process-wide table says about `point`, a one-core point of
-/// `spec`.
-pub(crate) fn lookup(spec: &SpaceSpec, point: &SweepPoint) -> Verdict {
+/// What the process-wide table says about the one-core point of `spec`
+/// with this `shape`.
+pub(crate) fn lookup(spec: &SpaceSpec, shape: &PointShape) -> Verdict {
     CLASSES
         .read()
         .unwrap_or_else(PoisonError::into_inner)
-        .lookup(spec, point)
+        .lookup(spec, shape)
 }
 
 /// Enters the class of `point`, a one-core point of `spec`, from its run

@@ -40,7 +40,11 @@
 //! (keyspace 1024, pipeline 4, 220 requests; 2-core Xeon @ 2.1 GHz,
 //! release), a simulated point splits as build ≈ 16 µs, install ≈ 2 µs,
 //! preload ≈ 320 µs, drive + drop ≈ 150 µs. A priced point costs one
-//! `SpaceSpec::point` call, a table lookup and the sum of its flags.
+//! `SpaceSpec::shape` decode (index arithmetic into a `Copy` value), a
+//! table lookup and the sum of its flags — no allocation, and no config:
+//! [`run_point`] builds one only to record or to simulate, and a warm
+//! 1000-point fold of `full` costs two allocator calls, its slot and
+//! result vectors (`tests/hotpath_alloc.rs` holds it there).
 //!
 //! Workers self-schedule from an atomic cursor (dynamic load balancing:
 //! EPT points cost several times an MPK point host-side, and a priced
@@ -97,11 +101,11 @@ impl PointResult {
 ///
 /// Configuration or substrate faults.
 pub fn run_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
-    let point = spec.point(index);
-    if point.cores != 1 {
-        return simulate(spec, &point, index);
+    let shape = spec.shape(index);
+    if shape.cores != 1 {
+        return simulate_point(spec, index);
     }
-    match classes::lookup(spec, &point) {
+    match classes::lookup(spec, &shape) {
         Verdict::Priced {
             ops,
             cycles,
@@ -116,8 +120,9 @@ pub fn run_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
                 ops_per_sec: freq_hz as f64 / cycles_per_op,
             })
         }
-        Verdict::Simulate => simulate(spec, &point, index),
+        Verdict::Simulate => simulate_point(spec, index),
         Verdict::Record => {
+            let point = spec.point(index);
             let os = build(&point)?;
             let (m, rows) = match os.env.record_hardening(|| drive(&os, spec, &point)) {
                 Ok(run) => run,
@@ -139,12 +144,9 @@ pub fn run_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
 ///
 /// Configuration or substrate faults.
 pub fn simulate_point(spec: &SpaceSpec, index: usize) -> Result<PointResult, Fault> {
-    simulate(spec, &spec.point(index), index)
-}
-
-fn simulate(spec: &SpaceSpec, point: &SweepPoint, index: usize) -> Result<PointResult, Fault> {
-    let os = build(point)?;
-    drive(&os, spec, point).map(|m| PointResult::new(index, m))
+    let point = spec.point(index);
+    let os = build(&point)?;
+    drive(&os, spec, &point).map(|m| PointResult::new(index, m))
 }
 
 /// Boots the point's image with its application registered.

@@ -165,11 +165,12 @@ pub struct LazyOutcome {
     pub pareto: Vec<WorkloadPareto>,
 }
 
-/// One scope of mutually comparable canonical points (same workload,
-/// same per-component allocator vector): the §5 order never crosses a
-/// scope boundary, so covers, classification, and star extraction run
-/// per scope and lose nothing. The split is only an optimisation — the
-/// comparison inside a scope is [`OrderKey::leq`], the same one
+/// One scope of mutually comparable canonical points
+/// ([`OrderKey::scope`]: same workload, same per-component allocator
+/// vector): the §5 order never crosses a scope boundary, so covers,
+/// classification, and star extraction run per scope and lose nothing.
+/// The split is only an optimisation — the comparison inside a scope is
+/// [`OrderKey::leq`], the same one
 /// [`sweep_leq`](crate::report::sweep_leq) runs.
 struct Scope {
     workload: Workload,
@@ -179,6 +180,14 @@ struct Scope {
     chains: Vec<Vec<usize>>,
     /// Scope-local positions of the scope's minimal elements.
     minimals: Vec<usize>,
+}
+
+impl Scope {
+    /// The order over scope-local positions, given every
+    /// representative's key.
+    fn leq<'a>(&'a self, rep_key: &'a [OrderKey]) -> impl Fn(usize, usize) -> bool + 'a {
+        move |a, b| rep_key[self.reps[a]].leq(&rep_key[self.reps[b]])
+    }
 }
 
 /// Read-only state shared by every pass of one lazy sweep.
@@ -262,13 +271,12 @@ fn classify_all(
     let mut classified = 0usize;
     for scope in &ctx.scopes {
         let ids = &scope.reps;
-        let leq = |a: usize, b: usize| ctx.rep_key[ids[a]].leq(&ctx.rep_key[ids[b]]);
         let frac = budget_of(scope.workload);
         let gmax = max_of(group_max, scope.workload)?;
         let mut fault = None;
         let statuses = lazy_classify(
             ids.len(),
-            leq,
+            scope.leq(&ctx.rep_key),
             &scope.chains,
             |batch| {
                 let rep_batch: Vec<usize> = batch.iter().map(|&l| ids[l]).collect();
@@ -313,11 +321,10 @@ fn classify_all(
 /// the union over scopes is the global star set).
 fn stars_of(ctx: &Ctx<'_>, scope: &Scope, rep_status: &[PointStatus]) -> Vec<usize> {
     let ids = &scope.reps;
-    let leq = |a: usize, b: usize| ctx.rep_key[ids[a]].leq(&ctx.rep_key[ids[b]]);
     let surviving: Vec<usize> = (0..ids.len())
         .filter(|&l| rep_status[ids[l]] == PointStatus::Survives)
         .collect();
-    maximal_among(&surviving, leq)
+    maximal_among(&surviving, scope.leq(&ctx.rep_key))
         .into_iter()
         .map(|l| ctx.rep_spec_index[ids[l]])
         .collect()
@@ -377,9 +384,7 @@ pub fn lazy_sweep(
     let mut scopes: Vec<Scope> = Vec::new();
     for (id, key) in rep_key.iter().enumerate() {
         let next = scopes.len();
-        let s = *scope_of
-            .entry((key.workload, key.allocators))
-            .or_insert(next);
+        let s = *scope_of.entry(key.scope()).or_insert(next);
         if s == next {
             scopes.push(Scope {
                 workload: key.workload,
@@ -391,11 +396,14 @@ pub fn lazy_sweep(
         scopes[s].reps.push(id);
     }
     for scope in &mut scopes {
-        let ids = &scope.reps;
-        let leq = |a: usize, b: usize| rep_key[ids[a]].leq(&rep_key[ids[b]]);
-        scope.chains = chain_cover(ids.len(), leq);
-        let bottoms: Vec<usize> = scope.chains.iter().map(|c| c[0]).collect();
-        scope.minimals = minimal_among(&bottoms, ids.len(), leq);
+        let (chains, minimals) = {
+            let leq = scope.leq(&rep_key);
+            let chains = chain_cover(scope.reps.len(), &leq);
+            let bottoms: Vec<usize> = chains.iter().map(|c| c[0]).collect();
+            let minimals = minimal_among(&bottoms, scope.reps.len(), &leq);
+            (chains, minimals)
+        };
+        (scope.chains, scope.minimals) = (chains, minimals);
     }
     let ctx = Ctx {
         spec,

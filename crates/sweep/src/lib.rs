@@ -28,7 +28,7 @@
 //!   partition refinement, hardening, mechanism strength, data-sharing
 //!   strength, (fewer) cores and resource budgets; budget pruning
 //!   (scalar or per-workload [`report::BudgetVector`]) and Figure
-//!   8-style stars then run over the whole space.
+//!   8-style stars then run over the whole space, scope by scope.
 //! * [`lazy`] — the order-guided lazy engine: chain covers + binary
 //!   search over each scope of that same order (it compares the packed
 //!   keys `sweep_leq` compares), a measurement memo over
@@ -57,4 +57,4 @@ pub use lazy::{lazy_sweep, LazyConfig, LazyOutcome};
 pub use report::{
     mechanism_rank, star_report_vec, sweep_leq, sweep_order_pairs, sweep_poset, BudgetVector,
 };
-pub use space::{PointShape, SpaceSpec, SweepPoint, Workload};
+pub use space::{PointShape, Profiles, SpaceSpec, SweepPoint, Workload};

@@ -13,13 +13,14 @@
 //! Budgets over a heterogeneous space are expressed as a *fraction of
 //! the workload's best configuration* (requests/s and KiB/s do not
 //! share a scale), after which pruning and star extraction are the
-//! stock `flexos_explore` machinery over the generalized poset.
+//! stock `flexos_explore` machinery over the generalized poset, run
+//! scope by scope ([`star_report_vec`]).
 
 use std::collections::HashMap;
 
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::Mechanism;
-use flexos_explore::{prune_and_star_by, Poset, StarReport, Strategy};
+use flexos_explore::{maximal_among, Poset, StarReport, Strategy};
 
 use crate::engine::PointResult;
 use crate::space::{PointShape, SweepPoint, Workload};
@@ -92,11 +93,19 @@ impl From<&PointShape> for OrderKey {
 }
 
 impl OrderKey {
+    /// The scope of comparable points this key lies in: its workload
+    /// and its per-component allocators. [`OrderKey::leq`] holds only
+    /// between keys of one scope, so stars and chain covers computed
+    /// scope by scope lose nothing; the lazy engine and
+    /// [`star_report_vec`] split on this one definition.
+    pub(crate) fn scope(&self) -> (Workload, [HeapKind; 4]) {
+        (self.workload, self.allocators)
+    }
+
     /// `self ≤ other`: the shape half of [`sweep_leq`] (everything but
     /// the resource-budget dimension, which lives in the built config).
     pub(crate) fn leq(&self, other: &OrderKey) -> bool {
-        self.workload == other.workload
-            && self.allocators == other.allocators
+        self.scope() == other.scope()
             && self.cores >= other.cores
             && self.strategy.refined_by(&other.strategy)
             && self.mask & other.mask == self.mask
@@ -274,6 +283,14 @@ impl BudgetVector {
 /// generalized space. Each point must meet *its workload's* fraction
 /// of that workload's best configuration to survive.
 ///
+/// The stars are [`maximal_among`] the survivors of each scope (one
+/// workload, one per-component allocator vector), merged in ascending
+/// order: [`sweep_leq`]
+/// needs an equal workload and equal allocators, and its budget
+/// dimension only ever removes pairs, so no pair across two scopes is
+/// ordered and the result is the unscoped extraction's, at the cost of
+/// the pairs within each scope only.
+///
 /// # Panics
 ///
 /// Panics if `results.len() != points.len()`.
@@ -283,8 +300,20 @@ pub fn star_report_vec<'a>(
     budgets: &BudgetVector,
 ) -> (Poset<'a>, StarReport) {
     let poset = sweep_poset(points, results);
-    let report = prune_and_star_by(&poset, |i| budgets.budget_for(points[i].workload));
-    (poset, report)
+    let surviving: Vec<usize> = (0..points.len())
+        .filter(|&i| poset.performance(i) >= budgets.budget_for(points[i].workload))
+        .collect();
+    let mut scopes: HashMap<_, Vec<usize>> = HashMap::new();
+    for &i in &surviving {
+        let scope = OrderKey::from(&points[i].shape).scope();
+        scopes.entry(scope).or_default().push(i);
+    }
+    let mut stars: Vec<usize> = scopes
+        .values()
+        .flat_map(|members| maximal_among(members, |a, b| poset.leq(a, b)))
+        .collect();
+    stars.sort_unstable();
+    (poset, StarReport { surviving, stars })
 }
 
 #[cfg(test)]
@@ -382,7 +411,7 @@ mod tests {
                 strategy,
                 mechanism: Mechanism::IntelMpk,
                 hardening_mask: 0,
-                profiles: profiles.to_vec(),
+                profiles: profiles.into(),
                 cores: 1,
             })
         };
@@ -573,18 +602,20 @@ mod tests {
             .map(|k| full.point(0x5eed % step + k * step))
             .collect();
         let inputs = order_specs().map(|spec| points_of(&spec));
+        let strict = BudgetVector::uniform(0.8).with(Workload::NginxGet, 0.95);
         for points in inputs.into_iter().chain([stride]) {
             let results = synthetic_results(&points);
-            let (poset, report) = star_report_vec(&points, &results, &BudgetVector::uniform(0.8));
-            assert!(!report.stars.is_empty());
-            assert!(report.pruned(points.len()) > 0, "budget must bite");
-            for &s in &report.stars {
-                assert!(poset.performance(s) >= 0.8 && report.surviving.contains(&s));
-            }
-            // Stars are exactly the survivors no survivor lies above.
-            for &s in &report.surviving {
-                let dominated = report.surviving.iter().any(|&o| poset.lt(s, o));
-                assert_eq!(report.stars.contains(&s), !dominated, "survivor {s}");
+            for budgets in [BudgetVector::uniform(0.8), strict.clone()] {
+                let (poset, report) = star_report_vec(&points, &results, &budgets);
+                assert!(!report.stars.is_empty());
+                assert!(report.pruned(points.len()) > 0, "budget must bite");
+                for &s in &report.stars {
+                    assert!(poset.performance(s) >= 0.8 && report.surviving.contains(&s));
+                }
+                // Stars are exactly the survivors no survivor lies above:
+                // the scoped extraction equals the unscoped one.
+                let unscoped = maximal_among(&report.surviving, |a, b| poset.leq(a, b));
+                assert_eq!(report.stars, unscoped);
             }
         }
     }
@@ -610,7 +641,9 @@ mod tests {
         // each copy would knock the other out and nothing would star.
         let budget = BudgetVector::uniform(0.5);
         let stars = |points: &[SweepPoint]| {
-            let (_, report) = star_report_vec(points, &synthetic_results(points), &budget);
+            let (poset, report) = star_report_vec(points, &synthetic_results(points), &budget);
+            let unscoped = maximal_among(&report.surviving, |a, b| poset.leq(a, b));
+            assert_eq!(report.stars, unscoped);
             report.stars
         };
         assert_eq!(stars(&[low.clone(), high]), vec![0, 1]);

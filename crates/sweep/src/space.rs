@@ -23,7 +23,8 @@ use std::ops::Deref;
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::{DataSharing, Mechanism};
 use flexos_core::config::SafetyConfig;
-use flexos_explore::Strategy;
+use flexos_core::hardening::Hardening;
+use flexos_explore::{Strategy, FIG6_COMPONENTS};
 
 /// One application workload, with its sweepable parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,11 +126,11 @@ pub struct SpaceSpec {
 
 /// The decoded axes of one point — everything but its built
 /// configuration. It is the cheap view the lazy engine orders and
-/// deduplicates over 10⁵-point spaces ([`SpaceSpec::point`] costs a
-/// config-builder walk per call; [`SpaceSpec::shape`] is arithmetic
-/// plus one small `Vec`), and its [`Display`](fmt::Display) is the
-/// point's label.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// deduplicates over 10⁵-point spaces and the one the hardening classes
+/// price from ([`SpaceSpec::point`] builds a config; [`SpaceSpec::shape`]
+/// is index arithmetic into a `Copy` value), and its
+/// [`Display`](fmt::Display) is the point's label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PointShape {
     /// Index within the spec's enumeration.
     pub index: usize,
@@ -148,9 +149,134 @@ pub struct PointShape {
     /// default ([`DataSharing::Dss`]) — two shapes whose fields other
     /// than `index` are equal build byte-equal configs. Uniform spaces
     /// repeat the scalar axes.
-    pub profiles: Vec<(DataSharing, HeapKind)>,
+    pub profiles: Profiles,
     /// Simulated cores the instance boots with.
     pub cores: u32,
+}
+
+/// The `(data-sharing, allocator)` profile of each compartment of a
+/// point, held inline: no strategy has more than three compartments. It
+/// derefs to the live entries, so `profiles[0]`, `.iter()` and `==` read
+/// as on a slice; the slots past the live ones always hold the same
+/// filler, so the derived equality and hash see only the live entries.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Profiles {
+    len: u8,
+    slots: [(DataSharing, HeapKind); 3],
+}
+
+impl Profiles {
+    const FILLER: (DataSharing, HeapKind) = (DataSharing::Dss, HeapKind::Tlsf);
+
+    /// `profile` for each of `n` compartments.
+    fn uniform(profile: (DataSharing, HeapKind), n: usize) -> Profiles {
+        let mut slots = [Profiles::FILLER; 3];
+        slots[..n].fill(profile);
+        Profiles {
+            len: n as u8,
+            slots,
+        }
+    }
+}
+
+/// # Panics
+///
+/// Panics on more than three profiles.
+impl From<&[(DataSharing, HeapKind)]> for Profiles {
+    fn from(profiles: &[(DataSharing, HeapKind)]) -> Profiles {
+        let mut out = Profiles::uniform(Profiles::FILLER, profiles.len());
+        out.slots[..profiles.len()].copy_from_slice(profiles);
+        out
+    }
+}
+
+impl Deref for Profiles {
+    type Target = [(DataSharing, HeapKind)];
+
+    fn deref(&self) -> &[(DataSharing, HeapKind)] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Profiles {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Where an image registers the four Figure 6 rows of its app: each
+/// row's position in the component registry, or `None` when the image
+/// has no such component. With the hardening mask and the strategy it
+/// is all a point's hardening classes read of the image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowMap([Option<usize>; 4]);
+
+impl RowMap {
+    /// The rows of `app` among `registered`, the image's component names
+    /// in registry order.
+    pub(crate) fn new<'a>(app: &str, registered: impl IntoIterator<Item = &'a str>) -> RowMap {
+        let mut rows = [None; 4];
+        for (at, name) in registered.into_iter().enumerate() {
+            let row = FIG6_COMPONENTS
+                .iter()
+                .position(|&row| name == if row == "app" { app } else { row });
+            if let Some(row) = row {
+                rows[row] = Some(at);
+            }
+        }
+        RowMap(rows)
+    }
+}
+
+impl PointShape {
+    /// Which compartments' private heaps run KASan in this point's image,
+    /// read from the shape alone: bit `c` is set when a Figure 6 row the
+    /// image registers (`registered`: its component names in registry
+    /// order) is hardened — the bundle includes KASan — and placed in
+    /// compartment `c`. It equals [`SafetyConfig::kasan_heaps`] on the
+    /// point's built config, the image builder's definition
+    /// (`tests/pricing.rs` holds the two together).
+    pub fn kasan_heaps<'a>(&self, registered: impl IntoIterator<Item = &'a str>) -> u32 {
+        self.kasan_bits(RowMap::new(self.workload.app(), registered))
+    }
+
+    /// What this point's hardening adds to a window that recorded
+    /// `per_flag[c]` = the cycles each flag `[cfi, kasan, ubsan,
+    /// stack_protector]` of registered component `c` adds — read from the
+    /// shape alone, as [`PointShape::kasan_heaps`] is.
+    pub fn surcharge<'a>(
+        &self,
+        registered: impl IntoIterator<Item = &'a str>,
+        per_flag: &[[u64; 4]],
+    ) -> u64 {
+        self.row_surcharge(RowMap::new(self.workload.app(), registered), per_flag)
+    }
+
+    /// `(registry position, compartment)` of each hardened row the image
+    /// registers.
+    fn hardened(&self, rows: RowMap) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..4)
+            .filter(|row| self.hardening_mask & (1 << row) != 0)
+            .filter_map(move |row| Some((rows.0[row]?, self.strategy.compartment_of(row))))
+    }
+
+    /// [`PointShape::kasan_heaps`] over an app's rows.
+    pub(crate) fn kasan_bits(&self, rows: RowMap) -> u32 {
+        self.hardened(rows).fold(0, |bits, (_, c)| bits | 1 << c)
+    }
+
+    /// [`PointShape::surcharge`] over an app's rows.
+    pub(crate) fn row_surcharge(&self, rows: RowMap, per_flag: &[[u64; 4]]) -> u64 {
+        let h = Hardening::FIG6_BUNDLE;
+        let on = [h.cfi, h.kasan, h.ubsan, h.stack_protector].map(u64::from);
+        let cost = |at: usize| {
+            on.iter()
+                .zip(&per_flag[at])
+                .map(|(on, c)| on * c)
+                .sum::<u64>()
+        };
+        self.hardened(rows).map(|(at, _)| cost(at)).sum()
+    }
 }
 
 /// One generated point of a [`SpaceSpec`]: its shape plus the built
@@ -336,36 +462,36 @@ impl SpaceSpec {
         }
     }
 
-    /// The (strategy, effective mechanism, effective data-sharing)
-    /// combinations, in enumeration order — both boundary-local axes
-    /// collapse to their defaults for single-compartment strategies.
-    fn combos(&self) -> Vec<(Strategy, Mechanism, DataSharing)> {
-        let mut out = Vec::new();
-        for &s in &self.strategies {
-            if s.compartments() == 1 {
-                out.push((s, Mechanism::None, DataSharing::default()));
-            } else {
-                for &m in &self.mechanisms {
-                    for &ds in &self.data_sharings {
-                        out.push((s, m, ds));
-                    }
-                }
-            }
+    /// Shape combos `strategy` contributes to a workload's block: one
+    /// for an unsplit image (its boundary axes collapse), else one per
+    /// mechanism — times one per data sharing in uniform mode, where
+    /// data sharing is a boundary axis rather than a profile slot.
+    fn combos_of(&self, strategy: Strategy) -> usize {
+        if strategy.compartments() == 1 {
+            1
+        } else if self.per_compartment_profiles {
+            self.mechanisms.len()
+        } else {
+            self.mechanisms.len() * self.data_sharings.len()
         }
-        out
     }
 
-    /// The `(data_sharing, allocator)` profile values a per-compartment
-    /// slot enumerates, sharing-major (matching the uniform axes'
-    /// nesting).
-    fn profile_values(&self) -> Vec<(DataSharing, HeapKind)> {
-        let mut out = Vec::new();
-        for &ds in &self.data_sharings {
-            for &al in &self.allocators {
-                out.push((ds, al));
+    /// The strategy whose block holds `combo` of a workload's shape
+    /// combos, and the combo's position within that block.
+    fn strategy_at(&self, mut combo: usize) -> (Strategy, usize) {
+        for &s in &self.strategies {
+            let n = self.combos_of(s);
+            if combo < n {
+                return (s, combo);
             }
+            combo -= n;
         }
-        out
+        unreachable!("a combo index below `combos_per_workload()` lies in some strategy's block")
+    }
+
+    /// Shape combos per workload, over every strategy.
+    fn combos_per_workload(&self) -> usize {
+        self.strategies.iter().map(|&s| self.combos_of(s)).sum()
     }
 
     /// Profile slots enumerated per point in per-compartment mode: the
@@ -378,40 +504,24 @@ impl SpaceSpec {
             .unwrap_or(0)
     }
 
-    /// The `(strategy, effective mechanism)` combinations of
-    /// per-compartment-profile mode (data sharing now lives in the
-    /// profile slots); the mechanism still collapses for
-    /// single-compartment strategies.
-    fn shape_combos(&self) -> Vec<(Strategy, Mechanism)> {
-        let mut out = Vec::new();
-        for &s in &self.strategies {
-            if s.compartments() == 1 {
-                out.push((s, Mechanism::None));
-            } else {
-                for &m in &self.mechanisms {
-                    out.push((s, m));
-                }
-            }
+    /// Profile assignments per shape combo: one allocator value each in
+    /// uniform mode, one `(data_sharing, allocator)` value per slot in
+    /// per-compartment mode.
+    fn assignments(&self) -> usize {
+        if self.per_compartment_profiles {
+            let values = self.data_sharings.len() * self.allocators.len();
+            values.pow(u32::try_from(self.profile_slots()).expect("tiny slot count"))
+        } else {
+            self.allocators.len()
         }
-        out
     }
 
     /// Points per core-count value (the historical pre-SMP space size).
     fn len_per_core(&self) -> usize {
-        if self.per_compartment_profiles {
-            self.workloads.len()
-                * self.shape_combos().len()
-                * self
-                    .profile_values()
-                    .len()
-                    .pow(u32::try_from(self.profile_slots()).expect("tiny slot count"))
-                * self.hardening_masks.len()
-        } else {
-            self.workloads.len()
-                * self.combos().len()
-                * self.allocators.len()
-                * self.hardening_masks.len()
-        }
+        self.workloads.len()
+            * self.combos_per_workload()
+            * self.assignments()
+            * self.hardening_masks.len()
     }
 
     /// Number of points in the space.
@@ -425,74 +535,81 @@ impl SpaceSpec {
     }
 
     /// Decodes the axes of point `index` without building its
-    /// configuration — arithmetic plus one `compartments()`-sized
-    /// `Vec`, cheap enough to call 10⁵ times for ordering and
-    /// deduplication. Uniform spaces decode workload-major, then
-    /// strategy, then mechanism, then data sharing, then allocator,
+    /// configuration — index arithmetic into a `Copy` value, no
+    /// allocation, cheap enough to call 10⁵ times for ordering,
+    /// deduplication and pricing. Uniform spaces decode workload-major,
+    /// then strategy, then mechanism, then data sharing, then allocator,
     /// then hardening mask; per-compartment-profile spaces replace the
-    /// two profile axes with slot-0-major profile assignment digits.
+    /// two profile axes with slot-0-major profile assignment digits,
+    /// each digit sharing-major over `data_sharings × allocators`.
     ///
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
     pub fn shape(&self, index: usize) -> PointShape {
         // Cores-major: strip the (outermost) SMP axis first, then decode
-        // the historical per-core block exactly as before.
+        // the historical per-core block innermost axis first.
         let per_core = self.len_per_core();
         let cores = self.cores[index / per_core];
         let inner = index % per_core;
         let masks = self.hardening_masks.len();
-        if self.per_compartment_profiles {
-            let combos = self.shape_combos();
-            let values = self.profile_values();
+        let hardening_mask = self.hardening_masks[inner % masks];
+        let assignments = self.assignments();
+        let assignment = inner / masks % assignments;
+        let rest = inner / masks / assignments;
+        let combos = self.combos_per_workload();
+        let workload = self.workloads[rest / combos];
+        let (strategy, combo) = self.strategy_at(rest % combos);
+        let n = strategy.compartments();
+        let (mechanism, profiles) = if self.per_compartment_profiles {
+            let mechanism = if n == 1 {
+                Mechanism::None
+            } else {
+                self.mechanisms[combo]
+            };
+            let allocs = self.allocators.len();
+            let values = self.data_sharings.len() * allocs;
             let slots = self.profile_slots();
-            let assigns = values
-                .len()
-                .pow(u32::try_from(slots).expect("tiny slot count"));
-            let per_workload = combos.len() * assigns * masks;
-            let workload = self.workloads[inner / per_workload];
-            let rem = inner % per_workload;
-            let (strategy, mechanism) = combos[rem / (assigns * masks)];
-            let mut digits = (rem % (assigns * masks)) / masks;
-            let mut assignment = vec![values[0]; slots];
-            for slot in (0..slots).rev() {
-                assignment[slot] = values[digits % values.len()];
-                digits /= values.len();
+            let mut profiles = Profiles::uniform(Profiles::FILLER, n);
+            // Slot 0 is the most significant digit; slots past `n` are
+            // don't-cares and are dropped.
+            let mut digits = assignment / values.pow((slots - n) as u32);
+            for slot in (0..n).rev() {
+                let v = digits % values;
+                profiles.slots[slot] =
+                    (self.data_sharings[v / allocs], self.allocators[v % allocs]);
+                digits /= values;
             }
-            let n = strategy.compartments();
-            assignment.truncate(n);
             if n == 1 {
                 // No boundary: the sharing slot is a don't-care; pin it
                 // to the same collapsed default as the uniform axes so
                 // equal order keys mean equal configs.
-                assignment[0].0 = DataSharing::default();
+                profiles.slots[0].0 = DataSharing::default();
             }
-            PointShape {
-                index,
-                workload,
-                strategy,
-                mechanism,
-                hardening_mask: self.hardening_masks[inner % masks],
-                profiles: assignment,
-                cores,
-            }
+            (mechanism, profiles)
         } else {
-            let combos = self.combos();
-            let allocs = self.allocators.len();
-            let per_workload = combos.len() * allocs * masks;
-            let workload = self.workloads[inner / per_workload];
-            let rem = inner % per_workload;
-            let (strategy, mechanism, data_sharing) = combos[rem / (allocs * masks)];
-            let allocator = self.allocators[(rem % (allocs * masks)) / masks];
-            PointShape {
-                index,
-                workload,
-                strategy,
+            let (mechanism, sharing) = if n == 1 {
+                (Mechanism::None, DataSharing::default())
+            } else {
+                let sharings = self.data_sharings.len();
+                (
+                    self.mechanisms[combo / sharings],
+                    self.data_sharings[combo % sharings],
+                )
+            };
+            (
                 mechanism,
-                hardening_mask: self.hardening_masks[inner % masks],
-                profiles: vec![(data_sharing, allocator); strategy.compartments()],
-                cores,
-            }
+                Profiles::uniform((sharing, self.allocators[assignment]), n),
+            )
+        };
+        PointShape {
+            index,
+            workload,
+            strategy,
+            mechanism,
+            hardening_mask,
+            profiles,
+            cores,
         }
     }
 

@@ -30,7 +30,7 @@ pub fn mpk2(isolated: &[&str], sharing: DataSharing) -> Result<SafetyConfig, Fau
         .compartment(CompartmentSpec::new("comp2", Mechanism::IntelMpk))
         .data_sharing(sharing);
     for lib in isolated {
-        b = b.place(lib, "comp2");
+        b = b.place(lib.to_string(), "comp2");
     }
     b.build()
 }
@@ -48,10 +48,10 @@ pub fn mpk3(second: &[&str], third: &[&str], sharing: DataSharing) -> Result<Saf
         .compartment(CompartmentSpec::new("comp3", Mechanism::IntelMpk))
         .data_sharing(sharing);
     for lib in second {
-        b = b.place(lib, "comp2");
+        b = b.place(lib.to_string(), "comp2");
     }
     for lib in third {
-        b = b.place(lib, "comp3");
+        b = b.place(lib.to_string(), "comp3");
     }
     b.build()
 }
@@ -78,7 +78,7 @@ pub fn mpk2_profiled(
         )
         .compartment(CompartmentSpec::new("comp2", Mechanism::IntelMpk).with_profile(iso));
     for lib in isolated {
-        b = b.place(lib, "comp2");
+        b = b.place(lib.to_string(), "comp2");
     }
     b.build()
 }
@@ -121,7 +121,7 @@ pub fn ept2(isolated: &[&str]) -> Result<SafetyConfig, Fault> {
         .compartment(CompartmentSpec::new("vm-main", Mechanism::VmEpt).default_compartment())
         .compartment(CompartmentSpec::new("vm-iso", Mechanism::VmEpt));
     for lib in isolated {
-        b = b.place(lib, "vm-iso");
+        b = b.place(lib.to_string(), "vm-iso");
     }
     b.build()
 }
@@ -133,7 +133,9 @@ pub fn with_component_hardening(
     hardened: &[(&str, Hardening)],
 ) -> SafetyConfig {
     for (name, h) in hardened {
-        config.component_hardening.insert(name.to_string(), *h);
+        config
+            .component_hardening
+            .insert(name.to_string().into(), *h);
     }
     config
 }

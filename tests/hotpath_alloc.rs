@@ -969,3 +969,39 @@ fn installing_redis_does_not_materialise_its_empty_dict() {
     );
     drop(server);
 }
+
+#[test]
+fn a_warm_section_5_fold_allocates_only_its_two_result_vectors() {
+    // A priced point is arithmetic on its shape: once the fold's classes
+    // are recorded, sweeping its 1 000 points (every eighth of `full`, so
+    // every workload) costs the slot vector and
+    // the result vector, whatever the points. Decoding a shape costs
+    // nothing, on uniform and per-compartment spaces alike, and building
+    // a point's config costs at most its three collections.
+    let full = SpaceSpec::full(1, 4);
+    let fold: Vec<usize> = (0..full.len()).step_by(8).collect();
+    flexos_sweep::run_indices(&full, &fold, 1).unwrap();
+    let (results, _, calls) = cost_of(|| flexos_sweep::run_indices(&full, &fold, 1).unwrap());
+    assert_eq!(results.len(), fold.len());
+    assert_eq!(
+        calls, 2,
+        "a warm 1 000-point fold made {calls} allocator calls"
+    );
+
+    let profiled = SpaceSpec::full_profiled(1, 4);
+    for spec in [&full, &profiled] {
+        let (_, _, calls) = cost_of(|| {
+            for i in (0..spec.len()).step_by(spec.len() / 8000) {
+                std::hint::black_box(spec.shape(i));
+            }
+        });
+        assert_eq!(calls, 0, "{}: decoding shapes allocated", spec.name);
+    }
+    for i in 0..full.len() {
+        let (point, _, calls) = cost_of(|| full.point(i));
+        assert!(
+            calls <= 3,
+            "{point}: building its config made {calls} calls"
+        );
+    }
+}

@@ -114,6 +114,89 @@ fn two_core_points_are_never_priced() {
     priced_equals_simulated(&spec, &all, 0x2C);
 }
 
+/// Each app's component names in registry order, from one image built
+/// for it.
+fn registered_names() -> HashMap<&'static str, Vec<String>> {
+    let apps = [
+        ("redis", flexos_apps::redis_component()),
+        ("nginx", flexos_apps::nginx_component()),
+        ("iperf", flexos_apps::iperf_component()),
+    ];
+    apps.into_iter()
+        .map(|(app, component)| {
+            let os = SystemBuilder::new(SafetyConfig::none())
+                .app(component)
+                .build()
+                .unwrap();
+            let names = os.env.registry().iter().map(|(_, c)| c.name.to_string());
+            (app, names.collect())
+        })
+        .collect()
+}
+
+#[test]
+fn the_shape_reads_kasan_heaps_and_surcharges_as_the_config_does() {
+    // The class key and the price read a point's hardening from its
+    // shape; the image builder reads it from the built config
+    // (`SafetyConfig::kasan_heaps`, `hardening_of`). Over every point of
+    // `quick` and `full` and a seeded stride of `full-profiled`, the two
+    // must agree on which heaps run KASan and on what the flags add to a
+    // window, for seeded per-flag cycles.
+    let names = registered_names();
+    let mut rng = 0x6A5_u64;
+    let per_flag: HashMap<&str, Vec<[u64; 4]>> = names
+        .iter()
+        .map(|(&app, names)| {
+            let rows = names
+                .iter()
+                .map(|_| std::array::from_fn(|_| xorshift64star(&mut rng) % (1 << 20)))
+                .collect();
+            (app, rows)
+        })
+        .collect();
+    let (quick, full) = (SpaceSpec::quick(0, 0), SpaceSpec::full(0, 0));
+    let profiled = SpaceSpec::full_profiled(0, 0);
+    let cases = [
+        (&quick, (0..quick.len()).collect::<Vec<_>>()),
+        (&full, (0..full.len()).collect()),
+        (&profiled, stride(&profiled, 5000, 0x6A5)),
+    ];
+    let mut hardened = 0;
+    for (spec, indices) in cases {
+        for i in indices {
+            let point = spec.point(i);
+            let app = point.workload.app();
+            let registered = || names[app].iter().map(String::as_str);
+            let rows = &per_flag[app];
+            assert_eq!(
+                point.kasan_heaps(registered()),
+                point.config.kasan_heaps(registered()),
+                "{} point {i}: {point}",
+                spec.name
+            );
+            let by_config: u64 = registered()
+                .zip(rows)
+                .map(|(name, row)| {
+                    let h = point.config.hardening_of(name);
+                    [h.cfi, h.kasan, h.ubsan, h.stack_protector]
+                        .iter()
+                        .zip(row)
+                        .map(|(&on, &cycles)| u64::from(on) * cycles)
+                        .sum::<u64>()
+                })
+                .sum();
+            assert_eq!(
+                point.surcharge(registered(), rows),
+                by_config,
+                "{} point {i}: {point}",
+                spec.name
+            );
+            hardened += usize::from(by_config > 0);
+        }
+    }
+    assert!(hardened > 4000, "only {hardened} points carry a surcharge");
+}
+
 fn hardened_redis(config: SafetyConfig) -> FlexOs {
     SystemBuilder::new(config)
         .app(flexos_apps::redis_component())
@@ -158,7 +241,7 @@ fn an_access_a_kasan_flag_would_report_voids_the_recording() {
     let mut config = SafetyConfig::none();
     config
         .component_hardening
-        .insert("lwip".to_string(), Hardening::FIG6_BUNDLE);
+        .insert("lwip".into(), Hardening::FIG6_BUNDLE);
     let os = hardened_redis(config);
     let redis = os.component("redis").unwrap();
     let read_freed = || {

@@ -170,3 +170,44 @@ fn default_profiles_reproduce_the_global_knob() {
         HeapKind::Tlsf
     );
 }
+
+#[test]
+fn generated_configs_round_trip_through_their_text() {
+    // Every config of `full` and a stride of `full-profiled` borrows its
+    // names; the parser owns what it reads. The two must compare equal
+    // wherever they meet. The text has no syntax for per-component
+    // hardening overrides, so that map is the one field the round trip
+    // cannot carry: the reparsed config must equal the generated one
+    // with it cleared, and nothing else may differ.
+    use flexos_sweep::SpaceSpec;
+    use std::borrow::Cow;
+    let full = SpaceSpec::full(0, 0);
+    let profiled = SpaceSpec::full_profiled(0, 0);
+    let cases = [
+        (&full, (0..full.len()).collect::<Vec<_>>()),
+        (&profiled, (0..profiled.len()).step_by(31).collect()),
+    ];
+    let mut mixed = 0;
+    for (spec, indices) in cases {
+        for i in indices {
+            let point = spec.point(i);
+            let mut generated = point.config.clone();
+            generated.component_hardening.clear();
+            let parsed = SafetyConfig::parse_str(&point.config.to_string()).unwrap();
+            assert!(matches!(parsed.compartments[0].name, Cow::Owned(_)));
+            assert!(matches!(generated.compartments[0].name, Cow::Borrowed(_)));
+            assert_eq!(parsed, generated, "{} point {i}: {point}", spec.name);
+            assert_eq!(parsed.to_string(), point.config.to_string());
+            // An owned name next to borrowed ones in one config.
+            if let Some((lib, _)) = generated.libraries.first_mut() {
+                *lib = Cow::Owned(lib.to_string());
+                assert_eq!(parsed, generated, "{} point {i}: {point}", spec.name);
+                mixed += 1;
+            }
+        }
+    }
+    assert!(
+        mixed > 10_000,
+        "{mixed} configs mixed owned and borrowed names"
+    );
+}

@@ -44,7 +44,7 @@ fn fig6_subset_reproduces_the_legacy_runner() {
     let engine_results = engine::run_parallel(&spec, 4).expect("engine sweep");
     assert_eq!(engine_results.len(), 80);
 
-    let reference = |compartments: usize, placed: &[(&str, &str)], harden: bool| {
+    let reference = |compartments: usize, placed: &[(&'static str, &'static str)], harden: bool| {
         let mechanism = match compartments {
             1 => Mechanism::None,
             _ => Mechanism::IntelMpk,
@@ -57,7 +57,7 @@ fn fig6_subset_reproduces_the_legacy_runner() {
             b = b.compartment(CompartmentSpec::new(format!("comp{c}"), mechanism));
         }
         for (library, compartment) in placed {
-            b = b.place(library, compartment);
+            b = b.place(*library, *compartment);
         }
         if harden {
             for component in ["redis", "newlib", "uksched", "lwip"] {
