@@ -20,6 +20,15 @@
 //! - libopenjpg: comp2
 //! - lwip: comp2
 //! ```
+//!
+//! Per-component hardening overrides (Figure 6 hardens components, not
+//! compartments) follow in a top-level section of their own, one
+//! `- <component>: [flags]` line each (`[]` for none):
+//!
+//! ```text
+//! hardening:
+//! - libredis: [kasan, ubsan]
+//! ```
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -289,11 +298,7 @@ impl fmt::Display for SafetyConfig {
                 writeln!(f, "    default: True")?;
             }
             if !c.hardening.is_none() {
-                writeln!(
-                    f,
-                    "    hardening: [{}]",
-                    c.hardening.to_string().replace('+', ", ")
-                )?;
+                writeln!(f, "    hardening: {}", flag_list(&c.hardening))?;
             }
             if let Some(sharing) = c.data_sharing {
                 writeln!(f, "    data_sharing: {sharing}")?;
@@ -309,8 +314,41 @@ impl fmt::Display for SafetyConfig {
         for (lib, comp) in &self.libraries {
             writeln!(f, "- {lib}: {comp}")?;
         }
+        if !self.component_hardening.is_empty() {
+            writeln!(f, "hardening:")?;
+            for (component, hardening) in &self.component_hardening {
+                writeln!(f, "- {component}: {}", flag_list(hardening))?;
+            }
+        }
         Ok(())
     }
+}
+
+/// A hardening set in the text's list syntax: `[cfi, kasan]`, `[]`
+/// for none.
+fn flag_list(hardening: &Hardening) -> String {
+    if hardening.is_none() {
+        "[]".to_string()
+    } else {
+        format!("[{}]", hardening.to_string().replace('+', ", "))
+    }
+}
+
+/// Parses a `[flag, flag]` list into the union of its flags, or names
+/// the first flag it does not know.
+fn parse_flag_list(value: &str) -> Result<Hardening, &str> {
+    value
+        .trim()
+        .trim_start_matches('[')
+        .trim_end_matches(']')
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .try_fold(Hardening::NONE, |all, item| {
+            Hardening::parse_mechanism(item)
+                .map(|h| all.union(&h))
+                .ok_or(item)
+        })
 }
 
 /// Incremental [`SafetyConfig`] constructor.
@@ -392,12 +430,14 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
         None,
         Compartments,
         Libraries,
+        Hardening,
     }
     let invalid = |reason: String| Fault::InvalidConfig { reason };
 
     let mut section = Section::None;
     let mut compartments: Vec<CompartmentSpec> = Vec::new();
     let mut libraries = Vec::new();
+    let mut component_hardening = BTreeMap::new();
     let mut data_sharing = DataSharing::default();
     let mut default_allocator = None;
     let mut default_budget = None;
@@ -422,6 +462,10 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
         // defaults; indented under a compartment they are that
         // compartment's profile overrides (handled in the section match).
         let top_level = line.len() == trimmed.len();
+        if top_level && trimmed == "hardening:" {
+            section = Section::Hardening;
+            continue;
+        }
         if top_level {
             if let Some(value) = trimmed.strip_prefix("data_sharing:") {
                 data_sharing = DataSharing::parse(value)
@@ -469,18 +513,9 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
                             comp.default = value.eq_ignore_ascii_case("true");
                         }
                         "hardening" => {
-                            let list = value
-                                .trim_start_matches('[')
-                                .trim_end_matches(']')
-                                .split(',')
-                                .map(str::trim)
-                                .filter(|s| !s.is_empty());
-                            for item in list {
-                                let h = Hardening::parse_mechanism(item).ok_or_else(|| {
-                                    err_at(&format!("unknown hardening `{item}`"))
-                                })?;
-                                comp.hardening = comp.hardening.union(&h);
-                            }
+                            let h = parse_flag_list(value)
+                                .map_err(|item| err_at(&format!("unknown hardening `{item}`")))?;
+                            comp.hardening = comp.hardening.union(&h);
                         }
                         "data_sharing" => {
                             comp.data_sharing =
@@ -516,6 +551,20 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
                     Cow::Owned(comp.trim().to_string()),
                 ));
             }
+            Section::Hardening => {
+                let entry = trimmed
+                    .strip_prefix("- ")
+                    .ok_or_else(|| err_at("expected `- component: [flags]`"))?;
+                let (component, flags) = entry
+                    .split_once(':')
+                    .ok_or_else(|| err_at("expected `component: [flags]`"))?;
+                let hardening = parse_flag_list(flags)
+                    .map_err(|item| err_at(&format!("unknown hardening `{item}`")))?;
+                let component = Cow::Owned(component.trim().to_string());
+                if component_hardening.insert(component, hardening).is_some() {
+                    return Err(err_at("component hardened twice"));
+                }
+            }
             Section::None => return Err(err_at("content outside any section")),
         }
     }
@@ -523,7 +572,7 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
     let config = SafetyConfig {
         compartments,
         libraries,
-        component_hardening: BTreeMap::new(),
+        component_hardening,
         default_data_sharing: data_sharing,
         default_allocator,
         default_budget,
@@ -759,5 +808,31 @@ libraries:
         let cfg = SafetyConfig::parse_str(PAPER_SNIPPET).unwrap();
         let back = SafetyConfig::parse_str(&cfg.to_string()).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn per_component_hardening_has_a_section_of_its_own() {
+        let text = format!("{PAPER_SNIPPET}hardening:\n- libredis: [kasan, ubsan]\n- lwip: []\n");
+        let cfg = SafetyConfig::parse_str(&text).unwrap();
+        assert_eq!(cfg.hardening_of("libredis").to_string(), "kasan+ubsan");
+        // An empty list overrides the compartment's `[cfi, asan]`.
+        assert!(cfg.hardening_of("lwip").is_none());
+        assert!(cfg.hardening_of("libopenjpg").cfi);
+        let back = SafetyConfig::parse_str(&cfg.to_string()).unwrap();
+        assert_eq!(back, cfg);
+        assert!(cfg
+            .to_string()
+            .ends_with("hardening:\n- libredis: [kasan, ubsan]\n- lwip: []\n"));
+        // Only an unindented `hardening:` opens the section.
+        for bad in [
+            "hardening:\n- lwip: [rust]\n",
+            "hardening:\n- lwip [cfi]\n",
+            "hardening:\n- lwip: [cfi]\n- lwip: []\n",
+        ] {
+            assert!(
+                SafetyConfig::parse_str(&format!("{PAPER_SNIPPET}{bad}")).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

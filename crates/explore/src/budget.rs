@@ -7,6 +7,7 @@
 //! the most secure configurations that satisfy the budget.
 
 use crate::poset::Poset;
+use crate::relation::{ones, Relation};
 
 /// Result of the exploration.
 #[derive(Debug, Clone)]
@@ -64,65 +65,80 @@ pub enum PointStatus {
 }
 
 /// Decomposes the `n`-node poset given by `leq` into a deterministic
-/// chain cover: every node appears in exactly one chain, each chain is
-/// totally ordered bottom-to-top, and chains are greedily grown long
-/// (best-fit onto the highest fitting chain top along a linear
-/// extension), so binary search over a chain classifies many nodes per
-/// measurement.
-///
-/// The cover is not guaranteed minimal (that would be Dilworth-hard to
-/// do quickly); it only needs to be *good*: the lazy scheduler's
-/// cross-chain inference mops up what a non-minimal cover leaves.
-/// Runtime is `O(n² · leq)` — callers hand in pre-scoped groups
-/// (e.g. one workload) rather than a whole 10⁵-point space.
+/// chain cover: [`Relation::new`] then [`Relation::chain_cover`], for
+/// callers that need the chains and nothing else of the order.
 pub fn chain_cover(n: usize, leq: impl Fn(usize, usize) -> bool) -> Vec<Vec<usize>> {
-    // Linear extension key: the size of a node's down-set. `a < b`
-    // implies downset(a) ⊊ downset(b), so sorting by it (index-tied) is
-    // a valid topological order of any finite poset.
-    let mut downset = vec![0usize; n];
-    for (b, slot) in downset.iter_mut().enumerate() {
-        *slot = (0..n).filter(|&a| a != b && leq(a, b)).count();
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (downset[i], i));
-
-    let mut chains: Vec<Vec<usize>> = Vec::new();
-    for &v in &order {
-        // Best-fit: extend the fitting chain whose top is highest in
-        // the extension (closest below `v`), so chains stay dense.
-        let mut best: Option<(usize, usize)> = None; // (chain, top key)
-        for (c, chain) in chains.iter().enumerate() {
-            let top = *chain.last().expect("chains are never empty");
-            if leq(top, v) && best.is_none_or(|(_, k)| downset[top] >= k) {
-                best = Some((c, downset[top]));
-            }
-        }
-        match best {
-            Some((c, _)) => chains[c].push(v),
-            None => chains.push(vec![v]),
-        }
-    }
-    // Longest chains first: they classify the most nodes per
-    // binary-search measurement, and their crossings seed cross-chain
-    // inference for the short tail.
-    chains.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-    chains
+    Relation::new(n, leq).chain_cover()
 }
 
-/// The subset of `candidates` minimal within the whole `n`-node poset
-/// (no node of the poset lies strictly below them). Chain bottoms are a
-/// superset of the poset's minimal elements, so
-/// `minimal_among(&bottoms, n, leq)` recovers exactly the minimal
-/// elements from a [`chain_cover`].
-pub fn minimal_among(
-    candidates: &[usize],
-    n: usize,
-    leq: impl Fn(usize, usize) -> bool,
-) -> Vec<usize> {
+impl Relation {
+    /// A deterministic chain cover of the order: every node appears in
+    /// exactly one chain, each chain is totally ordered bottom-to-top,
+    /// and chains are greedily grown long (best-fit onto the highest
+    /// fitting chain top along a linear extension), so binary search
+    /// over a chain classifies many nodes per measurement.
+    ///
+    /// The cover is not guaranteed minimal (that would be Dilworth-hard
+    /// to do quickly); it only needs to be *good*: the lazy scheduler's
+    /// cross-chain inference mops up what a non-minimal cover leaves.
+    /// With the order tabulated, down-set sizes are popcounts and the
+    /// fitting chain tops of a node are its down-set ANDed with the set
+    /// of current tops, so the cover costs `O(n²/64)` word operations
+    /// plus one step per fitting top — after the `O(n²)` build callers
+    /// already paid for.
+    pub fn chain_cover(&self) -> Vec<Vec<usize>> {
+        let n = self.len();
+        // Linear extension key: the size of a node's strict down-set.
+        // `a < b` implies downset(a) ⊊ downset(b), so sorting by it
+        // (index-tied) is a valid topological order of any finite poset.
+        let downset: Vec<usize> = (0..n).map(|b| self.below(b)).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (downset[i], i));
+
+        let mut chains: Vec<Vec<usize>> = Vec::new();
+        // The current top of every chain, and the chain each top ends.
+        let mut tops = vec![0u64; self.words()];
+        let mut chain_of = vec![usize::MAX; n];
+        let mut fitting = vec![0u64; self.words()];
+        for &v in &order {
+            // Best-fit: extend the fitting chain whose top is highest in
+            // the extension (closest below `v`), the later chain on a tie.
+            for ((f, &t), &d) in fitting.iter_mut().zip(&tops).zip(self.down(v)) {
+                *f = t & d;
+            }
+            let best = ones(&fitting).max_by_key(|&top| (downset[top], chain_of[top]));
+            let c = match best {
+                Some(top) => {
+                    tops[top / 64] &= !(1 << (top % 64));
+                    chain_of[top]
+                }
+                None => {
+                    chains.push(Vec::new());
+                    chains.len() - 1
+                }
+            };
+            chains[c].push(v);
+            chain_of[v] = c;
+            tops[v / 64] |= 1 << (v % 64);
+        }
+        // Longest chains first: they classify the most nodes per
+        // binary-search measurement, and their crossings seed cross-chain
+        // inference for the short tail.
+        chains.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
+        chains
+    }
+}
+
+/// The subset of `candidates` minimal within the whole order (no node
+/// lies strictly below them): a popcount of each candidate's down-set.
+/// Chain bottoms are a superset of the order's minimal elements, so
+/// `minimal_among(&bottoms, order)` recovers exactly the minimal
+/// elements from a [`Relation::chain_cover`].
+pub(crate) fn minimal_among(candidates: &[usize], order: &Relation) -> Vec<usize> {
     candidates
         .iter()
         .copied()
-        .filter(|&b| !(0..n).any(|a| a != b && leq(a, b)))
+        .filter(|&b| order.below(b) == 0)
         .collect()
 }
 
@@ -130,9 +146,9 @@ pub fn minimal_among(
 /// per-node budget, measuring only what the §5 order cannot infer.
 ///
 /// Correctness rests on the *performance-monotonicity assumption*: if
-/// `leq(a, b)` (a at most as safe as b) then a's performance is at
-/// least b's. Under it, `Survives` propagates downward (anything below
-/// a surviving node is at least as fast) and `Pruned` propagates upward
+/// `a ≤ b` (a at most as safe as b) then a's performance is at least
+/// b's. Under it, `Survives` propagates downward (anything below a
+/// surviving node is at least as fast) and `Pruned` propagates upward
 /// — so along a chain the statuses are a survive-prefix followed by a
 /// prune-suffix, and one binary search per chain finds the crossing.
 /// Rounds are batched: each round requests the midpoint of every
@@ -140,6 +156,12 @@ pub fn minimal_among(
 /// classifies, and propagates through the full order, so one chain's
 /// crossing classifies comparable nodes in *other* chains too.
 ///
+/// A propagation is one word-wise AND of the node's down-set (or
+/// up-set) with the set of unknown nodes, `O(n/64)`, plus one write per
+/// node it classifies; the order is read from `order`, never
+/// recomputed.
+///
+/// `chains` is a chain cover of `order` ([`Relation::chain_cover`]).
 /// `meets(i, perf)` is the budget predicate (callers encode normalized
 /// thresholds there); `measure_batch` returns one performance value per
 /// requested node and may serve repeats from a cache. The result is
@@ -148,53 +170,44 @@ pub fn minimal_among(
 /// assumption holds; verification modes re-measure skipped nodes and
 /// diff.
 pub fn lazy_classify(
-    n: usize,
-    leq: impl Fn(usize, usize) -> bool,
+    order: &Relation,
     chains: &[Vec<usize>],
     mut measure_batch: impl FnMut(&[usize]) -> Vec<f64>,
     meets: impl Fn(usize, f64) -> bool,
 ) -> Vec<PointStatus> {
+    let n = order.len();
     let mut statuses = vec![PointStatus::Unknown; n];
+    let mut unknown_set: Vec<u64> = (0..order.words())
+        .map(|w| match n - w * 64 {
+            64.. => u64::MAX,
+            tail => (1 << tail) - 1,
+        })
+        .collect();
     let mut unknown = n;
 
     // Seed: measure every *minimal element* (needed by callers for
     // normalization anyway) — they bound every chain's fast end.
     let bottoms: Vec<usize> = chains.iter().map(|c| c[0]).collect();
-    let minimals = minimal_among(&bottoms, n, &leq);
-    let classify = |i: usize, perf: f64, statuses: &mut Vec<PointStatus>, unknown: &mut usize| {
-        let status = if meets(i, perf) {
-            PointStatus::Survives
-        } else {
-            PointStatus::Pruned
-        };
-        if statuses[i] == PointStatus::Unknown {
-            statuses[i] = status;
-            *unknown -= 1;
-        }
-        // Propagate through the (transitive) order: survive flows to
-        // everything below, prune to everything above.
-        for (q, slot) in statuses.iter_mut().enumerate() {
-            if *slot != PointStatus::Unknown {
-                continue;
-            }
-            let implied = match status {
-                PointStatus::Survives => leq(q, i),
-                PointStatus::Pruned => leq(i, q),
-                PointStatus::Unknown => unreachable!(),
-            };
-            if implied {
-                *slot = status;
-                *unknown -= 1;
-            }
-        }
-    };
-
-    let mut round: Vec<usize> = minimals;
+    let mut round = minimal_among(&bottoms, order);
     while !round.is_empty() {
         let perfs = measure_batch(&round);
         debug_assert_eq!(perfs.len(), round.len());
-        for (&i, &p) in round.iter().zip(&perfs) {
-            classify(i, p, &mut statuses, &mut unknown);
+        for (&i, &perf) in round.iter().zip(&perfs) {
+            // Survive flows to everything below `i`, prune to everything
+            // above it (the rows are transitive and hold `i` itself).
+            let (status, row) = if meets(i, perf) {
+                (PointStatus::Survives, order.down(i))
+            } else {
+                (PointStatus::Pruned, order.up(i))
+            };
+            for (w, (u, &r)) in unknown_set.iter_mut().zip(row).enumerate() {
+                let newly = *u & r;
+                *u &= !newly;
+                unknown -= newly.count_ones() as usize;
+                for q in ones(&[newly]) {
+                    statuses[w * 64 + q] = status;
+                }
+            }
         }
         if unknown == 0 {
             break;
@@ -205,19 +218,17 @@ pub fn lazy_classify(
         // a pruned minimal were already classified for free in round
         // one, so the search only pays log(len) on chains the budget
         // actually crosses.
-        round = chains
-            .iter()
-            .filter_map(|chain| {
-                let lo = chain
-                    .iter()
-                    .position(|&i| statuses[i] == PointStatus::Unknown)?;
-                let hi = chain
-                    .iter()
-                    .rposition(|&i| statuses[i] == PointStatus::Unknown)
-                    .expect("rposition exists when position does");
-                Some(chain[usize::midpoint(lo, hi)])
-            })
-            .collect();
+        round.clear();
+        round.extend(chains.iter().filter_map(|chain| {
+            let lo = chain
+                .iter()
+                .position(|&i| statuses[i] == PointStatus::Unknown)?;
+            let hi = chain
+                .iter()
+                .rposition(|&i| statuses[i] == PointStatus::Unknown)
+                .expect("rposition exists when position does");
+            Some(chain[usize::midpoint(lo, hi)])
+        }));
     }
     debug_assert_eq!(unknown, 0, "chain cover must reach every node");
     statuses
@@ -294,9 +305,9 @@ mod tests {
     #[test]
     fn minimal_among_recovers_poset_minimals() {
         let n = 30;
-        let chains = chain_cover(n, divides);
-        let bottoms: Vec<usize> = chains.iter().map(|c| c[0]).collect();
-        let minimals = minimal_among(&bottoms, n, divides);
+        let order = Relation::new(n, divides);
+        let bottoms: Vec<usize> = order.chain_cover().iter().map(|c| c[0]).collect();
+        let minimals = minimal_among(&bottoms, &order);
         // 1 divides everything: it is the unique minimal element.
         assert_eq!(minimals, vec![0]);
     }
@@ -316,12 +327,11 @@ mod tests {
             .map(|i: usize| 1000.0 - 10.0 * i.count_ones() as f64)
             .collect();
         let budget = 975.0;
-        let chains = chain_cover(n, subset);
+        let order = Relation::new(n, subset);
         let mut requested = Vec::new();
         let statuses = lazy_classify(
-            n,
-            subset,
-            &chains,
+            &order,
+            &order.chain_cover(),
             |batch| {
                 requested.extend_from_slice(batch);
                 batch.iter().map(|&i| perf[i]).collect()
@@ -356,15 +366,10 @@ mod tests {
     #[test]
     fn lazy_classify_handles_all_survive_and_all_prune() {
         let n = 24;
-        let chains = chain_cover(n, divides);
+        let order = Relation::new(n, divides);
+        let chains = order.chain_cover();
         for budget in [0.0, 2.0] {
-            let out = lazy_classify(
-                n,
-                divides,
-                &chains,
-                |b| vec![1.0; b.len()],
-                |_, p| p >= budget,
-            );
+            let out = lazy_classify(&order, &chains, |b| vec![1.0; b.len()], |_, p| p >= budget);
             let want = if budget <= 1.0 {
                 PointStatus::Survives
             } else {

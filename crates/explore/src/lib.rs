@@ -17,18 +17,20 @@
 //! that satisfy the budget (Figure 8 stars).
 //!
 //! This crate holds the space-independent half: the Figure 6 axis types
-//! and the one config builder (`space`), the poset view (`poset`), and
-//! the budget / star / chain-cover / lazy-classification maths (`budget`).
+//! and the one config builder (`space`), the poset view (`poset`), an
+//! order tabulated as per-node bitsets (`relation`), and the budget /
+//! star / chain-cover / lazy-classification maths (`budget`).
 //! The order itself (`sweep_leq`) and the spaces it runs on — Figure 6
 //! is `SpaceSpec::fig6` — live in `flexos_sweep`.
 
 mod budget;
 mod poset;
+mod relation;
 mod space;
 
 pub use budget::{
-    chain_cover, lazy_classify, maximal_among, minimal_among, prune_and_star_by, PointStatus,
-    StarReport,
+    chain_cover, lazy_classify, maximal_among, prune_and_star_by, PointStatus, StarReport,
 };
 pub use poset::Poset;
+pub use relation::Relation;
 pub use space::{assigned_config, Strategy, FIG6_COMPONENTS};

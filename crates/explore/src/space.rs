@@ -54,7 +54,7 @@ impl Strategy {
     /// # Panics
     ///
     /// Panics if `component >= 4`.
-    pub fn compartment_of(&self, component: usize) -> usize {
+    pub const fn compartment_of(&self, component: usize) -> usize {
         match self {
             Strategy::Together => [0, 0, 0, 0][component],
             Strategy::SplitLwip => [0, 0, 0, 1][component],
@@ -87,15 +87,50 @@ impl Strategy {
     /// `true` if `other`'s partition refines this one (same or more
     /// compartment cuts) — the safety assumption 1 of §5: every pair of
     /// components `other` keeps together, `self` keeps together too.
+    /// One bit of a 5×5 table computed at compile time from
+    /// [`Strategy::compartment_of`], so the partitions stay the one
+    /// definition.
+    #[inline]
     pub fn refined_by(&self, other: &Strategy) -> bool {
-        (1..4).all(|i| {
-            (0..i).all(|j| {
-                other.compartment_of(i) != other.compartment_of(j)
-                    || self.compartment_of(i) == self.compartment_of(j)
-            })
-        })
+        COARSENINGS[*other as usize] >> (*self as usize) & 1 == 1
     }
 }
+
+/// The refinement relation over [`Strategy::ALL`] (declaration order):
+/// bit `a` of `COARSENINGS[b]` is set when strategy `b`'s partition
+/// refines strategy `a`'s — every pair of components `b` keeps together,
+/// `a` keeps together too. Computed from [`Strategy::compartment_of`] at
+/// compile time, so the partitions stay the one definition.
+const COARSENINGS: [u8; 5] = {
+    let mut table = [0u8; 5];
+    let mut a = 0;
+    while a < 5 {
+        let mut b = 0;
+        while b < 5 {
+            let (coarse, fine) = (Strategy::ALL[a], Strategy::ALL[b]);
+            let mut refines = true;
+            let mut i = 1;
+            while i < 4 {
+                let mut j = 0;
+                while j < i {
+                    if fine.compartment_of(i) == fine.compartment_of(j)
+                        && coarse.compartment_of(i) != coarse.compartment_of(j)
+                    {
+                        refines = false;
+                    }
+                    j += 1;
+                }
+                i += 1;
+            }
+            if refines {
+                table[b] |= 1 << a;
+            }
+            b += 1;
+        }
+        a += 1;
+    }
+    table
+};
 
 /// Builds the configuration of one point of the (generalized)
 /// Figure 6 space: `strategy`'s partition over compartments guarded by
@@ -214,7 +249,8 @@ mod tests {
                 DataSharing::SharedStack,
                 HeapKind::Lea,
                 "allocator: lea\ncompartments:\n- comp1:\n    mechanism: none\n    \
-                 default: True\nlibraries:\n",
+                 default: True\nlibraries:\nhardening:\n- newlib: [kasan, ubsan, stack-protector]\n\
+                 - redis: [kasan, ubsan, stack-protector]\n",
             ),
             (
                 "nginx",
@@ -225,7 +261,8 @@ mod tests {
                 HeapKind::Tlsf,
                 "allocator: tlsf\ncompartments:\n- comp1:\n    mechanism: intel-mpk\n    \
                  default: True\n- comp2:\n    mechanism: intel-mpk\nlibraries:\n\
-                 - uksched: comp2\n- lwip: comp2\n",
+                 - uksched: comp2\n- lwip: comp2\nhardening:\n- newlib: [kasan, ubsan, stack-protector]\n\
+                 - uksched: [kasan, ubsan, stack-protector]\n",
             ),
             (
                 "redis",
@@ -237,7 +274,8 @@ mod tests {
                 "data_sharing: shared-stack\nallocator: lea\ncompartments:\n- comp1:\n    \
                  mechanism: vm-ept\n    default: True\n- comp2:\n    mechanism: vm-ept\n\
                  - comp3:\n    mechanism: vm-ept\nlibraries:\n- uksched: comp2\n\
-                 - lwip: comp3\n",
+                 - lwip: comp3\nhardening:\n- lwip: [kasan, ubsan, stack-protector]\n- newlib: [kasan, ubsan, stack-protector]\n\
+                 - redis: [kasan, ubsan, stack-protector]\n- uksched: [kasan, ubsan, stack-protector]\n",
             ),
         ];
         for (app, strategy, mechanism, mask, sharing, allocator, recorded) in cases {

@@ -4,11 +4,16 @@
 //! The exhaustive engine runs every point of a space; this module runs
 //! the *order* instead. Within each scope of comparable points (same
 //! workload, same per-component allocator assignment — the order's
-//! scoping rules), the poset is decomposed into a chain cover
-//! ([`flexos_explore::chain_cover`]); each chain's budget crossing is
-//! found by binary search ([`flexos_explore::lazy_classify`]), and
-//! every point on the known side of a crossing is classified **without
-//! being measured**. The inference is exact under the §5
+//! scoping rules), the order is tabulated once as a
+//! [`Relation`] (a down-set and an up-set bitset per point) and
+//! decomposed into a chain cover ([`Relation::chain_cover`]); each
+//! chain's budget crossing is found by binary search
+//! ([`flexos_explore::lazy_classify`]), and every point on the known
+//! side of a crossing is classified **without being measured**.
+//! Scopes are worked one at a time, so the relation a sweep holds is
+//! one scope's (`O(n²)` bits for an `n`-point scope), never the
+//! space's; after the build every question the engine asks of the
+//! order is a bit read, a popcount or a word-wise AND. The inference is exact under the §5
 //! performance-monotonicity assumption — `a ≤ b` (a at most as safe)
 //! implies `perf(a) ≥ perf(b)` — which holds for the simulator's cost
 //! model: isolation mechanisms, hardening, and data-sharing gates only
@@ -18,8 +23,9 @@
 //!
 //! Two more layers make 10⁵-point spaces affordable:
 //!
-//! * a **measurement memo** keyed by the order key, which is the
-//!   experiment's identity: points that collapse to the same experiment
+//! * a **measurement memo** over canonical representatives (one per
+//!   distinct order key, the experiment's identity), a vector indexed
+//!   by representative id: points that collapse to the same experiment
 //!   (don't-care profile slots of per-compartment spaces) share a key
 //!   and are built and run once, and repeat requests across binary-search rounds and
 //!   Pareto budget levels are served from the memo;
@@ -37,14 +43,15 @@
 //! (`report::OrderKey`), so a clause of the order cannot reach one
 //! and miss the other.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use flexos_explore::{chain_cover, lazy_classify, maximal_among, minimal_among, PointStatus};
+use flexos_explore::{lazy_classify, maximal_among, PointStatus, Relation};
 use flexos_machine::fault::Fault;
 
 use crate::engine::{run_indices, PointResult};
-use crate::report::{BudgetVector, OrderKey};
+use crate::report::{scope_relation, BudgetVector, OrderKey};
 use crate::space::{SpaceSpec, Workload};
 
 /// Knobs of a lazy sweep.
@@ -121,7 +128,8 @@ pub struct WorkloadPareto {
 /// Periodic progress of a long lazy run.
 #[derive(Debug, Clone, Copy)]
 pub struct ProgressSnapshot {
-    /// Canonical experiments classified so far (current pass).
+    /// Canonical experiments whose scope is done (primary budget and
+    /// every Pareto level).
     pub classified: usize,
     /// Total canonical experiments.
     pub total: usize,
@@ -176,19 +184,74 @@ struct Scope {
     workload: Workload,
     /// Canonical-representative ids, in representative order.
     reps: Vec<usize>,
-    /// Chain cover over scope-local positions (into `reps`).
-    chains: Vec<Vec<usize>>,
-    /// Scope-local positions of the scope's minimal elements.
-    minimals: Vec<usize>,
 }
 
 impl Scope {
-    /// The order over scope-local positions, given every
-    /// representative's key.
-    fn leq<'a>(&'a self, rep_key: &'a [OrderKey]) -> impl Fn(usize, usize) -> bool + 'a {
-        move |a, b| rep_key[self.reps[a]].leq(&rep_key[self.reps[b]])
+    /// The scope's keys, in representative order.
+    fn keys<'a>(&'a self, rep_key: &'a [OrderKey]) -> impl Iterator<Item = OrderKey> + 'a {
+        self.reps.iter().map(|&id| rep_key[id])
+    }
+
+    /// Representative ids of the scope's minimal elements: a scan that
+    /// stops at the first key below each candidate, so normalization,
+    /// which needs every scope's minimal elements before any scope is
+    /// classified, tabulates no order.
+    fn minimals<'a>(&'a self, rep_key: &'a [OrderKey]) -> impl Iterator<Item = usize> + 'a {
+        // Keys of one scope are distinct (one per representative), so
+        // `a != b` is "another element".
+        self.reps
+            .iter()
+            .zip(self.keys(rep_key))
+            .filter(|(_, b)| !self.keys(rep_key).any(|a| a != *b && a.leq_within_scope(b)))
+            .map(|(&id, _)| id)
+    }
+
+    /// The order over scope-local positions, tabulated from every
+    /// representative's key. Built when the scope is worked and dropped
+    /// after, so a sweep holds one scope's relation at a time.
+    fn relation(&self, rep_key: &[OrderKey]) -> Relation {
+        scope_relation(self.keys(rep_key))
     }
 }
+
+/// A multiply-and-rotate hasher (FxHash's step, with a finalizer so the
+/// low bits a table indexes with depend on every input bit) for the
+/// canonicalisation maps. Their keys are order keys and scopes derived
+/// from the space, never adversarial input, and std's SipHash was most
+/// of a warm fold's canonicalisation.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7C_C1_B7_27_22_0A_95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0;
+        h ^ h >> 29
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Read-only state shared by every pass of one lazy sweep.
 struct Ctx<'a> {
@@ -202,32 +265,56 @@ struct Ctx<'a> {
     started: Instant,
 }
 
-/// The measurement memo: representative id → result, plus the request
-/// accounting.
+/// The measurement memo: each representative's result, in measurement
+/// order, plus the request accounting.
 struct Memo {
-    results: HashMap<usize, PointResult>,
+    /// Representative id → position in `results`, or [`UNMEASURED`].
+    slot: Vec<u32>,
+    results: Vec<PointResult>,
     hits: usize,
 }
 
-/// Measures `ids` (representative ids, repeats allowed), serving from
+/// [`Memo::slot`] of a representative not measured yet.
+const UNMEASURED: u32 = u32::MAX;
+
+impl Memo {
+    fn new(reps: usize) -> Memo {
+        Memo {
+            slot: vec![UNMEASURED; reps],
+            results: Vec::new(),
+            hits: 0,
+        }
+    }
+
+    /// The result of representative `id`, if measured.
+    fn get(&self, id: usize) -> Option<&PointResult> {
+        self.results.get(self.slot[id] as usize)
+    }
+}
+
+/// Measures `ids` (distinct representative ids: chain midpoints,
+/// minimal elements, stars or skipped representatives), serving from
 /// the memo and batching whatever is fresh through [`run_indices`].
 /// Returns one `ops_per_sec` per requested id.
 fn measure_reps(ctx: &Ctx<'_>, memo: &mut Memo, ids: &[usize]) -> Result<Vec<f64>, Fault> {
-    let mut seen = HashSet::new();
     let fresh: Vec<usize> = ids
         .iter()
         .copied()
-        .filter(|&id| !memo.results.contains_key(&id) && seen.insert(id))
+        .filter(|&id| memo.slot[id] == UNMEASURED)
         .collect();
     memo.hits += ids.len() - fresh.len();
     if !fresh.is_empty() {
         let spec_indices: Vec<usize> = fresh.iter().map(|&id| ctx.rep_spec_index[id]).collect();
         let results = run_indices(ctx.spec, &spec_indices, ctx.threads)?;
         for (&id, r) in fresh.iter().zip(results) {
-            memo.results.insert(id, r);
+            memo.slot[id] = memo.results.len() as u32;
+            memo.results.push(r);
         }
     }
-    Ok(ids.iter().map(|id| memo.results[id].ops_per_sec).collect())
+    Ok(ids
+        .iter()
+        .map(|&id| memo.get(id).expect("measured above").ops_per_sec)
+        .collect())
 }
 
 /// The normalization denominator of workload `w`.
@@ -250,83 +337,62 @@ fn max_of(group_max: &[(Workload, f64)], w: Workload) -> Result<f64, Fault> {
         })
 }
 
-/// One full classification pass at the given per-workload budgets:
-/// every scope's chains are binary-searched, sharing `memo` across
-/// passes. Returns the status of every canonical representative.
+/// One classification of `scope` at budget `frac` of `gmax`: the
+/// scope's `chains` are binary-searched over `order`, sharing `memo`
+/// with every other pass. Returns the status of every scope-local
+/// position.
 ///
 /// The budget predicate is exactly the exhaustive engine's —
 /// `ops_per_sec / group_max >= frac`, the same floats in the same
 /// order — which is what makes the lazy surviving set bit-identical
 /// to [`star_report_vec`](crate::report::star_report_vec) on
 /// duplicate-free spaces.
-fn classify_all(
+fn classify_scope(
     ctx: &Ctx<'_>,
     memo: &mut Memo,
-    group_max: &[(Workload, f64)],
-    budget_of: &dyn Fn(Workload) -> f64,
-    progress: &mut Option<&mut dyn FnMut(&ProgressSnapshot)>,
+    scope: &Scope,
+    order: &Relation,
+    chains: &[Vec<usize>],
+    gmax: f64,
+    frac: f64,
 ) -> Result<Vec<PointStatus>, Fault> {
-    let reps = ctx.rep_spec_index.len();
-    let mut rep_status = vec![PointStatus::Unknown; reps];
-    let mut classified = 0usize;
-    for scope in &ctx.scopes {
-        let ids = &scope.reps;
-        let frac = budget_of(scope.workload);
-        let gmax = max_of(group_max, scope.workload)?;
-        let mut fault = None;
-        let statuses = lazy_classify(
-            ids.len(),
-            scope.leq(&ctx.rep_key),
-            &scope.chains,
-            |batch| {
-                let rep_batch: Vec<usize> = batch.iter().map(|&l| ids[l]).collect();
-                match measure_reps(ctx, memo, &rep_batch) {
-                    Ok(perfs) => perfs,
-                    Err(f) => {
-                        // Classification keeps running on dummy values;
-                        // the fault aborts the scope right below.
-                        fault = Some(f);
-                        vec![f64::MAX; batch.len()]
-                    }
+    let mut fault = None;
+    let mut rep_batch = Vec::new();
+    let statuses = lazy_classify(
+        order,
+        chains,
+        |batch| {
+            rep_batch.clear();
+            rep_batch.extend(batch.iter().map(|&l| scope.reps[l]));
+            match measure_reps(ctx, memo, &rep_batch) {
+                Ok(perfs) => perfs,
+                Err(f) => {
+                    // Classification keeps running on dummy values;
+                    // the fault aborts the scope right below.
+                    fault = Some(f);
+                    vec![f64::MAX; batch.len()]
                 }
-            },
-            |_, perf| perf / gmax >= frac,
-        );
-        if let Some(f) = fault {
-            return Err(f);
-        }
-        for (local, &id) in ids.iter().enumerate() {
-            rep_status[id] = statuses[local];
-        }
-        classified += ids.len();
-        if let Some(cb) = progress.as_mut() {
-            let elapsed = ctx.started.elapsed().as_secs_f64();
-            let eta = (classified > 0)
-                .then(|| elapsed * reps.saturating_sub(classified) as f64 / classified as f64);
-            cb(&ProgressSnapshot {
-                classified,
-                total: reps,
-                executed: memo.results.len(),
-                elapsed_s: elapsed,
-                eta_s: eta,
-            });
-        }
+            }
+        },
+        |_, perf| perf / gmax >= frac,
+    );
+    match fault {
+        Some(f) => Err(f),
+        None => Ok(statuses),
     }
-    Ok(rep_status)
 }
 
-/// Stars of one scope under `rep_status`: the surviving
-/// representatives [`maximal_among`] the scope's survivors, as spec
-/// indices in ascending order (cross-scope points are incomparable, so
-/// the union over scopes is the global star set).
-fn stars_of(ctx: &Ctx<'_>, scope: &Scope, rep_status: &[PointStatus]) -> Vec<usize> {
-    let ids = &scope.reps;
-    let surviving: Vec<usize> = (0..ids.len())
-        .filter(|&l| rep_status[ids[l]] == PointStatus::Survives)
+/// Stars of one scope under `statuses`: the surviving positions
+/// [`maximal_among`] the scope's survivors, as representative ids
+/// (cross-scope points are incomparable, so the union over scopes is
+/// the global star set).
+fn stars_of(scope: &Scope, order: &Relation, statuses: &[PointStatus]) -> Vec<usize> {
+    let surviving: Vec<usize> = (0..statuses.len())
+        .filter(|&l| statuses[l] == PointStatus::Survives)
         .collect();
-    maximal_among(&surviving, scope.leq(&ctx.rep_key))
+    maximal_among(&surviving, |a, b| order.leq(a, b))
         .into_iter()
-        .map(|l| ctx.rep_spec_index[ids[l]])
+        .map(|l| scope.reps[l])
         .collect()
 }
 
@@ -334,8 +400,13 @@ fn stars_of(ctx: &Ctx<'_>, scope: &Scope, rep_status: &[PointStatus]) -> Vec<usi
 /// ascending spec indices (use [`lazy_sweep_all`] for the whole
 /// space; tests pass sampled slices).
 ///
-/// `progress`, when given, is invoked after every completed scope of
-/// every classification pass.
+/// Scopes are worked one at a time: a scope's order is tabulated once
+/// ([`Relation`]), serves its chain cover, its primary classification,
+/// its stars and every Pareto level, and is dropped before the next
+/// scope's is built. Normalization, which needs every scope's minimal
+/// elements first, finds them by a scan that tabulates nothing.
+///
+/// `progress`, when given, is invoked after every completed scope.
 ///
 /// # Errors
 ///
@@ -362,7 +433,7 @@ pub fn lazy_sweep(
 
     // ---- canonicalization: positions → canonical representatives,
     // one per distinct order key.
-    let mut rep_of_key: HashMap<OrderKey, usize> = HashMap::new();
+    let mut rep_of_key: KeyMap<OrderKey, usize> = KeyMap::default();
     let mut rep_spec_index: Vec<usize> = Vec::new();
     let mut rep_key: Vec<OrderKey> = Vec::new();
     let mut rep_of_pos: Vec<usize> = Vec::with_capacity(n);
@@ -379,8 +450,8 @@ pub fn lazy_sweep(
     drop(rep_of_key);
     let reps = rep_spec_index.len();
 
-    // ---- scope split + per-scope chain covers.
-    let mut scope_of = HashMap::new();
+    // ---- scope split.
+    let mut scope_of = KeyMap::default();
     let mut scopes: Vec<Scope> = Vec::new();
     for (id, key) in rep_key.iter().enumerate() {
         let next = scopes.len();
@@ -389,21 +460,9 @@ pub fn lazy_sweep(
             scopes.push(Scope {
                 workload: key.workload,
                 reps: Vec::new(),
-                chains: Vec::new(),
-                minimals: Vec::new(),
             });
         }
         scopes[s].reps.push(id);
-    }
-    for scope in &mut scopes {
-        let (chains, minimals) = {
-            let leq = scope.leq(&rep_key);
-            let chains = chain_cover(scope.reps.len(), &leq);
-            let bottoms: Vec<usize> = chains.iter().map(|c| c[0]).collect();
-            let minimals = minimal_among(&bottoms, scope.reps.len(), &leq);
-            (chains, minimals)
-        };
-        (scope.chains, scope.minimals) = (chains, minimals);
     }
     let ctx = Ctx {
         spec,
@@ -413,10 +472,7 @@ pub fn lazy_sweep(
         scopes,
         started,
     };
-    let mut memo = Memo {
-        results: HashMap::new(),
-        hits: 0,
-    };
+    let mut memo = Memo::new(reps);
 
     // ---- normalization: measure every scope's minimal elements;
     // monotonicity puts each workload's best configuration among them
@@ -425,75 +481,97 @@ pub fn lazy_sweep(
     let all_minimals: Vec<usize> = ctx
         .scopes
         .iter()
-        .flat_map(|s| s.minimals.iter().map(|&l| s.reps[l]))
+        .flat_map(|s| s.minimals(&ctx.rep_key))
         .collect();
-    measure_reps(&ctx, &mut memo, &all_minimals)?;
+    let minimal_perfs = measure_reps(&ctx, &mut memo, &all_minimals)?;
     let mut group_max: Vec<(Workload, f64)> = Vec::new();
-    for &id in &all_minimals {
+    for (&id, &perf) in all_minimals.iter().zip(&minimal_perfs) {
         let w = ctx.rep_key[id].workload;
-        let perf = memo.results[&id].ops_per_sec;
         match group_max.iter_mut().find(|(gw, _)| *gw == w) {
             Some((_, best)) => *best = best.max(perf),
             None => group_max.push((w, perf)),
         }
     }
 
-    // ---- the primary classification pass.
-    let budgets = cfg.budgets.clone();
-    let primary = |w: Workload| budgets.budget_for(w);
-    let rep_status = classify_all(&ctx, &mut memo, &group_max, &primary, &mut progress)?;
-
-    // ---- star extraction; backfill measurements for stars that were
-    // classified by inference, so reports print real performance.
-    let mut stars: Vec<usize> = ctx
-        .scopes
-        .iter()
-        .flat_map(|s| stars_of(&ctx, s, &rep_status))
-        .collect();
-    stars.sort_unstable();
-    let spec_to_rep: HashMap<usize, usize> = ctx
-        .rep_spec_index
-        .iter()
-        .enumerate()
-        .map(|(id, &i)| (i, id))
-        .collect();
-    let star_reps: Vec<usize> = stars.iter().map(|i| spec_to_rep[i]).collect();
-    measure_reps(&ctx, &mut memo, &star_reps)?;
-
-    // ---- Pareto frontier: one pass per level, memo-shared (only
-    // chains whose crossing moves cost fresh measurements).
-    let mut pareto: Vec<WorkloadPareto> = Vec::new();
-    if !cfg.pareto_fracs.is_empty() {
-        let mut per_workload: Vec<(Workload, Vec<ParetoLevel>)> =
-            group_max.iter().map(|&(w, _)| (w, Vec::new())).collect();
-        for &frac in &cfg.pareto_fracs {
-            let level = |_: Workload| frac;
-            let level_status = classify_all(&ctx, &mut memo, &group_max, &level, &mut progress)?;
-            for (w, levels) in &mut per_workload {
-                let surviving = (0..n)
-                    .filter(|&pos| {
-                        ctx.rep_key[rep_of_pos[pos]].workload == *w
-                            && level_status[rep_of_pos[pos]] == PointStatus::Survives
-                    })
-                    .count();
-                let mut level_stars: Vec<usize> = ctx
-                    .scopes
+    // ---- scope by scope: the primary classification, its stars
+    // (backfilling measurements for stars classified by inference, so
+    // reports print real performance), then one pass per Pareto level
+    // (memo-shared: only chains whose crossing moves cost fresh
+    // measurements).
+    let mut copies = vec![0usize; reps];
+    for &id in &rep_of_pos {
+        copies[id] += 1;
+    }
+    let mut rep_status = vec![PointStatus::Unknown; reps];
+    let mut stars: Vec<usize> = Vec::new();
+    let mut pareto: Vec<WorkloadPareto> = if cfg.pareto_fracs.is_empty() {
+        Vec::new()
+    } else {
+        group_max
+            .iter()
+            .map(|&(workload, _)| WorkloadPareto {
+                workload,
+                levels: cfg
+                    .pareto_fracs
                     .iter()
-                    .filter(|s| s.workload == *w)
-                    .flat_map(|s| stars_of(&ctx, s, &level_status))
-                    .collect();
-                level_stars.sort_unstable();
-                levels.push(ParetoLevel {
-                    frac,
-                    surviving,
-                    stars: level_stars,
-                });
+                    .map(|&frac| ParetoLevel {
+                        frac,
+                        surviving: 0,
+                        stars: Vec::new(),
+                    })
+                    .collect(),
+            })
+            .collect()
+    };
+    let mut classified = 0usize;
+    for scope in &ctx.scopes {
+        let order = scope.relation(&ctx.rep_key);
+        let chains = order.chain_cover();
+        let gmax = max_of(&group_max, scope.workload)?;
+        let frac = cfg.budgets.budget_for(scope.workload);
+        let statuses = classify_scope(&ctx, &mut memo, scope, &order, &chains, gmax, frac)?;
+        for (&id, &status) in scope.reps.iter().zip(&statuses) {
+            rep_status[id] = status;
+        }
+        let scope_stars = stars_of(scope, &order, &statuses);
+        measure_reps(&ctx, &mut memo, &scope_stars)?;
+        stars.extend(scope_stars.iter().map(|&id| ctx.rep_spec_index[id]));
+
+        if let Some(frontier) = pareto.iter_mut().find(|wp| wp.workload == scope.workload) {
+            for level in &mut frontier.levels {
+                let statuses =
+                    classify_scope(&ctx, &mut memo, scope, &order, &chains, gmax, level.frac)?;
+                level.surviving += scope
+                    .reps
+                    .iter()
+                    .zip(&statuses)
+                    .filter(|&(_, &s)| s == PointStatus::Survives)
+                    .map(|(&id, _)| copies[id])
+                    .sum::<usize>();
+                let level_stars = stars_of(scope, &order, &statuses);
+                level
+                    .stars
+                    .extend(level_stars.iter().map(|&id| ctx.rep_spec_index[id]));
             }
         }
-        pareto = per_workload
-            .into_iter()
-            .map(|(workload, levels)| WorkloadPareto { workload, levels })
-            .collect();
+
+        classified += scope.reps.len();
+        if let Some(cb) = progress.as_mut() {
+            let elapsed = ctx.started.elapsed().as_secs_f64();
+            let eta = (classified > 0)
+                .then(|| elapsed * reps.saturating_sub(classified) as f64 / classified as f64);
+            cb(&ProgressSnapshot {
+                classified,
+                total: reps,
+                executed: memo.results.len(),
+                elapsed_s: elapsed,
+                eta_s: eta,
+            });
+        }
+    }
+    stars.sort_unstable();
+    for level in pareto.iter_mut().flat_map(|wp| &mut wp.levels) {
+        level.stars.sort_unstable();
     }
 
     // ---- accounting, frozen before the verification pass.
@@ -511,25 +589,22 @@ pub fn lazy_sweep(
     // violation and surfaces as misses) against the inferred statuses.
     let mut inference_misses: Vec<usize> = Vec::new();
     if cfg.verify_inference {
-        let skipped: Vec<usize> = (0..reps)
-            .filter(|id| !memo.results.contains_key(id))
-            .collect();
+        let skipped: Vec<usize> = (0..reps).filter(|&id| memo.get(id).is_none()).collect();
         measure_reps(&ctx, &mut memo, &skipped)?;
+        let perf = |id: usize| memo.get(id).expect("every rep measured").ops_per_sec;
         let true_max: Vec<(Workload, f64)> = group_max
             .iter()
             .map(|&(w, _)| {
                 let m = (0..reps)
                     .filter(|&id| ctx.rep_key[id].workload == w)
-                    .map(|id| memo.results[&id].ops_per_sec)
+                    .map(perf)
                     .fold(f64::MIN, f64::max);
                 (w, m)
             })
             .collect();
         for (id, &lazy_status) in rep_status.iter().enumerate() {
             let w = ctx.rep_key[id].workload;
-            let truth = if memo.results[&id].ops_per_sec / max_of(&true_max, w)?
-                >= cfg.budgets.budget_for(w)
-            {
+            let truth = if perf(id) / max_of(&true_max, w)? >= cfg.budgets.budget_for(w) {
                 PointStatus::Survives
             } else {
                 PointStatus::Pruned
@@ -547,11 +622,8 @@ pub fn lazy_sweep(
         .filter(|&pos| statuses[pos] == PointStatus::Survives)
         .map(|pos| indices[pos])
         .collect();
-    let results: HashMap<usize, PointResult> = memo
-        .results
-        .iter()
-        .map(|(&id, r)| (ctx.rep_spec_index[id], r.clone()))
-        .collect();
+    let results: HashMap<usize, PointResult> =
+        memo.results.into_iter().map(|r| (r.index, r)).collect();
 
     Ok(LazyOutcome {
         statuses,

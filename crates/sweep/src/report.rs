@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::Mechanism;
-use flexos_explore::{maximal_among, Poset, StarReport, Strategy};
+use flexos_explore::{maximal_among, Poset, Relation, StarReport, Strategy};
 
 use crate::engine::PointResult;
 use crate::space::{PointShape, SweepPoint, Workload};
@@ -52,16 +52,82 @@ pub(crate) struct OrderKey {
     /// component inherits its compartment's profile under the
     /// strategy's partition. The order's allocator *scoping* rule.
     pub(crate) allocators: [HeapKind; 4],
-    cores: u32,
-    strategy: Strategy,
-    mech: u8,
-    mask: u8,
-    /// Data-sharing strength seen by each component. Single-compartment
-    /// strategies sit at the bottom (`[0; 4]`) — a boundary-less image
-    /// has no sharing policy to rank, so it must not block the "unsplit
-    /// baseline ≤ any split" edges (mirroring the mechanism collapse
-    /// onto rank-0 [`Mechanism::None`]).
-    strengths: [u8; 4],
+    /// Every ordered field, one per lane (see [`GUARDS`]): each lane
+    /// holds a value that must not be larger in `self` than in `other`
+    /// for `self ≤ other`, so one subtract compares them all.
+    packed: u64,
+}
+
+/// The guard bits of [`OrderKey::packed`]'s lanes, low bit first. Every
+/// lane but the last carries a guard bit just above its value; the last
+/// lane's guard is the subtract's borrow out of the word.
+///
+/// * bits 0..16: the hardening mask, bit `i` at `2i`, guard at `2i + 1`
+///   (subset is lane-wise `≤` on single bits);
+/// * bits 16..28: the per-component data-sharing strengths, component
+///   `i` in two bits at `16 + 3i`, guard above (strength ≤ 2);
+/// * bits 28..32: the mechanism rank in three bits, guard at 31
+///   (rank ≤ 4);
+/// * bits 32..42: the strategy as the set of strategies its partition
+///   refines (the 5×5 refinement table's column, so refinement is
+///   inclusion), strategy `s` at `32 + 2s`, guard above;
+/// * bits 42..64: the core count, complemented (more cores sit *below*
+///   fewer, so the complement is what must grow).
+const GUARDS: u64 = {
+    let mut guards = 0u64;
+    let mut i = 0;
+    while i < 8 {
+        guards |= 1 << (2 * i + 1);
+        i += 1;
+    }
+    let mut c = 0;
+    while c < 4 {
+        guards |= 1 << (16 + 3 * c + 2);
+        c += 1;
+    }
+    let mut s = 0;
+    while s < 5 {
+        guards |= 1 << (32 + 2 * s + 1);
+        s += 1;
+    }
+    guards | 1 << 31
+};
+
+/// Width of the top lane: core counts below `1 << 22` (a machine boots
+/// at most 32).
+const CORE_BITS: u32 = 22;
+
+/// Packs the ordered fields into their lanes.
+///
+/// # Panics
+///
+/// Panics if a strength, the mechanism rank or the core count outgrows
+/// its lane.
+fn pack_lanes(mask: u8, strengths: [u8; 4], mech: u8, strategy: Strategy, cores: u32) -> u64 {
+    assert!(
+        strengths.iter().all(|&s| s < 4) && mech < 8 && cores < 1 << CORE_BITS,
+        "an order key field outgrows its lane"
+    );
+    let mut packed = u64::from((1 << CORE_BITS) - 1 - cores) << 42 | u64::from(mech) << 28;
+    for (c, &s) in strengths.iter().enumerate() {
+        packed |= u64::from(s) << (16 + 3 * c);
+    }
+    for i in 0..8 {
+        packed |= u64::from(mask >> i & 1) << (2 * i);
+    }
+    for (i, coarser) in Strategy::ALL.iter().enumerate() {
+        packed |= u64::from(coarser.refined_by(&strategy)) << (32 + 2 * i);
+    }
+    packed
+}
+
+/// Every lane of `a` at most the same lane of `b`: with the guards
+/// set in `b`, a lane that is larger in `a` borrows its guard away
+/// (or, in the top lane, borrows out of the word), and no borrow
+/// crosses a guard that was not taken.
+fn lanes_le(a: u64, b: u64) -> bool {
+    let (diff, borrow) = (b | GUARDS).overflowing_sub(a);
+    !borrow & (diff & GUARDS == GUARDS)
 }
 
 /// The one place an axis of the space is ordered: the pattern names
@@ -80,14 +146,22 @@ impl From<&PointShape> for OrderKey {
         } = shape;
         let split = strategy.compartments() > 1;
         let of = |i: usize| profiles[strategy.compartment_of(i)];
+        // Data-sharing strength seen by each component. Single-compartment
+        // strategies sit at the bottom (`[0; 4]`) — a boundary-less image
+        // has no sharing policy to rank, so it must not block the "unsplit
+        // baseline ≤ any split" edges (mirroring the mechanism collapse
+        // onto rank-0 [`Mechanism::None`]).
+        let strengths = std::array::from_fn(|i| if split { of(i).0.strength() } else { 0 });
         OrderKey {
             workload: *workload,
             allocators: std::array::from_fn(|i| of(i).1),
-            cores: *cores,
-            strategy: *strategy,
-            mech: mechanism_rank(*mechanism),
-            mask: *hardening_mask,
-            strengths: std::array::from_fn(|i| if split { of(i).0.strength() } else { 0 }),
+            packed: pack_lanes(
+                *hardening_mask,
+                strengths,
+                mechanism_rank(*mechanism),
+                *strategy,
+                *cores,
+            ),
         }
     }
 }
@@ -104,18 +178,32 @@ impl OrderKey {
 
     /// `self ≤ other`: the shape half of [`sweep_leq`] (everything but
     /// the resource-budget dimension, which lives in the built config).
+    /// Hardening subset, sharing strengths, mechanism rank, partition
+    /// refinement and (fewer) cores are one guarded subtract over the
+    /// packed lanes.
     pub(crate) fn leq(&self, other: &OrderKey) -> bool {
-        self.scope() == other.scope()
-            && self.cores >= other.cores
-            && self.strategy.refined_by(&other.strategy)
-            && self.mask & other.mask == self.mask
-            && self.mech <= other.mech
-            && self
-                .strengths
-                .iter()
-                .zip(&other.strengths)
-                .all(|(x, y)| x <= y)
+        self.scope() == other.scope() && self.leq_within_scope(other)
     }
+
+    /// [`OrderKey::leq`] for two keys already known to share a
+    /// [`scope`](OrderKey::scope): the lanes alone.
+    pub(crate) fn leq_within_scope(&self, other: &OrderKey) -> bool {
+        lanes_le(self.packed, other.packed)
+    }
+
+    /// The per-component data-sharing strengths, unpacked.
+    #[cfg(test)]
+    fn strengths(&self) -> [u8; 4] {
+        std::array::from_fn(|c| (self.packed >> (16 + 3 * c) & 0b11) as u8)
+    }
+}
+
+/// [`OrderKey::leq`] over `keys`, which share one scope, tabulated: the
+/// lanes are copied out once so the `n²` comparisons read one dense
+/// array.
+pub(crate) fn scope_relation(keys: impl Iterator<Item = OrderKey>) -> Relation {
+    let lanes: Vec<u64> = keys.map(|k| k.packed).collect();
+    Relation::new(lanes.len(), |a, b| lanes_le(lanes[a], lanes[b]))
 }
 
 /// The generalized safety order: `a ≤ b` (a at most as safe as b) iff
@@ -421,12 +509,12 @@ mod tests {
             DataSharing::SharedStack.strength(),
             DataSharing::HeapConversion.strength(),
         );
-        assert_eq!(three.strengths, [dss, dss, shared, heap]);
+        assert_eq!(three.strengths(), [dss, dss, shared, heap]);
         let (tlsf, lea) = (HeapKind::Tlsf, HeapKind::Lea);
         assert_eq!(three.allocators, [tlsf, tlsf, lea, tlsf]);
         // Single compartment: the sharing dimension bottoms out.
         let one = key(Strategy::Together, &[(DataSharing::Dss, HeapKind::Lea)]);
-        assert_eq!(one.strengths, [0; 4]);
+        assert_eq!(one.strengths(), [0; 4]);
         assert_eq!(one.allocators, [lea; 4]);
     }
 

@@ -1005,3 +1005,42 @@ fn a_warm_section_5_fold_allocates_only_its_two_result_vectors() {
         );
     }
 }
+
+#[test]
+fn a_warm_lazy_fold_allocates_a_pinned_number_of_times() {
+    // One fold of the benchmark's lazy space (`full-profiled` restricted
+    // to one Redis shape and nginx: every 36th of its 62 208 points),
+    // swept with the primary budget and the six-level Pareto ladder.
+    // After a warming pass every class is recorded, so the count is the
+    // lazy engine's own bookkeeping: per scope one relation and its
+    // chain cover (a vector per chain), per classification its status
+    // and unknown sets and one result vector per round, plus the
+    // measurement batches and the outcome — 3 276 calls for 1 728
+    // points. A per-pair or per-propagation allocation, a per-batch set
+    // or a second build of a scope's relation moves it.
+    let mut spec = SpaceSpec::full_profiled(1, 4);
+    spec.workloads = vec![
+        Workload::RedisGet {
+            keyspace: 1024,
+            pipeline: 4,
+        },
+        Workload::NginxGet,
+    ];
+    let fold: Vec<usize> = (0..spec.len()).step_by(36).collect();
+    assert_eq!(fold.len(), 1728);
+    let cfg = flexos_sweep::LazyConfig {
+        threads: 1,
+        budgets: flexos_sweep::BudgetVector::uniform(0.8),
+        verify_inference: false,
+        pareto_fracs: vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95],
+    };
+    let warm = flexos_sweep::lazy_sweep(&spec, &fold, &cfg, None).unwrap();
+    let (outcome, _, calls) =
+        cost_of(|| flexos_sweep::lazy_sweep(&spec, &fold, &cfg, None).unwrap());
+    assert_eq!(outcome.stats, warm.stats);
+    assert_eq!(
+        calls, 3276,
+        "a warm lazy fold ({:?}) made {calls} allocator calls",
+        outcome.stats
+    );
+}

@@ -192,3 +192,161 @@ fn lazy_matches_exhaustive_on_a_seeded_full_profiled_slice() {
     assert_eq!(out.stats.points, 500);
     assert_eq!(out.stats.canonical, 500, "sampler guarantees distinct keys");
 }
+
+/// A shape's place in the §5 order, written field by field from the
+/// rules `report::sweep_leq` documents and independent of the packed
+/// key both engines compare: `(workload, per-component allocators)` is
+/// the scope, the rest is ordered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Facts {
+    workload: Workload,
+    allocators: [flexos_alloc::HeapKind; 4],
+    strategy: Strategy,
+    mech: u8,
+    mask: u8,
+    strengths: [u8; 4],
+    cores: u32,
+}
+
+impl Facts {
+    fn of(shape: &PointShape) -> Facts {
+        let of = |i: usize| shape.profiles[shape.strategy.compartment_of(i)];
+        let split = shape.strategy.compartments() > 1;
+        Facts {
+            workload: shape.workload,
+            allocators: std::array::from_fn(|i| of(i).1),
+            strategy: shape.strategy,
+            mech: report::mechanism_rank(shape.mechanism),
+            mask: shape.hardening_mask,
+            strengths: std::array::from_fn(|i| if split { of(i).0.strength() } else { 0 }),
+            cores: shape.cores,
+        }
+    }
+
+    fn leq(&self, other: &Facts) -> bool {
+        // Partition refinement straight from the partitions: every pair
+        // of components `other` keeps together, `self` does too.
+        let (a, b) = (self.strategy, other.strategy);
+        let refined = (0..4).all(|i| {
+            (0..4).all(|j| {
+                b.compartment_of(i) != b.compartment_of(j)
+                    || a.compartment_of(i) == a.compartment_of(j)
+            })
+        });
+        self.workload == other.workload
+            && self.allocators == other.allocators
+            && refined
+            && self.mask & other.mask == self.mask
+            && self.mech <= other.mech
+            && (0..4).all(|i| self.strengths[i] <= other.strengths[i])
+            && self.cores >= other.cores
+    }
+}
+
+/// The lazy engine's scopes of `spec`: canonical experiments (one per
+/// distinct set of facts, first index kept) grouped by workload and
+/// per-component allocators, in first-appearance order.
+fn lazy_scopes(spec: &SpaceSpec) -> Vec<Vec<(usize, Facts)>> {
+    let mut canonical = HashSet::new();
+    let mut scope_of = HashMap::new();
+    let mut scopes: Vec<Vec<(usize, Facts)>> = Vec::new();
+    for i in 0..spec.len() {
+        let facts = Facts::of(&spec.shape(i));
+        if canonical.insert(facts) {
+            let next = scopes.len();
+            let s = *scope_of
+                .entry((facts.workload, facts.allocators))
+                .or_insert(next);
+            if s == next {
+                scopes.push(Vec::new());
+            }
+            scopes[s].push((i, facts));
+        }
+    }
+    scopes
+}
+
+/// Tabulates `sweep_leq` over one scope and checks the stored relation
+/// against it and against the field-by-field order on `pairs`.
+fn assert_relation_is_the_order(
+    spec: &SpaceSpec,
+    scope: &[(usize, Facts)],
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> usize {
+    let points: Vec<_> = scope.iter().map(|&(i, _)| spec.point(i)).collect();
+    let order = flexos_explore::Relation::new(points.len(), |a, b| {
+        report::sweep_leq(&points[a], &points[b])
+    });
+    let mut checked = 0;
+    for (a, b) in pairs {
+        let want = scope[a].1.leq(&scope[b].1);
+        assert_eq!(
+            report::sweep_leq(&points[a], &points[b]),
+            want,
+            "{}: sweep_leq({}, {})",
+            spec.name,
+            points[a],
+            points[b]
+        );
+        assert_eq!(
+            order.leq(a, b),
+            want,
+            "{}: relation at ({a}, {b})",
+            spec.name
+        );
+        checked += 1;
+    }
+    checked
+}
+
+#[test]
+fn scope_relations_are_the_section_5_order() {
+    let all_pairs = |n: usize| (0..n * n).map(move |ab| (ab / n, ab % n));
+    // Every scope of the two spaces CI sweeps lazily, every ordered pair.
+    for spec in [SpaceSpec::quick(1, 4), SpaceSpec::full_smp(1, 4)] {
+        let scopes = lazy_scopes(&spec);
+        assert_eq!(scopes.iter().map(Vec::len).sum::<usize>(), spec.len());
+        for scope in &scopes {
+            assert_relation_is_the_order(&spec, scope, all_pairs(scope.len()));
+        }
+    }
+
+    // One of `full`'s 20 scopes: 400 representatives, seven words a row.
+    let full = SpaceSpec::full(1, 4);
+    let scopes = lazy_scopes(&full);
+    assert_eq!(scopes.len(), 20);
+    assert!(scopes.iter().all(|s| s.len() == 400));
+    let checked = assert_relation_is_the_order(&full, &scopes[7], all_pairs(400));
+    assert_eq!(checked, 400 * 400);
+
+    // `full-profiled`'s largest scope (28 words a row): seeded pairs,
+    // half of them drawn from within the same strategy and mask so
+    // that related pairs are common.
+    let profiled = SpaceSpec::full_profiled(1, 4);
+    let scopes = lazy_scopes(&profiled);
+    assert_eq!(scopes.iter().map(Vec::len).sum::<usize>(), 104_000);
+    let largest = scopes.iter().max_by_key(|s| s.len()).expect("scopes");
+    assert_eq!(largest.len(), 1744);
+    let mut rng = 0x5C0F_E5EEDu64;
+    let mut draw = move |n: usize| (xorshift64star(&mut rng) % n as u64) as usize;
+    let n = largest.len();
+    let pairs: Vec<(usize, usize)> = (0..40_000)
+        .map(|_| {
+            let a = draw(n);
+            let b = if draw(2) == 0 {
+                draw(n)
+            } else {
+                // A neighbour in enumeration order: same strategy and
+                // hardening, mostly comparable.
+                (a + draw(32)).min(n - 1)
+            };
+            (a, b)
+        })
+        .collect();
+    let related = pairs
+        .iter()
+        .filter(|&&(a, b)| a != b && largest[a].1.leq(&largest[b].1))
+        .count();
+    assert!(related > 1_000, "only {related} related pairs drawn");
+    assert_relation_is_the_order(&profiled, largest, pairs.into_iter());
+}

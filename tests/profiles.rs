@@ -175,10 +175,9 @@ fn default_profiles_reproduce_the_global_knob() {
 fn generated_configs_round_trip_through_their_text() {
     // Every config of `full` and a stride of `full-profiled` borrows its
     // names; the parser owns what it reads. The two must compare equal
-    // wherever they meet. The text has no syntax for per-component
-    // hardening overrides, so that map is the one field the round trip
-    // cannot carry: the reparsed config must equal the generated one
-    // with it cleared, and nothing else may differ.
+    // wherever they meet, per-component hardening overrides included
+    // (the text's `hardening:` section), so a hardened Figure 6 point
+    // never reparses as its unhardened twin.
     use flexos_sweep::SpaceSpec;
     use std::borrow::Cow;
     let full = SpaceSpec::full(0, 0);
@@ -187,12 +186,12 @@ fn generated_configs_round_trip_through_their_text() {
         (&full, (0..full.len()).collect::<Vec<_>>()),
         (&profiled, (0..profiled.len()).step_by(31).collect()),
     ];
-    let mut mixed = 0;
+    let (mut mixed, mut hardened) = (0, 0);
     for (spec, indices) in cases {
         for i in indices {
             let point = spec.point(i);
             let mut generated = point.config.clone();
-            generated.component_hardening.clear();
+            hardened += usize::from(point.hardening_mask != 0);
             let parsed = SafetyConfig::parse_str(&point.config.to_string()).unwrap();
             assert!(matches!(parsed.compartments[0].name, Cow::Owned(_)));
             assert!(matches!(generated.compartments[0].name, Cow::Borrowed(_)));
@@ -209,5 +208,9 @@ fn generated_configs_round_trip_through_their_text() {
     assert!(
         mixed > 10_000,
         "{mixed} configs mixed owned and borrowed names"
+    );
+    assert!(
+        hardened > 10_000,
+        "{hardened} hardened configs round-tripped"
     );
 }

@@ -10,7 +10,7 @@ mod common;
 
 use flexos::prelude::*;
 use flexos_alloc::{lea::Lea, tlsf::Tlsf, RegionAlloc};
-use flexos_explore::{maximal_among, Poset};
+use flexos_explore::{lazy_classify, maximal_among, PointStatus, Poset, Relation};
 use flexos_machine::addr::Addr;
 use flexos_machine::key::{Access, Pkru, ProtKey};
 use flexos_machine::mem::Memory;
@@ -243,6 +243,87 @@ fn poset_axioms_hold_on_random_subsets() {
         for &m in &maximal {
             for &other in &keep {
                 assert!(!poset.lt(m, other), "maximal {m} dominated by {other}");
+            }
+        }
+    }
+}
+
+#[test]
+fn lazy_classification_over_a_relation_matches_exhaustive_labels() {
+    // Random monotone labellings (a ≤ b ⇒ perf(a) ≥ perf(b)) of the two
+    // reference posets: subsets of k bits, each bit costing a random
+    // weight (zero weights make ties), and divisibility on 1..=n, each
+    // prime factor costing a random weight per multiplicity. Sizes run
+    // past 64 nodes, so relation rows span several words.
+    let mut rng = Rng::new(0x1a2e_c1a5);
+    for case in 0..96 {
+        type Labelled = (usize, fn(usize, usize) -> bool, Vec<f64>);
+        let (n, leq, perf): Labelled = if case % 2 == 0 {
+            let bits = rng.range(2, 8) as u32;
+            let weights: Vec<f64> = (0..bits).map(|_| rng.range(0, 6) as f64).collect();
+            let n = 1usize << bits;
+            let perf = (0..n)
+                .map(|i| {
+                    1000.0
+                        - (0..bits)
+                            .filter(|b| i >> b & 1 == 1)
+                            .map(|b| weights[b as usize])
+                            .sum::<f64>()
+                })
+                .collect();
+            (n, |a, b| a & b == a, perf)
+        } else {
+            let n = rng.range(2, 200) as usize;
+            let weight: Vec<f64> = (0..=n).map(|_| rng.range(0, 6) as f64).collect();
+            // perf(i) for the number i + 1: its prime factors' weights.
+            let perf = (0..n)
+                .map(|i| {
+                    let (mut m, mut p, mut cost) = (i + 1, 2, 0.0);
+                    while m > 1 {
+                        while m % p == 0 {
+                            m /= p;
+                            cost += weight[p];
+                        }
+                        p += 1;
+                    }
+                    1000.0 - cost
+                })
+                .collect();
+            (n, |a, b| (b + 1).is_multiple_of(a + 1), perf)
+        };
+        let order = Relation::new(n, leq);
+        let chains = order.chain_cover();
+        let lo = perf.iter().copied().fold(f64::MAX, f64::min);
+        let hi = perf.iter().copied().fold(f64::MIN, f64::max);
+        let budget = lo + (hi - lo) * rng.range(0, 101) as f64 / 100.0;
+        let mut requested = vec![0u32; n];
+        let statuses = lazy_classify(
+            &order,
+            &chains,
+            |batch| {
+                for &i in batch {
+                    requested[i] += 1;
+                }
+                batch.iter().map(|&i| perf[i]).collect()
+            },
+            |_, p| p >= budget,
+        );
+        for i in 0..n {
+            let want = if perf[i] >= budget {
+                PointStatus::Survives
+            } else {
+                PointStatus::Pruned
+            };
+            assert_eq!(statuses[i], want, "case {case}: node {i} of {n}");
+            assert!(requested[i] <= 1, "case {case}: node {i} requested twice");
+        }
+        for a in 0..n {
+            for b in 0..n {
+                assert_eq!(
+                    order.leq(a, b),
+                    a == b || leq(a, b),
+                    "case {case}: ({a}, {b})"
+                );
             }
         }
     }
