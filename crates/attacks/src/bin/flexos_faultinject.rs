@@ -19,8 +19,8 @@
 
 use std::process::ExitCode;
 
+use flexos_attacks::campaign::{build_campaign_image, run_campaign, run_campaign_on, CampaignSpec};
 use flexos_bench::cli::{self, CliError};
-use flexos_faultinject::{build_campaign_image, run_campaign, run_campaign_on, CampaignSpec};
 use flexos_machine::fault::Fault;
 use flexos_machine::trace::TraceConfig;
 
@@ -61,7 +61,7 @@ fn campaign_main(mut raw: Vec<String>) -> Result<u8, CliError> {
         }
     }
     let traced_os = if obs.requested() {
-        let os = build_campaign_image(&spec).map_err(infrastructure)?;
+        let os = build_campaign_image().map_err(infrastructure)?;
         os.env.machine().tracer().enable(TraceConfig::default());
         Some(os)
     } else {

@@ -1,7 +1,7 @@
-//! # flexos-faultinject — deterministic fault-injection campaigns
+//! Deterministic fault-injection campaigns.
 //!
-//! The attack matrix (`flexos_attacks`) proves each isolation claim in
-//! isolation; this crate stresses the *recovery* story: a seeded
+//! The attack matrix (`matrix`) proves each isolation claim in
+//! isolation; this module stresses the *recovery* story: a seeded
 //! campaign fires randomized-but-reproducible faults into a live
 //! multi-tenant image — budget exhaustion, forged gate calls, heap
 //! poison — while a [`Supervisor`] quarantines and microreboots the
@@ -15,21 +15,24 @@
 //! xorshift64* stream (the same generator the benchmark clients use),
 //! every injected fault lands at a virtual-cycle point decided by that
 //! stream and the image's own costs, and the resulting
-//! [`CampaignLog`] is a pure function of `(seed, rounds, budget)` —
-//! same inputs, byte-identical log. `flexos_faultinject --check` runs
+//! [`CampaignLog`] is a pure function of `(seed, rounds)` (every
+//! compartment carries the matrix's hostile-tenant budget) — same
+//! inputs, byte-identical log. `flexos_faultinject --check` runs
 //! a campaign twice and diffs the logs to enforce exactly that.
 
 use std::fmt;
 use std::rc::Rc;
 
 use flexos_apps::RedisEntries;
-use flexos_core::compartment::ResourceBudget;
 use flexos_core::component::ComponentId;
 use flexos_core::env::Work;
 use flexos_machine::fault::{Fault, FaultKind};
+use flexos_machine::trace::fnv1a;
 use flexos_machine::xorshift64star;
 use flexos_system::configs::mpk_tenants;
 use flexos_system::{FlexOs, Supervisor, SystemBuilder};
+
+use crate::matrix::GRID_BUDGET;
 
 /// The injection classes a campaign draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +81,6 @@ pub struct CampaignSpec {
     pub seed: u64,
     /// Number of injections to fire.
     pub rounds: u32,
-    /// Per-compartment budget applied image-wide (`default_budget`).
-    pub(crate) budget: ResourceBudget,
 }
 
 impl Default for CampaignSpec {
@@ -87,11 +88,6 @@ impl Default for CampaignSpec {
         CampaignSpec {
             seed: 0xF1E0_5EED,
             rounds: 32,
-            budget: ResourceBudget {
-                heap_bytes: Some(2 * 1024 * 1024),
-                cycles: Some(1_000_000),
-                crossings: Some(100_000),
-            },
         }
     }
 }
@@ -125,6 +121,10 @@ pub struct CampaignEvent {
 
 impl fmt::Display for CampaignEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let none = || "none".to_string();
+        let phases = self
+            .recovery_phases
+            .map(|p| p.map(|c| c.to_string()).join("/"));
         write!(
             f,
             "round={} cycle={} target={} inject={} fault={} recovery={} refusals={} phases={}",
@@ -132,21 +132,10 @@ impl fmt::Display for CampaignEvent {
             self.at_cycle,
             self.target,
             self.injection,
-            self.fault
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "none".to_string()),
-            self.recovery_latency
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "none".to_string()),
+            self.fault.map_or_else(none, |k| k.to_string()),
+            self.recovery_latency.map_or_else(none, |l| l.to_string()),
             self.refusals,
-            self.recovery_phases
-                .map(|p| {
-                    p.iter()
-                        .map(|c| c.to_string())
-                        .collect::<Vec<_>>()
-                        .join("/")
-                })
-                .unwrap_or_else(|| "none".to_string()),
+            phases.unwrap_or_else(none),
         )
     }
 }
@@ -185,17 +174,10 @@ impl CampaignLog {
         out
     }
 
-    /// FNV-1a digest over [`CampaignLog::lines`] — a compact fingerprint
-    /// for CI logs.
+    /// FNV-1a digest over [`CampaignLog::lines`], each ended by a
+    /// newline — a compact fingerprint for CI logs.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for line in self.lines() {
-            for b in line.bytes().chain([b'\n']) {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        fnv1a((self.lines().join("\n") + "\n").as_bytes())
     }
 }
 
@@ -204,15 +186,15 @@ impl CampaignLog {
 const TARGETS: [&str; 3] = ["lwip", "redis-a", "redis-b"];
 
 /// Builds the campaign image: the four-compartment multi-tenant
-/// configuration with `spec.budget` applied to every compartment, two
-/// named Redis tenants registered.
+/// configuration with the matrix's hostile-tenant budget applied to
+/// every compartment, two named Redis tenants registered.
 ///
 /// # Errors
 ///
 /// Configuration validation or boot faults.
-pub fn build_campaign_image(spec: &CampaignSpec) -> Result<FlexOs, Fault> {
-    let mut config = mpk_tenants(Some(spec.budget))?;
-    config.default_budget = Some(spec.budget);
+pub fn build_campaign_image() -> Result<FlexOs, Fault> {
+    let mut config = mpk_tenants(Some(GRID_BUDGET))?;
+    config.default_budget = Some(GRID_BUDGET);
     let mut redis_a = flexos_apps::redis_component();
     redis_a.name = "redis-a".into();
     let mut redis_b = flexos_apps::redis_component();
@@ -229,7 +211,7 @@ pub fn build_campaign_image(spec: &CampaignSpec) -> Result<FlexOs, Fault> {
 /// Infrastructure faults only (build failures, broken probe paths);
 /// injected faults are the campaign's *data* and land in the log.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignLog, Fault> {
-    let os = build_campaign_image(spec)?;
+    let os = build_campaign_image()?;
     run_campaign_on(&os, spec)
 }
 
@@ -269,7 +251,7 @@ pub fn run_campaign_on(os: &FlexOs, spec: &CampaignSpec) -> Result<CampaignLog, 
             Injection::BudgetExhaust => {
                 // One checked chunk past the cycle budget: the charge
                 // lands, the check refuses.
-                let over = spec.budget.cycles.unwrap_or(1_000_000) + 1;
+                let over = GRID_BUDGET.cycles.expect("the grid budget caps cycles") + 1;
                 env.run_as(target, || {
                     env.observe(env.compute_checked(Work::cycles(over))).err()
                 })

@@ -45,12 +45,16 @@
 //! block a superset of what a weaker point blocks — the sweep's
 //! partial order as an empirically checked theorem rather than a
 //! modeling artifact.
+//!
+//! The second adversary, [`campaign`], fires seeded faults into a live
+//! multi-tenant image under the same hostile-tenant budget.
 
 use std::fmt;
 
 use flexos_machine::fault::{Fault, FaultKind};
 use flexos_system::FlexOs;
 
+pub mod campaign;
 mod matrix;
 mod oracle;
 mod workloads;

@@ -215,10 +215,11 @@ pub fn run_matrix(spec: &SpaceSpec) -> Result<MatrixReport, Fault> {
     run_matrix_points(&spec.name, spec.points().collect())
 }
 
-/// The per-compartment budget the budgeted grid applies everywhere:
-/// 2 MiB of live heap (an eighth of a compartment heap), one million
-/// cycles per accounting window, and a crossings cap high enough that
-/// only a loop could hit it.
+/// The hostile-tenant budget: what the budgeted grid and the fault
+/// campaign (`campaign`) give every compartment — 2 MiB of live heap
+/// (an eighth of a compartment heap), one million cycles per
+/// accounting window, and a crossings cap high enough that only a loop
+/// could hit it.
 pub(crate) const GRID_BUDGET: ResourceBudget = ResourceBudget {
     heap_bytes: Some(2 * 1024 * 1024),
     cycles: Some(1_000_000),

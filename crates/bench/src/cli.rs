@@ -6,9 +6,9 @@
 //! prints, runs the canonical-trace tail and owns the exit policy:
 //! `2` with the usage line on bad input, `1` naming the fault or the
 //! unwritable path when the run or an artifact write fails, never a
-//! panic. `sweep`, `flexos_attack_matrix` and `flexos_faultinject` keep
-//! their own flag sets and exit codes but parse counts and fractions,
-//! run the `--trace` tail and report errors through the same functions.
+//! panic. `sweep` and `flexos_attacks`' `flexos_attack_matrix` and
+//! `flexos_faultinject` keep their own flags and exit codes but parse
+//! counts, run the `--trace` tail and report errors with this module.
 //!
 //! Every figure binary's stdout is pinned byte-for-byte, so
 //! observability must not perturb the normal run: the flags are
@@ -289,7 +289,7 @@ pub fn figure_main(name: &str) -> ExitCode {
     }
 }
 
-/// The exit status of an adversary binary (`flexos_attack_matrix`,
+/// The exit status of `flexos_attacks`' binaries (`flexos_attack_matrix`,
 /// `flexos_faultinject`), whose 1 and 2 are verdicts of their own runs:
 /// the status `result` carries, or — after reporting the error with
 /// `usage` — 1 for an unwritable path and 3 for everything else.

@@ -491,9 +491,13 @@ fn parse(text: &str) -> Result<SafetyConfig, Fault> {
         match section {
             Section::Compartments => {
                 if let Some(rest) = trimmed.strip_prefix("- ") {
-                    let name = rest.trim_end_matches(':').trim();
+                    // One `:` ends a header; `Display` cannot write back more.
+                    let name = rest.strip_suffix(':').unwrap_or(rest).trim();
                     if name.is_empty() {
                         return Err(err_at("empty compartment name"));
+                    }
+                    if name.contains(':') {
+                        return Err(err_at("`:` in compartment name"));
                     }
                     compartments.push(CompartmentSpec::new(name.to_string(), Mechanism::None));
                 } else {

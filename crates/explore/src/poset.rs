@@ -1,5 +1,7 @@
 //! The configuration poset (§5, Figure 5/8).
 
+use crate::relation::{ones, Relation};
+
 /// A partially ordered set of configurations: each node's measured
 /// performance and the safety order over them, compared on demand.
 ///
@@ -57,31 +59,28 @@ impl<'a> Poset<'a> {
         a != b && self.leq(a, b)
     }
 
-    /// The relation over every ordered pair, row-major — for the cubic
-    /// checkers below, which read each pair many times.
-    fn table(&self) -> Vec<bool> {
-        let n = self.len();
-        (0..n * n).map(|ab| self.leq(ab / n, ab % n)).collect()
-    }
-
-    /// Checks the partial-order axioms (used by property tests).
+    /// Checks the partial-order axioms (used by property tests):
+    /// reflexivity from the predicate, since [`Relation::new`] sets the
+    /// diagonal, then antisymmetry and transitivity from up-set rows.
     ///
     /// # Errors
     ///
     /// Returns a description of the violated axiom.
     pub fn check_axioms(&self) -> Result<(), String> {
         let n = self.len();
-        let table = self.table();
-        let leq = |a: usize, b: usize| table[a * n + b];
-        if let Some(a) = (0..n).find(|&a| !leq(a, a)) {
+        if let Some(a) = (0..n).find(|&a| !self.leq(a, a)) {
             return Err(format!("not reflexive at {a}"));
         }
+        let rel = Relation::new(n, |a, b| self.leq(a, b));
         for a in 0..n {
-            for b in (0..n).filter(|&b| leq(a, b)) {
-                if a != b && leq(b, a) {
+            for b in ones(rel.up(a)) {
+                if a != b && rel.leq(b, a) {
                     return Err(format!("not antisymmetric: {a} <=> {b}"));
                 }
-                if let Some(c) = (0..n).find(|&c| leq(b, c) && !leq(a, c)) {
+                // The first c ≥ b that is not ≥ a, read off up(b) \ up(a).
+                let escaped = rel.up(b).iter().zip(rel.up(a)).map(|(ub, ua)| ub & !ua);
+                if let Some((w, bits)) = escaped.enumerate().find(|&(_, bits)| bits != 0) {
+                    let c = w * 64 + bits.trailing_zeros() as usize;
                     return Err(format!("not transitive: {a} <= {b} <= {c}"));
                 }
             }
@@ -90,14 +89,17 @@ impl<'a> Poset<'a> {
     }
 
     /// Directed edges of the DAG view (cover relation: a < b with nothing
-    /// in between), pointing from safer to less safe as in Figure 5.
+    /// in between, so `up(a) ∩ down(b)` is exactly `{a, b}`), pointing
+    /// from safer to less safe as in Figure 5.
     pub fn cover_edges(&self) -> Vec<(usize, usize)> {
-        let n = self.len();
-        let table = self.table();
-        let lt = |a: usize, b: usize| a != b && table[a * n + b];
-        (0..n * n)
-            .map(|ab| (ab / n, ab % n))
-            .filter(|&(a, b)| lt(a, b) && !(0..n).any(|c| lt(a, c) && lt(c, b)))
+        let rel = Relation::new(self.len(), |a, b| self.leq(a, b));
+        let span = |a: usize, b: usize| -> u32 {
+            let pairs = rel.up(a).iter().zip(rel.down(b));
+            pairs.map(|(u, d)| (u & d).count_ones()).sum()
+        };
+        (0..self.len())
+            .flat_map(|a| ones(rel.up(a)).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b && span(a, b) == 2)
             .collect()
     }
 }

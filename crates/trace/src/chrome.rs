@@ -353,8 +353,8 @@ pub fn chrome_trace_json(events: &[Event], names: &NameTable) -> String {
     out
 }
 
-/// FNV-1a over a byte string — the trace digest. Matches the
-/// faultinject campaign digest so CI can treat both the same way.
+/// FNV-1a over a byte string — the trace digest, and the digest of the
+/// fault campaign's log (`flexos_attacks::campaign`) too.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

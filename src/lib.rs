@@ -38,7 +38,6 @@ pub use flexos_attacks as attacks;
 pub use flexos_core as core;
 pub use flexos_ept as ept;
 pub use flexos_explore as explore;
-pub use flexos_faultinject as faultinject;
 pub use flexos_fs as fs;
 pub use flexos_libc as libc;
 pub use flexos_machine as machine;

@@ -70,10 +70,10 @@ use std::fmt::Write as _;
 use flexos::prelude::*;
 use flexos::sweep::{emit, engine, lazy, report, SpaceSpec, Workload};
 use flexos_apps::workloads::{run_redis_bench, KeyPattern, RedisBench};
+use flexos_attacks::campaign::{build_campaign_image, run_campaign, run_campaign_on, CampaignSpec};
 use flexos_bench::cli::FIGURES;
 use flexos_bench::{fig06_text, fig07_text, fig08_text};
 use flexos_core::compartment::{CompartmentId, DataSharing};
-use flexos_faultinject::{build_campaign_image, run_campaign, run_campaign_on, CampaignSpec};
 use flexos_system::observe::{metrics_json, trace_artifacts};
 
 #[path = "common/traced.rs"]
@@ -497,7 +497,7 @@ fn default_fault_injection_campaign_matches_the_recorded_log_and_trace() {
     );
     assert_eq!(log.digest(), 0xb2b1_2012_ba72_eb87, "the digest CI prints");
 
-    let os = build_campaign_image(&spec).unwrap();
+    let os = build_campaign_image().unwrap();
     os.env
         .machine()
         .tracer()

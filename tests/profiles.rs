@@ -68,6 +68,24 @@ libraries:
 }
 
 #[test]
+fn compartment_names_display_cannot_write_back_are_refused() {
+    // `Display` writes a header as `- {name}:`, so a name that is empty
+    // or holds a `:` would not reparse as itself: `comp2:` comes back as
+    // a second `comp2`, `::` as an empty name.
+    for header in ["- comp2: :", "- :: :"] {
+        let text = format!(
+            "compartments:\n- comp1:\n    mechanism: intel-mpk\n    default: True\n\
+             - comp2:\n    mechanism: intel-mpk\n{header}\n    mechanism: intel-mpk\n"
+        );
+        let err = SafetyConfig::parse_str(&text).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("line 7: `:` in compartment name: `{header}`")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn mixed_gates_coexist_in_one_image() {
     // Callee-side gate selection: crossings *into* the shared-stack
     // compartment take the light gate, crossings back into the DSS

@@ -249,6 +249,27 @@ fn poset_axioms_hold_on_random_subsets() {
 }
 
 #[test]
+fn check_axioms_names_each_violated_axiom() {
+    let check = |n: usize, leq: &dyn Fn(usize, usize) -> bool| {
+        Poset::new(vec![0.0; n], leq).check_axioms().unwrap_err()
+    };
+    assert_eq!(check(3, &|a, b| a == b && a != 1), "not reflexive at 1");
+    assert_eq!(
+        check(3, &|a, b| a == b || (a < 2 && b < 2)),
+        "not antisymmetric: 0 <=> 1"
+    );
+    assert_eq!(
+        check(3, &|a, b| a == b || (a, b) == (0, 1) || (a, b) == (1, 2)),
+        "not transitive: 0 <= 1 <= 2"
+    );
+    // A 70-node chain missing one link: the witness sits in a second word.
+    assert_eq!(
+        check(70, &|a, b| a <= b && (a, b) != (0, 69)),
+        "not transitive: 0 <= 1 <= 69"
+    );
+}
+
+#[test]
 fn lazy_classification_over_a_relation_matches_exhaustive_labels() {
     // Random monotone labellings (a ≤ b ⇒ perf(a) ≥ perf(b)) of the two
     // reference posets: subsets of k bits, each bit costing a random
